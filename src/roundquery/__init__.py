@@ -69,7 +69,6 @@ from .oracles import (
     FixedOracle,
     OracleError,
     ValueOracle,
-    fixed_oracle,
     minimum_additive_lb_adversary,
     minimum_wlb_adversary,
     selection_full_lb_adversary,
@@ -81,8 +80,6 @@ from .reductions import (
     QueryAllBatch,
     RoundsToBatches,
     TwoBatchSorting,
-    batches_to_rounds,
-    rounds_to_batches,
     w,
     w_inverse,
 )

@@ -11,10 +11,9 @@ so one instance of it drives exactly one trial.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .instances import Instance, MINIMUM, SELECTION_FULL, SELECTION_VALUE, SORTING
 from .intervals import (
@@ -24,10 +23,13 @@ from .intervals import (
     dependent,
     left_cut,
     right_cut,
-    state_point,
 )
 from .solving import (
+    DependencyGraph,
+    build_dependency_graph,
     ceil_div,
+    exact_cover,
+    forced_queries,
     minimum_discard,
     minimum_solved,
     selection_categories,
@@ -44,34 +46,6 @@ class AlgorithmError(RuntimeError):
 # dependency graph and vertex covers
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Dependent pairs that co-occur in some set, over non-trivial unqueried
-    elements.  Single-set graphs are interval graphs."""
-
-    vertices: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int], ...]
-    states: Dict[int, ElementState]
-    single_set: bool
-
-
-def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> DependencyGraph:
-    vertices = sorted(knowledge.unqueried_nontrivial(instance.ids()))
-    vset = set(vertices)
-    edges: Set[Tuple[int, int]] = set()
-    for members in instance.family:
-        live = sorted(e for e in members if e in vset)
-        for a, b in itertools.combinations(live, 2):
-            if dependent(knowledge.state(a), knowledge.state(b)):
-                edges.add((a, b))
-    return DependencyGraph(
-        vertices=tuple(vertices),
-        edges=tuple(sorted(edges)),
-        states={v: knowledge.state(v) for v in vertices},
-        single_set=instance.m == 1,
-    )
-
-
 def _interval_exact_cover(graph: DependencyGraph) -> FrozenSet[int]:
     # max independent set greedily by right endpoint; the cover is the rest
     order = sorted(graph.vertices, key=lambda v: (right_cut(graph.states[v]), v))
@@ -80,45 +54,6 @@ def _interval_exact_cover(graph: DependencyGraph) -> FrozenSet[int]:
         if not picked or not dependent(graph.states[picked[-1]], graph.states[v]):
             picked.append(v)
     return frozenset(graph.vertices) - frozenset(picked)
-
-
-def _general_exact_cover(graph: DependencyGraph, cap: int = 40) -> FrozenSet[int]:
-    touched = sorted({v for e in graph.edges for v in e})
-    if len(touched) > cap:
-        raise AlgorithmError(f"{len(touched)} covered vertices above branch-and-bound cap {cap}")
-    best: Optional[FrozenSet[int]] = None
-
-    def matching_bound(cover: Set[int]) -> int:
-        used: Set[int] = set()
-        extra = 0
-        for a, b in graph.edges:
-            if a in cover or b in cover or a in used or b in used:
-                continue
-            used.update((a, b))
-            extra += 1
-        return extra
-
-    def search(cover: Set[int]) -> None:
-        nonlocal best
-        if best is not None and len(cover) + matching_bound(cover) >= len(best):
-            return
-        open_edges = [e for e in graph.edges if e[0] not in cover and e[1] not in cover]
-        if not open_edges:
-            if best is None or len(cover) < len(best):
-                best = frozenset(cover)
-            return
-        degree: Dict[int, int] = {}
-        for a, b in open_edges:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        u = min(degree, key=lambda v: (-degree[v], v))
-        neighbours = {w for e in open_edges if u in e for w in e if w != u}
-        search(cover | {u})
-        search(cover | neighbours)
-
-    search(set())
-    assert best is not None
-    return best
 
 
 def _matching_cover(graph: DependencyGraph) -> FrozenSet[int]:
@@ -133,16 +68,20 @@ def min_vertex_cover(graph: DependencyGraph, mode: str) -> FrozenSet[int]:
     """Vertex cover of the dependency graph.
 
     ``interval-exact`` is the polynomial single-set solver, ``general-exact``
-    a branch-and-bound for arbitrary co-set graphs (capped), and
-    ``matching-2approx`` returns the matched vertices of a greedy maximal
-    matching.
+    the branch and bound `solving.exact_cover` for arbitrary co-set graphs
+    (capped at 40 covered vertices; the sorting optimum runs the same search
+    with forced closure), and ``matching-2approx`` returns the matched
+    vertices of a greedy maximal matching.
     """
     if mode == "interval-exact":
         if not graph.single_set:
             raise AlgorithmError("interval-exact cover needs a single-set graph")
         return _interval_exact_cover(graph)
     if mode == "general-exact":
-        return _general_exact_cover(graph)
+        touched = {v for e in graph.edges for v in e}
+        if len(touched) > 40:
+            raise AlgorithmError(f"{len(touched)} covered vertices above branch-and-bound cap 40")
+        return exact_cover(graph.edges)
     if mode == "matching-2approx":
         return _matching_cover(graph)
     raise AlgorithmError(f"unknown vertex cover mode {mode!r}")
@@ -166,22 +105,6 @@ class SortingRounds:
         self.mode = mode
         self._cover_queue: Optional[List[int]] = None
 
-    def _forced(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
-        forced: Set[int] = set()
-        for members in instance.family:
-            points = [
-                knowledge.known_value(e) for e in members if knowledge.known_value(e) is not None
-            ]
-            if not points:
-                continue
-            for e in members:
-                if knowledge.known_value(e) is not None:
-                    continue
-                iv = knowledge.original(e)
-                if any(iv.strict_interior(p) for p in points):
-                    forced.add(e)
-        return sorted(forced)
-
     def next_round(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
         if all(sorting_solved(members, knowledge) for members in instance.family):
             return []  # answers may resolve pending cover elements early
@@ -197,7 +120,7 @@ class SortingRounds:
         pending = [e for e in self._cover_queue if not knowledge.is_revealed(e)]
         if pending:
             return pending[: instance.k]
-        return self._forced(instance, knowledge)[: instance.k]
+        return forced_queries(instance, knowledge)[: instance.k]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +259,6 @@ class BudgetRounds:
 
 
 def _mirror_state(state: ElementState) -> ElementState:
-    p = state_point(state)
     if isinstance(state, Fraction):
         return -state
     assert isinstance(state, UncertainInterval)
@@ -426,9 +348,9 @@ class SelectionFullRounds:
 # registry
 
 
-ALGORITHMS: Dict[str, Tuple[object, Tuple]] = {
-    "sorting-vc": (SortingRounds, (SORTING,)),
-    "sorting-matching": (SortingRounds, (SORTING,)),
+ALGORITHMS: Dict[str, Tuple[Callable[[], object], Tuple]] = {
+    "sorting-vc": (partial(SortingRounds, "exact"), (SORTING,)),
+    "sorting-matching": (partial(SortingRounds, "matching"), (SORTING,)),
     "min-single": (MinimumSingleRounds, (MINIMUM,)),
     "bal": (BalancedRounds, (MINIMUM,)),
     "budget": (BudgetRounds, (MINIMUM,)),
@@ -445,15 +367,11 @@ def make_algorithm(name: str, instance: Instance):
     """Fresh per-run algorithm object for the given selector string."""
     if name not in ALGORITHMS:
         raise AlgorithmError(f"unknown algorithm {name!r}; pick one of {algorithm_names()}")
-    cls, kinds = ALGORITHMS[name]
+    factory, kinds = ALGORITHMS[name]
     if instance.problem.kind not in kinds:
         raise AlgorithmError(
             f"algorithm {name!r} does not handle {instance.problem.kind.value} instances"
         )
-    if name == "sorting-vc":
-        return SortingRounds("exact")
-    if name == "sorting-matching":
-        return SortingRounds("matching")
     if name == "min-single" and instance.m != 1:
         raise AlgorithmError("min-single needs a single-set instance")
-    return cls()
+    return factory()

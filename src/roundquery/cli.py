@@ -7,7 +7,10 @@ errors.  `-` stands for stdin/stdout wherever a path is taken.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional
 
@@ -25,7 +28,7 @@ from .harness import (
 from .instances import InstanceError, parse_instance, serialize_instance
 from .intervals import IntervalError
 from .oracles import FixedOracle, OracleError
-from .reductions import QueryAllBatch, TwoBatchSorting, batches_to_rounds, rounds_to_batches
+from .reductions import BatchesToRounds, QueryAllBatch, RoundsToBatches, TwoBatchSorting
 from .solving import (
     SolutionCertificate,
     canonical_opt,
@@ -105,20 +108,12 @@ def cmd_run(args) -> int:
     if args.as_rounds is not None:
         if args.alg not in BATCH_ALGORITHMS:
             raise AlgorithmError(f"--as-rounds expects a batch algorithm: {sorted(BATCH_ALGORITHMS)}")
-        from dataclasses import replace
-
         instance = replace(instance, k=int(_keyed_value(args.as_rounds, "k")))
-        alg = batches_to_rounds(BATCH_ALGORITHMS[args.alg]())
-        trace, report = run(alg, instance, oracle, opt_cap=args.opt_cap)
-        if args.trace:
-            sys.stdout.write(trace.text())
-        sys.stdout.write(report.text())
-        sys.stdout.write(f"batches_used {alg.batches_used}\n")
-        return 0
-    if args.as_batches is not None:
+        alg = BatchesToRounds(BATCH_ALGORITHMS[args.alg]())
+    elif args.as_batches is not None:
         r = int(_keyed_value(args.as_batches[0], "r"))
         alpha = Fraction(_keyed_value(args.as_batches[1], "alpha"))
-        batch_alg = rounds_to_batches(
+        batch_alg = RoundsToBatches(
             lambda sized: make_algorithm(args.alg, sized), alpha, r, instance.n
         )
         batches, report = run_batches(batch_alg, instance, oracle, opt_cap=args.opt_cap)
@@ -126,11 +121,14 @@ def cmd_run(args) -> int:
             sys.stdout.write(f"batch {idx}: " + " ".join(str(e) for e in batch) + "\n")
         sys.stdout.write(report.text())
         return 0
-    alg = make_algorithm(args.alg, instance)
+    else:
+        alg = make_algorithm(args.alg, instance)
     trace, report = run(alg, instance, oracle, opt_cap=args.opt_cap)
     if args.trace:
         sys.stdout.write(trace.text())
     sys.stdout.write(report.text())
+    if args.as_rounds is not None:
+        sys.stdout.write(f"batches_used {alg.batches_used}\n")
     return 0
 
 
@@ -174,10 +172,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_table(args) -> int:
-    import csv as _csv
-    import io as _io
-
-    rows = list(_csv.reader(_io.StringIO(_read(args.csv))))
+    rows = list(csv.reader(io.StringIO(_read(args.csv))))
     if not rows:
         return 0
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]

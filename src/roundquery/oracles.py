@@ -88,10 +88,6 @@ class FixedOracle(ValueOracle):
         return self.realization
 
 
-def fixed_oracle(instance: Instance, realization: Realization) -> FixedOracle:
-    return FixedOracle(instance, realization)
-
-
 # ---------------------------------------------------------------------------
 # sorting: pairs of dependent intervals
 

@@ -15,9 +15,10 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, List
 
-from .algorithms import AlgorithmError, build_dependency_graph, min_vertex_cover
+from .algorithms import AlgorithmError, min_vertex_cover
 from .instances import Instance, SORTING
 from .intervals import KnowledgeState
+from .solving import build_dependency_graph, forced_queries
 
 
 class QueryAllBatch:
@@ -51,20 +52,10 @@ class TwoBatchSorting:
         if self._stage == 1:
             graph = build_dependency_graph(instance, knowledge)
             return sorted(min_vertex_cover(graph, "matching-2approx"))
-        forced = set()
-        for members in instance.family:
-            points = [
-                knowledge.known_value(e) for e in members if knowledge.known_value(e) is not None
-            ]
-            for e in members:
-                if knowledge.known_value(e) is not None:
-                    continue
-                iv = knowledge.original(e)
-                if any(iv.strict_interior(p) for p in points):
-                    forced.add(e)
+        forced = forced_queries(instance, knowledge)
         if self._stage > 2 and forced:
             raise AlgorithmError("two-batch sorting required a third batch")
-        return sorted(forced)
+        return forced
 
 
 class BatchesToRounds:
@@ -91,10 +82,6 @@ class BatchesToRounds:
         chunk = self._queue[: instance.k]
         del self._queue[: instance.k]
         return chunk
-
-
-def batches_to_rounds(batch_alg) -> BatchesToRounds:
-    return BatchesToRounds(batch_alg)
 
 
 def _ceil_pow(n: int, num: int, den: int) -> int:
@@ -153,12 +140,6 @@ class RoundsToBatches:
         if leftover:
             self.batches_used += 1
         return leftover
-
-
-def rounds_to_batches(
-    make_round_alg: Callable[[Instance], object], alpha: Fraction, r: int, n: int
-) -> RoundsToBatches:
-    return RoundsToBatches(make_round_alg, alpha, r, n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 A problem state is solved when the answer is provable from the knowledge
 state alone, without peeking at unqueried values.  The optimum query set
 is computed in closed form where one exists (minimum per set, the
-containing intervals for full selection) and by subset search otherwise;
-the closed forms double as oracles for the brute force and vice versa.
+containing intervals for full selection), by subset search for value
+selection, and for sorting by the same exact vertex-cover branch and bound
+that gives `sorting-vc` its multi-set cover, closed under the queries that
+revealed values force; the closed forms double as oracles for the brute
+force and vice versa.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .instances import (
     Instance,
@@ -27,6 +30,7 @@ from .instances import (
 from .intervals import (
     CLOSED,
     Cut,
+    ElementState,
     KnowledgeState,
     OPEN,
     UncertainInterval,
@@ -254,6 +258,132 @@ def selection_categories(instance: Instance, knowledge: KnowledgeState, rank: Op
 
 
 # ---------------------------------------------------------------------------
+# sorting structure: dependency graph, forced queries, exact vertex cover
+
+
+@dataclass(frozen=True)
+class DependencyGraph:
+    """Dependent pairs that co-occur in some set, over non-trivial unqueried
+    elements.  Single-set graphs are interval graphs."""
+
+    vertices: Tuple[int, ...]
+    edges: Tuple[Tuple[int, int], ...]
+    states: Dict[int, ElementState]
+    single_set: bool
+
+
+def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> DependencyGraph:
+    vertices = sorted(knowledge.unqueried_nontrivial(instance.ids()))
+    vset = set(vertices)
+    edges: Set[Tuple[int, int]] = set()
+    for members in instance.family:
+        live = sorted(e for e in members if e in vset)
+        for a, b in itertools.combinations(live, 2):
+            if dependent(knowledge.state(a), knowledge.state(b)):
+                edges.add((a, b))
+    return DependencyGraph(
+        vertices=tuple(vertices),
+        edges=tuple(sorted(edges)),
+        states={v: knowledge.state(v) for v in vertices},
+        single_set=instance.m == 1,
+    )
+
+
+def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
+    """Unqueried intervals that strictly contain a known point of a co-set
+    element: no answer can order them against that point, so every
+    solution queries them."""
+    forced: Set[int] = set()
+    for members in instance.family:
+        points = [knowledge.known_value(e) for e in members if knowledge.known_value(e) is not None]
+        if not points:
+            continue
+        for e in members:
+            if knowledge.known_value(e) is not None:
+                continue
+            iv = knowledge.original(e)
+            if any(iv.strict_interior(p) for p in points):
+                forced.add(e)
+    return sorted(forced)
+
+
+def _closure(base: Iterable[int], forces: Dict[int, FrozenSet[int]]) -> Set[int]:
+    out = set(base)
+    frontier = list(base)
+    while frontier:
+        for e in forces[frontier.pop()]:
+            if e not in out:
+                out.add(e)
+                frontier.append(e)
+    return out
+
+
+def exact_cover(
+    edges: Sequence[Tuple[int, int]],
+    forces: Optional[Dict[int, FrozenSet[int]]] = None,
+    start: Iterable[int] = (),
+    excluded: Iterable[int] = (),
+    upper: Optional[int] = None,
+) -> Optional[FrozenSet[int]]:
+    """Minimum vertex cover of `edges` that contains `start`, or None.
+
+    Branch and bound: take the highest-degree open vertex (lowest id on
+    ties), first on its own and then as all its open neighbours, and prune
+    with the cover size plus a greedy matching of the open edges.  The
+    first minimum found wins.  With `forces`, every partial cover is closed
+    under the implications (picking i picks `forces[i]`); partial covers
+    that touch `excluded`, or whose bound exceeds `upper`, are dropped.
+    """
+    excluded = frozenset(excluded)
+    best: Optional[FrozenSet[int]] = None
+
+    def grow(cover: Set[int], extra: Iterable[int]) -> Optional[Set[int]]:
+        # `cover` is already closed, so only what `extra` forces is new
+        if forces:
+            extra = _closure(extra, forces)
+        if excluded and not excluded.isdisjoint(extra):
+            return None
+        return cover.union(extra)
+
+    def matching_bound(cover: Set[int]) -> int:
+        used: Set[int] = set()
+        extra = 0
+        for a, b in edges:
+            if a in cover or b in cover or a in used or b in used:
+                continue
+            used.update((a, b))
+            extra += 1
+        return extra
+
+    def search(cover: Set[int]) -> None:
+        nonlocal best
+        bound = len(cover) + matching_bound(cover)
+        if best is not None and bound >= len(best):
+            return
+        if upper is not None and bound > upper:
+            return
+        open_edges = [e for e in edges if e[0] not in cover and e[1] not in cover]
+        if not open_edges:
+            best = frozenset(cover)
+            return
+        degree: Dict[int, int] = {}
+        for a, b in open_edges:
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+        u = min(degree, key=lambda v: (-degree[v], v))
+        neighbours = {w for e in open_edges if u in e for w in e if w != u}
+        for extra in ({u}, neighbours):
+            branch = grow(cover, extra)
+            if branch is not None:
+                search(branch)
+
+    root = grow(set(), start)
+    if root is not None:
+        search(root)
+    return best
+
+
+# ---------------------------------------------------------------------------
 # certificates
 
 
@@ -409,111 +539,41 @@ def query_set_feasible(instance: Instance, realization: Realization, ids: Iterab
 def _sorting_structure(instance: Instance, realization: Realization):
     """Static dependency edges plus the forced-query implications.
 
-    An edge joins two non-trivial co-set intervals whose order is open;
+    The edges are those of the untouched instance's dependency graph;
     `forces[i]` holds the co-set intervals that must be queried once i's
-    value is on the table (the value falls strictly inside them).
+    value is on the table (the value falls strictly inside them), and the
+    seeds are the intervals that the trivial points force.
     """
-    nontrivial = [e for e in instance.ids() if not instance.interval(e).trivial]
     co_set: Dict[int, set] = {e: set() for e in instance.ids()}
     for members in instance.family:
-        for a, b in itertools.combinations(sorted(members), 2):
+        for a, b in itertools.combinations(members, 2):
             co_set[a].add(b)
             co_set[b].add(a)
-    edges = []
-    for a in nontrivial:
-        for b in co_set[a]:
-            if b > a and not instance.interval(b).trivial:
-                if dependent(instance.interval(a), instance.interval(b)):
-                    edges.append((a, b))
     forces: Dict[int, FrozenSet[int]] = {}
     for a in instance.ids():
         v = realization.value(a)
-        out = set()
-        for b in co_set[a]:
-            iv = instance.interval(b)
-            if not iv.trivial and iv.strict_interior(v):
-                out.add(b)
-        forces[a] = frozenset(out)
+        # a trivial interval has an empty interior, so it is never forced
+        forces[a] = frozenset(b for b in co_set[a] if instance.interval(b).strict_interior(v))
     seeds = set()
     for a in instance.ids():
         if instance.interval(a).trivial:
             seeds |= forces[a]
-    return edges, forces, seeds
-
-
-def _closure(base: set, forces: Dict[int, FrozenSet[int]]) -> set:
-    out = set(base)
-    frontier = list(base)
-    while frontier:
-        nxt = forces[frontier.pop()]
-        for e in nxt:
-            if e not in out:
-                out.add(e)
-                frontier.append(e)
-    return out
-
-
-def _sorting_min_queries(
-    edges: Sequence[Tuple[int, int]],
-    forces: Dict[int, FrozenSet[int]],
-    seeds: set,
-    mandatory: set,
-    excluded: set,
-    best_cap: Optional[int] = None,
-) -> Optional[int]:
-    """Smallest feasible query set size honoring mandatory/excluded, or None."""
-    chosen = _closure(seeds | mandatory, forces)
-    if chosen & excluded:
-        return None
-
-    def matching_bound(cur: set) -> int:
-        used = set()
-        extra = 0
-        for a, b in edges:
-            if a in cur or b in cur or a in used or b in used:
-                continue
-            used.add(a)
-            used.add(b)
-            extra += 1
-        return extra
-
-    best: Optional[int] = None
-
-    def search(cur: set) -> None:
-        nonlocal best
-        bound = len(cur) + matching_bound(cur)
-        if best is not None and bound >= best:
-            return
-        if best_cap is not None and bound > best_cap:
-            return
-        for a, b in edges:
-            if a not in cur and b not in cur:
-                for pick in (a, b):
-                    if pick in excluded:
-                        continue
-                    nxt = _closure(cur | {pick}, forces)
-                    if not nxt & excluded:
-                        search(nxt)
-                return
-        if best is None or len(cur) < best:
-            best = len(cur)
-
-    search(chosen)
-    return best
+    return build_dependency_graph(instance, instance.knowledge()).edges, forces, seeds
 
 
 def _opt1_sorting_bruteforce(instance: Instance, realization: Realization) -> FrozenSet[int]:
     edges, forces, seeds = _sorting_structure(instance, realization)
-    opt = _sorting_min_queries(edges, forces, seeds, set(), set())
-    assert opt is not None  # querying everything non-trivial is always feasible
+    best = exact_cover(edges, forces, start=seeds)
+    assert best is not None  # querying everything non-trivial is always feasible
+    opt = len(best)
     chosen: set = set()
     excluded: set = set()
     for eid in instance.ids():
         if eid in chosen or eid in excluded or instance.interval(eid).trivial:
             continue
-        size = _sorting_min_queries(edges, forces, seeds, chosen | {eid}, excluded, best_cap=opt)
-        if size == opt:
-            chosen = _closure(chosen | {eid} | seeds, forces)
+        trial = chosen | {eid} | seeds
+        if exact_cover(edges, forces, trial, excluded, upper=opt) is not None:
+            chosen = _closure(trial, forces)
         else:
             excluded.add(eid)
     assert len(chosen) == opt
@@ -523,8 +583,8 @@ def _opt1_sorting_bruteforce(instance: Instance, realization: Realization) -> Fr
 def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = 22) -> OptReport:
     """Minimum feasible query set, lexicographically smallest among minima.
 
-    Subset search in cardinality order; sorting instances go through a
-    branch-and-bound equivalent that scales past the enumeration cap.
+    Subset search in cardinality order; sorting instances go through
+    `exact_cover` with forced closure, which scales past the enumeration cap.
     """
     if instance.n > cap:
         raise BruteForceCapError(f"n = {instance.n} above brute-force cap {cap}")

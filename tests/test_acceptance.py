@@ -26,7 +26,7 @@ from roundquery.oracles import (
     selection_full_lb_adversary,
 )
 from roundquery.oracles import sorting_pair_adversary
-from roundquery.reductions import TwoBatchSorting, batches_to_rounds, rounds_to_batches, w, w_inverse
+from roundquery.reductions import BatchesToRounds, RoundsToBatches, TwoBatchSorting, w, w_inverse
 from roundquery.solving import (
     ceil_div,
     minimum_solved,
@@ -277,7 +277,7 @@ def test_criterion_9_reductions():
     # batch -> rounds: alpha * opt_k + r - 1 with the 2-query 2-batch sorter
     for c, k in ((1, 2), (2, 2), (2, 3), (3, 4)):
         inst, oracle = sorting_pair_adversary(c, k)
-        wrapped = batches_to_rounds(TwoBatchSorting())
+        wrapped = BatchesToRounds(TwoBatchSorting())
         _, report = run(wrapped, inst, oracle, opt_cap=inst.n)
         assert wrapped.batches_used <= 2
         assert report.alg_rounds <= 2 * report.opt_k + 1
@@ -290,7 +290,7 @@ def test_criterion_9_reductions():
             overlap="overlap" if seed % 2 else "disjoint",
         )
         inst, r = gen_random(seed, params)
-        wrapped = batches_to_rounds(TwoBatchSorting())
+        wrapped = BatchesToRounds(TwoBatchSorting())
         _, report = run(wrapped, inst, FixedOracle(inst, r))
         assert wrapped.batches_used <= 2
         assert report.alg_rounds <= 2 * report.opt_k + 1
@@ -301,7 +301,7 @@ def test_criterion_9_reductions():
             n=16, m=1, k=1, problem=ProblemKind(MINIMUM), overlap="single", trivial_prob=0.0
         )
         inst, real = gen_random(seed, params)
-        batch_alg = rounds_to_batches(
+        batch_alg = RoundsToBatches(
             lambda sized: make_algorithm("min-single", sized), Fraction(1), r_budget, inst.n
         )
         assert batch_alg.k_schedule == [1, 2, 4, 8]

@@ -1,6 +1,7 @@
 """Round-building algorithms: vertex covers, the balanced and budget
 strategies, and both selection variants."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,29 @@ class TestVertexCover:
         graph = build_dependency_graph(inst, inst.knowledge())
         with pytest.raises(AlgorithmError):
             min_vertex_cover(graph, "interval-exact")
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("trivial_prob", [0.0, 0.5])
+    def test_general_exact_matches_subset_enumeration_on_multi_set_graphs(self, m, trivial_prob):
+        # sparse random graphs rarely defeat a greedy cover, hence many seeds
+        for seed in range(250):
+            params = RandomParams(
+                n=12, m=m, k=2, problem=ProblemKind(SORTING), overlap="overlap", trivial_prob=trivial_prob
+            )
+            inst, _ = gen_random(seed, params)
+            graph = build_dependency_graph(inst, inst.knowledge())
+
+            def is_cover(subset):
+                return all(a in subset or b in subset for a, b in graph.edges)
+
+            cover = min_vertex_cover(graph, "general-exact")
+            assert is_cover(cover)
+            smallest = next(
+                size
+                for size in range(len(graph.vertices) + 1)
+                if any(is_cover(set(s)) for s in itertools.combinations(graph.vertices, size))
+            )
+            assert len(cover) == smallest, seed
 
 
 class TestSortingRounds:

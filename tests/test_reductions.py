@@ -16,10 +16,10 @@ from roundquery.instances import (
 )
 from roundquery.oracles import FixedOracle, sorting_pair_adversary
 from roundquery.reductions import (
+    BatchesToRounds,
     QueryAllBatch,
+    RoundsToBatches,
     TwoBatchSorting,
-    batches_to_rounds,
-    rounds_to_batches,
     w,
     w_inverse,
 )
@@ -31,7 +31,7 @@ class TestBatchesToRounds:
     def test_single_batch_splits_into_ceil_q_over_k_rounds(self, seed, k):
         params = RandomParams(n=9, m=1, k=k, problem=ProblemKind(MINIMUM), overlap="single", trivial_prob=0.0)
         inst, r = gen_random(seed, params)
-        alg = batches_to_rounds(QueryAllBatch())
+        alg = BatchesToRounds(QueryAllBatch())
         trace, report = run(alg, inst, FixedOracle(inst, r))
         # every round but the last is full; the run may stop mid-batch the
         # moment the answers already prove the minimum
@@ -42,7 +42,7 @@ class TestBatchesToRounds:
     @pytest.mark.parametrize("c,k", [(1, 2), (2, 2), (2, 3)])
     def test_two_batch_sorting_on_pair_families(self, c, k):
         inst, oracle = sorting_pair_adversary(c, k)
-        alg = batches_to_rounds(TwoBatchSorting())
+        alg = BatchesToRounds(TwoBatchSorting())
         _, report = run(alg, inst, oracle, opt_cap=inst.n)
         assert report.alg_rounds <= 2 * report.opt_k + 1
         assert alg.batches_used <= 2
@@ -57,7 +57,7 @@ class TestBatchesToRounds:
             overlap="overlap" if seed % 2 else "disjoint",
         )
         inst, r = gen_random(seed, params)
-        wrapped = batches_to_rounds(TwoBatchSorting())
+        wrapped = BatchesToRounds(TwoBatchSorting())
         _, report = run(wrapped, inst, FixedOracle(inst, r))
         assert report.alg_rounds <= 2 * report.opt_k + 1
 
@@ -66,7 +66,7 @@ class TestBatchesToRounds:
         params = RandomParams(n=8, m=2, k=3, problem=ProblemKind(SORTING), overlap="overlap")
         inst, r = gen_random(seed, params)
         batches, _ = run_batches(TwoBatchSorting(), inst, FixedOracle(inst, r))
-        wrapped = batches_to_rounds(TwoBatchSorting())
+        wrapped = BatchesToRounds(TwoBatchSorting())
         trace, _ = run(wrapped, inst, FixedOracle(inst, r))
         flat_batches = sorted(e for b in batches for e in b)
         flat_rounds = sorted(trace.queried_ids())
@@ -75,7 +75,7 @@ class TestBatchesToRounds:
 
 class TestRoundsToBatches:
     def make(self, r, alpha, n):
-        return rounds_to_batches(
+        return RoundsToBatches(
             lambda sized: make_algorithm("min-single", sized), Fraction(alpha), r, n
         )
 
