@@ -16,14 +16,7 @@ from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .instances import Instance, MINIMUM, SELECTION_FULL, SELECTION_VALUE, SORTING
-from .intervals import (
-    ElementState,
-    KnowledgeState,
-    UncertainInterval,
-    dependent,
-    left_cut,
-    right_cut,
-)
+from .intervals import KnowledgeState, dependent, left_cut, right_cut
 from .solving import (
     DependencyGraph,
     build_dependency_graph,
@@ -32,6 +25,7 @@ from .solving import (
     forced_queries,
     minimum_discard,
     minimum_solved,
+    rank_cuts,
     selection_categories,
     selection_solved,
     sorting_solved,
@@ -258,40 +252,30 @@ class BudgetRounds:
 # selection
 
 
-def _mirror_state(state: ElementState) -> ElementState:
-    if isinstance(state, Fraction):
-        return -state
-    assert isinstance(state, UncertainInterval)
-    if state.trivial:
-        return UncertainInterval.point(-state.value)
-    return UncertainInterval(-state.upper, state.upper_kind, -state.lower, state.lower_kind)
+def _right_first(knowledge: KnowledgeState, e: int) -> Tuple[Fraction, int, int]:
+    """Sort key: descending right cut, ids ascending."""
+    v, flag = right_cut(knowledge.state(e))
+    return (-v, -flag, e)
 
 
 class SelectionValueRounds:
     """k leftmost queryable intervals, after discarding everything provably
-    outside the target area; ranks above the middle are mirrored once."""
+    outside the target area; ranks above the middle take the rightmost."""
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
         if selection_solved(instance, knowledge):
             return []  # a pinned value can leave live but irrelevant intervals
-        n = instance.n
-        rank = instance.problem.rank
-        mirror = rank > ceil_div(n, 2)
-        if mirror:
-            rank = n - rank + 1
-        states: Dict[int, ElementState] = {}
-        for eid in instance.ids():
-            st = knowledge.state(eid)
-            states[eid] = _mirror_state(st) if mirror else st
-        lo = sorted(left_cut(st) for st in states.values())[rank - 1]
-        hi = sorted(right_cut(st) for st in states.values())[rank - 1]
-        live = []
-        for eid in knowledge.unqueried_nontrivial(instance.ids()):
-            st = states[eid]
-            if right_cut(st) < lo or left_cut(st) > hi:
-                continue  # provably outside the target area
-            live.append(eid)
-        live.sort(key=lambda e: (left_cut(states[e]), e))
+        lo, hi = rank_cuts(instance, knowledge)
+        live = [
+            eid
+            for eid in knowledge.unqueried_nontrivial(instance.ids())
+            if right_cut(knowledge.state(eid)) >= lo and left_cut(knowledge.state(eid)) <= hi
+        ]
+        if instance.problem.rank > ceil_div(instance.n, 2):
+            # rank n-i+1 of the negated instance: its left-cut order, mirrored
+            live.sort(key=lambda e: _right_first(knowledge, e))
+        else:
+            live.sort(key=lambda e: (left_cut(knowledge.state(e)), e))
         return live[: instance.k]
 
 
@@ -310,14 +294,11 @@ class SelectionFullRounds:
         queryable = set(knowledge.unqueried_nontrivial(instance.ids()))
         q1 = sorted(view.containing)
         q2 = sorted(e for e in view.inside if e in queryable)
-
-        def neg_right(e: int):
-            v, flag = right_cut(knowledge.state(e))
-            return (-v, -flag, e)
-
         # longest overlap first: category (3) by descending right endpoint,
         # category (4) by ascending left endpoint, ids breaking ties
-        q3 = sorted((e for e in view.left_overlap if e in queryable), key=neg_right)
+        q3 = sorted(
+            (e for e in view.left_overlap if e in queryable), key=lambda e: _right_first(knowledge, e)
+        )
         q4 = sorted(
             (e for e in view.right_overlap if e in queryable),
             key=lambda e: (left_cut(knowledge.state(e)), e),

@@ -1,7 +1,8 @@
 """Command-line entry point: generate, run, verify, bench, table.
 
-Exit codes: 0 on success, 1 when an invariant is violated, 2 for usage
-errors.  `-` stands for stdin/stdout wherever a path is taken.
+Exit codes: 0 on success, 1 for every `error:` line (bad input or a
+violated invariant), 2 for argparse usage errors.  `-` stands for
+stdin/stdout wherever a path is taken.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import io
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .algorithms import AlgorithmError, algorithm_names, make_algorithm
 from .harness import (
     ADVERSARY_SOURCES,
     HarnessError,
     parse_bench_spec,
+    parse_number,
     resolve_source,
     run,
     run_batches,
@@ -97,9 +99,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _keyed_value(token: str, key: str) -> str:
+def _keyed_value(token: str, key: str, cast: Callable = int):
     if token.startswith(key + "="):
-        return token[len(key) + 1 :]
+        return parse_number(token[len(key) + 1 :], key, cast)
     raise InstanceError(f"expected {key}=<value>, got {token!r}")
 
 
@@ -108,11 +110,11 @@ def cmd_run(args) -> int:
     if args.as_rounds is not None:
         if args.alg not in BATCH_ALGORITHMS:
             raise AlgorithmError(f"--as-rounds expects a batch algorithm: {sorted(BATCH_ALGORITHMS)}")
-        instance = replace(instance, k=int(_keyed_value(args.as_rounds, "k")))
+        instance = replace(instance, k=_keyed_value(args.as_rounds, "k"))
         alg = BatchesToRounds(BATCH_ALGORITHMS[args.alg]())
     elif args.as_batches is not None:
-        r = int(_keyed_value(args.as_batches[0], "r"))
-        alpha = Fraction(_keyed_value(args.as_batches[1], "alpha"))
+        r = _keyed_value(args.as_batches[0], "r")
+        alpha = _keyed_value(args.as_batches[1], "alpha", Fraction)
         batch_alg = RoundsToBatches(
             lambda sized: make_algorithm(args.alg, sized), alpha, r, instance.n
         )

@@ -14,7 +14,7 @@ import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algorithms import make_algorithm
 from .instances import (
@@ -115,7 +115,7 @@ def run(
     per_set = instance.m if not instance.problem.is_selection else 1
     solved_at = [0 if set_solved(instance, i, knowledge) else -1 for i in range(per_set)]
 
-    while not instance_solved(instance, knowledge):
+    while -1 in solved_at:
         if len(rounds) >= limit:
             raise HarnessError(f"no progress after {limit} rounds")
         picked = list(alg.next_round(instance, knowledge))
@@ -263,44 +263,52 @@ def _parse_kv(spec: str) -> Tuple[str, Dict[str, str]]:
 _PROBLEM_BY_NAME = {p.value: p for p in ProblemFamily}
 
 
+def parse_number(text: str, what: str, cast: Callable = int):
+    """`cast(text)`, with a malformed number reported as an InstanceError."""
+    try:
+        return cast(text)
+    except (ValueError, ZeroDivisionError):
+        raise InstanceError(f"{what}: not a number: {text!r}") from None
+
+
 def resolve_source(spec: str, seed: int = 0) -> Tuple[Instance, ValueOracle]:
     """Build (instance, oracle) from a selector like ``fig3:k=3,c=3`` or
     ``wlb:M=2``; fixed-realization sources wrap a FixedOracle."""
     name, args = _parse_kv(spec)
+
+    def arg(key: str, default, cast: Callable = int):
+        return parse_number(args[key], key, cast) if key in args else default
+
     if name == "fig2":
         instance, realization = gen_fig2_bal_instance()
         return instance, FixedOracle(instance, realization)
     if name == "fig3":
-        instance, realization = gen_fig3_overlap_instance(
-            k=int(args.get("k", 3)), c=int(args.get("c", 3))
-        )
+        instance, realization = gen_fig3_overlap_instance(k=arg("k", 3), c=arg("c", 3))
         return instance, FixedOracle(instance, realization)
     if name == "random":
         kind = _PROBLEM_BY_NAME.get(args.get("problem", "minimum"))
         if kind is None:
             raise InstanceError(f"unknown problem {args.get('problem')!r}")
-        rank = int(args["i"]) if "i" in args else None
         params = RandomParams(
-            n=int(args.get("n", 10)),
-            m=int(args.get("m", 1)),
-            k=int(args.get("k", 2)),
-            problem=ProblemKind(kind, rank),
+            n=arg("n", 10),
+            m=arg("m", 1),
+            k=arg("k", 2),
+            problem=ProblemKind(kind, arg("i", None)),
             overlap=args.get("overlap", "disjoint"),
-            trivial_prob=float(args.get("triv", 0.15)),
+            trivial_prob=arg("triv", 0.15, float),
         )
         instance, realization = gen_random(seed, params)
         return instance, FixedOracle(instance, realization)
     if name == "fig1-pairs":
-        return sorting_pair_adversary(int(args.get("c", 1)), int(args.get("k", 1)))
+        return sorting_pair_adversary(arg("c", 1), arg("k", 1))
     if name == "wlb":
-        return minimum_wlb_adversary(int(args.get("M", 2)))
+        return minimum_wlb_adversary(arg("M", 2))
     if name == "additive":
-        return minimum_additive_lb_adversary(int(args.get("m", 2)))
+        return minimum_additive_lb_adversary(arg("m", 2))
     if name == "selval-lb":
-        k = int(args["k"]) if "k" in args else None
-        return selection_value_lb_adversary(int(args.get("i", 2)), k)
+        return selection_value_lb_adversary(arg("i", 2), arg("k", None))
     if name == "selfull-lb":
-        return selection_full_lb_adversary(int(args.get("i", 2)))
+        return selection_full_lb_adversary(arg("i", 2))
     raise InstanceError(f"unknown source {spec!r}")
 
 
@@ -366,10 +374,10 @@ def sweep_csv(rows: Sequence[Dict[str, str]]) -> str:
 
 
 def parse_seed_range(text: str) -> Tuple[int, ...]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return (int(text),)
+    lo, dots, hi = text.partition("..")
+    if dots:
+        return tuple(range(parse_number(lo, "seeds"), parse_number(hi, "seeds") + 1))
+    return (parse_number(text, "seeds"),)
 
 
 def parse_bench_spec(text: str) -> List[SweepEntry]:
@@ -399,7 +407,7 @@ def parse_bench_spec(text: str) -> List[SweepEntry]:
                 alg=fields["alg"],
                 source=fields["source"],
                 seeds=parse_seed_range(fields.get("seeds", "0")),
-                opt_cap=int(fields.get("opt_cap", 22)),
+                opt_cap=parse_number(fields.get("opt_cap", "22"), "opt_cap"),
             )
         )
     return entries

@@ -407,6 +407,8 @@ class RandomParams:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1 or self.k < 1:
             raise InstanceError("n, m, k must be positive")
+        if not 0 <= self.trivial_prob <= 1:
+            raise InstanceError(f"trivial_prob {self.trivial_prob} outside [0, 1]")
         if self.overlap not in ("disjoint", "overlap", "single"):
             raise InstanceError(f"unknown overlap mode {self.overlap!r}")
         if self.overlap == "single" and self.m != 1:

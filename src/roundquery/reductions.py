@@ -50,8 +50,10 @@ class TwoBatchSorting:
             raise AlgorithmError("two-batch algorithm handles sorting instances only")
         self._stage += 1
         if self._stage == 1:
-            graph = build_dependency_graph(instance, knowledge)
-            return sorted(min_vertex_cover(graph, "matching-2approx"))
+            cover = min_vertex_cover(build_dependency_graph(instance, knowledge), "matching-2approx")
+            if cover:
+                return sorted(cover)
+            self._stage = 2  # no dependent pair: the forced queries are batch one
         forced = forced_queries(instance, knowledge)
         if self._stage > 2 and forced:
             raise AlgorithmError("two-batch sorting required a third batch")
@@ -155,8 +157,8 @@ def w(x: float) -> float:
 
 def w_inverse(x: float, tol: float = 1e-9) -> float:
     """Inverse of W on its increasing branch (y >= 1), by bisection."""
-    if x < 0:
-        raise ValueError("w_inverse needs x >= 0 on the increasing branch")
+    if not 0 <= x < math.inf:
+        raise ValueError("w_inverse needs a finite x >= 0 on the increasing branch")
     if x == 0:
         return 1.0
     lo, hi = 1.0, 2.0

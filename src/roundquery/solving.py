@@ -105,8 +105,13 @@ def sorting_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
     return True
 
 
-def _rank_cut(cuts: List[Cut], rank: int) -> Cut:
-    return sorted(cuts)[rank - 1]
+def rank_cuts(instance: Instance, knowledge: KnowledgeState, rank: Optional[int] = None) -> Tuple[Cut, Cut]:
+    """The rank-th smallest left and right cuts over the current states
+    (revealed elements are points); rank defaults to the problem's i."""
+    rank = instance.problem.rank if rank is None else rank
+    states = [knowledge.state(eid) for eid in instance.ids()]
+    lo, hi = (sorted(map(cut, states))[rank - 1] for cut in (left_cut, right_cut))
+    return lo, hi
 
 
 def selection_value_pinned(instance: Instance, knowledge: KnowledgeState) -> Optional[Fraction]:
@@ -118,20 +123,7 @@ def selection_value_pinned(instance: Instance, knowledge: KnowledgeState) -> Opt
     value.  Open endpoints are tracked as one-sided limits, which are never
     attained.
     """
-    rank = instance.problem.rank
-    low: List[Cut] = []
-    high: List[Cut] = []
-    for eid in instance.ids():
-        st = knowledge.state(eid)
-        p = state_point(st)
-        if p is not None:
-            low.append((p, 0))
-            high.append((p, 0))
-        else:
-            low.append(left_cut(st))
-            high.append(right_cut(st))
-    lo = _rank_cut(low, rank)
-    hi = _rank_cut(high, rank)
+    lo, hi = rank_cuts(instance, knowledge)
     if lo == hi and lo[1] == 0:
         return lo[0]
     return None
@@ -184,10 +176,7 @@ def target_area(instance: Instance, knowledge: KnowledgeState, rank: Optional[in
     Computed over the current states (revealed elements are points); the
     i-th smallest value must lie inside.
     """
-    rank = instance.problem.rank if rank is None else rank
-    states = [knowledge.state(eid) for eid in instance.ids()]
-    lo = _rank_cut([left_cut(s) for s in states], rank)
-    hi = _rank_cut([right_cut(s) for s in states], rank)
+    lo, hi = rank_cuts(instance, knowledge, rank)
     if lo[0] == hi[0]:
         return UncertainInterval.point(lo[0])
     return UncertainInterval(

@@ -1,34 +1,28 @@
-"""Shared test machinery: a probed run loop and the exact round bound of
-the budget algorithm's guarantee."""
+"""Shared test machinery: an algorithm wrapper that lets a test watch
+every round of a `harness.run`, and the exact round bound of the budget
+algorithm's guarantee."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from roundquery.solving import instance_solved
 
+class Probed:
+    """Wraps a round algorithm so that `probe(knowledge, picked)` sees each
+    round it emits, before the round is answered.
 
-def step_run(alg, instance, oracle, probe=None, max_rounds=None):
-    """Run loop mirroring the harness but exposing each round to a probe.
-
-    probe(round_index, knowledge_before, picked_ids) runs before the round
-    is answered; returns (rounds, knowledge) at solvedness.
+    Hand it to `harness.run` in place of the algorithm: the run loop and
+    its audits stay the harness's own.
     """
-    knowledge = instance.knowledge()
-    limit = max_rounds if max_rounds is not None else 4 * instance.n + 8
-    rounds = []
-    while not instance_solved(instance, knowledge):
-        assert len(rounds) < limit, "run does not terminate"
-        picked = list(alg.next_round(instance, knowledge))
-        assert picked, "empty round while unsolved"
-        assert len(picked) <= instance.k
-        if probe is not None:
-            probe(len(rounds) + 1, knowledge, picked)
-        answers = oracle.answer_round(picked)
-        for e in picked:
-            knowledge.reveal(e, answers[e])
-        rounds.append(tuple(picked))
-    return rounds, knowledge
+
+    def __init__(self, alg, probe):
+        self.alg = alg
+        self.probe = probe
+
+    def next_round(self, instance, knowledge):
+        picked = self.alg.next_round(instance, knowledge)
+        self.probe(knowledge, picked)
+        return picked
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ tolerance, one pass/fail line per criterion (run with -s to see them)."""
 import functools
 from fractions import Fraction
 
-from helpers import budget_round_bound, step_run
+from helpers import Probed, budget_round_bound
 from roundquery.algorithms import BudgetRounds, make_algorithm
 from roundquery.harness import run, run_batches
 from roundquery.instances import (
@@ -107,26 +107,22 @@ def _budget_run_with_audit(inst, realization):
     alg = BudgetRounds()
     snapshots = []
 
-    def probe(_idx, knowledge, picked):
+    def probe(knowledge, _picked):
         active = {
             i for i, members in enumerate(inst.family) if not minimum_solved(members, knowledge)
         }
         snapshots.append((active, dict(alg.last_charges)))
 
-    rounds, _ = step_run(alg, inst, FixedOracle(inst, realization), probe=probe)
+    trace, _ = run(Probed(alg, probe), inst, FixedOracle(inst, realization))
     opt = opt1_minimum(inst, realization)
     # charging audit: wasted queries are charged only to sets solved that round
-    knowledge = inst.knowledge()
-    for (active_before, charges), round_ids in zip(snapshots, rounds):
-        for e in round_ids:
-            knowledge.reveal(e, realization.value(e))
-        solved_now = {
-            i for i in active_before if minimum_solved(inst.family[i], knowledge)
-        }
+    for round_idx, (active_before, charges) in enumerate(snapshots, 1):
+        assert active_before == {i for i, at in enumerate(trace.solved_at) if at >= round_idx}
+        solved_now = {i for i, at in enumerate(trace.solved_at) if at == round_idx}
         for e, owners in charges.items():
             if e not in opt.opt_set:
                 assert set(owners) <= solved_now, (e, owners, solved_now)
-    return len(rounds), opt
+    return len(trace.rounds), opt
 
 
 @criterion(3, "budget algorithm beats the balanced one and meets its guarantee")
@@ -218,14 +214,14 @@ def test_criterion_7_selection_full():
     def audited_run(inst, oracle):
         alg = make_algorithm("sel-full", inst)
 
-        def probe(_idx, knowledge, _picked):
+        def probe(knowledge, _picked):
             view = selection_categories(inst, knowledge)
             assert view.a >= 1
             assert view.b <= view.a - 1
 
-        rounds, _ = step_run(alg, inst, oracle, probe=probe)
-        realization = oracle.check_finalize()
-        opt = opt1_selection_full(inst, realization)
+        trace, _ = run(Probed(alg, probe), inst, oracle)
+        rounds = [ids for ids, _ in trace.rounds]
+        opt = opt1_selection_full(inst, trace.final_realization)
         assert len(rounds) <= 2 * max(opt.opt_k, 0) or opt.opt_k == 0
         for ids in rounds[:-1]:
             useful = len(set(ids) & opt.opt_set)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import budget_round_bound, step_run
+from helpers import Probed, budget_round_bound
 from roundquery.algorithms import (
     AlgorithmError,
     BudgetRounds,
@@ -41,6 +41,7 @@ from roundquery.solving import (
     ceil_div,
     minimum_solved,
     opt1_minimum,
+    reveal_all,
     selection_categories,
 )
 
@@ -220,7 +221,7 @@ class TestBalanced:
         inst, r = gen_random(11, params)
         alg = make_algorithm("bal", inst)
 
-        def probe(_round_idx, knowledge, picked):
+        def probe(knowledge, picked):
             active = [
                 idx
                 for idx, members in enumerate(inst.family)
@@ -235,7 +236,7 @@ class TestBalanced:
                 owner = next(idx for idx, s in enumerate(inst.family) if e in s)
                 assert owner in active
 
-        step_run(alg, inst, FixedOracle(inst, r), probe=probe)
+        run(Probed(alg, probe), inst, FixedOracle(inst, r))
 
     def test_wlb_adversary_forces_two_rounds(self):
         inst, oracle = minimum_wlb_adversary(2)
@@ -280,27 +281,23 @@ class TestBudget:
         alg = BudgetRounds()
         charge_checks = []
 
-        def probe(_round_idx, knowledge, picked):
+        def probe(knowledge, _picked):
             before = {
                 idx
                 for idx, members in enumerate(inst.family)
                 if not minimum_solved(members, knowledge)
             }
-            charge_checks.append((before, dict(alg.last_charges), list(picked)))
+            charge_checks.append((before, dict(alg.last_charges)))
 
-        rounds, _ = step_run(alg, inst, FixedOracle(inst, r), probe=probe)
-        # replay with the per-round charge snapshots for the waste audit
-        knowledge = inst.knowledge()
-        for (active_before, charges, picked), round_ids in zip(charge_checks, rounds):
-            for e in round_ids:
-                knowledge.reveal(e, r.value(e))
-            solved_now = {
-                idx for idx in active_before if minimum_solved(inst.family[idx], knowledge)
-            }
+        trace, _ = run(Probed(alg, probe), inst, FixedOracle(inst, r))
+        # waste audit against the rounds in which the run saw each set solved
+        for round_idx, (active_before, charges) in enumerate(charge_checks, 1):
+            assert active_before == {idx for idx, at in enumerate(trace.solved_at) if at >= round_idx}
+            solved_now = {idx for idx, at in enumerate(trace.solved_at) if at == round_idx}
             for e, owners in charges.items():
                 if e not in opt.opt_set:  # wasted query
                     assert set(owners) <= solved_now
-        assert len(rounds) <= budget_round_bound(opt.opt_k, inst.m)
+        assert len(trace.rounds) <= budget_round_bound(opt.opt_k, inst.m)
 
     def test_wlb_adversary_forces_two_rounds(self):
         inst, oracle = minimum_wlb_adversary(2)
@@ -340,12 +337,14 @@ class TestSelectionValue:
             sel_inst = make_instance(
                 min_inst.elements, [list(min_inst.ids())], ProblemKind(SELECTION_VALUE, rank=1), 2
             )
-            rounds_min, _ = step_run(
+            trace_min, _ = run(
                 make_algorithm("min-single", min_inst), min_inst, FixedOracle(min_inst, r)
             )
-            rounds_sel, _ = step_run(
+            trace_sel, _ = run(
                 make_algorithm("sel-value", sel_inst), sel_inst, FixedOracle(sel_inst, r)
             )
+            rounds_min = [ids for ids, _ in trace_min.rounds]
+            rounds_sel = [ids for ids, _ in trace_sel.rounds]
             assert len(rounds_min) == len(rounds_sel)
             live = [
                 min_inst.interval(e) for e in min_inst.ids() if not min_inst.interval(e).trivial
@@ -366,6 +365,33 @@ class TestSelectionValue:
         r = Realization({1: Fraction(1), 2: Fraction(4), 3: Fraction(7)})
         alg = make_algorithm("sel-value", inst)
         assert alg.next_round(inst, inst.knowledge()) == [3]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ranks_above_the_middle_mirror_the_negated_instance(self, seed):
+        # rank i on the instance picks what rank n-i+1 picks on its mirror
+        # image, round for round, ties included; the selection-full
+        # generator supplies mixed open and closed endpoints
+        n = 3 + seed % 12
+        params = RandomParams(
+            n=n, m=1, k=1 + seed % 3, problem=ProblemKind(SELECTION_FULL, rank=1),
+            overlap="single", trivial_prob=0.3,
+        )
+        base, r = gen_random(seed, params)
+        mirrored = [
+            UncertainInterval(-x.upper, x.upper_kind, -x.lower, x.lower_kind) for x in base.elements
+        ]
+        r_mirrored = Realization({e: -r.value(e) for e in base.ids()})
+        for i in range(ceil_div(n, 2) + 1, n + 1):
+            inst = make_instance(base.elements, base.family, ProblemKind(SELECTION_VALUE, i), base.k)
+            flip = make_instance(mirrored, base.family, ProblemKind(SELECTION_VALUE, n - i + 1), base.k)
+            opt = canonical_opt(inst, r)  # negation keeps the feasible query sets
+            trace, _ = run(
+                make_algorithm("sel-value", inst), inst, FixedOracle(inst, r), opt_report=opt
+            )
+            flip_trace, _ = run(
+                make_algorithm("sel-value", flip), flip, FixedOracle(flip, r_mirrored), opt_report=opt
+            )
+            assert [ids for ids, _ in trace.rounds] == [ids for ids, _ in flip_trace.rounds]
 
 
 class TestSelectionFull:
@@ -393,13 +419,13 @@ class TestSelectionFull:
         inst, r = gen_random(seed, params)
         alg = make_algorithm("sel-full", inst)
 
-        def probe(_round_idx, knowledge, _picked):
+        def probe(knowledge, _picked):
             view = selection_categories(inst, knowledge)
             assert view.a >= 1
             assert view.b <= view.a - 1
 
-        rounds, _ = step_run(alg, inst, FixedOracle(inst, r), probe=probe)
-        assert len(rounds) <= 2 * canonical_opt(inst, r).opt_k or not rounds
+        trace, _ = run(Probed(alg, probe), inst, FixedOracle(inst, r))
+        assert len(trace.rounds) <= 2 * canonical_opt(inst, r).opt_k or not trace.rounds
 
     def test_solved_at_start_returns_empty_round(self):
         inst = make_instance(
@@ -452,8 +478,9 @@ class TestUniformContract:
         )
         inst, r = gen_random(seed, params)
         alg = make_algorithm(self.ALG_OF_KIND[kind], inst)
-        # step_run already asserts non-empty rounds while unsolved
-        _, knowledge = step_run(alg, inst, FixedOracle(inst, r))
+        # run already rejects empty rounds while unsolved
+        trace, _ = run(alg, inst, FixedOracle(inst, r))
+        knowledge = reveal_all(inst, r, trace.queried_ids())
         assert alg.next_round(inst, knowledge) == []
 
     def test_selection_value_empty_round_with_live_containers(self):

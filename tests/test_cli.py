@@ -170,3 +170,30 @@ class TestExitCodes:
     def test_unreadable_file_is_exit_one(self, capsys):
         code, _, err = invoke(capsys, "verify", "--instance", "/no/such/file.rq")
         assert code == 1
+
+    @pytest.mark.parametrize("source", ["random:n=abc", "random:triv=2", "fig3:k=x", "selval-lb:i=2,k=y"])
+    def test_bad_source_number_is_one_error_line(self, capsys, source):
+        code, out, err = invoke(capsys, "run", "--alg", "bal", "--source", source)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["seeds=0..x", "seeds=y..3", "seeds=", "opt_cap=x"])
+    def test_bad_bench_number_is_one_error_line(self, tmp_path, capsys, field):
+        spec = tmp_path / "spec.rq"
+        spec.write_text(f"sweep alg=bal source=fig2 {field}\n")
+        code, out, err = invoke(capsys, "bench", "--spec", str(spec))
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--alg", "batch-sort-2", "--as-rounds", "k=x"),
+            ("--alg", "min-single", "--as-batches", "r=x", "alpha=1"),
+            ("--alg", "min-single", "--as-batches", "r=3", "alpha=1/0"),
+        ],
+    )
+    def test_bad_wrapper_number_is_one_error_line(self, capsys, flags):
+        code, out, err = invoke(capsys, "run", "--source", "random:problem=sorting,n=6", *flags)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1

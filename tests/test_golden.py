@@ -2,8 +2,11 @@
 byte for byte, so rounds, queries, optima and wasted counts of every
 algorithm and problem kind stay fixed across refactors."""
 
+import importlib
+import sys
 from pathlib import Path
 
+import roundquery
 from roundquery.harness import parse_bench_spec, sweep, sweep_csv
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -14,3 +17,22 @@ def test_sweep_small_matches_golden_csv():
     golden = (PERFBENCH / "golden" / "sweep-small.csv").read_bytes()
     rows = sweep(parse_bench_spec(spec), jobs=1)
     assert sweep_csv(rows).encode("utf-8") == golden
+
+
+def test_perfbench_tracer_finds_and_restores_every_entry_point():
+    # the tracer wraps entry points by name; a renamed or dropped one fails
+    # here rather than in every benchmark run
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        tracer = importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    originals = dict(vars(roundquery.harness))
+    capture = tracer.Capture(roundquery)
+    try:
+        traced = tracer.Tracer(roundquery)
+        assert roundquery.harness.run is not originals["run"]
+        traced.restore()
+    finally:
+        capture.restore()
+    assert dict(vars(roundquery.harness)) == originals

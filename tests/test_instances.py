@@ -2,6 +2,7 @@
 
 import pytest
 
+from roundquery.harness import resolve_source
 from roundquery.instances import (
     InstanceError,
     MINIMUM,
@@ -208,3 +209,13 @@ class TestRandomGenerator:
     def test_infeasible_params_rejected(self):
         with pytest.raises(InstanceError):
             RandomParams(n=3, m=5, k=1, problem=ProblemKind(MINIMUM))
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.5, 2.0, float("nan")])
+    def test_trivial_probability_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(InstanceError):
+            RandomParams(n=6, m=1, k=1, problem=ProblemKind(MINIMUM), trivial_prob=prob)
+
+    @pytest.mark.parametrize("spec", ["random:n=abc", "random:triv=x", "fig3:k=3,c=1.5", "wlb:M="])
+    def test_non_numeric_source_argument_rejected(self, spec):
+        with pytest.raises(InstanceError, match="not a number"):
+            resolve_source(spec)

@@ -72,6 +72,19 @@ class TestBatchesToRounds:
         flat_rounds = sorted(trace.queried_ids())
         assert flat_batches == flat_rounds
 
+    def test_two_batch_sorting_without_dependent_pairs(self):
+        # no edge, but trivial points force queries: batch one is the forced set
+        params = RandomParams(
+            n=16, m=2, k=1, problem=ProblemKind(SORTING), overlap="overlap", trivial_prob=0.3
+        )
+        inst, r = gen_random(12, params)
+        batches, report = run_batches(TwoBatchSorting(), inst, FixedOracle(inst, r))
+        assert batches and report.batches <= 2
+        wrapped = BatchesToRounds(TwoBatchSorting())
+        trace, _ = run(wrapped, inst, FixedOracle(inst, r))
+        assert 1 <= wrapped.batches_used <= 2
+        assert sorted(trace.queried_ids()) == sorted(e for b in batches for e in b)
+
 
 class TestRoundsToBatches:
     def make(self, r, alpha, n):
@@ -143,3 +156,8 @@ class TestW:
             w(0.0)
         with pytest.raises(ValueError):
             w_inverse(-1.0)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_w_inverse_rejects_non_finite_input(self, x):
+        with pytest.raises(ValueError):
+            w_inverse(x)
