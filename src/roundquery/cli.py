@@ -111,6 +111,7 @@ def cmd_run(args) -> int:
         if args.alg not in BATCH_ALGORITHMS:
             raise AlgorithmError(f"--as-rounds expects a batch algorithm: {sorted(BATCH_ALGORITHMS)}")
         instance = replace(instance, k=_keyed_value(args.as_rounds, "k"))
+        instance.validate()
         alg = BatchesToRounds(BATCH_ALGORITHMS[args.alg]())
     elif args.as_batches is not None:
         r = _keyed_value(args.as_batches[0], "r")

@@ -37,7 +37,9 @@ class TwoBatchSorting:
     the dependency graph; batch two queries every remaining interval that
     strictly contains a known co-set point.  No third batch can be needed:
     values revealed in batch two cannot land strictly inside an interval
-    that was independent of everything queried before.
+    that was independent of everything queried before.  With no dependent
+    pair at all, batch one is the forced set instead, and no revealed value
+    can then fall strictly inside a co-set interval.
     """
 
     batches = 2
@@ -53,7 +55,7 @@ class TwoBatchSorting:
             cover = min_vertex_cover(build_dependency_graph(instance, knowledge), "matching-2approx")
             if cover:
                 return sorted(cover)
-            self._stage = 2  # no dependent pair: the forced queries are batch one
+            self._stage = 2
         forced = forced_queries(instance, knowledge)
         if self._stage > 2 and forced:
             raise AlgorithmError("two-batch sorting required a third batch")

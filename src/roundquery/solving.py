@@ -105,10 +105,10 @@ def sorting_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
     return True
 
 
-def rank_cuts(instance: Instance, knowledge: KnowledgeState, rank: Optional[int] = None) -> Tuple[Cut, Cut]:
-    """The rank-th smallest left and right cuts over the current states
-    (revealed elements are points); rank defaults to the problem's i."""
-    rank = instance.problem.rank if rank is None else rank
+def rank_cuts(instance: Instance, knowledge: KnowledgeState) -> Tuple[Cut, Cut]:
+    """The i-th smallest left and right cuts over the current states
+    (revealed elements are points), i being the problem's rank."""
+    rank = instance.problem.rank
     states = [knowledge.state(eid) for eid in instance.ids()]
     lo, hi = (sorted(map(cut, states))[rank - 1] for cut in (left_cut, right_cut))
     return lo, hi
@@ -170,13 +170,13 @@ def instance_solved(instance: Instance, knowledge: KnowledgeState) -> bool:
 # target area and categories for selection
 
 
-def target_area(instance: Instance, knowledge: KnowledgeState, rank: Optional[int] = None) -> UncertainInterval:
+def target_area(instance: Instance, knowledge: KnowledgeState) -> UncertainInterval:
     """Interval between the i-th smallest left and right endpoints.
 
     Computed over the current states (revealed elements are points); the
     i-th smallest value must lie inside.
     """
-    lo, hi = rank_cuts(instance, knowledge, rank)
+    lo, hi = rank_cuts(instance, knowledge)
     if lo[0] == hi[0]:
         return UncertainInterval.point(lo[0])
     return UncertainInterval(
@@ -212,8 +212,8 @@ class SelectionRoundView:
         return len(self.inside)
 
 
-def selection_categories(instance: Instance, knowledge: KnowledgeState, rank: Optional[int] = None) -> SelectionRoundView:
-    ta = target_area(instance, knowledge, rank)
+def selection_categories(instance: Instance, knowledge: KnowledgeState) -> SelectionRoundView:
+    ta = target_area(instance, knowledge)
     ta_lo, ta_hi = left_cut(ta), right_cut(ta)
     containing: List[int] = []
     inside: List[int] = []

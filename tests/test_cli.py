@@ -189,6 +189,8 @@ class TestExitCodes:
         "flags",
         [
             ("--alg", "batch-sort-2", "--as-rounds", "k=x"),
+            ("--alg", "batch-sort-2", "--as-rounds", "k=0"),
+            ("--alg", "batch-sort-2", "--as-rounds", "k=-2"),
             ("--alg", "min-single", "--as-batches", "r=x", "alpha=1"),
             ("--alg", "min-single", "--as-batches", "r=3", "alpha=1/0"),
         ],

@@ -19,6 +19,26 @@ def test_sweep_small_matches_golden_csv():
     assert sweep_csv(rows).encode("utf-8") == golden
 
 
+def _patchable(rq):
+    """Snapshot of every module of the package and every class defined in
+    one: all the places the tracer may patch."""
+    modules = [rq.harness, rq.algorithms, rq.solving, rq.intervals, rq.oracles, rq.reductions]
+    classes = [
+        v for m in modules for v in vars(m).values()
+        if isinstance(v, type) and v.__module__ == m.__name__
+    ]
+    return {owner: dict(vars(owner)) for owner in modules + classes}
+
+
+def _changed(snapshot):
+    return [
+        (owner, attr)
+        for owner, attrs in snapshot.items()
+        for attr, original in attrs.items()
+        if vars(owner).get(attr) is not original
+    ]
+
+
 def test_perfbench_tracer_finds_and_restores_every_entry_point():
     # the tracer wraps entry points by name; a renamed or dropped one fails
     # here rather than in every benchmark run
@@ -27,12 +47,16 @@ def test_perfbench_tracer_finds_and_restores_every_entry_point():
         tracer = importlib.import_module("tracer")
     finally:
         sys.path.remove(str(PERFBENCH))
-    originals = dict(vars(roundquery.harness))
-    capture = tracer.Capture(roundquery)
+    snapshot = _patchable(roundquery)
     try:
+        capture = tracer.Capture(roundquery)
         traced = tracer.Tracer(roundquery)
-        assert roundquery.harness.run is not originals["run"]
+        assert roundquery.harness.run is not snapshot[roundquery.harness]["run"]
+        assert _changed(snapshot)
         traced.restore()
-    finally:
         capture.restore()
-    assert dict(vars(roundquery.harness)) == originals
+        assert _changed(snapshot) == []
+    finally:
+        # a Tracer that fails partway leaves no patch behind for later tests
+        for owner, attr in _changed(snapshot):
+            setattr(owner, attr, snapshot[owner][attr])
