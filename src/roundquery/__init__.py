@@ -59,11 +59,8 @@ from .intervals import (
     IntervalError,
     KnowledgeState,
     OPEN,
-    Rational,
     UncertainInterval,
     dependent,
-    precedes_l,
-    precedes_u,
 )
 from .oracles import (
     FixedOracle,

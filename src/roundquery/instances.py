@@ -32,7 +32,6 @@ from .intervals import (
     IntervalError,
     KnowledgeState,
     UncertainInterval,
-    format_rational,
     parse_rational,
 )
 
@@ -184,6 +183,12 @@ def _fail(line_no: int, line: str, token: str, message: str) -> None:
     raise ParseError(line_no, col, message)
 
 
+def _is_id(token: str) -> bool:
+    """ASCII decimal digits only: `isdigit` alone admits superscripts,
+    which `int` then rejects."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
     k: Optional[int] = None
     problem: Optional[ProblemKind] = None
@@ -198,7 +203,7 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
         tokens = line.split()
         head = tokens[0]
         if head == "k":
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not _is_id(tokens[1]):
                 _fail(line_no, raw, tokens[-1], "expected 'k <positive int>'")
             k = int(tokens[1])
         elif head == "problem":
@@ -210,7 +215,7 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
                 _fail(line_no, raw, tokens[1], f"unknown problem kind {tokens[1]!r}")
             rank = None
             if len(tokens) == 3:
-                if not tokens[2].startswith("i=") or not tokens[2][2:].isdigit():
+                if not tokens[2].startswith("i=") or not _is_id(tokens[2][2:]):
                     _fail(line_no, raw, tokens[2], "expected i=<positive int>")
                 rank = int(tokens[2][2:])
             try:
@@ -220,7 +225,7 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
         elif head == "interval":
             if len(tokens) != 3:
                 _fail(line_no, raw, head, "expected 'interval <id> <interval>'")
-            if not tokens[1].isdigit():
+            if not _is_id(tokens[1]):
                 _fail(line_no, raw, tokens[1], "element id must be a positive integer")
             eid = int(tokens[1])
             if eid in intervals:
@@ -234,12 +239,12 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
                 _fail(line_no, raw, head, "expected 'set <name> <id> <id> ...'")
             members = []
             for tok in tokens[2:]:
-                if not tok.isdigit():
+                if not _is_id(tok):
                     _fail(line_no, raw, tok, "set members must be element ids")
                 members.append(int(tok))
             family.append((tokens[1], members))
         elif head == "value":
-            if len(tokens) != 3 or not tokens[1].isdigit():
+            if len(tokens) != 3 or not _is_id(tokens[1]):
                 _fail(line_no, raw, head, "expected 'value <id> <rational>'")
             eid = int(tokens[1])
             if eid in values:
@@ -287,9 +292,11 @@ def serialize_instance(instance: Instance, realization: Optional[Realization] = 
         ids = " ".join(str(eid) for eid in sorted(members))
         lines.append(f"set S{idx} {ids}")
     if realization is not None:
-        for eid in instance.ids():
-            if not instance.interval(eid).trivial:
-                lines.append(f"value {eid} {format_rational(realization.value(eid))}")
+        # Trivial values are implied, except in an all-trivial instance,
+        # whose realization would otherwise read back as none.
+        shown = [e for e in instance.ids() if not instance.interval(e).trivial]
+        for eid in shown or instance.ids():
+            lines.append(f"value {eid} {realization.value(eid)}")
     return "\n".join(lines) + "\n"
 
 

@@ -5,10 +5,11 @@ Everything here is computed over arbitrary-precision rationals
 semantic, so no float ever enters the core: a value sitting exactly on an
 open endpoint must compare as strictly outside.
 
-An element's knowledge state is either its original interval or, once
-queried, the exact revealed value.  Both shapes are accepted by the
-predicates in this module; a revealed value behaves like a trivial
-(single-point) interval.
+An element's knowledge state has one shape, an `UncertainInterval`: its
+original interval until queried, then the closed point {v} of the
+revealed value v.  The predicates in this module therefore never ask
+which of the two an element is; `KnowledgeState` alone remembers which
+elements were revealed.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple, Union
-
-Rational = Fraction
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -34,11 +33,6 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise IntervalError(f"not a rational: {text!r}")
     return Fraction(text)
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical text form: ``num/den``, with ``/den`` omitted when den = 1."""
-    return str(q)
 
 
 class EndpointKind(Enum):
@@ -113,10 +107,10 @@ class UncertainInterval:
 
     def text(self) -> str:
         if self.trivial:
-            return "{%s}" % format_rational(self.lower)
+            return "{%s}" % self.lower
         lb = "[" if self.lower_kind is CLOSED else "("
         ub = "]" if self.upper_kind is CLOSED else ")"
-        return f"{lb}{format_rational(self.lower)},{format_rational(self.upper)}{ub}"
+        return f"{lb}{self.lower},{self.upper}{ub}"
 
     @staticmethod
     def parse(text: str) -> "UncertainInterval":
@@ -140,88 +134,42 @@ class UncertainInterval:
         return self.text()
 
 
-# An element's view: unqueried interval, or the exact revealed value.
-ElementState = Union[UncertainInterval, Fraction]
-
 # A cut encodes an endpoint's position on the real line including its
 # openness: (v, 0) is the point v itself, (v, +1) sits just above v and
 # (v, -1) just below.  Tuple comparison then orders endpoints correctly.
 Cut = Tuple[Fraction, int]
 
 
-def state_point(state: ElementState) -> Optional[Fraction]:
-    """Exact value pinned by the state, if any (revealed or trivial)."""
-    if isinstance(state, Fraction):
-        return state
-    if state.trivial:
-        return state.value
-    return None
-
-
-def as_interval(state: ElementState) -> UncertainInterval:
-    if isinstance(state, Fraction):
-        return UncertainInterval.point(state)
-    return state
-
-
-def left_cut(state: ElementState) -> Cut:
-    p = state_point(state)
-    if p is not None:
-        return (p, 0)
-    assert isinstance(state, UncertainInterval)
+def left_cut(state: UncertainInterval) -> Cut:
     return (state.lower, 0 if state.lower_kind is CLOSED else 1)
 
 
-def right_cut(state: ElementState) -> Cut:
-    p = state_point(state)
-    if p is not None:
-        return (p, 0)
-    assert isinstance(state, UncertainInterval)
+def right_cut(state: UncertainInterval) -> Cut:
     return (state.upper, 0 if state.upper_kind is CLOSED else -1)
 
 
-def precedes_l(a: ElementState, b: ElementState) -> bool:
-    """Strict precedence in the left-endpoint order.
-
-    Ties at equal values put closed left endpoints before open ones;
-    fully equal endpoints compare equal (callers break ties by id).
-    """
-    return left_cut(a) < left_cut(b)
-
-
-def precedes_u(a: ElementState, b: ElementState) -> bool:
-    """Strict precedence in the right-endpoint order (open before closed)."""
-    return right_cut(a) < right_cut(b)
-
-
-def dependent(a: ElementState, b: ElementState) -> bool:
+def dependent(a: UncertainInterval, b: UncertainInterval) -> bool:
     """True iff the relative order of the two values cannot be deduced.
 
     Holds when the two intervals overlap in more than one point, or when
-    one state is an exact value strictly interior to the other interval.
-    Two exact values are never dependent: ties can be ordered either way.
+    one state is a point strictly interior to the other interval.
+    Two points are never dependent: ties can be ordered either way.
     """
-    pa, pb = state_point(a), state_point(b)
-    if pa is not None and pb is not None:
-        return False
-    if pa is not None:
-        ib = as_interval(b)
-        return ib.strict_interior(pa)
-    if pb is not None:
-        ia = as_interval(a)
-        return ia.strict_interior(pb)
-    ia, ib = as_interval(a), as_interval(b)
-    return max(ia.lower, ib.lower) < min(ia.upper, ib.upper)
+    if a.trivial:
+        return b.strict_interior(a.lower)
+    if b.trivial:
+        return a.strict_interior(b.lower)
+    return max(a.lower, b.lower) < min(a.upper, b.upper)
 
 
-def order_provable(a: ElementState, b: ElementState) -> bool:
+def order_provable(a: UncertainInterval, b: UncertainInterval) -> bool:
     """True iff v_a <= v_b holds in every admissible realization."""
-    ia, ib = as_interval(a), as_interval(b)
-    return ia.upper <= ib.lower
+    return a.upper <= b.lower
 
 
 class KnowledgeState:
-    """Per-element view: unqueried interval or revealed exact value.
+    """Per-element view: the original interval, or the point {v} once
+    the query revealed v.
 
     This is the whole of an algorithm's information.  Once revealed, an
     element never reverts, and the value must lie inside the original
@@ -230,47 +178,32 @@ class KnowledgeState:
     """
 
     def __init__(self, intervals: Dict[int, UncertainInterval]):
-        self._intervals: Dict[int, UncertainInterval] = dict(intervals)
-        self._revealed: Dict[int, Fraction] = {}
+        self._states: Dict[int, UncertainInterval] = dict(intervals)
+        self._revealed: Set[int] = set()
 
     def ids(self) -> Iterable[int]:
-        return self._intervals.keys()
+        return self._states.keys()
 
-    def original(self, eid: int) -> UncertainInterval:
-        return self._intervals[eid]
-
-    def state(self, eid: int) -> ElementState:
-        if eid in self._revealed:
-            return self._revealed[eid]
-        return self._intervals[eid]
+    def state(self, eid: int) -> UncertainInterval:
+        return self._states[eid]
 
     def is_revealed(self, eid: int) -> bool:
         return eid in self._revealed
 
-    def revealed_ids(self) -> frozenset:
-        return frozenset(self._revealed)
-
     def known_value(self, eid: int) -> Optional[Fraction]:
         """Exact value if pinned (revealed, or trivial from the start)."""
-        return state_point(self.state(eid))
+        st = self._states[eid]
+        return st.lower if st.trivial else None
 
     def reveal(self, eid: int, value: Fraction) -> None:
         if eid in self._revealed:
             raise IntervalError(f"element {eid} was already revealed")
-        iv = self._intervals[eid]
+        iv = self._states[eid]
         if not iv.contains(value):
             raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
-        self._revealed[eid] = Fraction(value)
+        self._states[eid] = UncertainInterval.point(value)
+        self._revealed.add(eid)
 
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
         pool = self.ids() if ids is None else ids
-        return [
-            eid
-            for eid in pool
-            if eid not in self._revealed and not self._intervals[eid].trivial
-        ]
-
-    def copy(self) -> "KnowledgeState":
-        dup = KnowledgeState(self._intervals)
-        dup._revealed = dict(self._revealed)
-        return dup
+        return [eid for eid in pool if not self._states[eid].trivial]

@@ -30,7 +30,6 @@ from .instances import (
 from .intervals import (
     CLOSED,
     Cut,
-    ElementState,
     KnowledgeState,
     OPEN,
     UncertainInterval,
@@ -38,7 +37,6 @@ from .intervals import (
     left_cut,
     order_provable,
     right_cut,
-    state_point,
 )
 
 
@@ -70,7 +68,7 @@ def minimum_discard(set_ids: Iterable[int], knowledge: KnowledgeState) -> Frozen
     for eid in ids:
         if knowledge.known_value(eid) is not None:
             continue
-        if knowledge.original(eid).lower >= floor:
+        if knowledge.state(eid).lower >= floor:
             out.add(eid)
     return frozenset(out)
 
@@ -86,7 +84,7 @@ def minimum_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
     if floor is None:
         return False
     for eid in ids:
-        if knowledge.known_value(eid) is None and knowledge.original(eid).lower < floor:
+        if knowledge.known_value(eid) is None and knowledge.state(eid).lower < floor:
             return False
     return True
 
@@ -134,10 +132,7 @@ def selection_containers(instance: Instance, knowledge: KnowledgeState, v: Fract
     out = []
     for eid in instance.ids():
         st = knowledge.state(eid)
-        if state_point(st) is not None:
-            continue
-        assert isinstance(st, UncertainInterval)
-        if st.contains(v):
+        if not st.trivial and st.contains(v):
             out.append(eid)
     return out
 
@@ -227,7 +222,7 @@ def selection_categories(instance: Instance, knowledge: KnowledgeState) -> Selec
         covers_left = lo <= ta_lo
         covers_right = hi >= ta_hi
         if covers_left and covers_right:
-            if state_point(st) is None:
+            if not st.trivial:
                 containing.append(eid)
             # a pinned point can only "cover" a trivial target area; it is
             # already resolved and belongs to no bucket
@@ -257,7 +252,7 @@ class DependencyGraph:
 
     vertices: Tuple[int, ...]
     edges: Tuple[Tuple[int, int], ...]
-    states: Dict[int, ElementState]
+    states: Dict[int, UncertainInterval]
     single_set: bool
 
 
@@ -290,7 +285,7 @@ def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
         for e in members:
             if knowledge.known_value(e) is not None:
                 continue
-            iv = knowledge.original(e)
+            iv = knowledge.state(e)
             if any(iv.strict_interior(p) for p in points):
                 forced.add(e)
     return sorted(forced)
@@ -446,7 +441,7 @@ def verify_certificate(
                 if known is not None:
                     if known < v:
                         raise InstanceError("a known value undercuts the claimed minimum")
-                elif knowledge.original(e).lower < v:
+                elif knowledge.state(e).lower < v:
                     raise InstanceError("an unqueried element could undercut the claimed minimum")
             if realization is not None and min(realization.value(e) for e in members) != v:
                 raise InstanceError("claimed minimum contradicts the realization")

@@ -171,6 +171,25 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "verify", "--instance", "/no/such/file.rq")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("k 1", "k ²"),
+            ("set S1 1", "set S1 ¹"),
+            ("interval 1 (0,2)", "interval ² (0,1)"),
+            ("value 1 1", "value ² 1"),
+            ("problem minimum", "problem selection-value i=²"),
+        ],
+    )
+    def test_non_ascii_digit_in_instance_is_one_error_line(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.rq"
+        text = "k 1\nproblem minimum\ninterval 1 (0,2)\nset S1 1\nvalue 1 1\n"
+        assert old in text
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        code, out, err = invoke(capsys, "verify", "--instance", str(path))
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("source", ["random:n=abc", "random:triv=2", "fig3:k=x", "selval-lb:i=2,k=y"])
     def test_bad_source_number_is_one_error_line(self, capsys, source):
         code, out, err = invoke(capsys, "run", "--alg", "bal", "--source", source)

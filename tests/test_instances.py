@@ -1,14 +1,20 @@
 """Instance model: file format, validation, and the fixed generators."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roundquery.harness import resolve_source
 from roundquery.instances import (
     InstanceError,
     MINIMUM,
     ParseError,
+    ProblemFamily,
     ProblemKind,
     RandomParams,
+    Realization,
     SELECTION_FULL,
     SELECTION_VALUE,
     SORTING,
@@ -19,7 +25,7 @@ from roundquery.instances import (
     parse_instance,
     serialize_instance,
 )
-from roundquery.intervals import UncertainInterval
+from roundquery.intervals import CLOSED, OPEN, IntervalError, UncertainInterval
 from roundquery.solving import minimum_solved, opt1_minimum
 
 
@@ -171,6 +177,79 @@ class TestSerialization:
         parsed_instance, parsed_realization = parse_instance(text)
         assert parsed_instance == instance
         assert serialize_instance(parsed_instance, parsed_realization) == text
+
+
+@st.composite
+def element_and_value(draw, open_only):
+    """An interval with mixed endpoint kinds (open only for minimum), or a
+    trivial point, plus one value it admits."""
+    lo = Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 5)))
+    if draw(st.integers(0, 3)) == 0:
+        return UncertainInterval.point(lo), lo
+    hi = lo + Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 3)))
+    if open_only:
+        kinds = (OPEN, OPEN)
+    else:
+        kinds = tuple(draw(st.sampled_from([OPEN, CLOSED])) for _ in range(2))
+    iv = UncertainInterval(lo, kinds[0], hi, kinds[1])
+    value = lo + (hi - lo) * Fraction(draw(st.integers(1, 3)), 4)
+    return iv, draw(st.sampled_from([v for v in (lo, value, hi) if iv.contains(v)]))
+
+
+@st.composite
+def instances_with_realizations(draw):
+    family = draw(st.sampled_from(list(ProblemFamily)))
+    n = draw(st.integers(1, 7))
+    pairs = [draw(element_and_value(family is MINIMUM)) for _ in range(n)]
+    if family in (SELECTION_VALUE, SELECTION_FULL):
+        problem = ProblemKind(family, draw(st.integers(1, n)))
+        sets = [list(range(1, n + 1))]
+    else:
+        problem = ProblemKind(family)
+        members = st.lists(st.integers(1, n), min_size=1, max_size=n)
+        sets = draw(st.lists(members, min_size=1, max_size=3))
+    instance = make_instance([iv for iv, _ in pairs], sets, problem, draw(st.integers(1, 5)))
+    realization = None
+    if draw(st.booleans()):
+        realization = Realization({eid: v for eid, (_, v) in enumerate(pairs, 1)})
+    return instance, realization
+
+
+# Digit-like tokens mix ASCII digits with superscripts and other Unicode
+# digits, which `str.isdigit` accepts and `int` may not.
+_NUMBERS = st.text(alphabet="²¹٣0123456789", min_size=1, max_size=3)
+_WORDS = st.one_of(
+    st.sampled_from(["(0,1)", "[1,2]", "{3}", "(1,1)", "-1", "3/2", "1/0", "S1", "i=2"]),
+    st.text(alphabet="²0123456789-/(),[]{}=i#kS", max_size=6),
+)
+# Each line is a directive with its usual shape, or a few arbitrary words.
+_LINES = st.lists(
+    st.one_of(
+        _NUMBERS.map("k {}".format),
+        st.builds("problem {} i={}".format, st.sampled_from([f.value for f in ProblemFamily]), _NUMBERS),
+        st.builds("interval {} {}".format, _NUMBERS, _WORDS),
+        st.builds("set S1 {} {}".format, _NUMBERS, _NUMBERS),
+        st.builds("value {} {}".format, _NUMBERS, _WORDS),
+        st.lists(_WORDS, max_size=4).map(" ".join),
+    ),
+    max_size=8,
+).map("\n".join)
+
+
+class TestTextFormatProperties:
+    @given(case=instances_with_realizations())
+    def test_serialize_then_parse_is_the_identity(self, case):
+        instance, realization = case
+        parsed_instance, parsed_realization = parse_instance(serialize_instance(instance, realization))
+        assert parsed_instance == instance
+        assert parsed_realization == realization
+
+    @given(text=_LINES)
+    def test_arbitrary_lines_raise_only_format_errors(self, text):
+        try:
+            parse_instance(text)
+        except (ParseError, InstanceError, IntervalError):
+            pass
 
 
 class TestRandomGenerator:

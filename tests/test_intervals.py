@@ -13,11 +13,8 @@ from roundquery.intervals import (
     OPEN,
     UncertainInterval,
     dependent,
-    format_rational,
     left_cut,
     parse_rational,
-    precedes_l,
-    precedes_u,
     right_cut,
 )
 
@@ -45,14 +42,12 @@ def intervals(draw):
 @st.composite
 def states(draw):
     if draw(st.booleans()):
-        return draw(rationals())
+        return UncertainInterval.point(draw(rationals()))
     return draw(intervals())
 
 
 def admissible_values(state):
     """A few values the state could still realize."""
-    if isinstance(state, Fraction):
-        return [state]
     if state.trivial:
         return [state.value]
     out = []
@@ -89,14 +84,14 @@ class TestDependent:
         assert not dependent(iv("[0,1]"), iv("[1,2]"))
 
     def test_value_inside_open_interval(self):
-        assert dependent(Fraction(3, 2), iv("(1,2)"))
+        assert dependent(UncertainInterval.point(Fraction(3, 2)), iv("(1,2)"))
 
     def test_value_on_endpoint_is_orderable(self):
-        assert not dependent(Fraction(1), iv("[1,2]"))
-        assert not dependent(Fraction(2), iv("(1,2)"))
+        assert not dependent(UncertainInterval.point(1), iv("[1,2]"))
+        assert not dependent(UncertainInterval.point(2), iv("(1,2)"))
 
     def test_two_values_never_dependent(self):
-        assert not dependent(Fraction(1), Fraction(1))
+        assert not dependent(UncertainInterval.point(1), UncertainInterval.point(1))
 
     @given(a=states(), b=states())
     def test_symmetric(self, a, b):
@@ -106,12 +101,9 @@ class TestDependent:
     def test_independent_pairs_admit_a_definite_order(self, a, b):
         if dependent(a, b):
             return
-        from roundquery.intervals import as_interval
-
-        ia, ib = as_interval(a), as_interval(b)
-        assert ia.upper <= ib.lower or ib.upper <= ia.lower
+        assert a.upper <= b.lower or b.upper <= a.lower
         # and the claimed order holds for every sampled pair of values
-        if ia.upper <= ib.lower:
+        if a.upper <= b.lower:
             assert all(x <= y for x in admissible_values(a) for y in admissible_values(b))
         else:
             assert all(y <= x for x in admissible_values(a) for y in admissible_values(b))
@@ -119,31 +111,29 @@ class TestDependent:
 
 class TestEndpointOrders:
     def test_closed_left_before_open_left(self):
-        assert precedes_l(iv("[1,4]"), iv("(1,4)"))
-        assert not precedes_l(iv("(1,4)"), iv("[1,4]"))
+        assert left_cut(iv("[1,4]")) < left_cut(iv("(1,4)"))
+        assert not left_cut(iv("(1,4)")) < left_cut(iv("[1,4]"))
 
     def test_open_right_before_closed_right(self):
-        assert precedes_u(iv("[0,2)"), iv("[0,2]"))
-        assert not precedes_u(iv("[0,2]"), iv("[0,2)"))
+        assert right_cut(iv("[0,2)")) < right_cut(iv("[0,2]"))
+        assert not right_cut(iv("[0,2]")) < right_cut(iv("[0,2)"))
 
     def test_equal_endpoints_compare_equal(self):
         a, b = iv("[1,4]"), iv("[1,5]")
-        assert not precedes_l(a, b) and not precedes_l(b, a)
+        assert left_cut(a) == left_cut(b)
 
     @given(a=states(), b=states(), c=states())
     def test_preorders_are_transitive(self, a, b, c):
         for cut in (left_cut, right_cut):
             if cut(a) <= cut(b) <= cut(c):
                 assert cut(a) <= cut(c)
-        if precedes_l(a, b) and precedes_l(b, c):
-            assert precedes_l(a, c)
-        if precedes_u(a, b) and precedes_u(b, c):
-            assert precedes_u(a, c)
+            if cut(a) < cut(b) < cut(c):
+                assert cut(a) < cut(c)
 
     @given(a=states(), b=states())
     def test_strict_precedence_is_asymmetric(self, a, b):
-        assert not (precedes_l(a, b) and precedes_l(b, a))
-        assert not (precedes_u(a, b) and precedes_u(b, a))
+        for cut in (left_cut, right_cut):
+            assert not (cut(a) < cut(b) and cut(b) < cut(a))
 
 
 class TestParsing:
@@ -153,7 +143,7 @@ class TestParsing:
 
     def test_rational_forms(self):
         assert parse_rational("3/2") == Fraction(3, 2)
-        assert format_rational(Fraction(4, 2)) == "2"
+        assert UncertainInterval.point(Fraction(4, 2)).text() == "{2}"
         with pytest.raises(IntervalError):
             parse_rational("1.5")
         with pytest.raises(IntervalError):
@@ -175,7 +165,7 @@ class TestKnowledgeState:
         assert self.k.known_value(2) == 7  # trivial pins its value
         self.k.reveal(1, Fraction(2))
         assert self.k.known_value(1) == 2
-        assert self.k.state(1) == Fraction(2)
+        assert self.k.state(1) == UncertainInterval.point(2)
 
     def test_reveal_outside_interval_rejected(self):
         with pytest.raises(IntervalError):
@@ -186,7 +176,12 @@ class TestKnowledgeState:
         with pytest.raises(IntervalError):
             self.k.reveal(1, Fraction(3))
 
-    def test_copy_is_independent(self):
-        dup = self.k.copy()
-        dup.reveal(1, Fraction(1))
-        assert self.k.known_value(1) is None
+    def test_revealed_element_reads_like_a_trivial_one(self):
+        k = KnowledgeState({1: iv("(0,4)"), 2: iv("{2}")})
+        k.reveal(1, Fraction(2))
+        assert k.state(1) == k.state(2) == UncertainInterval.point(2)
+        assert k.known_value(1) == k.known_value(2) == 2
+        assert left_cut(k.state(1)) == left_cut(k.state(2)) == (2, 0)
+        assert right_cut(k.state(1)) == right_cut(k.state(2)) == (2, 0)
+        assert k.unqueried_nontrivial([1]) == k.unqueried_nontrivial([2]) == []
+        assert k.is_revealed(1) and not k.is_revealed(2)
