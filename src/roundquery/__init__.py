@@ -87,7 +87,7 @@ from .solving import (
     canonical_opt,
     extract_certificate,
     instance_solved,
-    minimum_discard,
+    minimum_scan,
     minimum_solved,
     opt1_bruteforce,
     opt1_minimum,

@@ -23,8 +23,8 @@ from .solving import (
     ceil_div,
     exact_cover,
     forced_queries,
-    minimum_discard,
-    minimum_solved,
+    minimum_scan,
+    minimum_solved,  # unused here; kept so the perfbench tracer can count it in this namespace
     rank_cuts,
     selection_categories,
     selection_solved,
@@ -126,15 +126,10 @@ def _candidate_lists(instance: Instance, knowledge: KnowledgeState) -> Tuple[Lis
     active: List[int] = []
     lists: List[List[int]] = [[] for _ in range(instance.m)]
     for idx, members in enumerate(instance.family):
-        if minimum_solved(members, knowledge):
+        floor, live = minimum_scan(members, knowledge)
+        if floor is not None and not live:
             continue
         active.append(idx)
-        dropped = minimum_discard(members, knowledge)
-        live = [
-            e
-            for e in members
-            if knowledge.known_value(e) is None and e not in dropped
-        ]
         live.sort(key=lambda e: (left_cut(knowledge.state(e)), e))
         lists[idx] = live
     return active, lists

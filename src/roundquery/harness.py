@@ -112,8 +112,12 @@ def run(
     knowledge = instance.knowledge()
     limit = max_rounds if max_rounds is not None else 4 * instance.n + 8
     rounds: List[Tuple[Tuple[int, ...], Tuple[Fraction, ...]]] = []
-    per_set = instance.m if not instance.problem.is_selection else 1
-    solved_at = [0 if set_solved(instance, i, knowledge) else -1 for i in range(per_set)]
+    # a reveal can only change the sets holding the revealed element
+    holders: Dict[int, List[int]] = {}
+    for i, members in enumerate(instance.family):
+        for e in members:
+            holders.setdefault(e, []).append(i)
+    solved_at = [0 if set_solved(instance, i, knowledge) else -1 for i in range(instance.m)]
 
     while -1 in solved_at:
         if len(rounds) >= limit:
@@ -134,8 +138,9 @@ def run(
         for e in picked:
             knowledge.reveal(e, answers[e])
         rounds.append((tuple(picked), tuple(answers[e] for e in picked)))
-        for i in range(per_set):
-            if solved_at[i] < 0 and set_solved(instance, i, knowledge):
+        touched = {i for e in picked for i in holders.get(e, ()) if solved_at[i] < 0}
+        for i in touched:
+            if set_solved(instance, i, knowledge):
                 solved_at[i] = len(rounds)
 
     realization = oracle.check_finalize()

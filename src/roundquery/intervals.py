@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Set, Tuple
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
 
 class IntervalError(ValueError):
@@ -175,10 +175,19 @@ class KnowledgeState:
     element never reverts, and the value must lie inside the original
     interval (strictly inside open endpoints).  Mutated only by the
     single-threaded run loop of a trial.
+
+    Beside the states it keeps the pinned-value map: the exact value of
+    every element that is trivial from the start or revealed, seeded here
+    and written by `reveal`.  Solvedness checks ask `known_value` about
+    every member of every open set each round; a dict lookup spares them
+    the `Fraction` comparison behind `UncertainInterval.trivial`.
     """
 
     def __init__(self, intervals: Dict[int, UncertainInterval]):
         self._states: Dict[int, UncertainInterval] = dict(intervals)
+        self._known: Dict[int, Fraction] = {
+            eid: st.lower for eid, st in self._states.items() if st.trivial
+        }
         self._revealed: Set[int] = set()
 
     def ids(self) -> Iterable[int]:
@@ -192,8 +201,7 @@ class KnowledgeState:
 
     def known_value(self, eid: int) -> Optional[Fraction]:
         """Exact value if pinned (revealed, or trivial from the start)."""
-        st = self._states[eid]
-        return st.lower if st.trivial else None
+        return self._known.get(eid)
 
     def reveal(self, eid: int, value: Fraction) -> None:
         if eid in self._revealed:
@@ -201,9 +209,11 @@ class KnowledgeState:
         iv = self._states[eid]
         if not iv.contains(value):
             raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
-        self._states[eid] = UncertainInterval.point(value)
+        pinned = UncertainInterval.point(value)
+        self._states[eid] = pinned
+        self._known[eid] = pinned.lower
         self._revealed.add(eid)
 
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
         pool = self.ids() if ids is None else ids
-        return [eid for eid in pool if not self._states[eid].trivial]
+        return [eid for eid in pool if eid not in self._known]

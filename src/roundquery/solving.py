@@ -52,41 +52,32 @@ def ceil_div(a: int, b: int) -> int:
 # solvedness
 
 
-def minimum_discard(set_ids: Iterable[int], knowledge: KnowledgeState) -> FrozenSet[int]:
-    """Non-trivial unqueried elements that are certainly not the set minimum.
+def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> Tuple[Optional[Fraction], List[int]]:
+    """One pass over a set: its least pinned value (None if none is pinned)
+    and the unpinned members that could still lie below it.
 
-    An element can be dropped once some known value in the set is at or
-    below its lower endpoint (values in open intervals sit strictly above
-    the endpoint, so a weak comparison suffices).
+    With no pinned value every unpinned member is live.  Otherwise a member
+    is dropped once its lower endpoint is at or above the floor (values in
+    open intervals sit strictly above the endpoint, so a weak comparison
+    suffices).
     """
-    ids = list(set_ids)
-    known = [knowledge.known_value(e) for e in ids]
-    floor = min((v for v in known if v is not None), default=None)
+    floor = None
+    unpinned = []
+    for eid in set_ids:
+        v = knowledge.known_value(eid)
+        if v is None:
+            unpinned.append(eid)
+        elif floor is None or v < floor:
+            floor = v
     if floor is None:
-        return frozenset()
-    out = set()
-    for eid in ids:
-        if knowledge.known_value(eid) is not None:
-            continue
-        if knowledge.state(eid).lower >= floor:
-            out.add(eid)
-    return frozenset(out)
+        return None, unpinned
+    return floor, [eid for eid in unpinned if knowledge.state(eid).lower < floor]
 
 
 def minimum_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
     """True iff the set's minimum value is provable from current knowledge."""
-    ids = list(set_ids)
-    floor = None
-    for eid in ids:
-        v = knowledge.known_value(eid)
-        if v is not None and (floor is None or v < floor):
-            floor = v
-    if floor is None:
-        return False
-    for eid in ids:
-        if knowledge.known_value(eid) is None and knowledge.state(eid).lower < floor:
-            return False
-    return True
+    floor, live = minimum_scan(set_ids, knowledge)
+    return floor is not None and not live
 
 
 def minimum_value(set_ids: Iterable[int], knowledge: KnowledgeState) -> Fraction:

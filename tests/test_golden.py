@@ -1,6 +1,8 @@
 """Golden regression: the committed bench spec reproduces its committed CSV
 byte for byte, so rounds, queries, optima and wasted counts of every
-algorithm and problem kind stay fixed across refactors."""
+algorithm and problem kind stay fixed across refactors; so do the long
+minimum runs of the minimum-large workload, where the knowledge state and
+minimum solvedness do the work."""
 
 import importlib
 import sys
@@ -17,6 +19,22 @@ def test_sweep_small_matches_golden_csv():
     golden = (PERFBENCH / "golden" / "sweep-small.csv").read_bytes()
     rows = sweep(parse_bench_spec(spec), jobs=1)
     assert sweep_csv(rows).encode("utf-8") == golden
+
+
+def _perfbench_module(name):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_minimum_large_matches_golden_csv():
+    workload = _perfbench_module("workloads").MINIMUM_LARGE
+    trials = workload.prepare(roundquery, 0)
+    outcomes = [trial.fn() for trial in trials]
+    golden = (PERFBENCH / "golden" / "minimum-large.csv").read_text(encoding="utf-8")
+    assert workload.golden_text(roundquery, trials, outcomes) == golden
 
 
 def _patchable(rq):
@@ -42,11 +60,7 @@ def _changed(snapshot):
 def test_perfbench_tracer_finds_and_restores_every_entry_point():
     # the tracer wraps entry points by name; a renamed or dropped one fails
     # here rather than in every benchmark run
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        tracer = importlib.import_module("tracer")
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    tracer = _perfbench_module("tracer")
     snapshot = _patchable(roundquery)
     try:
         capture = tracer.Capture(roundquery)

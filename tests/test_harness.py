@@ -1,5 +1,6 @@
 """Run loop audits, report figures, and sweep determinism."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from roundquery.instances import (
     ProblemKind,
     RandomParams,
     Realization,
+    SELECTION_FULL,
+    SORTING,
     gen_fig2_bal_instance,
     gen_fig3_overlap_instance,
     gen_random,
@@ -29,7 +32,7 @@ from roundquery.instances import (
 )
 from roundquery.intervals import UncertainInterval
 from roundquery.oracles import FixedOracle, sorting_pair_adversary
-from roundquery.solving import ceil_div
+from roundquery.solving import ceil_div, reveal_all, set_solved
 
 iv = UncertainInterval.parse
 
@@ -105,6 +108,52 @@ class TestRun:
         inst, r = gen_fig3_overlap_instance()
         trace, _ = run(make_algorithm("budget", inst), inst, FixedOracle(inst, r))
         assert trace.text() == "round 1: 1 4 7 -> 5/8 9/16 1/2\n"
+
+
+def _solvedness_case(seed, triv):
+    """A random minimum, sorting or selection-full instance and an algorithm
+    for it; the kind cycles with the seed."""
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        n = rng.randint(8, 40)
+        m = rng.randint(3, 6)
+        params = RandomParams(n=n, m=m, k=rng.randint(1, 6), problem=ProblemKind(MINIMUM),
+                              overlap="overlap", trivial_prob=triv)
+        alg = ("budget", "bal")[seed % 2]
+    elif kind == 1:
+        n = rng.randint(4, 30)
+        params = RandomParams(n=n, m=rng.randint(1, 4), k=rng.randint(1, 5), problem=ProblemKind(SORTING),
+                              overlap="overlap", trivial_prob=triv)
+        alg = ("sorting-vc", "sorting-matching")[seed % 2]
+    else:
+        n = rng.randint(3, 30)
+        params = RandomParams(n=n, m=1, k=rng.randint(1, 5),
+                              problem=ProblemKind(SELECTION_FULL, rng.randint(1, n)),
+                              overlap="single", trivial_prob=triv)
+        alg = "sel-full"
+    instance, realization = gen_random(seed, params)
+    return instance, realization, alg
+
+
+class TestTouchedSetSolvedness:
+    @pytest.mark.parametrize("triv", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_solved_at_matches_a_full_recheck(self, seed, triv):
+        # run() re-checks only the sets holding a just-revealed element;
+        # replaying every prefix of the rounds and checking every set must
+        # give the same first-solved round for each set
+        instance, realization, alg = _solvedness_case(seed, triv)
+        trace, _ = run(make_algorithm(alg, instance), instance, FixedOracle(instance, realization),
+                       opt_cap=instance.n)
+        expected = [-1] * instance.m
+        for r in range(len(trace.rounds) + 1):
+            ids = [e for picked, _ in trace.rounds[:r] for e in picked]
+            knowledge = reveal_all(instance, trace.final_realization, ids)
+            for i in range(instance.m):
+                if expected[i] < 0 and set_solved(instance, i, knowledge):
+                    expected[i] = r
+        assert trace.solved_at == tuple(expected)
 
 
 class TestSources:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from roundquery.cli import main
 from roundquery.harness import resolve_source
 from roundquery.instances import (
     InstanceError,
@@ -25,7 +26,7 @@ from roundquery.instances import (
     parse_instance,
     serialize_instance,
 )
-from roundquery.intervals import CLOSED, OPEN, IntervalError, UncertainInterval
+from roundquery.intervals import CLOSED, OPEN, IntervalError, UncertainInterval, parse_rational
 from roundquery.solving import minimum_solved, opt1_minimum
 
 
@@ -219,9 +220,12 @@ def instances_with_realizations(draw):
 # digits, which `str.isdigit` accepts and `int` may not.
 _NUMBERS = st.text(alphabet="²¹٣0123456789", min_size=1, max_size=3)
 _WORDS = st.one_of(
-    st.sampled_from(["(0,1)", "[1,2]", "{3}", "(1,1)", "-1", "3/2", "1/0", "S1", "i=2"]),
-    st.text(alphabet="²0123456789-/(),[]{}=i#kS", max_size=6),
+    st.sampled_from(["(0,1)", "[1,2]", "{3}", "(1,1)", "-1", "3/2", "1/0", "S1", "i=2", "(٠,٣)", "١"]),
+    st.text(alphabet="²٣0123456789-/(),[]{}=i#kS", max_size=6),
 )
+# Unicode decimal digits (Arabic-Indic, Devanagari, fullwidth) that `\d`
+# and `int` would take for 0-9 unless the format insists on ASCII.
+_DIGIT_BASES = (0x660, 0x966, 0xFF10)
 # Each line is a directive with its usual shape, or a few arbitrary words.
 _LINES = st.lists(
     st.one_of(
@@ -250,6 +254,44 @@ class TestTextFormatProperties:
             parse_instance(text)
         except (ParseError, InstanceError, IntervalError):
             pass
+
+    @given(case=instances_with_realizations(), data=st.data())
+    def test_unicode_digit_in_interval_or_value_is_rejected(self, case, data):
+        # swap one ASCII digit of an interval or value token for a
+        # look-alike; read back, it would no longer serialize to these bytes
+        lines = serialize_instance(*case).splitlines()
+        spots = [
+            (row, col)
+            for row, line in enumerate(lines)
+            if line.startswith(("interval ", "value "))
+            for col in range(line.rindex(" ") + 1, len(line))
+            if line[col].isdigit()
+        ]
+        row, col = data.draw(st.sampled_from(spots))
+        digit = chr(data.draw(st.sampled_from(_DIGIT_BASES)) + int(lines[row][col]))
+        lines[row] = lines[row][:col] + digit + lines[row][col + 1:]
+        with pytest.raises(ParseError):
+            parse_instance("\n".join(lines) + "\n")
+
+
+class TestAsciiRationals:
+    @pytest.mark.parametrize("text", ["٣", "-٣", "1/٣", "١/2", "３", "३/4"])
+    def test_unicode_digits_are_not_a_rational(self, text):
+        with pytest.raises(IntervalError):
+            parse_rational(text)
+
+    @pytest.mark.parametrize(
+        "old,new", [("interval 1 (0,3)", "interval 1 (٠,٣)"), ("value 1 1", "value 1 ١")]
+    )
+    def test_unicode_digit_rational_is_one_error_line(self, tmp_path, capsys, old, new):
+        text = "k 1\nproblem minimum\ninterval 1 (0,3)\nset S1 1\nvalue 1 1\n"
+        assert old in text
+        path = tmp_path / "bad.rq"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        code = main(["verify", "--instance", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 class TestRandomGenerator:

@@ -185,3 +185,23 @@ class TestKnowledgeState:
         assert right_cut(k.state(1)) == right_cut(k.state(2)) == (2, 0)
         assert k.unqueried_nontrivial([1]) == k.unqueried_nontrivial([2]) == []
         assert k.is_revealed(1) and not k.is_revealed(2)
+
+    @given(data=st.data(), start=st.lists(intervals(), min_size=1, max_size=8))
+    def test_pinned_values_follow_the_states(self, data, start):
+        # known_value and unqueried_nontrivial read the pinned-value map;
+        # before and after any admissible reveals it must agree with the states
+        k = KnowledgeState(dict(enumerate(start, 1)))
+        order = data.draw(st.permutations(list(k.ids())))
+
+        def check():
+            for e in k.ids():
+                st_e = k.state(e)
+                assert k.known_value(e) == (st_e.lower if st_e.trivial else None)
+            assert k.unqueried_nontrivial() == [e for e in k.ids() if not k.state(e).trivial]
+            some = order[::2]
+            assert k.unqueried_nontrivial(some) == [e for e in some if not k.state(e).trivial]
+
+        check()
+        for eid in order[: data.draw(st.integers(0, len(order)))]:
+            k.reveal(eid, data.draw(st.sampled_from(admissible_values(k.state(eid)))))
+            check()

@@ -6,6 +6,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roundquery.instances import (
     MINIMUM,
@@ -20,13 +22,13 @@ from roundquery.instances import (
     gen_random,
     make_instance,
 )
-from roundquery.intervals import KnowledgeState, UncertainInterval
+from roundquery.intervals import CLOSED, OPEN, KnowledgeState, UncertainInterval
 from roundquery.oracles import selection_full_lb_adversary, selection_value_lb_adversary
 from roundquery.solving import (
     canonical_opt,
     extract_certificate,
     instance_solved,
-    minimum_discard,
+    minimum_scan,
     minimum_solved,
     minimum_value,
     opt1_bruteforce,
@@ -52,13 +54,34 @@ def knowledge_of(intervals, revealed=()):
     return k
 
 
+def discarded(members, k):
+    """Unpinned members the scan rules out as the set minimum."""
+    _, live = minimum_scan(members, k)
+    return {e for e in members if k.known_value(e) is None} - set(live)
+
+
+_INSIDE = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
+
+@st.composite
+def _interval(draw):
+    """Mixed endpoint kinds on a coarse grid, so values and endpoints tie
+    often; a quarter of them trivial."""
+    lo = Fraction(draw(st.integers(0, 8)), 2)
+    if draw(st.integers(0, 3)) == 0:
+        return UncertainInterval.point(lo)
+    hi = lo + Fraction(draw(st.integers(1, 6)), 2)
+    kinds = [draw(st.sampled_from([OPEN, CLOSED])) for _ in range(2)]
+    return UncertainInterval(lo, kinds[0], hi, kinds[1])
+
+
 class TestMinimumSolved:
     def test_two_known_values_discard_the_tail(self):
         k = knowledge_of([iv("(1,3)"), iv("(2,4)"), iv("(5,6)")], [(1, "5/2"), (2, "7/2")])
         members = [1, 2, 3]
         assert minimum_solved(members, k)
         assert minimum_value(members, k) == Fraction(5, 2)
-        assert minimum_discard(members, k) == {3}
+        assert discarded(members, k) == {3}
 
     def test_single_unqueried_interval_unsolved(self):
         k = knowledge_of([iv("(1,3)")])
@@ -68,7 +91,26 @@ class TestMinimumSolved:
         k = knowledge_of([iv("{2}"), iv("(3,4)")])
         assert minimum_solved([1, 2], k)
         assert minimum_value([1, 2], k) == 2
-        assert minimum_discard([1, 2], k) == {2}
+        assert discarded([1, 2], k) == {2}
+
+    @given(data=st.data())
+    def test_scan_matches_its_definition(self, data):
+        # floor: the least pinned value; live: the unpinned members whose
+        # lower endpoint lies below it, or every unpinned member without one
+        k = KnowledgeState(dict(enumerate(data.draw(st.lists(_interval(), min_size=1, max_size=8)), 1)))
+        ids = list(k.ids())
+        for eid in data.draw(st.lists(st.sampled_from(ids), unique=True)):
+            st_e = k.state(eid)
+            k.reveal(eid, st_e.lower + (st_e.upper - st_e.lower) * data.draw(st.sampled_from(_INSIDE)))
+        members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        pinned = [k.state(e).lower for e in members if k.state(e).trivial]
+        floor = min(pinned) if pinned else None
+        live = [
+            e for e in members
+            if not k.state(e).trivial and (floor is None or k.state(e).lower < floor)
+        ]
+        assert minimum_scan(members, k) == (floor, live)
+        assert minimum_solved(members, k) == (floor is not None and not live)
 
     def test_brute_force_agrees_it_is_solved(self):
         # same first example, checked by enumerating admissible completions:
