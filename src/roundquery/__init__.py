@@ -27,6 +27,7 @@ from .harness import (
     RoundTrace,
     RunReport,
     SweepEntry,
+    SweepError,
     parse_bench_spec,
     resolve_source,
     run,

@@ -1,9 +1,11 @@
 """Online round-building algorithms.
 
-Uniform contract: ``next_round(instance, knowledge) -> list of element ids``
-of size at most k, all unqueried and non-trivial.  The harness queries the
-returned set, updates the knowledge state, and repeats until the instance
-is solved; an algorithm signals "nothing left to ask" with an empty list.
+Uniform contract: ``next_round(instance, knowledge, open_sets) -> list of
+element ids``, non-empty, of size at most k, all unqueried and non-trivial.
+The harness alone decides solvedness: it asks for a round only while some
+set is unsolved, passes the indices of those sets as the ascending,
+non-empty tuple `open_sets`, queries the returned ids, updates the
+knowledge state, and repeats until every set is solved.
 
 Each algorithm object owns its per-run state (phase queues, charge logs),
 so one instance of it drives exactly one trial.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .instances import Instance, MINIMUM, SELECTION_FULL, SELECTION_VALUE, SORTING
@@ -24,12 +27,14 @@ from .solving import (
     exact_cover,
     forced_queries,
     minimum_scan,
-    minimum_solved,  # unused here; kept so the perfbench tracer can count it in this namespace
+    minimum_solved,  # unused here; kept for perfbench's tracer, which counts it in this namespace
     rank_cuts,
     selection_categories,
-    selection_solved,
-    sorting_solved,
+    sorting_solved,  # unused here; kept for perfbench's tracer, which counts it in this namespace
 )
+
+
+OpenSets = Tuple[int, ...]  # indices of the unsolved sets, ascending, never empty
 
 
 class AlgorithmError(RuntimeError):
@@ -99,9 +104,7 @@ class SortingRounds:
         self.mode = mode
         self._cover_queue: Optional[List[int]] = None
 
-    def next_round(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
-        if all(sorting_solved(members, knowledge) for members in instance.family):
-            return []  # answers may resolve pending cover elements early
+    def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         if self._cover_queue is None:
             graph = build_dependency_graph(instance, knowledge)
             if self.mode == "matching":
@@ -121,30 +124,23 @@ class SortingRounds:
 # minimum
 
 
-def _candidate_lists(instance: Instance, knowledge: KnowledgeState) -> Tuple[List[int], List[List[int]]]:
-    """Active set indices plus, per set, the queryable elements in left order."""
-    active: List[int] = []
-    lists: List[List[int]] = [[] for _ in range(instance.m)]
-    for idx, members in enumerate(instance.family):
-        floor, live = minimum_scan(members, knowledge)
-        if floor is not None and not live:
-            continue
-        active.append(idx)
-        live.sort(key=lambda e: (left_cut(knowledge.state(e)), e))
-        lists[idx] = live
-    return active, lists
+def _candidate_lists(instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> Dict[int, List[int]]:
+    """Per open set, in index order, its queryable elements in left order;
+    an open set always has at least one."""
+    lists: Dict[int, List[int]] = {}
+    for idx in open_sets:
+        _, live = minimum_scan(instance.family[idx], knowledge)
+        lists[idx] = sorted(live, key=lambda e: (left_cut(knowledge.state(e)), e))
+    return lists
 
 
 class MinimumSingleRounds:
     """Single set: the k leftmost queryable intervals."""
 
-    def next_round(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
+    def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         if instance.m != 1:
             raise AlgorithmError("min-single needs a single-set instance")
-        active, lists = _candidate_lists(instance, knowledge)
-        if not active:
-            return []
-        return lists[active[0]][: instance.k]
+        return _candidate_lists(instance, knowledge, open_sets)[0][: instance.k]
 
 
 class BalancedRounds:
@@ -155,28 +151,23 @@ class BalancedRounds:
     set index, and the pick is the set's leftmost element not yet chosen.
     """
 
-    def next_round(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
-        active, lists = _candidate_lists(instance, knowledge)
+    def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
+        lists = _candidate_lists(instance, knowledge, open_sets)
         chosen: List[int] = []
         in_round: Set[int] = set()
         while len(chosen) < instance.k:
-            best_key = None
-            best_idx = None
-            for idx in active:
-                lst = lists[idx]
+            prefixes = []
+            for idx, lst in lists.items():
                 p = 0
                 while p < len(lst) and lst[p] in in_round:
                     p += 1
-                if p == len(lst):
-                    continue
-                key = (p, idx)
-                if best_key is None or key < best_key:
-                    best_key, best_idx = key, idx
-            if best_idx is None:
+                if p < len(lst):
+                    prefixes.append((p, idx))
+            if not prefixes:
                 break
-            pick = lists[best_idx][best_key[0]]
-            chosen.append(pick)
-            in_round.add(pick)
+            p, idx = min(prefixes)
+            chosen.append(lists[idx][p])
+            in_round.add(lists[idx][p])
         return chosen
 
 
@@ -194,31 +185,22 @@ class BudgetRounds:
         self.last_charges: Dict[int, Tuple[int, ...]] = {}
         self.last_seeds: Tuple[int, ...] = ()
 
-    def next_round(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
+    def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         k = instance.k
-        active, lists = _candidate_lists(instance, knowledge)
+        lists = _candidate_lists(instance, knowledge, open_sets)
         self.last_charges = {}
-        self.last_seeds = ()
-        if not active:
-            return []
 
         def leftmost(idx: int, taken: Set[int]) -> Optional[int]:
-            for e in lists[idx]:
-                if e not in taken:
-                    return e
-            return None
+            return next((e for e in lists[idx] if e not in taken), None)
 
-        seeds = sorted({e for idx in active for e in (leftmost(idx, set()),) if e is not None})
-        if len(seeds) >= k:
-            self.last_seeds = tuple(seeds[:k])
-            return seeds[:k]
+        seeds = sorted({lst[0] for lst in lists.values()})[:k]
+        self.last_seeds = tuple(seeds)
         chosen: List[int] = list(seeds)
         taken: Set[int] = set(seeds)
-        self.last_seeds = tuple(seeds)
-        budgets: Dict[int, Fraction] = {idx: Fraction(0) for idx in active}
+        budgets: Dict[int, Fraction] = dict.fromkeys(open_sets, Fraction(0))
         while len(chosen) < k:
             pointing: Dict[int, List[int]] = {}
-            for idx in active:
+            for idx in open_sets:
                 e = leftmost(idx, taken)
                 if e is not None:
                     pointing.setdefault(e, []).append(idx)
@@ -232,7 +214,7 @@ class BudgetRounds:
                 if best is None or key < best:
                     best = key
             delta, _, winner = best
-            for idx in active:
+            for idx in open_sets:
                 budgets[idx] += delta
             owners = pointing[winner]
             for idx in owners:
@@ -257,9 +239,7 @@ class SelectionValueRounds:
     """k leftmost queryable intervals, after discarding everything provably
     outside the target area; ranks above the middle take the rightmost."""
 
-    def next_round(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
-        if selection_solved(instance, knowledge):
-            return []  # a pinned value can leave live but irrelevant intervals
+    def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         lo, hi = rank_cuts(instance, knowledge)
         live = [
             eid
@@ -280,11 +260,11 @@ class SelectionFullRounds:
     Fill order: intervals containing the target area, then those strictly
     inside it, then alternately the left- and right-overlapping ones
     (starting left), longest overlap first.  The round may stay under k
-    when the categories run dry; emptiness with an unsolved instance would
-    contradict the containing-interval guarantee and is a hard error.
+    when the categories run dry; by the containing-interval guarantee it is
+    never empty while the instance is unsolved.
     """
 
-    def next_round(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
+    def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         view = selection_categories(instance, knowledge)
         queryable = set(knowledge.unqueried_nontrivial(instance.ids()))
         q1 = sorted(view.containing)
@@ -298,26 +278,9 @@ class SelectionFullRounds:
             (e for e in view.right_overlap if e in queryable),
             key=lambda e: (left_cut(knowledge.state(e)), e),
         )
-        chosen = (q1 + q2)[: instance.k]
-        i3 = i4 = 0
-        pick_left = True
-        while len(chosen) < instance.k and (i3 < len(q3) or i4 < len(q4)):
-            if pick_left and i3 < len(q3):
-                chosen.append(q3[i3])
-                i3 += 1
-            elif not pick_left and i4 < len(q4):
-                chosen.append(q4[i4])
-                i4 += 1
-            elif i3 < len(q3):
-                chosen.append(q3[i3])
-                i3 += 1
-            else:
-                chosen.append(q4[i4])
-                i4 += 1
-            pick_left = not pick_left
-        if not chosen and not selection_solved(instance, knowledge):
-            raise AlgorithmError("unsolved selection round with no queryable interval")
-        return chosen
+        # alternate left and right while both last, then the longer one's rest
+        alternating = [e for pair in zip_longest(q3, q4) for e in pair if e is not None]
+        return (q1 + q2 + alternating)[: instance.k]
 
 
 # ---------------------------------------------------------------------------

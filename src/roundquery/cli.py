@@ -18,7 +18,8 @@ from typing import Callable, List, Optional
 from .algorithms import AlgorithmError, algorithm_names, make_algorithm
 from .harness import (
     ADVERSARY_SOURCES,
-    HarnessError,
+    RUN_ERRORS,
+    SweepError,
     parse_bench_spec,
     parse_number,
     resolve_source,
@@ -28,8 +29,7 @@ from .harness import (
     sweep_csv,
 )
 from .instances import InstanceError, parse_instance, serialize_instance
-from .intervals import IntervalError
-from .oracles import FixedOracle, OracleError
+from .oracles import FixedOracle
 from .reductions import BatchesToRounds, QueryAllBatch, RoundsToBatches, TwoBatchSorting
 from .solving import (
     SolutionCertificate,
@@ -166,9 +166,14 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     entries = parse_bench_spec(_read(args.spec))
-    rows = sweep(entries, jobs=args.jobs)
+    try:
+        rows, failures = sweep(entries, jobs=args.jobs), []
+    except SweepError as exc:
+        rows, failures = exc.rows, exc.failures
     _write(args.output, sweep_csv(rows))
-    return 0
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_table(args) -> int:
@@ -232,7 +237,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, IntervalError, AlgorithmError, OracleError, HarnessError, OSError) as exc:
+    except RUN_ERRORS + (OSError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,9 +14,9 @@ import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .algorithms import make_algorithm
+from .algorithms import AlgorithmError, make_algorithm
 from .instances import (
     Instance,
     InstanceError,
@@ -28,8 +28,10 @@ from .instances import (
     gen_fig3_overlap_instance,
     gen_random,
 )
+from .intervals import IntervalError, KnowledgeState
 from .oracles import (
     FixedOracle,
+    OracleError,
     ValueOracle,
     minimum_additive_lb_adversary,
     minimum_wlb_adversary,
@@ -42,7 +44,7 @@ from .solving import (
     canonical_opt,
     ceil_div,
     extract_certificate,
-    instance_solved,
+    instance_solved,  # unused here; kept for perfbench's tracer, which patches it here
     set_solved,
     verify_certificate,
 )
@@ -50,6 +52,10 @@ from .solving import (
 
 class HarnessError(RuntimeError):
     pass
+
+
+# what a bad input or a violated invariant raises: one `error:` line in the CLI
+RUN_ERRORS = (InstanceError, IntervalError, AlgorithmError, OracleError, HarnessError)
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,44 @@ class RunReport:
         )
 
 
+class _OpenSets:
+    """The ascending indices of the unsolved sets.  A reveal can change only
+    the sets holding the revealed element, so only those are re-checked."""
+
+    def __init__(self, instance: Instance, knowledge: KnowledgeState) -> None:
+        self.instance, self.knowledge = instance, knowledge
+        self.holders: Dict[int, List[int]] = {}
+        for i, members in enumerate(instance.family):
+            for e in members:
+                self.holders.setdefault(e, []).append(i)
+        self.solved_at = [0 if set_solved(instance, i, knowledge) else -1 for i in range(instance.m)]
+        self.open = tuple(i for i, r in enumerate(self.solved_at) if r < 0)
+
+    def update(self, picked: Sequence[int], round_no: int) -> None:
+        for i in {i for e in picked for i in self.holders.get(e, ()) if self.solved_at[i] < 0}:
+            if set_solved(self.instance, i, self.knowledge):
+                self.solved_at[i] = round_no
+        self.open = tuple(i for i in self.open if self.solved_at[i] < 0)
+
+
+def _check_round(instance: Instance, knowledge: KnowledgeState, picked: List[int], width: int) -> None:
+    """Reject an empty or oversized round and any id that is unknown,
+    repeated, already revealed or trivial."""
+    if not picked:
+        raise HarnessError("algorithm emitted an empty round while unsolved")
+    if len(picked) > width:
+        raise HarnessError(f"round of {len(picked)} queries exceeds width {width}")
+    if len(set(picked)) != len(picked):
+        raise HarnessError("round queries an element twice")
+    for e in picked:
+        if not 1 <= e <= instance.n:
+            raise HarnessError(f"round queries unknown element {e}")
+        if knowledge.is_revealed(e):
+            raise HarnessError(f"round re-queries element {e}")
+        if instance.interval(e).trivial:
+            raise HarnessError(f"round queries trivial element {e}")
+
+
 def run(
     alg,
     instance: Instance,
@@ -104,48 +148,27 @@ def run(
 ) -> Tuple[RoundTrace, RunReport]:
     """Run one trial to provable solvedness and audit everything.
 
-    Raises if the algorithm emits an empty or malformed round while the
-    instance is unsolved, or if the oracle answers inconsistently.  The
-    extracted solution certificate is re-verified against the finalized
-    realization on every run.
+    Asks `alg.next_round(instance, knowledge, open_sets)` only while some
+    set is unsolved.  Raises if a round fails `_check_round` or the oracle
+    answers inconsistently.  The extracted solution certificate is
+    re-verified against the finalized realization on every run.
     """
     knowledge = instance.knowledge()
     limit = max_rounds if max_rounds is not None else 4 * instance.n + 8
     rounds: List[Tuple[Tuple[int, ...], Tuple[Fraction, ...]]] = []
-    # a reveal can only change the sets holding the revealed element
-    holders: Dict[int, List[int]] = {}
-    for i, members in enumerate(instance.family):
-        for e in members:
-            holders.setdefault(e, []).append(i)
-    solved_at = [0 if set_solved(instance, i, knowledge) else -1 for i in range(instance.m)]
-
-    while -1 in solved_at:
+    sets = _OpenSets(instance, knowledge)
+    while sets.open:
         if len(rounds) >= limit:
             raise HarnessError(f"no progress after {limit} rounds")
-        picked = list(alg.next_round(instance, knowledge))
-        if not picked:
-            raise HarnessError("algorithm emitted an empty round while unsolved")
-        if len(picked) > instance.k:
-            raise HarnessError(f"round of {len(picked)} queries exceeds k = {instance.k}")
-        if len(set(picked)) != len(picked):
-            raise HarnessError("round queries an element twice")
-        for e in picked:
-            if knowledge.is_revealed(e):
-                raise HarnessError(f"round re-queries element {e}")
-            if instance.interval(e).trivial:
-                raise HarnessError(f"round queries trivial element {e}")
+        picked = list(alg.next_round(instance, knowledge, sets.open))
+        _check_round(instance, knowledge, picked, instance.k)
         answers = oracle.answer_round(picked)
         for e in picked:
             knowledge.reveal(e, answers[e])
         rounds.append((tuple(picked), tuple(answers[e] for e in picked)))
-        touched = {i for e in picked for i in holders.get(e, ()) if solved_at[i] < 0}
-        for i in touched:
-            if set_solved(instance, i, knowledge):
-                solved_at[i] = len(rounds)
-
+        sets.update(picked, len(rounds))
     realization = oracle.check_finalize()
-    certificate = extract_certificate(instance, knowledge)
-    verify_certificate(instance, knowledge, certificate, realization)
+    verify_certificate(instance, knowledge, extract_certificate(instance, knowledge), realization)
 
     opt = opt_report if opt_report is not None else canonical_opt(instance, realization, cap=opt_cap)
     queried = [e for ids, _ in rounds for e in ids]
@@ -159,7 +182,7 @@ def run(
     else:
         ratio = Fraction(alg_rounds, opt.opt_k)
 
-    trace = RoundTrace(tuple(rounds), realization, tuple(solved_at))
+    trace = RoundTrace(tuple(rounds), realization, tuple(sets.solved_at))
     _check_wasted_identity(instance, trace, opt)
     report = RunReport(
         alg_rounds=alg_rounds,
@@ -225,21 +248,24 @@ def run_batches(
     opt_report: Optional[OptReport] = None,
     max_batches: Optional[int] = None,
 ) -> Tuple[List[Tuple[int, ...]], BatchReport]:
-    """Run in the bounded-batch model: unlimited queries per batch."""
+    """Run in the bounded-batch model: unlimited queries per batch, asked
+    for and audited as in `run`, certificate re-verified."""
     knowledge = instance.knowledge()
     limit = max_batches if max_batches is not None else instance.n + 4
     batches: List[Tuple[int, ...]] = []
-    while not instance_solved(instance, knowledge):
+    sets = _OpenSets(instance, knowledge)
+    while sets.open:
         if len(batches) >= limit:
             raise HarnessError(f"no progress after {limit} batches")
-        picked = list(batch_alg.next_batch(instance, knowledge))
-        if not picked:
-            raise HarnessError("batch algorithm emitted an empty batch while unsolved")
+        picked = list(batch_alg.next_batch(instance, knowledge, sets.open))
+        _check_round(instance, knowledge, picked, instance.n)
         answers = oracle.answer_round(picked)
         for e in picked:
             knowledge.reveal(e, answers[e])
         batches.append(tuple(picked))
+        sets.update(picked, len(batches))
     realization = oracle.check_finalize()
+    verify_certificate(instance, knowledge, extract_certificate(instance, knowledge), realization)
     opt = opt_report if opt_report is not None else canonical_opt(instance, realization, cap=opt_cap)
     queries = sum(len(b) for b in batches)
     ratio = Fraction(queries, opt.opt1) if opt.opt1 else Fraction(1)
@@ -335,11 +361,22 @@ class SweepEntry:
     opt_cap: int = 22
 
 
-def _run_row(args: Tuple[str, str, int, int]) -> Dict[str, str]:
+class SweepError(HarnessError):
+    """Failed sweep rows: `rows` are the good ones, `failures` the errors."""
+
+    def __init__(self, rows: List[Dict[str, str]], failures: List[str]) -> None:
+        super().__init__("; ".join(failures))
+        self.rows, self.failures = rows, failures
+
+
+def _run_row(args: Tuple[str, str, int, int]) -> Union[Dict[str, str], str]:
+    """The CSV row of one trial, or the error that stopped it."""
     alg_name, source, seed, opt_cap = args
-    instance, oracle = resolve_source(source, seed)
-    alg = make_algorithm(alg_name, instance)
-    _, report = run(alg, instance, oracle, opt_cap=opt_cap)
+    try:
+        instance, oracle = resolve_source(source, seed)
+        _, report = run(make_algorithm(alg_name, instance), instance, oracle, opt_cap=opt_cap)
+    except RUN_ERRORS as exc:
+        return f"alg={alg_name} source={source} seed={seed}: {exc}"
     return {
         "source": source,
         "alg": alg_name,
@@ -357,7 +394,8 @@ def _run_row(args: Tuple[str, str, int, int]) -> Dict[str, str]:
 
 
 def sweep(entries: Sequence[SweepEntry], jobs: int = 1) -> List[Dict[str, str]]:
-    """Deterministic row per (entry, seed); rows keep entry order."""
+    """Deterministic row per (entry, seed); rows keep entry order.  Failed
+    rows do not stop the others; they end the sweep in a `SweepError`."""
     tasks = [
         (entry.alg, entry.source, seed, entry.opt_cap)
         for entry in entries
@@ -365,8 +403,13 @@ def sweep(entries: Sequence[SweepEntry], jobs: int = 1) -> List[Dict[str, str]]:
     ]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_row, tasks))
-    return [_run_row(task) for task in tasks]
+            results = list(pool.map(_run_row, tasks))
+    else:
+        results = [_run_row(task) for task in tasks]
+    rows = [r for r in results if isinstance(r, dict)]
+    if len(rows) < len(results):
+        raise SweepError(rows, [r for r in results if isinstance(r, str)])
+    return rows
 
 
 def sweep_csv(rows: Sequence[Dict[str, str]]) -> str:
@@ -380,9 +423,12 @@ def sweep_csv(rows: Sequence[Dict[str, str]]) -> str:
 
 def parse_seed_range(text: str) -> Tuple[int, ...]:
     lo, dots, hi = text.partition("..")
-    if dots:
-        return tuple(range(parse_number(lo, "seeds"), parse_number(hi, "seeds") + 1))
-    return (parse_number(text, "seeds"),)
+    if not dots:
+        return (parse_number(text, "seeds"),)
+    seeds = tuple(range(parse_number(lo, "seeds"), parse_number(hi, "seeds") + 1))
+    if not seeds:
+        raise InstanceError(f"seeds: empty range {text!r}")
+    return seeds
 
 
 def parse_bench_spec(text: str) -> List[SweepEntry]:

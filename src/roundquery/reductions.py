@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, List
 
-from .algorithms import AlgorithmError, min_vertex_cover
+from .algorithms import AlgorithmError, OpenSets, min_vertex_cover
 from .instances import Instance, SORTING
 from .intervals import KnowledgeState
 from .solving import build_dependency_graph, forced_queries
@@ -24,9 +24,7 @@ from .solving import build_dependency_graph, forced_queries
 class QueryAllBatch:
     """Non-adaptive single batch: everything still uncertain."""
 
-    batches = 1
-
-    def next_batch(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
+    def next_batch(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         return sorted(knowledge.unqueried_nontrivial(instance.ids()))
 
 
@@ -42,12 +40,10 @@ class TwoBatchSorting:
     can then fall strictly inside a co-set interval.
     """
 
-    batches = 2
-
     def __init__(self) -> None:
         self._stage = 0
 
-    def next_batch(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
+    def next_batch(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         if instance.problem.kind is not SORTING:
             raise AlgorithmError("two-batch algorithm handles sorting instances only")
         self._stage += 1
@@ -75,14 +71,10 @@ class BatchesToRounds:
         self.batches_used = 0
         self._queue: List[int] = []
 
-    def next_round(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
-        self._queue = [e for e in self._queue if not knowledge.is_revealed(e)]
+    def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         if not self._queue:
-            batch = list(self.batch_alg.next_batch(instance, knowledge))
-            if not batch:
-                return []
+            self._queue = list(self.batch_alg.next_batch(instance, knowledge, open_sets))
             self.batches_used += 1
-            self._queue = batch
         chunk = self._queue[: instance.k]
         del self._queue[: instance.k]
         return chunk
@@ -119,31 +111,24 @@ class RoundsToBatches:
             raise AlgorithmError("need r >= floor(alpha) + 1 batches")
         self.make_round_alg = make_round_alg
         self.n = n
-        self.batches = r
         self.batches_used = 0
         self._seq = 1
         self._round_in_seq = 0
         self._alg = None
         self.k_schedule = [_ceil_pow(n, i - 1, self.x) for i in range(1, self.x + 1)]
 
-    def next_batch(self, instance: Instance, knowledge: KnowledgeState) -> List[int]:
-        while self._seq <= self.x:
-            k_i = self.k_schedule[self._seq - 1]
-            sized = replace(instance, k=k_i)
-            if self._round_in_seq == 0:
-                self._alg = self.make_round_alg(sized)
-            batch = list(self._alg.next_round(sized, knowledge))
-            self._round_in_seq += 1
-            if self._round_in_seq >= self.floor_alpha:
-                self._seq += 1
-                self._round_in_seq = 0
-            if batch:
-                self.batches_used += 1
-                return batch
-        leftover = sorted(knowledge.unqueried_nontrivial(instance.ids()))
-        if leftover:
-            self.batches_used += 1
-        return leftover
+    def next_batch(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
+        self.batches_used += 1
+        if self._seq > self.x:
+            return sorted(knowledge.unqueried_nontrivial(instance.ids()))
+        sized = replace(instance, k=self.k_schedule[self._seq - 1])
+        if self._round_in_seq == 0:
+            self._alg = self.make_round_alg(sized)
+        self._round_in_seq += 1
+        if self._round_in_seq >= self.floor_alpha:
+            self._seq += 1
+            self._round_in_seq = 0
+        return list(self._alg.next_round(sized, knowledge, open_sets))
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,42 @@
 """Shared test machinery: an algorithm wrapper that lets a test watch
-every round of a `harness.run`, and the exact round bound of the budget
-algorithm's guarantee."""
+every round of a `harness.run`, the open sets the harness would pass, and
+the exact round bound of the budget algorithm's guarantee."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from roundquery.solving import set_solved
+
 
 class Probed:
-    """Wraps a round algorithm so that `probe(knowledge, picked)` sees each
-    round it emits, before the round is answered.
+    """Wraps a round or batch algorithm so that `probe(knowledge, open_sets,
+    picked)` sees each round or batch it emits, before it is answered.
 
-    Hand it to `harness.run` in place of the algorithm: the run loop and
-    its audits stay the harness's own.
+    Hand it to `harness.run` or `harness.run_batches` in place of the
+    algorithm: the run loop and its audits stay the harness's own.  The
+    harness asks only while some set is unsolved, and `open_sets` is the
+    ascending tuple of those set indices that it passed in.
     """
 
     def __init__(self, alg, probe):
         self.alg = alg
         self.probe = probe
 
-    def next_round(self, instance, knowledge):
-        picked = self.alg.next_round(instance, knowledge)
-        self.probe(knowledge, picked)
+    def next_round(self, instance, knowledge, open_sets):
+        picked = self.alg.next_round(instance, knowledge, open_sets)
+        self.probe(knowledge, open_sets, picked)
         return picked
+
+    def next_batch(self, instance, knowledge, open_sets):
+        picked = self.alg.next_batch(instance, knowledge, open_sets)
+        self.probe(knowledge, open_sets, picked)
+        return picked
+
+
+def open_sets(instance, knowledge):
+    """The `open_sets` argument the harness passes for this knowledge."""
+    return tuple(i for i in range(instance.m) if not set_solved(instance, i, knowledge))
 
 
 @lru_cache(maxsize=None)

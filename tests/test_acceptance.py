@@ -107,7 +107,7 @@ def _budget_run_with_audit(inst, realization):
     alg = BudgetRounds()
     snapshots = []
 
-    def probe(knowledge, _picked):
+    def probe(knowledge, _open_sets, _picked):
         active = {
             i for i, members in enumerate(inst.family) if not minimum_solved(members, knowledge)
         }
@@ -214,7 +214,7 @@ def test_criterion_7_selection_full():
     def audited_run(inst, oracle):
         alg = make_algorithm("sel-full", inst)
 
-        def probe(knowledge, _picked):
+        def probe(knowledge, _open_sets, _picked):
             view = selection_categories(inst, knowledge)
             assert view.a >= 1
             assert view.b <= view.a - 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import Probed, budget_round_bound
+from helpers import Probed, budget_round_bound, open_sets
 from roundquery.algorithms import (
     AlgorithmError,
     BudgetRounds,
@@ -14,7 +14,7 @@ from roundquery.algorithms import (
     make_algorithm,
     min_vertex_cover,
 )
-from roundquery.harness import run
+from roundquery.harness import run, run_batches
 from roundquery.instances import (
     MINIMUM,
     ProblemKind,
@@ -36,6 +36,7 @@ from roundquery.oracles import (
     selection_value_lb_adversary,
     sorting_pair_adversary,
 )
+from roundquery.reductions import BatchesToRounds, RoundsToBatches, TwoBatchSorting
 from roundquery.solving import (
     canonical_opt,
     ceil_div,
@@ -50,6 +51,27 @@ iv = UncertainInterval.parse
 
 def harmonic(m):
     return sum(Fraction(1, i) for i in range(1, m + 1))
+
+
+def contract_probe(instance):
+    """Probe for `Probed`: the harness passes exactly the unsolved sets,
+    at least one of them, and gets a non-empty round back."""
+
+    def probe(knowledge, given, picked):
+        assert given == open_sets(instance, knowledge)
+        assert given
+        assert picked
+
+    return probe
+
+
+def assert_runs_no_round(name, instance, realization):
+    """A run on an instance solved from the start never asks the algorithm."""
+    asked = []
+    alg = Probed(make_algorithm(name, instance), lambda *call: asked.append(call))
+    trace, _ = run(alg, instance, FixedOracle(instance, realization))
+    assert trace.rounds == () and asked == []
+    assert trace.solved_at == (0,) * instance.m
 
 
 class TestVertexCover:
@@ -120,8 +142,7 @@ class TestSortingRounds:
 
     def test_solved_instance_yields_empty_round(self):
         inst = make_instance([iv("{1}"), iv("{2}")], [[1, 2]], ProblemKind(SORTING), 2)
-        alg = make_algorithm("sorting-vc", inst)
-        assert alg.next_round(inst, inst.knowledge()) == []
+        assert_runs_no_round("sorting-vc", inst, Realization({1: Fraction(1), 2: Fraction(2)}))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_exact_mode_is_two_round_competitive(self, seed):
@@ -221,7 +242,7 @@ class TestBalanced:
         inst, r = gen_random(11, params)
         alg = make_algorithm("bal", inst)
 
-        def probe(knowledge, picked):
+        def probe(knowledge, _open_sets, picked):
             active = [
                 idx
                 for idx, members in enumerate(inst.family)
@@ -256,7 +277,7 @@ class TestBudget:
     def test_seeds_take_one_leftmost_per_set_when_sets_fit(self):
         inst, r = gen_fig2_bal_instance()  # 3 disjoint sets, k = 5
         alg = BudgetRounds()
-        picked = alg.next_round(inst, inst.knowledge())
+        picked = alg.next_round(inst, inst.knowledge(), open_sets(inst, inst.knowledge()))
         leftmosts = {min(members) for members in inst.family}
         assert set(alg.last_seeds) == leftmosts
         assert leftmosts <= set(picked)
@@ -265,7 +286,7 @@ class TestBudget:
         params = RandomParams(n=18, m=6, k=3, problem=ProblemKind(MINIMUM))
         inst, _ = gen_random(5, params)
         alg = BudgetRounds()
-        picked = alg.next_round(inst, inst.knowledge())
+        picked = alg.next_round(inst, inst.knowledge(), open_sets(inst, inst.knowledge()))
         leftmosts = sorted(
             min(members, key=lambda e: (inst.interval(e).lower, e)) for members in inst.family
         )
@@ -281,7 +302,7 @@ class TestBudget:
         alg = BudgetRounds()
         charge_checks = []
 
-        def probe(knowledge, _picked):
+        def probe(knowledge, _open_sets, _picked):
             before = {
                 idx
                 for idx, members in enumerate(inst.family)
@@ -364,7 +385,7 @@ class TestSelectionValue:
         )
         r = Realization({1: Fraction(1), 2: Fraction(4), 3: Fraction(7)})
         alg = make_algorithm("sel-value", inst)
-        assert alg.next_round(inst, inst.knowledge()) == [3]
+        assert alg.next_round(inst, inst.knowledge(), (0,)) == [3]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_ranks_above_the_middle_mirror_the_negated_instance(self, seed):
@@ -419,7 +440,7 @@ class TestSelectionFull:
         inst, r = gen_random(seed, params)
         alg = make_algorithm("sel-full", inst)
 
-        def probe(knowledge, _picked):
+        def probe(knowledge, _open_sets, _picked):
             view = selection_categories(inst, knowledge)
             assert view.a >= 1
             assert view.b <= view.a - 1
@@ -431,8 +452,7 @@ class TestSelectionFull:
         inst = make_instance(
             [iv("{1}"), iv("{2}")], [[1, 2]], ProblemKind(SELECTION_FULL, rank=1), 2
         )
-        alg = make_algorithm("sel-full", inst)
-        assert alg.next_round(inst, inst.knowledge()) == []
+        assert_runs_no_round("sel-full", inst, Realization({1: Fraction(1), 2: Fraction(2)}))
 
     def test_alternation_starts_left_and_prefers_long_overlaps(self):
         inst = make_instance(
@@ -442,7 +462,7 @@ class TestSelectionFull:
             5,
         )
         alg = make_algorithm("sel-full", inst)
-        picked = alg.next_round(inst, inst.knowledge())
+        picked = alg.next_round(inst, inst.knowledge(), open_sets(inst, inst.knowledge()))
         # target area [2,5]: containing = {1}; left overlaps {2,3} (3 reaches
         # deeper? both end at 4 -> id order), right overlaps {4,5} with 5's
         # left endpoint tie broken by id
@@ -465,6 +485,8 @@ class TestUniformContract:
 
     @pytest.mark.parametrize("seed", range(16))
     def test_empty_round_iff_solved(self, seed):
+        """The harness asks for a round exactly while some set is unsolved,
+        and every round it gets back is non-empty."""
         kinds = [SORTING, MINIMUM, SELECTION_VALUE, SELECTION_FULL]
         kind = kinds[seed % 4]
         n = 6 + seed % 6
@@ -477,11 +499,9 @@ class TestUniformContract:
             overlap="single" if rank else "overlap",
         )
         inst, r = gen_random(seed, params)
-        alg = make_algorithm(self.ALG_OF_KIND[kind], inst)
-        # run already rejects empty rounds while unsolved
+        alg = Probed(make_algorithm(self.ALG_OF_KIND[kind], inst), contract_probe(inst))
         trace, _ = run(alg, inst, FixedOracle(inst, r))
-        knowledge = reveal_all(inst, r, trace.queried_ids())
-        assert alg.next_round(inst, knowledge) == []
+        assert open_sets(inst, reveal_all(inst, r, trace.queried_ids())) == ()
 
     def test_selection_value_empty_round_with_live_containers(self):
         # the pinned value leaves the wide interval unqueried but irrelevant
@@ -491,5 +511,47 @@ class TestUniformContract:
             ProblemKind(SELECTION_VALUE, rank=2),
             2,
         )
-        alg = make_algorithm("sel-value", inst)
-        assert alg.next_round(inst, inst.knowledge()) == []
+        assert_runs_no_round("sel-value", inst, Realization({1: Fraction(5), 2: Fraction(3), 3: Fraction(3)}))
+
+    KINDS_OF = {
+        "sorting-vc": SORTING,
+        "sorting-matching": SORTING,
+        "min-single": MINIMUM,
+        "bal": MINIMUM,
+        "budget": MINIMUM,
+        "sel-value": SELECTION_VALUE,
+        "sel-full": SELECTION_FULL,
+        "batch-sort-2 as rounds": SORTING,
+        "budget as batches": MINIMUM,
+        "sorting-vc as batches": SORTING,
+    }
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("name", list(KINDS_OF))
+    def test_every_algorithm_is_asked_only_while_a_set_is_open(self, name, seed):
+        kind = self.KINDS_OF[name]
+        n = 6 + seed % 7
+        rank = 1 + seed % n if kind in (SELECTION_VALUE, SELECTION_FULL) else None
+        single = rank or name == "min-single"
+        params = RandomParams(
+            n=n,
+            m=1 if single else 1 + seed % 4,
+            k=1 + seed % 3,
+            problem=ProblemKind(kind, rank),
+            overlap="single" if single else "overlap",
+            trivial_prob=0.3 if seed % 2 else 0.0,
+        )
+        inst, r = gen_random(seed, params)
+        probe = contract_probe(inst)
+        oracle = FixedOracle(inst, r)
+        if name == "batch-sort-2 as rounds":
+            run(Probed(BatchesToRounds(Probed(TwoBatchSorting(), probe)), probe), inst, oracle)
+        elif name.endswith(" as batches"):
+            inner = name.split()[0]
+            batch_alg = RoundsToBatches(
+                lambda sized: Probed(make_algorithm(inner, sized), contract_probe(sized)),
+                Fraction(2), 5, inst.n,
+            )
+            run_batches(Probed(batch_alg, probe), inst, oracle, opt_cap=n)
+        else:
+            run(Probed(make_algorithm(name, inst), probe), inst, oracle, opt_cap=n)

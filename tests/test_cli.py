@@ -146,6 +146,24 @@ class TestBenchAndTable:
         assert code == 0
         assert len(out_path.read_text().strip().split("\n")) == 5
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_row_keeps_the_good_rows(self, tmp_path, capsys, jobs):
+        spec = tmp_path / "spec.rq"
+        spec.write_text(
+            "sweep alg=bal source=fig2 seeds=0\n"
+            "sweep alg=sel-value source=random:problem=selection-value,n=30,i=3,overlap=single seeds=0\n"
+            "sweep alg=bal source=fig2 seeds=1\n"
+        )
+        out_path = tmp_path / "rows.csv"
+        code, out, err = invoke(capsys, "bench", "--spec", str(spec), "-o", str(out_path), "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: alg=sel-value source=random:problem=selection-value,n=30,i=3,overlap=single"
+            " seed=0: n = 30 above brute-force cap 22\n"
+        )
+        lines = out_path.read_text().splitlines()
+        assert [line.split(",")[:3] for line in lines[1:]] == [["fig2", "bal", "0"], ["fig2", "bal", "1"]]
+
     def test_table_renders_csv(self, tmp_path, capsys):
         spec = tmp_path / "spec.rq"
         spec.write_text("sweep alg=bal source=fig2 seeds=0\n")
@@ -196,7 +214,7 @@ class TestExitCodes:
         assert code == 1
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("field", ["seeds=0..x", "seeds=y..3", "seeds=", "opt_cap=x"])
+    @pytest.mark.parametrize("field", ["seeds=0..x", "seeds=y..3", "seeds=", "seeds=5..3", "opt_cap=x"])
     def test_bad_bench_number_is_one_error_line(self, tmp_path, capsys, field):
         spec = tmp_path / "spec.rq"
         spec.write_text(f"sweep alg=bal source=fig2 {field}\n")

@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from roundquery import harness
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import (
     CSV_HEADER,
     HarnessError,
     SweepEntry,
+    SweepError,
     parse_bench_spec,
     parse_seed_range,
     resolve_source,
     run,
+    run_batches,
     sweep,
     sweep_csv,
 )
@@ -32,9 +35,25 @@ from roundquery.instances import (
 )
 from roundquery.intervals import UncertainInterval
 from roundquery.oracles import FixedOracle, sorting_pair_adversary
+from roundquery.reductions import QueryAllBatch
 from roundquery.solving import ceil_div, reveal_all, set_solved
 
 iv = UncertainInterval.parse
+
+
+class _FixedBatches:
+    """Batch algorithm that hands out the given batches in turn."""
+
+    def __init__(self, *batches):
+        self.batches = [list(b) for b in batches]
+
+    def next_batch(self, instance, knowledge, open_sets):
+        return self.batches.pop(0)
+
+
+class _FixedRounds(_FixedBatches):
+    def next_round(self, instance, knowledge, open_sets):
+        return self.batches.pop(0)
 
 
 class TestRun:
@@ -88,7 +107,7 @@ class TestRun:
         inst, r = gen_fig2_bal_instance()
 
         class Nothing:
-            def next_round(self, instance, knowledge):
+            def next_round(self, instance, knowledge, open_sets):
                 return []
 
         with pytest.raises(HarnessError):
@@ -98,16 +117,61 @@ class TestRun:
         inst, r = gen_fig2_bal_instance()
 
         class TooMany:
-            def next_round(self, instance, knowledge):
+            def next_round(self, instance, knowledge, open_sets):
                 return list(instance.ids())[: instance.k + 1]
 
         with pytest.raises(HarnessError):
             run(TooMany(), inst, FixedOracle(inst, r))
 
+    @pytest.mark.parametrize("source", ["fig2", "wlb:M=2", "fig1-pairs:c=1,k=1", "selfull-lb:i=2"])
+    def test_unknown_element_is_rejected(self, source):
+        # id 0 used to read the last interval and reach the oracle
+        for bad in (0, -1, 10**6):
+            inst, oracle = resolve_source(source)
+            with pytest.raises(HarnessError, match=f"unknown element {bad}"):
+                run(_FixedRounds([bad]), inst, oracle)
+            inst, oracle = resolve_source(source)
+            with pytest.raises(HarnessError, match=f"unknown element {bad}"):
+                run_batches(_FixedBatches([bad]), inst, oracle)
+
     def test_trace_text_format(self):
         inst, r = gen_fig3_overlap_instance()
         trace, _ = run(make_algorithm("budget", inst), inst, FixedOracle(inst, r))
         assert trace.text() == "round 1: 1 4 7 -> 5/8 9/16 1/2\n"
+
+
+class TestRunBatchesAudit:
+    # seed 2: elements 1, 5 and 7 are trivial; the optimum is one query
+    SOURCE = "random:problem=minimum,n=8,m=2,k=2,overlap=disjoint,triv=0.5"
+
+    def test_all_ids_batch_is_rejected_for_its_trivial_elements(self):
+        inst, oracle = resolve_source(self.SOURCE, 2)
+        with pytest.raises(HarnessError, match="trivial element 1"):
+            run_batches(_FixedBatches(inst.ids()), inst, oracle)
+
+    def test_batch_repeating_an_id_is_rejected(self):
+        inst, oracle = resolve_source(self.SOURCE, 2)
+        with pytest.raises(HarnessError, match="twice"):
+            run_batches(_FixedBatches([2, 3, 2]), inst, oracle)
+
+    def test_batch_requerying_an_id_is_rejected(self):
+        inst, oracle = resolve_source("random:problem=minimum,n=8,m=2,k=2,overlap=disjoint,triv=0", 2)
+        with pytest.raises(HarnessError, match="re-queries element 2"):
+            run_batches(_FixedBatches([2], [2]), inst, oracle)
+
+    def test_valid_batch_run_reverifies_its_certificate(self, monkeypatch):
+        checked = []
+
+        def verify(instance, knowledge, certificate, realization):
+            checked.append(certificate)
+            return real_verify(instance, knowledge, certificate, realization)
+
+        real_verify = harness.verify_certificate
+        monkeypatch.setattr(harness, "verify_certificate", verify)
+        inst, oracle = resolve_source(self.SOURCE, 2)
+        batches, report = run_batches(QueryAllBatch(), inst, oracle)
+        assert batches == [(2, 3, 4, 6, 8)] and report.opt1 == 1
+        assert len(checked) == 1 and checked[0].minima is not None
 
 
 def _solvedness_case(seed, triv):
@@ -172,6 +236,9 @@ class TestSources:
     def test_seed_ranges(self):
         assert parse_seed_range("4") == (4,)
         assert parse_seed_range("2..5") == (2, 3, 4, 5)
+        assert parse_seed_range("3..3") == (3,)
+        with pytest.raises(InstanceError):
+            parse_seed_range("5..3")
 
 
 class TestSweep:
@@ -197,6 +264,22 @@ class TestSweep:
             SweepEntry(alg="bal", source="random:problem=minimum,n=8,m=2,k=2", seeds=(0, 1, 2, 3)),
         ]
         assert sweep(entries, jobs=2) == sweep(entries, jobs=1)
+
+    def test_failed_rows_do_not_stop_the_others(self):
+        entries = [
+            SweepEntry(alg="bal", source="fig2", seeds=(0,)),
+            SweepEntry(alg="sel-full", source="fig2", seeds=(0, 1)),
+            SweepEntry(alg="bal", source="nope", seeds=(4,)),
+            SweepEntry(alg="budget", source="fig3:k=3,c=3", seeds=(0,)),
+        ]
+        with pytest.raises(SweepError) as caught:
+            sweep(entries)
+        assert caught.value.rows == sweep([entries[0], entries[3]])
+        assert caught.value.failures == [
+            "alg=sel-full source=fig2 seed=0: algorithm 'sel-full' does not handle minimum instances",
+            "alg=sel-full source=fig2 seed=1: algorithm 'sel-full' does not handle minimum instances",
+            "alg=bal source=nope seed=4: unknown source 'nope'",
+        ]
 
     def test_csv_header_is_stable(self):
         entries = [SweepEntry(alg="budget", source="fig3:k=3,c=3", seeds=(0,))]

@@ -132,7 +132,7 @@ class _ScriptedRounds:
     def __init__(self, rounds):
         self._rounds = [list(r) for r in rounds]
 
-    def next_round(self, instance, knowledge):
+    def next_round(self, instance, knowledge, open_sets):
         candidates = knowledge.unqueried_nontrivial(instance.ids())
         if self._rounds:
             return self._rounds.pop(0)
