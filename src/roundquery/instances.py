@@ -100,6 +100,8 @@ class Instance:
         return len(self.family)
 
     def interval(self, eid: int) -> UncertainInterval:
+        if not 1 <= eid <= len(self.elements):
+            raise InstanceError(f"unknown element {eid}")
         return self.elements[eid - 1]
 
     def ids(self) -> range:

@@ -9,16 +9,19 @@ An element's knowledge state has one shape, an `UncertainInterval`: its
 original interval until queried, then the closed point {v} of the
 revealed value v.  The predicates in this module therefore never ask
 which of the two an element is; `KnowledgeState` alone remembers which
-elements were revealed.
+elements were revealed.  Whether a state is a point is stored once, as
+`UncertainInterval.trivial`, when the interval is built, so the hot
+predicates read a flag instead of comparing two `Fraction`s.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
@@ -44,18 +47,20 @@ OPEN = EndpointKind.OPEN
 CLOSED = EndpointKind.CLOSED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncertainInterval:
     """An interval with independently open or closed endpoints.
 
     Valid shapes: lower < upper with any endpoint kinds, or the trivial
-    interval {v} (lower = upper, both endpoints closed).
+    interval {v} (lower = upper, both endpoints closed).  `trivial` is
+    derived from the bounds at construction and takes no part in equality.
     """
 
     lower: Fraction
     lower_kind: EndpointKind
     upper: Fraction
     upper_kind: EndpointKind
+    trivial: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("lower", "upper"):
@@ -64,10 +69,10 @@ class UncertainInterval:
                 object.__setattr__(self, name, Fraction(v))
         if self.lower > self.upper:
             raise IntervalError(f"lower {self.lower} above upper {self.upper}")
-        if self.lower == self.upper and (
-            self.lower_kind is not CLOSED or self.upper_kind is not CLOSED
-        ):
+        trivial = self.lower == self.upper
+        if trivial and (self.lower_kind is not CLOSED or self.upper_kind is not CLOSED):
             raise IntervalError("degenerate interval must be closed on both sides")
+        object.__setattr__(self, "trivial", trivial)
 
     @staticmethod
     def open(a, b) -> "UncertainInterval":
@@ -81,10 +86,6 @@ class UncertainInterval:
     def point(v) -> "UncertainInterval":
         v = Fraction(v)
         return UncertainInterval(v, CLOSED, v, CLOSED)
-
-    @property
-    def trivial(self) -> bool:
-        return self.lower == self.upper
 
     @property
     def value(self) -> Fraction:
@@ -179,8 +180,14 @@ class KnowledgeState:
     Beside the states it keeps the pinned-value map: the exact value of
     every element that is trivial from the start or revealed, seeded here
     and written by `reveal`.  Solvedness checks ask `known_value` about
-    every member of every open set each round; a dict lookup spares them
-    the `Fraction` comparison behind `UncertainInterval.trivial`.
+    every member of every open set each round, and a dict lookup answers
+    with the value itself.
+
+    It also keeps the cut lists: the left cuts and the right cuts of all
+    states, each in ascending order.  They are built on the first
+    `cut_lists` call and from then on kept sorted by `reveal`, which swaps
+    the revealed element's two cuts for those of its point by bisection,
+    so the i-th cut of either kind is an index read.
     """
 
     def __init__(self, intervals: Dict[int, UncertainInterval]):
@@ -189,6 +196,7 @@ class KnowledgeState:
             eid: st.lower for eid, st in self._states.items() if st.trivial
         }
         self._revealed: Set[int] = set()
+        self._cuts: Optional[Tuple[List[Cut], List[Cut]]] = None
 
     def ids(self) -> Iterable[int]:
         return self._states.keys()
@@ -213,6 +221,20 @@ class KnowledgeState:
         self._states[eid] = pinned
         self._known[eid] = pinned.lower
         self._revealed.add(eid)
+        if self._cuts is not None:
+            for cuts, cut in zip(self._cuts, (left_cut, right_cut)):
+                del cuts[bisect_left(cuts, cut(iv))]
+                insort(cuts, cut(pinned))
+
+    def cut_lists(self) -> Tuple[List[Cut], List[Cut]]:
+        """The ascending left cuts and right cuts of all current states.
+
+        The lists are kept by `reveal`; callers read them and never write.
+        """
+        if self._cuts is None:
+            states = self._states.values()
+            self._cuts = (sorted(map(left_cut, states)), sorted(map(right_cut, states)))
+        return self._cuts
 
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
         pool = self.ids() if ids is None else ids

@@ -44,14 +44,17 @@ class ValueOracle:
 
     def answer_round(self, ids: Sequence[int]) -> Dict[int, Fraction]:
         ids = tuple(ids)
+        # looked up before anything is committed, so an unknown id is
+        # rejected as such rather than answered
+        intervals = [self.instance.interval(e) for e in ids]
         fresh = [e for e in ids if e not in self.committed]
         self._commit_fresh(fresh)
         answers = {}
-        for e in ids:
+        for e, iv in zip(ids, intervals):
             if e not in self.committed:
                 raise OracleError(f"no value committed for element {e}")
             v = self.committed[e]
-            if not self.instance.interval(e).contains(v):
+            if not iv.contains(v):
                 raise OracleError(f"committed value {v} outside interval of element {e}")
             answers[e] = v
         self.round_log.append((ids, answers))

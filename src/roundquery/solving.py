@@ -8,11 +8,19 @@ selection, and for sorting by the same exact vertex-cover branch and bound
 that gives `sorting-vc` its multi-set cover, closed under the queries that
 revealed values force; the closed forms double as oracles for the brute
 force and vice versa.
+
+The sorting structure comes from per-set sweeps in exact rationals: the
+dependent pairs of one set form an interval graph, so one pass over its
+intervals in left-endpoint order finds every pair, and the points that
+force queries, or that leave a set unsorted, are found by bisection in
+sorted value lists.  Selection reads its rank cuts from the knowledge
+state's kept cut lists.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -33,7 +41,7 @@ from .intervals import (
     KnowledgeState,
     OPEN,
     UncertainInterval,
-    dependent,
+    dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
     left_cut,
     order_provable,
     right_cut,
@@ -86,10 +94,31 @@ def minimum_value(set_ids: Iterable[int], knowledge: KnowledgeState) -> Fraction
 
 
 def sorting_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
-    """True iff no dependent pair remains within the set."""
-    states = [knowledge.state(e) for e in set_ids]
-    for a, b in itertools.combinations(states, 2):
-        if dependent(a, b):
+    """True iff no dependent pair remains within the set.
+
+    Two spans (non-trivial states) are dependent iff, taken by lower
+    endpoint, the later one starts below the reach of the earlier ones.
+    Once no such pair exists the spans are disjoint, and a point can only
+    lie strictly inside the last span that starts below it.
+    """
+    points = []
+    spans = []
+    for e in set_ids:
+        st = knowledge.state(e)
+        if st.trivial:
+            points.append(st.lower)
+        else:
+            spans.append((st.lower, st.upper))
+    spans.sort()
+    reach = None
+    for lo, hi in spans:
+        if reach is not None and lo < reach:
+            return False
+        reach = hi
+    lowers = [lo for lo, _ in spans]
+    for p in points:
+        j = bisect_left(lowers, p) - 1
+        if j >= 0 and p < spans[j][1]:
             return False
     return True
 
@@ -98,9 +127,8 @@ def rank_cuts(instance: Instance, knowledge: KnowledgeState) -> Tuple[Cut, Cut]:
     """The i-th smallest left and right cuts over the current states
     (revealed elements are points), i being the problem's rank."""
     rank = instance.problem.rank
-    states = [knowledge.state(eid) for eid in instance.ids()]
-    lo, hi = (sorted(map(cut, states))[rank - 1] for cut in (left_cut, right_cut))
-    return lo, hi
+    lefts, rights = knowledge.cut_lists()
+    return lefts[rank - 1], rights[rank - 1]
 
 
 def selection_value_pinned(instance: Instance, knowledge: KnowledgeState) -> Optional[Fraction]:
@@ -248,18 +276,28 @@ class DependencyGraph:
 
 
 def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> DependencyGraph:
+    """Per set, a sweep over the live intervals in (lower, id) order.
+
+    Two non-trivial intervals a before b (b.lower >= a.lower) are dependent
+    iff b.lower < a.upper, whatever their endpoint kinds; so a's partners
+    are the run of intervals after it that start below a.upper.
+    """
     vertices = sorted(knowledge.unqueried_nontrivial(instance.ids()))
-    vset = set(vertices)
+    states = {v: knowledge.state(v) for v in vertices}
     edges: Set[Tuple[int, int]] = set()
     for members in instance.family:
-        live = sorted(e for e in members if e in vset)
-        for a, b in itertools.combinations(live, 2):
-            if dependent(knowledge.state(a), knowledge.state(b)):
-                edges.add((a, b))
+        live = sorted((states[e].lower, e) for e in members if e in states)
+        for i, (_, a) in enumerate(live):
+            reach = states[a].upper
+            for j in range(i + 1, len(live)):
+                lo, b = live[j]
+                if not lo < reach:
+                    break
+                edges.add((a, b) if a < b else (b, a))
     return DependencyGraph(
         vertices=tuple(vertices),
         edges=tuple(sorted(edges)),
-        states={v: knowledge.state(v) for v in vertices},
+        states=states,
         single_set=instance.m == 1,
     )
 
@@ -267,17 +305,20 @@ def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> Dep
 def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
     """Unqueried intervals that strictly contain a known point of a co-set
     element: no answer can order them against that point, so every
-    solution queries them."""
+    solution queries them.  Per set, the first point above an interval's
+    lower endpoint is found by bisection and tested against its upper."""
     forced: Set[int] = set()
     for members in instance.family:
-        points = [knowledge.known_value(e) for e in members if knowledge.known_value(e) is not None]
+        known = [(e, knowledge.known_value(e)) for e in members]
+        points = sorted(v for _, v in known if v is not None)
         if not points:
             continue
-        for e in members:
-            if knowledge.known_value(e) is not None:
+        for e, v in known:
+            if v is not None:
                 continue
             iv = knowledge.state(e)
-            if any(iv.strict_interior(p) for p in points):
+            j = bisect_right(points, iv.lower)
+            if j < len(points) and points[j] < iv.upper:
                 forced.add(e)
     return sorted(forced)
 
@@ -517,18 +558,21 @@ def _sorting_structure(instance: Instance, realization: Realization):
     The edges are those of the untouched instance's dependency graph;
     `forces[i]` holds the co-set intervals that must be queried once i's
     value is on the table (the value falls strictly inside them), and the
-    seeds are the intervals that the trivial points force.
+    seeds are the intervals that the trivial points force.  Per set, the
+    members whose values lie strictly inside an interval are one slice of
+    the set's value order, found by bisection.
     """
-    co_set: Dict[int, set] = {e: set() for e in instance.ids()}
+    forcing: Dict[int, Set[int]] = {e: set() for e in instance.ids()}
     for members in instance.family:
-        for a, b in itertools.combinations(members, 2):
-            co_set[a].add(b)
-            co_set[b].add(a)
-    forces: Dict[int, FrozenSet[int]] = {}
-    for a in instance.ids():
-        v = realization.value(a)
-        # a trivial interval has an empty interior, so it is never forced
-        forces[a] = frozenset(b for b in co_set[a] if instance.interval(b).strict_interior(v))
+        order = sorted((realization.value(e), e) for e in members)
+        values = [v for v, _ in order]
+        for b in members:
+            # a trivial interval has an empty interior and an empty slice
+            iv = instance.interval(b)
+            for _, a in order[bisect_right(values, iv.lower):bisect_left(values, iv.upper)]:
+                if a != b:
+                    forcing[a].add(b)
+    forces = {a: frozenset(bs) for a, bs in forcing.items()}
     seeds = set()
     for a in instance.ids():
         if instance.interval(a).trivial:

@@ -1,8 +1,9 @@
 """Golden regression: the committed bench spec reproduces its committed CSV
 byte for byte, so rounds, queries, optima and wasted counts of every
 algorithm and problem kind stay fixed across refactors; so do the long
-minimum runs of the minimum-large workload, where the knowledge state and
-minimum solvedness do the work."""
+runs of the two large workloads: minimum-large, where the knowledge state
+and minimum solvedness do the work, and selection-sorting-large, where the
+rank cuts, the sorting sweeps and the sorting optimum do."""
 
 import importlib
 import sys
@@ -29,12 +30,21 @@ def _perfbench_module(name):
         sys.path.remove(str(PERFBENCH))
 
 
-def test_minimum_large_matches_golden_csv():
-    workload = _perfbench_module("workloads").MINIMUM_LARGE
+def _large_workload_text(name):
+    workload = _perfbench_module("workloads").WORKLOADS[name]
     trials = workload.prepare(roundquery, 0)
     outcomes = [trial.fn() for trial in trials]
+    return workload.golden_text(roundquery, trials, outcomes)
+
+
+def test_minimum_large_matches_golden_csv():
     golden = (PERFBENCH / "golden" / "minimum-large.csv").read_text(encoding="utf-8")
-    assert workload.golden_text(roundquery, trials, outcomes) == golden
+    assert _large_workload_text("minimum-large") == golden
+
+
+def test_selection_sorting_large_matches_golden_csv():
+    golden = (PERFBENCH / "golden" / "selection-sorting-large.csv").read_text(encoding="utf-8")
+    assert _large_workload_text("selection-sorting-large") == golden
 
 
 def _patchable(rq):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from roundquery.algorithms import make_algorithm
-from roundquery.harness import run
-from roundquery.instances import gen_fig2_bal_instance
+from roundquery.harness import resolve_source, run
+from roundquery.instances import InstanceError, gen_fig2_bal_instance
 from roundquery.oracles import (
     FixedOracle,
     minimum_additive_lb_adversary,
@@ -40,6 +40,18 @@ class TestFixedOracle:
     def test_finalize_before_any_query(self):
         inst, r = gen_fig2_bal_instance()
         assert FixedOracle(inst, r).check_finalize().values == r.values
+
+
+@pytest.mark.parametrize("source", ["fig1-pairs:c=1,k=1", "fig2"])
+@pytest.mark.parametrize("bad", [0, -1])
+def test_unknown_id_is_rejected_before_it_is_answered(source, bad):
+    # an id outside 1..n once read another element's interval from the end
+    inst, oracle = resolve_source(source, 0)
+    with pytest.raises(InstanceError, match=f"unknown element {bad}$"):
+        oracle.answer_round([bad])
+    with pytest.raises(InstanceError, match=f"unknown element {inst.n + 1}$"):
+        inst.interval(inst.n + 1)
+    assert oracle.round_log == [] and oracle.committed == {}
 
 
 class TestSortingPairs:

@@ -1,6 +1,8 @@
 """Solvedness checkers and the exact optima, cross-validated both ways:
 closed forms against subset enumeration, and the sorting branch-and-bound
-against an independent power-set search written here."""
+against an independent power-set search written here.  The sweeps and kept
+cut lists behind the sorting and selection predicates are checked against
+their all-pairs and full-sort definitions, also written here."""
 
 import itertools
 from fractions import Fraction
@@ -22,11 +24,22 @@ from roundquery.instances import (
     gen_random,
     make_instance,
 )
-from roundquery.intervals import CLOSED, OPEN, KnowledgeState, UncertainInterval
+from roundquery.intervals import (
+    CLOSED,
+    OPEN,
+    KnowledgeState,
+    UncertainInterval,
+    dependent,
+    left_cut,
+    right_cut,
+)
 from roundquery.oracles import selection_full_lb_adversary, selection_value_lb_adversary
 from roundquery.solving import (
+    _sorting_structure,
+    build_dependency_graph,
     canonical_opt,
     extract_certificate,
+    forced_queries,
     instance_solved,
     minimum_scan,
     minimum_solved,
@@ -35,6 +48,7 @@ from roundquery.solving import (
     opt1_minimum,
     opt1_selection_full,
     query_set_feasible,
+    rank_cuts,
     reveal_all,
     selection_categories,
     selection_solved,
@@ -132,6 +146,124 @@ class TestSortingSolved:
     def test_all_trivial_set(self):
         k = knowledge_of([iv("{1}"), iv("{1}"), iv("{5}")])
         assert sorting_solved([1, 2, 3], k)
+
+
+def _admissible_value(draw, interval):
+    """A value inside the interval, often a closed endpoint, so that values
+    tie with other intervals' endpoints."""
+    if interval.trivial:
+        return interval.lower
+    choices = [interval.lower + (interval.upper - interval.lower) * f for f in _INSIDE]
+    for end, kind in ((interval.lower, interval.lower_kind), (interval.upper, interval.upper_kind)):
+        if kind is CLOSED:
+            choices.append(end)
+    return draw(st.sampled_from(choices))
+
+
+@st.composite
+def _sorting_run(draw):
+    """A sorting instance on 1-3 overlapping sets, a realization, and the
+    order in which some of its non-trivial elements are revealed."""
+    elements = draw(st.lists(_interval(), min_size=1, max_size=10))
+    ids = list(range(1, len(elements) + 1))
+    family = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, unique=True), min_size=1, max_size=3))
+    inst = make_instance(elements, family, ProblemKind(SORTING), 2)
+    r = Realization({e: _admissible_value(draw, inst.interval(e)) for e in ids})
+    order = draw(st.permutations([e for e in ids if not inst.interval(e).trivial]))
+    return inst, r, order[: draw(st.integers(0, len(order)))]
+
+
+def _knowledge_along(inst, r, order):
+    """The knowledge state before any reveal and after each one."""
+    k = inst.knowledge()
+    yield k
+    for eid in order:
+        k.reveal(eid, r.value(eid))
+        yield k
+
+
+def _all_pairs_edges(inst, k):
+    live = set(k.unqueried_nontrivial(inst.ids()))
+    return tuple(sorted({
+        (a, b)
+        for members in inst.family
+        for a, b in itertools.combinations(sorted(members), 2)
+        if a in live and b in live and dependent(k.state(a), k.state(b))
+    }))
+
+
+def _all_pairs_forced(inst, k):
+    forced = set()
+    for members in inst.family:
+        points = [k.known_value(e) for e in members if k.known_value(e) is not None]
+        forced |= {
+            e for e in members
+            if k.known_value(e) is None and any(k.state(e).strict_interior(p) for p in points)
+        }
+    return sorted(forced)
+
+
+def _co_set_forces(inst, r):
+    """forces[a]: the co-set intervals that a's value falls strictly inside."""
+    co_set = {e: set() for e in inst.ids()}
+    for members in inst.family:
+        for a, b in itertools.combinations(members, 2):
+            co_set[a].add(b)
+            co_set[b].add(a)
+    return {
+        a: frozenset(b for b in co_set[a] if inst.interval(b).strict_interior(r.value(a)))
+        for a in inst.ids()
+    }
+
+
+class TestSweepsMatchAllPairs:
+    @given(run=_sorting_run())
+    def test_dependency_edges(self, run):
+        inst, r, order = run
+        for k in _knowledge_along(inst, r, order):
+            graph = build_dependency_graph(inst, k)
+            assert graph.edges == _all_pairs_edges(inst, k)
+            assert graph.vertices == tuple(sorted(k.unqueried_nontrivial(inst.ids())))
+
+    @given(run=_sorting_run())
+    def test_sorting_solved(self, run):
+        inst, r, order = run
+        for k in _knowledge_along(inst, r, order):
+            for members in inst.family:
+                pairs = itertools.combinations(members, 2)
+                expected = not any(dependent(k.state(a), k.state(b)) for a, b in pairs)
+                assert sorting_solved(members, k) == expected
+
+    @given(run=_sorting_run())
+    def test_forced_queries(self, run):
+        inst, r, order = run
+        for k in _knowledge_along(inst, r, order):
+            assert forced_queries(inst, k) == _all_pairs_forced(inst, k)
+
+    @given(run=_sorting_run())
+    def test_sorting_structure(self, run):
+        inst, r, _ = run
+        edges, forces, seeds = _sorting_structure(inst, r)
+        expected = _co_set_forces(inst, r)
+        assert forces == expected
+        assert seeds == {b for a in inst.ids() if inst.interval(a).trivial for b in expected[a]}
+        assert edges == _all_pairs_edges(inst, inst.knowledge())
+
+    @given(run=_sorting_run(), data=st.data())
+    def test_kept_cut_lists(self, run, data):
+        # the lists are built at some point of the reveal sequence and must
+        # then follow every later reveal
+        inst, r, order = run
+        built_at = data.draw(st.integers(0, len(order)))
+        rank = data.draw(st.integers(1, inst.n))
+        selection = make_instance(inst.elements, [inst.ids()], ProblemKind(SELECTION_FULL, rank=rank), 2)
+        for step, k in enumerate(_knowledge_along(inst, r, order)):
+            if step < built_at:
+                continue
+            states = [k.state(e) for e in inst.ids()]
+            lefts, rights = sorted(map(left_cut, states)), sorted(map(right_cut, states))
+            assert k.cut_lists() == (lefts, rights)
+            assert rank_cuts(selection, k) == (lefts[rank - 1], rights[rank - 1])
 
 
 class TestSelectionSolved:
