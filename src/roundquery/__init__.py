@@ -93,6 +93,7 @@ from .solving import (
     opt1_bruteforce,
     opt1_minimum,
     opt1_selection_full,
+    opt1_selection_value,
     query_set_feasible,
     selection_categories,
     selection_solved,

@@ -2,12 +2,14 @@
 
 A problem state is solved when the answer is provable from the knowledge
 state alone, without peeking at unqueried values.  The optimum query set
-is computed in closed form where one exists (minimum per set, the
-containing intervals for full selection), by subset search for value
-selection, and for sorting by the same exact vertex-cover branch and bound
-that gives `sorting-vc` its multi-set cover, closed under the queries that
-revealed values force; the closed forms double as oracles for the brute
-force and vice versa.
+is computed in closed form for minimum (per set), full selection (the
+containing intervals) and value selection (a count of the elements that
+must leave or join each side of the i-th value), and for sorting by the
+same exact vertex-cover branch and bound that gives `sorting-vc` its
+multi-set cover, closed under the queries that revealed values force.
+Only the sorting optimum is capped.  The subset search in
+`opt1_bruteforce` runs in no report; it is the oracle that the closed
+forms are tested against.
 
 The sorting structure comes from per-set sweeps in exact rationals: the
 dependent pairs of one set form an interval graph, so one pass over its
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -49,7 +52,7 @@ from .intervals import (
 
 
 class BruteForceCapError(InstanceError):
-    """Subset search refused: instance above the configured cap."""
+    """Brute-force optimum refused: instance above the configured cap."""
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -507,7 +510,7 @@ class OptReport:
     opt1: int
     opt_set: FrozenSet[int]
     opt_k: int
-    method: str  # closed-form | brute-force
+    method: str  # closed-form | brute-force (sorting, or the oracle itself)
 
     @staticmethod
     def of(opt_set: Iterable[int], k: int, method: str) -> "OptReport":
@@ -536,6 +539,64 @@ def opt1_selection_full(instance: Instance, realization: Realization) -> OptRepo
         for e in instance.ids()
         if not instance.interval(e).trivial and instance.interval(e).contains(v_star)
     ]
+    return OptReport.of(chosen, instance.k, "closed-form")
+
+
+def _selection_value_cost(need_a: int, need_b: int, pools: Counter) -> Optional[int]:
+    """Fewest queries that take `need_a` elements out of A and put `need_b`
+    into B, or None if the pools fall short.  `pools` counts the elements
+    by what a query of them does, as (leaves A, joins B).  An element that
+    does both serves both needs, so use as many of those as both needs, or
+    a shortfall of the one-sided pools, ask for."""
+    both = pools[True, True]
+    x = max(min(both, need_a, need_b), need_a - pools[True, False], need_b - pools[False, True])
+    if x > both:
+        return None
+    return x + max(0, need_a - x) + max(0, need_b - x)
+
+
+def opt1_selection_value(instance: Instance, realization: Realization) -> OptReport:
+    """Counting form of the value-selection optimum.
+
+    With v* the true i-th value, let A count the elements whose lower
+    endpoint is below v* and B those whose upper endpoint is at most v*
+    (an open upper endpoint at v* included).  The i-th left and right cuts
+    both sit at v* exactly when A <= i-1 and B >= i.  Querying e takes it
+    out of A iff it is in A and v_e >= v*, and puts it into B iff it is
+    not in B and v_e <= v*; trivial elements never change.  So the optimum
+    meets the two shortfalls from three pools, and the lexicographically
+    smallest minimum is built by walking the useful ids in ascending order
+    and keeping each one that still completes to the optimum size.
+    """
+    rank = instance.problem.rank
+    v_star = sorted(realization.value(e) for e in instance.ids())[rank - 1]
+    below = settled = 0
+    effect: Dict[int, Tuple[bool, bool]] = {}
+    for e in instance.ids():
+        iv = instance.interval(e)
+        in_a, in_b = iv.lower < v_star, iv.upper <= v_star
+        below += in_a
+        settled += in_b
+        if iv.trivial:
+            continue
+        v = realization.value(e)
+        leaves_a, joins_b = in_a and v >= v_star, not in_b and v <= v_star
+        if leaves_a or joins_b:
+            effect[e] = (leaves_a, joins_b)
+    need_a, need_b = max(0, below - (rank - 1)), max(0, rank - settled)
+    pools = Counter(effect.values())
+    todo = _selection_value_cost(need_a, need_b, pools)
+    assert todo is not None  # querying everything non-trivial is always feasible
+    chosen = []
+    for e in sorted(effect):
+        leaves_a, joins_b = effect[e]
+        pools[leaves_a, joins_b] -= 1
+        rest_a, rest_b = max(0, need_a - leaves_a), max(0, need_b - joins_b)
+        rest = _selection_value_cost(rest_a, rest_b, pools)
+        if rest is not None and rest + 1 == todo:
+            chosen.append(e)
+            need_a, need_b, todo = rest_a, rest_b, rest
+    assert todo == 0
     return OptReport.of(chosen, instance.k, "closed-form")
 
 
@@ -602,8 +663,10 @@ def _opt1_sorting_bruteforce(instance: Instance, realization: Realization) -> Fr
 def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = 22) -> OptReport:
     """Minimum feasible query set, lexicographically smallest among minima.
 
-    Subset search in cardinality order; sorting instances go through
-    `exact_cover` with forced closure, which scales past the enumeration cap.
+    Sorting instances go through `exact_cover` with forced closure; this is
+    the sorting optimum `canonical_opt` reports, so `cap` bounds it.  Every
+    other kind is searched by subset enumeration in cardinality order, which
+    only serves as an oracle for the closed forms.
     """
     if instance.n > cap:
         raise BruteForceCapError(f"n = {instance.n} above brute-force cap {cap}")
@@ -621,12 +684,15 @@ def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = 22)
 def canonical_opt(instance: Instance, realization: Realization, cap: int = 22) -> OptReport:
     """The fixed optimum used for wasted-query accounting.
 
-    Closed form where one exists, otherwise the lexicographically smallest
-    brute-force minimum, so wasted counts are deterministic.
+    Always the lexicographically smallest minimum, so wasted counts are
+    deterministic: closed form for minimum and both selection kinds, the
+    sorting branch and bound otherwise.  `cap` bounds n for sorting only.
     """
     kind = instance.problem.kind
     if kind is MINIMUM:
         return opt1_minimum(instance, realization)
     if kind is SELECTION_FULL:
         return opt1_selection_full(instance, realization)
+    if kind is SELECTION_VALUE:
+        return opt1_selection_value(instance, realization)
     return opt1_bruteforce(instance, realization, cap=cap)

@@ -1,5 +1,10 @@
 """End-to-end command-line behavior, including the golden run output."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from roundquery.cli import main
@@ -97,8 +102,27 @@ class TestRun:
         assert out.startswith("batch 1:")
         assert "batches " in out
 
+    def test_selection_value_above_the_sorting_cap_runs(self, capsys):
+        code, out, err = invoke(
+            capsys, "run", "--alg", "sel-value",
+            "--source", "random:problem=selection-value,n=30,k=8,i=15",
+        )
+        assert code == 0 and err == ""
+        assert out.endswith("method closed-form\n")
+
 
 class TestVerify:
+    def test_selection_value_above_the_sorting_cap_verifies(self, tmp_path, capsys):
+        path = tmp_path / "selval.rq"
+        invoke(
+            capsys, "generate", "--source", "random:problem=selection-value,n=30,k=8,i=15",
+            "-o", str(path),
+        )
+        code, out, err = invoke(capsys, "verify", "--instance", str(path))
+        assert code == 0 and err == ""
+        assert "n 30\n" in out and "method closed-form\n" in out
+        assert "feasible yes\n" in out and "minimal yes\n" in out
+
     def test_fig2_instance_verifies(self, tmp_path, capsys):
         path = tmp_path / "fig2.rq"
         invoke(capsys, "generate", "--source", "fig2", "-o", str(path))
@@ -151,14 +175,14 @@ class TestBenchAndTable:
         spec = tmp_path / "spec.rq"
         spec.write_text(
             "sweep alg=bal source=fig2 seeds=0\n"
-            "sweep alg=sel-value source=random:problem=selection-value,n=30,i=3,overlap=single seeds=0\n"
+            "sweep alg=sorting-matching source=random:problem=sorting,n=30,m=2,overlap=disjoint seeds=0\n"
             "sweep alg=bal source=fig2 seeds=1\n"
         )
         out_path = tmp_path / "rows.csv"
         code, out, err = invoke(capsys, "bench", "--spec", str(spec), "-o", str(out_path), "--jobs", jobs)
         assert code == 1 and out == ""
         assert err == (
-            "error: alg=sel-value source=random:problem=selection-value,n=30,i=3,overlap=single"
+            "error: alg=sorting-matching source=random:problem=sorting,n=30,m=2,overlap=disjoint"
             " seed=0: n = 30 above brute-force cap 22\n"
         )
         lines = out_path.read_text().splitlines()
@@ -172,6 +196,18 @@ class TestBenchAndTable:
         code, out, _ = invoke(capsys, "table", "--csv", str(out_path))
         assert code == 0
         assert out.splitlines()[0].startswith("source")
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "roundquery", "run", "--alg", "bal", "--source", "fig2"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == FIG2_GOLDEN
 
 
 class TestExitCodes:

@@ -27,6 +27,7 @@ from roundquery.instances import (
     RandomParams,
     Realization,
     SELECTION_FULL,
+    SELECTION_VALUE,
     SORTING,
     gen_fig2_bal_instance,
     gen_fig3_overlap_instance,
@@ -102,6 +103,15 @@ class TestRun:
         # identity below is asserted inside run(); recompute it here
         wasted_before_final = report.wasted - 0  # final round wasted nothing
         assert report.alg_rounds == ceil_div(report.opt1 + wasted_before_final, inst.k)
+
+    def test_selection_value_optimum_has_no_size_cap(self):
+        params = RandomParams(
+            n=2000, m=1, k=8, problem=ProblemKind(SELECTION_VALUE, rank=1000), overlap="single"
+        )
+        inst, r = gen_random(0, params)
+        _, report = run(make_algorithm("sel-value", inst), inst, FixedOracle(inst, r), opt_cap=22)
+        assert report.method == "closed-form"
+        assert report.alg_queries >= report.opt1 > 0
 
     def test_misbehaving_algorithm_is_rejected(self):
         inst, r = gen_fig2_bal_instance()

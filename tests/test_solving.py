@@ -47,6 +47,7 @@ from roundquery.solving import (
     opt1_bruteforce,
     opt1_minimum,
     opt1_selection_full,
+    opt1_selection_value,
     query_set_feasible,
     rank_cuts,
     reveal_all,
@@ -417,6 +418,79 @@ class TestOptSelectionFull:
         closed = opt1_selection_full(inst, r)
         brute = opt1_bruteforce(inst, r)
         assert closed.opt_set == brute.opt_set
+
+
+_TIE_GRID = [Fraction(h, 2) for h in range(-2, 3)]
+
+
+@st.composite
+def _tied_selection(draw):
+    """A value-selection instance on half-integer endpoints around 0 whose
+    values are endpoints (open ones excluded), 0 or midpoints, so many
+    elements tie at the selected value and sit on its endpoints."""
+    elements, values = [], {}
+    for eid in range(1, draw(st.integers(1, 8)) + 1):
+        lo = draw(st.sampled_from(_TIE_GRID))
+        hi = draw(st.sampled_from([g for g in _TIE_GRID if g >= lo]))
+        if lo == hi:
+            interval = UncertainInterval.point(lo)
+        else:
+            kinds = [draw(st.sampled_from([OPEN, CLOSED])) for _ in range(2)]
+            interval = UncertainInterval(lo, kinds[0], hi, kinds[1])
+        elements.append(interval)
+        choices = [v for v in (lo, hi, Fraction(0), (lo + hi) / 2) if interval.contains(v)]
+        values[eid] = draw(st.sampled_from(choices))
+    rank = draw(st.integers(1, len(elements)))
+    inst = make_instance(elements, [range(1, len(elements) + 1)], ProblemKind(SELECTION_VALUE, rank=rank), 2)
+    return inst, Realization(values)
+
+
+class TestOptSelectionValue:
+    def test_open_upper_at_the_value_is_settled(self):
+        # v* = 1: (0,1) lies below it and {1} at it, so the second value is
+        # pinned before any query
+        inst = make_instance(
+            [iv("(0,1)"), iv("{1}"), iv("[1,2]")], [[1, 2, 3]], ProblemKind(SELECTION_VALUE, rank=2), 1
+        )
+        r = Realization({1: Fraction(1, 2), 2: Fraction(1), 3: Fraction(3, 2)})
+        report = opt1_selection_value(inst, r)
+        assert report.opt1 == 0 and report.method == "closed-form"
+
+    def test_one_tied_query_serves_both_sides(self):
+        # v* = 1 for i = 2: the wide interval's value 1 both leaves the
+        # elements below v* and joins those at most v*
+        inst = make_instance(
+            [iv("[0,2]"), iv("{0}"), iv("(1,3]")], [[1, 2, 3]], ProblemKind(SELECTION_VALUE, rank=2), 1
+        )
+        r = Realization({1: Fraction(1), 2: Fraction(0), 3: Fraction(2)})
+        report = opt1_selection_value(inst, r)
+        assert report.opt_set == {1} == opt1_bruteforce(inst, r).opt_set
+
+    @pytest.mark.parametrize("trivial_prob", [0, 0.3])
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_matches_brute_force(self, n, trivial_prob):
+        for rank in sorted({1, (n + 1) // 2, n}):
+            params = RandomParams(
+                n=n,
+                m=1,
+                k=2,
+                problem=ProblemKind(SELECTION_VALUE, rank=rank),
+                overlap="single",
+                trivial_prob=trivial_prob,
+            )
+            for seed in range(25):
+                inst, r = gen_random(seed, params)
+                closed = opt1_selection_value(inst, r)
+                brute = opt1_bruteforce(inst, r)
+                assert closed.opt_set == brute.opt_set
+                assert closed.opt1 == brute.opt1
+
+    @given(case=_tied_selection())
+    def test_ties_and_endpoints_match_brute_force(self, case):
+        inst, r = case
+        closed = opt1_selection_value(inst, r)
+        assert closed.opt_set == opt1_bruteforce(inst, r).opt_set
+        assert canonical_opt(inst, r) == closed
 
 
 def _enumerate_sorting_opt(inst, r):
