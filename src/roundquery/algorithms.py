@@ -125,13 +125,9 @@ class SortingRounds:
 
 
 def _candidate_lists(instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> Dict[int, List[int]]:
-    """Per open set, in index order, its queryable elements in left order;
-    an open set always has at least one."""
-    lists: Dict[int, List[int]] = {}
-    for idx in open_sets:
-        _, live = minimum_scan(instance.family[idx], knowledge)
-        lists[idx] = sorted(live, key=lambda e: (left_cut(knowledge.state(e)), e))
-    return lists
+    """Per open set, in index order, its queryable elements in left order,
+    as `minimum_scan` returns them; an open set always has at least one."""
+    return {idx: minimum_scan(instance.family[idx], knowledge)[1] for idx in open_sets}
 
 
 class MinimumSingleRounds:

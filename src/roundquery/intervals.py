@@ -21,7 +21,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
@@ -168,6 +168,31 @@ def order_provable(a: UncertainInterval, b: UncertainInterval) -> bool:
     return a.upper <= b.lower
 
 
+@dataclass(frozen=True, slots=True)
+class LeftOrder:
+    """Elements in (left_cut, id) order: the p-th has id `ids[p]` and
+    endpoints `lowers[p]`, `uppers[p]`; `position` maps an id to its p.
+    `lowers` is ascending, so a bisection on it splits the order at a
+    value exactly."""
+
+    ids: List[int]
+    lowers: List[Fraction]
+    uppers: List[Fraction]
+    position: Dict[int, int]
+
+
+@dataclass(frozen=True, slots=True)
+class SetView:
+    """One member set as a `KnowledgeState` keeps it: `unpinned` holds the
+    ascending `order` positions of the members not yet pinned, that is
+    the members in (left_cut, id) order, and `pinned` the pinned members
+    as ascending (value, id)."""
+
+    order: LeftOrder
+    unpinned: List[int]
+    pinned: List[Tuple[Fraction, int]]
+
+
 class KnowledgeState:
     """Per-element view: the original interval, or the point {v} once
     the query revealed v.
@@ -188,6 +213,14 @@ class KnowledgeState:
     `cut_lists` call and from then on kept sorted by `reveal`, which swaps
     the revealed element's two cuts for those of its point by bisection,
     so the i-th cut of either kind is an index read.
+
+    And it keeps a `SetView` of every member set that `set_view` is asked
+    about: the set's unpinned members in (left_cut, id) order, as positions
+    in the run's `LeftOrder`, and its pinned members as ascending
+    (value, id).  `reveal` moves the element from the first list to the
+    second in every view that holds it, by bisection, so the minimum and
+    sorting predicates read each set in left order without sorting it.
+    Nothing here outlives the state: a fresh one builds its own orders.
     """
 
     def __init__(self, intervals: Dict[int, UncertainInterval]):
@@ -197,6 +230,9 @@ class KnowledgeState:
         }
         self._revealed: Set[int] = set()
         self._cuts: Optional[Tuple[List[Cut], List[Cut]]] = None
+        self._order: Optional[LeftOrder] = None
+        self._views: Dict[FrozenSet[int], SetView] = {}
+        self._viewed: Dict[int, List[SetView]] = {}  # unpinned id -> the views holding it
 
     def ids(self) -> Iterable[int]:
         return self._states.keys()
@@ -225,6 +261,12 @@ class KnowledgeState:
             for cuts, cut in zip(self._cuts, (left_cut, right_cut)):
                 del cuts[bisect_left(cuts, cut(iv))]
                 insort(cuts, cut(pinned))
+        views = self._viewed.pop(eid, ())
+        if views:
+            p = self._order.position[eid]
+            for view in views:
+                del view.unpinned[bisect_left(view.unpinned, p)]
+                insort(view.pinned, (pinned.lower, eid))
 
     def cut_lists(self) -> Tuple[List[Cut], List[Cut]]:
         """The ascending left cuts and right cuts of all current states.
@@ -235,6 +277,46 @@ class KnowledgeState:
             states = self._states.values()
             self._cuts = (sorted(map(left_cut, states)), sorted(map(right_cut, states)))
         return self._cuts
+
+    def left_order(self) -> LeftOrder:
+        """The elements unpinned at the first call, in (left_cut, id) order.
+
+        Built once per state by two stable single-key sorts of the ids,
+        closed lower endpoints before open ones and then by lower value: a
+        sort on `left_cut` tuples would test each pair of values for
+        equality before ordering them.  A pinned element never becomes
+        unpinned, so every later unpinned member is in the order.
+        """
+        if self._order is None:
+            states = self._states
+            ids = sorted(e for e in states if e not in self._known)
+            ids.sort(key=lambda e: states[e].lower_kind is OPEN)
+            ids.sort(key=lambda e: states[e].lower)
+            self._order = LeftOrder(
+                ids=ids,
+                lowers=[states[e].lower for e in ids],
+                uppers=[states[e].upper for e in ids],
+                position={e: p for p, e in enumerate(ids)},
+            )
+        return self._order
+
+    def set_view(self, set_ids: Iterable[int]) -> SetView:
+        """The kept view of one member set, built on the first call for it.
+
+        Sets with the same members share one view.  The view is kept by
+        `reveal`; callers read it and never write.
+        """
+        key = frozenset(set_ids)  # a frozenset is its own key, its hash cached
+        view = self._views.get(key)
+        if view is None:
+            order, known = self.left_order(), self._known
+            pinned = sorted(e for e in key if e in known)
+            pinned.sort(key=known.__getitem__)  # stable: ids ascend among equal values
+            unpinned = sorted(order.position[e] for e in key if e not in known)
+            view = self._views[key] = SetView(order, unpinned, [(known[e], e) for e in pinned])
+            for p in unpinned:
+                self._viewed.setdefault(order.ids[p], []).append(view)
+        return view
 
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
         pool = self.ids() if ids is None else ids

@@ -11,12 +11,20 @@ Only the sorting optimum is capped.  The subset search in
 `opt1_bruteforce` runs in no report; it is the oracle that the closed
 forms are tested against.
 
-The sorting structure comes from per-set sweeps in exact rationals: the
+The minimum and sorting predicates read each set from the knowledge
+state's kept `SetView`: its unpinned members in left-endpoint order and
+its pinned values in ascending order, both kept across reveals.  A set's
+minimum is then the head of its pinned list, and its live members are the
+prefix of its left order below that floor, found by one bisection.  The
 dependent pairs of one set form an interval graph, so one pass over its
-intervals in left-endpoint order finds every pair, and the points that
-force queries, or that leave a set unsorted, are found by bisection in
-sorted value lists.  Selection reads its rank cuts from the knowledge
-state's kept cut lists.
+intervals in left order finds every pair, and the points that force
+queries, or that leave a set unsorted, are found by bisection.  Selection
+reads its rank cuts from the kept cut lists.  Every comparison is exact
+in `Fraction`s; the kept positions only index that exact order.
+
+The certificate check and the offline optima read no kept structure:
+they scan the states and the realization afresh, so they audit what the
+kept views decide rather than repeat it.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .instances import (
@@ -63,65 +72,57 @@ def ceil_div(a: int, b: int) -> int:
 # solvedness
 
 
+_value = itemgetter(0)  # of a pinned (value, id) pair
+
+
 def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> Tuple[Optional[Fraction], List[int]]:
-    """One pass over a set: its least pinned value (None if none is pinned)
-    and the unpinned members that could still lie below it.
+    """A set's least pinned value (None if none is pinned) and its live
+    members, the unpinned ones that could still lie below it, in left
+    order: by (left_cut, id).
 
     With no pinned value every unpinned member is live.  Otherwise a member
     is dropped once its lower endpoint is at or above the floor (values in
     open intervals sit strictly above the endpoint, so a weak comparison
-    suffices).
+    suffices).  The kept view holds the floor at the head of its pinned
+    list and the unpinned members in left order, whose lower endpoints
+    ascend, so the live ones are the prefix that one bisection finds.
     """
-    floor = None
-    unpinned = []
-    for eid in set_ids:
-        v = knowledge.known_value(eid)
-        if v is None:
-            unpinned.append(eid)
-        elif floor is None or v < floor:
-            floor = v
-    if floor is None:
-        return None, unpinned
-    return floor, [eid for eid in unpinned if knowledge.state(eid).lower < floor]
+    view = knowledge.set_view(set_ids)
+    ids = view.order.ids
+    if not view.pinned:
+        return None, [ids[p] for p in view.unpinned]
+    floor = view.pinned[0][0]
+    live = view.unpinned[: bisect_left(view.unpinned, floor, key=view.order.lowers.__getitem__)]
+    return floor, [ids[p] for p in live]
 
 
 def minimum_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
-    """True iff the set's minimum value is provable from current knowledge."""
-    floor, live = minimum_scan(set_ids, knowledge)
-    return floor is not None and not live
-
-
-def minimum_value(set_ids: Iterable[int], knowledge: KnowledgeState) -> Fraction:
-    values = [knowledge.known_value(e) for e in set_ids]
-    return min(v for v in values if v is not None)
+    """True iff the set's minimum value is provable from current knowledge:
+    some value is pinned and the leftmost unpinned member, if any, starts
+    at or above the least of them."""
+    view = knowledge.set_view(set_ids)
+    if not view.pinned:
+        return False
+    return not view.unpinned or view.order.lowers[view.unpinned[0]] >= view.pinned[0][0]
 
 
 def sorting_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
     """True iff no dependent pair remains within the set.
 
-    Two spans (non-trivial states) are dependent iff, taken by lower
-    endpoint, the later one starts below the reach of the earlier ones.
+    Two spans (unpinned members) are dependent iff, taken in the kept
+    left order, the later one starts below the reach of the earlier ones.
     Once no such pair exists the spans are disjoint, and a point can only
     lie strictly inside the last span that starts below it.
     """
-    points = []
-    spans = []
-    for e in set_ids:
-        st = knowledge.state(e)
-        if st.trivial:
-            points.append(st.lower)
-        else:
-            spans.append((st.lower, st.upper))
-    spans.sort()
-    reach = None
-    for lo, hi in spans:
-        if reach is not None and lo < reach:
+    view = knowledge.set_view(set_ids)
+    lowers, uppers = view.order.lowers, view.order.uppers
+    spans = view.unpinned
+    for a, b in zip(spans, spans[1:]):
+        if lowers[b] < uppers[a]:
             return False
-        reach = hi
-    lowers = [lo for lo, _ in spans]
-    for p in points:
-        j = bisect_left(lowers, p) - 1
-        if j >= 0 and p < spans[j][1]:
+    for v, _ in view.pinned:
+        j = bisect_left(spans, v, key=lowers.__getitem__) - 1
+        if j >= 0 and v < uppers[spans[j]]:
             return False
     return True
 
@@ -279,7 +280,7 @@ class DependencyGraph:
 
 
 def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> DependencyGraph:
-    """Per set, a sweep over the live intervals in (lower, id) order.
+    """Per set, a sweep over its kept unpinned members in left order.
 
     Two non-trivial intervals a before b (b.lower >= a.lower) are dependent
     iff b.lower < a.upper, whatever their endpoint kinds; so a's partners
@@ -289,13 +290,15 @@ def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> Dep
     states = {v: knowledge.state(v) for v in vertices}
     edges: Set[Tuple[int, int]] = set()
     for members in instance.family:
-        live = sorted((states[e].lower, e) for e in members if e in states)
-        for i, (_, a) in enumerate(live):
-            reach = states[a].upper
+        view = knowledge.set_view(members)
+        ids, lowers, uppers = view.order.ids, view.order.lowers, view.order.uppers
+        live = view.unpinned
+        for i, p in enumerate(live):
+            a, reach = ids[p], uppers[p]
             for j in range(i + 1, len(live)):
-                lo, b = live[j]
-                if not lo < reach:
+                if not lowers[live[j]] < reach:
                     break
+                b = ids[live[j]]
                 edges.add((a, b) if a < b else (b, a))
     return DependencyGraph(
         vertices=tuple(vertices),
@@ -309,20 +312,19 @@ def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
     """Unqueried intervals that strictly contain a known point of a co-set
     element: no answer can order them against that point, so every
     solution queries them.  Per set, the first point above an interval's
-    lower endpoint is found by bisection and tested against its upper."""
+    lower endpoint is found by bisection in the kept pinned list and tested
+    against its upper."""
     forced: Set[int] = set()
     for members in instance.family:
-        known = [(e, knowledge.known_value(e)) for e in members]
-        points = sorted(v for _, v in known if v is not None)
+        view = knowledge.set_view(members)
+        points = view.pinned
         if not points:
             continue
-        for e, v in known:
-            if v is not None:
-                continue
-            iv = knowledge.state(e)
-            j = bisect_right(points, iv.lower)
-            if j < len(points) and points[j] < iv.upper:
-                forced.add(e)
+        order = view.order
+        for p in view.unpinned:
+            j = bisect_right(points, order.lowers[p], key=_value)
+            if j < len(points) and points[j][0] < order.uppers[p]:
+                forced.add(order.ids[p])
     return sorted(forced)
 
 
@@ -430,9 +432,11 @@ def extract_certificate(instance: Instance, knowledge: KnowledgeState) -> Soluti
         return SolutionCertificate(kind, orders=tuple(orders))
     if kind is MINIMUM:
         minima = []
-        for members in instance.family:
-            v = minimum_value(members, knowledge)
-            holder = min(e for e in members if knowledge.known_value(e) == v)
+        for i, members in enumerate(instance.family, 1):
+            pinned = knowledge.set_view(members).pinned
+            if not pinned:
+                raise InstanceError(f"set {i}: no pinned value; nothing to certify")
+            v, holder = pinned[0]  # the least value, held by its lowest id
             minima.append((holder, v))
         return SolutionCertificate(kind, minima=tuple(minima))
     v = selection_value_pinned(instance, knowledge)

@@ -1,10 +1,12 @@
 """Solvedness checkers and the exact optima, cross-validated both ways:
 closed forms against subset enumeration, and the sorting branch-and-bound
-against an independent power-set search written here.  The sweeps and kept
-cut lists behind the sorting and selection predicates are checked against
-their all-pairs and full-sort definitions, also written here."""
+against an independent power-set search written here.  The sweeps, kept
+cut lists and kept per-set views behind the predicates are checked
+against their all-pairs, full-sort and full-scan definitions, also
+written here, and the kept views against a state built after the fact."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from roundquery.instances import (
+    InstanceError,
     MINIMUM,
     ProblemKind,
     RandomParams,
@@ -43,7 +46,6 @@ from roundquery.solving import (
     instance_solved,
     minimum_scan,
     minimum_solved,
-    minimum_value,
     opt1_bruteforce,
     opt1_minimum,
     opt1_selection_full,
@@ -75,6 +77,24 @@ def discarded(members, k):
     return {e for e in members if k.known_value(e) is None} - set(live)
 
 
+def _defined_scan(members, k):
+    """`minimum_scan` by its definition.  floor: the least pinned value;
+    live: the unpinned members whose lower endpoint lies below it, or every
+    unpinned member without one, in left order."""
+    pinned = [k.state(e).lower for e in members if k.state(e).trivial]
+    floor = min(pinned) if pinned else None
+    live = sorted(
+        (e for e in members if not k.state(e).trivial and (floor is None or k.state(e).lower < floor)),
+        key=lambda e: (left_cut(k.state(e)), e),
+    )
+    return floor, live
+
+
+def _all_pairs_sorted(members, k):
+    """`sorting_solved` by its definition: no dependent pair in the set."""
+    return not any(dependent(k.state(a), k.state(b)) for a, b in itertools.combinations(members, 2))
+
+
 _INSIDE = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
@@ -95,7 +115,7 @@ class TestMinimumSolved:
         k = knowledge_of([iv("(1,3)"), iv("(2,4)"), iv("(5,6)")], [(1, "5/2"), (2, "7/2")])
         members = [1, 2, 3]
         assert minimum_solved(members, k)
-        assert minimum_value(members, k) == Fraction(5, 2)
+        assert minimum_scan(members, k)[0] == Fraction(5, 2)
         assert discarded(members, k) == {3}
 
     def test_single_unqueried_interval_unsolved(self):
@@ -105,25 +125,18 @@ class TestMinimumSolved:
     def test_trivial_below_all_lower_endpoints(self):
         k = knowledge_of([iv("{2}"), iv("(3,4)")])
         assert minimum_solved([1, 2], k)
-        assert minimum_value([1, 2], k) == 2
+        assert minimum_scan([1, 2], k)[0] == 2
         assert discarded([1, 2], k) == {2}
 
     @given(data=st.data())
     def test_scan_matches_its_definition(self, data):
-        # floor: the least pinned value; live: the unpinned members whose
-        # lower endpoint lies below it, or every unpinned member without one
         k = KnowledgeState(dict(enumerate(data.draw(st.lists(_interval(), min_size=1, max_size=8)), 1)))
         ids = list(k.ids())
         for eid in data.draw(st.lists(st.sampled_from(ids), unique=True)):
             st_e = k.state(eid)
             k.reveal(eid, st_e.lower + (st_e.upper - st_e.lower) * data.draw(st.sampled_from(_INSIDE)))
         members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
-        pinned = [k.state(e).lower for e in members if k.state(e).trivial]
-        floor = min(pinned) if pinned else None
-        live = [
-            e for e in members
-            if not k.state(e).trivial and (floor is None or k.state(e).lower < floor)
-        ]
+        floor, live = _defined_scan(members, k)
         assert minimum_scan(members, k) == (floor, live)
         assert minimum_solved(members, k) == (floor is not None and not live)
 
@@ -231,9 +244,7 @@ class TestSweepsMatchAllPairs:
         inst, r, order = run
         for k in _knowledge_along(inst, r, order):
             for members in inst.family:
-                pairs = itertools.combinations(members, 2)
-                expected = not any(dependent(k.state(a), k.state(b)) for a, b in pairs)
-                assert sorting_solved(members, k) == expected
+                assert sorting_solved(members, k) == _all_pairs_sorted(members, k)
 
     @given(run=_sorting_run())
     def test_forced_queries(self, run):
@@ -265,6 +276,97 @@ class TestSweepsMatchAllPairs:
             lefts, rights = sorted(map(left_cut, states)), sorted(map(right_cut, states))
             assert k.cut_lists() == (lefts, rights)
             assert rank_cuts(selection, k) == (lefts[rank - 1], rights[rank - 1])
+
+
+def _defined_minima(inst, k):
+    """Per set, (holder, value) of its least pinned value, the lowest id
+    holding it; None if some set has no pinned value."""
+    minima = []
+    for members in inst.family:
+        pinned = [(k.known_value(e), e) for e in members if k.known_value(e) is not None]
+        if not pinned:
+            return None
+        v, holder = min(pinned)
+        minima.append((holder, v))
+    return tuple(minima)
+
+
+@st.composite
+def _viewed_run(draw):
+    """A sorting run on 1-3 overlapping sets plus a copy of one of them, and
+    the index of one set that the per-set predicates get as a list."""
+    inst, r, order = draw(_sorting_run())
+    twin = draw(st.sampled_from(inst.family))
+    inst = make_instance(inst.elements, [*map(sorted, inst.family), sorted(twin)], inst.problem, inst.k)
+    return inst, r, order, draw(st.integers(0, inst.m - 1))
+
+
+class TestKeptViews:
+    """The views a state keeps across reveals answer as a state built after
+    the same reveals does, and as the definitions do."""
+
+    @staticmethod
+    def _answers(inst, k, as_list):
+        per_set = []
+        for idx, members in enumerate(inst.family):
+            arg = sorted(members) if idx == as_list else members
+            per_set.append((minimum_scan(arg, k), minimum_solved(arg, k), sorting_solved(arg, k)))
+        try:
+            minima = extract_certificate(replace(inst, problem=ProblemKind(MINIMUM)), k).minima
+        except InstanceError as exc:
+            assert "no pinned value; nothing to certify" in str(exc)
+            minima = None
+        graph = build_dependency_graph(inst, k)
+        return per_set, forced_queries(inst, k), graph.vertices, graph.edges, minima
+
+    @staticmethod
+    def _definitions(inst, k):
+        per_set = []
+        for members in inst.family:
+            floor, live = _defined_scan(members, k)
+            per_set.append(((floor, live), floor is not None and not live, _all_pairs_sorted(members, k)))
+        vertices = tuple(sorted(k.unqueried_nontrivial(inst.ids())))
+        return per_set, _all_pairs_forced(inst, k), vertices, _all_pairs_edges(inst, k), _defined_minima(inst, k)
+
+    @given(run=_viewed_run(), data=st.data())
+    def test_views_follow_the_reveals(self, run, data):
+        # `early` is asked before the first reveal and after every one;
+        # `late` first at a drawn step, so its views are built between the
+        # reveals or after the last; `fresh` is rebuilt at every step
+        inst, r, order, as_list = run
+        late_from = data.draw(st.integers(0, len(order)))
+        early, late = inst.knowledge(), inst.knowledge()
+        for step in range(len(order) + 1):
+            if step:
+                eid = order[step - 1]
+                early.reveal(eid, r.value(eid))
+                late.reveal(eid, r.value(eid))
+            fresh = inst.knowledge()
+            for eid in order[:step]:
+                fresh.reveal(eid, r.value(eid))
+            expected = self._definitions(inst, fresh)
+            assert self._answers(inst, fresh, as_list) == expected
+            assert self._answers(inst, early, as_list) == expected
+            if step >= late_from:
+                assert self._answers(inst, late, as_list) == expected
+
+
+class TestMinimumCertificate:
+    def test_unsolved_set_is_refused(self):
+        inst, _ = gen_random(1, RandomParams(
+            n=6, m=2, k=2, problem=ProblemKind(MINIMUM), overlap="disjoint", trivial_prob=0,
+        ))
+        with pytest.raises(InstanceError, match=r"^set 1: no pinned value; nothing to certify$"):
+            extract_certificate(inst, inst.knowledge())
+
+    def test_least_value_held_by_the_lowest_id(self):
+        inst = make_instance(
+            [iv("(0,4)"), iv("{1}"), iv("(0,3)"), iv("(2,5)")], [[1, 2, 3], [3, 4]], ProblemKind(MINIMUM), 2
+        )
+        k = inst.knowledge()
+        k.reveal(3, Fraction(1))
+        k.reveal(4, Fraction(3))
+        assert extract_certificate(inst, k).minima == ((2, Fraction(1)), (3, Fraction(1)))
 
 
 class TestSelectionSolved:
