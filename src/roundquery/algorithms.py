@@ -19,9 +19,10 @@ from itertools import zip_longest
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .instances import Instance, MINIMUM, SELECTION_FULL, SELECTION_VALUE, SORTING
-from .intervals import KnowledgeState, dependent, left_cut, right_cut
+from .intervals import KnowledgeState, cut_order, dependent, left_cut, right_cut
 from .solving import (
     DependencyGraph,
+    SelectionRoundView,
     build_dependency_graph,
     ceil_div,
     exact_cover,
@@ -47,7 +48,7 @@ class AlgorithmError(RuntimeError):
 
 def _interval_exact_cover(graph: DependencyGraph) -> FrozenSet[int]:
     # max independent set greedily by right endpoint; the cover is the rest
-    order = sorted(graph.vertices, key=lambda v: (right_cut(graph.states[v]), v))
+    order = cut_order(graph.vertices, graph.states.__getitem__, right_cut)
     picked: List[int] = []
     for v in order:
         if not picked or not dependent(graph.states[picked[-1]], graph.states[v]):
@@ -225,12 +226,6 @@ class BudgetRounds:
 # selection
 
 
-def _right_first(knowledge: KnowledgeState, e: int) -> Tuple[Fraction, int, int]:
-    """Sort key: descending right cut, ids ascending."""
-    v, flag = right_cut(knowledge.state(e))
-    return (-v, -flag, e)
-
-
 class SelectionValueRounds:
     """k leftmost queryable intervals, after discarding everything provably
     outside the target area; ranks above the middle take the rightmost."""
@@ -244,9 +239,9 @@ class SelectionValueRounds:
         ]
         if instance.problem.rank > ceil_div(instance.n, 2):
             # rank n-i+1 of the negated instance: its left-cut order, mirrored
-            live.sort(key=lambda e: _right_first(knowledge, e))
+            live = cut_order(live, knowledge.state, right_cut, reverse=True)
         else:
-            live.sort(key=lambda e: (left_cut(knowledge.state(e)), e))
+            live = cut_order(live, knowledge.state, left_cut)
         return live[: instance.k]
 
 
@@ -258,22 +253,27 @@ class SelectionFullRounds:
     (starting left), longest overlap first.  The round may stay under k
     when the categories run dry; by the containing-interval guarantee it is
     never empty while the instance is unsolved.
+
+    Each round classifies only the members of the last round's view
+    (`last_view`): the target area only shrinks, so an element outside
+    every bucket stays outside (see `selection_categories`).
     """
 
+    def __init__(self) -> None:
+        self.last_view: Optional[SelectionRoundView] = None
+
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
-        view = selection_categories(instance, knowledge)
-        queryable = set(knowledge.unqueried_nontrivial(instance.ids()))
+        pool = None if self.last_view is None else self.last_view.members()
+        view = self.last_view = selection_categories(instance, knowledge, pool)
+        queryable = set(knowledge.unqueried_nontrivial(instance.ids() if pool is None else pool))
         q1 = sorted(view.containing)
         q2 = sorted(e for e in view.inside if e in queryable)
         # longest overlap first: category (3) by descending right endpoint,
         # category (4) by ascending left endpoint, ids breaking ties
-        q3 = sorted(
-            (e for e in view.left_overlap if e in queryable), key=lambda e: _right_first(knowledge, e)
+        q3 = cut_order(
+            (e for e in view.left_overlap if e in queryable), knowledge.state, right_cut, reverse=True
         )
-        q4 = sorted(
-            (e for e in view.right_overlap if e in queryable),
-            key=lambda e: (left_cut(knowledge.state(e)), e),
-        )
+        q4 = cut_order((e for e in view.right_overlap if e in queryable), knowledge.state, left_cut)
         # alternate left and right while both last, then the longer one's rest
         alternating = [e for pair in zip_longest(q3, q4) for e in pair if e is not None]
         return (q1 + q2 + alternating)[: instance.k]

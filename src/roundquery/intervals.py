@@ -21,7 +21,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
@@ -149,6 +149,30 @@ def right_cut(state: UncertainInterval) -> Cut:
     return (state.upper, 0 if state.upper_kind is CLOSED else -1)
 
 
+def cut_order(
+    ids: Iterable[int],
+    state: Callable[[int], UncertainInterval],
+    *cuts: Callable[[UncertainInterval], Cut],
+    reverse: bool = False,
+) -> List[int]:
+    """The ids ordered by their states' cuts, the first cut deciding, ids
+    ascending among ties; `reverse` orders every cut descending instead.
+
+    The ids are sorted ascending and then stably by each cut's flag and
+    value, the last cut first: a sort on cut tuples would test each pair
+    of values for equality before ordering them.
+    """
+    order = sorted(ids)
+    for cut in reversed(cuts):
+        values: Dict[int, Fraction] = {}
+        flags: Dict[int, int] = {}
+        for e in order:
+            values[e], flags[e] = cut(state(e))
+        order.sort(key=flags.__getitem__, reverse=reverse)
+        order.sort(key=values.__getitem__, reverse=reverse)
+    return order
+
+
 def dependent(a: UncertainInterval, b: UncertainInterval) -> bool:
     """True iff the relative order of the two values cannot be deduced.
 
@@ -210,9 +234,10 @@ class KnowledgeState:
 
     It also keeps the cut lists: the left cuts and the right cuts of all
     states, each in ascending order.  They are built on the first
-    `cut_lists` call and from then on kept sorted by `reveal`, which swaps
-    the revealed element's two cuts for those of its point by bisection,
-    so the i-th cut of either kind is an index read.
+    `cut_lists` call, by the stable single-key sorts of `cut_order` rather
+    than a sort of cut tuples, and from then on kept sorted by `reveal`,
+    which swaps the revealed element's two cuts for those of its point by
+    bisection, so the i-th cut of either kind is an index read.
 
     And it keeps a `SetView` of every member set that `set_view` is asked
     about: the set's unpinned members in (left_cut, id) order, as positions
@@ -274,24 +299,22 @@ class KnowledgeState:
         The lists are kept by `reveal`; callers read them and never write.
         """
         if self._cuts is None:
-            states = self._states.values()
-            self._cuts = (sorted(map(left_cut, states)), sorted(map(right_cut, states)))
+            states = self._states
+            self._cuts = tuple(
+                [cut(states[e]) for e in cut_order(states, states.__getitem__, cut)]
+                for cut in (left_cut, right_cut)
+            )
         return self._cuts
 
     def left_order(self) -> LeftOrder:
         """The elements unpinned at the first call, in (left_cut, id) order.
 
-        Built once per state by two stable single-key sorts of the ids,
-        closed lower endpoints before open ones and then by lower value: a
-        sort on `left_cut` tuples would test each pair of values for
-        equality before ordering them.  A pinned element never becomes
-        unpinned, so every later unpinned member is in the order.
+        Built once per state by `cut_order`.  A pinned element never
+        becomes unpinned, so every later unpinned member is in the order.
         """
         if self._order is None:
             states = self._states
-            ids = sorted(e for e in states if e not in self._known)
-            ids.sort(key=lambda e: states[e].lower_kind is OPEN)
-            ids.sort(key=lambda e: states[e].lower)
+            ids = cut_order((e for e in states if e not in self._known), states.__getitem__, left_cut)
             self._order = LeftOrder(
                 ids=ids,
                 lowers=[states[e].lower for e in ids],

@@ -17,10 +17,15 @@ its pinned values in ascending order, both kept across reveals.  A set's
 minimum is then the head of its pinned list, and its live members are the
 prefix of its left order below that floor, found by one bisection.  The
 dependent pairs of one set form an interval graph, so one pass over its
-intervals in left order finds every pair, and the points that force
-queries, or that leave a set unsorted, are found by bisection.  Selection
-reads its rank cuts from the kept cut lists.  Every comparison is exact
-in `Fraction`s; the kept positions only index that exact order.
+intervals in left order finds every pair, each interval's partners ending
+where a bisection says, and the points that force queries, or that leave
+a set unsorted, are found by bisection.  Selection reads its rank cuts
+from the kept cut lists, and `selection_categories` classifies a pool
+that only shrinks over a run: what left the target area stays out.
+Orders by endpoint, such as the sorting certificate's, come from
+`cut_order`'s stable single-key sorts, never from sorting tuples of
+`Fraction`s.  Every comparison is exact in `Fraction`s; the kept
+positions only index that exact order.
 
 The certificate check and the offline optima read no kept structure:
 they scan the states and the realization afresh, so they audit what the
@@ -53,6 +58,7 @@ from .intervals import (
     KnowledgeState,
     OPEN,
     UncertainInterval,
+    cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
     left_cut,
     order_provable,
@@ -229,15 +235,33 @@ class SelectionRoundView:
     def b(self) -> int:
         return len(self.inside)
 
+    def members(self) -> List[int]:
+        """The ids of all four buckets, ascending."""
+        return sorted(self.containing + self.inside + self.left_overlap + self.right_overlap)
 
-def selection_categories(instance: Instance, knowledge: KnowledgeState) -> SelectionRoundView:
+
+def selection_categories(
+    instance: Instance, knowledge: KnowledgeState, pool: Optional[Iterable[int]] = None
+) -> SelectionRoundView:
+    """Classify the states of `pool` (default: every id) against the
+    current target area; each bucket keeps the pool's order.
+
+    A pool that holds the members of an earlier view of the same run
+    classifies exactly as all ids do.  A reveal only raises an element's
+    left cut and lowers its right cut, so the i-th smallest left cut only
+    rises and the i-th smallest right cut only falls: the target area only
+    shrinks, and an element disjoint from it stays disjoint.  A point that
+    covers a trivial target area {v} is in no bucket; the target is then
+    {v} for good, as the i-th left cut can rise no further than the i-th
+    right cut, and the point keeps covering it in no bucket.
+    """
     ta = target_area(instance, knowledge)
     ta_lo, ta_hi = left_cut(ta), right_cut(ta)
     containing: List[int] = []
     inside: List[int] = []
     left_overlap: List[int] = []
     right_overlap: List[int] = []
-    for eid in instance.ids():
+    for eid in instance.ids() if pool is None else pool:
         st = knowledge.state(eid)
         lo, hi = left_cut(st), right_cut(st)
         if max(lo, ta_lo) > min(hi, ta_hi):
@@ -284,7 +308,8 @@ def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> Dep
 
     Two non-trivial intervals a before b (b.lower >= a.lower) are dependent
     iff b.lower < a.upper, whatever their endpoint kinds; so a's partners
-    are the run of intervals after it that start below a.upper.
+    are the run of intervals after it that start below a.upper, and one
+    bisection on the ascending lower endpoints finds where the run ends.
     """
     vertices = sorted(knowledge.unqueried_nontrivial(instance.ids()))
     states = {v: knowledge.state(v) for v in vertices}
@@ -294,11 +319,9 @@ def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> Dep
         ids, lowers, uppers = view.order.ids, view.order.lowers, view.order.uppers
         live = view.unpinned
         for i, p in enumerate(live):
-            a, reach = ids[p], uppers[p]
-            for j in range(i + 1, len(live)):
-                if not lowers[live[j]] < reach:
-                    break
-                b = ids[live[j]]
+            a = ids[p]
+            for q in live[i + 1 : bisect_left(live, uppers[p], i + 1, key=lowers.__getitem__)]:
+                b = ids[q]
                 edges.add((a, b) if a < b else (b, a))
     return DependencyGraph(
         vertices=tuple(vertices),
@@ -422,14 +445,11 @@ class SolutionCertificate:
 def extract_certificate(instance: Instance, knowledge: KnowledgeState) -> SolutionCertificate:
     kind = instance.problem.kind
     if kind is SORTING:
-        orders = []
-        for members in instance.family:
-            order = sorted(
-                members,
-                key=lambda e: (right_cut(knowledge.state(e)), left_cut(knowledge.state(e)), e),
-            )
-            orders.append(tuple(order))
-        return SolutionCertificate(kind, orders=tuple(orders))
+        # by (right_cut, left_cut, id): ascending values, ties in a fixed order
+        orders = tuple(
+            tuple(cut_order(members, knowledge.state, right_cut, left_cut)) for members in instance.family
+        )
+        return SolutionCertificate(kind, orders=orders)
     if kind is MINIMUM:
         minima = []
         for i, members in enumerate(instance.family, 1):
@@ -629,12 +649,12 @@ def _sorting_structure(instance: Instance, realization: Realization):
     """
     forcing: Dict[int, Set[int]] = {e: set() for e in instance.ids()}
     for members in instance.family:
-        order = sorted((realization.value(e), e) for e in members)
-        values = [v for v, _ in order]
+        order = sorted(members, key=realization.value)  # only the slices' members count
+        values = [realization.value(e) for e in order]
         for b in members:
             # a trivial interval has an empty interior and an empty slice
             iv = instance.interval(b)
-            for _, a in order[bisect_right(values, iv.lower):bisect_left(values, iv.upper)]:
+            for a in order[bisect_right(values, iv.lower):bisect_left(values, iv.upper)]:
                 if a != b:
                     forcing[a].add(b)
     forces = {a: frozenset(bs) for a, bs in forcing.items()}

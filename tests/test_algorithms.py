@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import Probed, budget_round_bound, open_sets
 from roundquery.algorithms import (
@@ -28,7 +30,7 @@ from roundquery.instances import (
     gen_random,
     make_instance,
 )
-from roundquery.intervals import UncertainInterval
+from roundquery.intervals import CLOSED, OPEN, UncertainInterval
 from roundquery.oracles import (
     FixedOracle,
     minimum_wlb_adversary,
@@ -473,6 +475,66 @@ class TestSelectionFull:
         inst, _ = gen_fig2_bal_instance()
         with pytest.raises(AlgorithmError):
             make_algorithm("sel-full", inst)
+
+
+_QUARTERS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
+
+@st.composite
+def _selection_full_run(draw):
+    """A selection-full instance on a coarse grid, so endpoints, points and
+    the i-th value tie often: mixed endpoint kinds, a quarter of the
+    elements trivial, any rank, and values often on a closed endpoint."""
+    n = draw(st.integers(1, 8))
+    elements, values = [], []
+    for _ in range(n):
+        lo = Fraction(draw(st.integers(0, 6)), 2)
+        if draw(st.integers(0, 3)) == 0:
+            elements.append(UncertainInterval.point(lo))
+            values.append(lo)
+            continue
+        hi = lo + Fraction(draw(st.integers(1, 4)), 2)
+        lo_kind, hi_kind = (draw(st.sampled_from([OPEN, CLOSED])) for _ in range(2))
+        choices = [lo + (hi - lo) * f for f in _QUARTERS]
+        choices += [end for end, kind in ((lo, lo_kind), (hi, hi_kind)) if kind is CLOSED]
+        elements.append(UncertainInterval(lo, lo_kind, hi, hi_kind))
+        values.append(draw(st.sampled_from(choices)))
+    problem = ProblemKind(SELECTION_FULL, rank=draw(st.integers(1, n)))
+    inst = make_instance(elements, [list(range(1, n + 1))], problem, draw(st.integers(1, 3)))
+    return inst, Realization(dict(enumerate(values, 1)))
+
+
+class TestSelectionFullPool:
+    """sel-full classifies only the members of its last view; each round
+    that view equals the classification of every id."""
+
+    @staticmethod
+    def _targets(inst, r):
+        alg = make_algorithm("sel-full", inst)
+        targets = []
+
+        def probe(knowledge, _open_sets, _picked):
+            assert alg.last_view == selection_categories(inst, knowledge)
+            targets.append(alg.last_view.target.text())
+
+        run(Probed(alg, probe), inst, FixedOracle(inst, r))
+        return targets
+
+    @given(case=_selection_full_run())
+    def test_pool_view_equals_the_full_scan(self, case):
+        self._targets(*case)
+
+    def test_points_on_a_trivial_target_stay_out(self):
+        # after two rounds the target is {2}: the points 1 and 2 cover it
+        # and leave the pool, and the third round still finds container 5
+        inst = make_instance(
+            [iv("{2}"), iv("{2}"), iv("[1,3]"), iv("[0,4]"), iv("[0,5]")],
+            [[1, 2, 3, 4, 5]],
+            ProblemKind(SELECTION_FULL, rank=2),
+            1,
+        )
+        r = Realization({1: Fraction(2), 2: Fraction(2), 3: Fraction(5, 2), 4: Fraction(3), 5: Fraction(3)})
+        assert self._targets(inst, r) == ["[0,2]", "[1,2]", "{2}"]
 
 
 class TestUniformContract:

@@ -12,6 +12,7 @@ from roundquery.intervals import (
     KnowledgeState,
     OPEN,
     UncertainInterval,
+    cut_order,
     dependent,
     left_cut,
     parse_rational,
@@ -134,6 +135,21 @@ class TestEndpointOrders:
     def test_strict_precedence_is_asymmetric(self, a, b):
         for cut in (left_cut, right_cut):
             assert not (cut(a) < cut(b) and cut(b) < cut(a))
+
+    @given(data=st.data())
+    def test_cut_order_is_the_tuple_sort(self, data):
+        # the stable single-key sorts order the ids as a sort on the cut
+        # tuples does, ids ascending among ties in either direction
+        drawn = data.draw(st.lists(states(), max_size=10))
+        ids = data.draw(st.permutations(range(1, len(drawn) + 1)))
+        state = dict(enumerate(drawn, 1)).__getitem__
+        cuts = data.draw(st.lists(st.sampled_from([left_cut, right_cut]), min_size=1, max_size=2))
+
+        def tuple_key(e):
+            return tuple(cut(state(e)) for cut in cuts)
+
+        assert cut_order(ids, state, *cuts) == sorted(ids, key=lambda e: (tuple_key(e), e))
+        assert cut_order(ids, state, *cuts, reverse=True) == sorted(sorted(ids), key=tuple_key, reverse=True)
 
 
 class TestParsing:

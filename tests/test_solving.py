@@ -277,6 +277,17 @@ class TestSweepsMatchAllPairs:
             assert k.cut_lists() == (lefts, rights)
             assert rank_cuts(selection, k) == (lefts[rank - 1], rights[rank - 1])
 
+    @given(run=_sorting_run())
+    def test_certificate_orders(self, run):
+        # the certificate's stable single-key sorts against the tuple sort
+        inst, r, order = run
+        for k in _knowledge_along(inst, r, order):
+            def key(e):
+                return (right_cut(k.state(e)), left_cut(k.state(e)), e)
+
+            expected = tuple(tuple(sorted(members, key=key)) for members in inst.family)
+            assert extract_certificate(inst, k).orders == expected
+
 
 def _defined_minima(inst, k):
     """Per set, (holder, value) of its least pinned value, the lowest id
