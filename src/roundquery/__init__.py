@@ -94,6 +94,7 @@ from .solving import (
     opt1_minimum,
     opt1_selection_full,
     opt1_selection_value,
+    opt1_sorting,
     query_set_feasible,
     selection_categories,
     selection_solved,

@@ -70,7 +70,7 @@ def min_vertex_cover(graph: DependencyGraph, mode: str) -> FrozenSet[int]:
     ``interval-exact`` is the polynomial single-set solver, ``general-exact``
     the branch and bound `solving.exact_cover` for arbitrary co-set graphs
     (capped at 40 covered vertices; the sorting optimum runs the same search
-    with forced closure), and ``matching-2approx`` returns the matched
+    on its residual graph), and ``matching-2approx`` returns the matched
     vertices of a greedy maximal matching.
     """
     if mode == "interval-exact":

@@ -32,6 +32,7 @@ from .instances import InstanceError, parse_instance, serialize_instance
 from .oracles import FixedOracle
 from .reductions import BatchesToRounds, QueryAllBatch, RoundsToBatches, TwoBatchSorting
 from .solving import (
+    OPT_CAP,
     SolutionCertificate,
     canonical_opt,
     extract_certificate,
@@ -40,7 +41,7 @@ from .solving import (
     verify_certificate,
 )
 
-OPT_CAP_HELP = "largest n for the sorting optimum's branch and bound (other optima are closed form)"
+OPT_CAP_HELP = "most vertices the sorting optimum covers by branch and bound beyond its mandatory set"
 
 BATCH_ALGORITHMS = {
     "batch-all": QueryAllBatch,
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", help="adversary source spec")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="print per-round query lines")
-    p.add_argument("--opt-cap", type=int, default=22, help=OPT_CAP_HELP)
+    p.add_argument("--opt-cap", type=int, default=OPT_CAP, help=OPT_CAP_HELP)
     p.add_argument("--as-rounds", metavar="k=K", help="wrap a batch algorithm into rounds of K")
     p.add_argument(
         "--as-batches", nargs=2, metavar=("r=R", "alpha=A"),
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check optimum/certificate invariants of an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--opt-cap", type=int, default=22, help=OPT_CAP_HELP)
+    p.add_argument("--opt-cap", type=int, default=OPT_CAP, help=OPT_CAP_HELP)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run a sweep spec and write CSV")

@@ -14,7 +14,7 @@ import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algorithms import AlgorithmError, make_algorithm
 from .instances import (
@@ -40,6 +40,7 @@ from .oracles import (
     sorting_pair_adversary,
 )
 from .solving import (
+    OPT_CAP,
     OptReport,
     canonical_opt,
     ceil_div,
@@ -142,7 +143,7 @@ def run(
     alg,
     instance: Instance,
     oracle: ValueOracle,
-    opt_cap: int = 22,
+    opt_cap: int = OPT_CAP,
     opt_report: Optional[OptReport] = None,
     max_rounds: Optional[int] = None,
 ) -> Tuple[RoundTrace, RunReport]:
@@ -244,7 +245,7 @@ def run_batches(
     batch_alg,
     instance: Instance,
     oracle: ValueOracle,
-    opt_cap: int = 22,
+    opt_cap: int = OPT_CAP,
     opt_report: Optional[OptReport] = None,
     max_batches: Optional[int] = None,
 ) -> Tuple[List[Tuple[int, ...]], BatchReport]:
@@ -276,19 +277,20 @@ def run_batches(
 # sources: fixed generators and adversaries behind one selector syntax
 
 
-def _parse_kv(spec: str) -> Tuple[str, Dict[str, str]]:
-    if ":" in spec:
-        name, _, args = spec.partition(":")
-        pairs = {}
-        for part in args.split(","):
-            if not part:
-                continue
-            if "=" not in part:
-                raise InstanceError(f"malformed source argument {part!r} in {spec!r}")
-            key, _, value = part.partition("=")
-            pairs[key.strip()] = value.strip()
-        return name.strip(), pairs
-    return spec.strip(), {}
+def _keyed(tokens: Iterable[str], allowed: Sequence[str], where: str) -> Dict[str, str]:
+    """`key=value` tokens as a dict.  A token without `=` is an
+    InstanceError, and so is an unknown or repeated key: the error names
+    it and lists the allowed keys."""
+    out: Dict[str, str] = {}
+    for token in tokens:
+        key, eq, value = (part.strip() for part in token.partition("="))
+        if not eq:
+            raise InstanceError(f"{where}: malformed field {token!r}")
+        if key not in allowed or key in out:
+            problem = "repeated" if key in out else "unknown"
+            raise InstanceError(f"{where}: {problem} key {key!r} (allowed: {', '.join(allowed) or 'none'})")
+        out[key] = value
+    return out
 
 
 _PROBLEM_BY_NAME = {p.value: p for p in ProblemFamily}
@@ -302,45 +304,53 @@ def parse_number(text: str, what: str, cast: Callable = int):
         raise InstanceError(f"{what}: not a number: {text!r}") from None
 
 
+def _fixed(made: Tuple[Instance, Realization]) -> Tuple[Instance, ValueOracle]:
+    return made[0], FixedOracle(*made)
+
+
+def _random(arg: Callable, seed: int) -> Tuple[Instance, ValueOracle]:
+    problem = arg("problem", "minimum", str)
+    if problem not in _PROBLEM_BY_NAME:
+        raise InstanceError(f"unknown problem {problem!r}")
+    params = RandomParams(
+        n=arg("n", 10),
+        m=arg("m", 1),
+        k=arg("k", 2),
+        problem=ProblemKind(_PROBLEM_BY_NAME[problem], arg("i", None)),
+        overlap=arg("overlap", "disjoint", str),
+        trivial_prob=arg("triv", 0.15, float),
+    )
+    return _fixed(gen_random(seed, params))
+
+
+# each source: the keys its selector takes, and its builder, called with
+# `arg(key, default, cast=int)` and the seed
+SOURCES: Dict[str, Tuple[Tuple[str, ...], Callable]] = {
+    "fig2": ((), lambda arg, seed: _fixed(gen_fig2_bal_instance())),
+    "fig3": (("k", "c"), lambda arg, seed: _fixed(gen_fig3_overlap_instance(k=arg("k", 3), c=arg("c", 3)))),
+    "random": (("problem", "n", "m", "k", "i", "overlap", "triv"), _random),
+    "fig1-pairs": (("c", "k"), lambda arg, seed: sorting_pair_adversary(arg("c", 1), arg("k", 1))),
+    "wlb": (("M",), lambda arg, seed: minimum_wlb_adversary(arg("M", 2))),
+    "additive": (("m",), lambda arg, seed: minimum_additive_lb_adversary(arg("m", 2))),
+    "selval-lb": (("i", "k"), lambda arg, seed: selection_value_lb_adversary(arg("i", 2), arg("k", None))),
+    "selfull-lb": (("i",), lambda arg, seed: selection_full_lb_adversary(arg("i", 2))),
+}
+
+
 def resolve_source(spec: str, seed: int = 0) -> Tuple[Instance, ValueOracle]:
     """Build (instance, oracle) from a selector like ``fig3:k=3,c=3`` or
-    ``wlb:M=2``; fixed-realization sources wrap a FixedOracle."""
-    name, args = _parse_kv(spec)
+    ``wlb:M=2``; fixed-realization sources wrap a FixedOracle.  A key the
+    source does not take, or a repeated one, is an InstanceError."""
+    name, _, text = spec.partition(":")
+    if name.strip() not in SOURCES:
+        raise InstanceError(f"unknown source {spec!r}")
+    keys, build = SOURCES[name.strip()]
+    args = _keyed((part for part in text.split(",") if part), keys, f"source {spec!r}")
 
     def arg(key: str, default, cast: Callable = int):
         return parse_number(args[key], key, cast) if key in args else default
 
-    if name == "fig2":
-        instance, realization = gen_fig2_bal_instance()
-        return instance, FixedOracle(instance, realization)
-    if name == "fig3":
-        instance, realization = gen_fig3_overlap_instance(k=arg("k", 3), c=arg("c", 3))
-        return instance, FixedOracle(instance, realization)
-    if name == "random":
-        kind = _PROBLEM_BY_NAME.get(args.get("problem", "minimum"))
-        if kind is None:
-            raise InstanceError(f"unknown problem {args.get('problem')!r}")
-        params = RandomParams(
-            n=arg("n", 10),
-            m=arg("m", 1),
-            k=arg("k", 2),
-            problem=ProblemKind(kind, arg("i", None)),
-            overlap=args.get("overlap", "disjoint"),
-            trivial_prob=arg("triv", 0.15, float),
-        )
-        instance, realization = gen_random(seed, params)
-        return instance, FixedOracle(instance, realization)
-    if name == "fig1-pairs":
-        return sorting_pair_adversary(arg("c", 1), arg("k", 1))
-    if name == "wlb":
-        return minimum_wlb_adversary(arg("M", 2))
-    if name == "additive":
-        return minimum_additive_lb_adversary(arg("m", 2))
-    if name == "selval-lb":
-        return selection_value_lb_adversary(arg("i", 2), arg("k", None))
-    if name == "selfull-lb":
-        return selection_full_lb_adversary(arg("i", 2))
-    raise InstanceError(f"unknown source {spec!r}")
+    return build(arg, seed)
 
 
 ADVERSARY_SOURCES = ("fig1-pairs", "wlb", "additive", "selval-lb", "selfull-lb")
@@ -358,7 +368,7 @@ class SweepEntry:
     alg: str
     source: str
     seeds: Tuple[int, ...]
-    opt_cap: int = 22
+    opt_cap: int = OPT_CAP
 
 
 class SweepError(HarnessError):
@@ -445,12 +455,7 @@ def parse_bench_spec(text: str) -> List[SweepEntry]:
         tokens = line.split()
         if tokens[0] != "sweep":
             raise InstanceError(f"line {line_no}: unknown directive {tokens[0]!r}")
-        fields: Dict[str, str] = {}
-        for tok in tokens[1:]:
-            if "=" not in tok:
-                raise InstanceError(f"line {line_no}: malformed field {tok!r}")
-            key, _, value = tok.partition("=")
-            fields[key] = value
+        fields = _keyed(tokens[1:], ("alg", "source", "seeds", "opt_cap"), f"line {line_no}")
         if "alg" not in fields or "source" not in fields:
             raise InstanceError(f"line {line_no}: sweep needs alg= and source=")
         entries.append(
@@ -458,7 +463,7 @@ def parse_bench_spec(text: str) -> List[SweepEntry]:
                 alg=fields["alg"],
                 source=fields["source"],
                 seeds=parse_seed_range(fields.get("seeds", "0")),
-                opt_cap=parse_number(fields.get("opt_cap", "22"), "opt_cap"),
+                opt_cap=parse_number(fields.get("opt_cap", str(OPT_CAP)), "opt_cap"),
             )
         )
     return entries

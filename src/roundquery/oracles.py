@@ -265,7 +265,7 @@ def _ladder_instance(m: int, k: int, per_set: int) -> Instance:
 
 
 class MinimumWlbAdversary(_PrefixSetAdversary):
-    """m = M^M sets, k = M^{M+1}: forces M rounds while opt_k = 1.
+    """m = M^M sets, k = M^{M+1}: any algorithm needs M rounds while opt_k = 1.
 
     Each round the heaviest-queried active sets are solved until they
     account for (M-1)k/M of the round's queries; at least a 1/M fraction of

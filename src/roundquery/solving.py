@@ -4,12 +4,13 @@ A problem state is solved when the answer is provable from the knowledge
 state alone, without peeking at unqueried values.  The optimum query set
 is computed in closed form for minimum (per set), full selection (the
 containing intervals) and value selection (a count of the elements that
-must leave or join each side of the i-th value), and for sorting by the
-same exact vertex-cover branch and bound that gives `sorting-vc` its
-multi-set cover, closed under the queries that revealed values force.
-Only the sorting optimum is capped.  The subset search in
-`opt1_bruteforce` runs in no report; it is the oracle that the closed
-forms are tested against.
+must leave or join each side of the i-th value).  The sorting optimum is
+the mandatory set M, the intervals that strictly contain a co-set
+element's value, plus a minimum vertex cover of the residual graph, the
+dependency edges with neither end in M, found by the exact branch and
+bound that gives `sorting-vc` its multi-set cover.  Only that residual is
+capped.  The subset search in `opt1_bruteforce` runs in no report; it is
+the oracle that the other optima are tested against.
 
 The minimum and sorting predicates read each set from the knowledge
 state's kept `SetView`: its unpinned members in left-endpoint order and
@@ -66,8 +67,13 @@ from .intervals import (
 )
 
 
+# the default `cap` of `canonical_opt`: the largest sorting residual covered
+OPT_CAP = 22
+
+
 class BruteForceCapError(InstanceError):
-    """Brute-force optimum refused: instance above the configured cap."""
+    """Optimum refused above its cap: the sorting residual's vertex count
+    for `canonical_opt`, n for the `opt1_bruteforce` oracle."""
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -351,20 +357,8 @@ def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
     return sorted(forced)
 
 
-def _closure(base: Iterable[int], forces: Dict[int, FrozenSet[int]]) -> Set[int]:
-    out = set(base)
-    frontier = list(base)
-    while frontier:
-        for e in forces[frontier.pop()]:
-            if e not in out:
-                out.add(e)
-                frontier.append(e)
-    return out
-
-
 def exact_cover(
     edges: Sequence[Tuple[int, int]],
-    forces: Optional[Dict[int, FrozenSet[int]]] = None,
     start: Iterable[int] = (),
     excluded: Iterable[int] = (),
     upper: Optional[int] = None,
@@ -374,20 +368,11 @@ def exact_cover(
     Branch and bound: take the highest-degree open vertex (lowest id on
     ties), first on its own and then as all its open neighbours, and prune
     with the cover size plus a greedy matching of the open edges.  The
-    first minimum found wins.  With `forces`, every partial cover is closed
-    under the implications (picking i picks `forces[i]`); partial covers
-    that touch `excluded`, or whose bound exceeds `upper`, are dropped.
+    first minimum found wins.  Partial covers that touch `excluded`, or
+    whose bound exceeds `upper`, are dropped.
     """
     excluded = frozenset(excluded)
     best: Optional[FrozenSet[int]] = None
-
-    def grow(cover: Set[int], extra: Iterable[int]) -> Optional[Set[int]]:
-        # `cover` is already closed, so only what `extra` forces is new
-        if forces:
-            extra = _closure(extra, forces)
-        if excluded and not excluded.isdisjoint(extra):
-            return None
-        return cover.union(extra)
 
     def matching_bound(cover: Set[int]) -> int:
         used: Set[int] = set()
@@ -417,13 +402,12 @@ def exact_cover(
         u = min(degree, key=lambda v: (-degree[v], v))
         neighbours = {w for e in open_edges if u in e for w in e if w != u}
         for extra in ({u}, neighbours):
-            branch = grow(cover, extra)
-            if branch is not None:
-                search(branch)
+            if excluded.isdisjoint(extra):
+                search(cover | extra)
 
-    root = grow(set(), start)
-    if root is not None:
-        search(root)
+    start = set(start)
+    if excluded.isdisjoint(start):
+        search(start)
     return best
 
 
@@ -534,7 +518,7 @@ class OptReport:
     opt1: int
     opt_set: FrozenSet[int]
     opt_k: int
-    method: str  # closed-form | brute-force (sorting, or the oracle itself)
+    method: str  # closed-form | branch-and-bound | brute-force (oracle)
 
     @staticmethod
     def of(opt_set: Iterable[int], k: int, method: str) -> "OptReport":
@@ -637,66 +621,65 @@ def query_set_feasible(instance: Instance, realization: Realization, ids: Iterab
     return instance_solved(instance, reveal_all(instance, realization, ids))
 
 
-def _sorting_structure(instance: Instance, realization: Realization):
-    """Static dependency edges plus the forced-query implications.
+def sorting_residual(
+    instance: Instance, realization: Realization
+) -> Tuple[FrozenSet[int], Tuple[Tuple[int, int], ...]]:
+    """The mandatory set M of a sorting instance and its residual graph R.
 
-    The edges are those of the untouched instance's dependency graph;
-    `forces[i]` holds the co-set intervals that must be queried once i's
-    value is on the table (the value falls strictly inside them), and the
-    seeds are the intervals that the trivial points force.  Per set, the
-    members whose values lie strictly inside an interval are one slice of
-    the set's value order, found by bisection.
+    An interval b that strictly contains the value of a co-set element a is
+    mandatory: unless b is queried, ordering the pair queries a (or a is a
+    point), and v_a lands inside I_b.  Per set, one bisection per member
+    over the set's sorted values counts the values strictly inside its
+    interval, its own value aside.  R holds the dependency edges of the
+    untouched instance with neither end in M.
     """
-    forcing: Dict[int, Set[int]] = {e: set() for e in instance.ids()}
+    mandatory = set()
     for members in instance.family:
-        order = sorted(members, key=realization.value)  # only the slices' members count
-        values = [realization.value(e) for e in order]
+        values = sorted(realization.value(e) for e in members)
         for b in members:
-            # a trivial interval has an empty interior and an empty slice
+            # a trivial interval has an empty interior
             iv = instance.interval(b)
-            for a in order[bisect_right(values, iv.lower):bisect_left(values, iv.upper)]:
-                if a != b:
-                    forcing[a].add(b)
-    forces = {a: frozenset(bs) for a, bs in forcing.items()}
-    seeds = set()
-    for a in instance.ids():
-        if instance.interval(a).trivial:
-            seeds |= forces[a]
-    return build_dependency_graph(instance, instance.knowledge()).edges, forces, seeds
+            inside = bisect_left(values, iv.upper) - bisect_right(values, iv.lower)
+            if inside > iv.strict_interior(realization.value(b)):
+                mandatory.add(b)
+    edges = build_dependency_graph(instance, instance.knowledge()).edges
+    return frozenset(mandatory), tuple(e for e in edges if e[0] not in mandatory and e[1] not in mandatory)
 
 
-def _opt1_sorting_bruteforce(instance: Instance, realization: Realization) -> FrozenSet[int]:
-    edges, forces, seeds = _sorting_structure(instance, realization)
-    best = exact_cover(edges, forces, start=seeds)
-    assert best is not None  # querying everything non-trivial is always feasible
-    opt = len(best)
-    chosen: set = set()
-    excluded: set = set()
-    for eid in instance.ids():
-        if eid in chosen or eid in excluded or instance.interval(eid).trivial:
-            continue
-        trial = chosen | {eid} | seeds
-        if exact_cover(edges, forces, trial, excluded, upper=opt) is not None:
-            chosen = _closure(trial, forces)
+def opt1_sorting(instance: Instance, realization: Realization, cap: int = OPT_CAP) -> OptReport:
+    """M plus the lexicographically smallest minimum vertex cover of R.
+
+    A query outside M makes no other query necessary, since any interval
+    its value lands strictly inside is in M.  So the feasible sets are M
+    plus the vertex covers of R, and every minimum contains M.  The
+    smallest is M plus the cover that the include/exclude greedy over R's
+    vertices, in ascending order, builds with `exact_cover`.  `cap` bounds
+    R's vertex count.
+    """
+    mandatory, edges = sorting_residual(instance, realization)
+    vertices = sorted({v for e in edges for v in e})
+    if len(vertices) > cap:
+        raise BruteForceCapError(f"sorting residual of {len(vertices)} vertices above cap {cap}")
+    best = exact_cover(edges)
+    assert best is not None  # querying every vertex covers R
+    chosen, excluded = set(), set()  # of R's vertices
+    for v in vertices:
+        if exact_cover(edges, chosen | {v}, excluded, upper=len(best)) is not None:
+            chosen.add(v)
         else:
-            excluded.add(eid)
-    assert len(chosen) == opt
-    return frozenset(chosen)
+            excluded.add(v)
+    assert len(chosen) == len(best)
+    return OptReport.of(mandatory | chosen, instance.k, "branch-and-bound")
 
 
 def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = 22) -> OptReport:
-    """Minimum feasible query set, lexicographically smallest among minima.
-
-    Sorting instances go through `exact_cover` with forced closure; this is
-    the sorting optimum `canonical_opt` reports, so `cap` bounds it.  Every
-    other kind is searched by subset enumeration in cardinality order, which
-    only serves as an oracle for the closed forms.
+    """Minimum feasible query set, lexicographically smallest among minima,
+    by subset enumeration in cardinality order.  No report uses it: it is
+    the oracle that the closed forms and `opt1_sorting` are tested
+    against, and `cap` bounds n.
     """
     if instance.n > cap:
         raise BruteForceCapError(f"n = {instance.n} above brute-force cap {cap}")
-    if instance.problem.kind is SORTING:
-        chosen = _opt1_sorting_bruteforce(instance, realization)
-        return OptReport.of(chosen, instance.k, "brute-force")
     candidates = [e for e in instance.ids() if not instance.interval(e).trivial]
     for size in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
@@ -705,12 +688,13 @@ def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = 22)
     raise InstanceError("no feasible query set; instance is inconsistent")
 
 
-def canonical_opt(instance: Instance, realization: Realization, cap: int = 22) -> OptReport:
+def canonical_opt(instance: Instance, realization: Realization, cap: int = OPT_CAP) -> OptReport:
     """The fixed optimum used for wasted-query accounting.
 
     Always the lexicographically smallest minimum, so wasted counts are
-    deterministic: closed form for minimum and both selection kinds, the
-    sorting branch and bound otherwise.  `cap` bounds n for sorting only.
+    deterministic: closed form for minimum and both selection kinds,
+    `opt1_sorting` for sorting.  `cap` bounds the sorting residual's vertex
+    count only.
     """
     kind = instance.problem.kind
     if kind is MINIMUM:
@@ -719,4 +703,4 @@ def canonical_opt(instance: Instance, realization: Realization, cap: int = 22) -
         return opt1_selection_full(instance, realization)
     if kind is SELECTION_VALUE:
         return opt1_selection_value(instance, realization)
-    return opt1_bruteforce(instance, realization, cap=cap)
+    return opt1_sorting(instance, realization, cap=cap)

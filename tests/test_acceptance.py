@@ -28,6 +28,7 @@ from roundquery.oracles import (
 from roundquery.oracles import sorting_pair_adversary
 from roundquery.reductions import BatchesToRounds, RoundsToBatches, TwoBatchSorting, w, w_inverse
 from roundquery.solving import (
+    canonical_opt,
     ceil_div,
     minimum_solved,
     opt1_bruteforce,
@@ -67,7 +68,7 @@ def test_criterion_1_sorting_ratio():
             _, report = run(alg, inst, oracle, opt_cap=inst.n)
             assert report.opt_k == c
             assert report.alg_rounds == 2 * c
-    # and never worse than 2*opt_k against brute-force optima
+    # and never worse than 2*opt_k against the exact optima
     for seed in range(500):
         n = 4 + seed % 15
         params = RandomParams(
@@ -78,7 +79,7 @@ def test_criterion_1_sorting_ratio():
             overlap="overlap" if seed % 2 else "disjoint",
         )
         inst, r = gen_random(seed, params)
-        opt = opt1_bruteforce(inst, r)
+        opt = canonical_opt(inst, r)
         alg = make_algorithm("sorting-vc", inst)
         _, report = run(alg, inst, FixedOracle(inst, r), opt_report=opt)
         assert report.alg_rounds <= 2 * report.opt_k

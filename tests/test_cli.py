@@ -110,8 +110,24 @@ class TestRun:
         assert code == 0 and err == ""
         assert out.endswith("method closed-form\n")
 
+    def test_sorting_above_the_old_n_cap_runs(self, capsys):
+        code, out, err = invoke(
+            capsys, "run", "--alg", "sorting-matching",
+            "--source", "random:problem=sorting,n=30,m=2,overlap=disjoint",
+        )
+        assert code == 0 and err == ""
+        assert out.endswith("method branch-and-bound\n")
+
 
 class TestVerify:
+    def test_sorting_above_the_old_n_cap_verifies(self, tmp_path, capsys):
+        path = tmp_path / "sorting.rq"
+        invoke(capsys, "generate", "--source", "random:problem=sorting,n=30,m=2,overlap=disjoint", "-o", str(path))
+        code, out, err = invoke(capsys, "verify", "--instance", str(path))
+        assert code == 0 and err == ""
+        assert "n 30\n" in out and "method branch-and-bound\n" in out
+        assert "feasible yes\n" in out and "minimal yes\n" in out
+
     def test_selection_value_above_the_sorting_cap_verifies(self, tmp_path, capsys):
         path = tmp_path / "selval.rq"
         invoke(
@@ -175,15 +191,15 @@ class TestBenchAndTable:
         spec = tmp_path / "spec.rq"
         spec.write_text(
             "sweep alg=bal source=fig2 seeds=0\n"
-            "sweep alg=sorting-matching source=random:problem=sorting,n=30,m=2,overlap=disjoint seeds=0\n"
+            "sweep alg=sorting-matching source=random:problem=sorting,n=8,m=1,overlap=single seeds=2 opt_cap=1\n"
             "sweep alg=bal source=fig2 seeds=1\n"
         )
         out_path = tmp_path / "rows.csv"
         code, out, err = invoke(capsys, "bench", "--spec", str(spec), "-o", str(out_path), "--jobs", jobs)
         assert code == 1 and out == ""
         assert err == (
-            "error: alg=sorting-matching source=random:problem=sorting,n=30,m=2,overlap=disjoint"
-            " seed=0: n = 30 above brute-force cap 22\n"
+            "error: alg=sorting-matching source=random:problem=sorting,n=8,m=1,overlap=single"
+            " seed=2: sorting residual of 2 vertices above cap 1\n"
         )
         lines = out_path.read_text().splitlines()
         assert [line.split(",")[:3] for line in lines[1:]] == [["fig2", "bal", "0"], ["fig2", "bal", "1"]]
@@ -249,6 +265,27 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "run", "--alg", "bal", "--source", source)
         assert code == 1
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "random:problem=minimum,n=6,m=2,k=2,overlap=overlap,tirv=0.5",
+            "fig2:x=1",
+            "random:problem=minimum,n=5,n=9,m=2",
+        ],
+    )
+    def test_unknown_or_repeated_source_key_is_one_error_line(self, capsys, source):
+        code, out, err = invoke(capsys, "run", "--alg", "bal", "--source", source)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["seed=3", "seeds=0 seeds=1"])
+    def test_unknown_or_repeated_sweep_key_is_one_error_line(self, tmp_path, capsys, field):
+        spec = tmp_path / "spec.rq"
+        spec.write_text(f"sweep alg=bal source=fig2 {field}\n")
+        code, out, err = invoke(capsys, "bench", "--spec", str(spec))
+        assert code == 1
+        assert out == "" and err.startswith("error: line 1:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("field", ["seeds=0..x", "seeds=y..3", "seeds=", "seeds=5..3", "opt_cap=x"])
     def test_bad_bench_number_is_one_error_line(self, tmp_path, capsys, field):

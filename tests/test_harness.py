@@ -243,6 +243,23 @@ class TestSources:
         with pytest.raises(InstanceError):
             resolve_source("random:problem=guessing")
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("random:n=6,tirv=0.5", "source 'random:n=6,tirv=0.5': unknown key 'tirv'"
+             " (allowed: problem, n, m, k, i, overlap, triv)"),
+            ("random:problem=minimum,n=5,n=9,m=2", "source 'random:problem=minimum,n=5,n=9,m=2': repeated key 'n'"
+             " (allowed: problem, n, m, k, i, overlap, triv)"),
+            ("fig2:x=1", "source 'fig2:x=1': unknown key 'x' (allowed: none)"),
+            ("fig3:k=3,M=2", "source 'fig3:k=3,M=2': unknown key 'M' (allowed: k, c)"),
+            ("wlb:m=2", "source 'wlb:m=2': unknown key 'm' (allowed: M)"),
+        ],
+    )
+    def test_unknown_or_repeated_key_is_named_with_the_allowed_keys(self, spec, message):
+        with pytest.raises(InstanceError) as caught:
+            resolve_source(spec)
+        assert str(caught.value) == message
+
     def test_seed_ranges(self):
         assert parse_seed_range("4") == (4,)
         assert parse_seed_range("2..5") == (2, 3, 4, 5)
@@ -324,3 +341,7 @@ class TestSweep:
             parse_bench_spec("sweep alg=bal\n")
         with pytest.raises(InstanceError):
             parse_bench_spec("swoop alg=bal source=fig2\n")
+        for line, problem in (("seed=3", "unknown key 'seed'"), ("seeds=1 seeds=2", "repeated key 'seeds'")):
+            with pytest.raises(InstanceError) as caught:
+                parse_bench_spec(f"sweep alg=bal source=fig2 {line}\n")
+            assert str(caught.value) == f"line 1: {problem} (allowed: alg, source, seeds, opt_cap)"

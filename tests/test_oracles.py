@@ -17,8 +17,8 @@ from roundquery.oracles import (
     sorting_pair_adversary,
 )
 from roundquery.solving import (
+    canonical_opt,
     ceil_div,
-    opt1_bruteforce,
     opt1_minimum,
     opt1_selection_full,
 )
@@ -66,19 +66,19 @@ class TestSortingPairs:
         a2 = oracle.answer_round([2])
         assert not inst.interval(1).strict_interior(a2[2])
         r = oracle.check_finalize()
-        assert opt1_bruteforce(inst, r).opt1 == 1
+        assert canonical_opt(inst, r).opt1 == 1
 
     def test_both_in_one_round_costs_the_optimum_two(self):
         inst, oracle = sorting_pair_adversary(1, 1)
         answers = oracle.answer_round([1, 2])  # the whole pair at once
         assert inst.interval(2).strict_interior(answers[1])
         assert inst.interval(1).strict_interior(answers[2])
-        assert opt1_bruteforce(inst, oracle.check_finalize()).opt1 == 2
+        assert canonical_opt(inst, oracle.check_finalize()).opt1 == 2
 
     def test_unqueried_pairs_finalize_to_single_query_optima(self):
         inst, oracle = sorting_pair_adversary(3, 2)  # k*c = 6 pairs
         r = oracle.check_finalize()
-        report = opt1_bruteforce(inst, r, cap=inst.n)
+        report = canonical_opt(inst, r)
         assert report.opt1 == 6  # one query per pair
         assert report.opt_k == 3
 

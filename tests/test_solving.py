@@ -1,6 +1,6 @@
 """Solvedness checkers and the exact optima, cross-validated both ways:
-closed forms against subset enumeration, and the sorting branch-and-bound
-against an independent power-set search written here.  The sweeps, kept
+closed forms and the sorting optimum (its mandatory set plus a residual
+cover) against the subset search of `opt1_bruteforce`.  The sweeps, kept
 cut lists and kept per-set views behind the predicates are checked
 against their all-pairs, full-sort and full-scan definitions, also
 written here, and the kept views against a state built after the fact."""
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from roundquery.harness import resolve_source
 from roundquery.instances import (
     InstanceError,
     MINIMUM,
@@ -38,9 +39,10 @@ from roundquery.intervals import (
 )
 from roundquery.oracles import selection_full_lb_adversary, selection_value_lb_adversary
 from roundquery.solving import (
-    _sorting_structure,
+    BruteForceCapError,
     build_dependency_graph,
     canonical_opt,
+    exact_cover,
     extract_certificate,
     forced_queries,
     instance_solved,
@@ -56,6 +58,7 @@ from roundquery.solving import (
     selection_categories,
     selection_solved,
     selection_value_pinned,
+    sorting_residual,
     sorting_solved,
     target_area,
     verify_certificate,
@@ -175,10 +178,10 @@ def _admissible_value(draw, interval):
 
 
 @st.composite
-def _sorting_run(draw):
+def _sorting_run(draw, max_n=10):
     """A sorting instance on 1-3 overlapping sets, a realization, and the
     order in which some of its non-trivial elements are revealed."""
-    elements = draw(st.lists(_interval(), min_size=1, max_size=10))
+    elements = draw(st.lists(_interval(), min_size=1, max_size=max_n))
     ids = list(range(1, len(elements) + 1))
     family = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, unique=True), min_size=1, max_size=3))
     inst = make_instance(elements, family, ProblemKind(SORTING), 2)
@@ -254,12 +257,13 @@ class TestSweepsMatchAllPairs:
 
     @given(run=_sorting_run())
     def test_sorting_structure(self, run):
+        # M: the intervals some co-set value falls strictly inside; R: the
+        # untouched instance's dependent pairs with neither end in M
         inst, r, _ = run
-        edges, forces, seeds = _sorting_structure(inst, r)
-        expected = _co_set_forces(inst, r)
-        assert forces == expected
-        assert seeds == {b for a in inst.ids() if inst.interval(a).trivial for b in expected[a]}
-        assert edges == _all_pairs_edges(inst, inst.knowledge())
+        mandatory, residual = sorting_residual(inst, r)
+        assert mandatory == {b for forced in _co_set_forces(inst, r).values() for b in forced}
+        edges = _all_pairs_edges(inst, inst.knowledge())
+        assert residual == tuple(e for e in edges if mandatory.isdisjoint(e))
 
     @given(run=_sorting_run(), data=st.data())
     def test_kept_cut_lists(self, run, data):
@@ -606,14 +610,27 @@ class TestOptSelectionValue:
         assert canonical_opt(inst, r) == closed
 
 
-def _enumerate_sorting_opt(inst, r):
-    """Independent oracle: plain power-set search in cardinality order."""
-    candidates = [e for e in inst.ids() if not inst.interval(e).trivial]
-    for size in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if query_set_feasible(inst, r, combo):
-                return frozenset(combo)
-    raise AssertionError("no feasible set")
+_PAIRS = list(itertools.combinations(range(1, 8), 2))
+
+
+class TestExactCover:
+    @given(data=st.data())
+    def test_constrained_cover_matches_enumeration(self, data):
+        edges = sorted(data.draw(st.lists(st.sampled_from(_PAIRS), unique=True, max_size=12)))
+        start = data.draw(st.sets(st.integers(1, 7), max_size=3))
+        excluded = data.draw(st.sets(st.integers(1, 7), max_size=3))
+        upper = data.draw(st.none() | st.integers(0, 7))
+        valid = [
+            set(c)
+            for size in range(8)
+            for c in itertools.combinations(range(1, 8), size)
+            if start <= set(c) and excluded.isdisjoint(c) and all(a in c or b in c for a, b in edges)
+        ]
+        cover = exact_cover(edges, start, excluded, upper)
+        if not valid or (upper is not None and len(valid[0]) > upper):
+            assert cover is None
+        else:
+            assert cover in valid and len(cover) == len(valid[0])
 
 
 class TestOptSorting:
@@ -624,15 +641,15 @@ class TestOptSorting:
             [iv("[0,2]"), iv("[1,3]")], [[1, 2]], ProblemKind(SORTING), 1
         )
         r = Realization({1: Fraction(1, 2), 2: Fraction(5, 2)})
-        report = opt1_bruteforce(inst, r)
-        assert report.opt1 == 1 and report.opt_set == {1}
+        report = canonical_opt(inst, r)
+        assert report.opt1 == 1 and report.opt_set == {1} and report.method == "branch-and-bound"
 
     def test_fig1c_needs_both(self):
         inst = make_instance(
             [iv("[0,2]"), iv("[1,3]")], [[1, 2]], ProblemKind(SORTING), 1
         )
         r = Realization({1: Fraction(8, 5), 2: Fraction(7, 5)})
-        assert opt1_bruteforce(inst, r).opt1 == 2
+        assert canonical_opt(inst, r).opt1 == 2
 
     @pytest.mark.parametrize("seed", range(30))
     def test_branch_and_bound_equals_enumeration(self, seed):
@@ -644,7 +661,39 @@ class TestOptSorting:
             overlap="overlap" if seed % 3 else "disjoint",
         )
         inst, r = gen_random(seed, params)
-        assert opt1_bruteforce(inst, r).opt_set == _enumerate_sorting_opt(inst, r)
+        assert canonical_opt(inst, r).opt_set == opt1_bruteforce(inst, r).opt_set
+
+    @given(run=_sorting_run(max_n=8))
+    def test_optimum_equals_subset_search(self, run):
+        inst, r, _ = run
+        report, brute = canonical_opt(inst, r), opt1_bruteforce(inst, r)
+        assert (report.opt_set, report.opt1, report.opt_k) == (brute.opt_set, brute.opt1, brute.opt_k)
+
+    @given(run=_sorting_run())
+    def test_every_feasible_set_holds_the_mandatory_set(self, run):
+        inst, r, _ = run
+        mandatory, _ = sorting_residual(inst, r)
+        candidates = [e for e in inst.ids() if not inst.interval(e).trivial]
+        for size in range(len(candidates) + 1):
+            for combo in itertools.combinations(candidates, size):
+                if query_set_feasible(inst, r, combo):
+                    assert mandatory <= set(combo)
+
+    def test_large_instance_under_the_default_cap(self):
+        # |M| is in the hundreds and R is small, so the default cap holds
+        inst, oracle = resolve_source("random:problem=sorting,n=2000,m=3,k=8,overlap=overlap", 0)
+        r = oracle.check_finalize()
+        report = canonical_opt(inst, r)
+        assert report.method == "branch-and-bound"
+        assert query_set_feasible(inst, r, report.opt_set)
+
+    def test_cap_bounds_the_residual(self):
+        inst, oracle = resolve_source("random:problem=sorting,n=8,m=1,overlap=single", 2)
+        r = oracle.check_finalize()
+        assert sorting_residual(inst, r) == ({2, 3, 4}, ((5, 8),))
+        assert canonical_opt(inst, r, cap=2).opt_set == {2, 3, 4, 5}
+        with pytest.raises(BruteForceCapError, match="^sorting residual of 2 vertices above cap 1$"):
+            canonical_opt(inst, r, cap=1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_certificate_verifies_after_querying_the_optimum(self, seed):
