@@ -85,6 +85,7 @@ from .solving import (
     BruteForceCapError,
     OptReport,
     SolutionCertificate,
+    TruthRecord,
     canonical_opt,
     extract_certificate,
     instance_solved,
@@ -101,6 +102,7 @@ from .solving import (
     selection_value_pinned,
     sorting_solved,
     target_area,
+    truth_record,
     verify_certificate,
 )
 

@@ -47,6 +47,7 @@ from .solving import (
     extract_certificate,
     instance_solved,  # unused here; kept for perfbench's tracer, which patches it here
     set_solved,
+    truth_record,
     verify_certificate,
 )
 
@@ -139,6 +140,18 @@ def _check_round(instance: Instance, knowledge: KnowledgeState, picked: List[int
             raise HarnessError(f"round queries trivial element {e}")
 
 
+def _audit(
+    instance: Instance, knowledge: KnowledgeState, oracle: ValueOracle, opt_cap: int, opt_report: Optional[OptReport]
+) -> Tuple[Realization, OptReport]:
+    """Finalize the oracle, re-verify the certificate and take the canonical
+    optimum unless one is given, both audits reading one `TruthRecord`."""
+    realization = oracle.check_finalize()
+    truth = truth_record(instance, realization)
+    verify_certificate(instance, knowledge, extract_certificate(instance, knowledge), truth)
+    opt = opt_report if opt_report is not None else canonical_opt(instance, truth, cap=opt_cap)
+    return realization, opt
+
+
 def run(
     alg,
     instance: Instance,
@@ -168,10 +181,7 @@ def run(
             knowledge.reveal(e, answers[e])
         rounds.append((tuple(picked), tuple(answers[e] for e in picked)))
         sets.update(picked, len(rounds))
-    realization = oracle.check_finalize()
-    verify_certificate(instance, knowledge, extract_certificate(instance, knowledge), realization)
-
-    opt = opt_report if opt_report is not None else canonical_opt(instance, realization, cap=opt_cap)
+    realization, opt = _audit(instance, knowledge, oracle, opt_cap, opt_report)
     queried = [e for ids, _ in rounds for e in ids]
     useful = len(set(queried) & opt.opt_set)
     wasted = len(queried) - useful
@@ -265,9 +275,7 @@ def run_batches(
             knowledge.reveal(e, answers[e])
         batches.append(tuple(picked))
         sets.update(picked, len(batches))
-    realization = oracle.check_finalize()
-    verify_certificate(instance, knowledge, extract_certificate(instance, knowledge), realization)
-    opt = opt_report if opt_report is not None else canonical_opt(instance, realization, cap=opt_cap)
+    _, opt = _audit(instance, knowledge, oracle, opt_cap, opt_report)
     queries = sum(len(b) for b in batches)
     ratio = Fraction(queries, opt.opt1) if opt.opt1 else Fraction(1)
     return batches, BatchReport(len(batches), queries, opt.opt1, ratio)

@@ -94,14 +94,11 @@ class UncertainInterval:
         return self.lower
 
     def contains(self, v: Fraction) -> bool:
-        """Membership respecting endpoint openness."""
-        if v < self.lower or v > self.upper:
+        """Membership respecting endpoint openness: one comparison per
+        endpoint, weak at a closed one and strict at an open one."""
+        if not (self.lower <= v if self.lower_kind is CLOSED else self.lower < v):
             return False
-        if v == self.lower and self.lower_kind is OPEN:
-            return False
-        if v == self.upper and self.upper_kind is OPEN:
-            return False
-        return True
+        return v <= self.upper if self.upper_kind is CLOSED else v < self.upper
 
     def strict_interior(self, v: Fraction) -> bool:
         return self.lower < v < self.upper

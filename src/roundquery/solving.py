@@ -28,9 +28,11 @@ Orders by endpoint, such as the sorting certificate's, come from
 `Fraction`s.  Every comparison is exact in `Fraction`s; the kept
 positions only index that exact order.
 
-The certificate check and the offline optima read no kept structure:
-they scan the states and the realization afresh, so they audit what the
-kept views decide rather than repeat it.
+The certificate check and the offline optima share one `TruthRecord` per
+run, each set's true minimum or the true i-th value, so neither recomputes
+them.  It is built from the instance and the finalized realization alone,
+reading no `KnowledgeState`, `SetView` or cut list, so the audits check
+what the kept views decide rather than repeat it.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .instances import (
     Instance,
@@ -69,6 +71,8 @@ from .intervals import (
 
 # the default `cap` of `canonical_opt`: the largest sorting residual covered
 OPT_CAP = 22
+# the default `cap` of `opt1_bruteforce`: it bounds n, not the sorting residual
+BRUTE_FORCE_CAP = 22
 
 
 class BruteForceCapError(InstanceError):
@@ -412,7 +416,30 @@ def exact_cover(
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# the truth record and certificates
+
+
+@dataclass(frozen=True)
+class TruthRecord:
+    """A realization plus what its instance's kind asks of it, computed
+    once: each set's true minimum (minimum) or the true i-th value (both
+    selection kinds)."""
+
+    realization: Realization
+    minima: Tuple[Fraction, ...] = ()
+    rank_value: Optional[Fraction] = None
+
+
+def truth_record(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
+    """The record of `realization` for `instance`; a record is returned as is."""
+    if isinstance(realization, TruthRecord):
+        return realization
+    value = realization.values.__getitem__
+    if instance.problem.kind is MINIMUM:
+        return TruthRecord(realization, minima=tuple(min(map(value, members)) for members in instance.family))
+    if instance.problem.is_selection:
+        return TruthRecord(realization, rank_value=sorted(map(value, instance.ids()))[instance.problem.rank - 1])
+    return TruthRecord(realization)
 
 
 @dataclass(frozen=True)
@@ -456,13 +483,14 @@ def verify_certificate(
     instance: Instance,
     knowledge: KnowledgeState,
     cert: SolutionCertificate,
-    realization: Optional[Realization] = None,
+    realization: Union[Realization, TruthRecord, None] = None,
 ) -> None:
     """Raise unless the certificate is provable from knowledge (and, when a
-    realization is supplied, true under it)."""
+    realization or its `TruthRecord` is supplied, true under it)."""
     kind = instance.problem.kind
     if cert.problem is not kind:
         raise InstanceError("certificate problem kind mismatch")
+    truth = None if realization is None else truth_record(instance, realization)
     if kind is SORTING:
         assert cert.orders is not None
         for members, order in zip(instance.family, cert.orders):
@@ -471,12 +499,12 @@ def verify_certificate(
             for a, b in zip(order, order[1:]):
                 if not order_provable(knowledge.state(a), knowledge.state(b)):
                     raise InstanceError(f"order of {a} before {b} is not provable")
-                if realization is not None and realization.value(a) > realization.value(b):
+                if truth is not None and truth.realization.value(a) > truth.realization.value(b):
                     raise InstanceError(f"order of {a} before {b} contradicts the realization")
         return
     if kind is MINIMUM:
         assert cert.minima is not None
-        for members, (holder, v) in zip(instance.family, cert.minima):
+        for i, (members, (holder, v)) in enumerate(zip(instance.family, cert.minima)):
             if holder not in members or knowledge.known_value(holder) != v:
                 raise InstanceError("claimed minimum is not a known value of the set")
             for e in members:
@@ -486,16 +514,14 @@ def verify_certificate(
                         raise InstanceError("a known value undercuts the claimed minimum")
                 elif knowledge.state(e).lower < v:
                     raise InstanceError("an unqueried element could undercut the claimed minimum")
-            if realization is not None and min(realization.value(e) for e in members) != v:
+            if truth is not None and truth.minima[i] != v:
                 raise InstanceError("claimed minimum contradicts the realization")
         return
     pinned = selection_value_pinned(instance, knowledge)
     if pinned is None or pinned != cert.value:
         raise InstanceError("selection value is not pinned to the claimed value")
-    if realization is not None:
-        values = sorted(realization.value(e) for e in instance.ids())
-        if values[instance.problem.rank - 1] != cert.value:
-            raise InstanceError("selection value contradicts the realization")
+    if truth is not None and truth.rank_value != cert.value:
+        raise InstanceError("selection value contradicts the realization")
     if kind is SELECTION_FULL:
         assert cert.equal_ids is not None
         if selection_containers(instance, knowledge, cert.value):
@@ -503,9 +529,9 @@ def verify_certificate(
         expected = frozenset(e for e in instance.ids() if knowledge.known_value(e) == cert.value)
         if cert.equal_ids != expected:
             raise InstanceError("claimed equal-value elements do not match knowledge")
-        if realization is not None:
-            truth = frozenset(e for e in instance.ids() if realization.value(e) == cert.value)
-            if cert.equal_ids != truth:
+        if truth is not None:
+            equal = frozenset(e for e in instance.ids() if truth.realization.value(e) == cert.value)
+            if cert.equal_ids != equal:
                 raise InstanceError("equal-value elements contradict the realization")
 
 
@@ -526,27 +552,21 @@ class OptReport:
         return OptReport(len(chosen), chosen, ceil_div(len(chosen), k), method)
 
 
-def opt1_minimum(instance: Instance, realization: Realization) -> OptReport:
+def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
     """Per set: every non-trivial interval whose lower endpoint is strictly
     below the set's true minimum (this includes the minimum's own interval)."""
-    chosen = set()
-    for members in instance.family:
-        v_star = min(realization.value(e) for e in members)
+    elements, chosen = instance.elements, set()
+    for members, v_star in zip(instance.family, truth_record(instance, realization).minima):
         for e in members:
-            iv = instance.interval(e)
+            iv = elements[e - 1]
             if not iv.trivial and iv.lower < v_star:
                 chosen.add(e)
     return OptReport.of(chosen, instance.k, "closed-form")
 
 
-def opt1_selection_full(instance: Instance, realization: Realization) -> OptReport:
-    values = sorted(realization.value(e) for e in instance.ids())
-    v_star = values[instance.problem.rank - 1]
-    chosen = [
-        e
-        for e in instance.ids()
-        if not instance.interval(e).trivial and instance.interval(e).contains(v_star)
-    ]
+def opt1_selection_full(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
+    v_star = truth_record(instance, realization).rank_value
+    chosen = [e for e, iv in enumerate(instance.elements, 1) if not iv.trivial and iv.contains(v_star)]
     return OptReport.of(chosen, instance.k, "closed-form")
 
 
@@ -563,7 +583,7 @@ def _selection_value_cost(need_a: int, need_b: int, pools: Counter) -> Optional[
     return x + max(0, need_a - x) + max(0, need_b - x)
 
 
-def opt1_selection_value(instance: Instance, realization: Realization) -> OptReport:
+def opt1_selection_value(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
     """Counting form of the value-selection optimum.
 
     With v* the true i-th value, let A count the elements whose lower
@@ -577,17 +597,17 @@ def opt1_selection_value(instance: Instance, realization: Realization) -> OptRep
     and keeping each one that still completes to the optimum size.
     """
     rank = instance.problem.rank
-    v_star = sorted(realization.value(e) for e in instance.ids())[rank - 1]
+    truth = truth_record(instance, realization)
+    v_star, value = truth.rank_value, truth.realization.values.__getitem__
     below = settled = 0
     effect: Dict[int, Tuple[bool, bool]] = {}
-    for e in instance.ids():
-        iv = instance.interval(e)
+    for e, iv in enumerate(instance.elements, 1):
         in_a, in_b = iv.lower < v_star, iv.upper <= v_star
         below += in_a
         settled += in_b
         if iv.trivial:
             continue
-        v = realization.value(e)
+        v = value(e)
         leaves_a, joins_b = in_a and v >= v_star, not in_b and v <= v_star
         if leaves_a or joins_b:
             effect[e] = (leaves_a, joins_b)
@@ -672,7 +692,7 @@ def opt1_sorting(instance: Instance, realization: Realization, cap: int = OPT_CA
     return OptReport.of(mandatory | chosen, instance.k, "branch-and-bound")
 
 
-def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = 22) -> OptReport:
+def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = BRUTE_FORCE_CAP) -> OptReport:
     """Minimum feasible query set, lexicographically smallest among minima,
     by subset enumeration in cardinality order.  No report uses it: it is
     the oracle that the closed forms and `opt1_sorting` are tested
@@ -688,13 +708,13 @@ def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = 22)
     raise InstanceError("no feasible query set; instance is inconsistent")
 
 
-def canonical_opt(instance: Instance, realization: Realization, cap: int = OPT_CAP) -> OptReport:
+def canonical_opt(instance: Instance, realization: Union[Realization, TruthRecord], cap: int = OPT_CAP) -> OptReport:
     """The fixed optimum used for wasted-query accounting.
 
     Always the lexicographically smallest minimum, so wasted counts are
     deterministic: closed form for minimum and both selection kinds,
     `opt1_sorting` for sorting.  `cap` bounds the sorting residual's vertex
-    count only.
+    count only.  `realization` may be its prebuilt `TruthRecord`.
     """
     kind = instance.problem.kind
     if kind is MINIMUM:
@@ -703,4 +723,4 @@ def canonical_opt(instance: Instance, realization: Realization, cap: int = OPT_C
         return opt1_selection_full(instance, realization)
     if kind is SELECTION_VALUE:
         return opt1_selection_value(instance, realization)
-    return opt1_sorting(instance, realization, cap=cap)
+    return opt1_sorting(instance, truth_record(instance, realization).realization, cap=cap)

@@ -1,5 +1,6 @@
 """Core interval predicates: membership, dependency, endpoint orders."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,40 @@ class TestContains:
     def test_half_open(self):
         assert iv("(1,3]").contains(Fraction(3))
         assert not iv("[1,3)").contains(Fraction(3))
+
+    @given(lo=rationals(), width=st.integers(0, 8), nudge=st.integers(1, 5))
+    def test_agrees_with_the_four_comparison_test(self, lo, width, nudge):
+        """Every endpoint-kind combination (the trivial point when the width
+        is 0), probed below, at, strictly between and above both endpoints."""
+        for kinds in itertools.product((CLOSED, OPEN), repeat=2):
+            if width == 0:
+                state = UncertainInterval.point(lo)
+            else:
+                state = UncertainInterval(lo, kinds[0], lo + Fraction(width, 2), kinds[1])
+            eps = Fraction(1, 4 * nudge)
+            probes = (
+                state.lower - nudge,
+                state.lower - eps,
+                state.lower,
+                state.lower + (state.upper - state.lower) * Fraction(nudge, 6),
+                state.upper,
+                state.upper + eps,
+                state.upper + nudge,
+            )
+            for v in probes:
+                assert state.contains(v) is contains_by_four_comparisons(state, v), (state.text(), v)
+
+
+def contains_by_four_comparisons(state, v):
+    """Reference membership test: both bounds by strict comparisons, then
+    an equality test at each open end."""
+    if v < state.lower or v > state.upper:
+        return False
+    if v == state.lower and state.lower_kind is OPEN:
+        return False
+    if v == state.upper and state.upper_kind is OPEN:
+        return False
+    return True
 
 
 class TestDependent:

@@ -61,6 +61,7 @@ from roundquery.solving import (
     sorting_residual,
     sorting_solved,
     target_area,
+    truth_record,
     verify_certificate,
 )
 
@@ -704,3 +705,69 @@ class TestOptSorting:
         assert instance_solved(inst, knowledge)
         cert = extract_certificate(inst, knowledge)
         verify_certificate(inst, knowledge, cert, r)
+
+
+def _random_case(kind, seed):
+    """A random instance of `kind` with n 4-40 and its realization."""
+    n = 4 + seed % 37
+    selection = kind in (SELECTION_FULL, SELECTION_VALUE)
+    params = RandomParams(
+        n=n,
+        m=1 if selection else 1 + seed % 5,
+        k=1 + seed % 4,
+        problem=ProblemKind(kind, rank=1 + (7 * seed) % n if selection else None),
+        overlap=("overlap", "disjoint")[seed % 2],
+        trivial_prob=(0.0, 0.15, 0.5)[seed % 3],
+    )
+    return gen_random(seed, params)
+
+
+_ALL_KINDS = (MINIMUM, SORTING, SELECTION_FULL, SELECTION_VALUE)
+
+
+class TestTruthRecord:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kind", _ALL_KINDS)
+    def test_record_equals_a_naive_recomputation(self, kind, seed):
+        inst, r = _random_case(kind, seed)
+        record = truth_record(inst, r)
+        assert record.realization is r and truth_record(inst, record) is record
+        naive_minima = tuple(min(r.value(e) for e in members) for members in inst.family)
+        assert record.minima == (naive_minima if kind is MINIMUM else ())
+        if inst.problem.is_selection:
+            assert record.rank_value == sorted(r.value(e) for e in inst.ids())[inst.problem.rank - 1]
+        else:
+            assert record.rank_value is None
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kind", _ALL_KINDS)
+    def test_optimum_is_the_same_from_a_prebuilt_record(self, kind, seed):
+        inst, r = _random_case(kind, seed)
+        assert canonical_opt(inst, truth_record(inst, r)) == canonical_opt(inst, r)
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    def test_minimum_contradicted_by_the_realization(self, prebuilt):
+        inst = make_instance([iv("(0,4)"), iv("(2,6)")], [[1, 2]], ProblemKind(MINIMUM), 1)
+        knowledge = knowledge_of(inst.elements, [(1, 1)])
+        cert = extract_certificate(inst, knowledge)
+        good, bad = Realization({1: Fraction(1), 2: Fraction(5)}), Realization({1: Fraction(3), 2: Fraction(5)})
+        if prebuilt:
+            good, bad = truth_record(inst, good), truth_record(inst, bad)
+        verify_certificate(inst, knowledge, cert, good)
+        with pytest.raises(InstanceError, match="^claimed minimum contradicts the realization$"):
+            verify_certificate(inst, knowledge, cert, bad)
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    @pytest.mark.parametrize("kind", [SELECTION_FULL, SELECTION_VALUE])
+    def test_selection_value_contradicted_by_the_realization(self, kind, prebuilt):
+        elements = [iv("[0,1]"), iv("[2,3]"), iv("[4,5]")]
+        inst = make_instance(elements, [[1, 2, 3]], ProblemKind(kind, rank=2), 1)
+        knowledge = knowledge_of(elements, [(2, Fraction(5, 2))])
+        cert = extract_certificate(inst, knowledge)
+        good = Realization({1: Fraction(1, 2), 2: Fraction(5, 2), 3: Fraction(9, 2)})
+        bad = Realization({1: Fraction(1, 2), 2: Fraction(2), 3: Fraction(9, 2)})
+        if prebuilt:
+            good, bad = truth_record(inst, good), truth_record(inst, bad)
+        verify_certificate(inst, knowledge, cert, good)
+        with pytest.raises(InstanceError, match="^selection value contradicts the realization$"):
+            verify_certificate(inst, knowledge, cert, bad)
