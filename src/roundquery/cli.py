@@ -13,13 +13,14 @@ import io
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from .algorithms import AlgorithmError, algorithm_names, make_algorithm
 from .harness import (
     ADVERSARY_SOURCES,
     RUN_ERRORS,
     SweepError,
+    _keyed,
     parse_bench_spec,
     parse_number,
     resolve_source,
@@ -50,10 +51,13 @@ BATCH_ALGORITHMS = {
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _write(path: str, payload: str) -> None:
@@ -101,23 +105,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _keyed_value(token: str, key: str, cast: Callable = int):
-    if token.startswith(key + "="):
-        return parse_number(token[len(key) + 1 :], key, cast)
-    raise InstanceError(f"expected {key}=<value>, got {token!r}")
-
-
 def cmd_run(args) -> int:
     instance, oracle = _load_run_target(args)
     if args.as_rounds is not None:
         if args.alg not in BATCH_ALGORITHMS:
             raise AlgorithmError(f"--as-rounds expects a batch algorithm: {sorted(BATCH_ALGORITHMS)}")
-        instance = replace(instance, k=_keyed_value(args.as_rounds, "k"))
+        k = _keyed([args.as_rounds], ("k",), "--as-rounds")["k"]
+        instance = replace(instance, k=parse_number(k, "k"))
         instance.validate()
         alg = BatchesToRounds(BATCH_ALGORITHMS[args.alg]())
     elif args.as_batches is not None:
-        r = _keyed_value(args.as_batches[0], "r")
-        alpha = _keyed_value(args.as_batches[1], "alpha", Fraction)
+        fields = _keyed(args.as_batches, ("r", "alpha"), "--as-batches")
+        r = parse_number(fields["r"], "r")
+        alpha = parse_number(fields["alpha"], "alpha", Fraction)
         batch_alg = RoundsToBatches(
             lambda sized: make_algorithm(args.alg, sized), alpha, r, instance.n
         )
@@ -180,7 +180,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = list(csv.reader(io.StringIO(_read(args.csv))))
+    reader = csv.reader(io.StringIO(_read(args.csv)))
+    rows: List[List[str]] = []
+    for row in reader:
+        if rows and len(row) != len(rows[0]):
+            raise InstanceError(f"line {reader.line_num}: {len(row)} fields, the header has {len(rows[0])}")
+        rows.append(row)
     if not rows:
         return 0
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]

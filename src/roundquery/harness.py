@@ -4,6 +4,7 @@ One run: ask the algorithm for a round, hand the whole round to the
 oracle, fold the answers into the knowledge state, and repeat until the
 instance is provably solved.  Answers reach the algorithm only at round
 boundaries; that is the information contract of the round model.  The
+batch model runs through the same loop with rounds as wide as n.  The
 report compares the run against the canonical fixed optimum.
 """
 
@@ -14,7 +15,7 @@ import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 from .algorithms import AlgorithmError, make_algorithm
 from .instances import (
@@ -60,9 +61,12 @@ class HarnessError(RuntimeError):
 RUN_ERRORS = (InstanceError, IntervalError, AlgorithmError, OracleError, HarnessError)
 
 
+Round = Tuple[Tuple[int, ...], Tuple[Fraction, ...]]  # the ids of one round and their answers
+
+
 @dataclass(frozen=True)
 class RoundTrace:
-    rounds: Tuple[Tuple[Tuple[int, ...], Tuple[Fraction, ...]], ...]
+    rounds: Tuple[Round, ...]
     final_realization: Realization
     solved_at: Tuple[int, ...]  # per set: first round index after which solved
 
@@ -140,51 +144,40 @@ def _check_round(instance: Instance, knowledge: KnowledgeState, picked: List[int
             raise HarnessError(f"round queries trivial element {e}")
 
 
-def _audit(
-    instance: Instance, knowledge: KnowledgeState, oracle: ValueOracle, opt_cap: int, opt_report: Optional[OptReport]
-) -> Tuple[Realization, OptReport]:
-    """Finalize the oracle, re-verify the certificate and take the canonical
-    optimum unless one is given, both audits reading one `TruthRecord`."""
-    realization = oracle.check_finalize()
-    truth = truth_record(instance, realization)
-    verify_certificate(instance, knowledge, extract_certificate(instance, knowledge), truth)
-    opt = opt_report if opt_report is not None else canonical_opt(instance, truth, cap=opt_cap)
-    return realization, opt
+def _drive(
+    ask: Callable, instance: Instance, oracle: ValueOracle, width: int, opt_cap: int
+) -> Tuple[List[Round], Tuple[int, ...], Realization, OptReport]:
+    """The run loop of both models: while a set is open, ask for at most
+    `width` ids, check them, have the oracle answer and reveal the answers.
+    Then finalize the oracle, re-verify the certificate and take the
+    canonical optimum, both audits reading one `TruthRecord`.
 
-
-def run(
-    alg,
-    instance: Instance,
-    oracle: ValueOracle,
-    opt_cap: int = OPT_CAP,
-    opt_report: Optional[OptReport] = None,
-    max_rounds: Optional[int] = None,
-) -> Tuple[RoundTrace, RunReport]:
-    """Run one trial to provable solvedness and audit everything.
-
-    Asks `alg.next_round(instance, knowledge, open_sets)` only while some
-    set is unsolved.  Raises if a round fails `_check_round` or the oracle
-    answers inconsistently.  The extracted solution certificate is
-    re-verified against the finalized realization on every run.
-    """
+    Each accepted round reveals a new non-trivial element, so a run ends
+    within n rounds; a stalling algorithm fails `_check_round` instead."""
     knowledge = instance.knowledge()
-    limit = max_rounds if max_rounds is not None else 4 * instance.n + 8
-    rounds: List[Tuple[Tuple[int, ...], Tuple[Fraction, ...]]] = []
+    rounds: List[Round] = []
     sets = _OpenSets(instance, knowledge)
     while sets.open:
-        if len(rounds) >= limit:
-            raise HarnessError(f"no progress after {limit} rounds")
-        picked = list(alg.next_round(instance, knowledge, sets.open))
-        _check_round(instance, knowledge, picked, instance.k)
+        picked = list(ask(instance, knowledge, sets.open))
+        _check_round(instance, knowledge, picked, width)
         answers = oracle.answer_round(picked)
         for e in picked:
             knowledge.reveal(e, answers[e])
         rounds.append((tuple(picked), tuple(answers[e] for e in picked)))
         sets.update(picked, len(rounds))
-    realization, opt = _audit(instance, knowledge, oracle, opt_cap, opt_report)
+    realization = oracle.check_finalize()
+    truth = truth_record(instance, realization)
+    verify_certificate(instance, knowledge, extract_certificate(instance, knowledge), truth)
+    return rounds, tuple(sets.solved_at), realization, canonical_opt(instance, truth, cap=opt_cap)
+
+
+def run(alg, instance: Instance, oracle: ValueOracle, opt_cap: int = OPT_CAP) -> Tuple[RoundTrace, RunReport]:
+    """Run one trial in the round model, `alg.next_round` asking for at
+    most k queries a round, to provable solvedness; audited by `_drive`
+    and by the wasted-query identity."""
+    rounds, solved_at, realization, opt = _drive(alg.next_round, instance, oracle, instance.k, opt_cap)
     queried = [e for ids, _ in rounds for e in ids]
     useful = len(set(queried) & opt.opt_set)
-    wasted = len(queried) - useful
     alg_rounds = len(rounds)
     if opt.opt_k == 0:
         if alg_rounds != 0:
@@ -193,14 +186,14 @@ def run(
     else:
         ratio = Fraction(alg_rounds, opt.opt_k)
 
-    trace = RoundTrace(tuple(rounds), realization, tuple(sets.solved_at))
+    trace = RoundTrace(tuple(rounds), realization, solved_at)
     _check_wasted_identity(instance, trace, opt)
     report = RunReport(
         alg_rounds=alg_rounds,
         alg_queries=len(queried),
         opt1=opt.opt1,
         opt_k=opt.opt_k,
-        wasted=wasted,
+        wasted=len(queried) - useful,
         useful=useful,
         ratio=ratio,
         method=opt.method,
@@ -252,30 +245,12 @@ class BatchReport:
 
 
 def run_batches(
-    batch_alg,
-    instance: Instance,
-    oracle: ValueOracle,
-    opt_cap: int = OPT_CAP,
-    opt_report: Optional[OptReport] = None,
-    max_batches: Optional[int] = None,
+    batch_alg, instance: Instance, oracle: ValueOracle, opt_cap: int = OPT_CAP
 ) -> Tuple[List[Tuple[int, ...]], BatchReport]:
-    """Run in the bounded-batch model: unlimited queries per batch, asked
-    for and audited as in `run`, certificate re-verified."""
-    knowledge = instance.knowledge()
-    limit = max_batches if max_batches is not None else instance.n + 4
-    batches: List[Tuple[int, ...]] = []
-    sets = _OpenSets(instance, knowledge)
-    while sets.open:
-        if len(batches) >= limit:
-            raise HarnessError(f"no progress after {limit} batches")
-        picked = list(batch_alg.next_batch(instance, knowledge, sets.open))
-        _check_round(instance, knowledge, picked, instance.n)
-        answers = oracle.answer_round(picked)
-        for e in picked:
-            knowledge.reveal(e, answers[e])
-        batches.append(tuple(picked))
-        sets.update(picked, len(batches))
-    _, opt = _audit(instance, knowledge, oracle, opt_cap, opt_report)
+    """Run one trial in the batch model, `batch_alg.next_batch` asking for
+    any number of queries a batch; audited by `_drive` as in `run`."""
+    rounds, _, _, opt = _drive(batch_alg.next_batch, instance, oracle, instance.n, opt_cap)
+    batches = [ids for ids, _ in rounds]
     queries = sum(len(b) for b in batches)
     ratio = Fraction(queries, opt.opt1) if opt.opt1 else Fraction(1)
     return batches, BatchReport(len(batches), queries, opt.opt1, ratio)

@@ -28,7 +28,6 @@ from roundquery.oracles import (
 from roundquery.oracles import sorting_pair_adversary
 from roundquery.reductions import BatchesToRounds, RoundsToBatches, TwoBatchSorting, w, w_inverse
 from roundquery.solving import (
-    canonical_opt,
     ceil_div,
     minimum_solved,
     opt1_bruteforce,
@@ -79,9 +78,8 @@ def test_criterion_1_sorting_ratio():
             overlap="overlap" if seed % 2 else "disjoint",
         )
         inst, r = gen_random(seed, params)
-        opt = canonical_opt(inst, r)
         alg = make_algorithm("sorting-vc", inst)
-        _, report = run(alg, inst, FixedOracle(inst, r), opt_report=opt)
+        _, report = run(alg, inst, FixedOracle(inst, r))
         assert report.alg_rounds <= 2 * report.opt_k
 
 
@@ -200,7 +198,7 @@ def test_criterion_6_selection_value():
         inst, r = gen_random(seed, params)
         opt = opt1_bruteforce(inst, r)
         alg = make_algorithm("sel-value", inst)
-        _, report = run(alg, inst, FixedOracle(inst, r), opt_report=opt)
+        _, report = run(alg, inst, FixedOracle(inst, r))
         assert report.alg_rounds <= ceil_div(opt.opt1 + i - 1, inst.k)
     for i in (2, 4, 6):
         inst, oracle = selection_value_lb_adversary(i)

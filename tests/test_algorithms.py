@@ -347,7 +347,7 @@ class TestSelectionValue:
         inst, r = gen_random(seed, params)
         alg = make_algorithm("sel-value", inst)
         opt = canonical_opt(inst, r)
-        _, report = run(alg, inst, FixedOracle(inst, r), opt_report=opt)
+        _, report = run(alg, inst, FixedOracle(inst, r))
         assert report.alg_rounds <= ceil_div(opt.opt1 + i - 1, inst.k)
 
     def test_rank_one_matches_the_single_set_minimum_strategy(self):
@@ -408,12 +408,9 @@ class TestSelectionValue:
             inst = make_instance(base.elements, base.family, ProblemKind(SELECTION_VALUE, i), base.k)
             flip = make_instance(mirrored, base.family, ProblemKind(SELECTION_VALUE, n - i + 1), base.k)
             opt = canonical_opt(inst, r)  # negation keeps the feasible query sets
-            trace, _ = run(
-                make_algorithm("sel-value", inst), inst, FixedOracle(inst, r), opt_report=opt
-            )
-            flip_trace, _ = run(
-                make_algorithm("sel-value", flip), flip, FixedOracle(flip, r_mirrored), opt_report=opt
-            )
+            assert canonical_opt(flip, r_mirrored).opt_set == opt.opt_set
+            trace, _ = run(make_algorithm("sel-value", inst), inst, FixedOracle(inst, r))
+            flip_trace, _ = run(make_algorithm("sel-value", flip), flip, FixedOracle(flip, r_mirrored))
             assert [ids for ids, _ in trace.rounds] == [ids for ids, _ in flip_trace.rounds]
 
 

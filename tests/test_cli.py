@@ -242,6 +242,34 @@ class TestExitCodes:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--instance"),
+            ("run", "--alg", "bal", "--instance"),
+            ("bench", "--spec"),
+            ("table", "--csv"),
+        ],
+    )
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.rq"
+        path.write_bytes(b"\xff\xfe\n")
+        code, out, err = invoke(capsys, *argv, str(path))
+        assert code == 1
+        assert out == "" and err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [("source,alg,seed\nfig2,bal\n", 2), ("source,alg\nfig2,bal\nfig2,bal,0\n", 3)],
+        ids=["short-row", "long-row"],
+    )
+    def test_ragged_csv_row_is_one_error_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        code, out, err = invoke(capsys, "table", "--csv", str(path))
+        assert code == 1
+        assert out == "" and err.startswith(f"error: line {line}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "old,new",
         [
             ("k 1", "k ²"),
@@ -301,6 +329,7 @@ class TestExitCodes:
             ("--alg", "batch-sort-2", "--as-rounds", "k=x"),
             ("--alg", "batch-sort-2", "--as-rounds", "k=0"),
             ("--alg", "batch-sort-2", "--as-rounds", "k=-2"),
+            ("--alg", "batch-sort-2", "--as-rounds", "q=2"),
             ("--alg", "min-single", "--as-batches", "r=x", "alpha=1"),
             ("--alg", "min-single", "--as-batches", "r=3", "alpha=1/0"),
         ],

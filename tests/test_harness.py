@@ -113,16 +113,6 @@ class TestRun:
         assert report.method == "closed-form"
         assert report.alg_queries >= report.opt1 > 0
 
-    def test_misbehaving_algorithm_is_rejected(self):
-        inst, r = gen_fig2_bal_instance()
-
-        class Nothing:
-            def next_round(self, instance, knowledge, open_sets):
-                return []
-
-        with pytest.raises(HarnessError):
-            run(Nothing(), inst, FixedOracle(inst, r))
-
     def test_oversized_round_is_rejected(self):
         inst, r = gen_fig2_bal_instance()
 
@@ -150,24 +140,66 @@ class TestRun:
         assert trace.text() == "round 1: 1 4 7 -> 5/8 9/16 1/2\n"
 
 
-class TestRunBatchesAudit:
+def _fixed_run(loop, source, seed, *rounds):
+    """Hands `rounds` in turn to `run` or to `run_batches`."""
+    inst, oracle = resolve_source(source, seed)
+    if loop == "run":
+        return run(_FixedRounds(*rounds), inst, oracle)
+    return run_batches(_FixedBatches(*rounds), inst, oracle)
+
+
+class _OneAtATime:
+    """Queries the lowest unrevealed non-trivial id, one a round or batch."""
+
+    def next_round(self, instance, knowledge, open_sets):
+        return [min(knowledge.unqueried_nontrivial())]
+
+    next_batch = next_round
+
+
+@pytest.mark.parametrize("loop", ["run", "run_batches"])
+class TestBothLoops:
     # seed 2: elements 1, 5 and 7 are trivial; the optimum is one query
     SOURCE = "random:problem=minimum,n=8,m=2,k=2,overlap=disjoint,triv=0.5"
 
-    def test_all_ids_batch_is_rejected_for_its_trivial_elements(self):
-        inst, oracle = resolve_source(self.SOURCE, 2)
+    def test_empty_round_is_rejected(self, loop):
+        with pytest.raises(HarnessError, match="empty round"):
+            _fixed_run(loop, self.SOURCE, 2, [])
+
+    def test_trivial_element_is_rejected(self, loop):
         with pytest.raises(HarnessError, match="trivial element 1"):
-            run_batches(_FixedBatches(inst.ids()), inst, oracle)
+            _fixed_run(loop, self.SOURCE, 2, [2, 1])
 
-    def test_batch_repeating_an_id_is_rejected(self):
-        inst, oracle = resolve_source(self.SOURCE, 2)
+    def test_repeated_id_is_rejected(self, loop):
         with pytest.raises(HarnessError, match="twice"):
-            run_batches(_FixedBatches([2, 3, 2]), inst, oracle)
+            _fixed_run(loop, self.SOURCE, 2, [2, 2])
 
-    def test_batch_requerying_an_id_is_rejected(self):
-        inst, oracle = resolve_source("random:problem=minimum,n=8,m=2,k=2,overlap=disjoint,triv=0", 2)
+    def test_requeried_id_is_rejected(self, loop):
         with pytest.raises(HarnessError, match="re-queries element 2"):
-            run_batches(_FixedBatches([2], [2]), inst, oracle)
+            _fixed_run(loop, self.SOURCE.replace("0.5", "0"), 2, [2], [2])
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "random:problem=sorting,n=12,m=2,k=3,overlap=overlap,triv=0",
+            "random:problem=minimum,n=15,m=4,k=2,overlap=overlap,triv=0",
+            "random:problem=selection-full,n=10,m=1,k=2,i=4,overlap=single,triv=0",
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_query_a_round_ends_within_n_rounds(self, loop, source, seed):
+        # each accepted round reveals a new non-trivial element, which
+        # bounds every run by n rounds; no round limit is needed
+        inst, oracle = resolve_source(source, seed)
+        if loop == "run":
+            rounds = run(_OneAtATime(), inst, oracle)[0].rounds
+        else:
+            rounds = run_batches(_OneAtATime(), inst, oracle)[0]
+        assert 0 < len(rounds) <= inst.n
+
+
+class TestRunBatchesAudit:
+    SOURCE = TestBothLoops.SOURCE
 
     def test_valid_batch_run_reverifies_its_certificate(self, monkeypatch):
         checked = []
