@@ -21,6 +21,7 @@ from .harness import (
     RUN_ERRORS,
     SweepError,
     _keyed,
+    check_opt_cap,
     parse_bench_spec,
     parse_number,
     resolve_source,
@@ -106,6 +107,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    check_opt_cap(args.opt_cap, "--opt-cap")
     instance, oracle = _load_run_target(args)
     if args.as_rounds is not None:
         if args.alg not in BATCH_ALGORITHMS:
@@ -138,6 +140,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_opt_cap(args.opt_cap, "--opt-cap")
     instance, realization = parse_instance(_read(args.instance))
     if realization is None:
         raise InstanceError("verify needs a realization (value lines)")

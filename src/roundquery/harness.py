@@ -287,6 +287,14 @@ def parse_number(text: str, what: str, cast: Callable = int):
         raise InstanceError(f"{what}: not a number: {text!r}") from None
 
 
+def check_opt_cap(cap: int, what: str) -> int:
+    """`cap`, unless it is negative: then no optimum can fit it, and the
+    run is refused before it starts rather than failing at its end."""
+    if cap < 0:
+        raise InstanceError(f"{what}: must be at least 0, not {cap}")
+    return cap
+
+
 def _fixed(made: Tuple[Instance, Realization]) -> Tuple[Instance, ValueOracle]:
     return made[0], FixedOracle(*made)
 
@@ -446,7 +454,9 @@ def parse_bench_spec(text: str) -> List[SweepEntry]:
                 alg=fields["alg"],
                 source=fields["source"],
                 seeds=parse_seed_range(fields.get("seeds", "0")),
-                opt_cap=parse_number(fields.get("opt_cap", str(OPT_CAP)), "opt_cap"),
+                opt_cap=check_opt_cap(
+                    parse_number(fields.get("opt_cap", str(OPT_CAP)), "opt_cap"), f"line {line_no}: opt_cap"
+                ),
             )
         )
     return entries

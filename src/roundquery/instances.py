@@ -32,6 +32,7 @@ from .intervals import (
     IntervalError,
     KnowledgeState,
     UncertainInterval,
+    exact_keys,
     parse_rational,
 )
 
@@ -149,12 +150,24 @@ class Realization:
     def value(self, eid: int) -> Fraction:
         return self.values[eid]
 
+    def exact_keys(self, instance: Instance) -> Tuple[List[int], List[int], List[int]]:
+        """Exact keys of every element's lower endpoint, upper endpoint and
+        value, each list in id order, all on the scale of one
+        `intervals.exact_keys` call, built afresh on each call."""
+        elements, n = instance.elements, instance.n
+        keys = exact_keys(
+            [iv.lower for iv in elements] + [iv.upper for iv in elements] + [self.values[e] for e in instance.ids()]
+        )
+        return keys[:n], keys[n : 2 * n], keys[2 * n :]
+
     def validate(self, instance: Instance) -> None:
+        """Raise unless every element has a value inside its interval,
+        compared on the exact keys."""
         for eid in instance.ids():
             if eid not in self.values:
                 raise InstanceError(f"realization misses element {eid}")
-            iv = instance.interval(eid)
-            if not iv.contains(self.values[eid]):
+        for eid, iv, lo, hi, v in zip(instance.ids(), instance.elements, *self.exact_keys(instance)):
+            if not iv.contains_keyed(lo, hi, v):
                 raise InstanceError(
                     f"value {self.values[eid]} outside interval {iv.text()} of element {eid}"
                 )

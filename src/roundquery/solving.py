@@ -24,15 +24,18 @@ a set unsorted, are found by bisection.  Selection reads its rank cuts
 from the kept cut lists, and `selection_categories` classifies a pool
 that only shrinks over a run: what left the target area stays out.
 Orders by endpoint, such as the sorting certificate's, come from
-`cut_order`'s stable single-key sorts, never from sorting tuples of
-`Fraction`s.  Every comparison is exact in `Fraction`s; the kept
-positions only index that exact order.
+`cut_order`, never from sorting tuples of `Fraction`s.  Sorts and audits
+take their orders on exact integer keys (`exact_keys`: each value times the
+common denominator of the values compared), which order and tie as the
+rationals do; the kept positions only index that exact order.
 
 The certificate check and the offline optima share one `TruthRecord` per
 run, each set's true minimum or the true i-th value, so neither recomputes
 them.  It is built from the instance and the finalized realization alone,
 reading no `KnowledgeState`, `SetView` or cut list, so the audits check
-what the kept views decide rather than repeat it.
+what the kept views decide rather than repeat it.  Each audit keys the
+values it compares itself, so none checks a structure against keys taken
+from that same structure.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from .intervals import (
     UncertainInterval,
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
+    exact_keys,
     left_cut,
     order_provable,
     right_cut,
@@ -431,15 +435,19 @@ class TruthRecord:
 
 
 def truth_record(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
-    """The record of `realization` for `instance`; a record is returned as is."""
+    """The record of `realization` for `instance`; a record is returned as is.
+
+    Minima and the rank value are taken on the values' exact keys."""
     if isinstance(realization, TruthRecord):
         return realization
+    if instance.problem.kind is SORTING:
+        return TruthRecord(realization)
     value = realization.values.__getitem__
+    ids = instance.ids()
+    rank = dict(zip(ids, exact_keys(map(value, ids)))).__getitem__
     if instance.problem.kind is MINIMUM:
-        return TruthRecord(realization, minima=tuple(min(map(value, members)) for members in instance.family))
-    if instance.problem.is_selection:
-        return TruthRecord(realization, rank_value=sorted(map(value, instance.ids()))[instance.problem.rank - 1])
-    return TruthRecord(realization)
+        return TruthRecord(realization, minima=tuple(value(min(members, key=rank)) for members in instance.family))
+    return TruthRecord(realization, rank_value=value(sorted(ids, key=rank)[instance.problem.rank - 1]))
 
 
 @dataclass(frozen=True)
@@ -504,15 +512,18 @@ def verify_certificate(
         return
     if kind is MINIMUM:
         assert cert.minima is not None
-        for i, (members, (holder, v)) in enumerate(zip(instance.family, cert.minima)):
-            if holder not in members or knowledge.known_value(holder) != v:
+        # one key list over every state's lower endpoint (a point's is its
+        # value) and the claimed minima
+        ids = list(knowledge.ids())
+        keys = exact_keys([knowledge.state(e).lower for e in ids] + [v for _, v in cert.minima])
+        lower = dict(zip(ids, keys))
+        for i, (members, (holder, v), claim) in enumerate(zip(instance.family, cert.minima, keys[len(ids) :])):
+            if holder not in members or knowledge.known_value(holder) is None or lower[holder] != claim:
                 raise InstanceError("claimed minimum is not a known value of the set")
             for e in members:
-                known = knowledge.known_value(e)
-                if known is not None:
-                    if known < v:
+                if lower[e] < claim:
+                    if knowledge.known_value(e) is not None:
                         raise InstanceError("a known value undercuts the claimed minimum")
-                elif knowledge.state(e).lower < v:
                     raise InstanceError("an unqueried element could undercut the claimed minimum")
             if truth is not None and truth.minima[i] != v:
                 raise InstanceError("claimed minimum contradicts the realization")
@@ -554,12 +565,13 @@ class OptReport:
 
 def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
     """Per set: every non-trivial interval whose lower endpoint is strictly
-    below the set's true minimum (this includes the minimum's own interval)."""
+    below the set's true minimum (this includes the minimum's own interval).
+    The lower endpoints and the minima are compared on one exact key list."""
     elements, chosen = instance.elements, set()
-    for members, v_star in zip(instance.family, truth_record(instance, realization).minima):
+    keys = exact_keys([iv.lower for iv in elements] + list(truth_record(instance, realization).minima))
+    for members, floor in zip(instance.family, keys[len(elements) :]):
         for e in members:
-            iv = elements[e - 1]
-            if not iv.trivial and iv.lower < v_star:
+            if keys[e - 1] < floor and not elements[e - 1].trivial:
                 chosen.add(e)
     return OptReport.of(chosen, instance.k, "closed-form")
 
@@ -650,17 +662,19 @@ def sorting_residual(
     mandatory: unless b is queried, ordering the pair queries a (or a is a
     point), and v_a lands inside I_b.  Per set, one bisection per member
     over the set's sorted values counts the values strictly inside its
-    interval, its own value aside.  R holds the dependency edges of the
-    untouched instance with neither end in M.
+    interval, its own value aside.  The endpoints and values are compared
+    on one exact key list.  R holds the dependency edges of the untouched
+    instance with neither end in M.
     """
+    lowers, uppers, values = realization.exact_keys(instance)
     mandatory = set()
     for members in instance.family:
-        values = sorted(realization.value(e) for e in members)
+        ranked = sorted(values[e - 1] for e in members)
         for b in members:
             # a trivial interval has an empty interior
-            iv = instance.interval(b)
-            inside = bisect_left(values, iv.upper) - bisect_right(values, iv.lower)
-            if inside > iv.strict_interior(realization.value(b)):
+            lo, hi = lowers[b - 1], uppers[b - 1]
+            inside = bisect_left(ranked, hi) - bisect_right(ranked, lo)
+            if inside > (lo < values[b - 1] < hi):
                 mandatory.add(b)
     edges = build_dependency_graph(instance, instance.knowledge()).edges
     return frozenset(mandatory), tuple(e for e in edges if e[0] not in mandatory and e[1] not in mandatory)

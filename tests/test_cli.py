@@ -338,3 +338,28 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "run", "--source", "random:problem=sorting,n=6", *flags)
         assert code == 1
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_negative_opt_cap_is_refused_before_the_run(self, tmp_path, capsys, command):
+        # the file is never read: the cap is checked first
+        target = ("--alg", "sorting-vc", "--source", "random:problem=sorting,n=8") if command == "run" else (
+            "--instance", str(tmp_path / "never-read.rq")
+        )
+        code, out, err = invoke(capsys, command, *target, "--opt-cap", "-1")
+        assert code == 1
+        assert out == "" and err == "error: --opt-cap: must be at least 0, not -1\n"
+
+    def test_negative_bench_opt_cap_is_one_error_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.rq"
+        spec.write_text("sweep alg=bal source=fig2 seeds=0\nsweep alg=sorting-vc source=fig2 opt_cap=-1\n")
+        code, out, err = invoke(capsys, "bench", "--spec", str(spec))
+        assert code == 1
+        assert out == "" and err == "error: line 2: opt_cap: must be at least 0, not -1\n"
+
+    def test_zero_opt_cap_is_valid(self, tmp_path, capsys):
+        code, out, err = invoke(capsys, "run", "--alg", "bal", "--source", "fig2", "--opt-cap", "0")
+        assert code == 0 and err == "" and out == FIG2_GOLDEN
+        spec = tmp_path / "spec.rq"
+        spec.write_text("sweep alg=bal source=fig2 seeds=0 opt_cap=0\n")
+        code, out, err = invoke(capsys, "bench", "--spec", str(spec))
+        assert code == 0 and err == "" and out.count("\n") == 2

@@ -15,6 +15,7 @@ from roundquery.intervals import (
     UncertainInterval,
     cut_order,
     dependent,
+    exact_keys,
     left_cut,
     parse_rational,
     right_cut,
@@ -25,9 +26,17 @@ def iv(text):
     return UncertainInterval.parse(text)
 
 
+# pairwise coprime, so a list holding several has a common denominator of
+# up to a few hundred bits
+LARGE_PRIMES = (1009, 7919, 104729, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+
+
 @st.composite
 def rationals(draw):
-    return Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 4)))
+    """Values in [-12, 12]: over denominators 1-4 half the time, so they tie
+    often, and otherwise over a large prime, so one list mixes scales."""
+    den = draw(st.one_of(st.integers(1, 4), st.sampled_from(LARGE_PRIMES)))
+    return Fraction(draw(st.integers(-12 * den, 12 * den)), den)
 
 
 @st.composite
@@ -173,7 +182,7 @@ class TestEndpointOrders:
 
     @given(data=st.data())
     def test_cut_order_is_the_tuple_sort(self, data):
-        # the stable single-key sorts order the ids as a sort on the cut
+        # the sorts on integer keys order the ids as a sort on the cut
         # tuples does, ids ascending among ties in either direction
         drawn = data.draw(st.lists(states(), max_size=10))
         ids = data.draw(st.permutations(range(1, len(drawn) + 1)))
@@ -256,3 +265,28 @@ class TestKnowledgeState:
         for eid in order[: data.draw(st.integers(0, len(order)))]:
             k.reveal(eid, data.draw(st.sampled_from(admissible_values(k.state(eid)))))
             check()
+
+
+class TestExactKeys:
+    @given(data=st.data())
+    def test_keys_order_and_tie_as_the_rationals(self, data):
+        # negative, zero, repeated and large-prime-denominator values
+        drawn = data.draw(st.lists(rationals(), max_size=12))
+        repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=6)) if drawn else []
+        values = data.draw(st.permutations(drawn + repeats + [Fraction(0)]))
+        keys = exact_keys(values)
+        assert len(keys) == len(values) and all(type(key) is int for key in keys)
+        for i, j in itertools.product(range(len(values)), repeat=2):
+            assert (keys[i] < keys[j]) == (values[i] < values[j])
+            assert (keys[i] == keys[j]) == (values[i] == values[j])
+
+    def test_empty_list_has_no_keys(self):
+        assert exact_keys([]) == []
+
+    def test_many_distinct_prime_denominators(self):
+        # 200 primes: a common denominator of about 1,700 bits, and 1/p and
+        # 1/q, as close as (q - p) / (p * q), still order exactly
+        primes = [p for p in range(2, 1300) if all(p % d for d in range(2, int(p**0.5) + 1))][:200]
+        values = [Fraction(k * p + 1, p) for k, p in enumerate(primes)] + [Fraction(1, p) for p in primes]
+        keys = exact_keys(values)
+        assert sorted(range(len(values)), key=keys.__getitem__) == sorted(range(len(values)), key=values.__getitem__)

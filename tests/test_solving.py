@@ -384,6 +384,39 @@ class TestMinimumCertificate:
         k.reveal(4, Fraction(3))
         assert extract_certificate(inst, k).minima == ((2, Fraction(1)), (3, Fraction(1)))
 
+    # S1 = {1, 2, 3}, S2 = {4}; element 4 is the point {1}
+    TAMPER_INSTANCE = ([iv("(0,4)"), iv("(2,6)"), iv("(5,9)"), iv("{1}")], [[1, 2, 3], [4]])
+
+    @pytest.mark.parametrize(
+        "revealed,claim,message",
+        [
+            # the holder's known value equals the claim, but it is not in S1
+            ([(1, 1), (2, 5)], (4, Fraction(1)), "claimed minimum is not a known value of the set"),
+            # the holder is in S1, but its known value is not the claim
+            ([(1, 1), (2, 5)], (2, Fraction(1)), "claimed minimum is not a known value of the set"),
+            # 1 is known at 1, below the claim; 3's lower endpoint 5 is not
+            ([(1, 1), (2, 5)], (2, Fraction(5)), "a known value undercuts the claimed minimum"),
+            # 1 is unqueried and its lower endpoint 0 is below the claim
+            ([(2, 5)], (2, Fraction(5)), "an unqueried element could undercut the claimed minimum"),
+        ],
+        ids=["holder-outside-the-set", "holder-value-differs", "known-value-below", "unqueried-lower-below"],
+    )
+    def test_tampered_certificate_is_refused(self, revealed, claim, message):
+        elements, family = self.TAMPER_INSTANCE
+        inst = make_instance(elements, family, ProblemKind(MINIMUM), 1)
+        knowledge = knowledge_of(elements, revealed)
+        cert = replace(extract_certificate(inst, knowledge), minima=(claim, (4, Fraction(1))))
+        with pytest.raises(InstanceError, match=f"^{message}$"):
+            verify_certificate(inst, knowledge, cert)
+
+    def test_untampered_certificate_verifies(self):
+        elements, family = self.TAMPER_INSTANCE
+        inst = make_instance(elements, family, ProblemKind(MINIMUM), 1)
+        knowledge = knowledge_of(elements, [(1, 1), (2, 5)])
+        cert = extract_certificate(inst, knowledge)
+        assert cert.minima == ((1, Fraction(1)), (4, Fraction(1)))
+        verify_certificate(inst, knowledge, cert, Realization({1: Fraction(1), 2: Fraction(5), 3: Fraction(6), 4: Fraction(1)}))
+
 
 class TestSelectionSolved:
     def test_middle_gadget_state_is_full_solved(self):
