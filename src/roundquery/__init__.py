@@ -11,7 +11,6 @@ from .algorithms import (
     AlgorithmError,
     BalancedRounds,
     BudgetRounds,
-    DependencyGraph,
     MinimumSingleRounds,
     SelectionFullRounds,
     SelectionValueRounds,
@@ -19,7 +18,6 @@ from .algorithms import (
     algorithm_names,
     build_dependency_graph,
     make_algorithm,
-    min_vertex_cover,
 )
 from .harness import (
     BatchReport,
@@ -78,8 +76,6 @@ from .reductions import (
     QueryAllBatch,
     RoundsToBatches,
     TwoBatchSorting,
-    w,
-    w_inverse,
 )
 from .solving import (
     BruteForceCapError,

@@ -16,12 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import zip_longest
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .instances import Instance, MINIMUM, SELECTION_FULL, SELECTION_VALUE, SORTING
 from .intervals import KnowledgeState, cut_order, dependent, left_cut, right_cut
 from .solving import (
-    DependencyGraph,
     SelectionRoundView,
     build_dependency_graph,
     ceil_div,
@@ -43,48 +42,32 @@ class AlgorithmError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# dependency graph and vertex covers
+# vertex covers of the dependency graph
 
 
-def _interval_exact_cover(graph: DependencyGraph) -> FrozenSet[int]:
-    # max independent set greedily by right endpoint; the cover is the rest
-    order = cut_order(graph.vertices, graph.states.__getitem__, right_cut)
+def interval_cover(instance: Instance, knowledge: KnowledgeState) -> FrozenSet[int]:
+    """Minimum vertex cover of a single-set instance's dependency graph.
+
+    The graph over the set's unqueried non-trivial members is an interval
+    graph, so a greedy by right endpoint finds a maximum independent set;
+    the cover is the rest.
+    """
+    vertices = knowledge.unqueried_nontrivial(instance.family[0])
     picked: List[int] = []
-    for v in order:
-        if not picked or not dependent(graph.states[picked[-1]], graph.states[v]):
+    for v in cut_order(vertices, knowledge.state, right_cut):
+        if not picked or not dependent(knowledge.state(picked[-1]), knowledge.state(v)):
             picked.append(v)
-    return frozenset(graph.vertices) - frozenset(picked)
+    return frozenset(vertices) - frozenset(picked)
 
 
-def _matching_cover(graph: DependencyGraph) -> FrozenSet[int]:
+def matching_cover(edges: Sequence[Tuple[int, int]]) -> FrozenSet[int]:
+    """The matched vertices of a greedy maximal matching: a 2-approximate
+    vertex cover."""
     matched: Set[int] = set()
-    for a, b in graph.edges:
+    for a, b in edges:
         if a not in matched and b not in matched:
             matched.update((a, b))
     return frozenset(matched)
-
-
-def min_vertex_cover(graph: DependencyGraph, mode: str) -> FrozenSet[int]:
-    """Vertex cover of the dependency graph.
-
-    ``interval-exact`` is the polynomial single-set solver, ``general-exact``
-    the branch and bound `solving.exact_cover` for arbitrary co-set graphs
-    (capped at 40 covered vertices; the sorting optimum runs the same search
-    on its residual graph), and ``matching-2approx`` returns the matched
-    vertices of a greedy maximal matching.
-    """
-    if mode == "interval-exact":
-        if not graph.single_set:
-            raise AlgorithmError("interval-exact cover needs a single-set graph")
-        return _interval_exact_cover(graph)
-    if mode == "general-exact":
-        touched = {v for e in graph.edges for v in e}
-        if len(touched) > 40:
-            raise AlgorithmError(f"{len(touched)} covered vertices above branch-and-bound cap 40")
-        return exact_cover(graph.edges)
-    if mode == "matching-2approx":
-        return _matching_cover(graph)
-    raise AlgorithmError(f"unknown vertex cover mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +77,10 @@ def min_vertex_cover(graph: DependencyGraph, mode: str) -> FrozenSet[int]:
 class SortingRounds:
     """Vertex-cover phase, then the intervals pinned by known points.
 
-    Phase one queries a cover of the dependency graph in rounds of k; after
+    Phase one queries a cover of the dependency graph in rounds of k: in
+    mode ``exact`` a minimum one (`interval_cover` on one set, the branch
+    and bound `solving.exact_cover` otherwise, capped at 40 covered
+    vertices), in mode ``matching`` `matching_cover`.  After
     it drains, each round queries up to k of the remaining intervals that
     contain a known point of a co-set element.  Phases do not share rounds.
     """
@@ -107,13 +93,16 @@ class SortingRounds:
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         if self._cover_queue is None:
-            graph = build_dependency_graph(instance, knowledge)
             if self.mode == "matching":
-                cover = min_vertex_cover(graph, "matching-2approx")
-            elif graph.single_set:
-                cover = min_vertex_cover(graph, "interval-exact")
+                cover = matching_cover(build_dependency_graph(instance, knowledge))
+            elif instance.m == 1:
+                cover = interval_cover(instance, knowledge)
             else:
-                cover = min_vertex_cover(graph, "general-exact")
+                edges = build_dependency_graph(instance, knowledge)
+                touched = {v for e in edges for v in e}
+                if len(touched) > 40:
+                    raise AlgorithmError(f"{len(touched)} covered vertices above branch-and-bound cap 40")
+                cover = exact_cover(edges)
             self._cover_queue = sorted(cover)
         pending = [e for e in self._cover_queue if not knowledge.is_revealed(e)]
         if pending:

@@ -144,7 +144,6 @@ def cmd_verify(args) -> int:
     instance, realization = parse_instance(_read(args.instance))
     if realization is None:
         raise InstanceError("verify needs a realization (value lines)")
-    realization.validate(instance)
     opt = canonical_opt(instance, realization, cap=args.opt_cap)
     lines = [
         f"n {instance.n}",

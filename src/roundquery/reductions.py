@@ -1,21 +1,19 @@
-"""Adapters between the k-per-round model and the bounded-batch model,
-plus the W / W^{-1} helpers used in the analysis.
+"""Adapters between the k-per-round model and the bounded-batch model.
 
 A batch algorithm may ask arbitrarily many queries per batch but only a
 fixed number r of batches; the adapters split batches into rounds of k and
-conversely schedule a round algorithm at growing k values.  W^{-1} is the
-one deliberately floating-point computation in the package: it feeds
-reports, never the control flow of the exact algorithms.
+conversely schedule a round algorithm at growing k values.  All arithmetic
+is exact; `_ceil_pow` starts from a floating-point root estimate and
+corrects it with integer powers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, List
 
-from .algorithms import AlgorithmError, OpenSets, min_vertex_cover
+from .algorithms import AlgorithmError, OpenSets, matching_cover
 from .instances import Instance, SORTING
 from .intervals import KnowledgeState
 from .solving import build_dependency_graph, forced_queries
@@ -48,7 +46,7 @@ class TwoBatchSorting:
             raise AlgorithmError("two-batch algorithm handles sorting instances only")
         self._stage += 1
         if self._stage == 1:
-            cover = min_vertex_cover(build_dependency_graph(instance, knowledge), "matching-2approx")
+            cover = matching_cover(build_dependency_graph(instance, knowledge))
             if cover:
                 return sorted(cover)
             self._stage = 2
@@ -129,32 +127,3 @@ class RoundsToBatches:
             self._seq += 1
             self._round_in_seq = 0
         return list(self._alg.next_round(sized, knowledge, open_sets))
-
-
-# ---------------------------------------------------------------------------
-# W and its inverse
-
-
-def w(x: float) -> float:
-    """W(x) = x * lg(x)."""
-    if x <= 0:
-        raise ValueError("W is used on the positive axis only")
-    return x * math.log2(x)
-
-
-def w_inverse(x: float, tol: float = 1e-9) -> float:
-    """Inverse of W on its increasing branch (y >= 1), by bisection."""
-    if not 0 <= x < math.inf:
-        raise ValueError("w_inverse needs a finite x >= 0 on the increasing branch")
-    if x == 0:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    while w(hi) < x:
-        hi *= 2
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if w(mid) < x:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2

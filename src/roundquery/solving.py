@@ -306,27 +306,16 @@ def selection_categories(
 # sorting structure: dependency graph, forced queries, exact vertex cover
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Dependent pairs that co-occur in some set, over non-trivial unqueried
-    elements.  Single-set graphs are interval graphs."""
+def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> Tuple[Tuple[int, int], ...]:
+    """The dependent pairs (a, b), a < b, of unqueried non-trivial elements
+    that share a set, ascending.  Single-set graphs are interval graphs.
 
-    vertices: Tuple[int, ...]
-    edges: Tuple[Tuple[int, int], ...]
-    states: Dict[int, UncertainInterval]
-    single_set: bool
-
-
-def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> DependencyGraph:
-    """Per set, a sweep over its kept unpinned members in left order.
-
-    Two non-trivial intervals a before b (b.lower >= a.lower) are dependent
+    Per set, a sweep over its kept unpinned members in left order.  Two
+    non-trivial intervals a before b (b.lower >= a.lower) are dependent
     iff b.lower < a.upper, whatever their endpoint kinds; so a's partners
     are the run of intervals after it that start below a.upper, and one
     bisection on the ascending lower endpoints finds where the run ends.
     """
-    vertices = sorted(knowledge.unqueried_nontrivial(instance.ids()))
-    states = {v: knowledge.state(v) for v in vertices}
     edges: Set[Tuple[int, int]] = set()
     for members in instance.family:
         view = knowledge.set_view(members)
@@ -337,12 +326,7 @@ def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> Dep
             for q in live[i + 1 : bisect_left(live, uppers[p], i + 1, key=lowers.__getitem__)]:
                 b = ids[q]
                 edges.add((a, b) if a < b else (b, a))
-    return DependencyGraph(
-        vertices=tuple(vertices),
-        edges=tuple(sorted(edges)),
-        states=states,
-        single_set=instance.m == 1,
-    )
+    return tuple(sorted(edges))
 
 
 def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
@@ -676,7 +660,7 @@ def sorting_residual(
             inside = bisect_left(ranked, hi) - bisect_right(ranked, lo)
             if inside > (lo < values[b - 1] < hi):
                 mandatory.add(b)
-    edges = build_dependency_graph(instance, instance.knowledge()).edges
+    edges = build_dependency_graph(instance, instance.knowledge())
     return frozenset(mandatory), tuple(e for e in edges if e[0] not in mandatory and e[1] not in mandatory)
 
 

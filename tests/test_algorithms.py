@@ -13,8 +13,9 @@ from roundquery.algorithms import (
     AlgorithmError,
     BudgetRounds,
     build_dependency_graph,
+    interval_cover,
     make_algorithm,
-    min_vertex_cover,
+    matching_cover,
 )
 from roundquery.harness import run, run_batches
 from roundquery.instances import (
@@ -29,6 +30,7 @@ from roundquery.instances import (
     gen_fig3_overlap_instance,
     gen_random,
     make_instance,
+    parse_instance,
 )
 from roundquery.intervals import CLOSED, OPEN, UncertainInterval
 from roundquery.oracles import (
@@ -42,6 +44,7 @@ from roundquery.reductions import BatchesToRounds, RoundsToBatches, TwoBatchSort
 from roundquery.solving import (
     canonical_opt,
     ceil_div,
+    exact_cover,
     minimum_solved,
     opt1_minimum,
     reveal_all,
@@ -79,36 +82,35 @@ def assert_runs_no_round(name, instance, realization):
 class TestVertexCover:
     def test_single_edge_needs_one_vertex(self):
         inst = make_instance([iv("(0,2)"), iv("(1,3)")], [[1, 2]], ProblemKind(SORTING), 1)
-        graph = build_dependency_graph(inst, inst.knowledge())
-        assert len(min_vertex_cover(graph, "interval-exact")) == 1
-        assert len(min_vertex_cover(graph, "general-exact")) == 1
-        assert len(min_vertex_cover(graph, "matching-2approx")) == 2
+        edges = build_dependency_graph(inst, inst.knowledge())
+        assert len(interval_cover(inst, inst.knowledge())) == 1
+        assert len(exact_cover(edges)) == 1
+        assert len(matching_cover(edges)) == 2
 
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_pair_gadgets_cost_one_each(self, c):
         inst, _ = sorting_pair_adversary(c, 1)
-        graph = build_dependency_graph(inst, inst.knowledge())
-        assert len(min_vertex_cover(graph, "general-exact")) == c
+        assert len(exact_cover(build_dependency_graph(inst, inst.knowledge()))) == c
 
+    @pytest.mark.parametrize("partial", [False, True])
     @pytest.mark.parametrize("seed", range(25))
-    def test_exact_modes_agree_on_single_set_instances(self, seed):
+    def test_exact_modes_agree_on_single_set_instances(self, seed, partial):
         params = RandomParams(n=4 + seed % 9, m=1, k=2, problem=ProblemKind(SORTING), overlap="single")
         inst, _ = gen_random(seed, params)
-        graph = build_dependency_graph(inst, inst.knowledge())
-        interval_cover = min_vertex_cover(graph, "interval-exact")
-        general_cover = min_vertex_cover(graph, "general-exact")
-        assert len(interval_cover) == len(general_cover)
+        if partial:
+            # the set leaves out every third id, starting at a seed-chosen one
+            members = [e for e in inst.ids() if (e + seed) % 3]
+            inst = make_instance(inst.elements, [members], inst.problem, inst.k)
+        knowledge = inst.knowledge()
+        edges = build_dependency_graph(inst, knowledge)
+        interval = interval_cover(inst, knowledge)
+        general = exact_cover(edges)
+        assert len(interval) == len(general)
+        assert interval <= inst.family[0]
         # both really are covers
-        for a, b in graph.edges:
-            assert a in interval_cover or b in interval_cover
-            assert a in general_cover or b in general_cover
-
-    def test_interval_exact_refuses_multi_set_graphs(self):
-        params = RandomParams(n=6, m=2, k=2, problem=ProblemKind(SORTING), overlap="overlap")
-        inst, _ = gen_random(0, params)
-        graph = build_dependency_graph(inst, inst.knowledge())
-        with pytest.raises(AlgorithmError):
-            min_vertex_cover(graph, "interval-exact")
+        for a, b in edges:
+            assert a in interval or b in interval
+            assert a in general or b in general
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("trivial_prob", [0.0, 0.5])
@@ -119,17 +121,18 @@ class TestVertexCover:
                 n=12, m=m, k=2, problem=ProblemKind(SORTING), overlap="overlap", trivial_prob=trivial_prob
             )
             inst, _ = gen_random(seed, params)
-            graph = build_dependency_graph(inst, inst.knowledge())
+            edges = build_dependency_graph(inst, inst.knowledge())
+            vertices = sorted({v for e in edges for v in e})
 
             def is_cover(subset):
-                return all(a in subset or b in subset for a, b in graph.edges)
+                return all(a in subset or b in subset for a, b in edges)
 
-            cover = min_vertex_cover(graph, "general-exact")
+            cover = exact_cover(edges)
             assert is_cover(cover)
             smallest = next(
                 size
-                for size in range(len(graph.vertices) + 1)
-                if any(is_cover(set(s)) for s in itertools.combinations(graph.vertices, size))
+                for size in range(len(vertices) + 1)
+                if any(is_cover(set(s)) for s in itertools.combinations(vertices, size))
             )
             assert len(cover) == smallest, seed
 
@@ -141,6 +144,25 @@ class TestSortingRounds:
         _, report = run(alg, inst, oracle)
         assert report.alg_rounds == 4  # 2c with c = 2
         assert report.opt_k == 2
+
+    def test_single_set_cover_skips_elements_outside_the_set(self):
+        # element 2 is in no set, so no query on it can help
+        inst, r = parse_instance(
+            "k 1\nproblem sorting\n"
+            "interval 1 (0,2)\ninterval 2 (1,3)\ninterval 3 (5/2,5)\ninterval 4 (4,6)\n"
+            "set S1 1 3 4\n"
+            "value 1 1\nvalue 2 2\nvalue 3 3\nvalue 4 11/2\n"
+        )
+        trace, report = run(make_algorithm("sorting-vc", inst), inst, FixedOracle(inst, r))
+        assert all(2 not in ids for ids, _ in trace.rounds)
+        assert report.alg_rounds == 1
+
+    def test_multi_set_exact_cover_is_capped(self):
+        params = RandomParams(n=150, m=2, k=2, problem=ProblemKind(SORTING), overlap="disjoint")
+        inst, _ = gen_random(0, params)
+        alg = make_algorithm("sorting-vc", inst)
+        with pytest.raises(AlgorithmError, match=r"^123 covered vertices above branch-and-bound cap 40$"):
+            alg.next_round(inst, inst.knowledge(), (0, 1))
 
     def test_solved_instance_yields_empty_round(self):
         inst = make_instance([iv("{1}"), iv("{2}")], [[1, 2]], ProblemKind(SORTING), 2)

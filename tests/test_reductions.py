@@ -1,6 +1,5 @@
-"""Batch/round adapters and the W helpers."""
+"""Batch/round adapters."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -20,8 +19,6 @@ from roundquery.reductions import (
     QueryAllBatch,
     RoundsToBatches,
     TwoBatchSorting,
-    w,
-    w_inverse,
 )
 from roundquery.solving import canonical_opt, ceil_div
 
@@ -135,29 +132,3 @@ class TestRoundsToBatches:
             return
         raise AssertionError("no opt-1 instance in the sample")
 
-
-class TestW:
-    def test_w_inverse_of_two_is_two(self):
-        assert abs(w_inverse(2.0) - 2.0) <= 1e-9
-
-    def test_inverse_identity(self):
-        for x in (2.0, 3.7, 10.0, 1000.0, 2.0**20):
-            assert abs(w(w_inverse(x)) - x) <= 1e-8 * max(1.0, x)
-
-    def test_theta_bounds_on_sampled_points(self):
-        for j in range(1000):
-            x = 2.0 * (2.0**20 / 2.0) ** (j / 999.0)
-            y = w_inverse(x)
-            assert x / math.log2(x) <= y + 1e-6
-            assert y <= 2.0 * x / math.log2(x) + 1e-6
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            w(0.0)
-        with pytest.raises(ValueError):
-            w_inverse(-1.0)
-
-    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-    def test_w_inverse_rejects_non_finite_input(self, x):
-        with pytest.raises(ValueError):
-            w_inverse(x)
