@@ -19,7 +19,7 @@ from itertools import zip_longest
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .instances import Instance, MINIMUM, SELECTION_FULL, SELECTION_VALUE, SORTING
-from .intervals import KnowledgeState, cut_order, dependent, left_cut, right_cut
+from .intervals import KnowledgeState, cut_order, dependent
 from .solving import (
     SelectionRoundView,
     build_dependency_graph,
@@ -28,7 +28,7 @@ from .solving import (
     forced_queries,
     minimum_scan,
     minimum_solved,  # unused here; kept for perfbench's tracer, which counts it in this namespace
-    rank_cuts,
+    rank_cut_keys,
     selection_categories,
     sorting_solved,  # unused here; kept for perfbench's tracer, which counts it in this namespace
 )
@@ -54,7 +54,7 @@ def interval_cover(instance: Instance, knowledge: KnowledgeState) -> FrozenSet[i
     """
     vertices = knowledge.unqueried_nontrivial(instance.family[0])
     picked: List[int] = []
-    for v in cut_order(vertices, knowledge.state, right_cut):
+    for v in cut_order(vertices, knowledge.right_key):
         if not picked or not dependent(knowledge.state(picked[-1]), knowledge.state(v)):
             picked.append(v)
     return frozenset(vertices) - frozenset(picked)
@@ -220,17 +220,17 @@ class SelectionValueRounds:
     outside the target area; ranks above the middle take the rightmost."""
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
-        lo, hi = rank_cuts(instance, knowledge)
+        lo, hi = rank_cut_keys(instance, knowledge)
         live = [
             eid
             for eid in knowledge.unqueried_nontrivial(instance.ids())
-            if right_cut(knowledge.state(eid)) >= lo and left_cut(knowledge.state(eid)) <= hi
+            if knowledge.right_key(eid) >= lo and knowledge.left_key(eid) <= hi
         ]
         if instance.problem.rank > ceil_div(instance.n, 2):
             # rank n-i+1 of the negated instance: its left-cut order, mirrored
-            live = cut_order(live, knowledge.state, right_cut, reverse=True)
+            live = cut_order(live, knowledge.right_key, reverse=True)
         else:
-            live = cut_order(live, knowledge.state, left_cut)
+            live = cut_order(live, knowledge.left_key)
         return live[: instance.k]
 
 
@@ -259,10 +259,8 @@ class SelectionFullRounds:
         q2 = sorted(e for e in view.inside if e in queryable)
         # longest overlap first: category (3) by descending right endpoint,
         # category (4) by ascending left endpoint, ids breaking ties
-        q3 = cut_order(
-            (e for e in view.left_overlap if e in queryable), knowledge.state, right_cut, reverse=True
-        )
-        q4 = cut_order((e for e in view.right_overlap if e in queryable), knowledge.state, left_cut)
+        q3 = cut_order((e for e in view.left_overlap if e in queryable), knowledge.right_key, reverse=True)
+        q4 = cut_order((e for e in view.right_overlap if e in queryable), knowledge.left_key)
         # alternate left and right while both last, then the longer one's rest
         alternating = [e for pair in zip_longest(q3, q4) for e in pair if e is not None]
         return (q1 + q2 + alternating)[: instance.k]

@@ -3,11 +3,14 @@
 Everything here is computed over arbitrary-precision rationals
 (`fractions.Fraction`).  Open-endpoint comparisons at equal values are
 semantic, so no float ever enters the core: a value sitting exactly on an
-open endpoint must compare as strictly outside.  Sorts and bulk audits take
-their orders on exact integer keys instead (`exact_keys`: each value times
-the common denominator of the values compared), which order and tie exactly
-as the rationals do, at the cost of an int comparison rather than a
-`Fraction` one.
+open endpoint must compare as strictly outside.  Orders, though, are taken
+on exact integer keys: a value's key is the value times a common
+denominator L of the values compared, so keys order and tie exactly as the
+rationals do, at the cost of an int comparison rather than a `Fraction`
+one.  `exact_keys` keys one list of values (the audits key what they
+compare this way); a `KnowledgeState` keeps one L and the keys of all its
+states across reveals, so the run loop compares ints throughout.  A cut
+(v, flag), an endpoint with its openness, is keyed as 3 * key + flag.
 
 An element's knowledge state has one shape, an `UncertainInterval`: its
 original interval until queried, then the closed point {v} of the
@@ -35,6 +38,13 @@ class IntervalError(ValueError):
     """Malformed interval, rational, or knowledge update."""
 
 
+def scaled_keys(values: Iterable[Fraction]) -> Tuple[int, List[int]]:
+    """The scale L of `exact_keys(values)` and the keys themselves."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(*(den for _, den in ratios))
+    return scale, [num * (scale // den) for num, den in ratios]
+
+
 def exact_keys(values: Iterable[Fraction]) -> List[int]:
     """Integer keys that order and tie exactly as the rationals `values`.
 
@@ -48,9 +58,7 @@ def exact_keys(values: Iterable[Fraction]) -> List[int]:
     took 0.002 s against 0.026 s.  Slower in that case, but bounded, and
     exact on every input, so there is no second path.
     """
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*(den for _, den in ratios))
-    return [num * (scale // den) for num, den in ratios]
+    return scaled_keys(values)[1]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -90,9 +98,11 @@ class UncertainInterval:
             v = getattr(self, name)
             if not isinstance(v, Fraction):
                 object.__setattr__(self, name, Fraction(v))
-        if self.lower > self.upper:
-            raise IntervalError(f"lower {self.lower} above upper {self.upper}")
-        trivial = self.lower == self.upper
+        trivial = self.lower is self.upper  # `point` passes one object: no comparison
+        if not trivial:
+            if self.lower > self.upper:
+                raise IntervalError(f"lower {self.lower} above upper {self.upper}")
+            trivial = self.lower == self.upper
         if trivial and (self.lower_kind is not CLOSED or self.upper_kind is not CLOSED):
             raise IntervalError("degenerate interval must be closed on both sides")
         object.__setattr__(self, "trivial", trivial)
@@ -164,6 +174,8 @@ class UncertainInterval:
 # A cut encodes an endpoint's position on the real line including its
 # openness: (v, 0) is the point v itself, (v, +1) sits just above v and
 # (v, -1) just below.  Tuple comparison then orders endpoints correctly.
+# Its cut key, 3 * key + flag with key the exact key of v, orders the same
+# way: keys differ by at least 1 and flags lie in -1..1.
 Cut = Tuple[Fraction, int]
 
 
@@ -175,27 +187,23 @@ def right_cut(state: UncertainInterval) -> Cut:
     return (state.upper, 0 if state.upper_kind is CLOSED else -1)
 
 
-def cut_order(
-    ids: Iterable[int],
-    state: Callable[[int], UncertainInterval],
-    *cuts: Callable[[UncertainInterval], Cut],
-    reverse: bool = False,
-) -> List[int]:
-    """The ids ordered by their states' cuts, the first cut deciding, ids
-    ascending among ties; `reverse` orders every cut descending instead.
+def cut_keys(state: UncertainInterval, lower: int, upper: int) -> Tuple[int, int]:
+    """The cut keys of `state`'s left and right cuts, given the exact keys
+    of its lower and upper endpoints."""
+    return 3 * lower + (state.lower_kind is OPEN), 3 * upper - (state.upper_kind is OPEN)
 
-    The ids are sorted ascending and then stably by each cut, the last cut
-    first.  A cut (v, flag) is keyed by the integer 3 * key + flag, key
-    being v's exact key: keys differ by at least 1 and flags lie in -1..1,
-    so the integers order as the cut tuples do, without a `Fraction`
-    comparison.
+
+def cut_order(ids: Iterable[int], *keys: Callable[[int], int], reverse: bool = False) -> List[int]:
+    """The ids ordered by integer cut keys, such as a `KnowledgeState`'s
+    `left_key` and `right_key`, the first key deciding, ids ascending among
+    ties; `reverse` orders every key descending instead.
+
+    The ids are sorted ascending and then stably by each key, the last key
+    first, so no tuple is built and no `Fraction` is compared.
     """
     order = sorted(ids)
-    for cut in reversed(cuts):
-        cuts_of = [cut(state(e)) for e in order]
-        keys = exact_keys([v for v, _ in cuts_of])
-        rank = {e: 3 * key + flag for e, key, (_, flag) in zip(order, keys, cuts_of)}
-        order.sort(key=rank.__getitem__, reverse=reverse)
+    for key in reversed(keys):
+        order.sort(key=key, reverse=reverse)
     return order
 
 
@@ -221,13 +229,13 @@ def order_provable(a: UncertainInterval, b: UncertainInterval) -> bool:
 @dataclass(frozen=True, slots=True)
 class LeftOrder:
     """Elements in (left_cut, id) order: the p-th has id `ids[p]` and
-    endpoints `lowers[p]`, `uppers[p]`; `position` maps an id to its p.
-    `lowers` is ascending, so a bisection on it splits the order at a
-    value exactly."""
+    endpoint keys `lowers[p]`, `uppers[p]`, on the scale of the state that
+    keeps the order; `position` maps an id to its p.  `lowers` is
+    ascending, so a bisection on it splits the order at a value exactly."""
 
     ids: List[int]
-    lowers: List[Fraction]
-    uppers: List[Fraction]
+    lowers: List[int]
+    uppers: List[int]
     position: Dict[int, int]
 
 
@@ -236,11 +244,12 @@ class SetView:
     """One member set as a `KnowledgeState` keeps it: `unpinned` holds the
     ascending `order` positions of the members not yet pinned, that is
     the members in (left_cut, id) order, and `pinned` the pinned members
-    as ascending (value, id)."""
+    as ascending (key, id), key being the pinned value's key on the
+    state's scale."""
 
     order: LeftOrder
     unpinned: List[int]
-    pinned: List[Tuple[Fraction, int]]
+    pinned: List[Tuple[int, int]]
 
 
 class KnowledgeState:
@@ -258,20 +267,39 @@ class KnowledgeState:
     every member of every open set each round, and a dict lookup answers
     with the value itself.
 
-    It also keeps the cut lists: the left cuts and the right cuts of all
-    states, each in ascending order.  They are built on the first
-    `cut_lists` call, by `cut_order`'s sort on integer keys rather than a
-    sort of cut tuples, and from then on kept sorted by `reveal`,
-    which swaps the revealed element's two cuts for those of its point by
-    bisection, so the i-th cut of either kind is an index read.
+    Everything else it keeps is on exact integer keys, all on one scale L,
+    the least common multiple of every denominator the state has seen:
+    beside each state, the keys of its lower and upper endpoints (a
+    point's both being its value's key), built once here.  A value's key
+    is the value times L, so keys order and tie as the rationals do, and
+    nothing below compares a `Fraction`.  `reveal` keys the revealed value;
+    when its denominator does not divide L, it first multiplies every kept
+    key by L'/L, L' the new common multiple, in the states, the left
+    order, every set view and the cut lists, so one scale holds throughout.
+    That is rare.  Counted per run over seeds 0-19 (0-4 at n >= 400):
+    random minimum (single, overlapping, disjoint, n=20 and n=800) at most
+    3, mean 1.0-1.6; random sorting (n=16, n=400) at most 3, mean 1.7-2.6;
+    random selection-full (n=20, n=1000) at most 3, mean 1.6-1.65;
+    random selection-value at most 2, mean 1.15; fig2, fig1-pairs, wlb,
+    additive and selfull-lb exactly 1; fig3 and selval-lb none.  Each
+    rescale costs one pass over the kept keys.
+
+    It keeps the cut lists: the cut keys (3 * key + flag) of the left cuts
+    and of the right cuts of all states, each in ascending order.  They
+    are built on the first `cut_lists` call and from then on kept sorted by
+    `reveal`, which swaps the revealed element's two cut keys for those of
+    its point by bisection, so the i-th cut of either kind is an index read.
 
     And it keeps a `SetView` of every member set that `set_view` is asked
     about: the set's unpinned members in (left_cut, id) order, as positions
     in the run's `LeftOrder`, and its pinned members as ascending
-    (value, id).  `reveal` moves the element from the first list to the
+    (key, id).  `reveal` moves the element from the first list to the
     second in every view that holds it, by bisection, so the minimum and
     sorting predicates read each set in left order without sorting it.
     Nothing here outlives the state: a fresh one builds its own orders.
+
+    What it answers in rationals: `state`, `known_value`, and `cut_of`,
+    the cut that a cut key stands for.
     """
 
     def __init__(self, intervals: Dict[int, UncertainInterval]):
@@ -279,8 +307,10 @@ class KnowledgeState:
         self._known: Dict[int, Fraction] = {
             eid: st.lower for eid, st in self._states.items() if st.trivial
         }
+        self._scale, ends = scaled_keys(v for st in self._states.values() for v in (st.lower, st.upper))
+        self._keys: Dict[int, Tuple[int, int]] = dict(zip(self._states, zip(ends[::2], ends[1::2])))
         self._revealed: Set[int] = set()
-        self._cuts: Optional[Tuple[List[Cut], List[Cut]]] = None
+        self._cuts: Optional[Tuple[List[int], List[int]]] = None
         self._order: Optional[LeftOrder] = None
         self._views: Dict[FrozenSet[int], SetView] = {}
         self._viewed: Dict[int, List[SetView]] = {}  # unpinned id -> the views holding it
@@ -298,38 +328,72 @@ class KnowledgeState:
         """Exact value if pinned (revealed, or trivial from the start)."""
         return self._known.get(eid)
 
+    def left_key(self, eid: int) -> int:
+        """The cut key of the left cut of eid's current state."""
+        return 3 * self._keys[eid][0] + (self._states[eid].lower_kind is OPEN)
+
+    def right_key(self, eid: int) -> int:
+        """The cut key of the right cut of eid's current state."""
+        return 3 * self._keys[eid][1] - (self._states[eid].upper_kind is OPEN)
+
+    def cut_of(self, key: int) -> Cut:
+        """The cut (value, flag) that the cut key `key` stands for."""
+        v, flag = divmod(key + 1, 3)
+        return Fraction(v, self._scale), flag - 1
+
     def reveal(self, eid: int, value: Fraction) -> None:
         if eid in self._revealed:
             raise IntervalError(f"element {eid} was already revealed")
         iv = self._states[eid]
-        if not iv.contains(value):
+        num, den = value.as_integer_ratio()
+        scale = self._scale if self._scale % den == 0 else math.lcm(self._scale, den)
+        grow = scale // self._scale
+        lower, upper = self._keys[eid]
+        key = num * (scale // den)
+        # checked before anything is rescaled, so a refused value changes nothing
+        if not iv.contains_keyed(lower * grow, upper * grow, key):
             raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
+        if grow != 1:
+            self._rescale(grow)
+        if self._cuts is not None:  # the interval's cut keys leave, the point's enter
+            for cuts, cut in zip(self._cuts, (self.left_key(eid), self.right_key(eid))):
+                del cuts[bisect_left(cuts, cut)]
+                insort(cuts, 3 * key)
         pinned = UncertainInterval.point(value)
         self._states[eid] = pinned
         self._known[eid] = pinned.lower
+        self._keys[eid] = (key, key)
         self._revealed.add(eid)
-        if self._cuts is not None:
-            for cuts, cut in zip(self._cuts, (left_cut, right_cut)):
-                del cuts[bisect_left(cuts, cut(iv))]
-                insort(cuts, cut(pinned))
         views = self._viewed.pop(eid, ())
         if views:
             p = self._order.position[eid]
             for view in views:
                 del view.unpinned[bisect_left(view.unpinned, p)]
-                insort(view.pinned, (pinned.lower, eid))
+                insort(view.pinned, (key, eid))
 
-    def cut_lists(self) -> Tuple[List[Cut], List[Cut]]:
-        """The ascending left cuts and right cuts of all current states.
+    def _rescale(self, grow: int) -> None:
+        """Multiply every kept key by `grow`, moving all of them to the
+        scale L * grow; orders and ties are unchanged."""
+        self._scale *= grow
+        self._keys = {eid: (lower * grow, upper * grow) for eid, (lower, upper) in self._keys.items()}
+        if self._cuts is not None:
+            for cuts in self._cuts:
+                # cut key 3 * key + flag, with divmod(cut + 1, 3) = (key, flag + 1)
+                cuts[:] = [3 * grow * key + flag - 1 for key, flag in (divmod(cut + 1, 3) for cut in cuts)]
+        if self._order is not None:
+            for ends in (self._order.lowers, self._order.uppers):
+                ends[:] = [end * grow for end in ends]
+        for view in self._views.values():
+            view.pinned[:] = [(key * grow, eid) for key, eid in view.pinned]
+
+    def cut_lists(self) -> Tuple[List[int], List[int]]:
+        """The ascending cut keys of the left cuts and of the right cuts of
+        all current states; `cut_of` reads a key back as a cut.
 
         The lists are kept by `reveal`; callers read them and never write.
         """
         if self._cuts is None:
-            states = self._states
-            self._cuts = tuple(
-                [cut(states[e]) for e in cut_order(states, states.__getitem__, cut)]
-                for cut in (left_cut, right_cut)
-            )
+            self._cuts = (sorted(map(self.left_key, self._states)), sorted(map(self.right_key, self._states)))
         return self._cuts
 
     def left_order(self) -> LeftOrder:
@@ -339,12 +403,12 @@ class KnowledgeState:
         becomes unpinned, so every later unpinned member is in the order.
         """
         if self._order is None:
-            states = self._states
-            ids = cut_order((e for e in states if e not in self._known), states.__getitem__, left_cut)
+            keys = self._keys
+            ids = cut_order((e for e in self._states if e not in self._known), self.left_key)
             self._order = LeftOrder(
                 ids=ids,
-                lowers=[states[e].lower for e in ids],
-                uppers=[states[e].upper for e in ids],
+                lowers=[keys[e][0] for e in ids],
+                uppers=[keys[e][1] for e in ids],
                 position={e: p for p, e in enumerate(ids)},
             )
         return self._order
@@ -358,12 +422,10 @@ class KnowledgeState:
         key = frozenset(set_ids)  # a frozenset is its own key, its hash cached
         view = self._views.get(key)
         if view is None:
-            order, known = self.left_order(), self._known
-            pinned = sorted(e for e in key if e in known)
-            rank = dict(zip(pinned, exact_keys([known[e] for e in pinned])))
-            pinned.sort(key=rank.__getitem__)  # stable: ids ascend among equal values
-            unpinned = sorted(order.position[e] for e in key if e not in known)
-            view = self._views[key] = SetView(order, unpinned, [(known[e], e) for e in pinned])
+            order, keys = self.left_order(), self._keys
+            pinned = sorted((keys[e][0], e) for e in key if e in self._known)
+            unpinned = sorted(order.position[e] for e in key if e not in self._known)
+            view = self._views[key] = SetView(order, unpinned, pinned)
             for p in unpinned:
                 self._viewed.setdefault(order.ids[p], []).append(view)
         return view

@@ -68,20 +68,29 @@ class ValueOracle:
 
     def check_finalize(self) -> Realization:
         """Finalize and re-verify agreement with every logged answer."""
-        realization = self.finalize()
-        realization.validate(self.instance)
+        realization = self._finalize_valid()
         for ids, answers in self.round_log:
             for e in ids:
                 if realization.value(e) != answers[e]:
                     raise OracleError(f"finalize contradicts logged answer for element {e}")
         return realization
 
+    def _finalize_valid(self) -> Realization:
+        """`finalize`, checked to give every element a value inside its interval."""
+        realization = self.finalize()
+        realization.validate(self.instance)
+        return realization
+
 
 class FixedOracle(ValueOracle):
+    """Answers from one realization, validated once, at construction, on a
+    private copy of its values, so a caller's later edit to the dict it
+    passed changes neither the answers nor the finalized realization."""
+
     def __init__(self, instance: Instance, realization: Realization):
         super().__init__(instance)
-        realization.validate(instance)
-        self.realization = realization
+        self.realization = Realization(dict(realization.values))
+        self.realization.validate(instance)
 
     def _commit_fresh(self, ids: Sequence[int]) -> None:
         for e in ids:
@@ -89,6 +98,9 @@ class FixedOracle(ValueOracle):
 
     def finalize(self) -> Realization:
         return self.realization
+
+    def _finalize_valid(self) -> Realization:
+        return self.realization  # validated in __init__, and nothing writes it since
 
 
 # ---------------------------------------------------------------------------

@@ -12,30 +12,33 @@ bound that gives `sorting-vc` its multi-set cover.  Only that residual is
 capped.  The subset search in `opt1_bruteforce` runs in no report; it is
 the oracle that the other optima are tested against.
 
-The minimum and sorting predicates read each set from the knowledge
-state's kept `SetView`: its unpinned members in left-endpoint order and
-its pinned values in ascending order, both kept across reveals.  A set's
-minimum is then the head of its pinned list, and its live members are the
-prefix of its left order below that floor, found by one bisection.  The
-dependent pairs of one set form an interval graph, so one pass over its
-intervals in left order finds every pair, each interval's partners ending
-where a bisection says, and the points that force queries, or that leave
-a set unsorted, are found by bisection.  Selection reads its rank cuts
-from the kept cut lists, and `selection_categories` classifies a pool
-that only shrinks over a run: what left the target area stays out.
-Orders by endpoint, such as the sorting certificate's, come from
-`cut_order`, never from sorting tuples of `Fraction`s.  Sorts and audits
-take their orders on exact integer keys (`exact_keys`: each value times the
-common denominator of the values compared), which order and tie as the
-rationals do; the kept positions only index that exact order.
+The predicates compare the exact integer keys that the knowledge state
+keeps across reveals, all on its one scale, never a `Fraction`: a key is
+the value times a common denominator, so keys order and tie as the
+rationals do.  The minimum and sorting predicates read each set from the
+state's kept `SetView`: its unpinned members in left-endpoint order, with
+their endpoint keys, and its pinned value keys in ascending order.  A
+set's minimum is then the head of its pinned list, and its live members
+are the prefix of its left order below that floor, found by one
+bisection.  The dependent pairs of one set form an interval graph, so one
+pass over its intervals in left order finds every pair, each interval's
+partners ending where a bisection says, and the points that force
+queries, or that leave a set unsorted, are found by bisection.  Selection
+reads its rank cuts from the kept cut lists of cut keys, and
+`selection_categories` classifies a pool that only shrinks over a run:
+what left the target area stays out.  Orders by endpoint, such as the
+sorting certificate's, come from `cut_order` on the state's cut keys.
+What the predicates return to callers, floors, cuts, values and
+certificates, is read back as `Fraction`s.
 
 The certificate check and the offline optima share one `TruthRecord` per
 run, each set's true minimum or the true i-th value, so neither recomputes
 them.  It is built from the instance and the finalized realization alone,
 reading no `KnowledgeState`, `SetView` or cut list, so the audits check
 what the kept views decide rather than repeat it.  Each audit keys the
-values it compares itself, so none checks a structure against keys taken
-from that same structure.
+values it compares itself (`exact_keys`), and none reads a key that the
+knowledge state keeps, so none checks a structure against keys taken from
+that same structure.
 """
 
 from __future__ import annotations
@@ -64,12 +67,11 @@ from .intervals import (
     KnowledgeState,
     OPEN,
     UncertainInterval,
+    cut_keys,
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
     exact_keys,
-    left_cut,
     order_provable,
-    right_cut,
 )
 
 
@@ -92,7 +94,7 @@ def ceil_div(a: int, b: int) -> int:
 # solvedness
 
 
-_value = itemgetter(0)  # of a pinned (value, id) pair
+_value = itemgetter(0)  # of a pinned (key, id) pair
 
 
 def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> Tuple[Optional[Fraction], List[int]]:
@@ -103,17 +105,18 @@ def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> Tuple[Opt
     With no pinned value every unpinned member is live.  Otherwise a member
     is dropped once its lower endpoint is at or above the floor (values in
     open intervals sit strictly above the endpoint, so a weak comparison
-    suffices).  The kept view holds the floor at the head of its pinned
-    list and the unpinned members in left order, whose lower endpoints
-    ascend, so the live ones are the prefix that one bisection finds.
+    suffices).  The kept view holds the floor's key at the head of its
+    pinned list and the unpinned members in left order, whose lower
+    endpoint keys ascend, so the live ones are the prefix that one
+    bisection finds.  The floor itself is read back from its holder.
     """
     view = knowledge.set_view(set_ids)
     ids = view.order.ids
     if not view.pinned:
         return None, [ids[p] for p in view.unpinned]
-    floor = view.pinned[0][0]
+    floor, holder = view.pinned[0]
     live = view.unpinned[: bisect_left(view.unpinned, floor, key=view.order.lowers.__getitem__)]
-    return floor, [ids[p] for p in live]
+    return knowledge.known_value(holder), [ids[p] for p in live]
 
 
 def minimum_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
@@ -147,12 +150,18 @@ def sorting_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
     return True
 
 
-def rank_cuts(instance: Instance, knowledge: KnowledgeState) -> Tuple[Cut, Cut]:
-    """The i-th smallest left and right cuts over the current states
-    (revealed elements are points), i being the problem's rank."""
+def rank_cut_keys(instance: Instance, knowledge: KnowledgeState) -> Tuple[int, int]:
+    """The cut keys of the i-th smallest left and right cuts over the
+    current states (revealed elements are points), i being the problem's
+    rank."""
     rank = instance.problem.rank
     lefts, rights = knowledge.cut_lists()
     return lefts[rank - 1], rights[rank - 1]
+
+
+def rank_cuts(instance: Instance, knowledge: KnowledgeState) -> Tuple[Cut, Cut]:
+    """`rank_cut_keys` read back as (value, flag) cuts."""
+    return tuple(map(knowledge.cut_of, rank_cut_keys(instance, knowledge)))
 
 
 def selection_value_pinned(instance: Instance, knowledge: KnowledgeState) -> Optional[Fraction]:
@@ -162,30 +171,23 @@ def selection_value_pinned(instance: Instance, knowledge: KnowledgeState) -> Opt
     admissible end gives the two extremes of the i-th order statistic; the
     statistic is pinned exactly when both extremes are the same attained
     value.  Open endpoints are tracked as one-sided limits, which are never
-    attained.
+    attained: a left flag is 0 or +1 and a right flag 0 or -1, so equal
+    cut keys are the same value with flag 0 on both sides.
     """
-    lo, hi = rank_cuts(instance, knowledge)
-    if lo == hi and lo[1] == 0:
-        return lo[0]
-    return None
-
-
-def selection_containers(instance: Instance, knowledge: KnowledgeState, v: Fraction) -> List[int]:
-    """Non-trivial unqueried intervals whose interval contains v."""
-    out = []
-    for eid in instance.ids():
-        st = knowledge.state(eid)
-        if not st.trivial and st.contains(v):
-            out.append(eid)
-    return out
+    lo, hi = rank_cut_keys(instance, knowledge)
+    return knowledge.cut_of(lo)[0] if lo == hi else None
 
 
 def selection_solved(instance: Instance, knowledge: KnowledgeState) -> bool:
-    v = selection_value_pinned(instance, knowledge)
-    if v is None:
+    """The i-th value is pinned and, for full selection, no unqueried
+    interval contains it: its cut key lies between no such interval's."""
+    if selection_value_pinned(instance, knowledge) is None:
         return False
     if instance.problem.kind is SELECTION_FULL:
-        return not selection_containers(instance, knowledge, v)
+        at, _ = rank_cut_keys(instance, knowledge)
+        return not any(
+            knowledge.left_key(e) <= at <= knowledge.right_key(e) for e in knowledge.unqueried_nontrivial()
+        )
     return True
 
 
@@ -268,22 +270,25 @@ def selection_categories(
     covers a trivial target area {v} is in no bucket; the target is then
     {v} for good, as the i-th left cut can rise no further than the i-th
     right cut, and the point keeps covering it in no bucket.
+
+    The cuts are compared as cut keys.  Every left cut key here is at most
+    its right cut key, the target area's too, so a state is disjoint from
+    the target area exactly when one ends before the other starts; and a
+    state is a point exactly when its two cut keys are equal.
     """
-    ta = target_area(instance, knowledge)
-    ta_lo, ta_hi = left_cut(ta), right_cut(ta)
+    ta_lo, ta_hi = rank_cut_keys(instance, knowledge)
     containing: List[int] = []
     inside: List[int] = []
     left_overlap: List[int] = []
     right_overlap: List[int] = []
     for eid in instance.ids() if pool is None else pool:
-        st = knowledge.state(eid)
-        lo, hi = left_cut(st), right_cut(st)
-        if max(lo, ta_lo) > min(hi, ta_hi):
+        lo, hi = knowledge.left_key(eid), knowledge.right_key(eid)
+        if lo > ta_hi or hi < ta_lo:
             continue  # disjoint from the target area
         covers_left = lo <= ta_lo
         covers_right = hi >= ta_hi
         if covers_left and covers_right:
-            if not st.trivial:
+            if lo != hi:
                 containing.append(eid)
             # a pinned point can only "cover" a trivial target area; it is
             # already resolved and belongs to no bucket
@@ -294,7 +299,7 @@ def selection_categories(
         else:
             inside.append(eid)
     return SelectionRoundView(
-        target=ta,
+        target=target_area(instance, knowledge),
         containing=tuple(containing),
         inside=tuple(inside),
         left_overlap=tuple(left_overlap),
@@ -314,7 +319,7 @@ def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> Tup
     non-trivial intervals a before b (b.lower >= a.lower) are dependent
     iff b.lower < a.upper, whatever their endpoint kinds; so a's partners
     are the run of intervals after it that start below a.upper, and one
-    bisection on the ascending lower endpoints finds where the run ends.
+    bisection on the ascending lower endpoint keys finds where the run ends.
     """
     edges: Set[Tuple[int, int]] = set()
     for members in instance.family:
@@ -450,7 +455,7 @@ def extract_certificate(instance: Instance, knowledge: KnowledgeState) -> Soluti
     if kind is SORTING:
         # by (right_cut, left_cut, id): ascending values, ties in a fixed order
         orders = tuple(
-            tuple(cut_order(members, knowledge.state, right_cut, left_cut)) for members in instance.family
+            tuple(cut_order(members, knowledge.right_key, knowledge.left_key)) for members in instance.family
         )
         return SolutionCertificate(kind, orders=orders)
     if kind is MINIMUM:
@@ -459,15 +464,17 @@ def extract_certificate(instance: Instance, knowledge: KnowledgeState) -> Soluti
             pinned = knowledge.set_view(members).pinned
             if not pinned:
                 raise InstanceError(f"set {i}: no pinned value; nothing to certify")
-            v, holder = pinned[0]  # the least value, held by its lowest id
-            minima.append((holder, v))
+            holder = pinned[0][1]  # the least value, held by its lowest id
+            minima.append((holder, knowledge.known_value(holder)))
         return SolutionCertificate(kind, minima=tuple(minima))
     v = selection_value_pinned(instance, knowledge)
     if v is None:
         raise InstanceError("selection value not pinned; nothing to certify")
     if kind is SELECTION_VALUE:
         return SolutionCertificate(kind, value=v)
-    equal = frozenset(e for e in instance.ids() if knowledge.known_value(e) == v)
+    # the points at v: both cut keys at the rank cuts' shared key
+    at, _ = rank_cut_keys(instance, knowledge)
+    equal = frozenset(e for e in instance.ids() if knowledge.left_key(e) == at == knowledge.right_key(e))
     return SolutionCertificate(kind, value=v, equal_ids=equal)
 
 
@@ -512,16 +519,23 @@ def verify_certificate(
             if truth is not None and truth.minima[i] != v:
                 raise InstanceError("claimed minimum contradicts the realization")
         return
-    pinned = selection_value_pinned(instance, knowledge)
-    if pinned is None or pinned != cert.value:
+    # the i-th left and right cuts, on cut keys taken here from the states
+    ids = list(instance.ids())
+    states = [knowledge.state(e) for e in ids]
+    keys = exact_keys([st.lower for st in states] + [st.upper for st in states])
+    cuts = [cut_keys(st, lower, upper) for st, lower, upper in zip(states, keys, keys[len(ids) :])]
+    rank = instance.problem.rank
+    at = sorted(left for left, _ in cuts)[rank - 1]
+    pinned = next(st.lower for st, (left, _) in zip(states, cuts) if left == at)
+    if at != sorted(right for _, right in cuts)[rank - 1] or pinned != cert.value:
         raise InstanceError("selection value is not pinned to the claimed value")
     if truth is not None and truth.rank_value != cert.value:
         raise InstanceError("selection value contradicts the realization")
     if kind is SELECTION_FULL:
         assert cert.equal_ids is not None
-        if selection_containers(instance, knowledge, cert.value):
+        if any(left <= at <= right for left, right in cuts if left != right):
             raise InstanceError("an unqueried interval still contains the selection value")
-        expected = frozenset(e for e in instance.ids() if knowledge.known_value(e) == cert.value)
+        expected = frozenset(e for e, (left, right) in zip(ids, cuts) if left == at == right)
         if cert.equal_ids != expected:
             raise InstanceError("claimed equal-value elements do not match knowledge")
         if truth is not None:

@@ -182,18 +182,21 @@ class TestEndpointOrders:
 
     @given(data=st.data())
     def test_cut_order_is_the_tuple_sort(self, data):
-        # the sorts on integer keys order the ids as a sort on the cut
-        # tuples does, ids ascending among ties in either direction
+        # the sorts on a knowledge state's cut keys order the ids as a sort
+        # on the cut tuples does, ids ascending among ties in either direction
         drawn = data.draw(st.lists(states(), max_size=10))
         ids = data.draw(st.permutations(range(1, len(drawn) + 1)))
-        state = dict(enumerate(drawn, 1)).__getitem__
-        cuts = data.draw(st.lists(st.sampled_from([left_cut, right_cut]), min_size=1, max_size=2))
+        k = KnowledgeState(dict(enumerate(drawn, 1)))
+        sides = data.draw(
+            st.lists(st.sampled_from([(left_cut, k.left_key), (right_cut, k.right_key)]), min_size=1, max_size=2)
+        )
+        keys = [key for _, key in sides]
 
         def tuple_key(e):
-            return tuple(cut(state(e)) for cut in cuts)
+            return tuple(cut(k.state(e)) for cut, _ in sides)
 
-        assert cut_order(ids, state, *cuts) == sorted(ids, key=lambda e: (tuple_key(e), e))
-        assert cut_order(ids, state, *cuts, reverse=True) == sorted(sorted(ids), key=tuple_key, reverse=True)
+        assert cut_order(ids, *keys) == sorted(ids, key=lambda e: (tuple_key(e), e))
+        assert cut_order(ids, *keys, reverse=True) == sorted(sorted(ids), key=tuple_key, reverse=True)
 
 
 class TestParsing:
@@ -230,6 +233,34 @@ class TestKnowledgeState:
     def test_reveal_outside_interval_rejected(self):
         with pytest.raises(IntervalError):
             self.k.reveal(1, Fraction(0))  # open endpoint excluded
+
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(0), "0"),  # exactly on the open lower endpoint
+        (Fraction(4), "4"),  # exactly on the open upper endpoint
+        (Fraction(-1, 10007), "-1/10007"),  # just below, over a denominator the state has not seen
+        (Fraction(40029, 10007), "40029/10007"),  # just above, likewise
+    ])
+    def test_refused_reveal_changes_nothing(self, value, text):
+        # the kept structures exist before the refused reveal, and it must
+        # leave them, their keys and the scale as they were
+        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")})
+        view = k.set_view([1, 2, 3])
+
+        def snapshot():
+            lefts, rights = k.cut_lists()
+            keys = [(k.left_key(e), k.right_key(e)) for e in k.ids()]
+            # the keys read back as cuts witness the scale
+            cuts = [k.cut_of(key) for key in lefts + rights]
+            return list(lefts), list(rights), keys, cuts, list(view.unpinned), list(view.pinned)
+
+        before = snapshot()
+        with pytest.raises(IntervalError, match=rf"^value {text} outside interval \(0,4\) of element 1$"):
+            k.reveal(1, value)
+        assert snapshot() == before
+        assert k.known_value(1) is None and not k.is_revealed(1)
+        k.reveal(1, Fraction(1, 10007))  # admissible at the same new denominator
+        assert k.known_value(1) == Fraction(1, 10007)
+        assert [k.cut_of(key) for key in k.cut_lists()[0]] == [(Fraction(1, 10007), 0), (1, 0), (Fraction(7, 2), 0)]
 
     def test_never_reverts(self):
         self.k.reveal(1, Fraction(2))

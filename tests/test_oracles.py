@@ -7,9 +7,10 @@ import pytest
 
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import resolve_source, run
-from roundquery.instances import InstanceError, gen_fig2_bal_instance
+from roundquery.instances import InstanceError, Realization, gen_fig2_bal_instance
 from roundquery.oracles import (
     FixedOracle,
+    OracleError,
     minimum_additive_lb_adversary,
     minimum_wlb_adversary,
     selection_full_lb_adversary,
@@ -35,11 +36,45 @@ class TestFixedOracle:
         first = oracle.answer_round([1, 2])
         again = oracle.answer_round([2, 3])
         assert first[2] == again[2]
-        assert oracle.finalize() is r
+        assert oracle.finalize() == r
 
     def test_finalize_before_any_query(self):
         inst, r = gen_fig2_bal_instance()
         assert FixedOracle(inst, r).check_finalize().values == r.values
+
+    def test_caller_edits_after_construction_change_nothing(self):
+        inst, r = gen_fig2_bal_instance()
+        values = dict(r.values)
+        oracle = FixedOracle(inst, Realization(values))
+        values[1] = inst.interval(1).upper + 1  # outside element 1's interval
+        values[2] = None
+        assert oracle.answer_round([1, 2]) == {1: r.value(1), 2: r.value(2)}
+        assert oracle.check_finalize().values == r.values
+
+    def test_a_run_validates_the_realization_once(self, monkeypatch):
+        calls = []
+        validate = Realization.validate
+        monkeypatch.setattr(Realization, "validate", lambda self, inst: calls.append(1) or validate(self, inst))
+        inst, r = gen_fig2_bal_instance()
+        run(make_algorithm("bal", inst), inst, FixedOracle(inst, r))
+        assert len(calls) == 1
+
+    def test_finalize_still_checks_the_logged_answers(self):
+        inst, r = gen_fig2_bal_instance()
+        oracle = FixedOracle(inst, r)
+        oracle.answer_round([1])
+        oracle.realization.values[1] = inst.interval(1).lower  # skips validation on purpose
+        with pytest.raises(OracleError, match="^finalize contradicts logged answer for element 1$"):
+            oracle.check_finalize()
+
+
+def test_adversaries_validate_when_they_finalize(monkeypatch):
+    calls = []
+    validate = Realization.validate
+    monkeypatch.setattr(Realization, "validate", lambda self, inst: calls.append(1) or validate(self, inst))
+    inst, oracle = resolve_source("wlb:M=3", 0)
+    run(make_algorithm("bal", inst), inst, oracle)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("source", ["fig1-pairs:c=1,k=1", "fig2"])

@@ -100,6 +100,9 @@ def _all_pairs_sorted(members, k):
 
 
 _INSIDE = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+# fractions of a span over denominators that no drawn endpoint has, so a
+# reveal moves every key the knowledge state keeps to a finer scale
+_FRESH = (Fraction(2, 7), Fraction(5000, 10007), Fraction(2**60, 2**61 - 1))
 
 
 @st.composite
@@ -168,10 +171,11 @@ class TestSortingSolved:
 
 def _admissible_value(draw, interval):
     """A value inside the interval, often a closed endpoint, so that values
-    tie with other intervals' endpoints."""
+    tie with other intervals' endpoints, and often over a denominator new
+    to the instance."""
     if interval.trivial:
         return interval.lower
-    choices = [interval.lower + (interval.upper - interval.lower) * f for f in _INSIDE]
+    choices = [interval.lower + (interval.upper - interval.lower) * f for f in _INSIDE + _FRESH]
     for end, kind in ((interval.lower, interval.lower_kind), (interval.upper, interval.upper_kind)):
         if kind is CLOSED:
             choices.append(end)
@@ -277,7 +281,9 @@ class TestSweepsMatchAllPairs:
                 continue
             states = [k.state(e) for e in inst.ids()]
             lefts, rights = sorted(map(left_cut, states)), sorted(map(right_cut, states))
-            assert k.cut_lists() == (lefts, rights)
+            kept = k.cut_lists()
+            assert all(type(key) is int for keys in kept for key in keys)
+            assert tuple(list(map(k.cut_of, keys)) for keys in kept) == (lefts, rights)
             assert rank_cuts(selection, k) == (lefts[rank - 1], rights[rank - 1])
 
     @given(run=_sorting_run())
@@ -361,6 +367,71 @@ class TestKeptViews:
             assert self._answers(inst, early, as_list) == expected
             if step >= late_from:
                 assert self._answers(inst, late, as_list) == expected
+
+
+class TestRescale:
+    """Reveals over denominators that the state has not seen move every
+    kept key to a finer scale; what the state then answers equals what a
+    state built afresh from the same states answers."""
+
+    # open intervals with integer endpoints, so the minimum kind accepts them
+    ELEMENTS = [iv("(0,10)"), iv("(1,5)"), iv("(2,8)"), iv("(4,12)"), iv("(6,9)"), iv("(3,7)"), iv("{5}"), iv("(0,4)")]
+    FAMILY = [[1, 2, 3, 4, 5], [3, 4, 5, 6, 7, 8]]
+    # one new denominator per reveal: 2, 3, 7, then the prime 10007
+    REVEALS = [(1, Fraction(7, 2)), (2, Fraction(10, 3)), (3, Fraction(36, 7)), (4, Fraction(50000, 10007))]
+
+    @staticmethod
+    def _certificate(inst, k):
+        try:
+            return extract_certificate(inst, k)
+        except InstanceError as exc:
+            return str(exc)
+
+    def _answers(self, k):
+        n = len(self.ELEMENTS)
+        kinds = [ProblemKind(SORTING), ProblemKind(MINIMUM)]
+        kinds += [ProblemKind(kind, rank=i) for kind in (SELECTION_VALUE, SELECTION_FULL) for i in range(1, n + 1)]
+        sets = make_instance(self.ELEMENTS, self.FAMILY, ProblemKind(SORTING), 2)
+        per_set = [(minimum_scan(members, k), sorting_solved(members, k)) for members in self.FAMILY]
+        ranks = []
+        certificates = []
+        for kind in kinds:
+            family = self.FAMILY if kind.kind in (SORTING, MINIMUM) else [range(1, n + 1)]
+            inst = make_instance(self.ELEMENTS, family, kind, 2)
+            if kind.is_selection:
+                ranks.append(rank_cuts(inst, k))
+            certificates.append(self._certificate(inst, k))
+        return per_set, forced_queries(sets, k), build_dependency_graph(sets, k), ranks, certificates
+
+    def test_rescaled_state_answers_as_a_fresh_one(self):
+        k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)))
+        for step in range(len(self.REVEALS) + 1):
+            if step:
+                k.reveal(*self.REVEALS[step - 1])
+            # every kept structure is built before the first reveal, so each
+            # later reveal rescales the views and cut lists as well
+            fresh = KnowledgeState({e: k.state(e) for e in k.ids()})
+            assert self._answers(k) == self._answers(fresh)
+
+    def test_answers_stay_fractions(self):
+        # the rest revealed too, so every selection rank is pinned
+        reveals = self.REVEALS + [(5, Fraction(15, 2)), (6, Fraction(9, 2)), (8, Fraction(1))]
+        k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)))
+        self._answers(k)
+        for eid, value in reveals:
+            k.reveal(eid, value)
+        per_set, _, _, ranks, certificates = self._answers(k)
+        for eid, value in reveals:
+            assert type(k.known_value(eid)) is Fraction and k.known_value(eid) == value
+        assert all(type(floor) is Fraction for (floor, _), _ in per_set)
+        assert all(type(cut[0]) is Fraction for pair in ranks for cut in pair)
+        assert ranks[4] == ((Fraction(50000, 10007), 0), (Fraction(50000, 10007), 0))  # the 5th smallest
+        minima = certificates[1].minima
+        assert minima == ((2, Fraction(10, 3)), (8, Fraction(1)))
+        assert all(type(v) is Fraction for _, v in minima)
+        values = [cert.value for cert in certificates[2:]]
+        assert all(type(v) is Fraction for v in values)
+        assert values[4] == values[4 + len(self.ELEMENTS)] == Fraction(50000, 10007)
 
 
 class TestMinimumCertificate:
