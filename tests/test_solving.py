@@ -40,6 +40,7 @@ from roundquery.intervals import (
 from roundquery.oracles import selection_full_lb_adversary, selection_value_lb_adversary
 from roundquery.solving import (
     BruteForceCapError,
+    SolutionCertificate,
     build_dependency_graph,
     canonical_opt,
     exact_cover,
@@ -483,6 +484,62 @@ class TestMinimumCertificate:
         cert = extract_certificate(inst, knowledge)
         assert cert.minima == ((1, Fraction(1)), (4, Fraction(1)))
         verify_certificate(inst, knowledge, cert, Realization({1: Fraction(1), 2: Fraction(5), 3: Fraction(6), 4: Fraction(1)}))
+
+
+class TestSelectionCertificate:
+    """The knowledge-side checks of a selection certificate, which key the
+    states themselves rather than read the state's kept cut lists."""
+
+    @staticmethod
+    def _pinned_at_two(lower_kind):
+        # the 2nd smallest value is pinned to 2 by the two points; the
+        # interval from 2 to 4 contains 2 only if its lower end is closed
+        elements = [UncertainInterval(Fraction(2), lower_kind, Fraction(4), OPEN), iv("{2}"), iv("{2}")]
+        return make_instance(elements, [[1, 2, 3]], ProblemKind(SELECTION_FULL, rank=2), 1)
+
+    def test_open_endpoint_at_the_value_is_no_container(self):
+        inst = self._pinned_at_two(OPEN)
+        k = inst.knowledge()
+        cert = extract_certificate(inst, k)
+        assert cert.value == 2 and cert.equal_ids == {2, 3}
+        verify_certificate(inst, k, cert)
+
+    def test_closed_endpoint_at_the_value_is_a_container(self):
+        inst = self._pinned_at_two(CLOSED)
+        k = inst.knowledge()
+        with pytest.raises(InstanceError, match="^an unqueried interval still contains the selection value$"):
+            verify_certificate(inst, k, extract_certificate(inst, k))
+
+    @pytest.mark.parametrize("kind", [SELECTION_FULL, SELECTION_VALUE])
+    @pytest.mark.parametrize("claim", [Fraction(5, 2), Fraction(3), None])
+    def test_claim_other_than_the_pinned_value(self, kind, claim):
+        elements = [iv("[0,1]"), iv("[2,3]"), iv("[4,5]")]
+        inst = make_instance(elements, [[1, 2, 3]], ProblemKind(kind, rank=2), 1)
+        k = knowledge_of(elements, [(2, Fraction(5, 2))])
+        cert = extract_certificate(inst, k)
+        verify_certificate(inst, k, cert)
+        if claim != cert.value:
+            with pytest.raises(InstanceError, match="^selection value is not pinned to the claimed value$"):
+                verify_certificate(inst, k, replace(cert, value=claim))
+        # checked against the state before the reveal, nothing is pinned
+        with pytest.raises(InstanceError, match="^selection value is not pinned to the claimed value$"):
+            verify_certificate(inst, inst.knowledge(), cert)
+
+    @pytest.mark.parametrize("kind", [SELECTION_FULL, SELECTION_VALUE])
+    def test_a_point_at_the_left_rank_cut_alone_pins_nothing(self, kind):
+        # the 2nd smallest left cut is the point 2, the 2nd smallest right
+        # cut the 5 of [1,5]: the 2nd value may lie anywhere in [2,5]
+        inst = make_instance([iv("[1,5]"), iv("{2}")], [[1, 2]], ProblemKind(kind, rank=2), 1)
+        cert = SolutionCertificate(kind, value=Fraction(2), equal_ids=frozenset({2}))
+        with pytest.raises(InstanceError, match="^selection value is not pinned to the claimed value$"):
+            verify_certificate(inst, inst.knowledge(), cert)
+
+    def test_equal_ids_must_match_the_points(self):
+        inst = self._pinned_at_two(OPEN)
+        k = inst.knowledge()
+        cert = extract_certificate(inst, k)
+        with pytest.raises(InstanceError, match="^claimed equal-value elements do not match knowledge$"):
+            verify_certificate(inst, k, replace(cert, equal_ids=frozenset({2})))
 
 
 class TestSelectionSolved:
