@@ -148,7 +148,8 @@ def _drive(
     ask: Callable, instance: Instance, oracle: ValueOracle, width: int, opt_cap: int
 ) -> Tuple[List[Round], Tuple[int, ...], Realization, OptReport]:
     """The run loop of both models: while a set is open, ask for at most
-    `width` ids, check them, have the oracle answer and reveal the answers.
+    `width` ids, check them, have the oracle answer and reveal the answers,
+    widening the knowledge state's scale once for all of them first.
     Then finalize the oracle, re-verify the certificate and take the
     canonical optimum, both audits reading one `TruthRecord`.
 
@@ -161,6 +162,7 @@ def _drive(
         picked = list(ask(instance, knowledge, sets.open))
         _check_round(instance, knowledge, picked, width)
         answers = oracle.answer_round(picked)
+        knowledge.widen(answers.values())
         for e in picked:
             knowledge.reveal(e, answers[e])
         rounds.append((tuple(picked), tuple(answers[e] for e in picked)))

@@ -276,13 +276,21 @@ class KnowledgeState:
     when its denominator does not divide L, it first multiplies every kept
     key by L'/L, L' the new common multiple, in the states, the left
     order, every set view and the cut lists, so one scale holds throughout.
-    That is rare.  Counted per run over seeds 0-19 (0-4 at n >= 400):
-    random minimum (single, overlapping, disjoint, n=20 and n=800) at most
-    3, mean 1.0-1.6; random sorting (n=16, n=400) at most 3, mean 1.7-2.6;
-    random selection-full (n=20, n=1000) at most 3, mean 1.6-1.65;
-    random selection-value at most 2, mean 1.15; fig2, fig1-pairs, wlb,
-    additive and selfull-lb exactly 1; fig3 and selval-lb none.  Each
-    rescale costs one pass over the kept keys.
+    Each rescale costs one pass over the kept keys, and `widen` lets the
+    run loop pay at most one per round.  That is rare: counted per run of
+    `harness.run` over seeds 0-19 (0-4 at n >= 400), random minimum
+    (single, overlapping, disjoint, n=20 and n=800) needed at most 2, mean
+    0.75-1.2; random sorting (n=16, n=400) at most 2, mean 1.2-1.45;
+    random selection-full (n=20, n=1000) at most 2, mean 1.0-1.15; random
+    selection-value at most 2, mean 1.0; fig2, fig1-pairs, wlb, additive
+    and selfull-lb exactly 1; fig3 and selval-lb none (with one rescale
+    per reveal instead, at most 3 on every source).  The worst case is a
+    new prime denominator in every value: on 3,000 intervals with integer
+    endpoints and each value over a prime of its own, sorting-matching
+    took 25 s and sel-full 1.9 s, against 7.0 s and 0.9 s when the kept
+    lists held `Fraction`s, and 75 s and 7.8 s with one rescale per reveal
+    (CPython 3.11, 2-vCPU VM).  Slower there, but exact, so there is no
+    second path.
 
     It keeps the cut lists: the cut keys (3 * key + flag) of the left cuts
     and of the right cuts of all states, each in ascending order.  They
@@ -370,6 +378,15 @@ class KnowledgeState:
             for view in views:
                 del view.unpinned[bisect_left(view.unpinned, p)]
                 insort(view.pinned, (key, eid))
+
+    def widen(self, values: Iterable[Fraction]) -> None:
+        """Move the kept keys, in one rescale, to a scale that the
+        denominator of every value in `values` divides.  The run loop calls
+        it with a round's answers before revealing them, so a round costs
+        at most one rescale however many new denominators it brings."""
+        scale = math.lcm(self._scale, *(v.as_integer_ratio()[1] for v in values))
+        if scale != self._scale:
+            self._rescale(scale // self._scale)
 
     def _rescale(self, grow: int) -> None:
         """Multiply every kept key by `grow`, moving all of them to the

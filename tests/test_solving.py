@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from roundquery.harness import resolve_source
+from roundquery.algorithms import make_algorithm
+from roundquery.harness import resolve_source, run
 from roundquery.instances import (
     InstanceError,
     MINIMUM,
@@ -37,7 +38,7 @@ from roundquery.intervals import (
     left_cut,
     right_cut,
 )
-from roundquery.oracles import selection_full_lb_adversary, selection_value_lb_adversary
+from roundquery.oracles import FixedOracle, selection_full_lb_adversary, selection_value_lb_adversary
 from roundquery.solving import (
     BruteForceCapError,
     SolutionCertificate,
@@ -404,15 +405,34 @@ class TestRescale:
             certificates.append(self._certificate(inst, k))
         return per_set, forced_queries(sets, k), build_dependency_graph(sets, k), ranks, certificates
 
-    def test_rescaled_state_answers_as_a_fresh_one(self):
+    @pytest.mark.parametrize("widened", [False, True], ids=["by-reveal", "widened-first"])
+    def test_rescaled_state_answers_as_a_fresh_one(self, widened):
+        # widened-first: `widen` rescales before each reveal, as the run loop
+        # does per round, and the reveal then finds its denominator in L
         k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)))
         for step in range(len(self.REVEALS) + 1):
             if step:
+                if widened:
+                    k.widen([self.REVEALS[step - 1][1]])
                 k.reveal(*self.REVEALS[step - 1])
             # every kept structure is built before the first reveal, so each
             # later reveal rescales the views and cut lists as well
             fresh = KnowledgeState({e: k.state(e) for e in k.ids()})
             assert self._answers(k) == self._answers(fresh)
+
+    def test_a_round_rescales_at_most_once(self, monkeypatch):
+        # every value of the sorting run below has a denominator new to the
+        # state, a different prime each, yet each round rescales at most once
+        rescales = []
+        rescale = KnowledgeState._rescale
+        monkeypatch.setattr(KnowledgeState, "_rescale", lambda k, grow: rescales.append(grow) or rescale(k, grow))
+        primes = [11, 13, 17, 19, 23, 29, 31, 37]
+        elements = [iv(f"({2 * e},{2 * e + 3})") for e in range(8)]
+        inst = make_instance(elements, [range(1, 9)], ProblemKind(SORTING), 3)
+        values = {e + 1: 2 * e + 1 + Fraction(1, p) for e, p in enumerate(primes)}
+        trace, _ = run(make_algorithm("sorting-matching", inst), inst, FixedOracle(inst, Realization(values)))
+        assert len(trace.rounds) < sum(map(len, (ids for ids, _ in trace.rounds)))
+        assert 0 < len(rescales) <= len(trace.rounds)
 
     def test_answers_stay_fractions(self):
         # the rest revealed too, so every selection rank is pinned
