@@ -14,7 +14,6 @@ so one instance of it drives exactly one trial.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import zip_longest
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -75,27 +74,25 @@ def matching_cover(edges: Sequence[Tuple[int, int]]) -> FrozenSet[int]:
 
 
 class SortingRounds:
-    """Vertex-cover phase, then the intervals pinned by known points.
+    """Minimum vertex-cover phase, then the intervals pinned by known points.
 
-    Phase one queries a cover of the dependency graph in rounds of k: in
-    mode ``exact`` a minimum one (`interval_cover` on one set, the branch
-    and bound `solving.exact_cover` otherwise, capped at 40 covered
-    vertices), in mode ``matching`` `matching_cover`.  After
+    Phase one queries a minimum cover of the dependency graph in rounds of
+    k: `interval_cover` on one set, the branch and bound
+    `solving.exact_cover` otherwise, capped at 40 covered vertices.  After
     it drains, each round queries up to k of the remaining intervals that
     contain a known point of a co-set element.  Phases do not share rounds.
+    The registry's `sorting-matching`, with a matching cover instead, is
+    `reductions.TwoBatchSorting` in rounds of k.
     """
 
-    def __init__(self, mode: str = "exact"):
-        if mode not in ("exact", "matching"):
-            raise AlgorithmError(f"unknown sorting mode {mode!r}")
-        self.mode = mode
+    mode = "exact"  # perfbench's tracer names this class's spans by it
+
+    def __init__(self) -> None:
         self._cover_queue: Optional[List[int]] = None
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         if self._cover_queue is None:
-            if self.mode == "matching":
-                cover = matching_cover(build_dependency_graph(instance, knowledge))
-            elif instance.m == 1:
+            if instance.m == 1:
                 cover = interval_cover(instance, knowledge)
             else:
                 edges = build_dependency_graph(instance, knowledge)
@@ -108,6 +105,14 @@ class SortingRounds:
         if pending:
             return pending[: instance.k]
         return forced_queries(instance, knowledge)[: instance.k]
+
+
+def _two_batch_sorting_in_rounds():
+    """`batch-sort-2` run in rounds of k; `reductions` imports this module,
+    so it is imported here, when a run asks for it."""
+    from .reductions import BatchesToRounds, TwoBatchSorting
+
+    return BatchesToRounds(TwoBatchSorting())
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +276,8 @@ class SelectionFullRounds:
 
 
 ALGORITHMS: Dict[str, Tuple[Callable[[], object], Tuple]] = {
-    "sorting-vc": (partial(SortingRounds, "exact"), (SORTING,)),
-    "sorting-matching": (partial(SortingRounds, "matching"), (SORTING,)),
+    "sorting-vc": (SortingRounds, (SORTING,)),
+    "sorting-matching": (_two_batch_sorting_in_rounds, (SORTING,)),
     "min-single": (MinimumSingleRounds, (MINIMUM,)),
     "bal": (BalancedRounds, (MINIMUM,)),
     "budget": (BudgetRounds, (MINIMUM,)),

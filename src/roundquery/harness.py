@@ -148,10 +148,10 @@ def _drive(
     ask: Callable, instance: Instance, oracle: ValueOracle, width: int, opt_cap: int
 ) -> Tuple[List[Round], Tuple[int, ...], Realization, OptReport]:
     """The run loop of both models: while a set is open, ask for at most
-    `width` ids, check them, have the oracle answer and reveal the answers,
-    widening the knowledge state's scale once for all of them first.
-    Then finalize the oracle, re-verify the certificate and take the
-    canonical optimum, both audits reading one `TruthRecord`.
+    `width` ids, check them, have the oracle answer and reveal the round's
+    answers in one call.  Then finalize the oracle, re-verify the
+    certificate and take the canonical optimum, both audits reading one
+    `TruthRecord`.
 
     Each accepted round reveals a new non-trivial element, so a run ends
     within n rounds; a stalling algorithm fails `_check_round` instead."""
@@ -162,9 +162,7 @@ def _drive(
         picked = list(ask(instance, knowledge, sets.open))
         _check_round(instance, knowledge, picked, width)
         answers = oracle.answer_round(picked)
-        knowledge.widen(answers.values())
-        for e in picked:
-            knowledge.reveal(e, answers[e])
+        knowledge.reveal(answers)
         rounds.append((tuple(picked), tuple(answers[e] for e in picked)))
         sets.update(picked, len(rounds))
     realization = oracle.check_finalize()

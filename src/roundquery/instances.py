@@ -407,10 +407,7 @@ def gen_fig3_overlap_instance(k: int = 3, c: int = 3) -> Tuple[Instance, Realiza
             values[next_id] = tail_lo + Fraction(1, 2) + Fraction(unique_ordinal, 4 * (m + 1))
             family.append(chain_ids[:group] + [next_id])
             next_id += 1
-    instance = make_instance(elements, family, ProblemKind(MINIMUM), k)
-    realization = Realization(values)
-    realization.validate(instance)
-    return instance, realization
+    return make_instance(elements, family, ProblemKind(MINIMUM), k), Realization(values)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +448,8 @@ def _random_value(rng: random.Random, iv: UncertainInterval) -> Fraction:
 
 
 def gen_random(seed: int, params: RandomParams) -> Tuple[Instance, Realization]:
-    """Deterministic random instance plus a consistent realization."""
+    """Deterministic random instance plus a consistent realization, which
+    its users validate (a `FixedOracle` does, on every run path)."""
     rng = random.Random(("roundquery", seed, params.n, params.m, params.k,
                          params.problem.kind.value, params.problem.rank,
                          params.overlap).__repr__())
@@ -490,6 +488,4 @@ def gen_random(seed: int, params: RandomParams) -> Tuple[Instance, Realization]:
 
     instance = make_instance(elements, family, params.problem, params.k)
     values = {eid: _random_value(rng, instance.interval(eid)) for eid in instance.ids()}
-    realization = Realization(values)
-    realization.validate(instance)
-    return instance, realization
+    return instance, Realization(values)

@@ -259,7 +259,7 @@ class KnowledgeState:
     This is the whole of an algorithm's information.  Once revealed, an
     element never reverts, and the value must lie inside the original
     interval (strictly inside open endpoints).  Mutated only by the
-    single-threaded run loop of a trial.
+    single-threaded run loop of a trial, one round's answers at a time.
 
     Beside the states it keeps the pinned-value map: the exact value of
     every element that is trivial from the start or revealed, seeded here
@@ -272,25 +272,24 @@ class KnowledgeState:
     beside each state, the keys of its lower and upper endpoints (a
     point's both being its value's key), built once here.  A value's key
     is the value times L, so keys order and tie as the rationals do, and
-    nothing below compares a `Fraction`.  `reveal` keys the revealed value;
-    when its denominator does not divide L, it first multiplies every kept
-    key by L'/L, L' the new common multiple, in the states, the left
-    order, every set view and the cut lists, so one scale holds throughout.
-    Each rescale costs one pass over the kept keys, and `widen` lets the
-    run loop pay at most one per round.  That is rare: counted per run of
-    `harness.run` over seeds 0-19 (0-4 at n >= 400), random minimum
-    (single, overlapping, disjoint, n=20 and n=800) needed at most 2, mean
-    0.75-1.2; random sorting (n=16, n=400) at most 2, mean 1.2-1.45;
-    random selection-full (n=20, n=1000) at most 2, mean 1.0-1.15; random
-    selection-value at most 2, mean 1.0; fig2, fig1-pairs, wlb, additive
-    and selfull-lb exactly 1; fig3 and selval-lb none (with one rescale
-    per reveal instead, at most 3 on every source).  The worst case is a
-    new prime denominator in every value: on 3,000 intervals with integer
-    endpoints and each value over a prime of its own, sorting-matching
-    took 25 s and sel-full 1.9 s, against 7.0 s and 0.9 s when the kept
-    lists held `Fraction`s, and 75 s and 7.8 s with one rescale per reveal
-    (CPython 3.11, 2-vCPU VM).  Slower there, but exact, so there is no
-    second path.
+    nothing below compares a `Fraction`.  `reveal` takes a whole round's
+    answers and keys their values; when a denominator does not divide L,
+    it first multiplies every kept key by L'/L, L' the lcm of L and all the
+    round's denominators, in the states, the left order, every set view
+    and the cut lists, so one scale holds throughout.  Each rescale costs
+    one pass over the kept keys, and a round pays at most one.  That is
+    rare: counted per run of `harness.run` over seeds 0-19 (0-4 at
+    n >= 400), random minimum (single, overlapping, disjoint, n=20 and
+    n=800) needed at most 2, mean 0.75-1.2; random sorting (n=16, n=400)
+    at most 2, mean 1.2-1.45; random selection-full (n=20, n=1000) at most
+    2, mean 1.0-1.15; random selection-value at most 2, mean 1.0; fig2,
+    fig1-pairs, wlb, additive and selfull-lb exactly 1; fig3 and selval-lb
+    none.  The worst case is a new prime denominator in every value: on
+    3,000 intervals with integer endpoints and each value over a prime of
+    its own, sorting-matching took 25 s and sel-full 1.9 s, against 7.0 s
+    and 0.9 s when the kept lists held `Fraction`s, and 75 s and 7.8 s
+    with one rescale per value (CPython 3.11, 2-vCPU VM).  Slower there,
+    but exact, so there is no second path.
 
     It keeps the cut lists: the cut keys (3 * key + flag) of the left cuts
     and of the right cuts of all states, each in ascending order.  They
@@ -349,44 +348,40 @@ class KnowledgeState:
         v, flag = divmod(key + 1, 3)
         return Fraction(v, self._scale), flag - 1
 
-    def reveal(self, eid: int, value: Fraction) -> None:
-        if eid in self._revealed:
-            raise IntervalError(f"element {eid} was already revealed")
-        iv = self._states[eid]
-        num, den = value.as_integer_ratio()
-        scale = self._scale if self._scale % den == 0 else math.lcm(self._scale, den)
+    def reveal(self, answers: Dict[int, Fraction]) -> None:
+        """Pin each id of `answers` at its value: one round's answers.
+
+        Every value is checked against its interval before anything
+        changes, so a refused round leaves the state as it was.  The keys
+        move at most once, to the lcm of L and the round's denominators."""
+        ratios = [value.as_integer_ratio() for value in answers.values()]
+        scale = math.lcm(self._scale, *(den for _, den in ratios))
         grow = scale // self._scale
-        lower, upper = self._keys[eid]
-        key = num * (scale // den)
-        # checked before anything is rescaled, so a refused value changes nothing
-        if not iv.contains_keyed(lower * grow, upper * grow, key):
-            raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
+        keys = [num * (scale // den) for num, den in ratios]
+        for (eid, value), key in zip(answers.items(), keys):
+            if eid in self._revealed:
+                raise IntervalError(f"element {eid} was already revealed")
+            iv, (lower, upper) = self._states[eid], self._keys[eid]
+            if not iv.contains_keyed(lower * grow, upper * grow, key):
+                raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
         if grow != 1:
             self._rescale(grow)
-        if self._cuts is not None:  # the interval's cut keys leave, the point's enter
-            for cuts, cut in zip(self._cuts, (self.left_key(eid), self.right_key(eid))):
-                del cuts[bisect_left(cuts, cut)]
-                insort(cuts, 3 * key)
-        pinned = UncertainInterval.point(value)
-        self._states[eid] = pinned
-        self._known[eid] = pinned.lower
-        self._keys[eid] = (key, key)
-        self._revealed.add(eid)
-        views = self._viewed.pop(eid, ())
-        if views:
-            p = self._order.position[eid]
-            for view in views:
-                del view.unpinned[bisect_left(view.unpinned, p)]
-                insort(view.pinned, (key, eid))
-
-    def widen(self, values: Iterable[Fraction]) -> None:
-        """Move the kept keys, in one rescale, to a scale that the
-        denominator of every value in `values` divides.  The run loop calls
-        it with a round's answers before revealing them, so a round costs
-        at most one rescale however many new denominators it brings."""
-        scale = math.lcm(self._scale, *(v.as_integer_ratio()[1] for v in values))
-        if scale != self._scale:
-            self._rescale(scale // self._scale)
+        for (eid, value), key in zip(answers.items(), keys):
+            if self._cuts is not None:  # the interval's cut keys leave, the point's enter
+                for cuts, cut in zip(self._cuts, (self.left_key(eid), self.right_key(eid))):
+                    del cuts[bisect_left(cuts, cut)]
+                    insort(cuts, 3 * key)
+            pinned = UncertainInterval.point(value)
+            self._states[eid] = pinned
+            self._known[eid] = pinned.lower
+            self._keys[eid] = (key, key)
+            self._revealed.add(eid)
+            views = self._viewed.pop(eid, ())
+            if views:
+                p = self._order.position[eid]
+                for view in views:
+                    del view.unpinned[bisect_left(view.unpinned, p)]
+                    insort(view.pinned, (key, eid))
 
     def _rescale(self, grow: int) -> None:
         """Multiply every kept key by `grow`, moving all of them to the

@@ -130,7 +130,6 @@ class SortingPairAdversary(ValueOracle):
             elements, [list(range(1, 2 * c * k + 1))], ProblemKind(SORTING), k
         )
         super().__init__(instance)
-        self.pairs = c * k
 
     @staticmethod
     def _pair(eid: int) -> Tuple[int, int, bool]:
@@ -159,15 +158,8 @@ class SortingPairAdversary(ValueOracle):
 
     def finalize(self) -> Realization:
         values = dict(self.committed)
-        for p in range(self.pairs):
-            left, right = 2 * p + 1, 2 * p + 2
-            if left not in values and right not in values:
-                values[left] = self._outside(left)
-                values[right] = self._outside(right)
-            elif left not in values:
-                values[left] = self._outside(left)
-            elif right not in values:
-                values[right] = self._outside(right)
+        for e in self.instance.ids():
+            values.setdefault(e, self._outside(e))  # every unanswered element: outside
         return Realization(values)
 
 
@@ -284,7 +276,7 @@ class MinimumWlbAdversary(_PrefixSetAdversary):
     the active sets survives.  Round M solves everything that was queried.
     """
 
-    def __init__(self, M: int, per_set_cap: Optional[int] = None):
+    def __init__(self, M: int):
         if M < 2:
             raise InstanceError("need M >= 2")
         m = M**M
@@ -294,7 +286,7 @@ class MinimumWlbAdversary(_PrefixSetAdversary):
         # so k/m * (M^M - 1)/(M - 1) rungs per set are ever reachable; capping
         # there keeps M = 3 at desk scale
         reach = M * (M**M - 1) // (M - 1)
-        per_set = per_set_cap if per_set_cap is not None else min(M * k, reach + M)
+        per_set = min(M * k, reach + M)
         super().__init__(_ladder_instance(m, k, per_set), Fraction(1, m), per_set)
         self.M = M
         self.k = k
@@ -318,8 +310,8 @@ class MinimumWlbAdversary(_PrefixSetAdversary):
                 self.decision_log.append(f"round {self.rounds_seen}: solved set {idx + 1}")
 
 
-def minimum_wlb_adversary(M: int, per_set_cap: Optional[int] = None) -> Tuple[Instance, MinimumWlbAdversary]:
-    oracle = MinimumWlbAdversary(M, per_set_cap)
+def minimum_wlb_adversary(M: int) -> Tuple[Instance, MinimumWlbAdversary]:
+    oracle = MinimumWlbAdversary(M)
     return oracle.instance, oracle
 
 
@@ -327,11 +319,10 @@ class MinimumAdditiveLbAdversary(_PrefixSetAdversary):
     """k = m sets: solving only the heaviest-queried set each round wastes
     at least k*(H(m) - 1) queries for any algorithm."""
 
-    def __init__(self, m: int, per_set_cap: Optional[int] = None):
+    def __init__(self, m: int):
         if m < 2:
             raise InstanceError("need m >= 2")
-        per_set = per_set_cap if per_set_cap is not None else m * m
-        super().__init__(_ladder_instance(m, m, per_set), Fraction(1, m), per_set)
+        super().__init__(_ladder_instance(m, m, m * m), Fraction(1, m), m * m)
         self.m = m
 
     def _react(self, candidates: Dict[int, List[int]]) -> None:
@@ -342,8 +333,8 @@ class MinimumAdditiveLbAdversary(_PrefixSetAdversary):
             self.decision_log.append(f"round {self.rounds_seen}: solved set {idx + 1}")
 
 
-def minimum_additive_lb_adversary(m: int, per_set_cap: Optional[int] = None) -> Tuple[Instance, MinimumAdditiveLbAdversary]:
-    oracle = MinimumAdditiveLbAdversary(m, per_set_cap)
+def minimum_additive_lb_adversary(m: int) -> Tuple[Instance, MinimumAdditiveLbAdversary]:
+    oracle = MinimumAdditiveLbAdversary(m)
     return oracle.instance, oracle
 
 
@@ -386,29 +377,22 @@ class SelectionFullLbAdversary(ValueOracle):
         rights = sum(1 for e in first_round if e > self.middle)
         self.middle_value = Fraction(11, 2) if lefts > rights else Fraction(5, 2)
 
+    def _value(self, eid: int) -> Fraction:
+        """1 left of the middle, 7 right of it, the middle value at it."""
+        if eid == self.middle:
+            return self.middle_value
+        return Fraction(1) if eid < self.middle else Fraction(7)
+
     def _commit_fresh(self, ids: Sequence[int]) -> None:
         if self.middle_value is None:
             self._decide_middle(ids)
         for e in ids:
-            if e < self.middle:
-                self.committed[e] = Fraction(1)
-            elif e > self.middle:
-                self.committed[e] = Fraction(7)
-            else:
-                self.committed[e] = self.middle_value
+            self.committed[e] = self._value(e)
 
     def finalize(self) -> Realization:
         if self.middle_value is None:
             self.middle_value = Fraction(4)
-        values = {}
-        for e in self.instance.ids():
-            if e < self.middle:
-                values[e] = Fraction(1)
-            elif e > self.middle:
-                values[e] = Fraction(7)
-            else:
-                values[e] = self.middle_value
-        return Realization(values)
+        return Realization({e: self._value(e) for e in self.instance.ids()})
 
 
 def selection_full_lb_adversary(i: int) -> Tuple[Instance, SelectionFullLbAdversary]:

@@ -35,7 +35,8 @@ class TwoBatchSorting:
     values revealed in batch two cannot land strictly inside an interval
     that was independent of everything queried before.  With no dependent
     pair at all, batch one is the forced set instead, and no revealed value
-    can then fall strictly inside a co-set interval.
+    can then fall strictly inside a co-set interval.  Run in rounds of k by
+    `BatchesToRounds`, it is the round algorithm `sorting-matching`.
     """
 
     def __init__(self) -> None:

@@ -640,9 +640,7 @@ def opt1_selection_value(instance: Instance, realization: Union[Realization, Tru
 
 def reveal_all(instance: Instance, realization: Realization, ids: Iterable[int]) -> KnowledgeState:
     k = instance.knowledge()
-    for eid in ids:
-        if not instance.interval(eid).trivial:
-            k.reveal(eid, realization.value(eid))
+    k.reveal({eid: realization.value(eid) for eid in ids if not instance.interval(eid).trivial})
     return k
 
 

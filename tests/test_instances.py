@@ -130,9 +130,9 @@ class TestFig2:
         deep = instance.family[2]
         knowledge = instance.knowledge()
         for eid in sorted(deep)[:4]:
-            knowledge.reveal(eid, realization.value(eid))
+            knowledge.reveal({eid: realization.value(eid)})
         assert not minimum_solved(deep, knowledge)
-        knowledge.reveal(sorted(deep)[4], realization.value(sorted(deep)[4]))
+        knowledge.reveal({sorted(deep)[4]: realization.value(sorted(deep)[4])})
         assert minimum_solved(deep, knowledge)
 
 
@@ -153,6 +153,14 @@ class TestFig3:
         assert report.opt1 == c
         # chain elements are the first of each group block of k
         assert report.opt_set == {1 + g * k for g in range(c)}
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    @pytest.mark.parametrize("c", range(1, 5))
+    def test_realization_validates(self, k, c):
+        # the generator does not validate its realization; a `FixedOracle`
+        # does, on every run path, and this is the guarantee it relies on
+        instance, realization = gen_fig3_overlap_instance(k=k, c=c)
+        realization.validate(instance)
 
     def test_rejects_k_below_2(self):
         with pytest.raises(InstanceError):
@@ -313,6 +321,21 @@ class TestRandomGenerator:
         realization.validate(instance)
         for eid in instance.ids():
             assert instance.interval(eid).contains(realization.value(eid))
+
+    @pytest.mark.parametrize("problem", [
+        ProblemKind(MINIMUM), ProblemKind(SORTING), ProblemKind(SELECTION_VALUE, rank=2),
+        ProblemKind(SELECTION_FULL, rank=3),
+    ], ids=lambda p: p.kind.value)
+    @pytest.mark.parametrize("overlap", ["disjoint", "overlap", "single"])
+    @pytest.mark.parametrize("triv", [0, 0.15, 0.5])
+    def test_realization_validates_over_many_seeds(self, problem, overlap, triv):
+        # the generator does not validate its realization; a `FixedOracle`
+        # does, on every run path, and this is the guarantee it relies on
+        m = 1 if overlap == "single" or problem.is_selection else 3
+        for seed in range(200):
+            params = RandomParams(n=3 + seed % 18, m=m, k=3, problem=problem, overlap=overlap, trivial_prob=triv)
+            instance, realization = gen_random(seed, params)
+            realization.validate(instance)
 
     def test_disjoint_sets_partition(self):
         params = RandomParams(n=12, m=4, k=3, problem=ProblemKind(MINIMUM))

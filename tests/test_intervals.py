@@ -226,13 +226,22 @@ class TestKnowledgeState:
     def test_reveal_and_known_value(self):
         assert self.k.known_value(1) is None
         assert self.k.known_value(2) == 7  # trivial pins its value
-        self.k.reveal(1, Fraction(2))
+        self.k.reveal({1: Fraction(2)})
         assert self.k.known_value(1) == 2
         assert self.k.state(1) == UncertainInterval.point(2)
 
     def test_reveal_outside_interval_rejected(self):
         with pytest.raises(IntervalError):
-            self.k.reveal(1, Fraction(0))  # open endpoint excluded
+            self.k.reveal({1: Fraction(0)})  # open endpoint excluded
+
+    @staticmethod
+    def _kept(k, view):
+        """Everything a state keeps on its scale, the view's lists too."""
+        lefts, rights = k.cut_lists()
+        keys = [(k.left_key(e), k.right_key(e)) for e in k.ids()]
+        # the keys read back as cuts witness the scale
+        cuts = [k.cut_of(key) for key in lefts + rights]
+        return list(lefts), list(rights), keys, cuts, list(view.unpinned), list(view.pinned)
 
     @pytest.mark.parametrize("value, text", [
         (Fraction(0), "0"),  # exactly on the open lower endpoint
@@ -245,31 +254,44 @@ class TestKnowledgeState:
         # leave them, their keys and the scale as they were
         k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")})
         view = k.set_view([1, 2, 3])
-
-        def snapshot():
-            lefts, rights = k.cut_lists()
-            keys = [(k.left_key(e), k.right_key(e)) for e in k.ids()]
-            # the keys read back as cuts witness the scale
-            cuts = [k.cut_of(key) for key in lefts + rights]
-            return list(lefts), list(rights), keys, cuts, list(view.unpinned), list(view.pinned)
-
-        before = snapshot()
+        before = self._kept(k, view)
         with pytest.raises(IntervalError, match=rf"^value {text} outside interval \(0,4\) of element 1$"):
-            k.reveal(1, value)
-        assert snapshot() == before
+            k.reveal({1: value})
+        assert self._kept(k, view) == before
         assert k.known_value(1) is None and not k.is_revealed(1)
-        k.reveal(1, Fraction(1, 10007))  # admissible at the same new denominator
+        k.reveal({1: Fraction(1, 10007)})  # admissible at the same new denominator
         assert k.known_value(1) == Fraction(1, 10007)
         assert [k.cut_of(key) for key in k.cut_lists()[0]] == [(Fraction(1, 10007), 0), (1, 0), (Fraction(7, 2), 0)]
 
+    def test_refused_round_changes_nothing(self, monkeypatch):
+        # the round's first value is admissible over a denominator new to
+        # the state, its second is not: the whole round is refused before
+        # the first is revealed or any key is rescaled
+        rescales = []
+        rescale = KnowledgeState._rescale
+        monkeypatch.setattr(KnowledgeState, "_rescale", lambda k, grow: rescales.append(grow) or rescale(k, grow))
+        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")})
+        view = k.set_view([1, 2, 3])
+        before = self._kept(k, view)
+        with pytest.raises(IntervalError, match=r"^value 5 outside interval \[1,3\] of element 2$"):
+            k.reveal({1: Fraction(1, 11), 2: Fraction(5)})
+        assert self._kept(k, view) == before and rescales == []
+        assert not k.is_revealed(1) and k.known_value(1) is None and k.state(1) == iv("(0,4)")
+        # the same round with an admissible second value: two new
+        # denominators, one rescale
+        k.reveal({1: Fraction(1, 11), 2: Fraction(27, 13)})
+        assert rescales == [143]
+        assert [k.cut_of(key) for key in k.cut_lists()[0]] == [(Fraction(1, 11), 0), (Fraction(27, 13), 0), (Fraction(7, 2), 0)]
+        assert view.unpinned == [] and [e for _, e in view.pinned] == [1, 2, 3]
+
     def test_never_reverts(self):
-        self.k.reveal(1, Fraction(2))
+        self.k.reveal({1: Fraction(2)})
         with pytest.raises(IntervalError):
-            self.k.reveal(1, Fraction(3))
+            self.k.reveal({1: Fraction(3)})
 
     def test_revealed_element_reads_like_a_trivial_one(self):
         k = KnowledgeState({1: iv("(0,4)"), 2: iv("{2}")})
-        k.reveal(1, Fraction(2))
+        k.reveal({1: Fraction(2)})
         assert k.state(1) == k.state(2) == UncertainInterval.point(2)
         assert k.known_value(1) == k.known_value(2) == 2
         assert left_cut(k.state(1)) == left_cut(k.state(2)) == (2, 0)
@@ -294,7 +316,7 @@ class TestKnowledgeState:
 
         check()
         for eid in order[: data.draw(st.integers(0, len(order)))]:
-            k.reveal(eid, data.draw(st.sampled_from(admissible_values(k.state(eid)))))
+            k.reveal({eid: data.draw(st.sampled_from(admissible_values(k.state(eid))))})
             check()
 
 

@@ -2,12 +2,15 @@
 their scale: exactness checked from outside the implementation.
 
 Each instance is run once as generated, once with every endpoint and value
-times 7/11, and once with every number mapped to its rank among the
-instance's distinct numbers plus 1/p, p a prime of its element's own.  Both
-maps keep every comparison, ties included, so each run must ask the same
-rounds, give the same report and find the same optimum.  The second map
-needs every number owned by one element, so the instances here are drawn
-with no number shared between elements.
+times 7/11, once with every number mapped to its rank among the
+instance's distinct numbers plus 1/p, p a prime of its element's own, and
+once with every endpoint mapped to its rank and every other number to its
+rank minus 1/q, q a prime of that number's own.  All three maps keep every
+comparison, ties included, so each run must ask the same rounds, give the
+same report and find the same optimum.  The second map needs every number
+owned by one element, so the instances here are drawn with no number
+shared between elements.  The third gives the values that are no endpoint
+denominators the knowledge state has not seen, so its runs rescale.
 """
 
 import random
@@ -25,7 +28,7 @@ from roundquery.instances import (
     Realization,
     make_instance,
 )
-from roundquery.intervals import CLOSED, OPEN, UncertainInterval
+from roundquery.intervals import CLOSED, OPEN, KnowledgeState, UncertainInterval
 from roundquery.oracles import FixedOracle
 from roundquery.solving import canonical_opt
 
@@ -105,6 +108,19 @@ def _prime_denominators(instance, realization):
     return _mapped(instance, realization, lambda e, x: rank[x] + Fraction(1, prime[e]))
 
 
+def _ranks_and_fresh_primes(instance, realization):
+    """An endpoint x goes to rank(x), any other number x to rank(x) - 1/q_x,
+    q_x a prime of its own: an increasing map, as 1/q_x < 1, that keys
+    every endpoint as an integer, so each value that is no endpoint brings
+    a denominator new to the knowledge state."""
+    ends = {iv.lower for iv in instance.elements} | {iv.upper for iv in instance.elements}
+    numbers = sorted(ends | set(realization.values.values()))
+    rank = {x: r for r, x in enumerate(numbers, 1)}
+    others = [x for x in numbers if x not in ends]
+    prime = dict(zip(others, _primes(len(others))))
+    return _mapped(instance, realization, lambda e, x: rank[x] - (Fraction(1, prime[x]) if x in prime else 0))
+
+
 def _outcome(alg_name, instance, realization):
     trace, report = run(make_algorithm(alg_name, instance), instance, FixedOracle(instance, realization))
     round_ids = [ids for ids, _ in trace.rounds]
@@ -125,3 +141,20 @@ class TestScaleInvariance:
             {p} for p in _primes(N)
         ]
         assert _outcome(alg_name, *mapped) == _outcome(alg_name, instance, realization)
+
+    def test_endpoints_to_ranks_values_over_fresh_primes(self, kind, alg_name, seed, monkeypatch):
+        instance, realization = _untied(kind, seed)
+        expected = _outcome(alg_name, instance, realization)
+        rescales, per_reveal = [], []
+        rescale, reveal = KnowledgeState._rescale, KnowledgeState.reveal
+
+        def counted_reveal(k, answers):
+            before = len(rescales)
+            reveal(k, answers)
+            per_reveal.append(len(rescales) - before)
+
+        monkeypatch.setattr(KnowledgeState, "_rescale", lambda k, grow: rescales.append(grow) or rescale(k, grow))
+        monkeypatch.setattr(KnowledgeState, "reveal", counted_reveal)
+        assert _outcome(alg_name, *_ranks_and_fresh_primes(instance, realization)) == expected
+        # the run reveals one round per call, and a round rescales at most once
+        assert rescales and max(per_reveal) == 1

@@ -73,7 +73,7 @@ iv = UncertainInterval.parse
 def knowledge_of(intervals, revealed=()):
     k = KnowledgeState({i + 1: v for i, v in enumerate(intervals)})
     for eid, value in revealed:
-        k.reveal(eid, Fraction(value))
+        k.reveal({eid: Fraction(value)})
     return k
 
 
@@ -143,7 +143,7 @@ class TestMinimumSolved:
         ids = list(k.ids())
         for eid in data.draw(st.lists(st.sampled_from(ids), unique=True)):
             st_e = k.state(eid)
-            k.reveal(eid, st_e.lower + (st_e.upper - st_e.lower) * data.draw(st.sampled_from(_INSIDE)))
+            k.reveal({eid: st_e.lower + (st_e.upper - st_e.lower) * data.draw(st.sampled_from(_INSIDE))})
         members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
         floor, live = _defined_scan(members, k)
         assert minimum_scan(members, k) == (floor, live)
@@ -202,7 +202,7 @@ def _knowledge_along(inst, r, order):
     k = inst.knowledge()
     yield k
     for eid in order:
-        k.reveal(eid, r.value(eid))
+        k.reveal({eid: r.value(eid)})
         yield k
 
 
@@ -359,11 +359,11 @@ class TestKeptViews:
         for step in range(len(order) + 1):
             if step:
                 eid = order[step - 1]
-                early.reveal(eid, r.value(eid))
-                late.reveal(eid, r.value(eid))
+                early.reveal({eid: r.value(eid)})
+                late.reveal({eid: r.value(eid)})
             fresh = inst.knowledge()
             for eid in order[:step]:
-                fresh.reveal(eid, r.value(eid))
+                fresh.reveal({eid: r.value(eid)})
             expected = self._definitions(inst, fresh)
             assert self._answers(inst, fresh, as_list) == expected
             assert self._answers(inst, early, as_list) == expected
@@ -405,16 +405,11 @@ class TestRescale:
             certificates.append(self._certificate(inst, k))
         return per_set, forced_queries(sets, k), build_dependency_graph(sets, k), ranks, certificates
 
-    @pytest.mark.parametrize("widened", [False, True], ids=["by-reveal", "widened-first"])
-    def test_rescaled_state_answers_as_a_fresh_one(self, widened):
-        # widened-first: `widen` rescales before each reveal, as the run loop
-        # does per round, and the reveal then finds its denominator in L
+    def test_rescaled_state_answers_as_a_fresh_one(self):
         k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)))
         for step in range(len(self.REVEALS) + 1):
             if step:
-                if widened:
-                    k.widen([self.REVEALS[step - 1][1]])
-                k.reveal(*self.REVEALS[step - 1])
+                k.reveal(dict([self.REVEALS[step - 1]]))
             # every kept structure is built before the first reveal, so each
             # later reveal rescales the views and cut lists as well
             fresh = KnowledgeState({e: k.state(e) for e in k.ids()})
@@ -440,7 +435,7 @@ class TestRescale:
         k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)))
         self._answers(k)
         for eid, value in reveals:
-            k.reveal(eid, value)
+            k.reveal({eid: value})
         per_set, _, _, ranks, certificates = self._answers(k)
         for eid, value in reveals:
             assert type(k.known_value(eid)) is Fraction and k.known_value(eid) == value
@@ -468,8 +463,8 @@ class TestMinimumCertificate:
             [iv("(0,4)"), iv("{1}"), iv("(0,3)"), iv("(2,5)")], [[1, 2, 3], [3, 4]], ProblemKind(MINIMUM), 2
         )
         k = inst.knowledge()
-        k.reveal(3, Fraction(1))
-        k.reveal(4, Fraction(3))
+        k.reveal({3: Fraction(1)})
+        k.reveal({4: Fraction(3)})
         assert extract_certificate(inst, k).minima == ((2, Fraction(1)), (3, Fraction(1)))
 
     # S1 = {1, 2, 3}, S2 = {4}; element 4 is the point {1}
@@ -567,7 +562,7 @@ class TestSelectionSolved:
         inst, _ = selection_full_lb_adversary(3)
         k = inst.knowledge()
         for eid, value in [(1, 1), (2, 1), (3, Fraction(5, 2))]:
-            k.reveal(eid, Fraction(value))
+            k.reveal({eid: Fraction(value)})
         assert selection_value_pinned(inst, k) == Fraction(5, 2)
         assert selection_solved(inst, k)
 
@@ -583,9 +578,9 @@ class TestSelectionSolved:
         inst, _ = selection_value_lb_adversary(i)
         k = inst.knowledge()
         for eid in range(1, i):  # i-1 of the (0,5) copies answered 1
-            k.reveal(eid, Fraction(1))
+            k.reveal({eid: Fraction(1)})
         assert selection_value_pinned(inst, k) is None
-        k.reveal(i, Fraction(4))
+        k.reveal({i: Fraction(4)})
         assert selection_value_pinned(inst, k) == 3
 
     def test_full_variant_waits_for_containers(self):
@@ -596,7 +591,7 @@ class TestSelectionSolved:
         # the 2nd smallest is pinned to 2 already, but [0,4] still contains it
         assert selection_value_pinned(inst, k) == 2
         assert not selection_solved(inst, k)
-        k.reveal(1, Fraction(3))
+        k.reveal({1: Fraction(3)})
         assert selection_solved(inst, k)
 
 
