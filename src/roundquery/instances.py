@@ -109,29 +109,29 @@ class Instance:
         return range(1, self.n + 1)
 
     def knowledge(self) -> KnowledgeState:
-        return KnowledgeState({eid: self.interval(eid) for eid in self.ids()})
+        return KnowledgeState(dict(enumerate(self.elements, 1)))
 
     def validate(self) -> None:
+        n = len(self.elements)
         if self.k < 1:
             raise InstanceError("k must be positive")
-        if self.n == 0:
+        if n == 0:
             raise InstanceError("instance has no elements")
         for idx, members in enumerate(self.family, 1):
             if not members:
                 raise InstanceError(f"set {idx} is empty")
             for eid in members:
-                if not 1 <= eid <= self.n:
+                if not 1 <= eid <= n:
                     raise InstanceError(f"set {idx} references unknown element {eid}")
         if self.problem.is_selection:
-            if self.family != (frozenset(self.ids()),):
+            if self.family != (frozenset(range(1, n + 1)),):
                 raise InstanceError("selection instances take a single full set")
-            if self.problem.rank > self.n:
+            if self.problem.rank > n:
                 raise InstanceError("selection rank exceeds n")
         if self.problem.kind is MINIMUM:
             # Minimum requires open or trivial intervals; anything else is
             # rejected because the problem degenerates for closed endpoints.
-            for eid in self.ids():
-                iv = self.interval(eid)
+            for eid, iv in enumerate(self.elements, 1):
                 if iv.trivial:
                     continue
                 if iv.lower_kind is not OPEN or iv.upper_kind is not OPEN:
@@ -287,8 +287,7 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
 
     realization: Optional[Realization] = None
     if values:
-        for eid in instance.ids():
-            iv = instance.interval(eid)
+        for eid, iv in enumerate(instance.elements, 1):
             if eid not in values:
                 if iv.trivial:
                     values[eid] = iv.value
@@ -301,15 +300,15 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
 
 def serialize_instance(instance: Instance, realization: Optional[Realization] = None) -> str:
     lines = [f"k {instance.k}", f"problem {instance.problem.text()}"]
-    for eid in instance.ids():
-        lines.append(f"interval {eid} {instance.interval(eid).text()}")
+    for eid, iv in enumerate(instance.elements, 1):
+        lines.append(f"interval {eid} {iv.text()}")
     for idx, members in enumerate(instance.family, 1):
         ids = " ".join(str(eid) for eid in sorted(members))
         lines.append(f"set S{idx} {ids}")
     if realization is not None:
         # Trivial values are implied, except in an all-trivial instance,
         # whose realization would otherwise read back as none.
-        shown = [e for e in instance.ids() if not instance.interval(e).trivial]
+        shown = [e for e, iv in enumerate(instance.elements, 1) if not iv.trivial]
         for eid in shown or instance.ids():
             lines.append(f"value {eid} {realization.value(eid)}")
     return "\n".join(lines) + "\n"
@@ -438,36 +437,34 @@ class RandomParams:
             raise InstanceError("cannot split n elements into more than n disjoint sets")
 
 
-def _random_value(rng: random.Random, iv: UncertainInterval) -> Fraction:
-    if iv.trivial:
-        return iv.value
-    lo_steps = 1 if iv.lower_kind is OPEN else 0
-    hi_steps = 7 if iv.upper_kind is OPEN else 8
-    t = rng.randint(lo_steps, hi_steps)
-    return iv.lower + (iv.upper - iv.lower) * Fraction(t, 8)
-
-
 def gen_random(seed: int, params: RandomParams) -> Tuple[Instance, Realization]:
     """Deterministic random instance plus a consistent realization, which
-    its users validate (a `FixedOracle` does, on every run path)."""
+    its users validate (a `FixedOracle` does, on every run path).
+
+    An element is a point at an integer in [0, 3n] with probability
+    `trivial_prob`, else an integer lower endpoint in [0, 3n-1] plus an
+    integer width of at most max(2, n), its value on an eighth of the
+    interval, strictly inside an open end; a digest test pins the draws.
+    """
     rng = random.Random(("roundquery", seed, params.n, params.m, params.k,
                          params.problem.kind.value, params.problem.rank,
                          params.overlap).__repr__())
     open_only = params.problem.kind in (MINIMUM, SELECTION_VALUE)
     span = 3 * params.n
-    elements: List[UncertainInterval] = []
+    draws = []  # (lower, width, lower kind, upper kind) per element, all on integers
     for _ in range(params.n):
         if rng.random() < params.trivial_prob:
-            elements.append(UncertainInterval.point(Fraction(rng.randint(0, span))))
+            draws.append((rng.randint(0, span), 0, CLOSED, CLOSED))
             continue
-        lo = Fraction(rng.randint(0, span - 1))
-        hi = lo + rng.randint(1, max(2, span // 3))
+        lo = rng.randint(0, span - 1)
+        width = rng.randint(1, max(2, span // 3))
         if open_only:
             lk = uk = OPEN
         else:
             lk = OPEN if rng.random() < 0.5 else CLOSED
             uk = OPEN if rng.random() < 0.5 else CLOSED
-        elements.append(UncertainInterval(lo, lk, hi, uk))
+        draws.append((lo, width, lk, uk))
+    elements = [UncertainInterval(Fraction(lo), lk, Fraction(lo + width), uk) for lo, width, lk, uk in draws]
 
     ids = list(range(1, params.n + 1))
     if params.problem.is_selection or params.overlap == "single" or params.m == 1:
@@ -478,14 +475,18 @@ def gen_random(seed: int, params: RandomParams) -> Tuple[Instance, Realization]:
         family = []
         prev = 0
         for cut in cuts + [params.n]:
-            family.append(sorted(ids[prev:cut]))
+            family.append(ids[prev:cut])
             prev = cut
     else:
         family = []
         for _ in range(params.m):
             size = rng.randint(2, max(2, params.n // 2 + 1))
-            family.append(sorted(rng.sample(ids, min(size, params.n))))
+            family.append(rng.sample(ids, min(size, params.n)))
 
     instance = make_instance(elements, family, params.problem, params.k)
-    values = {eid: _random_value(rng, instance.interval(eid)) for eid in instance.ids()}
+    values = {}
+    for eid, (lo, width, lk, uk) in enumerate(draws, 1):
+        # the value's eighth of the interval, strictly inside an open end; a point draws none
+        step = rng.randint(1 if lk is OPEN else 0, 7 if uk is OPEN else 8) if width else 0
+        values[eid] = Fraction(8 * lo + width * step, 8)
     return instance, Realization(values)

@@ -94,15 +94,14 @@ class UncertainInterval:
     trivial: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("lower", "upper"):
-            v = getattr(self, name)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, name, Fraction(v))
-        trivial = self.lower is self.upper  # `point` passes one object: no comparison
-        if not trivial:
-            if self.lower > self.upper:
-                raise IntervalError(f"lower {self.lower} above upper {self.upper}")
-            trivial = self.lower == self.upper
+        if not isinstance(self.lower, Fraction) or not isinstance(self.upper, Fraction):
+            object.__setattr__(self, "lower", Fraction(self.lower))
+            object.__setattr__(self, "upper", Fraction(self.upper))
+        (ln, ld), (un, ud) = self.lower.as_integer_ratio(), self.upper.as_integer_ratio()
+        gap = un * ld - ln * ud  # one integer cross-multiplication decides order and equality
+        if gap < 0:
+            raise IntervalError(f"lower {self.lower} above upper {self.upper}")
+        trivial = gap == 0
         if trivial and (self.lower_kind is not CLOSED or self.upper_kind is not CLOSED):
             raise IntervalError("degenerate interval must be closed on both sides")
         object.__setattr__(self, "trivial", trivial)

@@ -219,6 +219,51 @@ class TestParsing:
             UncertainInterval.parse("(2,1)")
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("lower,upper", [
+        (Fraction(1, 3), Fraction(33, 100)),  # unlike denominators, 100/300 > 99/300
+        (Fraction(-1, 3), Fraction(-1, 2)),
+        (Fraction(-7), Fraction(-15, 2)),
+    ])
+    def test_lower_above_upper_refused(self, lower, upper):
+        for lk, uk in itertools.product((OPEN, CLOSED), repeat=2):
+            with pytest.raises(IntervalError, match=f"^lower {lower} above upper {upper}$"):
+                UncertainInterval(lower, lk, upper, uk)
+
+    def test_equal_endpoints_as_distinct_objects_are_trivial(self):
+        lower, upper = Fraction(1, 2), Fraction(2, 4)
+        assert lower is not upper
+        state = UncertainInterval(lower, CLOSED, upper, CLOSED)
+        assert state.trivial and state.value == Fraction(1, 2)
+        assert state == UncertainInterval.point(Fraction(1, 2))
+        assert state.text() == "{1/2}"
+
+    @pytest.mark.parametrize("lk,uk", [(OPEN, CLOSED), (CLOSED, OPEN), (OPEN, OPEN)])
+    def test_degenerate_interval_with_an_open_side_refused(self, lk, uk):
+        with pytest.raises(IntervalError, match="^degenerate interval must be closed on both sides$"):
+            UncertainInterval(Fraction(1, 2), lk, Fraction(2, 4), uk)
+
+    def test_int_and_str_endpoints_become_fractions(self):
+        state = UncertainInterval(1, OPEN, "7/2", CLOSED)
+        assert type(state.lower) is Fraction and type(state.upper) is Fraction
+        assert (state.lower, state.upper, state.trivial) == (1, Fraction(7, 2), False)
+        point = UncertainInterval("-3/6", CLOSED, Fraction(-1, 2), CLOSED)
+        assert type(point.lower) is Fraction and point.trivial
+        with pytest.raises(IntervalError, match="^lower 4 above upper 7/2$"):
+            UncertainInterval("4", OPEN, "7/2", OPEN)
+
+    @given(rationals(), rationals(), st.sampled_from([OPEN, CLOSED]), st.sampled_from([OPEN, CLOSED]))
+    def test_refusal_and_triviality_follow_the_rational_order(self, lower, upper, lk, uk):
+        closed = lk is CLOSED and uk is CLOSED
+        try:
+            state = UncertainInterval(lower, lk, upper, uk)
+        except IntervalError:
+            assert lower > upper or (lower == upper and not closed)
+        else:
+            assert lower < upper or (lower == upper and closed)
+            assert state.trivial == (lower == upper)
+
+
 class TestKnowledgeState:
     def setup_method(self):
         self.k = KnowledgeState({1: iv("(0,4)"), 2: iv("{7}")})
