@@ -451,20 +451,19 @@ def gen_random(seed: int, params: RandomParams) -> Tuple[Instance, Realization]:
                          params.overlap).__repr__())
     open_only = params.problem.kind in (MINIMUM, SELECTION_VALUE)
     span = 3 * params.n
-    draws = []  # (lower, width, lower kind, upper kind) per element, all on integers
+    elements: List[UncertainInterval] = []
     for _ in range(params.n):
         if rng.random() < params.trivial_prob:
-            draws.append((rng.randint(0, span), 0, CLOSED, CLOSED))
+            elements.append(UncertainInterval.point(Fraction(rng.randint(0, span))))
             continue
         lo = rng.randint(0, span - 1)
-        width = rng.randint(1, max(2, span // 3))
+        hi = lo + rng.randint(1, max(2, span // 3))
         if open_only:
             lk = uk = OPEN
         else:
             lk = OPEN if rng.random() < 0.5 else CLOSED
             uk = OPEN if rng.random() < 0.5 else CLOSED
-        draws.append((lo, width, lk, uk))
-    elements = [UncertainInterval(Fraction(lo), lk, Fraction(lo + width), uk) for lo, width, lk, uk in draws]
+        elements.append(UncertainInterval(Fraction(lo), lk, Fraction(hi), uk))
 
     ids = list(range(1, params.n + 1))
     if params.problem.is_selection or params.overlap == "single" or params.m == 1:
@@ -485,8 +484,10 @@ def gen_random(seed: int, params: RandomParams) -> Tuple[Instance, Realization]:
 
     instance = make_instance(elements, family, params.problem, params.k)
     values = {}
-    for eid, (lo, width, lk, uk) in enumerate(draws, 1):
-        # the value's eighth of the interval, strictly inside an open end; a point draws none
-        step = rng.randint(1 if lk is OPEN else 0, 7 if uk is OPEN else 8) if width else 0
-        values[eid] = Fraction(8 * lo + width * step, 8)
+    for eid, iv in enumerate(elements, 1):
+        if iv.trivial:  # a point's value is its one Fraction, shared as in the interval
+            values[eid] = iv.lower
+        else:  # t eighths of the way up, on the integer endpoints; strictly inside an open end
+            t = rng.randint(1 if iv.lower_kind is OPEN else 0, 7 if iv.upper_kind is OPEN else 8)
+            values[eid] = Fraction((8 - t) * iv.lower.numerator + t * iv.upper.numerator, 8)
     return instance, Realization(values)

@@ -101,10 +101,9 @@ class UncertainInterval:
         gap = un * ld - ln * ud  # one integer cross-multiplication decides order and equality
         if gap < 0:
             raise IntervalError(f"lower {self.lower} above upper {self.upper}")
-        trivial = gap == 0
-        if trivial and (self.lower_kind is not CLOSED or self.upper_kind is not CLOSED):
+        if gap == 0 and (self.lower_kind is not CLOSED or self.upper_kind is not CLOSED):
             raise IntervalError("degenerate interval must be closed on both sides")
-        object.__setattr__(self, "trivial", trivial)
+        object.__setattr__(self, "trivial", gap == 0)
 
     @staticmethod
     def open(a, b) -> "UncertainInterval":
