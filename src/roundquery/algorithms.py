@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .instances import Instance, MINIMUM, SELECTION_FULL, SELECTION_VALUE, SORTING
 from .intervals import KnowledgeState, cut_order, dependent
@@ -57,16 +57,6 @@ def interval_cover(instance: Instance, knowledge: KnowledgeState) -> FrozenSet[i
         if not picked or not dependent(knowledge.state(picked[-1]), knowledge.state(v)):
             picked.append(v)
     return frozenset(vertices) - frozenset(picked)
-
-
-def matching_cover(edges: Sequence[Tuple[int, int]]) -> FrozenSet[int]:
-    """The matched vertices of a greedy maximal matching: a 2-approximate
-    vertex cover."""
-    matched: Set[int] = set()
-    for a, b in edges:
-        if a not in matched and b not in matched:
-            matched.update((a, b))
-    return frozenset(matched)
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,9 @@ class UncertainInterval:
 
     @staticmethod
     def point(v) -> "UncertainInterval":
-        v = Fraction(v)
+        """The trivial interval {v}; a `Fraction` is kept as it is, any other
+        value is converted."""
+        v = v if type(v) is Fraction else Fraction(v)
         return UncertainInterval(v, CLOSED, v, CLOSED)
 
     @property

@@ -13,10 +13,10 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, List
 
-from .algorithms import AlgorithmError, OpenSets, matching_cover
+from .algorithms import AlgorithmError, OpenSets
 from .instances import Instance, SORTING
 from .intervals import KnowledgeState
-from .solving import build_dependency_graph, forced_queries
+from .solving import forced_queries, greedy_matching_cover
 
 
 class QueryAllBatch:
@@ -30,10 +30,12 @@ class TwoBatchSorting:
     """Matching batch, then the intervals pinned by the revealed points.
 
     Batch one queries the matched vertices of a greedy maximal matching of
-    the dependency graph; batch two queries every remaining interval that
-    strictly contains a known co-set point.  No third batch can be needed:
-    values revealed in batch two cannot land strictly inside an interval
-    that was independent of everything queried before.  With no dependent
+    the dependency graph, taken from the sweep's partner lists by
+    `solving.greedy_matching_cover`, so no edge list is built; batch two
+    queries every remaining interval that strictly contains a known co-set
+    point.  No third batch can be needed: values revealed in batch two
+    cannot land strictly inside an interval that was independent of
+    everything queried before.  With no dependent
     pair at all, batch one is the forced set instead, and no revealed value
     can then fall strictly inside a co-set interval.  Run in rounds of k by
     `BatchesToRounds`, it is the round algorithm `sorting-matching`.
@@ -47,7 +49,7 @@ class TwoBatchSorting:
             raise AlgorithmError("two-batch algorithm handles sorting instances only")
         self._stage += 1
         if self._stage == 1:
-            cover = matching_cover(build_dependency_graph(instance, knowledge))
+            cover = greedy_matching_cover(instance, knowledge)
             if cover:
                 return sorted(cover)
             self._stage = 2

@@ -6,11 +6,13 @@ is computed in closed form for minimum (per set), full selection (the
 containing intervals) and value selection (a count of the elements that
 must leave or join each side of the i-th value).  The sorting optimum is
 the mandatory set M, the intervals that strictly contain a co-set
-element's value, plus a minimum vertex cover of the residual graph, the
+element's value, plus a minimum vertex cover of the residual graph R, the
 dependency edges with neither end in M, found by the exact branch and
-bound that gives `sorting-vc` its multi-set cover.  Only that residual is
-capped.  The subset search in `opt1_bruteforce` runs in no report; it is
-the oracle that the other optima are tested against.
+bound that gives `sorting-vc` its multi-set cover.  R is swept over the
+non-mandatory intervals alone, on the realization's exact keys, so the
+full dependency graph of the instance is never built.  Only R is capped.
+The subset search in `opt1_bruteforce` runs in no report; it is the
+oracle that the other optima are tested against.
 
 The predicates compare the exact integer keys that the knowledge state
 keeps across reveals, all on its one scale, never a `Fraction`: a key is
@@ -22,9 +24,11 @@ set's minimum is then the head of its pinned list, and its live members
 are the prefix of its left order below that floor, found by one
 bisection.  The dependent pairs of one set form an interval graph, so one
 pass over its intervals in left order finds every pair, each interval's
-partners ending where a bisection says, and the points that force
-queries, or that leave a set unsorted, are found by bisection.  Selection
-reads its rank cuts from the kept cut lists of cut keys, and
+partners ending where a bisection says: `dependency_runs`, the one sweep
+behind the dependency graph, the residual R and the greedy matching of
+`batch-sort-2`.  The points that force queries, or that leave a set
+unsorted, are found by bisection.  Selection reads its rank cuts from
+the kept cut lists of cut keys, and
 `selection_categories` classifies a pool that only shrinks over a run:
 what left the target area stays out.  Orders by endpoint, such as the
 sorting certificate's, come from `cut_order` on the state's cut keys.
@@ -45,11 +49,11 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .instances import (
     Instance,
@@ -308,30 +312,70 @@ def selection_categories(
 
 
 # ---------------------------------------------------------------------------
-# sorting structure: dependency graph, forced queries, exact vertex cover
+# sorting structure: dependency sweep and graph, matching, forced queries, exact vertex cover
+
+
+def dependency_runs(ids: List[int], lowers: List[int], uppers: List[int]) -> Iterator[Tuple[int, List[int]]]:
+    """Each interval of one set with its run of later partners: the one
+    sweep behind every dependency graph of sorting.
+
+    `ids` are non-trivial intervals in ascending order of their lower
+    endpoint keys `lowers`, with upper endpoint keys `uppers`, all on one
+    exact scale.  Two non-trivial intervals a before b (b.lower >= a.lower)
+    are dependent iff b.lower < a.upper, whatever their endpoint kinds; so
+    a's partners after it are the run that starts below a.upper, and one
+    bisection on the ascending lower keys finds where the run ends.  Each
+    dependent pair of the set is yielded once, from its earlier interval.
+    """
+    for i, a in enumerate(ids):
+        yield a, ids[i + 1 : bisect_left(lowers, uppers[i], i + 1)]
+
+
+def _unpinned_runs(instance: Instance, knowledge: KnowledgeState) -> Iterator[Tuple[int, List[int]]]:
+    """`dependency_runs` of every set over its kept unpinned members, which
+    the set's view holds in left order with their endpoint keys."""
+    for members in instance.family:
+        view = knowledge.set_view(members)
+        order, live = view.order, view.unpinned
+        yield from dependency_runs(
+            [order.ids[p] for p in live], [order.lowers[p] for p in live], [order.uppers[p] for p in live]
+        )
+
+
+def _edge_list(runs: Iterable[Tuple[int, List[int]]]) -> Tuple[Tuple[int, int], ...]:
+    """The distinct pairs of partner runs as (a, b), a < b, ascending."""
+    return tuple(sorted({(a, b) if a < b else (b, a) for a, run in runs for b in run}))
 
 
 def build_dependency_graph(instance: Instance, knowledge: KnowledgeState) -> Tuple[Tuple[int, int], ...]:
     """The dependent pairs (a, b), a < b, of unqueried non-trivial elements
-    that share a set, ascending.  Single-set graphs are interval graphs.
+    that share a set, ascending.  Single-set graphs are interval graphs."""
+    return _edge_list(_unpinned_runs(instance, knowledge))
 
-    Per set, a sweep over its kept unpinned members in left order.  Two
-    non-trivial intervals a before b (b.lower >= a.lower) are dependent
-    iff b.lower < a.upper, whatever their endpoint kinds; so a's partners
-    are the run of intervals after it that start below a.upper, and one
-    bisection on the ascending lower endpoint keys finds where the run ends.
+
+def greedy_matching_cover(instance: Instance, knowledge: KnowledgeState) -> FrozenSet[int]:
+    """The matched vertices of the greedy maximal matching of the
+    dependency graph: a 2-approximate vertex cover.
+
+    The greedy pass over the ascending edges (a, b) matches each a, in
+    ascending id order and while still unmatched, to its smallest
+    unmatched partner b > a.  This does the same on the partner lists of
+    the sweep, so no edge tuple is built or sorted.
     """
-    edges: Set[Tuple[int, int]] = set()
-    for members in instance.family:
-        view = knowledge.set_view(members)
-        ids, lowers, uppers = view.order.ids, view.order.lowers, view.order.uppers
-        live = view.unpinned
-        for i, p in enumerate(live):
-            a = ids[p]
-            for q in live[i + 1 : bisect_left(live, uppers[p], i + 1, key=lowers.__getitem__)]:
-                b = ids[q]
-                edges.add((a, b) if a < b else (b, a))
-    return tuple(sorted(edges))
+    later: Dict[int, List[int]] = defaultdict(list)  # a -> its partners b > a, once per set they share
+    for a, run in _unpinned_runs(instance, knowledge):
+        for b in run:
+            if a < b:
+                later[a].append(b)
+            else:
+                later[b].append(a)
+    matched: Set[int] = set()
+    for a in sorted(later):
+        if a not in matched:
+            b = min((b for b in later[a] if b not in matched), default=None)
+            if b is not None:
+                matched.update((a, b))
+    return frozenset(matched)
 
 
 def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
@@ -658,22 +702,34 @@ def sorting_residual(
     mandatory: unless b is queried, ordering the pair queries a (or a is a
     point), and v_a lands inside I_b.  Per set, one bisection per member
     over the set's sorted values counts the values strictly inside its
-    interval, its own value aside.  The endpoints and values are compared
-    on one exact key list.  R holds the dependency edges of the untouched
-    instance with neither end in M.
+    interval, its own value aside.  R holds the dependency edges of the
+    untouched instance with neither end in M, ascending.  The same pass
+    keeps each set's non-trivial members that are not mandatory in it; an
+    element can be mandatory through one set and not through another, so
+    those outside all of M are swept, per set in lower-endpoint order, by
+    `dependency_runs`.  Endpoints and values are compared on one exact key
+    list of the realization's; no `KnowledgeState` is built.
     """
     lowers, uppers, values = realization.exact_keys(instance)
     mandatory = set()
+    free = []  # per set, its non-trivial members not mandatory in that set
     for members in instance.family:
         ranked = sorted(values[e - 1] for e in members)
+        kept = []
         for b in members:
             # a trivial interval has an empty interior
             lo, hi = lowers[b - 1], uppers[b - 1]
             inside = bisect_left(ranked, hi) - bisect_right(ranked, lo)
             if inside > (lo < values[b - 1] < hi):
                 mandatory.add(b)
-    edges = build_dependency_graph(instance, instance.knowledge())
-    return frozenset(mandatory), tuple(e for e in edges if e[0] not in mandatory and e[1] not in mandatory)
+            elif lo < hi:
+                kept.append(b)
+        free.append(kept)
+    runs = []
+    for kept in free:
+        ids = sorted((b for b in kept if b not in mandatory), key=lambda b: lowers[b - 1])
+        runs.extend(dependency_runs(ids, [lowers[b - 1] for b in ids], [uppers[b - 1] for b in ids]))
+    return frozenset(mandatory), _edge_list(runs)
 
 
 def opt1_sorting(instance: Instance, realization: Realization, cap: int = OPT_CAP) -> OptReport:

@@ -1,6 +1,7 @@
 """Shared test machinery: an algorithm wrapper that lets a test watch
-every round of a `harness.run`, the open sets the harness would pass, and
-the exact round bound of the budget algorithm's guarantee."""
+every round of a `harness.run`, the open sets the harness would pass, the
+exact round bound of the budget algorithm's guarantee, and the edge-list
+greedy matching that the sweep's matching is checked against."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +33,16 @@ class Probed:
         picked = self.alg.next_batch(instance, knowledge, open_sets)
         self.probe(knowledge, open_sets, picked)
         return picked
+
+
+def matching_cover(edges):
+    """The matched vertices of the greedy maximal matching that one pass
+    over `edges`, in their order, picks."""
+    matched = set()
+    for a, b in edges:
+        if a not in matched and b not in matched:
+            matched.update((a, b))
+    return frozenset(matched)
 
 
 def open_sets(instance, knowledge):

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import Probed, budget_round_bound, open_sets
+from helpers import Probed, budget_round_bound, matching_cover, open_sets
 from roundquery.algorithms import (
     AlgorithmError,
     BudgetRounds,
     build_dependency_graph,
     interval_cover,
     make_algorithm,
-    matching_cover,
 )
 from roundquery.harness import run, run_batches
 from roundquery.instances import (
@@ -45,6 +44,7 @@ from roundquery.solving import (
     canonical_opt,
     ceil_div,
     exact_cover,
+    greedy_matching_cover,
     minimum_solved,
     opt1_minimum,
     reveal_all,
@@ -86,6 +86,7 @@ class TestVertexCover:
         assert len(interval_cover(inst, inst.knowledge())) == 1
         assert len(exact_cover(edges)) == 1
         assert len(matching_cover(edges)) == 2
+        assert greedy_matching_cover(inst, inst.knowledge()) == {1, 2}
 
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_pair_gadgets_cost_one_each(self, c):

@@ -252,6 +252,15 @@ class TestConstruction:
         with pytest.raises(IntervalError, match="^lower 4 above upper 7/2$"):
             UncertainInterval("4", OPEN, "7/2", OPEN)
 
+    def test_point_keeps_a_fraction_and_converts_the_rest(self):
+        v = Fraction(5, 3)
+        state = UncertainInterval.point(v)
+        assert state.lower is v and state.upper is v and state.trivial
+        for raw, expected in ((3, Fraction(3)), ("-3/6", Fraction(-1, 2))):
+            point = UncertainInterval.point(raw)
+            assert type(point.lower) is Fraction and point.lower is point.upper
+            assert point.value == expected and point.trivial
+
     @given(rationals(), rationals(), st.sampled_from([OPEN, CLOSED]), st.sampled_from([OPEN, CLOSED]))
     def test_refusal_and_triviality_follow_the_rational_order(self, lower, upper, lk, uk):
         closed = lk is CLOSED and uk is CLOSED

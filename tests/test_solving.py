@@ -6,6 +6,7 @@ against their all-pairs, full-sort and full-scan definitions, also
 written here, and the kept views against a state built after the fact."""
 
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import matching_cover
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import resolve_source, run
 from roundquery.instances import (
@@ -47,6 +49,7 @@ from roundquery.solving import (
     exact_cover,
     extract_certificate,
     forced_queries,
+    greedy_matching_cover,
     instance_solved,
     minimum_scan,
     minimum_solved,
@@ -259,6 +262,23 @@ class TestSweepsMatchAllPairs:
         inst, r, order = run
         for k in _knowledge_along(inst, r, order):
             assert forced_queries(inst, k) == _all_pairs_forced(inst, k)
+
+    @given(run=_sorting_run())
+    def test_greedy_matching(self, run):
+        # the sweep's matching picks what the pass over the sorted edges picks
+        inst, r, order = run
+        for k in _knowledge_along(inst, r, order):
+            assert greedy_matching_cover(inst, k) == matching_cover(build_dependency_graph(inst, k))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_greedy_matching_on_larger_runs(self, seed):
+        inst, r = gen_random(seed, RandomParams(
+            n=60, m=3, k=2, problem=ProblemKind(SORTING), overlap="overlap", trivial_prob=0.3
+        ))
+        order = random.Random(seed).sample([e for e in inst.ids() if not inst.interval(e).trivial], 30)
+        for step, k in enumerate(_knowledge_along(inst, r, order)):
+            if step % 4 == 0:
+                assert greedy_matching_cover(inst, k) == matching_cover(build_dependency_graph(inst, k))
 
     @given(run=_sorting_run())
     def test_sorting_structure(self, run):
@@ -851,6 +871,31 @@ class TestOptSorting:
             for combo in itertools.combinations(candidates, size):
                 if query_set_feasible(inst, r, combo):
                     assert mandatory <= set(combo)
+
+    def test_mandatory_through_another_set_leaves_the_residual(self):
+        # 1 is mandatory through set 1, whose point 2 lies inside it, but
+        # not through set 2, where it is dependent with 3
+        elements = [iv("[0,4]"), iv("{2}"), iv("[3,6]"), iv("[5,7]")]
+        inst = make_instance(elements, [[1, 2], [1, 3, 4]], ProblemKind(SORTING), 2)
+        r = Realization({1: Fraction(1), 2: Fraction(2), 3: Fraction(9, 2), 4: Fraction(13, 2)})
+        assert build_dependency_graph(inst, inst.knowledge()) == ((1, 3), (3, 4))
+        assert sorting_residual(inst, r) == ({1}, ((3, 4),))
+        assert canonical_opt(inst, r).opt_set == {1, 3}
+
+    def test_residual_builds_no_knowledge_state(self, monkeypatch):
+        inst, r = gen_random(7, RandomParams(
+            n=40, m=3, k=2, problem=ProblemKind(SORTING), overlap="overlap", trivial_prob=0.3
+        ))
+        expected = sorting_residual(inst, r)
+        assert expected[1]  # a residual with edges, so the sweep runs
+
+        def refuse(self, intervals):
+            raise AssertionError("a KnowledgeState was built")
+
+        monkeypatch.setattr(KnowledgeState, "__init__", refuse)
+        assert sorting_residual(inst, r) == expected
+        with pytest.raises(AssertionError, match="^a KnowledgeState was built$"):
+            inst.knowledge()
 
     def test_large_instance_under_the_default_cap(self):
         # |M| is in the hundreds and R is small, so the default cap holds
