@@ -35,9 +35,9 @@ class TwoBatchSorting:
     queries every remaining interval that strictly contains a known co-set
     point.  No third batch can be needed: values revealed in batch two
     cannot land strictly inside an interval that was independent of
-    everything queried before.  With no dependent
-    pair at all, batch one is the forced set instead, and no revealed value
-    can then fall strictly inside a co-set interval.  Run in rounds of k by
+    everything queried before.  With no dependent pair at all, batch one
+    is the forced set instead, and no revealed value can then fall
+    strictly inside a co-set interval.  Run in rounds of k by
     `BatchesToRounds`, it is the round algorithm `sorting-matching`.
     """
 
