@@ -65,7 +65,8 @@ def _cases():
                         ("batch-all", "random:problem=minimum,n=24,m=4,k=3,overlap=overlap")]:
         cases[f"as-rounds-{alg}"] = ["run", "--trace", "--alg", alg, "--source", source, "--as-rounds", "k=3"]
     for alg, source in [("budget", "random:problem=minimum,n=24,m=4,k=3,overlap=overlap"),
-                        ("sorting-matching", "random:problem=sorting,n=20,m=3,k=3,overlap=overlap")]:
+                        ("sorting-matching", "random:problem=sorting,n=20,m=3,k=3,overlap=overlap"),
+                        ("sorting-vc", "random:problem=sorting,n=20,m=3,k=3,overlap=overlap")]:
         cases[f"as-batches-{alg}"] = ["run", "--alg", alg, "--source", source, "--as-batches", "r=5", "alpha=2"]
     return {name.replace(":", "_").replace(",", "_").replace("=", ""): argv for name, argv in cases.items()}
 
