@@ -97,7 +97,6 @@ from .solving import (
     selection_solved,
     selection_value_pinned,
     sorting_solved,
-    target_area,
     truth_record,
     verify_certificate,
 )

@@ -38,6 +38,7 @@ from .solving import (
     SolutionCertificate,
     canonical_opt,
     extract_certificate,
+    instance_solved,
     query_set_feasible,
     reveal_all,
     verify_certificate,
@@ -155,14 +156,14 @@ def cmd_verify(args) -> int:
         f"method {opt.method}",
         "opt_set " + " ".join(str(e) for e in sorted(opt.opt_set)),
     ]
-    if not query_set_feasible(instance, realization, opt.opt_set):
+    knowledge = reveal_all(instance, realization, opt.opt_set)
+    if not instance_solved(instance, knowledge):
         raise InstanceError("optimum query set is not feasible")
     lines.append("feasible yes")
     for eid in sorted(opt.opt_set):
         if query_set_feasible(instance, realization, opt.opt_set - {eid}):
             raise InstanceError(f"optimum query set is not minimal: {eid} is redundant")
     lines.append("minimal yes")
-    knowledge = reveal_all(instance, realization, opt.opt_set)
     cert = extract_certificate(instance, knowledge)
     verify_certificate(instance, knowledge, cert, realization)
     sys.stdout.write("\n".join(lines) + "\n" + certificate_text(cert))

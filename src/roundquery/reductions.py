@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, List
+from typing import Callable, FrozenSet, List
 
-from .algorithms import AlgorithmError, OpenSets
 from .instances import Instance, SORTING
 from .intervals import KnowledgeState
-from .solving import forced_queries, greedy_matching_cover
+from .solving import AlgorithmError, OpenSets, forced_queries, greedy_matching_cover
 
 
 class QueryAllBatch:
@@ -27,21 +26,26 @@ class QueryAllBatch:
 
 
 class TwoBatchSorting:
-    """Matching batch, then the intervals pinned by the revealed points.
+    """Vertex-cover batch, then the intervals pinned by the revealed points.
 
-    Batch one queries the matched vertices of a greedy maximal matching of
-    the dependency graph, taken from the sweep's partner lists by
-    `solving.greedy_matching_cover`, so no edge list is built; batch two
+    Batch one queries `cover(instance, knowledge)`, a vertex cover of the
+    dependency graph: by default the matched vertices of a greedy maximal
+    matching, taken from the sweep's partner lists by
+    `solving.greedy_matching_cover`, so no edge list is built.  Batch two
     queries every remaining interval that strictly contains a known co-set
-    point.  No third batch can be needed: values revealed in batch two
-    cannot land strictly inside an interval that was independent of
-    everything queried before.  With no dependent pair at all, batch one
-    is the forced set instead, and no revealed value can then fall
-    strictly inside a co-set interval.  Run in rounds of k by
-    `BatchesToRounds`, it is the round algorithm `sorting-matching`.
+    point.  No third batch can be needed, whatever the cover: the
+    intervals it leaves are pairwise independent within each set, so no
+    value revealed in batch two lands strictly inside one of them.  With
+    no dependent pair at all, the cover is empty and batch one is the
+    forced set instead.  Run in rounds of k by `BatchesToRounds`, it is
+    the round algorithm `sorting-matching`, and with a minimum cover
+    `sorting-vc`.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, cover: Callable[[Instance, KnowledgeState], FrozenSet[int]] = greedy_matching_cover
+    ) -> None:
+        self.cover = cover
         self._stage = 0
 
     def next_batch(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
@@ -49,7 +53,7 @@ class TwoBatchSorting:
             raise AlgorithmError("two-batch algorithm handles sorting instances only")
         self._stage += 1
         if self._stage == 1:
-            cover = greedy_matching_cover(instance, knowledge)
+            cover = self.cover(instance, knowledge)
             if cover:
                 return sorted(cover)
             self._stage = 2

@@ -66,11 +66,7 @@ from .instances import (
     SORTING,
 )
 from .intervals import (
-    CLOSED,
-    Cut,
     KnowledgeState,
-    OPEN,
-    UncertainInterval,
     cut_keys,
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
@@ -83,6 +79,13 @@ from .intervals import (
 OPT_CAP = 22
 # the default `cap` of `opt1_bruteforce`: it bounds n, not the sorting residual
 BRUTE_FORCE_CAP = 22
+
+
+OpenSets = Tuple[int, ...]  # indices of the unsolved sets, ascending, never empty
+
+
+class AlgorithmError(RuntimeError):
+    """Algorithm asked to run outside its contract."""
 
 
 class BruteForceCapError(InstanceError):
@@ -163,11 +166,6 @@ def rank_cut_keys(instance: Instance, knowledge: KnowledgeState) -> Tuple[int, i
     return lefts[rank - 1], rights[rank - 1]
 
 
-def rank_cuts(instance: Instance, knowledge: KnowledgeState) -> Tuple[Cut, Cut]:
-    """`rank_cut_keys` read back as (value, flag) cuts."""
-    return tuple(map(knowledge.cut_of, rank_cut_keys(instance, knowledge)))
-
-
 def selection_value_pinned(instance: Instance, knowledge: KnowledgeState) -> Optional[Fraction]:
     """The i-th smallest value if it is already forced, else None.
 
@@ -214,26 +212,10 @@ def instance_solved(instance: Instance, knowledge: KnowledgeState) -> bool:
 # target area and categories for selection
 
 
-def target_area(instance: Instance, knowledge: KnowledgeState) -> UncertainInterval:
-    """Interval between the i-th smallest left and right endpoints.
-
-    Computed over the current states (revealed elements are points); the
-    i-th smallest value must lie inside.
-    """
-    lo, hi = rank_cuts(instance, knowledge)
-    if lo[0] == hi[0]:
-        return UncertainInterval.point(lo[0])
-    return UncertainInterval(
-        lo[0],
-        CLOSED if lo[1] == 0 else OPEN,
-        hi[0],
-        CLOSED if hi[1] == 0 else OPEN,
-    )
-
-
 @dataclass(frozen=True)
 class SelectionRoundView:
-    """Target area plus the category split of intersecting elements.
+    """The category split of the elements that intersect the target area,
+    which spans the rank cuts (`rank_cut_keys`): the i-th value lies in it.
 
     `containing` holds the non-trivial unqueried intervals that cover the
     whole target area; the other three buckets classify every remaining
@@ -241,7 +223,6 @@ class SelectionRoundView:
     the category-count invariants).
     """
 
-    target: UncertainInterval
     containing: Tuple[int, ...]
     inside: Tuple[int, ...]
     left_overlap: Tuple[int, ...]
@@ -303,7 +284,6 @@ def selection_categories(
         else:
             inside.append(eid)
     return SelectionRoundView(
-        target=target_area(instance, knowledge),
         containing=tuple(containing),
         inside=tuple(inside),
         left_overlap=tuple(left_overlap),

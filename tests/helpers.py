@@ -1,12 +1,14 @@
 """Shared test machinery: an algorithm wrapper that lets a test watch
 every round of a `harness.run`, the open sets the harness would pass, the
-exact round bound of the budget algorithm's guarantee, and the edge-list
-greedy matching that the sweep's matching is checked against."""
+exact round bound of the budget algorithm's guarantee, the edge-list
+greedy matching that the sweep's matching is checked against, and the
+pairwise interval greedy that the cut-key one is checked against."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from roundquery.intervals import dependent, right_cut
 from roundquery.solving import set_solved
 
 
@@ -43,6 +45,18 @@ def matching_cover(edges):
         if a not in matched and b not in matched:
             matched.update((a, b))
     return frozenset(matched)
+
+
+def pairwise_interval_cover(instance, knowledge):
+    """`algorithms.interval_cover` by its definition: walk the first set's
+    unqueried non-trivial members by (right cut, id), keep each one that is
+    not `dependent` on the last one kept, and cover with the rest."""
+    vertices = knowledge.unqueried_nontrivial(instance.family[0])
+    kept = []
+    for v in sorted(vertices, key=lambda e: (right_cut(knowledge.state(e)), e)):
+        if not kept or not dependent(knowledge.state(kept[-1]), knowledge.state(v)):
+            kept.append(v)
+    return frozenset(vertices) - frozenset(kept)
 
 
 def open_sets(instance, knowledge):

@@ -47,6 +47,7 @@ from roundquery.solving import (
     greedy_matching_cover,
     minimum_solved,
     opt1_minimum,
+    rank_cut_keys,
     reveal_all,
     selection_categories,
 )
@@ -535,7 +536,7 @@ class TestSelectionFullPool:
 
         def probe(knowledge, _open_sets, _picked):
             assert alg.last_view == selection_categories(inst, knowledge)
-            targets.append(alg.last_view.target.text())
+            targets.append(tuple(map(knowledge.cut_of, rank_cut_keys(inst, knowledge))))
 
         run(Probed(alg, probe), inst, FixedOracle(inst, r))
         return targets
@@ -554,7 +555,8 @@ class TestSelectionFullPool:
             1,
         )
         r = Realization({1: Fraction(2), 2: Fraction(2), 3: Fraction(5, 2), 4: Fraction(3), 5: Fraction(3)})
-        assert self._targets(inst, r) == ["[0,2]", "[1,2]", "{2}"]
+        # the target areas [0,2], [1,2] and {2}, as their rank cuts
+        assert self._targets(inst, r) == [((0, 0), (2, 0)), ((1, 0), (2, 0)), ((2, 0), (2, 0))]
 
 
 class TestUniformContract:

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from roundquery import cli
 from roundquery.cli import main
 from roundquery.instances import parse_instance
+from roundquery.solving import OptReport, canonical_opt
 
 FIG2_GOLDEN = (
     "rounds 3\n"
@@ -162,6 +164,23 @@ class TestVerify:
         path.write_text("k 1\nproblem minimum\ninterval 1 (0,2)\n")
         code, _, err = invoke(capsys, "verify", "--instance", str(path))
         assert code == 1
+
+    @pytest.mark.parametrize("change, message", [
+        # fig2's optimum is 1 2 3 7 8 9 13 14 15 16 17
+        (lambda ids: ids - {17}, "optimum query set is not feasible"),
+        (lambda ids: ids | {4}, "optimum query set is not minimal: 4 is redundant"),
+    ])
+    def test_a_wrong_optimum_is_refused(self, tmp_path, capsys, monkeypatch, change, message):
+        path = tmp_path / "fig2.rq"
+        invoke(capsys, "generate", "--source", "fig2", "-o", str(path))
+
+        def wrong_opt(instance, realization, cap):
+            opt = canonical_opt(instance, realization, cap=cap)
+            return OptReport.of(change(opt.opt_set), instance.k, opt.method)
+
+        monkeypatch.setattr(cli, "canonical_opt", wrong_opt)
+        code, out, err = invoke(capsys, "verify", "--instance", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestBenchAndTable:

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import matching_cover
-from roundquery.algorithms import make_algorithm
+from helpers import matching_cover, pairwise_interval_cover
+from roundquery.algorithms import interval_cover, make_algorithm
 from roundquery.harness import resolve_source, run
 from roundquery.instances import (
     InstanceError,
@@ -58,19 +58,23 @@ from roundquery.solving import (
     opt1_selection_full,
     opt1_selection_value,
     query_set_feasible,
-    rank_cuts,
+    rank_cut_keys,
     reveal_all,
     selection_categories,
     selection_solved,
     selection_value_pinned,
     sorting_residual,
     sorting_solved,
-    target_area,
     truth_record,
     verify_certificate,
 )
 
 iv = UncertainInterval.parse
+
+
+def _rank_cuts(inst, k):
+    """The rank cut keys read back as (value, flag) cuts."""
+    return tuple(map(k.cut_of, rank_cut_keys(inst, k)))
 
 
 def knowledge_of(intervals, revealed=()):
@@ -190,12 +194,35 @@ def _admissible_value(draw, interval):
 @st.composite
 def _sorting_run(draw, max_n=10):
     """A sorting instance on 1-3 overlapping sets, a realization, and the
-    order in which some of its non-trivial elements are revealed."""
+    order in which some of its non-trivial elements are revealed.
+
+    Half the time one non-trivial element is shared by the first set and
+    another.  A point at its middle joins the first set, so the element is
+    mandatory through that set.  A new partner that overlaps it joins the
+    other set: closed at the element's value on one side, so that value
+    does not fall strictly inside it, and valued at its far end outside
+    the element."""
     elements = draw(st.lists(_interval(), min_size=1, max_size=max_n))
     ids = list(range(1, len(elements) + 1))
     family = draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, unique=True), min_size=1, max_size=3))
+    values = {}
+    wide = [e for e in ids if not elements[e - 1].trivial]
+    if wide and draw(st.booleans()):
+        shared = draw(st.sampled_from(wide))
+        lo, hi = elements[shared - 1].lower, elements[shared - 1].upper
+        v = values[shared] = _admissible_value(draw, elements[shared - 1])
+        partner = UncertainInterval.closed(v, hi + 1) if v < hi else UncertainInterval.closed(lo - 1, v)
+        elements += [UncertainInterval.point((lo + hi) / 2), partner]
+        point, partner = len(elements) - 1, len(elements)
+        values[partner] = hi + 1 if v < hi else lo - 1
+        if len(family) == 1:
+            family.append(draw(st.lists(st.sampled_from(ids), unique=True)))
+        other = draw(st.integers(1, len(family) - 1))
+        family[0] = [e for e in family[0] if e != shared] + [shared, point]
+        family[other] = [e for e in family[other] if e != shared] + [shared, partner]
+        ids += [point, partner]
     inst = make_instance(elements, family, ProblemKind(SORTING), 2)
-    r = Realization({e: _admissible_value(draw, inst.interval(e)) for e in ids})
+    r = Realization({e: values[e] if e in values else _admissible_value(draw, inst.interval(e)) for e in ids})
     order = draw(st.permutations([e for e in ids if not inst.interval(e).trivial]))
     return inst, r, order[: draw(st.integers(0, len(order)))]
 
@@ -270,6 +297,14 @@ class TestSweepsMatchAllPairs:
         for k in _knowledge_along(inst, r, order):
             assert greedy_matching_cover(inst, k) == matching_cover(build_dependency_graph(inst, k))
 
+    @given(run=_sorting_run())
+    def test_interval_cover(self, run):
+        # the cut-key greedy on the first set alone picks what the pairwise one picks
+        inst, r, order = run
+        single = make_instance(inst.elements, inst.family[:1], inst.problem, inst.k)
+        for k in _knowledge_along(single, r, order):
+            assert interval_cover(single, k) == pairwise_interval_cover(single, k)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_greedy_matching_on_larger_runs(self, seed):
         inst, r = gen_random(seed, RandomParams(
@@ -306,7 +341,7 @@ class TestSweepsMatchAllPairs:
             kept = k.cut_lists()
             assert all(type(key) is int for keys in kept for key in keys)
             assert tuple(list(map(k.cut_of, keys)) for keys in kept) == (lefts, rights)
-            assert rank_cuts(selection, k) == (lefts[rank - 1], rights[rank - 1])
+            assert _rank_cuts(selection, k) == (lefts[rank - 1], rights[rank - 1])
 
     @given(run=_sorting_run())
     def test_certificate_orders(self, run):
@@ -421,7 +456,7 @@ class TestRescale:
             family = self.FAMILY if kind.kind in (SORTING, MINIMUM) else [range(1, n + 1)]
             inst = make_instance(self.ELEMENTS, family, kind, 2)
             if kind.is_selection:
-                ranks.append(rank_cuts(inst, k))
+                ranks.append(_rank_cuts(inst, k))
             certificates.append(self._certificate(inst, k))
         return per_set, forced_queries(sets, k), build_dependency_graph(sets, k), ranks, certificates
 
@@ -616,10 +651,10 @@ class TestSelectionSolved:
 
 
 class TestTargetArea:
+    # the target area spans the rank cuts; a flag of 0 is a closed end
     def test_middle_gadget_initial_target(self):
         inst, _ = selection_full_lb_adversary(3)
-        ta = target_area(inst, inst.knowledge())
-        assert ta.text() == "[2,6]"
+        assert _rank_cuts(inst, inst.knowledge()) == ((2, 0), (6, 0))
         view = selection_categories(inst, inst.knowledge())
         assert view.containing == (3,)
         assert view.a == 1 and view.b == 0
@@ -633,10 +668,9 @@ class TestTargetArea:
             ProblemKind(SELECTION_FULL, rank=2),
             1,
         )
-        ta = target_area(inst, inst.knowledge())
         # 2nd smallest left endpoint is the open 0 (closed 0 precedes it);
         # the open right 2 precedes the closed one, so the 2nd is closed
-        assert ta.text() == "(0,2]"
+        assert _rank_cuts(inst, inst.knowledge()) == ((0, 1), (2, 0))
 
 
 class TestOptMinimum:
