@@ -100,7 +100,7 @@ class SortingRounds(BatchesToRounds):
 def _candidate_lists(instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> Dict[int, List[int]]:
     """Per open set, in index order, its queryable elements in left order,
     as `minimum_scan` returns them; an open set always has at least one."""
-    return {idx: minimum_scan(instance.family[idx], knowledge)[1] for idx in open_sets}
+    return {idx: minimum_scan(instance.family[idx], knowledge) for idx in open_sets}
 
 
 class MinimumSingleRounds:

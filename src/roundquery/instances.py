@@ -318,14 +318,14 @@ def serialize_instance(instance: Instance, realization: Optional[Realization] = 
 # fixed benchmark families
 
 
-def _prefix_set(offset: int, size: int, need: int) -> Tuple[List[UncertainInterval], Dict[int, Fraction], List[int]]:
+def _prefix_set(offset: int, size: int, need: int) -> Tuple[List[UncertainInterval], Dict[int, Fraction]]:
     """One disjoint set whose optimal query prefix has the given length.
 
     Element j gets interval (offset+j, offset+j+10); the minimum sits at
     position `need` just above its lower endpoint, everything else realizes
     high, so the set is solved exactly after its first `need` queries.
     """
-    intervals, values, ids = [], {}, []
+    intervals, values = [], {}
     for j in range(1, size + 1):
         lo = Fraction(offset + j)
         intervals.append(UncertainInterval.open(lo, lo + 10))
@@ -333,8 +333,7 @@ def _prefix_set(offset: int, size: int, need: int) -> Tuple[List[UncertainInterv
             values[j] = lo + Fraction(1, 2)
         else:
             values[j] = lo + Fraction(19, 2)
-        ids.append(j)
-    return intervals, values, ids
+    return intervals, values
 
 
 def gen_fig2_bal_instance() -> Tuple[Instance, Realization]:
@@ -350,7 +349,7 @@ def gen_fig2_bal_instance() -> Tuple[Instance, Realization]:
     family: List[List[int]] = []
     next_id = 1
     for set_idx, (size, need) in enumerate(zip(sizes, needs)):
-        ivs, vals, _ = _prefix_set(100 * set_idx, size, need)
+        ivs, vals = _prefix_set(100 * set_idx, size, need)
         members = []
         for local, iv in enumerate(ivs, 1):
             elements.append(iv)

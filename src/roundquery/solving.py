@@ -8,11 +8,14 @@ must leave or join each side of the i-th value).  The sorting optimum is
 the mandatory set M, the intervals that strictly contain a co-set
 element's value, plus a minimum vertex cover of the residual graph R, the
 dependency edges with neither end in M, found by the exact branch and
-bound that gives `sorting-vc` its multi-set cover.  R is swept over the
-non-mandatory intervals alone, on the realization's exact keys, so the
-full dependency graph of the instance is never built.  Only R is capped.
-The subset search in `opt1_bruteforce` runs in no report; it is the
-oracle that the other optima are tested against.
+bound that gives `sorting-vc` its multi-set cover.  That search takes
+`sorting-vc`'s vertices by degree but R's by ascending id, so the first
+minimum it finds in R is the lexicographically smallest, the canonical
+one.  R is swept over the non-mandatory intervals alone, on the
+realization's exact keys, so the full dependency graph of the instance is
+never built.  Only R is capped.  The subset search in `opt1_bruteforce`
+runs in no report; it is the oracle that the other optima are tested
+against.
 
 The predicates compare the exact integer keys that the knowledge state
 keeps across reveals, all on its one scale, never a `Fraction`: a key is
@@ -32,8 +35,8 @@ the kept cut lists of cut keys, and
 `selection_categories` classifies a pool that only shrinks over a run:
 what left the target area stays out.  Orders by endpoint, such as the
 sorting certificate's, come from `cut_order` on the state's cut keys.
-What the predicates return to callers, floors, cuts, values and
-certificates, is read back as `Fraction`s.
+What the predicates return to callers, cuts, values and certificates,
+is read back as `Fraction`s.
 
 The certificate check and the offline optima share one `TruthRecord` per
 run, each set's true minimum or the true i-th value, so neither recomputes
@@ -104,26 +107,23 @@ def ceil_div(a: int, b: int) -> int:
 _value = itemgetter(0)  # of a pinned (key, id) pair
 
 
-def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> Tuple[Optional[Fraction], List[int]]:
-    """A set's least pinned value (None if none is pinned) and its live
-    members, the unpinned ones that could still lie below it, in left
-    order: by (left_cut, id).
+def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> List[int]:
+    """A set's live members: the unpinned ones that could still lie below
+    its least pinned value, in left order: by (left_cut, id).
 
     With no pinned value every unpinned member is live.  Otherwise a member
-    is dropped once its lower endpoint is at or above the floor (values in
-    open intervals sit strictly above the endpoint, so a weak comparison
-    suffices).  The kept view holds the floor's key at the head of its
-    pinned list and the unpinned members in left order, whose lower
-    endpoint keys ascend, so the live ones are the prefix that one
-    bisection finds.  The floor itself is read back from its holder.
+    is dropped once its lower endpoint is at or above the floor, the least
+    pinned value (values in open intervals sit strictly above the endpoint,
+    so a weak comparison suffices).  The kept view holds the floor's key at
+    the head of its pinned list and the unpinned members in left order,
+    whose lower endpoint keys ascend, so the live ones are the prefix that
+    one bisection finds.
     """
     view = knowledge.set_view(set_ids)
-    ids = view.order.ids
-    if not view.pinned:
-        return None, [ids[p] for p in view.unpinned]
-    floor, holder = view.pinned[0]
-    live = view.unpinned[: bisect_left(view.unpinned, floor, key=view.order.lowers.__getitem__)]
-    return knowledge.known_value(holder), [ids[p] for p in live]
+    live = view.unpinned
+    if view.pinned:
+        live = live[: bisect_left(live, view.pinned[0][0], key=view.order.lowers.__getitem__)]
+    return [view.order.ids[p] for p in live]
 
 
 def minimum_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
@@ -378,22 +378,23 @@ def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
     return sorted(forced)
 
 
-def exact_cover(
-    edges: Sequence[Tuple[int, int]],
-    start: Iterable[int] = (),
-    excluded: Iterable[int] = (),
-    upper: Optional[int] = None,
-) -> Optional[FrozenSet[int]]:
-    """Minimum vertex cover of `edges` that contains `start`, or None.
+def exact_cover(edges: Sequence[Tuple[int, int]], lexicographic: bool = False) -> FrozenSet[int]:
+    """A minimum vertex cover of `edges`: the first that a branch and bound
+    finds.
 
-    Branch and bound: take the highest-degree open vertex (lowest id on
-    ties), first on its own and then as all its open neighbours, and prune
-    with the cover size plus a greedy matching of the open edges.  The
-    first minimum found wins.  Partial covers that touch `excluded`, or
-    whose bound exceeds `upper`, are dropped.
+    Each node branches on one open vertex, first taking it on its own and
+    then as all its open neighbours, and prunes with the cover size plus a
+    greedy matching of the open edges; only a smaller cover replaces the
+    best, so the first minimum found wins.  By default the branch vertex is
+    the highest-degree open one (lowest id on ties), the order that
+    `sorting-vc`'s cover follows.  With `lexicographic` it is the lowest open
+    id, and the first minimum is the lexicographically smallest: a vertex
+    added below a node is open there, so its id is above the node's branch
+    vertex.  Two covers found below a node thus agree on every id below its
+    branch vertex, and the one found first, from the vertex's own branch,
+    holds it.
     """
-    excluded = frozenset(excluded)
-    best: Optional[FrozenSet[int]] = None
+    best = frozenset(v for e in edges for v in e)  # all vertices: a cover that any smaller one replaces
 
     def matching_bound(cover: Set[int]) -> int:
         used: Set[int] = set()
@@ -407,10 +408,7 @@ def exact_cover(
 
     def search(cover: Set[int]) -> None:
         nonlocal best
-        bound = len(cover) + matching_bound(cover)
-        if best is not None and bound >= len(best):
-            return
-        if upper is not None and bound > upper:
+        if len(cover) + matching_bound(cover) >= len(best):
             return
         open_edges = [e for e in edges if e[0] not in cover and e[1] not in cover]
         if not open_edges:
@@ -420,15 +418,12 @@ def exact_cover(
         for a, b in open_edges:
             degree[a] = degree.get(a, 0) + 1
             degree[b] = degree.get(b, 0) + 1
-        u = min(degree, key=lambda v: (-degree[v], v))
+        u = min(degree) if lexicographic else min(degree, key=lambda v: (-degree[v], v))
         neighbours = {w for e in open_edges if u in e for w in e if w != u}
-        for extra in ({u}, neighbours):
-            if excluded.isdisjoint(extra):
-                search(cover | extra)
+        search(cover | {u})
+        search(cover | neighbours)
 
-    start = set(start)
-    if excluded.isdisjoint(start):
-        search(start)
+    search(set())
     return best
 
 
@@ -718,24 +713,15 @@ def opt1_sorting(instance: Instance, realization: Realization, cap: int = OPT_CA
     A query outside M makes no other query necessary, since any interval
     its value lands strictly inside is in M.  So the feasible sets are M
     plus the vertex covers of R, and every minimum contains M.  The
-    smallest is M plus the cover that the include/exclude greedy over R's
-    vertices, in ascending order, builds with `exact_cover`.  `cap` bounds
-    R's vertex count.
+    smallest is M plus the first minimum cover that `exact_cover` finds in
+    its lexicographic order, searching R's vertices by ascending id.  `cap`
+    bounds R's vertex count.
     """
     mandatory, edges = sorting_residual(instance, realization)
-    vertices = sorted({v for e in edges for v in e})
+    vertices = {v for e in edges for v in e}
     if len(vertices) > cap:
         raise BruteForceCapError(f"sorting residual of {len(vertices)} vertices above cap {cap}")
-    best = exact_cover(edges)
-    assert best is not None  # querying every vertex covers R
-    chosen, excluded = set(), set()  # of R's vertices
-    for v in vertices:
-        if exact_cover(edges, chosen | {v}, excluded, upper=len(best)) is not None:
-            chosen.add(v)
-        else:
-            excluded.add(v)
-    assert len(chosen) == len(best)
-    return OptReport.of(mandatory | chosen, instance.k, "branch-and-bound")
+    return OptReport.of(mandatory | exact_cover(edges, lexicographic=True), instance.k, "branch-and-bound")
 
 
 def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = BRUTE_FORCE_CAP) -> OptReport:

@@ -7,6 +7,7 @@ written here, and the kept views against a state built after the fact."""
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 
@@ -86,8 +87,7 @@ def knowledge_of(intervals, revealed=()):
 
 def discarded(members, k):
     """Unpinned members the scan rules out as the set minimum."""
-    _, live = minimum_scan(members, k)
-    return {e for e in members if k.known_value(e) is None} - set(live)
+    return {e for e in members if k.known_value(e) is None} - set(minimum_scan(members, k))
 
 
 def _defined_scan(members, k):
@@ -131,7 +131,6 @@ class TestMinimumSolved:
         k = knowledge_of([iv("(1,3)"), iv("(2,4)"), iv("(5,6)")], [(1, "5/2"), (2, "7/2")])
         members = [1, 2, 3]
         assert minimum_solved(members, k)
-        assert minimum_scan(members, k)[0] == Fraction(5, 2)
         assert discarded(members, k) == {3}
 
     def test_single_unqueried_interval_unsolved(self):
@@ -141,7 +140,6 @@ class TestMinimumSolved:
     def test_trivial_below_all_lower_endpoints(self):
         k = knowledge_of([iv("{2}"), iv("(3,4)")])
         assert minimum_solved([1, 2], k)
-        assert minimum_scan([1, 2], k)[0] == 2
         assert discarded([1, 2], k) == {2}
 
     @given(data=st.data())
@@ -153,7 +151,7 @@ class TestMinimumSolved:
             k.reveal({eid: st_e.lower + (st_e.upper - st_e.lower) * data.draw(st.sampled_from(_INSIDE))})
         members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
         floor, live = _defined_scan(members, k)
-        assert minimum_scan(members, k) == (floor, live)
+        assert minimum_scan(members, k) == live
         assert minimum_solved(members, k) == (floor is not None and not live)
 
     def test_brute_force_agrees_it_is_solved(self):
@@ -400,7 +398,7 @@ class TestKeptViews:
         per_set = []
         for members in inst.family:
             floor, live = _defined_scan(members, k)
-            per_set.append(((floor, live), floor is not None and not live, _all_pairs_sorted(members, k)))
+            per_set.append((live, floor is not None and not live, _all_pairs_sorted(members, k)))
         return per_set, _all_pairs_forced(inst, k), _all_pairs_edges(inst, k), _defined_minima(inst, k)
 
     @given(run=_viewed_run(), data=st.data())
@@ -491,10 +489,9 @@ class TestRescale:
         self._answers(k)
         for eid, value in reveals:
             k.reveal({eid: value})
-        per_set, _, _, ranks, certificates = self._answers(k)
+        _, _, _, ranks, certificates = self._answers(k)
         for eid, value in reveals:
             assert type(k.known_value(eid)) is Fraction and k.known_value(eid) == value
-        assert all(type(floor) is Fraction for (floor, _), _ in per_set)
         assert all(type(cut[0]) is Fraction for pair in ranks for cut in pair)
         assert ranks[4] == ((Fraction(50000, 10007), 0), (Fraction(50000, 10007), 0))  # the 5th smallest
         minima = certificates[1].minima
@@ -837,27 +834,29 @@ class TestOptSelectionValue:
         assert canonical_opt(inst, r) == closed
 
 
-_PAIRS = list(itertools.combinations(range(1, 8), 2))
+_PAIRS = list(itertools.combinations(range(1, 10), 2))
 
 
 class TestExactCover:
-    @given(data=st.data())
-    def test_constrained_cover_matches_enumeration(self, data):
-        edges = sorted(data.draw(st.lists(st.sampled_from(_PAIRS), unique=True, max_size=12)))
-        start = data.draw(st.sets(st.integers(1, 7), max_size=3))
-        excluded = data.draw(st.sets(st.integers(1, 7), max_size=3))
-        upper = data.draw(st.none() | st.integers(0, 7))
-        valid = [
-            set(c)
-            for size in range(8)
-            for c in itertools.combinations(range(1, 8), size)
-            if start <= set(c) and excluded.isdisjoint(c) and all(a in c or b in c for a, b in edges)
-        ]
-        cover = exact_cover(edges, start, excluded, upper)
-        if not valid or (upper is not None and len(valid[0]) > upper):
-            assert cover is None
-        else:
-            assert cover in valid and len(cover) == len(valid[0])
+    @given(edges=st.lists(st.sampled_from(_PAIRS), unique=True, max_size=16))
+    def test_lexicographic_order_finds_the_first_minimum(self, edges):
+        # the first cover of the least size in combinations order is the
+        # lexicographically smallest minimum; the default order finds some
+        # minimum
+        edges = sorted(edges)
+
+        def covers(c):
+            return all(a in c or b in c for a, b in edges)
+
+        first = next(
+            frozenset(c)
+            for size in range(10)
+            for c in itertools.combinations(range(1, 10), size)
+            if covers(c)
+        )
+        assert exact_cover(edges, lexicographic=True) == first
+        cover = exact_cover(edges)
+        assert covers(cover) and len(cover) == len(first)
 
 
 class TestOptSorting:
@@ -889,6 +888,50 @@ class TestOptSorting:
         )
         inst, r = gen_random(seed, params)
         assert canonical_opt(inst, r).opt_set == opt1_bruteforce(inst, r).opt_set
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_residual_optimum_equals_per_component_search(self, seed):
+        # narrow intervals (n=400, m=4, lower endpoints in [0, 1200), widths
+        # 1..8) leave a residual R of many components, bigger than the
+        # subset search reaches; the union of the components' smallest
+        # minimum covers, found by enumeration, is R's smallest minimum
+        rng = random.Random(seed)
+        elements, values = [], {}
+        for eid in range(1, 401):
+            lo = rng.randrange(1200)
+            hi = lo + rng.randint(1, 8)
+            elements.append(UncertainInterval.open(Fraction(lo), Fraction(hi)))
+            values[eid] = lo + (hi - lo) * Fraction(rng.randint(1, 7), 8)
+        ids = list(range(1, 401))
+        rng.shuffle(ids)
+        inst = make_instance(elements, [ids[i::4] for i in range(4)], ProblemKind(SORTING), 4)
+        r = Realization(values)
+        mandatory, edges = sorting_residual(inst, r)
+        neighbours = defaultdict(set)
+        for a, b in edges:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        assert len(neighbours) >= 12
+        expected, seen = set(mandatory), set()
+        for v in sorted(neighbours):
+            if v in seen:
+                continue
+            component, todo = set(), [v]
+            while todo:
+                u = todo.pop()
+                if u not in component:
+                    component.add(u)
+                    todo.extend(neighbours[u])
+            seen |= component
+            inner = [(a, b) for a, b in edges if a in component]
+            expected |= next(
+                set(c)
+                for size in range(len(component) + 1)
+                for c in itertools.combinations(sorted(component), size)
+                if all(a in c or b in c for a, b in inner)
+            )
+        report = canonical_opt(inst, r, cap=len(neighbours))
+        assert report.opt_set == expected and report.method == "branch-and-bound"
 
     @given(run=_sorting_run(max_n=8))
     def test_optimum_equals_subset_search(self, run):
