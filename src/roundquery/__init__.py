@@ -63,13 +63,13 @@ from .intervals import (
 )
 from .oracles import (
     FixedOracle,
+    MinimumAdditiveLbAdversary,
+    MinimumWlbAdversary,
     OracleError,
+    SelectionFullLbAdversary,
+    SelectionValueLbAdversary,
+    SortingPairAdversary,
     ValueOracle,
-    minimum_additive_lb_adversary,
-    minimum_wlb_adversary,
-    selection_full_lb_adversary,
-    selection_value_lb_adversary,
-    sorting_pair_adversary,
 )
 from .reductions import (
     BatchesToRounds,

@@ -32,13 +32,13 @@ from .instances import (
 from .intervals import IntervalError, KnowledgeState
 from .oracles import (
     FixedOracle,
+    MinimumAdditiveLbAdversary,
+    MinimumWlbAdversary,
     OracleError,
+    SelectionFullLbAdversary,
+    SelectionValueLbAdversary,
+    SortingPairAdversary,
     ValueOracle,
-    minimum_additive_lb_adversary,
-    minimum_wlb_adversary,
-    selection_full_lb_adversary,
-    selection_value_lb_adversary,
-    sorting_pair_adversary,
 )
 from .solving import (
     OPT_CAP,
@@ -295,11 +295,7 @@ def check_opt_cap(cap: int, what: str) -> int:
     return cap
 
 
-def _fixed(made: Tuple[Instance, Realization]) -> Tuple[Instance, ValueOracle]:
-    return made[0], FixedOracle(*made)
-
-
-def _random(arg: Callable, seed: int) -> Tuple[Instance, ValueOracle]:
+def _random(arg: Callable, seed: int) -> ValueOracle:
     problem = arg("problem", "minimum", str)
     if problem not in _PROBLEM_BY_NAME:
         raise InstanceError(f"unknown problem {problem!r}")
@@ -311,20 +307,20 @@ def _random(arg: Callable, seed: int) -> Tuple[Instance, ValueOracle]:
         overlap=arg("overlap", "disjoint", str),
         trivial_prob=arg("triv", 0.15, float),
     )
-    return _fixed(gen_random(seed, params))
+    return FixedOracle(*gen_random(seed, params))
 
 
 # each source: the keys its selector takes, and its builder, called with
-# `arg(key, default, cast=int)` and the seed
-SOURCES: Dict[str, Tuple[Tuple[str, ...], Callable]] = {
-    "fig2": ((), lambda arg, seed: _fixed(gen_fig2_bal_instance())),
-    "fig3": (("k", "c"), lambda arg, seed: _fixed(gen_fig3_overlap_instance(k=arg("k", 3), c=arg("c", 3)))),
+# `arg(key, default, cast=int)` and the seed, which returns the oracle
+SOURCES: Dict[str, Tuple[Tuple[str, ...], Callable[..., ValueOracle]]] = {
+    "fig2": ((), lambda arg, seed: FixedOracle(*gen_fig2_bal_instance())),
+    "fig3": (("k", "c"), lambda arg, seed: FixedOracle(*gen_fig3_overlap_instance(k=arg("k", 3), c=arg("c", 3)))),
     "random": (("problem", "n", "m", "k", "i", "overlap", "triv"), _random),
-    "fig1-pairs": (("c", "k"), lambda arg, seed: sorting_pair_adversary(arg("c", 1), arg("k", 1))),
-    "wlb": (("M",), lambda arg, seed: minimum_wlb_adversary(arg("M", 2))),
-    "additive": (("m",), lambda arg, seed: minimum_additive_lb_adversary(arg("m", 2))),
-    "selval-lb": (("i", "k"), lambda arg, seed: selection_value_lb_adversary(arg("i", 2), arg("k", None))),
-    "selfull-lb": (("i",), lambda arg, seed: selection_full_lb_adversary(arg("i", 2))),
+    "fig1-pairs": (("c", "k"), lambda arg, seed: SortingPairAdversary(arg("c", 1), arg("k", 1))),
+    "wlb": (("M",), lambda arg, seed: MinimumWlbAdversary(arg("M", 2))),
+    "additive": (("m",), lambda arg, seed: MinimumAdditiveLbAdversary(arg("m", 2))),
+    "selval-lb": (("i", "k"), lambda arg, seed: SelectionValueLbAdversary(arg("i", 2), arg("k", None))),
+    "selfull-lb": (("i",), lambda arg, seed: SelectionFullLbAdversary(arg("i", 2))),
 }
 
 
@@ -341,7 +337,8 @@ def resolve_source(spec: str, seed: int = 0) -> Tuple[Instance, ValueOracle]:
     def arg(key: str, default, cast: Callable = int):
         return parse_number(args[key], key, cast) if key in args else default
 
-    return build(arg, seed)
+    oracle = build(arg, seed)
+    return oracle.instance, oracle
 
 
 ADVERSARY_SOURCES = ("fig1-pairs", "wlb", "additive", "selval-lb", "selfull-lb")

@@ -318,45 +318,25 @@ def serialize_instance(instance: Instance, realization: Optional[Realization] = 
 # fixed benchmark families
 
 
-def _prefix_set(offset: int, size: int, need: int) -> Tuple[List[UncertainInterval], Dict[int, Fraction]]:
-    """One disjoint set whose optimal query prefix has the given length.
-
-    Element j gets interval (offset+j, offset+j+10); the minimum sits at
-    position `need` just above its lower endpoint, everything else realizes
-    high, so the set is solved exactly after its first `need` queries.
-    """
-    intervals, values = [], {}
-    for j in range(1, size + 1):
-        lo = Fraction(offset + j)
-        intervals.append(UncertainInterval.open(lo, lo + 10))
-        if j == need:
-            values[j] = lo + Fraction(1, 2)
-        else:
-            values[j] = lo + Fraction(19, 2)
-    return intervals, values
-
-
 def gen_fig2_bal_instance() -> Tuple[Instance, Realization]:
     """Three disjoint sets (sizes 6, 6, 5) with optimal prefixes 3, 3, 5.
 
-    k = 5; the optimum queries 11 intervals, so opt_k = 3.  The balanced
+    Set s holds consecutive ids, and its j-th element gets the open
+    interval (100*s + j, 100*s + j + 10); the minimum sits at position
+    `need` just above its lower endpoint and everything else realizes high,
+    so the set is solved exactly after its first `need` queries.  k = 5;
+    the optimum queries 11 intervals, so opt_k = 3.  The balanced
     algorithm needs 3 rounds and wastes exactly 2 queries on it.
     """
-    sizes = (6, 6, 5)
-    needs = (3, 3, 5)
     elements: List[UncertainInterval] = []
     values: Dict[int, Fraction] = {}
-    family: List[List[int]] = []
-    next_id = 1
-    for set_idx, (size, need) in enumerate(zip(sizes, needs)):
-        ivs, vals = _prefix_set(100 * set_idx, size, need)
-        members = []
-        for local, iv in enumerate(ivs, 1):
-            elements.append(iv)
-            values[next_id] = vals[local]
-            members.append(next_id)
-            next_id += 1
-        family.append(members)
+    family: List[range] = []
+    for set_idx, (size, need) in enumerate(zip((6, 6, 5), (3, 3, 5))):
+        family.append(range(len(elements) + 1, len(elements) + size + 1))
+        for j in range(1, size + 1):
+            lo = Fraction(100 * set_idx + j)
+            elements.append(UncertainInterval.open(lo, lo + 10))
+            values[len(elements)] = lo + (Fraction(1, 2) if j == need else Fraction(19, 2))
     instance = make_instance(elements, family, ProblemKind(MINIMUM), 5)
     return instance, Realization(values)
 

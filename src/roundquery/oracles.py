@@ -163,11 +163,6 @@ class SortingPairAdversary(ValueOracle):
         return Realization(values)
 
 
-def sorting_pair_adversary(c: int, k: int) -> Tuple[Instance, SortingPairAdversary]:
-    oracle = SortingPairAdversary(c, k)
-    return oracle.instance, oracle
-
-
 # ---------------------------------------------------------------------------
 # minimum: disjoint-set lower bounds
 
@@ -175,39 +170,40 @@ def sorting_pair_adversary(c: int, k: int) -> Tuple[Instance, SortingPairAdversa
 class _PrefixSetAdversary(ValueOracle):
     """Shared machinery for the disjoint-set minimum adversaries.
 
-    Every set carries the same ladder of open intervals (1 + i*eps,
-    100 + i*eps); answers are "high" until the adversary decides to solve a
-    set, which pins the minimum at the leftmost position queried in the
-    current round (one query of that round would have sufficed).
+    m disjoint sets carry the same ladder of open intervals (1 + i*eps,
+    100 + i*eps), eps = 1/m, on rungs i = 1..per_set; set idx holds ids
+    idx*per_set + 1 to (idx+1)*per_set, so `divmod(eid - 1, per_set)`
+    gives an id's set and rung.  Answers are "high" until the adversary
+    decides to solve a set, which pins the minimum at the leftmost rung
+    queried in the current round (one query of that round would have
+    sufficed).
     """
 
-    def __init__(self, instance: Instance, eps: Fraction, per_set: int):
-        super().__init__(instance)
-        self.eps = eps
+    def __init__(self, m: int, k: int, per_set: int):
+        self.eps = eps = Fraction(1, m)
+        ladder = [UncertainInterval.open(1 + i * eps, 100 + i * eps) for i in range(1, per_set + 1)]
+        family = [range(idx * per_set + 1, (idx + 1) * per_set + 1) for idx in range(m)]
+        super().__init__(make_instance(ladder * m, family, ProblemKind(MINIMUM), k))
         self.per_set = per_set
-        self.active = set(range(instance.m))
-        self.members: List[List[int]] = [sorted(s) for s in instance.family]
-        self.set_of: Dict[int, int] = {}
-        for idx, members in enumerate(self.members):
-            for e in members:
-                self.set_of[e] = idx
+        self.active = set(range(m))
         self.rounds_seen = 0
         self.decision_log: List[str] = []
 
-    def _position(self, eid: int) -> int:
-        idx = self.set_of[eid]
-        return self.members[idx].index(eid) + 1
+    def _rung(self, eid: int) -> Tuple[int, int]:
+        """(set index, position from 1) of an id."""
+        idx, offset = divmod(eid - 1, self.per_set)
+        return idx, offset + 1
 
     def _high(self, eid: int) -> Fraction:
-        i = self._position(eid)
+        i = self._rung(eid)[1]
         return 100 + (2 * i - 1) * self.eps / 2
 
     def _min_at(self, position: int) -> Fraction:
         return 1 + (2 * position + 1) * self.eps / 2
 
     def _queried_positions(self, set_idx: int) -> set:
-        members = self.members[set_idx]
-        return {i + 1 for i, e in enumerate(members) if e in self.committed}
+        first = set_idx * self.per_set
+        return {p for p in range(1, self.per_set + 1) if first + p in self.committed}
 
     def _solve_set(self, set_idx: int, round_positions: Sequence[int]) -> bool:
         """Re-pin the set's minimum at the leftmost this-round position whose
@@ -215,25 +211,22 @@ class _PrefixSetAdversary(ValueOracle):
         queried = self._queried_positions(set_idx)
         for pos in sorted(round_positions):
             if all(p in queried for p in range(1, pos)):
-                eid = self.members[set_idx][pos - 1]
-                self.committed[eid] = self._min_at(pos)
+                self.committed[set_idx * self.per_set + pos] = self._min_at(pos)
                 self.active.discard(set_idx)
                 return True
         return False
 
     def _commit_fresh(self, ids: Sequence[int]) -> None:
         self.rounds_seen += 1
-        by_set: Dict[int, List[int]] = {}
-        for e in ids:
-            by_set.setdefault(self.set_of[e], []).append(e)
+        candidates: Dict[int, List[int]] = {}
         # high answers first; a chosen minimum overwrites its own entry
         for e in ids:
             self.committed[e] = self._high(e)
-        candidates = {
-            idx: sorted(self._position(e) for e in eids)
-            for idx, eids in by_set.items()
-            if idx in self.active
-        }
+            idx, pos = self._rung(e)
+            if idx in self.active:
+                candidates.setdefault(idx, []).append(pos)
+        for positions in candidates.values():
+            positions.sort()
         self._react(candidates)
 
     def _react(self, candidates: Dict[int, List[int]]) -> None:
@@ -242,30 +235,15 @@ class _PrefixSetAdversary(ValueOracle):
     def finalize(self) -> Realization:
         values = dict(self.committed)
         for idx in sorted(self.active):
-            members = self.members[idx]
             queried = self._queried_positions(idx)
-            pos = next(p for p in range(1, self.per_set + 1) if p not in queried)
-            values[members[pos - 1]] = self._min_at(pos)
-        for idx, members in enumerate(self.members):
-            for e in members:
-                if e not in values:
-                    values[e] = self._high(e)
+            # an active set whose every rung was answered keeps its answers:
+            # all are high, and rung 1 holds its minimum
+            pos = next((p for p in range(1, self.per_set + 1) if p not in queried), None)
+            if pos is not None:
+                values[idx * self.per_set + pos] = self._min_at(pos)
+        for e in self.instance.ids():
+            values.setdefault(e, self._high(e))
         return Realization(values)
-
-
-def _ladder_instance(m: int, k: int, per_set: int) -> Instance:
-    eps = Fraction(1, m)
-    elements: List[UncertainInterval] = []
-    family: List[List[int]] = []
-    next_id = 1
-    for _ in range(m):
-        members = []
-        for i in range(1, per_set + 1):
-            elements.append(UncertainInterval.open(1 + i * eps, 100 + i * eps))
-            members.append(next_id)
-            next_id += 1
-        family.append(members)
-    return make_instance(elements, family, ProblemKind(MINIMUM), k)
 
 
 class MinimumWlbAdversary(_PrefixSetAdversary):
@@ -279,24 +257,21 @@ class MinimumWlbAdversary(_PrefixSetAdversary):
     def __init__(self, M: int):
         if M < 2:
             raise InstanceError("need M >= 2")
-        m = M**M
         k = M ** (M + 1)
         # full ladders have M*k rungs, but a round with a active sets puts at
         # most ceil(k/a) queries into one set and at least a/M sets survive,
         # so k/m * (M^M - 1)/(M - 1) rungs per set are ever reachable; capping
         # there keeps M = 3 at desk scale
         reach = M * (M**M - 1) // (M - 1)
-        per_set = min(M * k, reach + M)
-        super().__init__(_ladder_instance(m, k, per_set), Fraction(1, m), per_set)
+        super().__init__(M**M, k, min(M * k, reach + M))
         self.M = M
-        self.k = k
 
     def _react(self, candidates: Dict[int, List[int]]) -> None:
         if self.rounds_seen >= self.M:
             for idx, positions in sorted(candidates.items()):
                 self._solve_set(idx, positions)
             return
-        threshold = Fraction((self.M - 1) * self.k, self.M)
+        threshold = Fraction((self.M - 1) * self.instance.k, self.M)
         order = sorted(candidates, key=lambda idx: (-len(candidates[idx]), idx))
         covered = 0
         chosen: List[int] = []
@@ -310,11 +285,6 @@ class MinimumWlbAdversary(_PrefixSetAdversary):
                 self.decision_log.append(f"round {self.rounds_seen}: solved set {idx + 1}")
 
 
-def minimum_wlb_adversary(M: int) -> Tuple[Instance, MinimumWlbAdversary]:
-    oracle = MinimumWlbAdversary(M)
-    return oracle.instance, oracle
-
-
 class MinimumAdditiveLbAdversary(_PrefixSetAdversary):
     """k = m sets: solving only the heaviest-queried set each round wastes
     at least k*(H(m) - 1) queries for any algorithm."""
@@ -322,8 +292,7 @@ class MinimumAdditiveLbAdversary(_PrefixSetAdversary):
     def __init__(self, m: int):
         if m < 2:
             raise InstanceError("need m >= 2")
-        super().__init__(_ladder_instance(m, m, m * m), Fraction(1, m), m * m)
-        self.m = m
+        super().__init__(m, m, m * m)
 
     def _react(self, candidates: Dict[int, List[int]]) -> None:
         if not candidates:
@@ -331,11 +300,6 @@ class MinimumAdditiveLbAdversary(_PrefixSetAdversary):
         idx = min(candidates, key=lambda i: (-len(candidates[i]), i))
         if self._solve_set(idx, candidates[idx]):
             self.decision_log.append(f"round {self.rounds_seen}: solved set {idx + 1}")
-
-
-def minimum_additive_lb_adversary(m: int) -> Tuple[Instance, MinimumAdditiveLbAdversary]:
-    oracle = MinimumAdditiveLbAdversary(m)
-    return oracle.instance, oracle
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +329,6 @@ class SelectionFullLbAdversary(ValueOracle):
             i,
         )
         super().__init__(instance)
-        self.i = i
         self.middle = i
         self.middle_value: Optional[Fraction] = None
 
@@ -395,17 +358,13 @@ class SelectionFullLbAdversary(ValueOracle):
         return Realization({e: self._value(e) for e in self.instance.ids()})
 
 
-def selection_full_lb_adversary(i: int) -> Tuple[Instance, SelectionFullLbAdversary]:
-    oracle = SelectionFullLbAdversary(i)
-    return oracle.instance, oracle
-
-
 class SelectionValueLbAdversary(ValueOracle):
     """i copies of (0,5) plus i copies of {3}; rank i.
 
-    The first i-1 wide intervals queried answer 1, the last answers 4, so
-    any algorithm needs all i wide queries while a single query (the one
-    that answers 4) already pins the i-th smallest value to 3.
+    The first i-1 wide intervals answered get 1, the i-th gets 4, so any
+    algorithm needs all i wide queries while a single query (the one that
+    answers 4) already pins the i-th smallest value to 3.  `finalize`
+    continues the same count over the wide intervals never answered.
     """
 
     def __init__(self, i: int, k: Optional[int] = None):
@@ -422,27 +381,22 @@ class SelectionValueLbAdversary(ValueOracle):
         self.i = i
         self.wide_answered = 0
 
-    def _commit_fresh(self, ids: Sequence[int]) -> None:
+    def _answer(self, values: Dict[int, Fraction], ids: Sequence[int], wide: int) -> int:
+        """Store the answer of each id in id order: 3 for a point, 4 for the
+        i-th wide interval answered, 1 for the others; returns how many wide
+        intervals are answered after, given `wide` before."""
         for e in sorted(ids):
             if e > self.i:
-                self.committed[e] = Fraction(3)
+                values[e] = Fraction(3)
                 continue
-            self.wide_answered += 1
-            self.committed[e] = Fraction(4) if self.wide_answered == self.i else Fraction(1)
+            wide += 1
+            values[e] = Fraction(4) if wide == self.i else Fraction(1)
+        return wide
+
+    def _commit_fresh(self, ids: Sequence[int]) -> None:
+        self.wide_answered = self._answer(self.committed, ids, self.wide_answered)
 
     def finalize(self) -> Realization:
         values = dict(self.committed)
-        unqueried = [e for e in range(1, self.i + 1) if e not in values]
-        has_four = any(values.get(e) == 4 for e in range(1, self.i + 1))
-        for e in unqueried:
-            values[e] = Fraction(1)
-        if not has_four and unqueried:
-            values[unqueried[-1]] = Fraction(4)
-        for e in range(self.i + 1, 2 * self.i + 1):
-            values.setdefault(e, Fraction(3))
+        self._answer(values, [e for e in self.instance.ids() if e not in values], self.wide_answered)
         return Realization(values)
-
-
-def selection_value_lb_adversary(i: int, k: Optional[int] = None) -> Tuple[Instance, SelectionValueLbAdversary]:
-    oracle = SelectionValueLbAdversary(i, k)
-    return oracle.instance, oracle

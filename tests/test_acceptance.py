@@ -20,12 +20,12 @@ from roundquery.instances import (
 )
 from roundquery.oracles import (
     FixedOracle,
-    minimum_additive_lb_adversary,
-    minimum_wlb_adversary,
-    selection_value_lb_adversary,
-    selection_full_lb_adversary,
+    MinimumAdditiveLbAdversary,
+    MinimumWlbAdversary,
+    SelectionFullLbAdversary,
+    SelectionValueLbAdversary,
+    SortingPairAdversary,
 )
-from roundquery.oracles import sorting_pair_adversary
 from roundquery.reductions import BatchesToRounds, RoundsToBatches, TwoBatchSorting
 from roundquery.solving import (
     ceil_div,
@@ -62,7 +62,8 @@ def test_criterion_1_sorting_ratio():
     # adversarial pair families: exactly 2*opt_k rounds
     for k in (1, 3, 5):
         for c in range(1, 11):
-            inst, oracle = sorting_pair_adversary(c, k)
+            oracle = SortingPairAdversary(c, k)
+            inst = oracle.instance
             alg = make_algorithm("sorting-vc", inst)
             _, report = run(alg, inst, oracle, opt_cap=inst.n)
             assert report.opt_k == c
@@ -173,14 +174,16 @@ def test_criterion_4_charging_invariant():
 def test_criterion_5_minimum_lower_bounds():
     for M in (2, 3):
         for name in ("bal", "budget"):
-            inst, oracle = minimum_wlb_adversary(M)
+            oracle = MinimumWlbAdversary(M)
+            inst = oracle.instance
             alg = make_algorithm(name, inst)
             _, report = run(alg, inst, oracle)
             assert report.opt_k == 1
             assert report.alg_rounds >= M
     for m in (4, 8):
         for name in ("bal", "budget"):
-            inst, oracle = minimum_additive_lb_adversary(m)
+            oracle = MinimumAdditiveLbAdversary(m)
+            inst = oracle.instance
             assert inst.k == m
             alg = make_algorithm(name, inst)
             _, report = run(alg, inst, oracle)
@@ -201,7 +204,8 @@ def test_criterion_6_selection_value():
         _, report = run(alg, inst, FixedOracle(inst, r))
         assert report.alg_rounds <= ceil_div(opt.opt1 + i - 1, inst.k)
     for i in (2, 4, 6):
-        inst, oracle = selection_value_lb_adversary(i)
+        oracle = SelectionValueLbAdversary(i)
+        inst = oracle.instance
         alg = make_algorithm("sel-value", inst)
         _, report = run(alg, inst, oracle)
         assert report.alg_queries >= i
@@ -237,7 +241,8 @@ def test_criterion_7_selection_full():
         inst, r = gen_random(seed, params)  # mixed open/closed endpoints
         audited_run(inst, FixedOracle(inst, r))
     for i in range(2, 7):
-        inst, oracle = selection_full_lb_adversary(i)
+        oracle = SelectionFullLbAdversary(i)
+        inst = oracle.instance
         rounds, opt = audited_run(inst, oracle)
         assert len(rounds) <= 2 * opt.opt_k
 
@@ -269,7 +274,8 @@ def test_criterion_8_oracle_equivalence():
 def test_criterion_9_reductions():
     # batch -> rounds: alpha * opt_k + r - 1 with the 2-query 2-batch sorter
     for c, k in ((1, 2), (2, 2), (2, 3), (3, 4)):
-        inst, oracle = sorting_pair_adversary(c, k)
+        oracle = SortingPairAdversary(c, k)
+        inst = oracle.instance
         wrapped = BatchesToRounds(TwoBatchSorting())
         _, report = run(wrapped, inst, oracle, opt_cap=inst.n)
         assert wrapped.batches_used <= 2
@@ -309,7 +315,8 @@ def test_criterion_10_property_substitutes():
     # their stand-ins are the exact per-round invariants plus the explicit
     # constants asserted above.  Spot-check both stand-ins once more at
     # fresh sizes so this criterion fails if either suite regresses.
-    inst, oracle = minimum_wlb_adversary(2)
+    oracle = MinimumWlbAdversary(2)
+    inst = oracle.instance
     _, report = run(make_algorithm("bal", inst), inst, oracle)
     assert report.alg_rounds >= 2 and report.opt_k == 1
     for seed in (901, 902, 903):

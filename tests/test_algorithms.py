@@ -34,10 +34,10 @@ from roundquery.instances import (
 from roundquery.intervals import CLOSED, OPEN, UncertainInterval
 from roundquery.oracles import (
     FixedOracle,
-    minimum_wlb_adversary,
-    selection_full_lb_adversary,
-    selection_value_lb_adversary,
-    sorting_pair_adversary,
+    MinimumWlbAdversary,
+    SelectionFullLbAdversary,
+    SelectionValueLbAdversary,
+    SortingPairAdversary,
 )
 from roundquery.reductions import BatchesToRounds, RoundsToBatches, TwoBatchSorting
 from roundquery.solving import (
@@ -91,7 +91,7 @@ class TestVertexCover:
 
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_pair_gadgets_cost_one_each(self, c):
-        inst, _ = sorting_pair_adversary(c, 1)
+        inst = SortingPairAdversary(c, 1).instance
         assert len(exact_cover(build_dependency_graph(inst, inst.knowledge()))) == c
 
     @pytest.mark.parametrize("partial", [False, True])
@@ -141,7 +141,8 @@ class TestVertexCover:
 
 class TestSortingRounds:
     def test_pair_adversary_runs_two_rounds_per_pair_block(self):
-        inst, oracle = sorting_pair_adversary(2, 1)
+        oracle = SortingPairAdversary(2, 1)
+        inst = oracle.instance
         alg = make_algorithm("sorting-vc", inst)
         _, report = run(alg, inst, oracle)
         assert report.alg_rounds == 4  # 2c with c = 2
@@ -286,7 +287,8 @@ class TestBalanced:
         run(Probed(alg, probe), inst, FixedOracle(inst, r))
 
     def test_wlb_adversary_forces_two_rounds(self):
-        inst, oracle = minimum_wlb_adversary(2)
+        oracle = MinimumWlbAdversary(2)
+        inst = oracle.instance
         alg = make_algorithm("bal", inst)
         _, report = run(alg, inst, oracle)
         assert report.alg_rounds == 2 and report.opt_k == 1
@@ -347,7 +349,8 @@ class TestBudget:
         assert len(trace.rounds) <= budget_round_bound(opt.opt_k, inst.m)
 
     def test_wlb_adversary_forces_two_rounds(self):
-        inst, oracle = minimum_wlb_adversary(2)
+        oracle = MinimumWlbAdversary(2)
+        inst = oracle.instance
         alg = make_algorithm("budget", inst)
         _, report = run(alg, inst, oracle)
         assert report.alg_rounds == 2 and report.opt_k == 1
@@ -355,7 +358,8 @@ class TestBudget:
 
 class TestSelectionValue:
     def test_lower_bound_family_single_round(self):
-        inst, oracle = selection_value_lb_adversary(5)
+        oracle = SelectionValueLbAdversary(5)
+        inst = oracle.instance
         alg = make_algorithm("sel-value", inst)
         trace, report = run(alg, inst, oracle)
         assert report.alg_rounds == 1
@@ -440,7 +444,8 @@ class TestSelectionValue:
 
 class TestSelectionFull:
     def test_full_lb_round_one_starts_with_the_middle(self):
-        inst, oracle = selection_full_lb_adversary(3)
+        oracle = SelectionFullLbAdversary(3)
+        inst = oracle.instance
         alg = make_algorithm("sel-full", inst)
         trace, report = run(alg, inst, oracle)
         assert trace.rounds[0][0][0] == 3  # the middle interval leads
@@ -448,7 +453,8 @@ class TestSelectionFull:
 
     @pytest.mark.parametrize("i", [2, 3, 4, 5])
     def test_full_lb_family_two_round_competitive(self, i):
-        inst, oracle = selection_full_lb_adversary(i)
+        oracle = SelectionFullLbAdversary(i)
+        inst = oracle.instance
         alg = make_algorithm("sel-full", inst)
         _, report = run(alg, inst, oracle)
         assert report.alg_rounds <= 2 * report.opt_k

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from roundquery import cli
+from roundquery.algorithms import ALGORITHMS
 from roundquery.cli import main
+from roundquery.harness import resolve_source
 from roundquery.instances import parse_instance
 from roundquery.solving import OptReport, canonical_opt
 
@@ -382,3 +384,40 @@ class TestExitCodes:
         spec.write_text("sweep alg=bal source=fig2 seeds=0 opt_cap=0\n")
         code, out, err = invoke(capsys, "bench", "--spec", str(spec))
         assert code == 0 and err == "" and out.count("\n") == 2
+
+
+ADVERSARIES_SMALL = (
+    [f"fig1-pairs:c={c},k={k}" for c in (1, 2) for k in (1, 2)]
+    + ["wlb:M=2"]
+    + [f"additive:m={m}" for m in (2, 3, 4)]
+    + ["selval-lb:i=1", "selval-lb:i=3,k=2", "selfull-lb:i=2", "selfull-lb:i=3"]
+)
+
+
+def _adversary_runs():
+    """Every algorithm of each small adversary's kind, plain and under
+    `--as-batches`, and `batch-all` under `--as-rounds`."""
+    runs = []
+    for source in ADVERSARIES_SMALL:
+        kind = resolve_source(source)[0].problem.kind
+        for alg, (_, kinds) in sorted(ALGORITHMS.items()):
+            if kind not in kinds:
+                continue
+            runs.append(("run", "--alg", alg, "--oracle", source))
+            for r in (2, 3):
+                for alpha in ("1", "3/2"):
+                    runs.append(("run", "--alg", alg, "--oracle", source, "--as-batches", f"r={r}", f"alpha={alpha}"))
+        for k in (1, 1000):
+            runs.append(("run", "--alg", "batch-all", "--oracle", source, "--as-rounds", f"k={k}"))
+    return runs
+
+
+class TestAdversariesUnderReductions:
+    @pytest.mark.parametrize("argv", _adversary_runs(), ids=" ".join)
+    def test_report_or_one_error_line(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        if code == 0:
+            assert err == "" and "\nopt1 " in out
+        else:
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1

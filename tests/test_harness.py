@@ -35,7 +35,7 @@ from roundquery.instances import (
     make_instance,
 )
 from roundquery.intervals import UncertainInterval
-from roundquery.oracles import FixedOracle, sorting_pair_adversary
+from roundquery.oracles import FixedOracle, SortingPairAdversary
 from roundquery.reductions import QueryAllBatch
 from roundquery.solving import ceil_div, reveal_all, set_solved
 
@@ -71,7 +71,8 @@ class TestRun:
         assert (report.alg_rounds, report.opt_k, report.ratio) == (1, 1, Fraction(1))
 
     def test_pair_adversary_ratio_two(self):
-        inst, oracle = sorting_pair_adversary(2, 3)
+        oracle = SortingPairAdversary(2, 3)
+        inst = oracle.instance
         _, report = run(make_algorithm("sorting-vc", inst), inst, oracle, opt_cap=inst.n)
         assert report.alg_rounds == 4 and report.opt_k == 2
         assert report.ratio == 2

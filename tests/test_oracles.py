@@ -10,12 +10,12 @@ from roundquery.harness import resolve_source, run
 from roundquery.instances import InstanceError, Realization, gen_fig2_bal_instance
 from roundquery.oracles import (
     FixedOracle,
+    MinimumAdditiveLbAdversary,
+    MinimumWlbAdversary,
     OracleError,
-    minimum_additive_lb_adversary,
-    minimum_wlb_adversary,
-    selection_full_lb_adversary,
-    selection_value_lb_adversary,
-    sorting_pair_adversary,
+    SelectionFullLbAdversary,
+    SelectionValueLbAdversary,
+    SortingPairAdversary,
 )
 from roundquery.solving import (
     canonical_opt,
@@ -91,11 +91,12 @@ def test_unknown_id_is_rejected_before_it_is_answered(source, bad):
 
 class TestSortingPairs:
     def test_gadget_shape(self):
-        inst, _ = sorting_pair_adversary(1, 1)
+        inst = SortingPairAdversary(1, 1).instance
         assert inst.n == 2 and inst.k == 1 and inst.m == 1
 
     def test_first_query_forces_the_partner(self):
-        inst, oracle = sorting_pair_adversary(1, 1)
+        oracle = SortingPairAdversary(1, 1)
+        inst = oracle.instance
         a1 = oracle.answer_round([1])
         assert inst.interval(2).strict_interior(a1[1])
         a2 = oracle.answer_round([2])
@@ -104,14 +105,16 @@ class TestSortingPairs:
         assert canonical_opt(inst, r).opt1 == 1
 
     def test_both_in_one_round_costs_the_optimum_two(self):
-        inst, oracle = sorting_pair_adversary(1, 1)
+        oracle = SortingPairAdversary(1, 1)
+        inst = oracle.instance
         answers = oracle.answer_round([1, 2])  # the whole pair at once
         assert inst.interval(2).strict_interior(answers[1])
         assert inst.interval(1).strict_interior(answers[2])
         assert canonical_opt(inst, oracle.check_finalize()).opt1 == 2
 
     def test_unqueried_pairs_finalize_to_single_query_optima(self):
-        inst, oracle = sorting_pair_adversary(3, 2)  # k*c = 6 pairs
+        oracle = SortingPairAdversary(3, 2)  # k*c = 6 pairs
+        inst = oracle.instance
         r = oracle.check_finalize()
         report = canonical_opt(inst, r)
         assert report.opt1 == 6  # one query per pair
@@ -119,7 +122,8 @@ class TestSortingPairs:
 
     @pytest.mark.parametrize("c,k", [(1, 1), (2, 1), (1, 3), (2, 3)])
     def test_vertex_cover_sorting_needs_twice_the_optimal_rounds(self, c, k):
-        inst, oracle = sorting_pair_adversary(c, k)
+        oracle = SortingPairAdversary(c, k)
+        inst = oracle.instance
         alg = make_algorithm("sorting-vc", inst)
         _, report = run(alg, inst, oracle, opt_cap=inst.n)
         assert report.opt_k == c
@@ -129,7 +133,8 @@ class TestSortingPairs:
 class TestMinimumWlb:
     @pytest.mark.parametrize("alg_name", ["bal", "budget"])
     def test_m2_forces_two_rounds_at_opt_one(self, alg_name):
-        inst, oracle = minimum_wlb_adversary(2)
+        oracle = MinimumWlbAdversary(2)
+        inst = oracle.instance
         assert inst.m == 4 and inst.k == 8
         alg = make_algorithm(alg_name, inst)
         _, report = run(alg, inst, oracle)
@@ -137,14 +142,16 @@ class TestMinimumWlb:
         assert report.alg_rounds == 2
 
     def test_finalize_total_optimum_fits_one_round(self):
-        inst, oracle = minimum_wlb_adversary(2)
+        oracle = MinimumWlbAdversary(2)
+        inst = oracle.instance
         alg = make_algorithm("bal", inst)
         run(alg, inst, oracle)
         report = opt1_minimum(inst, oracle.finalize())
         assert report.opt1 <= inst.k
 
     def test_replay_consistency(self):
-        inst, oracle = minimum_wlb_adversary(2)
+        oracle = MinimumWlbAdversary(2)
+        inst = oracle.instance
         alg = make_algorithm("budget", inst)
         run(alg, inst, oracle)
         oracle.check_finalize()  # raises on any contradiction
@@ -153,24 +160,35 @@ class TestMinimumWlb:
 class TestMinimumAdditive:
     @pytest.mark.parametrize("m", [2, 4])
     def test_wasted_lower_bound(self, m):
-        inst, oracle = minimum_additive_lb_adversary(m)
+        oracle = MinimumAdditiveLbAdversary(m)
+        inst = oracle.instance
         assert inst.k == m
         alg = make_algorithm("bal", inst)
         _, report = run(alg, inst, oracle)
         assert report.wasted >= m * (harmonic(m) - 1)
 
     def test_m2_wastes_at_least_one_query(self):
-        inst, oracle = minimum_additive_lb_adversary(2)
+        oracle = MinimumAdditiveLbAdversary(2)
+        inst = oracle.instance
         alg = make_algorithm("budget", inst)
         _, report = run(alg, inst, oracle)
         assert report.wasted >= 1
 
     def test_opt_k_identity_after_finalize(self):
-        inst, oracle = minimum_additive_lb_adversary(4)
+        oracle = MinimumAdditiveLbAdversary(4)
+        inst = oracle.instance
         alg = make_algorithm("bal", inst)
         run(alg, inst, oracle)
         report = opt1_minimum(inst, oracle.finalize())
         assert report.opt_k == ceil_div(report.opt1, inst.k)
+
+    def test_active_set_with_every_rung_answered_keeps_its_answers(self):
+        # one round solves the heaviest set only, so the other two stay
+        # active with every rung answered high; rung 1 holds their minimum
+        oracle = MinimumAdditiveLbAdversary(3)
+        answers = oracle.answer_round(oracle.instance.ids())
+        assert oracle.active == {1, 2}
+        assert oracle.check_finalize().values == answers
 
 
 class _ScriptedRounds:
@@ -189,7 +207,8 @@ class _ScriptedRounds:
 class TestSelectionFullLb:
     def test_skipping_the_middle_costs_opt_plus_i(self):
         i = 3
-        inst, oracle = selection_full_lb_adversary(i)
+        oracle = SelectionFullLbAdversary(i)
+        inst = oracle.instance
         # round 1 avoids the middle interval (id i)
         alg = _ScriptedRounds([[1, 2, 4]])
         _, report = run(alg, inst, oracle)
@@ -198,21 +217,24 @@ class TestSelectionFullLb:
 
     def test_balanced_first_round_wastes_half_a_side(self):
         i = 5
-        inst, oracle = selection_full_lb_adversary(i)
+        oracle = SelectionFullLbAdversary(i)
+        inst = oracle.instance
         alg = make_algorithm("sel-full", inst)
         _, report = run(alg, inst, oracle)
         assert report.opt1 == i
         assert report.wasted >= ceil_div(i - 1, 2)
 
     def test_our_algorithm_needs_two_rounds_at_i2(self):
-        inst, oracle = selection_full_lb_adversary(2)
+        oracle = SelectionFullLbAdversary(2)
+        inst = oracle.instance
         alg = make_algorithm("sel-full", inst)
         _, report = run(alg, inst, oracle)
         assert report.alg_rounds == 2
 
     def test_left_heavy_round_moves_the_value_right(self):
         i = 3
-        inst, oracle = selection_full_lb_adversary(i)
+        oracle = SelectionFullLbAdversary(i)
+        inst = oracle.instance
         answers = oracle.answer_round([i, 1, 2])  # middle plus both lefts
         assert answers[i] == Fraction(11, 2)
         r = oracle.check_finalize()
@@ -222,7 +244,8 @@ class TestSelectionFullLb:
 class TestSelectionValueLb:
     def test_first_wide_queries_answer_one_then_four(self):
         i = 4
-        inst, oracle = selection_value_lb_adversary(i)
+        oracle = SelectionValueLbAdversary(i)
+        inst = oracle.instance
         answers = oracle.answer_round([1, 2, 3])
         assert set(answers.values()) == {Fraction(1)}
         last = oracle.answer_round([4])
@@ -231,7 +254,8 @@ class TestSelectionValueLb:
     def test_finalize_keeps_rank_value_three(self):
         for queried in ([], [1], [1, 2]):
             i = 3
-            inst, oracle = selection_value_lb_adversary(i)
+            oracle = SelectionValueLbAdversary(i)
+            inst = oracle.instance
             if queried:
                 oracle.answer_round(queried)
             r = oracle.check_finalize()
@@ -240,7 +264,8 @@ class TestSelectionValueLb:
 
     def test_one_round_with_k_equal_i(self):
         i = 4
-        inst, oracle = selection_value_lb_adversary(i)
+        oracle = SelectionValueLbAdversary(i)
+        inst = oracle.instance
         alg = make_algorithm("sel-value", inst)
         _, report = run(alg, inst, oracle)
         assert report.alg_rounds == 1
@@ -249,7 +274,8 @@ class TestSelectionValueLb:
 
     def test_any_order_still_needs_all_wide_intervals(self):
         i = 3
-        inst, oracle = selection_value_lb_adversary(i, k=1)
+        oracle = SelectionValueLbAdversary(i, k=1)
+        inst = oracle.instance
         alg = _ScriptedRounds([[3], [1], [2]])
         _, report = run(alg, inst, oracle)
         assert report.alg_queries >= i

@@ -13,7 +13,7 @@ from roundquery.instances import (
     SORTING,
     gen_random,
 )
-from roundquery.oracles import FixedOracle, sorting_pair_adversary
+from roundquery.oracles import FixedOracle, SortingPairAdversary
 from roundquery.reductions import (
     BatchesToRounds,
     QueryAllBatch,
@@ -38,7 +38,8 @@ class TestBatchesToRounds:
 
     @pytest.mark.parametrize("c,k", [(1, 2), (2, 2), (2, 3)])
     def test_two_batch_sorting_on_pair_families(self, c, k):
-        inst, oracle = sorting_pair_adversary(c, k)
+        oracle = SortingPairAdversary(c, k)
+        inst = oracle.instance
         alg = BatchesToRounds(TwoBatchSorting())
         _, report = run(alg, inst, oracle, opt_cap=inst.n)
         assert report.alg_rounds <= 2 * report.opt_k + 1

@@ -68,6 +68,9 @@ def _cases():
                         ("sorting-matching", "random:problem=sorting,n=20,m=3,k=3,overlap=overlap"),
                         ("sorting-vc", "random:problem=sorting,n=20,m=3,k=3,overlap=overlap")]:
         cases[f"as-batches-{alg}"] = ["run", "--alg", alg, "--source", source, "--as-batches", "r=5", "alpha=2"]
+    # the last batch answers whole sets that the adversary left active
+    cases["as-batches-bal-additive:m=3"] = ["run", "--alg", "bal", "--oracle", "additive:m=3",
+                                            "--as-batches", "r=2", "alpha=1"]
     return {name.replace(":", "_").replace(",", "_").replace("=", ""): argv for name, argv in cases.items()}
 
 

@@ -41,7 +41,7 @@ from roundquery.intervals import (
     left_cut,
     right_cut,
 )
-from roundquery.oracles import FixedOracle, selection_full_lb_adversary, selection_value_lb_adversary
+from roundquery.oracles import FixedOracle, SelectionFullLbAdversary, SelectionValueLbAdversary
 from roundquery.solving import (
     BruteForceCapError,
     SolutionCertificate,
@@ -611,7 +611,7 @@ class TestSelectionCertificate:
 
 class TestSelectionSolved:
     def test_middle_gadget_state_is_full_solved(self):
-        inst, _ = selection_full_lb_adversary(3)
+        inst = SelectionFullLbAdversary(3).instance
         k = inst.knowledge()
         for eid, value in [(1, 1), (2, 1), (3, Fraction(5, 2))]:
             k.reveal({eid: Fraction(value)})
@@ -627,7 +627,7 @@ class TestSelectionSolved:
 
     def test_value_variant_needs_the_last_wide_interval(self):
         i = 3
-        inst, _ = selection_value_lb_adversary(i)
+        inst = SelectionValueLbAdversary(i).instance
         k = inst.knowledge()
         for eid in range(1, i):  # i-1 of the (0,5) copies answered 1
             k.reveal({eid: Fraction(1)})
@@ -650,7 +650,7 @@ class TestSelectionSolved:
 class TestTargetArea:
     # the target area spans the rank cuts; a flag of 0 is a closed end
     def test_middle_gadget_initial_target(self):
-        inst, _ = selection_full_lb_adversary(3)
+        inst = SelectionFullLbAdversary(3).instance
         assert _rank_cuts(inst, inst.knowledge()) == ((2, 0), (6, 0))
         view = selection_categories(inst, inst.knowledge())
         assert view.containing == (3,)
@@ -721,7 +721,8 @@ class TestOptMinimum:
 class TestOptSelectionFull:
     def test_middle_gadget_pinned_low(self):
         i = 4
-        inst, oracle = selection_full_lb_adversary(i)
+        oracle = SelectionFullLbAdversary(i)
+        inst = oracle.instance
         values = {e: Fraction(1) for e in range(1, i)}
         values[i] = Fraction(5, 2)
         values.update({e: Fraction(7) for e in range(i + 1, 2 * i)})
@@ -730,7 +731,7 @@ class TestOptSelectionFull:
 
     def test_middle_gadget_value_free(self):
         i = 4
-        inst, _ = selection_full_lb_adversary(i)
+        inst = SelectionFullLbAdversary(i).instance
         values = {e: Fraction(1) for e in range(1, i)}
         values[i] = Fraction(4)
         values.update({e: Fraction(7) for e in range(i + 1, 2 * i)})
