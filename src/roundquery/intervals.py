@@ -226,29 +226,24 @@ def order_provable(a: UncertainInterval, b: UncertainInterval) -> bool:
     return a.upper <= b.lower
 
 
-@dataclass(frozen=True, slots=True)
-class LeftOrder:
-    """Elements in (left_cut, id) order: the p-th has id `ids[p]` and
-    endpoint keys `lowers[p]`, `uppers[p]`, on the scale of the state that
-    keeps the order; `position` maps an id to its p.  `lowers` is
-    ascending, so a bisection on it splits the order at a value exactly."""
-
-    ids: List[int]
-    lowers: List[int]
-    uppers: List[int]
-    position: Dict[int, int]
+# A key record (lower, lower_open, id, upper, upper_open): an element's
+# endpoint keys on a state's scale, each with its openness as 0 or 1.  The
+# first two fields order records as the left cuts (3 * lower + lower_open
+# is the left cut key), and the id both breaks their ties, so records sort
+# in (left_cut, id) order, and makes each record distinct, so a bisection
+# finds one exact record and never compares the upper fields.
+KeyRecord = Tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
 class SetView:
-    """One member set as a `KnowledgeState` keeps it: `unpinned` holds the
-    ascending `order` positions of the members not yet pinned, that is
-    the members in (left_cut, id) order, and `pinned` the pinned members
-    as ascending (key, id), key being the pinned value's key on the
-    state's scale."""
+    """One member set as a `KnowledgeState` keeps it: `unpinned` lists the
+    state's own key records of the members not yet pinned, ascending, that
+    is in (left_cut, id) order, and `pinned` the pinned members as
+    ascending (key, id), key being the pinned value's key on the state's
+    scale."""
 
-    order: LeftOrder
-    unpinned: List[int]
+    unpinned: List[KeyRecord]
     pinned: List[Tuple[int, int]]
 
 
@@ -269,13 +264,15 @@ class KnowledgeState:
 
     Everything else it keeps is on exact integer keys, all on one scale L,
     the least common multiple of every denominator the state has seen:
-    beside each state, the keys of its lower and upper endpoints (a
-    point's both being its value's key), built once here.  A value's key
+    each element's key record (lower, lower_open, id, upper, upper_open),
+    built once here, holds the keys of its current state's endpoints with
+    their openness as 0 or 1, a point's record being (key, 0, id, key, 0),
+    and its left and right cut keys are read off it.  A value's key
     is the value times L, so keys order and tie as the rationals do, and
     nothing below compares a `Fraction`.  `reveal` takes a whole round's
     answers and keys their values; when a denominator does not divide L,
     it first multiplies every kept key by L'/L, L' the lcm of L and all the
-    round's denominators, in the states, the left order, every set view
+    round's denominators, in the records, every set view
     and the cut lists, so one scale holds throughout.  Each rescale costs
     one pass over the kept keys, and a round pays at most one.  That is
     rare: counted per run of `harness.run` over seeds 0-19 (0-4 at
@@ -298,12 +295,13 @@ class KnowledgeState:
     its point by bisection, so the i-th cut of either kind is an index read.
 
     And it keeps a `SetView` of every member set that `set_view` is asked
-    about: the set's unpinned members in (left_cut, id) order, as positions
-    in the run's `LeftOrder`, and its pinned members as ascending
-    (key, id).  `reveal` moves the element from the first list to the
-    second in every view that holds it, by bisection, so the minimum and
-    sorting predicates read each set in left order without sorting it.
-    Nothing here outlives the state: a fresh one builds its own orders.
+    about: the key records of the set's unpinned members, the very tuples
+    the state holds, in (left_cut, id) order, and its pinned members as
+    ascending (key, id).  `reveal` moves the element from the first list
+    to the second in every view that holds it, finding its record by
+    bisection, so the minimum and sorting predicates read each set in left
+    order, endpoint keys included, without sorting it.  Nothing here
+    outlives the state: a fresh one builds its own views.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
@@ -315,10 +313,12 @@ class KnowledgeState:
             eid: st.lower for eid, st in self._states.items() if st.trivial
         }
         self._scale, ends = scaled_keys(v for st in self._states.values() for v in (st.lower, st.upper))
-        self._keys: Dict[int, Tuple[int, int]] = dict(zip(self._states, zip(ends[::2], ends[1::2])))
+        self._keys: Dict[int, KeyRecord] = {
+            eid: (lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN)
+            for (eid, st), lower, upper in zip(self._states.items(), ends[::2], ends[1::2])
+        }
         self._revealed: Set[int] = set()
         self._cuts: Optional[Tuple[List[int], List[int]]] = None
-        self._order: Optional[LeftOrder] = None
         self._views: Dict[FrozenSet[int], SetView] = {}
         self._viewed: Dict[int, List[SetView]] = {}  # unpinned id -> the views holding it
 
@@ -337,11 +337,13 @@ class KnowledgeState:
 
     def left_key(self, eid: int) -> int:
         """The cut key of the left cut of eid's current state."""
-        return 3 * self._keys[eid][0] + (self._states[eid].lower_kind is OPEN)
+        record = self._keys[eid]
+        return 3 * record[0] + record[1]
 
     def right_key(self, eid: int) -> int:
         """The cut key of the right cut of eid's current state."""
-        return 3 * self._keys[eid][1] - (self._states[eid].upper_kind is OPEN)
+        record = self._keys[eid]
+        return 3 * record[3] - record[4]
 
     def cut_of(self, key: int) -> Cut:
         """The cut (value, flag) that the cut key `key` stands for."""
@@ -361,8 +363,8 @@ class KnowledgeState:
         for (eid, value), key in zip(answers.items(), keys):
             if eid in self._revealed:
                 raise IntervalError(f"element {eid} was already revealed")
-            iv, (lower, upper) = self._states[eid], self._keys[eid]
-            if not iv.contains_keyed(lower * grow, upper * grow, key):
+            iv, record = self._states[eid], self._keys[eid]
+            if not iv.contains_keyed(record[0] * grow, record[3] * grow, key):
                 raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
         if grow != 1:
             self._rescale(grow)
@@ -371,31 +373,30 @@ class KnowledgeState:
                 for cuts, cut in zip(self._cuts, (self.left_key(eid), self.right_key(eid))):
                     del cuts[bisect_left(cuts, cut)]
                     insort(cuts, 3 * key)
+            record = self._keys[eid]
             pinned = UncertainInterval.point(value)
             self._states[eid] = pinned
             self._known[eid] = pinned.lower
-            self._keys[eid] = (key, key)
+            self._keys[eid] = (key, 0, eid, key, 0)
             self._revealed.add(eid)
-            views = self._viewed.pop(eid, ())
-            if views:
-                p = self._order.position[eid]
-                for view in views:
-                    del view.unpinned[bisect_left(view.unpinned, p)]
-                    insort(view.pinned, (key, eid))
+            for view in self._viewed.pop(eid, ()):
+                del view.unpinned[bisect_left(view.unpinned, record)]
+                insort(view.pinned, (key, eid))
 
     def _rescale(self, grow: int) -> None:
         """Multiply every kept key by `grow`, moving all of them to the
         scale L * grow; orders and ties are unchanged."""
         self._scale *= grow
-        self._keys = {eid: (lower * grow, upper * grow) for eid, (lower, upper) in self._keys.items()}
+        keys = self._keys = {
+            eid: (lower * grow, lower_open, eid, upper * grow, upper_open)
+            for eid, (lower, lower_open, _, upper, upper_open) in self._keys.items()
+        }
         if self._cuts is not None:
             for cuts in self._cuts:
                 # cut key 3 * key + flag, with divmod(cut + 1, 3) = (key, flag + 1)
                 cuts[:] = [3 * grow * key + flag - 1 for key, flag in (divmod(cut + 1, 3) for cut in cuts)]
-        if self._order is not None:
-            for ends in (self._order.lowers, self._order.uppers):
-                ends[:] = [end * grow for end in ends]
         for view in self._views.values():
+            view.unpinned[:] = [keys[record[2]] for record in view.unpinned]
             view.pinned[:] = [(key * grow, eid) for key, eid in view.pinned]
 
     def cut_lists(self) -> Tuple[List[int], List[int]]:
@@ -408,23 +409,6 @@ class KnowledgeState:
             self._cuts = (sorted(map(self.left_key, self._states)), sorted(map(self.right_key, self._states)))
         return self._cuts
 
-    def left_order(self) -> LeftOrder:
-        """The elements unpinned at the first call, in (left_cut, id) order.
-
-        Built once per state by `cut_order`.  A pinned element never
-        becomes unpinned, so every later unpinned member is in the order.
-        """
-        if self._order is None:
-            keys = self._keys
-            ids = cut_order((e for e in self._states if e not in self._known), self.left_key)
-            self._order = LeftOrder(
-                ids=ids,
-                lowers=[keys[e][0] for e in ids],
-                uppers=[keys[e][1] for e in ids],
-                position={e: p for p, e in enumerate(ids)},
-            )
-        return self._order
-
     def set_view(self, set_ids: Iterable[int]) -> SetView:
         """The kept view of one member set, built on the first call for it.
 
@@ -434,12 +418,12 @@ class KnowledgeState:
         key = frozenset(set_ids)  # a frozenset is its own key, its hash cached
         view = self._views.get(key)
         if view is None:
-            order, keys = self.left_order(), self._keys
-            pinned = sorted((keys[e][0], e) for e in key if e in self._known)
-            unpinned = sorted(order.position[e] for e in key if e not in self._known)
-            view = self._views[key] = SetView(order, unpinned, pinned)
-            for p in unpinned:
-                self._viewed.setdefault(order.ids[p], []).append(view)
+            keys, known = self._keys, self._known
+            pinned = sorted((keys[e][0], e) for e in key if e in known)
+            unpinned = sorted(keys[e] for e in key if e not in known)
+            view = self._views[key] = SetView(unpinned, pinned)
+            for record in unpinned:
+                self._viewed.setdefault(record[2], []).append(view)
         return view
 
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:

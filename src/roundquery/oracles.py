@@ -33,13 +33,13 @@ class ValueOracle:
     """Round-batched answering with a committed-value log.
 
     Subclasses implement `_commit_fresh`, which must store a value for
-    every not-yet-committed id of the round; repeated queries always see
-    the first committed value.
+    every not-yet-committed id of the round and for no other id; repeated
+    queries always see the first committed value, so `committed` holds
+    each answer once.
     """
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.round_log: List[Tuple[Tuple[int, ...], Dict[int, Fraction]]] = []
         self.committed: Dict[int, Fraction] = {}
 
     def answer_round(self, ids: Sequence[int]) -> Dict[int, Fraction]:
@@ -57,7 +57,6 @@ class ValueOracle:
             if not iv.contains(v):
                 raise OracleError(f"committed value {v} outside interval of element {e}")
             answers[e] = v
-        self.round_log.append((ids, answers))
         return answers
 
     def _commit_fresh(self, ids: Sequence[int]) -> None:
@@ -67,12 +66,11 @@ class ValueOracle:
         raise NotImplementedError
 
     def check_finalize(self) -> Realization:
-        """Finalize and re-verify agreement with every logged answer."""
+        """Finalize and re-verify agreement with every committed answer."""
         realization = self._finalize_valid()
-        for ids, answers in self.round_log:
-            for e in ids:
-                if realization.value(e) != answers[e]:
-                    raise OracleError(f"finalize contradicts logged answer for element {e}")
+        for e, v in self.committed.items():
+            if realization.value(e) != v:
+                raise OracleError(f"finalize contradicts logged answer for element {e}")
         return realization
 
     def _finalize_valid(self) -> Realization:

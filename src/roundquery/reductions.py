@@ -3,8 +3,7 @@
 A batch algorithm may ask arbitrarily many queries per batch but only a
 fixed number r of batches; the adapters split batches into rounds of k and
 conversely schedule a round algorithm at growing k values.  All arithmetic
-is exact; `_ceil_pow` starts from a floating-point root estimate and
-corrects it with integer powers.
+is exact: the k values are integer roots found by bisection.
 """
 
 from __future__ import annotations
@@ -85,26 +84,14 @@ class BatchesToRounds:
         return chunk
 
 
-def _ceil_pow(n: int, num: int, den: int) -> int:
-    """ceil(n ** (num/den)) in exact integer arithmetic."""
-    if num == 0 or n <= 1:
-        return 1
-    target = n**num
-    root = round(target ** (1.0 / den))
-    while root**den > target:
-        root -= 1
-    while (root + 1) ** den <= target:
-        root += 1
-    return root if root**den == target else root + 1
-
-
 class RoundsToBatches:
     """Batch algorithm running a round algorithm at geometrically growing k.
 
     With r = floor(alpha)*x + 1 batches available, sequence i runs the
-    wrapped algorithm for floor(alpha) rounds at k = ceil(n^{(i-1)/x});
-    one final batch queries everything left.  Non-integer powers round up:
-    a larger round only strengthens a batch.
+    wrapped algorithm for floor(alpha) rounds at k_i = ceil(n^{(i-1)/x}),
+    the least integer k with k^x >= n^{i-1}, computed when sequence i
+    starts; one final batch queries everything left.  Non-integer powers
+    round up: a larger round only strengthens a batch.
     """
 
     def __init__(self, make_round_alg: Callable[[Instance], object], alpha: Fraction, r: int, n: int):
@@ -117,20 +104,36 @@ class RoundsToBatches:
         self.make_round_alg = make_round_alg
         self.n = n
         self.batches_used = 0
-        self._seq = 1
-        self._round_in_seq = 0
-        self._alg = None
-        self.k_schedule = [_ceil_pow(n, i - 1, self.x) for i in range(1, self.x + 1)]
+        self._sized = self._alg = None
+
+    def _k(self, i: int) -> int:
+        """k_i, the round size of sequence i counted from 1: the least
+        integer k >= 1 with k^x >= n^{i-1}, by an integer bisection.  Its
+        upper bound 2^ceil(b/x), b the bit length of n^{i-1}, is such a k,
+        since its x-th power is at least 2^b > n^{i-1}."""
+        target = self.n ** (i - 1)
+        lo, hi = 1, 1 << -(-target.bit_length() // self.x)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid**self.x >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    @property
+    def k_schedule(self) -> List[int]:
+        """Every sequence's k, from k_1 = 1."""
+        return [self._k(i) for i in range(1, self.x + 1)]
 
     def next_batch(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
+        seq, step = divmod(self.batches_used, self.floor_alpha)
         self.batches_used += 1
-        if self._seq > self.x:
+        if seq >= self.x:
+            # QueryAllBatch's batch, inline: perfbench's tracer spans every
+            # next_batch, so a nested call would count this batch twice
             return sorted(knowledge.unqueried_nontrivial(instance.ids()))
-        sized = replace(instance, k=self.k_schedule[self._seq - 1])
-        if self._round_in_seq == 0:
-            self._alg = self.make_round_alg(sized)
-        self._round_in_seq += 1
-        if self._round_in_seq >= self.floor_alpha:
-            self._seq += 1
-            self._round_in_seq = 0
-        return list(self._alg.next_round(sized, knowledge, open_sets))
+        if step == 0:
+            self._sized = replace(instance, k=self._k(seq + 1))
+            self._alg = self.make_round_alg(self._sized)
+        return list(self._alg.next_round(self._sized, knowledge, open_sets))

@@ -21,17 +21,17 @@ The predicates compare the exact integer keys that the knowledge state
 keeps across reveals, all on its one scale, never a `Fraction`: a key is
 the value times a common denominator, so keys order and tie as the
 rationals do.  The minimum and sorting predicates read each set from the
-state's kept `SetView`: its unpinned members in left-endpoint order, with
-their endpoint keys, and its pinned value keys in ascending order.  A
-set's minimum is then the head of its pinned list, and its live members
-are the prefix of its left order below that floor, found by one
-bisection.  The dependent pairs of one set form an interval graph, so one
-pass over its intervals in left order finds every pair, each interval's
-partners ending where a bisection says: `dependency_runs`, the one sweep
-behind the dependency graph, the residual R and the greedy matching of
-`batch-sort-2`.  The points that force queries, or that leave a set
-unsorted, are found by bisection.  Selection reads its rank cuts from
-the kept cut lists of cut keys, and
+state's kept `SetView`: its unpinned members' key records, which sort in
+left order and carry their endpoint keys, and its pinned value keys in
+ascending order.  A set's minimum is then the head of its pinned list,
+and its live members are the prefix of its left order below that floor,
+found by one bisection.  The dependent pairs of one set form an
+interval graph, so one pass over its intervals in left order finds every
+pair, each interval's partners ending where a bisection says:
+`dependency_runs`, the one sweep behind the dependency graph, the
+residual R and the greedy matching of `batch-sort-2`.  The points that
+force queries, or that leave a set unsorted, are found by bisection.
+Selection reads its rank cuts from the kept cut lists of cut keys, and
 `selection_categories` classifies a pool that only shrinks over a run:
 what left the target area stays out.  Orders by endpoint, such as the
 sorting certificate's, come from `cut_order` on the state's cut keys.
@@ -55,7 +55,6 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .instances import (
@@ -104,9 +103,6 @@ def ceil_div(a: int, b: int) -> int:
 # solvedness
 
 
-_value = itemgetter(0)  # of a pinned (key, id) pair
-
-
 def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> List[int]:
     """A set's live members: the unpinned ones that could still lie below
     its least pinned value, in left order: by (left_cut, id).
@@ -115,15 +111,15 @@ def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> List[int]
     is dropped once its lower endpoint is at or above the floor, the least
     pinned value (values in open intervals sit strictly above the endpoint,
     so a weak comparison suffices).  The kept view holds the floor's key at
-    the head of its pinned list and the unpinned members in left order,
-    whose lower endpoint keys ascend, so the live ones are the prefix that
-    one bisection finds.
+    the head of its pinned list and the unpinned members' records in left
+    order, whose lower endpoint keys ascend, so the live ones are the
+    prefix that one bisection with (floor,) finds.
     """
     view = knowledge.set_view(set_ids)
     live = view.unpinned
     if view.pinned:
-        live = live[: bisect_left(live, view.pinned[0][0], key=view.order.lowers.__getitem__)]
-    return [view.order.ids[p] for p in live]
+        live = live[: bisect_left(live, (view.pinned[0][0],))]
+    return [record[2] for record in live]
 
 
 def minimum_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
@@ -133,7 +129,7 @@ def minimum_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
     view = knowledge.set_view(set_ids)
     if not view.pinned:
         return False
-    return not view.unpinned or view.order.lowers[view.unpinned[0]] >= view.pinned[0][0]
+    return not view.unpinned or view.unpinned[0][0] >= view.pinned[0][0]
 
 
 def sorting_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
@@ -145,14 +141,13 @@ def sorting_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
     lie strictly inside the last span that starts below it.
     """
     view = knowledge.set_view(set_ids)
-    lowers, uppers = view.order.lowers, view.order.uppers
     spans = view.unpinned
     for a, b in zip(spans, spans[1:]):
-        if lowers[b] < uppers[a]:
+        if b[0] < a[3]:
             return False
     for v, _ in view.pinned:
-        j = bisect_left(spans, v, key=lowers.__getitem__) - 1
-        if j >= 0 and v < uppers[spans[j]]:
+        j = bisect_left(spans, (v,)) - 1
+        if j >= 0 and v < spans[j][3]:
             return False
     return True
 
@@ -315,11 +310,8 @@ def _unpinned_runs(instance: Instance, knowledge: KnowledgeState) -> Iterator[Tu
     """`dependency_runs` of every set over its kept unpinned members, which
     the set's view holds in left order with their endpoint keys."""
     for members in instance.family:
-        view = knowledge.set_view(members)
-        order, live = view.order, view.unpinned
-        yield from dependency_runs(
-            [order.ids[p] for p in live], [order.lowers[p] for p in live], [order.uppers[p] for p in live]
-        )
+        live = knowledge.set_view(members).unpinned
+        yield from dependency_runs([r[2] for r in live], [r[0] for r in live], [r[3] for r in live])
 
 
 def _edge_list(runs: Iterable[Tuple[int, List[int]]]) -> Tuple[Tuple[int, int], ...]:
@@ -370,11 +362,10 @@ def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
         points = view.pinned
         if not points:
             continue
-        order = view.order
-        for p in view.unpinned:
-            j = bisect_right(points, order.lowers[p], key=_value)
-            if j < len(points) and points[j][0] < order.uppers[p]:
-                forced.add(order.ids[p])
+        for lower, _, eid, upper, _ in view.unpinned:
+            j = bisect_left(points, (lower + 1,))  # the first point above the lower key
+            if j < len(points) and points[j][0] < upper:
+                forced.add(eid)
     return sorted(forced)
 
 

@@ -106,6 +106,17 @@ class TestRun:
         assert out.startswith("batch 1:")
         assert "batches " in out
 
+    @pytest.mark.parametrize("alg, source, r", [
+        ("bal", "fig2", 300),
+        ("budget", "random:problem=minimum,n=3000,m=300,k=16,overlap=disjoint", 100),
+    ])
+    def test_as_batches_with_many_batches(self, capsys, alg, source, r):
+        # each sequence's k is an exact integer root of n^(i-1), however
+        # far that power lies beyond the float range
+        code, out, err = invoke(capsys, "run", "--alg", alg, "--source", source, "--as-batches", f"r={r}", "alpha=1")
+        assert code == 0 and err == ""
+        assert out.startswith("batch 1:") and "batches " in out
+
     def test_selection_value_above_the_sorting_cap_runs(self, capsys):
         code, out, err = invoke(
             capsys, "run", "--alg", "sel-value",

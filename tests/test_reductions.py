@@ -99,6 +99,17 @@ class TestRoundsToBatches:
         # 10^(1/2) rounds up to 4
         assert batch_alg.k_schedule == [1, 4]
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 17, 1000, 3000, 5000])
+    @pytest.mark.parametrize("x, alpha", [(1, 1), (2, 2), (3, 1), (7, 3), (44, 1), (100, 1), (299, 1)])
+    def test_k_schedule_is_its_definition(self, n, x, alpha):
+        # k_i is the least k >= 1 with k^x >= n^(i-1); from x = 100 on, the
+        # larger n^(i-1) lie beyond the float range
+        schedule = self.make(r=alpha * x + 1, alpha=alpha, n=n).k_schedule
+        assert len(schedule) == x
+        for i, k in enumerate(schedule):
+            assert k >= 1 and k**x >= n**i
+            assert k == 1 or (k - 1) ** x < n**i
+
     @pytest.mark.parametrize("seed", range(10))
     def test_batch_budget_respected(self, seed):
         r = 5
