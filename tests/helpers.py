@@ -1,15 +1,29 @@
 """Shared test machinery: an algorithm wrapper that lets a test watch
 every round of a `harness.run`, the open sets the harness would pass, the
 exact round bound of the budget algorithm's guarantee, the edge-list
-greedy matching that the sweep's matching is checked against, and the
-pairwise interval greedy that the cut-key one is checked against."""
+greedy matching that the sweep's matching is checked against, the
+pairwise interval greedy that the cut-key one is checked against, and
+the cuts as (value, flag) tuples, the reference for every cut key."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from roundquery.intervals import dependent, right_cut
+from roundquery.intervals import CLOSED, dependent
 from roundquery.solving import set_solved
+
+
+# A cut as `KnowledgeState.cut_of` reads a cut key back: (v, 0) is the
+# point v itself, (v, +1) sits just above v and (v, -1) just below, so
+# tuple comparison orders endpoints with their openness.
+
+
+def left_cut(state):
+    return (state.lower, 0 if state.lower_kind is CLOSED else 1)
+
+
+def right_cut(state):
+    return (state.upper, 0 if state.upper_kind is CLOSED else -1)
 
 
 class Probed:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import left_cut, right_cut
 from roundquery.intervals import (
     CLOSED,
     IntervalError,
@@ -16,9 +17,7 @@ from roundquery.intervals import (
     cut_order,
     dependent,
     exact_keys,
-    left_cut,
     parse_rational,
-    right_cut,
 )
 
 

@@ -16,6 +16,7 @@ from roundquery.oracles import (
     SelectionFullLbAdversary,
     SelectionValueLbAdversary,
     SortingPairAdversary,
+    ValueOracle,
 )
 from roundquery.solving import (
     canonical_opt,
@@ -87,6 +88,41 @@ def test_unknown_id_is_rejected_before_it_is_answered(source, bad):
     with pytest.raises(InstanceError, match=f"unknown element {inst.n + 1}$"):
         inst.interval(inst.n + 1)
     assert oracle.committed == {}
+
+
+class _Misbehaving(ValueOracle):
+    """Commits `values[e]` for each fresh id e that `values` holds, and
+    nothing for any other: a subclass that breaks `_commit_fresh`'s
+    contract, which `answer_round` must catch."""
+
+    def __init__(self, instance, values):
+        super().__init__(instance)
+        self.values = values
+
+    def _commit_fresh(self, ids):
+        for e in ids:
+            if e in self.values:
+                self.committed[e] = self.values[e]
+
+
+class TestAnswerRoundChecksTheSubclass:
+    def test_an_id_left_uncommitted_is_refused(self):
+        inst, r = gen_fig2_bal_instance()
+        oracle = _Misbehaving(inst, {1: r.value(1)})
+        with pytest.raises(OracleError, match="^no value committed for element 2$"):
+            oracle.answer_round([1, 2])
+
+    @pytest.mark.parametrize("value, text", [
+        (Fraction(1), "1"),  # exactly on the open lower endpoint of (1,11)
+        (Fraction(11), "11"),  # exactly on the open upper endpoint
+        (Fraction(23, 2), "23/2"),  # beyond it
+    ])
+    def test_a_value_outside_the_interval_is_refused(self, value, text):
+        inst, r = gen_fig2_bal_instance()
+        assert inst.interval(1).text() == "(1,11)"
+        oracle = _Misbehaving(inst, {1: value, 2: r.value(2)})
+        with pytest.raises(OracleError, match=f"^committed value {text} outside interval of element 1$"):
+            oracle.answer_round([2, 1])
 
 
 class TestSortingPairs:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import matching_cover, pairwise_interval_cover
+from helpers import left_cut, matching_cover, pairwise_interval_cover, right_cut
 from roundquery.algorithms import interval_cover, make_algorithm
 from roundquery.harness import resolve_source, run
 from roundquery.instances import (
@@ -38,8 +38,6 @@ from roundquery.intervals import (
     KnowledgeState,
     UncertainInterval,
     dependent,
-    left_cut,
-    right_cut,
 )
 from roundquery.oracles import FixedOracle, SelectionFullLbAdversary, SelectionValueLbAdversary
 from roundquery.solving import (
@@ -609,6 +607,55 @@ class TestSelectionCertificate:
             verify_certificate(inst, k, replace(cert, equal_ids=frozenset({2})))
 
 
+class TestSortingCertificate:
+    """The knowledge-side checks of a sorting certificate: each claimed
+    order a before b holds iff a's upper endpoint is at or below b's lower
+    one, whatever the kinds of the two endpoints that touch."""
+
+    @staticmethod
+    def _two(first, second):
+        elements = [iv(first), iv(second)]
+        return make_instance(elements, [[1, 2]], ProblemKind(SORTING), 1), knowledge_of(elements)
+
+    @pytest.mark.parametrize("first, second", [("[0,2]", "(2,4)"), ("{2}", "[2,3]")])
+    def test_touching_endpoints_prove_the_order(self, first, second):
+        inst, k = self._two(first, second)
+        verify_certificate(inst, k, SolutionCertificate(SORTING, orders=((1, 2),)))
+        with pytest.raises(InstanceError, match="^order of 2 before 1 is not provable$"):
+            verify_certificate(inst, k, SolutionCertificate(SORTING, orders=((2, 1),)))
+
+    @pytest.mark.parametrize("first, second", [("(1,3)", "{2}"), ("[0,2]", "(1,4)")])
+    def test_overlap_proves_no_order(self, first, second):
+        inst, k = self._two(first, second)
+        with pytest.raises(InstanceError, match="^order of 1 before 2 is not provable$"):
+            verify_certificate(inst, k, SolutionCertificate(SORTING, orders=((1, 2),)))
+
+    @given(a=_interval(), b=_interval(), scale=st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(5, 7)]))
+    def test_provable_iff_upper_at_most_lower(self, a, b, scale):
+        # the states' endpoints scaled by a drawn factor, so the keys are
+        # taken over denominators other than the grid's
+        a, b = (UncertainInterval(s.lower * scale, s.lower_kind, s.upper * scale, s.upper_kind) for s in (a, b))
+        inst, k = self._two(a.text(), b.text())
+        cert = SolutionCertificate(SORTING, orders=((1, 2),))
+        if a.upper <= b.lower:
+            verify_certificate(inst, k, cert)
+        else:
+            with pytest.raises(InstanceError, match="^order of 1 before 2 is not provable$"):
+                verify_certificate(inst, k, cert)
+
+    @pytest.mark.parametrize("order", [(1,), (1, 1), (2, 1, 3), ()])
+    def test_order_must_be_a_permutation_of_the_set(self, order):
+        inst, k = self._two("[0,1]", "[2,3]")
+        with pytest.raises(InstanceError, match="^sorting certificate is not a permutation of the set$"):
+            verify_certificate(inst, k, SolutionCertificate(SORTING, orders=(order,)))
+
+    @pytest.mark.parametrize("kind", [MINIMUM, SELECTION_FULL, SELECTION_VALUE])
+    def test_certificate_of_another_kind_is_refused(self, kind):
+        inst, k = self._two("[0,1]", "[2,3]")
+        with pytest.raises(InstanceError, match="^certificate problem kind mismatch$"):
+            verify_certificate(inst, k, SolutionCertificate(kind))
+
+
 class TestSelectionSolved:
     def test_middle_gadget_state_is_full_solved(self):
         inst = SelectionFullLbAdversary(3).instance
@@ -1065,4 +1112,36 @@ class TestTruthRecord:
             good, bad = truth_record(inst, good), truth_record(inst, bad)
         verify_certificate(inst, knowledge, cert, good)
         with pytest.raises(InstanceError, match="^selection value contradicts the realization$"):
+            verify_certificate(inst, knowledge, cert, bad)
+
+    # the realizations below that contradict a certificate also contradict
+    # the knowledge it was extracted from: no admissible one can
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    def test_sorting_order_contradicted_by_the_realization(self, prebuilt):
+        inst = make_instance([iv("[0,2]"), iv("(2,4)")], [[1, 2]], ProblemKind(SORTING), 1)
+        knowledge = inst.knowledge()
+        cert = extract_certificate(inst, knowledge)
+        assert cert.orders == ((1, 2),)
+        good, bad = Realization({1: Fraction(2), 2: Fraction(3)}), Realization({1: Fraction(3), 2: Fraction(1)})
+        if prebuilt:
+            good, bad = truth_record(inst, good), truth_record(inst, bad)
+        verify_certificate(inst, knowledge, cert, good)
+        with pytest.raises(InstanceError, match="^order of 1 before 2 contradicts the realization$"):
+            verify_certificate(inst, knowledge, cert, bad)
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    def test_equal_ids_contradicted_by_the_realization(self, prebuilt):
+        elements = [iv("[0,1]"), iv("[2,3]"), iv("[4,5]")]
+        inst = make_instance(elements, [[1, 2, 3]], ProblemKind(SELECTION_FULL, rank=2), 1)
+        knowledge = knowledge_of(elements, [(2, Fraction(5, 2))])
+        cert = extract_certificate(inst, knowledge)
+        assert cert.equal_ids == {2}
+        good = Realization({1: Fraction(1, 2), 2: Fraction(5, 2), 3: Fraction(9, 2)})
+        # the true 2nd value is still 5/2, but element 3 holds it too
+        bad = Realization({1: Fraction(1, 2), 2: Fraction(5, 2), 3: Fraction(5, 2)})
+        if prebuilt:
+            good, bad = truth_record(inst, good), truth_record(inst, bad)
+        verify_certificate(inst, knowledge, cert, good)
+        with pytest.raises(InstanceError, match="^equal-value elements contradict the realization$"):
             verify_certificate(inst, knowledge, cert, bad)
