@@ -173,18 +173,11 @@ class UncertainInterval:
 
 # A cut encodes an endpoint's position on the real line including its
 # openness: (v, 0) is the point v itself, (v, +1) sits just above v and
-# (v, -1) just below.  Tuple comparison then orders endpoints correctly.
-# Its cut key, 3 * key + flag with key the exact key of v, orders the same
-# way: keys differ by at least 1 and flags lie in -1..1.
+# (v, -1) just below, so tuple comparison orders endpoints correctly; a
+# left cut's flag is 0 or +1, a right cut's 0 or -1.  Its cut key,
+# 3 * key + flag with key the exact key of v, orders the same way: keys
+# differ by at least 1 and flags lie in -1..1.
 Cut = Tuple[Fraction, int]
-
-
-def left_cut(state: UncertainInterval) -> Cut:
-    return (state.lower, 0 if state.lower_kind is CLOSED else 1)
-
-
-def right_cut(state: UncertainInterval) -> Cut:
-    return (state.upper, 0 if state.upper_kind is CLOSED else -1)
 
 
 def cut_keys(state: UncertainInterval, lower: int, upper: int) -> Tuple[int, int]:
@@ -221,30 +214,25 @@ def dependent(a: UncertainInterval, b: UncertainInterval) -> bool:
     return max(a.lower, b.lower) < min(a.upper, b.upper)
 
 
-def order_provable(a: UncertainInterval, b: UncertainInterval) -> bool:
-    """True iff v_a <= v_b holds in every admissible realization."""
-    return a.upper <= b.lower
-
-
 # A key record (lower, lower_open, id, upper, upper_open): an element's
-# endpoint keys on a state's scale, each with its openness as 0 or 1.  The
-# first two fields order records as the left cuts (3 * lower + lower_open
-# is the left cut key), and the id both breaks their ties, so records sort
-# in (left_cut, id) order, and makes each record distinct, so a bisection
-# finds one exact record and never compares the upper fields.
+# endpoint keys on a state's scale, each with its openness as 0 or 1, a
+# point's record being (key, 0, id, key, 0).  The first two fields order
+# records as the left cuts (3 * lower + lower_open is the left cut key),
+# and the id both breaks their ties, so records sort in (left cut, id)
+# order, and makes each record distinct, so a bisection finds one exact
+# record and never compares the upper fields.
 KeyRecord = Tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
 class SetView:
-    """One member set as a `KnowledgeState` keeps it: `unpinned` lists the
-    state's own key records of the members not yet pinned, ascending, that
-    is in (left_cut, id) order, and `pinned` the pinned members as
-    ascending (key, id), key being the pinned value's key on the state's
-    scale."""
+    """One member set as a `KnowledgeState` keeps it: the state's own key
+    records of its members, ascending, that is in (left cut, id) order,
+    split into `unpinned`, the members not yet pinned, and `pinned`, whose
+    records (key, 0, id, key, 0) ascend by value, then id."""
 
     unpinned: List[KeyRecord]
-    pinned: List[Tuple[int, int]]
+    pinned: List[KeyRecord]
 
 
 class KnowledgeState:
@@ -256,11 +244,10 @@ class KnowledgeState:
     interval (strictly inside open endpoints).  Mutated only by the
     single-threaded run loop of a trial, one round's answers at a time.
 
-    Beside the states it keeps the pinned-value map: the exact value of
-    every element that is trivial from the start or revealed, seeded here
-    and written by `reveal`.  Solvedness checks ask `known_value` about
-    every member of every open set each round, and a dict lookup answers
-    with the value itself.
+    An element is pinned when its state is a point, trivial from the start
+    or revealed; `known_value` reads the point's value off the state, and
+    only certificate extraction asks for it.  Beside the states it keeps which
+    elements were revealed, which the states alone do not tell.
 
     Everything else it keeps is on exact integer keys, all on one scale L,
     the least common multiple of every denominator the state has seen:
@@ -272,12 +259,13 @@ class KnowledgeState:
     nothing below compares a `Fraction`.  `reveal` takes a whole round's
     answers and keys their values; when a denominator does not divide L,
     it first multiplies every kept key by L'/L, L' the lcm of L and all the
-    round's denominators, in the records, every set view
-    and the cut lists, so one scale holds throughout.  Each rescale costs
-    one pass over the kept keys, and a round pays at most one.  That is
-    rare: counted per run of `harness.run` over seeds 0-19 (0-4 at
-    n >= 400), random minimum (single, overlapping, disjoint, n=20 and
-    n=800) needed at most 2, mean 0.75-1.2; random sorting (n=16, n=400)
+    round's denominators, so one scale holds throughout: it rebuilds the
+    key records and the cut lists, and every set view then re-points its
+    two lists at the new records.  Each rescale costs one pass over the
+    kept keys, and a round pays at most one.  That is rare: counted per
+    run of `harness.run` over seeds 0-19 (0-4 at n >= 400), random
+    minimum (single, overlapping, disjoint, n=20 and n=800) needed at
+    most 2, mean 0.75-1.2; random sorting (n=16, n=400)
     at most 2, mean 1.2-1.45; random selection-full (n=20, n=1000) at most
     2, mean 1.0-1.15; random selection-value at most 2, mean 1.0; fig2,
     fig1-pairs, wlb, additive and selfull-lb exactly 1; fig3 and selval-lb
@@ -295,13 +283,14 @@ class KnowledgeState:
     its point by bisection, so the i-th cut of either kind is an index read.
 
     And it keeps a `SetView` of every member set that `set_view` is asked
-    about: the key records of the set's unpinned members, the very tuples
-    the state holds, in (left_cut, id) order, and its pinned members as
-    ascending (key, id).  `reveal` moves the element from the first list
-    to the second in every view that holds it, finding its record by
-    bisection, so the minimum and sorting predicates read each set in left
-    order, endpoint keys included, without sorting it.  Nothing here
-    outlives the state: a fresh one builds its own views.
+    about: the key records of the set's members, the very tuples the state
+    holds, in (left cut, id) order, the unpinned ones in one list and the
+    pinned ones in another.  `reveal` moves the element from the first
+    list to the second in every view that holds it, its old record found
+    and its point's record placed by bisection, so the minimum and sorting
+    predicates read each set in left order, endpoint keys included,
+    without sorting it.  Nothing here outlives the state: a fresh one
+    builds its own views.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
@@ -309,9 +298,6 @@ class KnowledgeState:
 
     def __init__(self, intervals: Dict[int, UncertainInterval]):
         self._states: Dict[int, UncertainInterval] = dict(intervals)
-        self._known: Dict[int, Fraction] = {
-            eid: st.lower for eid, st in self._states.items() if st.trivial
-        }
         self._scale, ends = scaled_keys(v for st in self._states.values() for v in (st.lower, st.upper))
         self._keys: Dict[int, KeyRecord] = {
             eid: (lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN)
@@ -333,7 +319,8 @@ class KnowledgeState:
 
     def known_value(self, eid: int) -> Optional[Fraction]:
         """Exact value if pinned (revealed, or trivial from the start)."""
-        return self._known.get(eid)
+        state = self._states[eid]
+        return state.lower if state.trivial else None
 
     def left_key(self, eid: int) -> int:
         """The cut key of the left cut of eid's current state."""
@@ -373,15 +360,13 @@ class KnowledgeState:
                 for cuts, cut in zip(self._cuts, (self.left_key(eid), self.right_key(eid))):
                     del cuts[bisect_left(cuts, cut)]
                     insort(cuts, 3 * key)
-            record = self._keys[eid]
-            pinned = UncertainInterval.point(value)
-            self._states[eid] = pinned
-            self._known[eid] = pinned.lower
-            self._keys[eid] = (key, 0, eid, key, 0)
+            record, point = self._keys[eid], (key, 0, eid, key, 0)
+            self._states[eid] = UncertainInterval.point(value)
+            self._keys[eid] = point
             self._revealed.add(eid)
             for view in self._viewed.pop(eid, ()):
                 del view.unpinned[bisect_left(view.unpinned, record)]
-                insort(view.pinned, (key, eid))
+                insort(view.pinned, point)
 
     def _rescale(self, grow: int) -> None:
         """Multiply every kept key by `grow`, moving all of them to the
@@ -396,8 +381,8 @@ class KnowledgeState:
                 # cut key 3 * key + flag, with divmod(cut + 1, 3) = (key, flag + 1)
                 cuts[:] = [3 * grow * key + flag - 1 for key, flag in (divmod(cut + 1, 3) for cut in cuts)]
         for view in self._views.values():
-            view.unpinned[:] = [keys[record[2]] for record in view.unpinned]
-            view.pinned[:] = [(key * grow, eid) for key, eid in view.pinned]
+            for records in (view.unpinned, view.pinned):
+                records[:] = [keys[record[2]] for record in records]
 
     def cut_lists(self) -> Tuple[List[int], List[int]]:
         """The ascending cut keys of the left cuts and of the right cuts of
@@ -418,14 +403,14 @@ class KnowledgeState:
         key = frozenset(set_ids)  # a frozenset is its own key, its hash cached
         view = self._views.get(key)
         if view is None:
-            keys, known = self._keys, self._known
-            pinned = sorted((keys[e][0], e) for e in key if e in known)
-            unpinned = sorted(keys[e] for e in key if e not in known)
+            keys, states = self._keys, self._states
+            pinned = sorted(keys[e] for e in key if states[e].trivial)
+            unpinned = sorted(keys[e] for e in key if not states[e].trivial)
             view = self._views[key] = SetView(unpinned, pinned)
             for record in unpinned:
                 self._viewed.setdefault(record[2], []).append(view)
         return view
 
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
-        pool = self.ids() if ids is None else ids
-        return [eid for eid in pool if eid not in self._known]
+        states = self._states
+        return [eid for eid in (states if ids is None else ids) if not states[eid].trivial]

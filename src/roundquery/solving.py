@@ -21,11 +21,11 @@ The predicates compare the exact integer keys that the knowledge state
 keeps across reveals, all on its one scale, never a `Fraction`: a key is
 the value times a common denominator, so keys order and tie as the
 rationals do.  The minimum and sorting predicates read each set from the
-state's kept `SetView`: its unpinned members' key records, which sort in
-left order and carry their endpoint keys, and its pinned value keys in
-ascending order.  A set's minimum is then the head of its pinned list,
-and its live members are the prefix of its left order below that floor,
-found by one bisection.  The dependent pairs of one set form an
+state's kept `SetView`: its members' key records, which sort in left
+order and carry their endpoint keys, the unpinned ones in one list and
+the pinned points, so ascending by value, in another.  A set's minimum
+is then the head of its pinned list, and its live members are the prefix
+of its left order below that floor, found by one bisection.  The dependent pairs of one set form an
 interval graph, so one pass over its intervals in left order finds every
 pair, each interval's partners ending where a bisection says:
 `dependency_runs`, the one sweep behind the dependency graph, the
@@ -38,14 +38,17 @@ sorting certificate's, come from `cut_order` on the state's cut keys.
 What the predicates return to callers, cuts, values and certificates,
 is read back as `Fraction`s.
 
-The certificate check and the offline optima share one `TruthRecord` per
-run, each set's true minimum or the true i-th value, so neither recomputes
-them.  It is built from the instance and the finalized realization alone,
-reading no `KnowledgeState`, `SetView` or cut list, so the audits check
-what the kept views decide rather than repeat it.  Each audit keys the
-values it compares itself (`exact_keys`), and none reads a key that the
-knowledge state keeps, so none checks a structure against keys taken from
-that same structure.
+The certificate check reads the states alone and keys them itself: one
+`exact_keys` call over every state's two endpoints and the certificate's
+claimed values (the minima, or the selection value) serves all three
+kinds.  An order a before b is provable when a's upper key is at most
+b's lower key, a state is a point when its two keys are equal, and the
+rank cuts are taken on cut keys.  It reads no `SetView`, cut list or key
+that the knowledge state keeps, so it checks what those decide rather
+than repeat it.  It shares one `TruthRecord` per run with the offline
+optima, each set's true minimum or the true i-th value, so neither
+recomputes them; the record is built from the instance and the finalized
+realization alone, and the optima key what they compare themselves too.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ from .intervals import (
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
     exact_keys,
-    order_provable,
 )
 
 
@@ -105,7 +107,7 @@ def ceil_div(a: int, b: int) -> int:
 
 def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> List[int]:
     """A set's live members: the unpinned ones that could still lie below
-    its least pinned value, in left order: by (left_cut, id).
+    its least pinned value, in left order: by (left cut, id).
 
     With no pinned value every unpinned member is live.  Otherwise a member
     is dropped once its lower endpoint is at or above the floor, the least
@@ -145,7 +147,7 @@ def sorting_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
     for a, b in zip(spans, spans[1:]):
         if b[0] < a[3]:
             return False
-    for v, _ in view.pinned:
+    for v, _, _, _, _ in view.pinned:
         j = bisect_left(spans, (v,)) - 1
         if j >= 0 and v < spans[j][3]:
             return False
@@ -463,7 +465,7 @@ class SolutionCertificate:
 def extract_certificate(instance: Instance, knowledge: KnowledgeState) -> SolutionCertificate:
     kind = instance.problem.kind
     if kind is SORTING:
-        # by (right_cut, left_cut, id): ascending values, ties in a fixed order
+        # by (right cut, left cut, id): ascending values, ties in a fixed order
         orders = tuple(
             tuple(cut_order(members, knowledge.right_key, knowledge.left_key)) for members in instance.family
         )
@@ -474,7 +476,7 @@ def extract_certificate(instance: Instance, knowledge: KnowledgeState) -> Soluti
             pinned = knowledge.set_view(members).pinned
             if not pinned:
                 raise InstanceError(f"set {i}: no pinned value; nothing to certify")
-            holder = pinned[0][1]  # the least value, held by its lowest id
+            holder = pinned[0][2]  # the least value, held by its lowest id
             minima.append((holder, knowledge.known_value(holder)))
         return SolutionCertificate(kind, minima=tuple(minima))
     v = selection_value_pinned(instance, knowledge)
@@ -500,44 +502,47 @@ def verify_certificate(
     if cert.problem is not kind:
         raise InstanceError("certificate problem kind mismatch")
     truth = None if realization is None else truth_record(instance, realization)
+    # one key list over every state's endpoints (a point's are its value)
+    # and the claimed values: the minima, or the selection value
+    ids = list(knowledge.ids())
+    states = [knowledge.state(e) for e in ids]
+    if kind is MINIMUM:
+        assert cert.minima is not None
+        claims = [v for _, v in cert.minima]
+    else:
+        claims = [] if cert.value is None else [cert.value]
+    keys = exact_keys([st.lower for st in states] + [st.upper for st in states] + claims)
+    lower, upper, claimed = dict(zip(ids, keys)), dict(zip(ids, keys[len(ids) :])), keys[2 * len(ids) :]
     if kind is SORTING:
         assert cert.orders is not None
         for members, order in zip(instance.family, cert.orders):
             if sorted(order) != sorted(members):
                 raise InstanceError("sorting certificate is not a permutation of the set")
             for a, b in zip(order, order[1:]):
-                if not order_provable(knowledge.state(a), knowledge.state(b)):
+                if upper[a] > lower[b]:
                     raise InstanceError(f"order of {a} before {b} is not provable")
                 if truth is not None and truth.realization.value(a) > truth.realization.value(b):
                     raise InstanceError(f"order of {a} before {b} contradicts the realization")
         return
     if kind is MINIMUM:
-        assert cert.minima is not None
-        # one key list over every state's lower endpoint (a point's is its
-        # value) and the claimed minima
-        ids = list(knowledge.ids())
-        keys = exact_keys([knowledge.state(e).lower for e in ids] + [v for _, v in cert.minima])
-        lower = dict(zip(ids, keys))
-        for i, (members, (holder, v), claim) in enumerate(zip(instance.family, cert.minima, keys[len(ids) :])):
-            if holder not in members or knowledge.known_value(holder) is None or lower[holder] != claim:
+        for i, (members, (holder, v), claim) in enumerate(zip(instance.family, cert.minima, claimed)):
+            # a state is a point exactly when its two endpoint keys are equal
+            if holder not in members or not lower[holder] == upper[holder] == claim:
                 raise InstanceError("claimed minimum is not a known value of the set")
             for e in members:
                 if lower[e] < claim:
-                    if knowledge.known_value(e) is not None:
+                    if lower[e] == upper[e]:
                         raise InstanceError("a known value undercuts the claimed minimum")
                     raise InstanceError("an unqueried element could undercut the claimed minimum")
             if truth is not None and truth.minima[i] != v:
                 raise InstanceError("claimed minimum contradicts the realization")
         return
     # the i-th left and right cuts, on cut keys taken here from the states
-    ids = list(instance.ids())
-    states = [knowledge.state(e) for e in ids]
-    keys = exact_keys([st.lower for st in states] + [st.upper for st in states])
-    cuts = [cut_keys(st, lower, upper) for st, lower, upper in zip(states, keys, keys[len(ids) :])]
+    cuts = [cut_keys(st, lower[e], upper[e]) for e, st in zip(ids, states)]
     rank = instance.problem.rank
     at = sorted(left for left, _ in cuts)[rank - 1]
-    pinned = next(st.lower for st, (left, _) in zip(states, cuts) if left == at)
-    if at != sorted(right for _, right in cuts)[rank - 1] or pinned != cert.value:
+    # equal rank cut keys are one value with flag 0 on both sides: at // 3
+    if at != sorted(right for _, right in cuts)[rank - 1] or claimed != [at // 3]:
         raise InstanceError("selection value is not pinned to the claimed value")
     if truth is not None and truth.rank_value != cert.value:
         raise InstanceError("selection value contradicts the realization")

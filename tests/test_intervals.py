@@ -335,7 +335,25 @@ class TestKnowledgeState:
         k.reveal({1: Fraction(1, 11), 2: Fraction(27, 13)})
         assert rescales == [143]
         assert [k.cut_of(key) for key in k.cut_lists()[0]] == [(Fraction(1, 11), 0), (Fraction(27, 13), 0), (Fraction(7, 2), 0)]
-        assert view.unpinned == [] and [e for _, e in view.pinned] == [1, 2, 3]
+        assert view.unpinned == [] and [record[2] for record in view.pinned] == [1, 2, 3]
+
+    def test_views_list_the_states_records(self):
+        # a view lists each member's record as the state keeps it, a pinned
+        # member's as its point's (key, 0, id, key, 0), through reveals that
+        # move every key to a finer scale
+        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}"), 4: iv("(2,5]")})
+        view = k.set_view([4, 3, 2, 1])
+
+        def record(e):
+            left, right = k.left_key(e), k.right_key(e)
+            return (left // 3, left % 3, e, -(-right // 3), -right % 3)
+
+        for answers in ({1: Fraction(1, 11)}, {4: Fraction(27, 13), 2: Fraction(3)}, None):
+            assert view.unpinned == sorted(record(e) for e in k.ids() if not k.state(e).trivial)
+            assert view.pinned == sorted(record(e) for e in k.ids() if k.state(e).trivial)
+            if answers:
+                k.reveal(answers)
+        assert [record[2] for record in view.pinned] == [1, 4, 2, 3]
 
     def test_never_reverts(self):
         self.k.reveal({1: Fraction(2)})
@@ -354,8 +372,9 @@ class TestKnowledgeState:
 
     @given(data=st.data(), start=st.lists(intervals(), min_size=1, max_size=8))
     def test_pinned_values_follow_the_states(self, data, start):
-        # known_value and unqueried_nontrivial read the pinned-value map;
-        # before and after any admissible reveals it must agree with the states
+        # known_value and unqueried_nontrivial read the states' trivial
+        # flags; before and after any admissible reveals they must agree
+        # with the states
         k = KnowledgeState(dict(enumerate(start, 1)))
         order = data.draw(st.permutations(list(k.ids())))
 

@@ -527,12 +527,17 @@ class TestMinimumCertificate:
             ([(1, 1), (2, 5)], (4, Fraction(1)), "claimed minimum is not a known value of the set"),
             # the holder is in S1, but its known value is not the claim
             ([(1, 1), (2, 5)], (2, Fraction(1)), "claimed minimum is not a known value of the set"),
+            # the holder is in S1 and its lower endpoint is the claim, but it is unqueried
+            ([(1, 1), (2, 5)], (3, Fraction(5)), "claimed minimum is not a known value of the set"),
             # 1 is known at 1, below the claim; 3's lower endpoint 5 is not
             ([(1, 1), (2, 5)], (2, Fraction(5)), "a known value undercuts the claimed minimum"),
             # 1 is unqueried and its lower endpoint 0 is below the claim
             ([(2, 5)], (2, Fraction(5)), "an unqueried element could undercut the claimed minimum"),
         ],
-        ids=["holder-outside-the-set", "holder-value-differs", "known-value-below", "unqueried-lower-below"],
+        ids=[
+            "holder-outside-the-set", "holder-value-differs", "holder-unqueried", "known-value-below",
+            "unqueried-lower-below",
+        ],
     )
     def test_tampered_certificate_is_refused(self, revealed, claim, message):
         elements, family = self.TAMPER_INSTANCE
