@@ -16,8 +16,6 @@ from roundquery.solving import set_solved
 # A cut as `KnowledgeState.cut_of` reads a cut key back: (v, 0) is the
 # point v itself, (v, +1) sits just above v and (v, -1) just below, so
 # tuple comparison orders endpoints with their openness.
-
-
 def left_cut(state):
     return (state.lower, 0 if state.lower_kind is CLOSED else 1)
 
