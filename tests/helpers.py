@@ -2,15 +2,16 @@
 every round of a `harness.run`, the open sets the harness would pass, the
 exact round bound of the budget algorithm's guarantee, the edge-list
 greedy matching that the sweep's matching is checked against, the
-pairwise interval greedy that the cut-key one is checked against, and
-the cuts as (value, flag) tuples, the reference for every cut key."""
+pairwise interval greedy that the cut-key one is checked against, the
+budget round with every open set's budget rewritten after each purchase,
+and the cuts as (value, flag) tuples, the reference for every cut key."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from roundquery.intervals import CLOSED, dependent
-from roundquery.solving import set_solved
+from roundquery.solving import minimum_scan, set_solved
 
 
 # A cut as `KnowledgeState.cut_of` reads a cut key back: (v, 0) is the
@@ -105,3 +106,39 @@ def budget_round_bound(opt_k: int, m: int) -> Fraction:
         if best is None or bound < best:
             best = bound
     return best
+
+
+def budget_round_reference(instance, knowledge, open_sets):
+    """The budget round by its first definition: every open set's budget
+    grows at unit rate, each purchase adds its time step to all of them and
+    resets its owners' to 0.  Returns the picked ids, the charge map, the
+    seeds and the number of purchases whose time tied with another
+    element's, so a test can tell that the tie order was exercised."""
+    k = instance.k
+    lists = {idx: minimum_scan(instance.family[idx], knowledge) for idx in open_sets}
+    seeds = sorted({lst[0] for lst in lists.values()})[:k]
+    chosen, taken, charges, time_ties = list(seeds), set(seeds), {}, 0
+    budgets = dict.fromkeys(open_sets, Fraction(0))
+    while len(chosen) < k:
+        pointing = {}
+        for idx in open_sets:
+            e = next((e for e in lists[idx] if e not in taken), None)
+            if e is not None:
+                pointing.setdefault(e, []).append(idx)
+        if not pointing:
+            break
+        keys = []
+        for e, owners in pointing.items():
+            gap = 1 - sum(budgets[idx] for idx in owners)
+            assert gap >= 0
+            keys.append((gap / len(owners), -len(owners), e))
+        delta, _, winner = min(keys)
+        time_ties += sum(key[0] == delta for key in keys) > 1
+        for idx in open_sets:
+            budgets[idx] += delta
+        for idx in pointing[winner]:
+            budgets[idx] = Fraction(0)
+        chosen.append(winner)
+        taken.add(winner)
+        charges[winner] = tuple(pointing[winner])
+    return chosen, charges, tuple(seeds), time_ties

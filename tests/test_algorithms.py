@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import Probed, budget_round_bound, matching_cover, open_sets
+from helpers import Probed, budget_round_bound, budget_round_reference, matching_cover, open_sets
 from roundquery.algorithms import (
     AlgorithmError,
     BudgetRounds,
@@ -16,7 +16,7 @@ from roundquery.algorithms import (
     interval_cover,
     make_algorithm,
 )
-from roundquery.harness import run, run_batches
+from roundquery.harness import resolve_source, run, run_batches
 from roundquery.instances import (
     MINIMUM,
     ProblemKind,
@@ -354,6 +354,30 @@ class TestBudget:
         alg = make_algorithm("budget", inst)
         _, report = run(alg, inst, oracle)
         assert report.alg_rounds == 2 and report.opt_k == 1
+
+
+class TestBudgetMatchesItsDefinition:
+    """Every round of `budget` equals the reference round, in which each
+    purchase rewrites the budget of every open set, on the same knowledge
+    and open sets: the picked ids, the charge map and the seeds."""
+
+    SOURCES = [("random:problem=minimum,n=24,m=6,k=4,overlap=overlap", seed) for seed in range(100)]
+    SOURCES.append(("fig3:k=4,c=4", 0))
+
+    def test_rounds_equal_the_reference(self):
+        time_ties = 0
+        for spec, seed in self.SOURCES:
+            inst, oracle = resolve_source(spec, seed)
+            alg = BudgetRounds()
+
+            def probe(knowledge, open_sets, picked):
+                nonlocal time_ties
+                chosen, charges, seeds, ties = budget_round_reference(inst, knowledge, open_sets)
+                assert (picked, alg.last_charges, alg.last_seeds) == (chosen, charges, seeds), (spec, seed)
+                time_ties += ties
+
+            run(Probed(alg, probe), inst, oracle)
+        assert time_ties > 0  # the (time, -owners, id) order decided some purchase
 
 
 class TestSelectionValue:
