@@ -162,6 +162,20 @@ class TestVerify:
         assert "opt1 11" in out and "feasible yes" in out and "minimal yes" in out
         assert "minimum S1:" in out
 
+    def test_selection_full_instance_verifies_with_its_equal_line(self, tmp_path, capsys):
+        # the values 3 2 2 2: the 2nd smallest is 2, held by elements 1, 2 and 3
+        path = tmp_path / "selfull.rq"
+        path.write_text(
+            "k 1\nproblem selection-full i=2\ninterval 1 (0,4)\ninterval 2 (1,5)\ninterval 3 {2}\n"
+            "interval 4 (1,5)\nset S1 1 2 3 4\nvalue 1 2\nvalue 2 2\nvalue 4 3\n"
+        )
+        code, out, err = invoke(capsys, "verify", "--instance", str(path))
+        assert (code, err) == (0, "")
+        assert out == (
+            "n 4\nm 1\nk 1\nproblem selection-full i=2\nopt1 3\nopt_k 3\nmethod closed-form\n"
+            "opt_set 1 2 4\nfeasible yes\nminimal yes\nvalue 2\nequal 1 2 3\n"
+        )
+
     def test_corrupted_realization_fails(self, tmp_path, capsys):
         path = tmp_path / "bad.rq"
         invoke(capsys, "generate", "--source", "fig2", "-o", str(path))
@@ -256,6 +270,65 @@ class TestModuleEntry:
         )
         assert done.returncode == 0 and done.stderr == ""
         assert done.stdout == FIG2_GOLDEN
+
+
+# a minimum instance file and the edits that each make it fail to load
+_BASE = "k 1\nproblem minimum\ninterval 1 (0,2)\ninterval 2 (1,3)\nset S1 1 2\nvalue 1 1\nvalue 2 2\n"
+INSTANCE_FILES = {
+    "no-values.rq": "k 1\nproblem minimum\ninterval 1 (0,2)\nset S1 1\n",
+    "no-intervals.rq": "k 1\nproblem minimum\n",
+    "unknown-id.rq": _BASE.replace("set S1 1 2", "set S1 1 3"),
+    "rank-above-n.rq": _BASE.replace("problem minimum", "problem selection-value i=3"),
+    "bare-problem.rq": _BASE.replace("problem minimum", "problem"),
+    "unknown-kind.rq": _BASE.replace("problem minimum", "problem maximum"),
+    "duplicate-interval.rq": _BASE.replace("interval 2 (1,3)", "interval 1 (1,3)"),
+    "empty-set.rq": _BASE.replace("set S1 1 2", "set S1"),
+    "duplicate-value.rq": _BASE.replace("value 2 2", "value 1 1"),
+    "ids-1-and-3.rq": _BASE.replace("interval 2", "interval 3").replace("S1 1 2", "S1 1 3").replace("value 2", "value 3"),
+    "three-endpoints.rq": _BASE.replace("interval 1 (0,2)", "interval 1 (1,2,3)"),
+}
+
+ERROR_PATHS = [
+    # run
+    (("run", "--alg", "nope", "--source", "fig2"),
+     "unknown algorithm 'nope'; pick one of "
+     "['bal', 'budget', 'min-single', 'sel-full', 'sel-value', 'sorting-matching', 'sorting-vc']"),
+    (("run", "--alg", "bal"), "pick exactly one of --instance, --source, --oracle"),
+    (("run", "--alg", "bal", "--source", "fig2", "--oracle", "wlb:M=2"),
+     "pick exactly one of --instance, --source, --oracle"),
+    (("run", "--alg", "bal", "--instance", "{tmp}/no-values.rq"),
+     "instance file carries no realization; cannot answer queries"),
+    (("run", "--alg", "bal", "--source", "fig2", "--as-rounds", "k=2"),
+     "--as-rounds expects a batch algorithm: ['batch-all', 'batch-sort-2']"),
+    (("run", "--alg", "batch-sort-2", "--source", "fig2", "--as-rounds", "k=2"),
+     "two-batch algorithm handles sorting instances only"),
+    (("run", "--alg", "bal", "--source", "fig2", "--as-batches", "r=1", "alpha=1"),
+     "need r >= floor(alpha) + 1 batches"),
+    (("run", "--alg", "bal", "--source", "fig2", "--as-batches", "r=3", "alpha=1/2"), "alpha must be at least 1"),
+    # sources
+    (("generate", "--source", "random:n"), "source 'random:n': malformed field 'n'"),
+    (("generate", "--source", "random:n=0"), "n, m, k must be positive"),
+    (("generate", "--source", "random:overlap=x"), "unknown overlap mode 'x'"),
+    (("generate", "--source", "random:m=2,overlap=single"), "single mode implies m = 1"),
+    (("generate", "--source", "random:problem=selection-full,m=2,i=1,overlap=overlap"),
+     "selection instances take a single set"),
+    (("generate", "--source", "fig1-pairs:c=0"), "need c >= 1 and k >= 1"),
+    (("generate", "--source", "wlb:M=1"), "need M >= 2"),
+    (("generate", "--source", "additive:m=1"), "need m >= 2"),
+    (("generate", "--source", "selfull-lb:i=1"), "need i >= 2"),
+    (("generate", "--source", "selval-lb:i=0"), "need i >= 1"),
+    # instance files
+    (("verify", "--instance", "{tmp}/no-intervals.rq"), "instance has no elements"),
+    (("verify", "--instance", "{tmp}/unknown-id.rq"), "set 1 references unknown element 3"),
+    (("verify", "--instance", "{tmp}/rank-above-n.rq"), "selection rank exceeds n"),
+    (("verify", "--instance", "{tmp}/bare-problem.rq"), "line 2, column 1: expected 'problem <kind> [i=<int>]'"),
+    (("verify", "--instance", "{tmp}/unknown-kind.rq"), "line 2, column 9: unknown problem kind 'maximum'"),
+    (("verify", "--instance", "{tmp}/duplicate-interval.rq"), "line 4, column 10: duplicate interval id 1"),
+    (("verify", "--instance", "{tmp}/empty-set.rq"), "line 5, column 1: expected 'set <name> <id> <id> ...'"),
+    (("verify", "--instance", "{tmp}/duplicate-value.rq"), "line 7, column 7: duplicate value for element 1"),
+    (("verify", "--instance", "{tmp}/ids-1-and-3.rq"), "interval ids must be contiguous 1..n"),
+    (("verify", "--instance", "{tmp}/three-endpoints.rq"), "line 3, column 12: malformed interval: '(1,2,3)'"),
+]
 
 
 class TestExitCodes:
@@ -370,6 +443,14 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "run", "--source", "random:problem=sorting,n=6", *flags)
         assert code == 1
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", ERROR_PATHS, ids=[" ".join(argv) for argv, _ in ERROR_PATHS])
+    def test_error_path_is_its_one_error_line(self, tmp_path, capsys, argv, message):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        for name, text in INSTANCE_FILES.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_negative_opt_cap_is_refused_before_the_run(self, tmp_path, capsys, command):
