@@ -128,7 +128,7 @@ class _OpenSets:
 
 def _check_round(instance: Instance, knowledge: KnowledgeState, picked: List[int], width: int) -> None:
     """Reject an empty or oversized round and any id that is unknown,
-    repeated, already revealed or trivial."""
+    repeated or pinned: trivial from the start, or already revealed."""
     if not picked:
         raise HarnessError("algorithm emitted an empty round while unsolved")
     if len(picked) > width:
@@ -138,10 +138,10 @@ def _check_round(instance: Instance, knowledge: KnowledgeState, picked: List[int
     for e in picked:
         if not 1 <= e <= instance.n:
             raise HarnessError(f"round queries unknown element {e}")
-        if knowledge.is_revealed(e):
+        if knowledge.state(e).trivial:
+            if instance.interval(e).trivial:
+                raise HarnessError(f"round queries trivial element {e}")
             raise HarnessError(f"round re-queries element {e}")
-        if instance.interval(e).trivial:
-            raise HarnessError(f"round queries trivial element {e}")
 
 
 def _drive(
@@ -206,8 +206,6 @@ def _check_wasted_identity(instance: Instance, trace: RoundTrace, opt: OptReport
     optimum and filled every round but the last, the round count must equal
     ceil((opt1 + wasted_before_final)/k)."""
     rounds = trace.rounds
-    if not rounds:
-        return
     queried = set(trace.queried_ids())
     if not opt.opt_set <= queried:
         return

@@ -15,10 +15,10 @@ states across reveals, so the run loop compares ints throughout.  A cut
 An element's knowledge state has one shape, an `UncertainInterval`: its
 original interval until queried, then the closed point {v} of the
 revealed value v.  The predicates in this module therefore never ask
-which of the two an element is; `KnowledgeState` alone remembers which
-elements were revealed.  Whether a state is a point is stored once, as
-`UncertainInterval.trivial`, when the interval is built, so the hot
-predicates read a flag instead of comparing two `Fraction`s.
+which of the two an element is, and nothing records it: an element is
+pinned exactly when its state is a point.  Whether a state is a point is
+stored once, as `UncertainInterval.trivial`, when the interval is built,
+so the hot predicates read a flag instead of comparing two `Fraction`s.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
@@ -245,9 +245,8 @@ class KnowledgeState:
     single-threaded run loop of a trial, one round's answers at a time.
 
     An element is pinned when its state is a point, trivial from the start
-    or revealed; `known_value` reads the point's value off the state, and
-    only certificate extraction asks for it.  Beside the states it keeps which
-    elements were revealed, which the states alone do not tell.
+    or revealed, and `reveal` refuses it then; `known_value` reads the
+    point's value off the state, and only certificate extraction asks for it.
 
     Everything else it keeps is on exact integer keys, all on one scale L,
     the least common multiple of every denominator the state has seen:
@@ -258,15 +257,14 @@ class KnowledgeState:
     is the value times L, so keys order and tie as the rationals do, and
     nothing below compares a `Fraction`.  `reveal` takes a whole round's
     answers and keys their values; when a denominator does not divide L,
-    it first multiplies every kept key by L'/L, L' the lcm of L and all the
-    round's denominators, so one scale holds throughout: it rebuilds the
-    key records and the cut lists, and every set view then re-points its
-    two lists at the new records.  Each rescale costs one pass over the
-    kept keys, and a round pays at most one.  That is rare: counted per
-    run of `harness.run` over seeds 0-19 (0-4 at n >= 400), random
-    minimum (single, overlapping, disjoint, n=20 and n=800) needed at
-    most 2, mean 0.75-1.2; random sorting (n=16, n=400)
-    at most 2, mean 1.2-1.45; random selection-full (n=20, n=1000) at most
+    it first multiplies every key record by L'/L, L' the lcm of L and all
+    the round's denominators, so one scale holds throughout: every set
+    view re-points its two lists at the new records, and the cut lists
+    are dropped.  Each rescale costs one pass over the records and the
+    views, and a round pays at most one.  That is rare: counted per run
+    of `harness.run` over seeds 0-19 (0-4 at n >= 400), random minimum
+    (single, overlapping, disjoint, n=20 and n=800) needed at most 2,
+    mean 0.75-1.2; random sorting (n=16, n=400) at most 2, mean 1.2-1.45; random selection-full (n=20, n=1000) at most
     2, mean 1.0-1.15; random selection-value at most 2, mean 1.0; fig2,
     fig1-pairs, wlb, additive and selfull-lb exactly 1; fig3 and selval-lb
     none.  The worst case is a new prime denominator in every value: on
@@ -278,9 +276,12 @@ class KnowledgeState:
 
     It keeps the cut lists: the cut keys (3 * key + flag) of the left cuts
     and of the right cuts of all states, each in ascending order.  They
-    are built on the first `cut_lists` call and from then on kept sorted by
+    are built on a `cut_lists` call and from then on kept sorted by
     `reveal`, which swaps the revealed element's two cut keys for those of
     its point by bisection, so the i-th cut of either kind is an index read.
+    A rescale drops them, and the next `cut_lists` call builds them again
+    from the new records: only selection reads them, and a run rescales at
+    most about twice.
 
     And it keeps a `SetView` of every member set that `set_view` is asked
     about: the key records of the set's members, the very tuples the state
@@ -303,7 +304,6 @@ class KnowledgeState:
             eid: (lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN)
             for (eid, st), lower, upper in zip(self._states.items(), ends[::2], ends[1::2])
         }
-        self._revealed: Set[int] = set()
         self._cuts: Optional[Tuple[List[int], List[int]]] = None
         self._views: Dict[FrozenSet[int], SetView] = {}
         self._viewed: Dict[int, List[SetView]] = {}  # unpinned id -> the views holding it
@@ -313,9 +313,6 @@ class KnowledgeState:
 
     def state(self, eid: int) -> UncertainInterval:
         return self._states[eid]
-
-    def is_revealed(self, eid: int) -> bool:
-        return eid in self._revealed
 
     def known_value(self, eid: int) -> Optional[Fraction]:
         """Exact value if pinned (revealed, or trivial from the start)."""
@@ -340,17 +337,18 @@ class KnowledgeState:
     def reveal(self, answers: Dict[int, Fraction]) -> None:
         """Pin each id of `answers` at its value: one round's answers.
 
-        Every value is checked against its interval before anything
-        changes, so a refused round leaves the state as it was.  The keys
-        move at most once, to the lcm of L and the round's denominators."""
+        Every id is checked to be unpinned and its value to lie in its
+        interval before anything changes, so a refused round leaves the
+        state as it was.  The keys move at most once, to the lcm of L and
+        the round's denominators."""
         ratios = [value.as_integer_ratio() for value in answers.values()]
         scale = math.lcm(self._scale, *(den for _, den in ratios))
         grow = scale // self._scale
         keys = [num * (scale // den) for num, den in ratios]
         for (eid, value), key in zip(answers.items(), keys):
-            if eid in self._revealed:
-                raise IntervalError(f"element {eid} was already revealed")
             iv, record = self._states[eid], self._keys[eid]
+            if iv.trivial:
+                raise IntervalError(f"element {eid} is already pinned")
             if not iv.contains_keyed(record[0] * grow, record[3] * grow, key):
                 raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
         if grow != 1:
@@ -363,23 +361,20 @@ class KnowledgeState:
             record, point = self._keys[eid], (key, 0, eid, key, 0)
             self._states[eid] = UncertainInterval.point(value)
             self._keys[eid] = point
-            self._revealed.add(eid)
             for view in self._viewed.pop(eid, ()):
                 del view.unpinned[bisect_left(view.unpinned, record)]
                 insort(view.pinned, point)
 
     def _rescale(self, grow: int) -> None:
-        """Multiply every kept key by `grow`, moving all of them to the
-        scale L * grow; orders and ties are unchanged."""
+        """Multiply every key record by `grow`, moving all of them to the
+        scale L * grow, and drop the cut lists; orders and ties are
+        unchanged."""
         self._scale *= grow
         keys = self._keys = {
             eid: (lower * grow, lower_open, eid, upper * grow, upper_open)
             for eid, (lower, lower_open, _, upper, upper_open) in self._keys.items()
         }
-        if self._cuts is not None:
-            for cuts in self._cuts:
-                # cut key 3 * key + flag, with divmod(cut + 1, 3) = (key, flag + 1)
-                cuts[:] = [3 * grow * key + flag - 1 for key, flag in (divmod(cut + 1, 3) for cut in cuts)]
+        self._cuts = None
         for view in self._views.values():
             for records in (view.unpinned, view.pinned):
                 records[:] = [keys[record[2]] for record in records]
@@ -388,7 +383,8 @@ class KnowledgeState:
         """The ascending cut keys of the left cuts and of the right cuts of
         all current states; `cut_of` reads a key back as a cut.
 
-        The lists are kept by `reveal`; callers read them and never write.
+        The lists are kept by `reveal` until a rescale drops them; callers
+        read them and never write, and ask again after each `reveal`.
         """
         if self._cuts is None:
             self._cuts = (sorted(map(self.left_key, self._states)), sorted(map(self.right_key, self._states)))

@@ -508,6 +508,8 @@ def verify_certificate(
     states = [knowledge.state(e) for e in ids]
     if kind is MINIMUM:
         assert cert.minima is not None
+        if len(cert.minima) != instance.m:
+            raise InstanceError(f"minimum certificate set count {len(cert.minima)} is not the instance's {instance.m}")
         claims = [v for _, v in cert.minima]
     else:
         claims = [] if cert.value is None else [cert.value]
@@ -515,6 +517,8 @@ def verify_certificate(
     lower, upper, claimed = dict(zip(ids, keys)), dict(zip(ids, keys[len(ids) :])), keys[2 * len(ids) :]
     if kind is SORTING:
         assert cert.orders is not None
+        if len(cert.orders) != instance.m:
+            raise InstanceError(f"sorting certificate set count {len(cert.orders)} is not the instance's {instance.m}")
         for members, order in zip(instance.family, cert.orders):
             if sorted(order) != sorted(members):
                 raise InstanceError("sorting certificate is not a permutation of the set")

@@ -311,7 +311,7 @@ class TestKnowledgeState:
         with pytest.raises(IntervalError, match=rf"^value {text} outside interval \(0,4\) of element 1$"):
             k.reveal({1: value})
         assert self._kept(k, view) == before
-        assert k.known_value(1) is None and not k.is_revealed(1)
+        assert k.known_value(1) is None and k.state(1) == iv("(0,4)")
         k.reveal({1: Fraction(1, 10007)})  # admissible at the same new denominator
         assert k.known_value(1) == Fraction(1, 10007)
         assert [k.cut_of(key) for key in k.cut_lists()[0]] == [(Fraction(1, 10007), 0), (1, 0), (Fraction(7, 2), 0)]
@@ -329,7 +329,7 @@ class TestKnowledgeState:
         with pytest.raises(IntervalError, match=r"^value 5 outside interval \[1,3\] of element 2$"):
             k.reveal({1: Fraction(1, 11), 2: Fraction(5)})
         assert self._kept(k, view) == before and rescales == []
-        assert not k.is_revealed(1) and k.known_value(1) is None and k.state(1) == iv("(0,4)")
+        assert k.known_value(1) is None and k.state(1) == iv("(0,4)")
         # the same round with an admissible second value: two new
         # denominators, one rescale
         k.reveal({1: Fraction(1, 11), 2: Fraction(27, 13)})
@@ -356,8 +356,18 @@ class TestKnowledgeState:
 
     def test_never_reverts(self):
         self.k.reveal({1: Fraction(2)})
-        with pytest.raises(IntervalError):
+        with pytest.raises(IntervalError, match=r"^element 1 is already pinned$"):
             self.k.reveal({1: Fraction(3)})
+
+    def test_a_pinned_id_refuses_the_whole_round(self):
+        # element 3 is trivial from the start: the round is refused before
+        # element 1's value, over a new denominator, changes anything
+        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")})
+        view = k.set_view([1, 2, 3])
+        before = self._kept(k, view)
+        with pytest.raises(IntervalError, match=r"^element 3 is already pinned$"):
+            k.reveal({1: Fraction(1, 11), 3: Fraction(7, 2)})
+        assert self._kept(k, view) == before and k.state(1) == iv("(0,4)")
 
     def test_revealed_element_reads_like_a_trivial_one(self):
         k = KnowledgeState({1: iv("(0,4)"), 2: iv("{2}")})
@@ -367,7 +377,9 @@ class TestKnowledgeState:
         assert left_cut(k.state(1)) == left_cut(k.state(2)) == (2, 0)
         assert right_cut(k.state(1)) == right_cut(k.state(2)) == (2, 0)
         assert k.unqueried_nontrivial([1]) == k.unqueried_nontrivial([2]) == []
-        assert k.is_revealed(1) and not k.is_revealed(2)
+        for e in (1, 2):  # and neither can be revealed again
+            with pytest.raises(IntervalError, match=rf"^element {e} is already pinned$"):
+                k.reveal({e: Fraction(2)})
 
     @given(data=st.data(), start=st.lists(intervals(), min_size=1, max_size=8))
     def test_pinned_values_follow_the_states(self, data, start):
@@ -386,7 +398,8 @@ class TestKnowledgeState:
             assert k.unqueried_nontrivial(some) == [e for e in some if not k.state(e).trivial]
 
         check()
-        for eid in order[: data.draw(st.integers(0, len(order)))]:
+        unpinned = [e for e in order if not k.state(e).trivial]
+        for eid in unpinned[: data.draw(st.integers(0, len(unpinned)))]:
             k.reveal({eid: data.draw(st.sampled_from(admissible_values(k.state(eid))))})
             check()
 

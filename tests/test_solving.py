@@ -146,7 +146,8 @@ class TestMinimumSolved:
         ids = list(k.ids())
         for eid in data.draw(st.lists(st.sampled_from(ids), unique=True)):
             st_e = k.state(eid)
-            k.reveal({eid: st_e.lower + (st_e.upper - st_e.lower) * data.draw(st.sampled_from(_INSIDE))})
+            if not st_e.trivial:  # a point is pinned from the start
+                k.reveal({eid: st_e.lower + (st_e.upper - st_e.lower) * data.draw(st.sampled_from(_INSIDE))})
         members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
         floor, live = _defined_scan(members, k)
         assert minimum_scan(members, k) == live
@@ -462,7 +463,8 @@ class TestRescale:
             if step:
                 k.reveal(dict([self.REVEALS[step - 1]]))
             # every kept structure is built before the first reveal, so each
-            # later reveal rescales the views and cut lists as well
+            # later reveal rescales the views as well and drops the cut
+            # lists, which the next answers build again
             fresh = KnowledgeState({e: k.state(e) for e in k.ids()})
             assert self._answers(k) == self._answers(fresh)
 
@@ -546,6 +548,18 @@ class TestMinimumCertificate:
         cert = replace(extract_certificate(inst, knowledge), minima=(claim, (4, Fraction(1))))
         with pytest.raises(InstanceError, match=f"^{message}$"):
             verify_certificate(inst, knowledge, cert)
+
+    def test_a_claim_for_each_set(self):
+        # S1 is solved by 1's value, S2 and S3 are not; one claim, for S1,
+        # leaves the other two unchecked, and so does a claim too many
+        elements = [iv("(0,4)"), iv("(2,6)"), iv("(0,4)"), iv("(1,5)")]
+        inst = make_instance(elements, [[1, 2], [3, 4], [2, 4]], ProblemKind(MINIMUM), 1)
+        knowledge = knowledge_of(elements, [(1, 1)])
+        for minima in ([(1, Fraction(1))], [(1, Fraction(1))] * 4):
+            cert = SolutionCertificate(MINIMUM, minima=tuple(minima))
+            message = f"^minimum certificate set count {len(minima)} is not the instance's 3$"
+            with pytest.raises(InstanceError, match=message):
+                verify_certificate(inst, knowledge, cert)
 
     def test_untampered_certificate_verifies(self):
         elements, family = self.TAMPER_INSTANCE
@@ -653,6 +667,16 @@ class TestSortingCertificate:
         inst, k = self._two("[0,1]", "[2,3]")
         with pytest.raises(InstanceError, match="^sorting certificate is not a permutation of the set$"):
             verify_certificate(inst, k, SolutionCertificate(SORTING, orders=(order,)))
+
+    @pytest.mark.parametrize("orders", [((3,),), ((3,), (1, 2), (1, 2))])
+    def test_an_order_for_each_set(self, orders):
+        # S2's intervals [0,2] and [1,3] overlap, so S2 is unsorted; an
+        # order for S1 alone leaves it unchecked
+        elements = [iv("[0,2]"), iv("[1,3]"), iv("[5,6]")]
+        inst = make_instance(elements, [[3], [1, 2]], ProblemKind(SORTING), 1)
+        message = f"^sorting certificate set count {len(orders)} is not the instance's 2$"
+        with pytest.raises(InstanceError, match=message):
+            verify_certificate(inst, knowledge_of(elements), SolutionCertificate(SORTING, orders=orders))
 
     @pytest.mark.parametrize("kind", [MINIMUM, SELECTION_FULL, SELECTION_VALUE])
     def test_certificate_of_another_kind_is_refused(self, kind):
