@@ -7,11 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from fractions import Fraction
+
 from roundquery import cli
-from roundquery.algorithms import ALGORITHMS
+from roundquery.algorithms import ALGORITHMS, make_algorithm
 from roundquery.cli import main
-from roundquery.harness import resolve_source
+from roundquery.harness import resolve_source, run, run_batches
 from roundquery.instances import parse_instance
+from roundquery.oracles import FixedOracle
+from roundquery.reductions import RoundsToBatches
 from roundquery.solving import OptReport, canonical_opt
 
 FIG2_GOLDEN = (
@@ -286,6 +290,7 @@ INSTANCE_FILES = {
     "duplicate-value.rq": _BASE.replace("value 2 2", "value 1 1"),
     "ids-1-and-3.rq": _BASE.replace("interval 2", "interval 3").replace("S1 1 2", "S1 1 3").replace("value 2", "value 3"),
     "three-endpoints.rq": _BASE.replace("interval 1 (0,2)", "interval 1 (1,2,3)"),
+    "value-missing.rq": _BASE.replace("value 2 2\n", ""),
 }
 
 ERROR_PATHS = [
@@ -328,6 +333,7 @@ ERROR_PATHS = [
     (("verify", "--instance", "{tmp}/duplicate-value.rq"), "line 7, column 7: duplicate value for element 1"),
     (("verify", "--instance", "{tmp}/ids-1-and-3.rq"), "interval ids must be contiguous 1..n"),
     (("verify", "--instance", "{tmp}/three-endpoints.rq"), "line 3, column 12: malformed interval: '(1,2,3)'"),
+    (("verify", "--instance", "{tmp}/value-missing.rq"), "realization misses non-trivial element 2"),
 ]
 
 
@@ -513,3 +519,43 @@ class TestAdversariesUnderReductions:
         else:
             assert code == 1
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _replays():
+    """(source, algorithm) for every algorithm of each small adversary's
+    kind; `min-single` runs on one set only."""
+    cases = []
+    for source in ADVERSARIES_SMALL:
+        instance = resolve_source(source)[0]
+        for alg, (_, kinds) in sorted(ALGORITHMS.items()):
+            if instance.problem.kind in kinds and not (alg == "min-single" and instance.m > 1):
+                cases.append((source, alg))
+    return cases
+
+
+class TestAdversaryRunsReplay:
+    """A run against an adversary, replayed against a `FixedOracle` on the
+    realization the adversary finalized, asks and is answered the same
+    rounds and gets the same report: the adversary's answers are that
+    realization's, and nothing in the run depends on which oracle gave
+    them."""
+
+    @pytest.mark.parametrize("source, alg", _replays(), ids="-".join)
+    def test_round_run(self, source, alg):
+        instance, oracle = resolve_source(source)
+        trace, report = run(make_algorithm(alg, instance), instance, oracle)
+        fixed = FixedOracle(instance, trace.final_realization)
+        again, again_report = run(make_algorithm(alg, instance), instance, fixed)
+        assert (again.rounds, again.solved_at, again_report) == (trace.rounds, trace.solved_at, report)
+
+    @pytest.mark.parametrize("r, alpha", [(2, Fraction(1)), (3, Fraction(3, 2))])
+    @pytest.mark.parametrize("source, alg", _replays(), ids="-".join)
+    def test_batch_run(self, source, alg, r, alpha):
+        instance, oracle = resolve_source(source)
+
+        def against(oracle):
+            batch_alg = RoundsToBatches(lambda sized: make_algorithm(alg, sized), alpha, r, instance.n)
+            return run_batches(batch_alg, instance, oracle)
+
+        batches, report = against(oracle)
+        assert against(FixedOracle(instance, oracle.finalize())) == (batches, report)

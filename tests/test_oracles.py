@@ -52,6 +52,13 @@ class TestFixedOracle:
         assert oracle.answer_round([1, 2]) == {1: r.value(1), 2: r.value(2)}
         assert oracle.check_finalize().values == r.values
 
+    def test_a_realization_missing_an_id_is_refused(self):
+        inst, r = gen_fig2_bal_instance()
+        values = dict(r.values)
+        del values[4]
+        with pytest.raises(InstanceError, match="^realization misses element 4$"):
+            FixedOracle(inst, Realization(values))
+
     def test_a_run_validates_the_realization_once(self, monkeypatch):
         calls = []
         validate = Realization.validate

@@ -752,6 +752,13 @@ class TestOptMinimum:
         report = opt1_minimum(inst, r)
         assert report.opt1 == 11 and report.opt_k == 3 and report.method == "closed-form"
 
+    def test_brute_force_refuses_n_above_its_cap(self):
+        inst = make_instance([iv("(0,2)"), iv("(1,3)"), iv("{5}")], [[1, 2, 3]], ProblemKind(MINIMUM), 1)
+        r = Realization({1: Fraction(1), 2: Fraction(2), 3: Fraction(5)})
+        assert opt1_bruteforce(inst, r, cap=3).opt_set == opt1_minimum(inst, r).opt_set == {1}
+        with pytest.raises(BruteForceCapError, match="^n = 3 above brute-force cap 2$"):
+            opt1_bruteforce(inst, r, cap=2)
+
     def test_fig3_chain(self):
         inst, r = gen_fig3_overlap_instance()
         assert opt1_minimum(inst, r).opt_set == {1, 4, 7}
