@@ -45,12 +45,14 @@ from .instances import (
     SELECTION_FULL,
     SELECTION_VALUE,
     SORTING,
+    TruthRecord,
     gen_fig2_bal_instance,
     gen_fig3_overlap_instance,
     gen_random,
     make_instance,
     parse_instance,
     serialize_instance,
+    truth_record,
 )
 from .intervals import (
     CLOSED,
@@ -81,7 +83,6 @@ from .solving import (
     BruteForceCapError,
     OptReport,
     SolutionCertificate,
-    TruthRecord,
     canonical_opt,
     extract_certificate,
     instance_solved,
@@ -97,7 +98,6 @@ from .solving import (
     selection_solved,
     selection_value_pinned,
     sorting_solved,
-    truth_record,
     verify_certificate,
 )
 

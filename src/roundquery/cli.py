@@ -41,6 +41,7 @@ from .solving import (
     instance_solved,
     query_set_feasible,
     reveal_all,
+    truth_record,
     verify_certificate,
 )
 
@@ -145,7 +146,8 @@ def cmd_verify(args) -> int:
     instance, realization = parse_instance(_read(args.instance))
     if realization is None:
         raise InstanceError("verify needs a realization (value lines)")
-    opt = canonical_opt(instance, realization, cap=args.opt_cap)
+    truth = truth_record(instance, realization)
+    opt = canonical_opt(instance, truth, cap=args.opt_cap)
     lines = [
         f"n {instance.n}",
         f"m {instance.m}",
@@ -165,7 +167,7 @@ def cmd_verify(args) -> int:
             raise InstanceError(f"optimum query set is not minimal: {eid} is redundant")
     lines.append("minimal yes")
     cert = extract_certificate(instance, knowledge)
-    verify_certificate(instance, knowledge, cert, realization)
+    verify_certificate(instance, knowledge, cert, truth)
     sys.stdout.write("\n".join(lines) + "\n" + certificate_text(cert))
     return 0
 

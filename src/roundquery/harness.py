@@ -48,7 +48,6 @@ from .solving import (
     extract_certificate,
     instance_solved,  # unused here; kept for perfbench's tracer, which patches it here
     set_solved,
-    truth_record,
     verify_certificate,
 )
 
@@ -150,8 +149,8 @@ def _drive(
     """The run loop of both models: while a set is open, ask for at most
     `width` ids, check them, have the oracle answer and reveal the round's
     answers in one call.  Then finalize the oracle, re-verify the
-    certificate and take the canonical optimum, both audits reading one
-    `TruthRecord`.
+    certificate and take the canonical optimum, both audits reading the
+    one `TruthRecord` that the oracle validated.
 
     Each accepted round reveals a new non-trivial element, so a run ends
     within n rounds; a stalling algorithm fails `_check_round` instead."""
@@ -165,10 +164,9 @@ def _drive(
         knowledge.reveal(answers)
         rounds.append((tuple(picked), tuple(answers[e] for e in picked)))
         sets.update(picked, len(rounds))
-    realization = oracle.check_finalize()
-    truth = truth_record(instance, realization)
+    truth = oracle.check_finalize()
     verify_certificate(instance, knowledge, extract_certificate(instance, knowledge), truth)
-    return rounds, tuple(sets.solved_at), realization, canonical_opt(instance, truth, cap=opt_cap)
+    return rounds, tuple(sets.solved_at), truth.realization, canonical_opt(instance, truth, cap=opt_cap)
 
 
 def run(alg, instance: Instance, oracle: ValueOracle, opt_cap: int = OPT_CAP) -> Tuple[RoundTrace, RunReport]:
@@ -397,7 +395,8 @@ def sweep(entries: Sequence[SweepEntry], jobs: int = 1) -> List[Dict[str, str]]:
     ]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_row, tasks))
+            # a few chunks per worker: a hand-off per row costs more than most rows take
+            results = list(pool.map(_run_row, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         results = [_run_row(task) for task in tasks]
     rows = [r for r in results if isinstance(r, dict)]

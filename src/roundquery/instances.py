@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .intervals import (
     CLOSED,
@@ -150,27 +150,50 @@ class Realization:
     def value(self, eid: int) -> Fraction:
         return self.values[eid]
 
-    def exact_keys(self, instance: Instance) -> Tuple[List[int], List[int], List[int]]:
-        """Exact keys of every element's lower endpoint, upper endpoint and
-        value, each list in id order, all on the scale of one
-        `intervals.exact_keys` call, built afresh on each call."""
-        elements, n = instance.elements, instance.n
-        keys = exact_keys(
-            [iv.lower for iv in elements] + [iv.upper for iv in elements] + [self.values[e] for e in instance.ids()]
-        )
-        return keys[:n], keys[n : 2 * n], keys[2 * n :]
-
-    def validate(self, instance: Instance) -> None:
-        """Raise unless every element has a value inside its interval,
-        compared on the exact keys."""
+    def validate(self, instance: Instance) -> "TruthRecord":
+        """The record of this realization for `instance`, unless an element
+        has no value or one outside its interval, on the record's keys."""
         for eid in instance.ids():
             if eid not in self.values:
                 raise InstanceError(f"realization misses element {eid}")
-        for eid, iv, lo, hi, v in zip(instance.ids(), instance.elements, *self.exact_keys(instance)):
+        record = truth_record(instance, self)
+        for eid, iv, lo, hi, v in zip(instance.ids(), instance.elements, record.lowers, record.uppers, record.values):
             if not iv.contains_keyed(lo, hi, v):
-                raise InstanceError(
-                    f"value {self.values[eid]} outside interval {iv.text()} of element {eid}"
-                )
+                raise InstanceError(f"value {self.values[eid]} outside interval {iv.text()} of element {eid}")
+        return record
+
+
+@dataclass(frozen=True)
+class TruthRecord:
+    """A realization, the exact keys of each element's lower endpoint,
+    upper endpoint and value in id order from one `exact_keys` call, and
+    what the instance's kind asks of it, computed once: each set's true
+    minimum (minimum) or the true i-th value (both selection kinds)."""
+
+    realization: Realization
+    lowers: List[int]
+    uppers: List[int]
+    values: List[int]
+    minima: Tuple[Fraction, ...] = ()
+    rank_value: Optional[Fraction] = None
+
+
+def truth_record(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
+    """The record of `realization` for `instance`, minima and rank value
+    taken on the value keys; a record is returned as is.  It validates
+    nothing: `Realization.validate` does, and returns the record."""
+    if isinstance(realization, TruthRecord):
+        return realization
+    elements, n, value = instance.elements, instance.n, realization.values.__getitem__
+    keys = exact_keys([iv.lower for iv in elements] + [iv.upper for iv in elements] + list(map(value, instance.ids())))
+    lowers, uppers, values = keys[:n], keys[n : 2 * n], keys[2 * n :]
+    key = dict(zip(instance.ids(), values)).__getitem__
+    minima, rank_value = (), None
+    if instance.problem.kind is MINIMUM:
+        minima = tuple(value(min(members, key=key)) for members in instance.family)
+    elif instance.problem.is_selection:
+        rank_value = value(sorted(instance.ids(), key=key)[instance.problem.rank - 1])
+    return TruthRecord(realization, lowers, uppers, values, minima, rank_value)
 
 
 def make_instance(

@@ -20,6 +20,7 @@ from .instances import (
     SELECTION_FULL,
     SELECTION_VALUE,
     SORTING,
+    TruthRecord,
     make_instance,
 )
 from .intervals import UncertainInterval
@@ -65,30 +66,28 @@ class ValueOracle:
     def finalize(self) -> Realization:
         raise NotImplementedError
 
-    def check_finalize(self) -> Realization:
-        """Finalize and re-verify agreement with every committed answer."""
-        realization = self._finalize_valid()
+    def check_finalize(self) -> TruthRecord:
+        """The validated record of `finalize`, re-verified against every committed answer."""
+        record = self._finalize_valid()
         for e, v in self.committed.items():
-            if realization.value(e) != v:
+            if record.realization.value(e) != v:
                 raise OracleError(f"finalize contradicts logged answer for element {e}")
-        return realization
+        return record
 
-    def _finalize_valid(self) -> Realization:
-        """`finalize`, checked to give every element a value inside its interval."""
-        realization = self.finalize()
-        realization.validate(self.instance)
-        return realization
+    def _finalize_valid(self) -> TruthRecord:
+        """The record of `finalize`, validated: every value inside its interval."""
+        return self.finalize().validate(self.instance)
 
 
 class FixedOracle(ValueOracle):
     """Answers from one realization, validated once, at construction, on a
     private copy of its values, so a caller's later edit to the dict it
-    passed changes neither the answers nor the finalized realization."""
+    passed changes neither the answers nor the record it finalizes into."""
 
     def __init__(self, instance: Instance, realization: Realization):
         super().__init__(instance)
-        self.realization = Realization(dict(realization.values))
-        self.realization.validate(instance)
+        self._record = Realization(dict(realization.values)).validate(instance)
+        self.realization = self._record.realization
 
     def _commit_fresh(self, ids: Sequence[int]) -> None:
         for e in ids:
@@ -97,8 +96,8 @@ class FixedOracle(ValueOracle):
     def finalize(self) -> Realization:
         return self.realization
 
-    def _finalize_valid(self) -> Realization:
-        return self.realization  # validated in __init__, and nothing writes it since
+    def _finalize_valid(self) -> TruthRecord:
+        return self._record  # validated in __init__, and nothing writes it since
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,9 @@ kinds.  An order a before b is provable when a's upper key is at most
 b's lower key, a state is a point when its two keys are equal, and the
 rank cuts are taken on cut keys.  It reads no `SetView`, cut list or key
 that the knowledge state keeps, so it checks what those decide rather
-than repeat it.  It shares one `TruthRecord` per run with the offline
-optima, each set's true minimum or the true i-th value, so neither
-recomputes them; the record is built from the instance and the finalized
-realization alone, and the optima key what they compare themselves too.
+than repeat it.  Against the realization it reads, as the offline optima
+do, the one `TruthRecord` that the oracle validated: the realization's
+keys and what the kind asks of it, so nothing keys the realization twice.
 """
 
 from __future__ import annotations
@@ -69,6 +68,8 @@ from .instances import (
     SELECTION_FULL,
     SELECTION_VALUE,
     SORTING,
+    TruthRecord,
+    truth_record,
 )
 from .intervals import (
     KnowledgeState,
@@ -421,34 +422,7 @@ def exact_cover(edges: Sequence[Tuple[int, int]], lexicographic: bool = False) -
 
 
 # ---------------------------------------------------------------------------
-# the truth record and certificates
-
-
-@dataclass(frozen=True)
-class TruthRecord:
-    """A realization plus what its instance's kind asks of it, computed
-    once: each set's true minimum (minimum) or the true i-th value (both
-    selection kinds)."""
-
-    realization: Realization
-    minima: Tuple[Fraction, ...] = ()
-    rank_value: Optional[Fraction] = None
-
-
-def truth_record(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
-    """The record of `realization` for `instance`; a record is returned as is.
-
-    Minima and the rank value are taken on the values' exact keys."""
-    if isinstance(realization, TruthRecord):
-        return realization
-    if instance.problem.kind is SORTING:
-        return TruthRecord(realization)
-    value = realization.values.__getitem__
-    ids = instance.ids()
-    rank = dict(zip(ids, exact_keys(map(value, ids)))).__getitem__
-    if instance.problem.kind is MINIMUM:
-        return TruthRecord(realization, minima=tuple(value(min(members, key=rank)) for members in instance.family))
-    return TruthRecord(realization, rank_value=value(sorted(ids, key=rank)[instance.problem.rank - 1]))
+# certificates
 
 
 @dataclass(frozen=True)
@@ -525,7 +499,7 @@ def verify_certificate(
             for a, b in zip(order, order[1:]):
                 if upper[a] > lower[b]:
                     raise InstanceError(f"order of {a} before {b} is not provable")
-                if truth is not None and truth.realization.value(a) > truth.realization.value(b):
+                if truth is not None and truth.values[a - 1] > truth.values[b - 1]:
                     raise InstanceError(f"order of {a} before {b} contradicts the realization")
         return
     if kind is MINIMUM:
@@ -581,39 +555,39 @@ class OptReport:
 
 
 def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
-    """Per set: every non-trivial interval whose lower endpoint is strictly
-    below the set's true minimum (this includes the minimum's own interval).
-    The lower endpoints and the minima are compared on one exact key list."""
-    elements, chosen = instance.elements, set()
-    keys = exact_keys([iv.lower for iv in elements] + list(truth_record(instance, realization).minima))
-    for members, floor in zip(instance.family, keys[len(elements) :]):
-        for e in members:
-            if keys[e - 1] < floor and not elements[e - 1].trivial:
-                chosen.add(e)
+    """Per set: every interval whose lower endpoint is strictly below the
+    set's true minimum (this includes the minimum's own interval, and no
+    trivial one: its lower endpoint is its value), compared on the record's
+    keys: the lower endpoint keys against the least value key of the set."""
+    truth, chosen = truth_record(instance, realization), set()
+    for members in instance.family:
+        floor = min(truth.values[e - 1] for e in members)
+        chosen.update(e for e in members if truth.lowers[e - 1] < floor)
     return OptReport.of(chosen, instance.k, "closed-form")
 
 
 def opt1_selection_full(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
-    v_star = truth_record(instance, realization).rank_value
-    chosen = [e for e, iv in enumerate(instance.elements, 1) if not iv.trivial and iv.contains(v_star)]
+    """Every non-trivial interval that contains v*, on the record's keys."""
+    truth = truth_record(instance, realization)
+    at = sorted(truth.values)[instance.problem.rank - 1]
+    bounds = zip(instance.elements, truth.lowers, truth.uppers)
+    chosen = [e for e, (iv, lo, hi) in enumerate(bounds, 1) if not iv.trivial and iv.contains_keyed(lo, hi, at)]
     return OptReport.of(chosen, instance.k, "closed-form")
 
 
-def _selection_value_cost(need_a: int, need_b: int, pools: Counter) -> Optional[int]:
+def _selection_value_cost(need_a: int, need_b: int, pools: Counter) -> int:
     """Fewest queries that take `need_a` elements out of A and put `need_b`
-    into B, or None if the pools fall short.  `pools` counts the elements
-    by what a query of them does, as (leaves A, joins B).  An element that
-    does both serves both needs, so use as many of those as both needs, or
-    a shortfall of the one-sided pools, ask for."""
+    into B, from pools that can.  `pools` counts the elements by what a
+    query of them does, as (leaves A, joins B).  An element that does both
+    serves both needs, so use as many of those as both needs, or a
+    shortfall of the one-sided pools, ask for."""
     both = pools[True, True]
     x = max(min(both, need_a, need_b), need_a - pools[True, False], need_b - pools[False, True])
-    if x > both:
-        return None
     return x + max(0, need_a - x) + max(0, need_b - x)
 
 
 def opt1_selection_value(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
-    """Counting form of the value-selection optimum.
+    """Counting form of the value-selection optimum, on the record's keys.
 
     With v* the true i-th value, let A count the elements whose lower
     endpoint is below v* and B those whose upper endpoint is at most v*
@@ -623,34 +597,35 @@ def opt1_selection_value(instance: Instance, realization: Union[Realization, Tru
     not in B and v_e <= v*; trivial elements never change.  So the optimum
     meets the two shortfalls from three pools, and the lexicographically
     smallest minimum is built by walking the useful ids in ascending order
-    and keeping each one that still completes to the optimum size.
+    and keeping each one that still completes to the optimum size.  The
+    pools always can: querying every non-trivial element pins the i-th
+    value, a solution less a step's element meets the needs after it, and
+    some optimal solution avoids each element that is not kept.
     """
     rank = instance.problem.rank
     truth = truth_record(instance, realization)
-    v_star, value = truth.rank_value, truth.realization.values.__getitem__
+    at = sorted(truth.values)[rank - 1]
     below = settled = 0
     effect: Dict[int, Tuple[bool, bool]] = {}
-    for e, iv in enumerate(instance.elements, 1):
-        in_a, in_b = iv.lower < v_star, iv.upper <= v_star
+    for e, iv, lo, hi, v in zip(instance.ids(), instance.elements, truth.lowers, truth.uppers, truth.values):
+        in_a, in_b = lo < at, hi <= at
         below += in_a
         settled += in_b
         if iv.trivial:
             continue
-        v = value(e)
-        leaves_a, joins_b = in_a and v >= v_star, not in_b and v <= v_star
+        leaves_a, joins_b = in_a and v >= at, not in_b and v <= at
         if leaves_a or joins_b:
             effect[e] = (leaves_a, joins_b)
     need_a, need_b = max(0, below - (rank - 1)), max(0, rank - settled)
     pools = Counter(effect.values())
     todo = _selection_value_cost(need_a, need_b, pools)
-    assert todo is not None  # querying everything non-trivial is always feasible
     chosen = []
     for e in sorted(effect):
         leaves_a, joins_b = effect[e]
         pools[leaves_a, joins_b] -= 1
         rest_a, rest_b = max(0, need_a - leaves_a), max(0, need_b - joins_b)
         rest = _selection_value_cost(rest_a, rest_b, pools)
-        if rest is not None and rest + 1 == todo:
+        if rest + 1 == todo:
             chosen.append(e)
             need_a, need_b, todo = rest_a, rest_b, rest
     assert todo == 0
@@ -669,7 +644,7 @@ def query_set_feasible(instance: Instance, realization: Realization, ids: Iterab
 
 
 def sorting_residual(
-    instance: Instance, realization: Realization
+    instance: Instance, realization: Union[Realization, TruthRecord]
 ) -> Tuple[FrozenSet[int], Tuple[Tuple[int, int], ...]]:
     """The mandatory set M of a sorting instance and its residual graph R.
 
@@ -682,10 +657,11 @@ def sorting_residual(
     keeps each set's non-trivial members that are not mandatory in it; an
     element can be mandatory through one set and not through another, so
     those outside all of M are swept, per set in lower-endpoint order, by
-    `dependency_runs`.  Endpoints and values are compared on one exact key
-    list of the realization's; no `KnowledgeState` is built.
+    `dependency_runs`.  Endpoints and values are compared on the record's
+    keys; no `KnowledgeState` is built.
     """
-    lowers, uppers, values = realization.exact_keys(instance)
+    truth = truth_record(instance, realization)
+    lowers, uppers, values = truth.lowers, truth.uppers, truth.values
     mandatory = set()
     free = []  # per set, its non-trivial members not mandatory in that set
     for members in instance.family:
@@ -707,7 +683,7 @@ def sorting_residual(
     return frozenset(mandatory), _edge_list(runs)
 
 
-def opt1_sorting(instance: Instance, realization: Realization, cap: int = OPT_CAP) -> OptReport:
+def opt1_sorting(instance: Instance, realization: Union[Realization, TruthRecord], cap: int = OPT_CAP) -> OptReport:
     """M plus the lexicographically smallest minimum vertex cover of R.
 
     A query outside M makes no other query necessary, since any interval
@@ -755,4 +731,4 @@ def canonical_opt(instance: Instance, realization: Union[Realization, TruthRecor
         return opt1_selection_full(instance, realization)
     if kind is SELECTION_VALUE:
         return opt1_selection_value(instance, realization)
-    return opt1_sorting(instance, truth_record(instance, realization).realization, cap=cap)
+    return opt1_sorting(instance, realization, cap=cap)

@@ -1,11 +1,12 @@
 """Run loop audits, report figures, and sweep determinism."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from roundquery import harness
+from roundquery import harness, instances, solving
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import (
     CSV_HEADER,
@@ -134,6 +135,31 @@ class TestRun:
             inst, oracle = resolve_source(source)
             with pytest.raises(HarnessError, match=f"unknown element {bad}"):
                 run_batches(_FixedBatches([bad]), inst, oracle)
+
+    @pytest.mark.parametrize("source, alg", [
+        ("random:problem=minimum,n=30,m=4,k=3,overlap=overlap", "bal"),
+        ("random:problem=sorting,n=30,m=2,k=3,overlap=overlap", "sorting-vc"),
+        ("random:problem=selection-full,n=30,k=3,i=10", "sel-full"),
+        ("random:problem=selection-value,n=30,k=3,i=10", "sel-value"),
+    ])
+    def test_a_run_keys_only_the_states(self, monkeypatch, source, alg):
+        """The oracle's record carries the realization's keys, so no audit
+        keys the realization again: the one `exact_keys` call of a run on a
+        prebuilt oracle is the certificate check's, over the states."""
+        inst, oracle = resolve_source(source, 1)
+        callers = []
+
+        def counted(keys):
+            def wrapper(values):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return keys(values)
+
+            return wrapper
+
+        for module in (instances, solving):
+            monkeypatch.setattr(module, "exact_keys", counted(module.exact_keys))
+        run(make_algorithm(alg, inst), inst, oracle, opt_cap=inst.n)
+        assert callers == ["verify_certificate"]
 
     def test_trace_text_format(self):
         inst, r = gen_fig3_overlap_instance()

@@ -41,7 +41,7 @@ class TestFixedOracle:
 
     def test_finalize_before_any_query(self):
         inst, r = gen_fig2_bal_instance()
-        assert FixedOracle(inst, r).check_finalize().values == r.values
+        assert FixedOracle(inst, r).check_finalize().realization.values == r.values
 
     def test_caller_edits_after_construction_change_nothing(self):
         inst, r = gen_fig2_bal_instance()
@@ -50,7 +50,7 @@ class TestFixedOracle:
         values[1] = inst.interval(1).upper + 1  # outside element 1's interval
         values[2] = None
         assert oracle.answer_round([1, 2]) == {1: r.value(1), 2: r.value(2)}
-        assert oracle.check_finalize().values == r.values
+        assert oracle.check_finalize().realization.values == r.values
 
     def test_a_realization_missing_an_id_is_refused(self):
         inst, r = gen_fig2_bal_instance()
@@ -231,7 +231,7 @@ class TestMinimumAdditive:
         oracle = MinimumAdditiveLbAdversary(3)
         answers = oracle.answer_round(oracle.instance.ids())
         assert oracle.active == {1, 2}
-        assert oracle.check_finalize().values == answers
+        assert oracle.check_finalize().realization.values == answers
 
 
 class _ScriptedRounds:
@@ -301,7 +301,7 @@ class TestSelectionValueLb:
             inst = oracle.instance
             if queried:
                 oracle.answer_round(queried)
-            r = oracle.check_finalize()
+            r = oracle.check_finalize().realization
             values = sorted(r.value(e) for e in inst.ids())
             assert values[i - 1] == 3
 

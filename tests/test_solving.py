@@ -1061,10 +1061,10 @@ class TestOptSorting:
     def test_large_instance_under_the_default_cap(self):
         # |M| is in the hundreds and R is small, so the default cap holds
         inst, oracle = resolve_source("random:problem=sorting,n=2000,m=3,k=8,overlap=overlap", 0)
-        r = oracle.check_finalize()
-        report = canonical_opt(inst, r)
+        truth = oracle.check_finalize()
+        report = canonical_opt(inst, truth)
         assert report.method == "branch-and-bound"
-        assert query_set_feasible(inst, r, report.opt_set)
+        assert query_set_feasible(inst, truth.realization, report.opt_set)
 
     def test_cap_bounds_the_residual(self):
         inst, oracle = resolve_source("random:problem=sorting,n=8,m=1,overlap=single", 2)
