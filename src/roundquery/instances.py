@@ -165,35 +165,36 @@ class Realization:
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """A realization, the exact keys of each element's lower endpoint,
-    upper endpoint and value in id order from one `exact_keys` call, and
-    what the instance's kind asks of it, computed once: each set's true
-    minimum (minimum) or the true i-th value (both selection kinds)."""
+    """A realization, the keys of each element's endpoints and value in id
+    order from one `exact_keys` call, and what the kind asks of it: each
+    set's true minimum (minimum) or the true i-th value (both selection
+    kinds), with the ids that hold them."""
 
     realization: Realization
     lowers: List[int]
     uppers: List[int]
     values: List[int]
+    holders: Tuple[int, ...] = ()
     minima: Tuple[Fraction, ...] = ()
     rank_value: Optional[Fraction] = None
 
 
 def truth_record(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
-    """The record of `realization` for `instance`, minima and rank value
-    taken on the value keys; a record is returned as is.  It validates
-    nothing: `Realization.validate` does, and returns the record."""
+    """The record of `realization` for `instance`, unvalidated (what passes
+    `Realization.validate` gets it from there); a record is returned as is."""
     if isinstance(realization, TruthRecord):
         return realization
     elements, n, value = instance.elements, instance.n, realization.values.__getitem__
     keys = exact_keys([iv.lower for iv in elements] + [iv.upper for iv in elements] + list(map(value, instance.ids())))
     lowers, uppers, values = keys[:n], keys[n : 2 * n], keys[2 * n :]
     key = dict(zip(instance.ids(), values)).__getitem__
-    minima, rank_value = (), None
     if instance.problem.kind is MINIMUM:
-        minima = tuple(value(min(members, key=key)) for members in instance.family)
-    elif instance.problem.is_selection:
-        rank_value = value(sorted(instance.ids(), key=key)[instance.problem.rank - 1])
-    return TruthRecord(realization, lowers, uppers, values, minima, rank_value)
+        holders = tuple(min(members, key=key) for members in instance.family)
+        return TruthRecord(realization, lowers, uppers, values, holders, minima=tuple(map(value, holders)))
+    if instance.problem.is_selection:
+        holder = sorted(instance.ids(), key=key)[instance.problem.rank - 1]
+        return TruthRecord(realization, lowers, uppers, values, (holder,), rank_value=value(holder))
+    return TruthRecord(realization, lowers, uppers, values)
 
 
 def make_instance(

@@ -555,22 +555,21 @@ class OptReport:
 
 
 def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
-    """Per set: every interval whose lower endpoint is strictly below the
-    set's true minimum (this includes the minimum's own interval, and no
-    trivial one: its lower endpoint is its value), compared on the record's
-    keys: the lower endpoint keys against the least value key of the set."""
+    """Per set: every interval whose lower endpoint key is below the value
+    key of the set's true minimum (its own interval included, and no
+    trivial one: a trivial interval's lower endpoint is its value)."""
     truth, chosen = truth_record(instance, realization), set()
-    for members in instance.family:
-        floor = min(truth.values[e - 1] for e in members)
-        chosen.update(e for e in members if truth.lowers[e - 1] < floor)
+    lowers, values = truth.lowers, truth.values
+    for members, holder in zip(instance.family, truth.holders):
+        floor = values[holder - 1]
+        chosen.update(e for e in members if lowers[e - 1] < floor)
     return OptReport.of(chosen, instance.k, "closed-form")
 
 
 def opt1_selection_full(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
     """Every non-trivial interval that contains v*, on the record's keys."""
     truth = truth_record(instance, realization)
-    at = sorted(truth.values)[instance.problem.rank - 1]
-    bounds = zip(instance.elements, truth.lowers, truth.uppers)
+    at, bounds = truth.values[truth.holders[0] - 1], zip(instance.elements, truth.lowers, truth.uppers)
     chosen = [e for e, (iv, lo, hi) in enumerate(bounds, 1) if not iv.trivial and iv.contains_keyed(lo, hi, at)]
     return OptReport.of(chosen, instance.k, "closed-form")
 
@@ -604,7 +603,7 @@ def opt1_selection_value(instance: Instance, realization: Union[Realization, Tru
     """
     rank = instance.problem.rank
     truth = truth_record(instance, realization)
-    at = sorted(truth.values)[rank - 1]
+    at = truth.values[truth.holders[0] - 1]
     below = settled = 0
     effect: Dict[int, Tuple[bool, bool]] = {}
     for e, iv, lo, hi, v in zip(instance.ids(), instance.elements, truth.lowers, truth.uppers, truth.values):
