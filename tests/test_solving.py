@@ -423,6 +423,58 @@ class TestKeptViews:
                 assert self._answers(inst, late, as_list) == expected
 
 
+def _record(k, eid):
+    """eid's key record (lower, lower_open, id, upper, upper_open), read
+    back off its cut keys 3 * lower + lower_open and 3 * upper - upper_open."""
+    lower, lower_open = divmod(k.left_key(eid), 3)
+    upper, closed = divmod(k.right_key(eid) + 1, 3)
+    return (lower, lower_open, eid, upper, 1 - closed)
+
+
+class TestViewsAreTheirSort:
+    """Each kept view holds the sorted current records of its set's members,
+    the unpinned ones in one list and the pinned ones in the other: for the
+    family's sets, overlapping and duplicated, and for a set outside the
+    family asked for once the family's views exist, before and after
+    reveals, one of which moves every key to a finer scale."""
+
+    @staticmethod
+    def _check(k, sets):
+        for members in sets:
+            view = k.set_view(members)
+            assert view.unpinned == sorted(_record(k, e) for e in members if k.known_value(e) is None)
+            assert view.pinned == sorted(_record(k, e) for e in members if k.known_value(e) is not None)
+
+    @pytest.mark.parametrize("kind", [SORTING, MINIMUM])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_views_follow_reveals(self, kind, seed):
+        base, r = gen_random(seed, RandomParams(
+            n=30, m=4, k=3, problem=ProblemKind(kind), overlap="overlap", trivial_prob=0.3
+        ))
+        inst = make_instance(base.elements, [*map(sorted, base.family), sorted(base.family[seed % 4])], base.problem, 3)
+        assert any(iv.trivial for iv in inst.elements) and len(set(inst.family)) < inst.m
+        outside = frozenset(range(1, 31, 3))
+        assert outside not in inst.family
+        k = inst.knowledge()
+        self._check(k, inst.family)
+        self._check(k, [outside])
+        order = [e for e in range(1, 31) if not inst.interval(e).trivial]
+        rng = random.Random(seed)
+        rng.shuffle(order)
+        # the first reveal is a value over a prime no endpoint's
+        # denominator holds, so every kept key moves to a finer scale
+        first, rest = order[0], order[1:]
+        state = inst.interval(first)
+        value = state.lower + (state.upper - state.lower) / 10007
+        unit = k.cut_of(3)[0]  # 1 / L, the state's scale L
+        k.reveal({first: value})
+        assert k.cut_of(3)[0] == unit / 10007
+        self._check(k, [*inst.family, outside])
+        for start in range(0, len(rest), 4):
+            k.reveal({e: r.value(e) for e in rest[start : start + 4]})
+            self._check(k, [*inst.family, outside])
+
+
 class TestRescale:
     """Reveals over denominators that the state has not seen move every
     kept key to a finer scale; what the state then answers equals what a
