@@ -107,19 +107,17 @@ class RunReport:
 
 class _OpenSets:
     """The ascending indices of the unsolved sets.  A reveal can change only
-    the sets holding the revealed element, so only those are re-checked."""
+    the sets holding the revealed element, so only those are re-checked;
+    the knowledge state's `holders` index names them."""
 
     def __init__(self, instance: Instance, knowledge: KnowledgeState) -> None:
         self.instance, self.knowledge = instance, knowledge
-        self.holders: Dict[int, List[int]] = {}
-        for i, members in enumerate(instance.family):
-            for e in members:
-                self.holders.setdefault(e, []).append(i)
         self.solved_at = [0 if set_solved(instance, i, knowledge) else -1 for i in range(instance.m)]
         self.open = tuple(i for i, r in enumerate(self.solved_at) if r < 0)
 
     def update(self, picked: Sequence[int], round_no: int) -> None:
-        for i in {i for e in picked for i in self.holders.get(e, ()) if self.solved_at[i] < 0}:
+        holders = self.knowledge.holders
+        for i in {i for e in picked for i in holders[e] if self.solved_at[i] < 0}:
             if set_solved(self.instance, i, self.knowledge):
                 self.solved_at[i] = round_no
         self.open = tuple(i for i in self.open if self.solved_at[i] < 0)

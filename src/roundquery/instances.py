@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .intervals import (
     CLOSED,
@@ -109,7 +109,7 @@ class Instance:
         return range(1, self.n + 1)
 
     def knowledge(self) -> KnowledgeState:
-        return KnowledgeState(dict(enumerate(self.elements, 1)))
+        return KnowledgeState(dict(enumerate(self.elements, 1)), self.family)
 
     def validate(self) -> None:
         n = len(self.elements)
@@ -145,7 +145,7 @@ class Instance:
 class Realization:
     """Exact value for every element, consistent with its interval."""
 
-    values: Dict[int, Fraction]
+    values: Mapping[int, Fraction]
 
     def value(self, eid: int) -> Fraction:
         return self.values[eid]

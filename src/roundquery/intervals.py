@@ -29,7 +29,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
@@ -286,19 +286,29 @@ class KnowledgeState:
     And it keeps a `SetView` of every member set that `set_view` is asked
     about: the key records of the set's members, the very tuples the state
     holds, in (left cut, id) order, the unpinned ones in one list and the
-    pinned ones in another.  `reveal` moves the element from the first
-    list to the second in every view that holds it, its old record found
-    and its point's record placed by bisection, so the minimum and sorting
-    predicates read each set in left order, endpoint keys included,
-    without sorting it.  Nothing here outlives the state: a fresh one
-    builds its own views.
+    pinned ones in another.  The state is handed its instance's family,
+    and the first `set_view` call builds the views of all of the family's
+    sets in one pass: it sorts the records of their members once and
+    appends each, in that order, to every view that holds it, so each list
+    comes out ascending with no sort of its own.  A set outside the family
+    gets its view from the same builder when it is first asked for.  Only
+    the minimum and sorting predicates ask, so a selection run builds no
+    view.  `reveal` moves the element from the first list to the second
+    in every view that holds it, its old record found and its point's
+    record placed by bisection, so the minimum and sorting predicates read
+    each set in left order, endpoint keys included, without sorting it.
+    The family's membership index, `holders`, is built once on first use
+    and serves both the builder and the run loop.  Nothing here outlives
+    the state: a fresh one builds its own views.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
     """
 
-    def __init__(self, intervals: Dict[int, UncertainInterval]):
+    def __init__(self, intervals: Dict[int, UncertainInterval], family: Sequence[FrozenSet[int]] = ()):
         self._states: Dict[int, UncertainInterval] = dict(intervals)
+        self._family = family
+        self._holders: Optional[Dict[int, List[int]]] = None
         self._scale, ends = scaled_keys(v for st in self._states.values() for v in (st.lower, st.upper))
         self._keys: Dict[int, KeyRecord] = {
             eid: (lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN)
@@ -390,22 +400,59 @@ class KnowledgeState:
             self._cuts = (sorted(map(self.left_key, self._states)), sorted(map(self.right_key, self._states)))
         return self._cuts
 
-    def set_view(self, set_ids: Iterable[int]) -> SetView:
-        """The kept view of one member set, built on the first call for it.
+    @property
+    def holders(self) -> Dict[int, List[int]]:
+        """The membership index of the family: for each id, the ascending
+        indices of the family's sets that hold it, built on first use."""
+        if self._holders is None:
+            holders = self._holders = {eid: [] for eid in self._states}
+            for i, members in enumerate(self._family):
+                for eid in members:
+                    holders[eid].append(i)
+        return self._holders
 
-        Sets with the same members share one view.  The view is kept by
-        `reveal`; callers read it and never write.
+    def set_view(self, set_ids: Iterable[int]) -> SetView:
+        """The kept view of one member set.
+
+        The first call builds the views of every family set in one pass, and
+        a set outside the family gets its own on its first call.  Sets with
+        the same members share one view.  The view is kept by `reveal`;
+        callers read it and never write.
         """
         key = frozenset(set_ids)  # a frozenset is its own key, its hash cached
         view = self._views.get(key)
         if view is None:
-            keys, states = self._keys, self._states
-            pinned = sorted(keys[e] for e in key if states[e].trivial)
-            unpinned = sorted(keys[e] for e in key if not states[e].trivial)
-            view = self._views[key] = SetView(unpinned, pinned)
-            for record in unpinned:
-                self._viewed.setdefault(record[2], []).append(view)
+            if not self._views:  # the first call: no view is built yet
+                self._build_views(self._family, self.holders)
+                view = self._views.get(key)
+            if view is None:
+                self._build_views((key,), dict.fromkeys(key, (0,)))
+                view = self._views[key]
         return view
+
+    def _build_views(self, sets: Sequence[FrozenSet[int]], holders: Dict[int, Sequence[int]]) -> None:
+        """Build the views of `sets` in one pass, `holders` mapping each of
+        their members to the indices of the sets that hold it: the members'
+        records are sorted once, and each is appended, in that order, to the
+        unpinned or the pinned list of every view that holds it.  A set that
+        has a view already, or repeats an earlier one, gets no second."""
+        fresh: List[Optional[SetView]] = []
+        for members in sets:
+            view = None
+            if members not in self._views:
+                view = self._views[members] = SetView([], [])
+            fresh.append(view)
+        states, viewed = self._states, self._viewed
+        for record in sorted(map(self._keys.__getitem__, holders)):
+            eid = record[2]
+            views = list(filter(None, map(fresh.__getitem__, holders[eid])))  # drops the Nones; a view is truthy
+            if states[eid].trivial:
+                for view in views:
+                    view.pinned.append(record)
+            else:
+                for view in views:
+                    view.unpinned.append(record)
+                viewed.setdefault(eid, []).extend(views)
 
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
         states = self._states

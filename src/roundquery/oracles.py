@@ -9,6 +9,7 @@ admissible values to the elements never queried.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .instances import (
@@ -82,11 +83,13 @@ class ValueOracle:
 class FixedOracle(ValueOracle):
     """Answers from one realization, validated once, at construction, on a
     private copy of its values, so a caller's later edit to the dict it
-    passed changes neither the answers nor the record it finalizes into."""
+    passed changes neither the answers nor the record it finalizes into.
+    The copy is read-only: a write through `realization.values` raises
+    `TypeError` rather than part the realization from its record."""
 
     def __init__(self, instance: Instance, realization: Realization):
         super().__init__(instance)
-        self._record = Realization(dict(realization.values)).validate(instance)
+        self._record = Realization(MappingProxyType(dict(realization.values))).validate(instance)
         self.realization = self._record.realization
 
     def _commit_fresh(self, ids: Sequence[int]) -> None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from roundquery import harness, instances, solving
+from roundquery import harness, instances, intervals, solving
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import (
     CSV_HEADER,
@@ -35,7 +35,7 @@ from roundquery.instances import (
     gen_random,
     make_instance,
 )
-from roundquery.intervals import UncertainInterval
+from roundquery.intervals import KnowledgeState, UncertainInterval
 from roundquery.oracles import FixedOracle, SortingPairAdversary
 from roundquery.reductions import QueryAllBatch
 from roundquery.solving import ceil_div, reveal_all, set_solved
@@ -287,6 +287,25 @@ class TestTouchedSetSolvedness:
                 if expected[i] < 0 and set_solved(instance, i, knowledge):
                     expected[i] = r
         assert trace.solved_at == tuple(expected)
+
+
+@pytest.mark.parametrize("alg, source", [
+    ("sel-full", "random:problem=selection-full,n=30,k=3,i=10"),
+    ("sel-value", "random:problem=selection-value,n=30,k=3,i=10"),
+])
+def test_selection_runs_build_no_set_view(monkeypatch, alg, source):
+    # selection reads the cut lists alone, so no run of it builds, and
+    # then keeps across its reveals, the view of its one full set: no
+    # view is asked for, and none is built by any other path
+    def refuse(*args):
+        raise AssertionError("a set view was asked for or built")
+
+    monkeypatch.setattr(KnowledgeState, "set_view", refuse)
+    monkeypatch.setattr(intervals, "SetView", refuse)
+    for seed in range(3):
+        inst, oracle = resolve_source(source, seed)
+        trace, _ = run(make_algorithm(alg, inst), inst, oracle)
+        assert trace.rounds
 
 
 class TestSources:

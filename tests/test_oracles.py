@@ -7,7 +7,7 @@ import pytest
 
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import resolve_source, run
-from roundquery.instances import InstanceError, Realization, gen_fig2_bal_instance
+from roundquery.instances import InstanceError, Realization, gen_fig2_bal_instance, truth_record
 from roundquery.oracles import (
     FixedOracle,
     MinimumAdditiveLbAdversary,
@@ -67,13 +67,17 @@ class TestFixedOracle:
         run(make_algorithm("bal", inst), inst, FixedOracle(inst, r))
         assert len(calls) == 1
 
-    def test_finalize_still_checks_the_logged_answers(self):
+    def test_the_realization_cannot_be_written(self):
+        # a write would part the realization the run reports from the
+        # record its audits read
         inst, r = gen_fig2_bal_instance()
         oracle = FixedOracle(inst, r)
-        oracle.answer_round([1])
-        oracle.realization.values[1] = inst.interval(1).lower  # skips validation on purpose
-        with pytest.raises(OracleError, match="^finalize contradicts logged answer for element 1$"):
-            oracle.check_finalize()
+        with pytest.raises(TypeError):
+            oracle.realization.values[1] = inst.interval(1).lower
+        trace, _ = run(make_algorithm("bal", inst), inst, oracle)
+        record = oracle.check_finalize()
+        assert trace.final_realization.values == r.values
+        assert truth_record(inst, trace.final_realization).values == record.values
 
 
 def test_adversaries_validate_when_they_finalize(monkeypatch):
@@ -110,6 +114,32 @@ class _Misbehaving(ValueOracle):
         for e in ids:
             if e in self.values:
                 self.committed[e] = self.values[e]
+
+
+class _Recanting(ValueOracle):
+    """Answers from `realization` but finalizes into it with element 1 moved
+    to `value`, an admissible value that contradicts a logged answer."""
+
+    def __init__(self, instance, realization, value):
+        super().__init__(instance)
+        self.realization, self.value = realization, value
+
+    def _commit_fresh(self, ids):
+        for e in ids:
+            self.committed[e] = self.realization.value(e)
+
+    def finalize(self):
+        return Realization({**self.realization.values, 1: self.value})
+
+
+def test_finalize_still_checks_the_logged_answers():
+    inst, r = gen_fig2_bal_instance()
+    oracle = _Recanting(inst, r, Fraction(2))
+    assert inst.interval(1).contains(Fraction(2)) and r.value(1) != 2
+    oracle.check_finalize()  # nothing logged yet, so nothing to contradict
+    oracle.answer_round([1])
+    with pytest.raises(OracleError, match="^finalize contradicts logged answer for element 1$"):
+        oracle.check_finalize()
 
 
 class TestAnswerRoundChecksTheSubclass:

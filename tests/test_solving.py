@@ -1102,7 +1102,7 @@ class TestOptSorting:
         expected = sorting_residual(inst, r)
         assert expected[1]  # a residual with edges, so the sweep runs
 
-        def refuse(self, intervals):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("a KnowledgeState was built")
 
         monkeypatch.setattr(KnowledgeState, "__init__", refuse)
