@@ -403,7 +403,8 @@ class KnowledgeState:
     @property
     def holders(self) -> Dict[int, List[int]]:
         """The membership index of the family: for each id, the ascending
-        indices of the family's sets that hold it, built on first use."""
+        indices of the family's sets that hold it, built on first use;
+        callers read it and never write."""
         if self._holders is None:
             holders = self._holders = {eid: [] for eid in self._states}
             for i, members in enumerate(self._family):
