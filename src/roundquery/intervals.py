@@ -283,23 +283,25 @@ class KnowledgeState:
     from the new records: only selection reads them, and a run rescales at
     most about twice.
 
-    And it keeps a `SetView` of every member set that `set_view` is asked
-    about: the key records of the set's members, the very tuples the state
-    holds, in (left cut, id) order, the unpinned ones in one list and the
-    pinned ones in another.  The state is handed its instance's family,
-    and the first `set_view` call builds the views of all of the family's
-    sets in one pass: it sorts the records of their members once and
-    appends each, in that order, to every view that holds it, so each list
-    comes out ascending with no sort of its own.  A set outside the family
-    gets its view from the same builder when it is first asked for.  Only
-    the minimum and sorting predicates ask, so a selection run builds no
-    view.  `reveal` moves the element from the first list to the second
-    in every view that holds it, its old record found and its point's
-    record placed by bisection, so the minimum and sorting predicates read
-    each set in left order, endpoint keys included, without sorting it.
-    The family's membership index, `holders`, is built once on first use
-    and serves both the builder and the run loop.  Nothing here outlives
-    the state: a fresh one builds its own views.
+    And it keeps a `SetView` of every family set, and of every other set
+    that `set_view` is asked about: the key records of the set's members,
+    the very tuples the state holds, in (left cut, id) order, the unpinned
+    ones in one list and the pinned ones in another.  The state is handed
+    its instance's family, and the first `set_view` call builds the views
+    of all of the family's sets in one pass: it sorts the records of their
+    members once and appends each, in that order, to every view that holds
+    it, so each list comes out ascending with no sort of its own.  A set
+    outside the family gets its view from the same builder when it is
+    first asked for.  Only the minimum and sorting code asks for views, so
+    a selection run builds none.  `reveal` moves the element from the
+    first list to the second in every view that holds it, its old record
+    found and its point's record placed by bisection, so the minimum and
+    sorting predicates read each set in left order, endpoint keys
+    included, without sorting it.  The family's membership index,
+    `holders`, is built once, on first use; the builder, `reveal` and the
+    run loop all find a member's family sets through it, and only the
+    views of sets outside the family are listed per member apart.  Nothing
+    here outlives the state: a fresh one builds its own views.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
@@ -316,7 +318,9 @@ class KnowledgeState:
         }
         self._cuts: Optional[Tuple[List[int], List[int]]] = None
         self._views: Dict[FrozenSet[int], SetView] = {}
-        self._viewed: Dict[int, List[SetView]] = {}  # unpinned id -> the views holding it
+        # per family set, once built: its view, or None if it repeats an earlier set
+        self._family_views: List[Optional[SetView]] = []
+        self._viewed: Dict[int, List[SetView]] = {}  # unpinned id -> the views outside the family holding it
 
     def ids(self) -> Iterable[int]:
         return self._states.keys()
@@ -371,7 +375,9 @@ class KnowledgeState:
             record, point = self._keys[eid], (key, 0, eid, key, 0)
             self._states[eid] = UncertainInterval.point(value)
             self._keys[eid] = point
-            for view in self._viewed.pop(eid, ()):
+            family = self._family_views
+            held = [family[i] for i in self._holders[eid]] if family else []
+            for view in filter(None, held + self._viewed.pop(eid, [])):  # a repeated set's None drops out
                 del view.unpinned[bisect_left(view.unpinned, record)]
                 insort(view.pinned, point)
 
@@ -424,36 +430,35 @@ class KnowledgeState:
         view = self._views.get(key)
         if view is None:
             if not self._views:  # the first call: no view is built yet
-                self._build_views(self._family, self.holders)
+                self._family_views = self._build_views(self._family, self.holders)
                 view = self._views.get(key)
             if view is None:
-                self._build_views((key,), dict.fromkeys(key, (0,)))
-                view = self._views[key]
+                [view] = self._build_views((key,), dict.fromkeys(key, (0,)))
+                for record in view.unpinned:
+                    self._viewed.setdefault(record[2], []).append(view)
         return view
 
-    def _build_views(self, sets: Sequence[FrozenSet[int]], holders: Dict[int, Sequence[int]]) -> None:
-        """Build the views of `sets` in one pass, `holders` mapping each of
+    def _build_views(self, sets: Sequence[FrozenSet[int]], holders: Dict[int, Sequence[int]]) -> List[Optional[SetView]]:
+        """The views of `sets`, built in one pass, `holders` mapping each of
         their members to the indices of the sets that hold it: the members'
         records are sorted once, and each is appended, in that order, to the
-        unpinned or the pinned list of every view that holds it.  A set that
-        has a view already, or repeats an earlier one, gets no second."""
-        fresh: List[Optional[SetView]] = []
+        unpinned or the pinned list of every set that holds it.  A set that
+        repeats an earlier one gets None in place of a second view."""
+        views: List[Optional[SetView]] = []
         for members in sets:
             view = None
             if members not in self._views:
                 view = self._views[members] = SetView([], [])
-            fresh.append(view)
-        states, viewed = self._states, self._viewed
+            views.append(view)
+        # a repeated set's records go to lists that are then dropped
+        unpinned = [[] if view is None else view.unpinned for view in views]
+        pinned = [[] if view is None else view.pinned for view in views]
+        states = self._states
         for record in sorted(map(self._keys.__getitem__, holders)):
-            eid = record[2]
-            views = list(filter(None, map(fresh.__getitem__, holders[eid])))  # drops the Nones; a view is truthy
-            if states[eid].trivial:
-                for view in views:
-                    view.pinned.append(record)
-            else:
-                for view in views:
-                    view.unpinned.append(record)
-                viewed.setdefault(eid, []).extend(views)
+            lists = pinned if states[record[2]].trivial else unpinned
+            for i in holders[record[2]]:
+                lists[i].append(record)
+        return views
 
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
         states = self._states
