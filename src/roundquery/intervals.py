@@ -376,8 +376,12 @@ class KnowledgeState:
             self._states[eid] = UncertainInterval.point(value)
             self._keys[eid] = point
             family = self._family_views
-            held = [family[i] for i in self._holders[eid]] if family else []
-            for view in filter(None, held + self._viewed.pop(eid, [])):  # a repeated set's None drops out
+            for i in self._holders[eid] if family else ():
+                view = family[i]
+                if view is not None:  # None: a set that repeats an earlier one
+                    del view.unpinned[bisect_left(view.unpinned, record)]
+                    insort(view.pinned, point)
+            for view in self._viewed.pop(eid, ()):
                 del view.unpinned[bisect_left(view.unpinned, record)]
                 insort(view.pinned, point)
 
@@ -438,7 +442,9 @@ class KnowledgeState:
                     self._viewed.setdefault(record[2], []).append(view)
         return view
 
-    def _build_views(self, sets: Sequence[FrozenSet[int]], holders: Dict[int, Sequence[int]]) -> List[Optional[SetView]]:
+    def _build_views(
+        self, sets: Sequence[FrozenSet[int]], holders: Dict[int, Sequence[int]]
+    ) -> List[Optional[SetView]]:
         """The views of `sets`, built in one pass, `holders` mapping each of
         their members to the indices of the sets that hold it: the members'
         records are sorted once, and each is appended, in that order, to the
