@@ -299,9 +299,10 @@ class KnowledgeState:
     sorting predicates read each set in left order, endpoint keys
     included, without sorting it.  The family's membership index,
     `holders`, is built once, on first use; the builder, `reveal` and the
-    run loop all find a member's family sets through it, and only the
-    views of sets outside the family are listed per member apart.  Nothing
-    here outlives the state: a fresh one builds its own views.
+    run loop all find a member's family sets through it.  A view of a set
+    outside the family is listed under each of its unpinned members
+    instead.  Nothing here outlives the state: a fresh one builds its own
+    views.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
