@@ -214,6 +214,64 @@ class TestVerify:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+# One set listed twice, its members in another order the second time, next
+# to a third set that overlaps both copies.
+REPEATED_SET_FILES = {
+    "minimum": (
+        "k 2\nproblem minimum\ninterval 1 (0,4)\ninterval 2 (1,5)\ninterval 3 (2,6)\ninterval 4 (3,7)\n"
+        "interval 5 {9/2}\nset S1 1 2 3\nset S2 3 1 2\nset S3 3 4 5\n"
+        "value 1 3\nvalue 2 2\nvalue 3 5/2\nvalue 4 4\n",
+        "minimum S{}: element 2 value 2",
+    ),
+    "sorting": (
+        "k 2\nproblem sorting\ninterval 1 (0,4)\ninterval 2 (1,5)\ninterval 3 (2,6)\ninterval 4 (3,7)\n"
+        "interval 5 {9/2}\ninterval 6 (8,9)\nset S1 1 2 4\nset S2 4 2 1\nset S3 2 3 5 6\n"
+        "value 1 1/2\nvalue 2 3\nvalue 3 5/2\nvalue 4 6\nvalue 6 17/2\n",
+        "order S{}: 1 2 4",
+    ),
+}
+
+
+class TestRepeatedSets:
+    """A family that lists one set twice runs, verifies and certifies both
+    copies alike, end to end."""
+
+    @staticmethod
+    def _algorithms(kind):
+        # min-single takes single-set instances only
+        return [
+            alg for alg, (_, kinds) in sorted(ALGORITHMS.items())
+            if kind in (k.value for k in kinds) and alg != "min-single"
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(REPEATED_SET_FILES))
+    def test_every_algorithm_runs_traced(self, tmp_path, capsys, kind):
+        path = tmp_path / f"{kind}.rq"
+        path.write_text(REPEATED_SET_FILES[kind][0])
+        assert len(self._algorithms(kind)) == 2
+        for alg in self._algorithms(kind):
+            code, out, err = invoke(capsys, "run", "--alg", alg, "--instance", str(path), "--trace")
+            assert (code, err) == (0, "") and out.startswith("round 1: ")
+
+    @pytest.mark.parametrize("kind", sorted(REPEATED_SET_FILES))
+    def test_verify_certifies_both_copies_alike(self, tmp_path, capsys, kind):
+        path = tmp_path / f"{kind}.rq"
+        text, line = REPEATED_SET_FILES[kind]
+        path.write_text(text)
+        code, out, err = invoke(capsys, "verify", "--instance", str(path))
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert "feasible yes" in lines and "minimal yes" in lines
+        assert line.format(1) in lines and line.format(2) in lines
+
+    @pytest.mark.parametrize("kind", sorted(REPEATED_SET_FILES))
+    def test_both_copies_are_solved_in_the_same_round(self, kind):
+        instance, realization = parse_instance(REPEATED_SET_FILES[kind][0])
+        for alg in self._algorithms(kind):
+            trace, _ = run(make_algorithm(alg, instance), instance, FixedOracle(instance, realization))
+            assert trace.solved_at[0] == trace.solved_at[1] > 0
+
+
 class TestBenchAndTable:
     def test_bench_writes_csv(self, tmp_path, capsys):
         spec = tmp_path / "spec.rq"
