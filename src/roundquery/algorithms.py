@@ -97,12 +97,6 @@ class SortingRounds(BatchesToRounds):
 # minimum
 
 
-def _candidate_lists(instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> Dict[int, List[int]]:
-    """Per open set, in index order, its queryable elements in left order,
-    as `minimum_scan` returns them; an open set always has at least one."""
-    return {idx: minimum_scan(instance.family[idx], knowledge) for idx in open_sets}
-
-
 class BalancedRounds:
     """Repeatedly serve an active set with minimum current-round prefix length.
 
@@ -112,7 +106,7 @@ class BalancedRounds:
     """
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
-        lists = _candidate_lists(instance, knowledge, open_sets)
+        lists = {idx: minimum_scan(idx, knowledge) for idx in open_sets}
         chosen: List[int] = []
         in_round: Set[int] = set()
         while len(chosen) < instance.k:
@@ -159,7 +153,7 @@ class BudgetRounds:
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         k = instance.k
-        lists = _candidate_lists(instance, knowledge, open_sets)
+        lists = {idx: minimum_scan(idx, knowledge) for idx in open_sets}  # an open set has at least one
         self.last_charges = {}
 
         def leftmost(idx: int, taken: Set[int]) -> Optional[int]:

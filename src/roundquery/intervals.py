@@ -283,26 +283,23 @@ class KnowledgeState:
     from the new records: only selection reads them, and a run rescales at
     most about twice.
 
-    And it keeps a `SetView` of every family set, and of every other set
-    that `set_view` is asked about: the key records of the set's members,
-    the very tuples the state holds, in (left cut, id) order, the unpinned
-    ones in one list and the pinned ones in another.  The state is handed
-    its instance's family, and the first `set_view` call builds the views
-    of all of the family's sets in one pass: it sorts the records of their
-    members once and appends each, in that order, to every view that holds
-    it, so each list comes out ascending with no sort of its own.  A set
-    outside the family gets its view from the same builder when it is
-    first asked for.  Only the minimum and sorting code asks for views, so
-    a selection run builds none.  `reveal` moves the element from the
-    first list to the second in every view that holds it, its old record
-    found and its point's record placed by bisection, so the minimum and
-    sorting predicates read each set in left order, endpoint keys
+    And it keeps one `SetView` per family set, in a list indexed like the
+    family: the key records of the set's members, the very tuples the state
+    holds, in (left cut, id) order, the unpinned ones in one list and the
+    pinned ones in another.  The state is handed its instance's family, and
+    the first `set_view` call builds every view in one pass: it sorts the
+    key records once and appends each, in that order, to every view that
+    holds it, so each list comes out ascending with no sort of its own.  A
+    set the family lists twice has a view per listing, and no set outside
+    the family has a view.  Only the minimum and sorting code asks for
+    views, so a selection run builds none.  `reveal` moves the element from
+    the first list to the second in every view that holds it, its old
+    record found and its point's record placed by bisection, so the minimum
+    and sorting predicates read each set in left order, endpoint keys
     included, without sorting it.  The family's membership index,
     `holders`, is built once, on first use; the builder, `reveal` and the
-    run loop all find a member's family sets through it.  A view of a set
-    outside the family is listed under each of its unpinned members
-    instead.  Nothing here outlives the state: a fresh one builds its own
-    views.
+    run loop all find a member's family sets through it.  Nothing here
+    outlives the state: a fresh one builds its own views.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
@@ -318,10 +315,7 @@ class KnowledgeState:
             for (eid, st), lower, upper in zip(self._states.items(), ends[::2], ends[1::2])
         }
         self._cuts: Optional[Tuple[List[int], List[int]]] = None
-        self._views: Dict[FrozenSet[int], SetView] = {}
-        # per family set, once built: its view, or None if it repeats an earlier set
-        self._family_views: List[Optional[SetView]] = []
-        self._viewed: Dict[int, List[SetView]] = {}  # unpinned id -> the views outside the family holding it
+        self._views: Optional[List[SetView]] = None  # per family set, once built
 
     def ids(self) -> Iterable[int]:
         return self._states.keys()
@@ -368,6 +362,7 @@ class KnowledgeState:
                 raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
         if grow != 1:
             self._rescale(grow)
+        views = self._views
         for (eid, value), key in zip(answers.items(), keys):
             if self._cuts is not None:  # the interval's cut keys leave, the point's enter
                 for cuts, cut in zip(self._cuts, (self.left_key(eid), self.right_key(eid))):
@@ -376,13 +371,8 @@ class KnowledgeState:
             record, point = self._keys[eid], (key, 0, eid, key, 0)
             self._states[eid] = UncertainInterval.point(value)
             self._keys[eid] = point
-            family = self._family_views
-            for i in self._holders[eid] if family else ():
-                view = family[i]
-                if view is not None:  # None: a set that repeats an earlier one
-                    del view.unpinned[bisect_left(view.unpinned, record)]
-                    insort(view.pinned, point)
-            for view in self._viewed.pop(eid, ()):
+            for i in self._holders[eid] if views else ():
+                view = views[i]
                 del view.unpinned[bisect_left(view.unpinned, record)]
                 insort(view.pinned, point)
 
@@ -396,7 +386,7 @@ class KnowledgeState:
             for eid, (lower, lower_open, _, upper, upper_open) in self._keys.items()
         }
         self._cuts = None
-        for view in self._views.values():
+        for view in self._views or ():
             for records in (view.unpinned, view.pinned):
                 records[:] = [keys[record[2]] for record in records]
 
@@ -423,49 +413,25 @@ class KnowledgeState:
                     holders[eid].append(i)
         return self._holders
 
-    def set_view(self, set_ids: Iterable[int]) -> SetView:
-        """The kept view of one member set.
+    def set_view(self, i: int) -> SetView:
+        """The kept view of the family's set of index i.
 
-        The first call builds the views of every family set in one pass, and
-        a set outside the family gets its own on its first call.  Sets with
-        the same members share one view.  The view is kept by `reveal`;
-        callers read it and never write.
-        """
-        key = frozenset(set_ids)  # a frozenset is its own key, its hash cached
-        view = self._views.get(key)
-        if view is None:
-            if not self._views:  # the first call: no view is built yet
-                self._family_views = self._build_views(self._family, self.holders)
-                view = self._views.get(key)
-            if view is None:
-                [view] = self._build_views((key,), dict.fromkeys(key, (0,)))
-                for record in view.unpinned:
-                    self._viewed.setdefault(record[2], []).append(view)
-        return view
-
-    def _build_views(
-        self, sets: Sequence[FrozenSet[int]], holders: Dict[int, Sequence[int]]
-    ) -> List[Optional[SetView]]:
-        """The views of `sets`, built in one pass, `holders` mapping each of
-        their members to the indices of the sets that hold it: the members'
+        The first call builds one view per family set in one pass: the key
         records are sorted once, and each is appended, in that order, to the
-        unpinned or the pinned list of every set that holds it.  A set that
-        repeats an earlier one gets None in place of a second view."""
-        views: List[Optional[SetView]] = []
-        for members in sets:
-            view = None
-            if members not in self._views:
-                view = self._views[members] = SetView([], [])
-            views.append(view)
-        # a repeated set's records go to lists that are then dropped
-        unpinned = [[] if view is None else view.unpinned for view in views]
-        pinned = [[] if view is None else view.pinned for view in views]
-        states = self._states
-        for record in sorted(map(self._keys.__getitem__, holders)):
-            lists = pinned if states[record[2]].trivial else unpinned
-            for i in holders[record[2]]:
-                lists[i].append(record)
-        return views
+        unpinned or the pinned list of every set that holds it.  A set the
+        family lists twice has a view per listing.  The views are kept by
+        `reveal`; callers read them and never write.
+        """
+        if self._views is None:
+            views = self._views = [SetView([], []) for _ in self._family]
+            unpinned = [view.unpinned for view in views]
+            pinned = [view.pinned for view in views]
+            holders, states = self.holders, self._states
+            for record in sorted(self._keys.values()):
+                lists = pinned if states[record[2]].trivial else unpinned
+                for j in holders[record[2]]:
+                    lists[j].append(record)
+        return self._views[i]
 
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
         states = self._states

@@ -106,9 +106,10 @@ def ceil_div(a: int, b: int) -> int:
 # solvedness
 
 
-def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> List[int]:
-    """A set's live members: the unpinned ones that could still lie below
-    its least pinned value, in left order: by (left cut, id).
+def minimum_scan(set_idx: int, knowledge: KnowledgeState) -> List[int]:
+    """The live members of the family's set `set_idx`: the unpinned ones
+    that could still lie below its least pinned value, in left order: by
+    (left cut, id).
 
     With no pinned value every unpinned member is live.  Otherwise a member
     is dropped once its lower endpoint is at or above the floor, the least
@@ -118,32 +119,32 @@ def minimum_scan(set_ids: Iterable[int], knowledge: KnowledgeState) -> List[int]
     order, whose lower endpoint keys ascend, so the live ones are the
     prefix that one bisection with (floor,) finds.
     """
-    view = knowledge.set_view(set_ids)
+    view = knowledge.set_view(set_idx)
     live = view.unpinned
     if view.pinned:
         live = live[: bisect_left(live, (view.pinned[0][0],))]
     return [record[2] for record in live]
 
 
-def minimum_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
-    """True iff the set's minimum value is provable from current knowledge:
-    some value is pinned and the leftmost unpinned member, if any, starts
-    at or above the least of them."""
-    view = knowledge.set_view(set_ids)
+def minimum_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
+    """True iff the minimum value of the family's set `set_idx` is provable
+    from current knowledge: some value is pinned and the leftmost unpinned
+    member, if any, starts at or above the least of them."""
+    view = knowledge.set_view(set_idx)
     if not view.pinned:
         return False
     return not view.unpinned or view.unpinned[0][0] >= view.pinned[0][0]
 
 
-def sorting_solved(set_ids: Iterable[int], knowledge: KnowledgeState) -> bool:
-    """True iff no dependent pair remains within the set.
+def sorting_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
+    """True iff no dependent pair remains within the family's set `set_idx`.
 
     Two spans (unpinned members) are dependent iff, taken in the kept
     left order, the later one starts below the reach of the earlier ones.
     Once no such pair exists the spans are disjoint, and a point can only
     lie strictly inside the last span that starts below it.
     """
-    view = knowledge.set_view(set_ids)
+    view = knowledge.set_view(set_idx)
     spans = view.unpinned
     for a, b in zip(spans, spans[1:]):
         if b[0] < a[3]:
@@ -192,11 +193,10 @@ def selection_solved(instance: Instance, knowledge: KnowledgeState) -> bool:
 
 
 def set_solved(instance: Instance, set_idx: int, knowledge: KnowledgeState) -> bool:
-    members = instance.family[set_idx]
     if instance.problem.kind is SORTING:
-        return sorting_solved(members, knowledge)
+        return sorting_solved(set_idx, knowledge)
     if instance.problem.kind is MINIMUM:
-        return minimum_solved(members, knowledge)
+        return minimum_solved(set_idx, knowledge)
     return selection_solved(instance, knowledge)
 
 
@@ -312,8 +312,8 @@ def dependency_runs(ids: List[int], lowers: List[int], uppers: List[int]) -> Ite
 def _unpinned_runs(instance: Instance, knowledge: KnowledgeState) -> Iterator[Tuple[int, List[int]]]:
     """`dependency_runs` of every set over its kept unpinned members, which
     the set's view holds in left order with their endpoint keys."""
-    for members in instance.family:
-        live = knowledge.set_view(members).unpinned
+    for i in range(instance.m):
+        live = knowledge.set_view(i).unpinned
         yield from dependency_runs([r[2] for r in live], [r[0] for r in live], [r[3] for r in live])
 
 
@@ -360,8 +360,8 @@ def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
     lower endpoint is found by bisection in the kept pinned list and tested
     against its upper."""
     forced: Set[int] = set()
-    for members in instance.family:
-        view = knowledge.set_view(members)
+    for i in range(instance.m):
+        view = knowledge.set_view(i)
         points = view.pinned
         if not points:
             continue
@@ -446,10 +446,10 @@ def extract_certificate(instance: Instance, knowledge: KnowledgeState) -> Soluti
         return SolutionCertificate(kind, orders=orders)
     if kind is MINIMUM:
         minima = []
-        for i, members in enumerate(instance.family, 1):
-            pinned = knowledge.set_view(members).pinned
+        for i in range(instance.m):
+            pinned = knowledge.set_view(i).pinned
             if not pinned:
-                raise InstanceError(f"set {i}: no pinned value; nothing to certify")
+                raise InstanceError(f"set {i + 1}: no pinned value; nothing to certify")
             holder = pinned[0][2]  # the least value, held by its lowest id
             minima.append((holder, knowledge.known_value(holder)))
         return SolutionCertificate(kind, minima=tuple(minima))

@@ -115,7 +115,7 @@ def budget_round_reference(instance, knowledge, open_sets):
     seeds and the number of purchases whose time tied with another
     element's, so a test can tell that the tie order was exercised."""
     k = instance.k
-    lists = {idx: minimum_scan(instance.family[idx], knowledge) for idx in open_sets}
+    lists = {idx: minimum_scan(idx, knowledge) for idx in open_sets}
     seeds = sorted({lst[0] for lst in lists.values()})[:k]
     chosen, taken, charges, time_ties = list(seeds), set(seeds), {}, 0
     budgets = dict.fromkeys(open_sets, Fraction(0))

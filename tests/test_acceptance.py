@@ -109,7 +109,7 @@ def _budget_run_with_audit(inst, realization):
 
     def probe(knowledge, _open_sets, _picked):
         active = {
-            i for i, members in enumerate(inst.family) if not minimum_solved(members, knowledge)
+            i for i in range(inst.m) if not minimum_solved(i, knowledge)
         }
         snapshots.append((active, dict(alg.last_charges)))
 

@@ -272,8 +272,8 @@ class TestBalanced:
         def probe(knowledge, _open_sets, picked):
             active = [
                 idx
-                for idx, members in enumerate(inst.family)
-                if not minimum_solved(members, knowledge)
+                for idx in range(inst.m)
+                if not minimum_solved(idx, knowledge)
             ]
             if len(active) > inst.k:
                 owners = []
@@ -333,8 +333,8 @@ class TestBudget:
         def probe(knowledge, _open_sets, _picked):
             before = {
                 idx
-                for idx, members in enumerate(inst.family)
-                if not minimum_solved(members, knowledge)
+                for idx in range(inst.m)
+                if not minimum_solved(idx, knowledge)
             }
             charge_checks.append((before, dict(alg.last_charges)))
 

@@ -132,9 +132,9 @@ class TestFig2:
         knowledge = instance.knowledge()
         for eid in sorted(deep)[:4]:
             knowledge.reveal({eid: realization.value(eid)})
-        assert not minimum_solved(deep, knowledge)
+        assert not minimum_solved(2, knowledge)
         knowledge.reveal({sorted(deep)[4]: realization.value(sorted(deep)[4])})
-        assert minimum_solved(deep, knowledge)
+        assert minimum_solved(2, knowledge)
 
 
 class TestFig3:

@@ -305,8 +305,8 @@ class TestKnowledgeState:
     def test_refused_reveal_changes_nothing(self, value, text):
         # the kept structures exist before the refused reveal, and it must
         # leave them, their keys and the scale as they were
-        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")})
-        view = k.set_view([1, 2, 3])
+        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")}, [frozenset({1, 2, 3})])
+        view = k.set_view(0)
         before = self._kept(k, view)
         with pytest.raises(IntervalError, match=rf"^value {text} outside interval \(0,4\) of element 1$"):
             k.reveal({1: value})
@@ -323,8 +323,8 @@ class TestKnowledgeState:
         rescales = []
         rescale = KnowledgeState._rescale
         monkeypatch.setattr(KnowledgeState, "_rescale", lambda k, grow: rescales.append(grow) or rescale(k, grow))
-        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")})
-        view = k.set_view([1, 2, 3])
+        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")}, [frozenset({1, 2, 3})])
+        view = k.set_view(0)
         before = self._kept(k, view)
         with pytest.raises(IntervalError, match=r"^value 5 outside interval \[1,3\] of element 2$"):
             k.reveal({1: Fraction(1, 11), 2: Fraction(5)})
@@ -341,8 +341,8 @@ class TestKnowledgeState:
         # a view lists each member's record as the state keeps it, a pinned
         # member's as its point's (key, 0, id, key, 0), through reveals that
         # move every key to a finer scale
-        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}"), 4: iv("(2,5]")})
-        view = k.set_view([4, 3, 2, 1])
+        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}"), 4: iv("(2,5]")}, [frozenset({4, 3, 2, 1})])
+        view = k.set_view(0)
 
         def record(e):
             left, right = k.left_key(e), k.right_key(e)
@@ -362,8 +362,8 @@ class TestKnowledgeState:
     def test_a_pinned_id_refuses_the_whole_round(self):
         # element 3 is trivial from the start: the round is refused before
         # element 1's value, over a new denominator, changes anything
-        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")})
-        view = k.set_view([1, 2, 3])
+        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")}, [frozenset({1, 2, 3})])
+        view = k.set_view(0)
         before = self._kept(k, view)
         with pytest.raises(IntervalError, match=r"^element 3 is already pinned$"):
             k.reveal({1: Fraction(1, 11), 3: Fraction(7, 2)})

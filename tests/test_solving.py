@@ -76,16 +76,17 @@ def _rank_cuts(inst, k):
     return tuple(map(k.cut_of, rank_cut_keys(inst, k)))
 
 
-def knowledge_of(intervals, revealed=()):
-    k = KnowledgeState({i + 1: v for i, v in enumerate(intervals)})
+def knowledge_of(intervals, revealed=(), family=()):
+    k = KnowledgeState({i + 1: v for i, v in enumerate(intervals)}, family)
     for eid, value in revealed:
         k.reveal({eid: Fraction(value)})
     return k
 
 
 def discarded(members, k):
-    """Unpinned members the scan rules out as the set minimum."""
-    return {e for e in members if k.known_value(e) is None} - set(minimum_scan(members, k))
+    """Unpinned members the scan rules out as the minimum of `members`, the
+    family's set 0."""
+    return {e for e in members if k.known_value(e) is None} - set(minimum_scan(0, k))
 
 
 def _defined_scan(members, k):
@@ -126,32 +127,35 @@ def _interval(draw):
 
 class TestMinimumSolved:
     def test_two_known_values_discard_the_tail(self):
-        k = knowledge_of([iv("(1,3)"), iv("(2,4)"), iv("(5,6)")], [(1, "5/2"), (2, "7/2")])
         members = [1, 2, 3]
-        assert minimum_solved(members, k)
+        k = knowledge_of([iv("(1,3)"), iv("(2,4)"), iv("(5,6)")], [(1, "5/2"), (2, "7/2")], [members])
+        assert minimum_solved(0, k)
         assert discarded(members, k) == {3}
 
     def test_single_unqueried_interval_unsolved(self):
-        k = knowledge_of([iv("(1,3)")])
-        assert not minimum_solved([1], k)
+        k = knowledge_of([iv("(1,3)")], family=[[1]])
+        assert not minimum_solved(0, k)
 
     def test_trivial_below_all_lower_endpoints(self):
-        k = knowledge_of([iv("{2}"), iv("(3,4)")])
-        assert minimum_solved([1, 2], k)
+        k = knowledge_of([iv("{2}"), iv("(3,4)")], family=[[1, 2]])
+        assert minimum_solved(0, k)
         assert discarded([1, 2], k) == {2}
 
     @given(data=st.data())
     def test_scan_matches_its_definition(self, data):
-        k = KnowledgeState(dict(enumerate(data.draw(st.lists(_interval(), min_size=1, max_size=8)), 1)))
-        ids = list(k.ids())
+        # the set's view is built before the reveals and kept through them
+        drawn = data.draw(st.lists(_interval(), min_size=1, max_size=8))
+        ids = list(range(1, len(drawn) + 1))
+        members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        k = KnowledgeState(dict(enumerate(drawn, 1)), [members])
+        minimum_scan(0, k)
         for eid in data.draw(st.lists(st.sampled_from(ids), unique=True)):
             st_e = k.state(eid)
             if not st_e.trivial:  # a point is pinned from the start
                 k.reveal({eid: st_e.lower + (st_e.upper - st_e.lower) * data.draw(st.sampled_from(_INSIDE))})
-        members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
         floor, live = _defined_scan(members, k)
-        assert minimum_scan(members, k) == live
-        assert minimum_solved(members, k) == (floor is not None and not live)
+        assert minimum_scan(0, k) == live
+        assert minimum_solved(0, k) == (floor is not None and not live)
 
     def test_brute_force_agrees_it_is_solved(self):
         # same first example, checked by enumerating admissible completions:
@@ -163,16 +167,16 @@ class TestMinimumSolved:
 
 class TestSortingSolved:
     def test_both_queried_intersecting_pair(self):
-        k = knowledge_of([iv("[0,2]"), iv("[1,3]")], [(1, "8/5"), (2, "7/5")])
-        assert sorting_solved([1, 2], k)
+        k = knowledge_of([iv("[0,2]"), iv("[1,3]")], [(1, "8/5"), (2, "7/5")], [[1, 2]])
+        assert sorting_solved(0, k)
 
     def test_unqueried_intersecting_pair(self):
-        k = knowledge_of([iv("[0,2]"), iv("[1,3]")])
-        assert not sorting_solved([1, 2], k)
+        k = knowledge_of([iv("[0,2]"), iv("[1,3]")], family=[[1, 2]])
+        assert not sorting_solved(0, k)
 
     def test_all_trivial_set(self):
-        k = knowledge_of([iv("{1}"), iv("{1}"), iv("{5}")])
-        assert sorting_solved([1, 2, 3], k)
+        k = knowledge_of([iv("{1}"), iv("{1}"), iv("{5}")], family=[[1, 2, 3]])
+        assert sorting_solved(0, k)
 
 
 def _admissible_value(draw, interval):
@@ -278,8 +282,8 @@ class TestSweepsMatchAllPairs:
     def test_sorting_solved(self, run):
         inst, r, order = run
         for k in _knowledge_along(inst, r, order):
-            for members in inst.family:
-                assert sorting_solved(members, k) == _all_pairs_sorted(members, k)
+            for i, members in enumerate(inst.family):
+                assert sorting_solved(i, k) == _all_pairs_sorted(members, k)
 
     @given(run=_sorting_run())
     def test_forced_queries(self, run):
@@ -367,12 +371,11 @@ def _defined_minima(inst, k):
 
 @st.composite
 def _viewed_run(draw):
-    """A sorting run on 1-3 overlapping sets plus a copy of one of them, and
-    the index of one set that the per-set predicates get as a list."""
+    """A sorting run on 1-3 overlapping sets plus a copy of one of them."""
     inst, r, order = draw(_sorting_run())
     twin = draw(st.sampled_from(inst.family))
     inst = make_instance(inst.elements, [*map(sorted, inst.family), sorted(twin)], inst.problem, inst.k)
-    return inst, r, order, draw(st.integers(0, inst.m - 1))
+    return inst, r, order
 
 
 class TestKeptViews:
@@ -380,11 +383,8 @@ class TestKeptViews:
     the same reveals does, and as the definitions do."""
 
     @staticmethod
-    def _answers(inst, k, as_list):
-        per_set = []
-        for idx, members in enumerate(inst.family):
-            arg = sorted(members) if idx == as_list else members
-            per_set.append((minimum_scan(arg, k), minimum_solved(arg, k), sorting_solved(arg, k)))
+    def _answers(inst, k):
+        per_set = [(minimum_scan(i, k), minimum_solved(i, k), sorting_solved(i, k)) for i in range(inst.m)]
         try:
             minima = extract_certificate(replace(inst, problem=ProblemKind(MINIMUM)), k).minima
         except InstanceError as exc:
@@ -405,7 +405,7 @@ class TestKeptViews:
         # `early` is asked before the first reveal and after every one;
         # `late` first at a drawn step, so its views are built between the
         # reveals or after the last; `fresh` is rebuilt at every step
-        inst, r, order, as_list = run
+        inst, r, order = run
         late_from = data.draw(st.integers(0, len(order)))
         early, late = inst.knowledge(), inst.knowledge()
         for step in range(len(order) + 1):
@@ -417,10 +417,10 @@ class TestKeptViews:
             for eid in order[:step]:
                 fresh.reveal({eid: r.value(eid)})
             expected = self._definitions(inst, fresh)
-            assert self._answers(inst, fresh, as_list) == expected
-            assert self._answers(inst, early, as_list) == expected
+            assert self._answers(inst, fresh) == expected
+            assert self._answers(inst, early) == expected
             if step >= late_from:
-                assert self._answers(inst, late, as_list) == expected
+                assert self._answers(inst, late) == expected
 
 
 def _record(k, eid):
@@ -434,14 +434,13 @@ def _record(k, eid):
 class TestViewsAreTheirSort:
     """Each kept view holds the sorted current records of its set's members,
     the unpinned ones in one list and the pinned ones in the other: for the
-    family's sets, overlapping and duplicated, and for a set outside the
-    family asked for once the family's views exist, before and after
-    reveals, one of which moves every key to a finer scale."""
+    family's sets, overlapping and duplicated, before and after reveals, one
+    of which moves every key to a finer scale."""
 
     @staticmethod
     def _check(k, sets):
-        for members in sets:
-            view = k.set_view(members)
+        for i, members in enumerate(sets):
+            view = k.set_view(i)
             assert view.unpinned == sorted(_record(k, e) for e in members if k.known_value(e) is None)
             assert view.pinned == sorted(_record(k, e) for e in members if k.known_value(e) is not None)
 
@@ -453,11 +452,8 @@ class TestViewsAreTheirSort:
         ))
         inst = make_instance(base.elements, [*map(sorted, base.family), sorted(base.family[seed % 4])], base.problem, 3)
         assert any(iv.trivial for iv in inst.elements) and len(set(inst.family)) < inst.m
-        outside = frozenset(range(1, 31, 3))
-        assert outside not in inst.family
         k = inst.knowledge()
         self._check(k, inst.family)
-        self._check(k, [outside])
         order = [e for e in range(1, 31) if not inst.interval(e).trivial]
         rng = random.Random(seed)
         rng.shuffle(order)
@@ -469,10 +465,10 @@ class TestViewsAreTheirSort:
         unit = k.cut_of(3)[0]  # 1 / L, the state's scale L
         k.reveal({first: value})
         assert k.cut_of(3)[0] == unit / 10007
-        self._check(k, [*inst.family, outside])
+        self._check(k, inst.family)
         for start in range(0, len(rest), 4):
             k.reveal({e: r.value(e) for e in rest[start : start + 4]})
-            self._check(k, [*inst.family, outside])
+            self._check(k, inst.family)
 
 
 class TestRescale:
@@ -498,7 +494,7 @@ class TestRescale:
         kinds = [ProblemKind(SORTING), ProblemKind(MINIMUM)]
         kinds += [ProblemKind(kind, rank=i) for kind in (SELECTION_VALUE, SELECTION_FULL) for i in range(1, n + 1)]
         sets = make_instance(self.ELEMENTS, self.FAMILY, ProblemKind(SORTING), 2)
-        per_set = [(minimum_scan(members, k), sorting_solved(members, k)) for members in self.FAMILY]
+        per_set = [(minimum_scan(i, k), sorting_solved(i, k)) for i in range(len(self.FAMILY))]
         ranks = []
         certificates = []
         for kind in kinds:
@@ -510,14 +506,14 @@ class TestRescale:
         return per_set, forced_queries(sets, k), build_dependency_graph(sets, k), ranks, certificates
 
     def test_rescaled_state_answers_as_a_fresh_one(self):
-        k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)))
+        k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)), self.FAMILY)
         for step in range(len(self.REVEALS) + 1):
             if step:
                 k.reveal(dict([self.REVEALS[step - 1]]))
             # every kept structure is built before the first reveal, so each
             # later reveal rescales the views as well and drops the cut
             # lists, which the next answers build again
-            fresh = KnowledgeState({e: k.state(e) for e in k.ids()})
+            fresh = KnowledgeState({e: k.state(e) for e in k.ids()}, self.FAMILY)
             assert self._answers(k) == self._answers(fresh)
 
     def test_a_round_rescales_at_most_once(self, monkeypatch):
@@ -537,7 +533,7 @@ class TestRescale:
     def test_answers_stay_fractions(self):
         # the rest revealed too, so every selection rank is pinned
         reveals = self.REVEALS + [(5, Fraction(15, 2)), (6, Fraction(9, 2)), (8, Fraction(1))]
-        k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)))
+        k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)), self.FAMILY)
         self._answers(k)
         for eid, value in reveals:
             k.reveal({eid: value})
@@ -596,7 +592,7 @@ class TestMinimumCertificate:
     def test_tampered_certificate_is_refused(self, revealed, claim, message):
         elements, family = self.TAMPER_INSTANCE
         inst = make_instance(elements, family, ProblemKind(MINIMUM), 1)
-        knowledge = knowledge_of(elements, revealed)
+        knowledge = knowledge_of(elements, revealed, family)
         cert = replace(extract_certificate(inst, knowledge), minima=(claim, (4, Fraction(1))))
         with pytest.raises(InstanceError, match=f"^{message}$"):
             verify_certificate(inst, knowledge, cert)
@@ -616,7 +612,7 @@ class TestMinimumCertificate:
     def test_untampered_certificate_verifies(self):
         elements, family = self.TAMPER_INSTANCE
         inst = make_instance(elements, family, ProblemKind(MINIMUM), 1)
-        knowledge = knowledge_of(elements, [(1, 1), (2, 5)])
+        knowledge = knowledge_of(elements, [(1, 1), (2, 5)], family)
         cert = extract_certificate(inst, knowledge)
         assert cert.minima == ((1, Fraction(1)), (4, Fraction(1)))
         verify_certificate(inst, knowledge, cert, Realization({1: Fraction(1), 2: Fraction(5), 3: Fraction(6), 4: Fraction(1)}))
@@ -1185,7 +1181,7 @@ class TestTruthRecord:
     @pytest.mark.parametrize("prebuilt", [False, True])
     def test_minimum_contradicted_by_the_realization(self, prebuilt):
         inst = make_instance([iv("(0,4)"), iv("(2,6)")], [[1, 2]], ProblemKind(MINIMUM), 1)
-        knowledge = knowledge_of(inst.elements, [(1, 1)])
+        knowledge = knowledge_of(inst.elements, [(1, 1)], inst.family)
         cert = extract_certificate(inst, knowledge)
         good, bad = Realization({1: Fraction(1), 2: Fraction(5)}), Realization({1: Fraction(3), 2: Fraction(5)})
         if prebuilt:
