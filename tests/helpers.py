@@ -2,16 +2,18 @@
 every round of a `harness.run`, the open sets the harness would pass, the
 exact round bound of the budget algorithm's guarantee, the edge-list
 greedy matching that the sweep's matching is checked against, the
-pairwise interval greedy that the cut-key one is checked against, the
-budget round with every open set's budget rewritten after each purchase,
-and the cuts as (value, flag) tuples, the reference for every cut key."""
+pairwise interval greedy that the cut-key one is checked against, a
+set's live members by their definition, the balanced round as a rescan
+of every open set per pick, the budget round with every open set's
+budget rewritten after each purchase, and the cuts as (value, flag)
+tuples, the reference for every cut key."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from roundquery.intervals import CLOSED, dependent
-from roundquery.solving import minimum_scan, set_solved
+from roundquery.solving import set_solved
 
 
 # A cut as `KnowledgeState.cut_of` reads a cut key back: (v, 0) is the
@@ -108,6 +110,45 @@ def budget_round_bound(opt_k: int, m: int) -> Fraction:
     return best
 
 
+def live_members(members, knowledge):
+    """`solving.minimum_scan`'s live members by their definition: the
+    unpinned members whose lower endpoint lies below the least pinned
+    value, or every unpinned member without one, in left order, by
+    (left cut, id)."""
+    pinned = [knowledge.state(e).lower for e in members if knowledge.state(e).trivial]
+    floor = min(pinned) if pinned else None
+    return sorted(
+        (e for e in members if not knowledge.state(e).trivial and (floor is None or knowledge.state(e).lower < floor)),
+        key=lambda e: (left_cut(knowledge.state(e)), e),
+    )
+
+
+def bal_round_reference(instance, knowledge, open_sets):
+    """The balanced round by its definition: before each pick, rescan every
+    open set's live list for its prefix, the number of its leading members
+    already picked, and serve the set of least prefix, lowest index among
+    ties, with its first member not yet picked.  Returns the picked ids and
+    the number of picks made at a prefix above 0, so a test can tell that
+    sets sharing members were served past each other's picks."""
+    lists = {idx: live_members(instance.family[idx], knowledge) for idx in open_sets}
+    chosen, in_round, deep = [], set(), 0
+    while len(chosen) < instance.k:
+        prefixes = []
+        for idx, lst in lists.items():
+            p = 0
+            while p < len(lst) and lst[p] in in_round:
+                p += 1
+            if p < len(lst):
+                prefixes.append((p, idx))
+        if not prefixes:
+            break
+        p, idx = min(prefixes)
+        deep += p > 0
+        chosen.append(lists[idx][p])
+        in_round.add(lists[idx][p])
+    return chosen, deep
+
+
 def budget_round_reference(instance, knowledge, open_sets):
     """The budget round by its first definition: every open set's budget
     grows at unit rate, each purchase adds its time step to all of them and
@@ -115,7 +156,7 @@ def budget_round_reference(instance, knowledge, open_sets):
     seeds and the number of purchases whose time tied with another
     element's, so a test can tell that the tie order was exercised."""
     k = instance.k
-    lists = {idx: minimum_scan(idx, knowledge) for idx in open_sets}
+    lists = {idx: live_members(instance.family[idx], knowledge) for idx in open_sets}
     seeds = sorted({lst[0] for lst in lists.values()})[:k]
     chosen, taken, charges, time_ties = list(seeds), set(seeds), {}, 0
     budgets = dict.fromkeys(open_sets, Fraction(0))

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import Probed, budget_round_bound, budget_round_reference, matching_cover, open_sets
+from helpers import Probed, bal_round_reference, budget_round_bound, budget_round_reference, matching_cover, open_sets
 from roundquery.algorithms import (
     AlgorithmError,
+    BalancedRounds,
     BudgetRounds,
     build_dependency_graph,
     interval_cover,
@@ -354,6 +355,30 @@ class TestBudget:
         alg = make_algorithm("budget", inst)
         _, report = run(alg, inst, oracle)
         assert report.alg_rounds == 2 and report.opt_k == 1
+
+
+class TestBalancedMatchesItsDefinition:
+    """Every round of `bal` equals the reference round, which rescans every
+    open set's live list before each pick, on the same knowledge and open
+    sets."""
+
+    SOURCES = [("random:problem=minimum,n=24,m=6,k=4,overlap=overlap", seed) for seed in range(100)]
+    SOURCES.append(("fig3:k=4,c=4", 0))
+
+    def test_rounds_equal_the_reference(self):
+        deep = 0
+        for spec, seed in self.SOURCES:
+            inst, oracle = resolve_source(spec, seed)
+            alg = BalancedRounds()
+
+            def probe(knowledge, open_sets, picked):
+                nonlocal deep
+                chosen, past = bal_round_reference(inst, knowledge, open_sets)
+                assert picked == chosen, (spec, seed)
+                deep += past
+
+            run(Probed(alg, probe), inst, oracle)
+        assert deep > 0  # some set was served past members another set's pick took
 
 
 class TestBudgetMatchesItsDefinition:
