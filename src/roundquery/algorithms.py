@@ -21,7 +21,9 @@ so one instance of it drives exactly one trial.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -101,27 +103,42 @@ class BalancedRounds:
     """Repeatedly serve an active set with minimum current-round prefix length.
 
     The prefix length of a set is the number of leading elements of its
-    queryable list already picked into this round; ties go to the lowest
-    set index, and the pick is the set's leftmost element not yet chosen.
+    live list (`minimum_scan`'s prefix of its view's unpinned rows) already
+    picked into this round; ties go to the lowest set index, and the pick
+    is the set's leftmost element not yet chosen.  Each set keeps a pointer
+    to that element, its prefix length, and a heap holds (prefix, set
+    index) for every set with one left.  Picking e advances exactly the
+    sets whose pointer is at e, found through a map from element to those
+    sets, each past the picked elements that follow; the entries those
+    sets leave in the heap are stale and skipped when popped.  A round
+    costs one bisection per open set plus its picks and pointer moves.
     """
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
-        lists = {idx: minimum_scan(idx, knowledge) for idx in open_sets}
+        rows = {idx: knowledge.set_view(idx).unpinned for idx in open_sets}
+        ends = {idx: minimum_scan(idx, knowledge) for idx in open_sets}  # an open set has at least one
+        pos = dict.fromkeys(open_sets, 0)
+        at: Dict[int, List[int]] = {}  # element -> the sets whose pointer is at it
+        for idx in open_sets:
+            at.setdefault(rows[idx][0][2], []).append(idx)
+        heap = [(0, idx) for idx in open_sets]  # ascending, so already a heap
         chosen: List[int] = []
         in_round: Set[int] = set()
-        while len(chosen) < instance.k:
-            prefixes = []
-            for idx, lst in lists.items():
-                p = 0
-                while p < len(lst) and lst[p] in in_round:
-                    p += 1
-                if p < len(lst):
-                    prefixes.append((p, idx))
-            if not prefixes:
-                break
-            p, idx = min(prefixes)
-            chosen.append(lists[idx][p])
-            in_round.add(lists[idx][p])
+        while heap and len(chosen) < instance.k:
+            p, idx = heappop(heap)
+            if p != pos[idx]:
+                continue
+            e = rows[idx][p][2]
+            chosen.append(e)
+            in_round.add(e)
+            for s in at.pop(e):
+                live, end, q = rows[s], ends[s], pos[s] + 1
+                while q < end and live[q][2] in in_round:
+                    q += 1
+                pos[s] = q
+                if q < end:
+                    at.setdefault(live[q][2], []).append(s)
+                    heappush(heap, (q, s))
         return chosen
 
 
@@ -143,8 +160,18 @@ class BudgetRounds:
     restarted, so only the starts are kept: an element with owners O is
     bought at (1 + the sum of their starts) / |O|, the earliest first, then
     the one with more owners, then the lowest id.  All arithmetic is exact.
-    `last_seeds` and `last_charges` (each bought element's owners) describe
-    the last round; tests read them to check the charging argument.
+
+    Each set keeps a pointer to its leftmost untaken element in its live
+    list (`minimum_scan`'s prefix of its view's unpinned rows), and a heap
+    holds (time, -|owners|, id) for every element with owners.  A purchase
+    restarts only the winner's owners, and each of them moves to its next
+    untaken element, so only the elements that gain owners get a new key.
+    An untaken element's owner count only grows, so it versions the
+    entries: one whose count is not the element's current one (none, once
+    bought) is stale and skipped when popped.  Owner lists are kept
+    ascending.  `last_seeds` and `last_charges` (each bought element's
+    owners) describe the last round; tests read them to check the charging
+    argument.
     """
 
     def __init__(self) -> None:
@@ -153,35 +180,55 @@ class BudgetRounds:
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         k = instance.k
-        lists = {idx: minimum_scan(idx, knowledge) for idx in open_sets}  # an open set has at least one
+        rows = {idx: knowledge.set_view(idx).unpinned for idx in open_sets}
+        ends = {idx: minimum_scan(idx, knowledge) for idx in open_sets}  # an open set has at least one
         self.last_charges = {}
-
-        def leftmost(idx: int, taken: Set[int]) -> Optional[int]:
-            return next((e for e in lists[idx] if e not in taken), None)
-
-        seeds = sorted({lst[0] for lst in lists.values()})[:k]
+        seeds = sorted({rows[idx][0][2] for idx in open_sets})[:k]
         self.last_seeds = tuple(seeds)
         chosen: List[int] = list(seeds)
+        if len(chosen) == k:
+            return chosen
         taken: Set[int] = set(seeds)
         starts: Dict[int, Fraction] = dict.fromkeys(open_sets, Fraction(0))
-        while len(chosen) < k:
-            pointing: Dict[int, List[int]] = {}
-            for idx in open_sets:
-                e = leftmost(idx, taken)
-                if e is not None:
-                    pointing.setdefault(e, []).append(idx)
-            if not pointing:
-                break
-            time, _, winner = min(
-                ((1 + sum(starts[idx] for idx in owners)) / len(owners), -len(owners), e)
-                for e, owners in pointing.items()
-            )
-            owners = pointing[winner]
-            for idx in owners:
-                starts[idx] = time
+        pos: Dict[int, int] = {}
+        owners: Dict[int, List[int]] = {}
+
+        def advance(idx: int, q: int) -> Optional[int]:
+            """Move idx's pointer to its first untaken element at or after
+            q and return that element, or None past its live list."""
+            live, end = rows[idx], ends[idx]
+            while q < end and live[q][2] in taken:
+                q += 1
+            pos[idx] = q
+            return live[q][2] if q < end else None
+
+        def entry(e: int) -> Tuple[Fraction, int, int]:
+            group = owners[e]
+            return (1 + sum(starts[idx] for idx in group)) / len(group), -len(group), e
+
+        for idx in open_sets:  # ascending, so each owner list is too
+            e = advance(idx, 0)
+            if e is not None:
+                owners.setdefault(e, []).append(idx)
+        heap = [entry(e) for e in owners]
+        heapify(heap)
+        while heap and len(chosen) < k:
+            time, count, winner = heappop(heap)
+            if -count != len(owners.get(winner, ())):
+                continue
+            payers = owners.pop(winner)
             chosen.append(winner)
             taken.add(winner)
-            self.last_charges[winner] = tuple(owners)
+            self.last_charges[winner] = tuple(payers)
+            gained = set()
+            for idx in payers:
+                starts[idx] = time
+                e = advance(idx, pos[idx] + 1)
+                if e is not None:
+                    insort(owners.setdefault(e, []), idx)
+                    gained.add(e)
+            for e in gained:
+                heappush(heap, entry(e))
         return chosen
 
 

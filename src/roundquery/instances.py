@@ -32,8 +32,8 @@ from .intervals import (
     IntervalError,
     KnowledgeState,
     UncertainInterval,
-    exact_keys,
     parse_rational,
+    ratio_keys,
 )
 
 
@@ -166,7 +166,7 @@ class Realization:
 @dataclass(frozen=True)
 class TruthRecord:
     """A realization, the keys of each element's endpoints and value in id
-    order from one `exact_keys` call, and what the kind asks of it: each
+    order from one `ratio_keys` call, and what the kind asks of it: each
     set's true minimum (minimum) or the true i-th value (both selection
     kinds), with the ids that hold them."""
 
@@ -185,7 +185,12 @@ def truth_record(instance: Instance, realization: Union[Realization, TruthRecord
     if isinstance(realization, TruthRecord):
         return realization
     elements, n, value = instance.elements, instance.n, realization.values.__getitem__
-    keys = exact_keys([iv.lower for iv in elements] + [iv.upper for iv in elements] + list(map(value, instance.ids())))
+    # endpoints from the ratios the intervals keep, values from their own
+    ratios = [value(e).as_integer_ratio() for e in instance.ids()]
+    _, keys = ratio_keys(
+        [iv.lower_num for iv in elements] + [iv.upper_num for iv in elements] + [num for num, _ in ratios],
+        [iv.lower_den for iv in elements] + [iv.upper_den for iv in elements] + [den for _, den in ratios],
+    )
     lowers, uppers, values = keys[:n], keys[n : 2 * n], keys[2 * n :]
     key = dict(zip(instance.ids(), values)).__getitem__
     if instance.problem.kind is MINIMUM:

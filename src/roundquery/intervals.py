@@ -7,9 +7,11 @@ open endpoint must compare as strictly outside.  Orders, though, are taken
 on exact integer keys: a value's key is the value times a common
 denominator L of the values compared, so keys order and tie exactly as the
 rationals do, at the cost of an int comparison rather than a `Fraction`
-one.  `exact_keys` keys one list of values (the audits key what they
-compare this way); a `KnowledgeState` keeps one L and the keys of all its
-states across reveals, so the run loop compares ints throughout.  A cut
+one.  `exact_keys` keys one list of values and `ratio_keys` keys
+numerators over denominators, such as the endpoint ratios an interval
+keeps (the audits key what they compare this way); a `KnowledgeState`
+keeps one L and the keys of all its states across reveals, so the run
+loop compares ints throughout.  A cut
 (v, flag), an endpoint with its openness, is keyed as 3 * key + flag.
 
 An element's knowledge state has one shape, an `UncertainInterval`: its
@@ -38,11 +40,19 @@ class IntervalError(ValueError):
     """Malformed interval, rational, or knowledge update."""
 
 
-def scaled_keys(values: Iterable[Fraction]) -> Tuple[int, List[int]]:
-    """The scale L of `exact_keys(values)` and the keys themselves."""
-    ratios = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(*(den for _, den in ratios))
-    return scale, [num * (scale // den) for num, den in ratios]
+def ratio_keys(nums: Sequence[int], dens: Sequence[int]) -> Tuple[int, List[int]]:
+    """The keying core: the scale L, the least common multiple of the
+    denominators `dens`, and the exact keys `num * (L // den)` of the
+    rationals num/den.  When L is 1 the numerators are the keys.
+
+    The intervals keep their endpoints' ratios (`UncertainInterval`'s
+    `lower_num` to `upper_den`), so the knowledge state, the truth record
+    and the certificate check key endpoints from those and call
+    `as_integer_ratio` only on values."""
+    scale = math.lcm(*set(dens))
+    if scale == 1:
+        return 1, list(nums)
+    return scale, [num * (scale // den) for num, den in zip(nums, dens)]
 
 
 def exact_keys(values: Iterable[Fraction]) -> List[int]:
@@ -58,7 +68,8 @@ def exact_keys(values: Iterable[Fraction]) -> List[int]:
     took 0.002 s against 0.026 s.  Slower in that case, but bounded, and
     exact on every input, so there is no second path.
     """
-    return scaled_keys(values)[1]
+    ratios = [v.as_integer_ratio() for v in values]
+    return ratio_keys([num for num, _ in ratios], [den for _, den in ratios])[1]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -84,7 +95,11 @@ class UncertainInterval:
 
     Valid shapes: lower < upper with any endpoint kinds, or the trivial
     interval {v} (lower = upper, both endpoints closed).  `trivial` is
-    derived from the bounds at construction and takes no part in equality.
+    derived from the bounds at construction and takes no part in equality,
+    and so are `lower_num`, `lower_den`, `upper_num` and `upper_den`, the
+    endpoints' `as_integer_ratio()`, which the construction computes to
+    decide `trivial` and keeps for `ratio_keys`: the ints are the
+    `Fraction`s' own objects, so an interval holds four more pointers.
     """
 
     lower: Fraction
@@ -92,6 +107,10 @@ class UncertainInterval:
     upper: Fraction
     upper_kind: EndpointKind
     trivial: bool = field(init=False, repr=False, compare=False)
+    lower_num: int = field(init=False, repr=False, compare=False)
+    lower_den: int = field(init=False, repr=False, compare=False)
+    upper_num: int = field(init=False, repr=False, compare=False)
+    upper_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.lower, Fraction) or not isinstance(self.upper, Fraction):
@@ -104,6 +123,10 @@ class UncertainInterval:
         if gap == 0 and (self.lower_kind is not CLOSED or self.upper_kind is not CLOSED):
             raise IntervalError("degenerate interval must be closed on both sides")
         object.__setattr__(self, "trivial", gap == 0)
+        object.__setattr__(self, "lower_num", ln)
+        object.__setattr__(self, "lower_den", ld)
+        object.__setattr__(self, "upper_num", un)
+        object.__setattr__(self, "upper_den", ud)
 
     @staticmethod
     def open(a, b) -> "UncertainInterval":
@@ -214,22 +237,24 @@ def dependent(a: UncertainInterval, b: UncertainInterval) -> bool:
     return max(a.lower, b.lower) < min(a.upper, b.upper)
 
 
-# A key record (lower, lower_open, id, upper, upper_open): an element's
-# endpoint keys on a state's scale, each with its openness as 0 or 1, a
-# point's record being (key, 0, id, key, 0).  The first two fields order
-# records as the left cuts (3 * lower + lower_open is the left cut key),
-# and the id both breaks their ties, so records sort in (left cut, id)
-# order, and makes each record distinct, so a bisection finds one exact
-# record and never compares the upper fields.
-KeyRecord = Tuple[int, int, int, int, int]
+# A key record, or row, [lower, lower_open, id, upper, upper_open]: an
+# element's endpoint keys on a state's scale, each with its openness as 0
+# or 1, a point's row being [key, 0, id, key, 0].  The first two fields
+# order rows as the left cuts (3 * lower + lower_open is the left cut key),
+# and the id both breaks their ties, so rows sort in (left cut, id) order,
+# and makes each row distinct, so a bisection finds one exact row and never
+# compares the upper fields.  A row is a list, owned by its state, so that
+# a rescale multiplies its two keys in place; a list never compares with a
+# tuple, so a bisection probes rows with a list, such as [key].
+KeyRecord = List[int]
 
 
 @dataclass(frozen=True, slots=True)
 class SetView:
     """One member set as a `KnowledgeState` keeps it: the state's own key
-    records of its members, ascending, that is in (left cut, id) order,
-    split into `unpinned`, the members not yet pinned, and `pinned`, whose
-    records (key, 0, id, key, 0) ascend by value, then id."""
+    rows of its members, ascending, that is in (left cut, id) order, split
+    into `unpinned`, the members not yet pinned, and `pinned`, whose rows
+    [key, 0, id, key, 0] ascend by value, then id."""
 
     unpinned: List[KeyRecord]
     pinned: List[KeyRecord]
@@ -250,20 +275,22 @@ class KnowledgeState:
 
     Everything else it keeps is on exact integer keys, all on one scale L,
     the least common multiple of every denominator the state has seen:
-    each element's key record (lower, lower_open, id, upper, upper_open),
-    built once here, holds the keys of its current state's endpoints with
-    their openness as 0 or 1, a point's record being (key, 0, id, key, 0),
-    and its left and right cut keys are read off it.  A value's key
-    is the value times L, so keys order and tie as the rationals do, and
-    nothing below compares a `Fraction`.  `reveal` takes a whole round's
-    answers and keys their values; when a denominator does not divide L,
-    it first multiplies every key record by L'/L, L' the lcm of L and all
-    the round's denominators, so one scale holds throughout: every set
-    view re-points its two lists at the new records, and the cut lists
-    are dropped.  Each rescale costs one pass over the records and the
-    views, and a round pays at most one.  That is rare: counted per run
-    of `harness.run` over seeds 0-19 (0-4 at n >= 400), random minimum
-    (single, overlapping, disjoint, n=20 and n=800) needed at most 2,
+    each element's key row [lower, lower_open, id, upper, upper_open],
+    built here from the endpoint ratios its interval keeps, holds the keys
+    of its current state's endpoints with their openness as 0 or 1, a
+    point's row being [key, 0, id, key, 0], and its left and right cut
+    keys are read off it.  A value's key is the value times L, so keys
+    order and tie as the rationals do, and nothing below compares a
+    `Fraction`.  `reveal` takes a whole round's answers and keys their
+    values; when a denominator does not divide L, it first multiplies the
+    two keys of every row in place by L'/L, L' the lcm of L and all the
+    round's denominators, so one scale holds throughout, and drops the
+    cut lists.  The views hold the very row objects, and a multiplication
+    by L'/L > 0 keeps every list sorted, so no view is touched: a rescale
+    costs one pass over the rows, and a round pays at most one.  That is
+    rare: counted per run of `harness.run` over seeds 0-19 (0-4 at
+    n >= 400), random minimum (single, overlapping, disjoint, n=20 and
+    n=800) needed at most 2,
     mean 0.75-1.2; random sorting (n=16, n=400) at most 2, mean 1.2-1.45; random selection-full (n=20, n=1000) at most
     2, mean 1.0-1.15; random selection-value at most 2, mean 1.0; fig2,
     fig1-pairs, wlb, additive and selfull-lb exactly 1; fig3 and selval-lb
@@ -280,21 +307,21 @@ class KnowledgeState:
     `reveal`, which swaps the revealed element's two cut keys for those of
     its point by bisection, so the i-th cut of either kind is an index read.
     A rescale drops them, and the next `cut_lists` call builds them again
-    from the new records: only selection reads them, and a run rescales at
+    from the rescaled rows: only selection reads them, and a run rescales at
     most about twice.
 
     And it keeps one `SetView` per family set, in a list indexed like the
-    family: the key records of the set's members, the very tuples the state
+    family: the key rows of the set's members, the very lists the state
     holds, in (left cut, id) order, the unpinned ones in one list and the
     pinned ones in another.  The state is handed its instance's family, and
     the first `set_view` call builds every view in one pass: it sorts the
-    key records once and appends each, in that order, to every view that
+    key rows once and appends each, in that order, to every view that
     holds it, so each list comes out ascending with no sort of its own.  A
     set the family lists twice has a view per listing, and no set outside
     the family has a view.  Only the minimum and sorting code asks for
     views, so a selection run builds none.  `reveal` moves the element from
     the first list to the second in every view that holds it, its old
-    record found and its point's record placed by bisection, so the minimum
+    row found and its point's fresh row placed by bisection, so the minimum
     and sorting predicates read each set in left order, endpoint keys
     included, without sorting it.  The family's membership index,
     `holders`, is built once, on first use; the builder, `reveal` and the
@@ -309,10 +336,14 @@ class KnowledgeState:
         self._states: Dict[int, UncertainInterval] = dict(intervals)
         self._family = family
         self._holders: Optional[Dict[int, List[int]]] = None
-        self._scale, ends = scaled_keys(v for st in self._states.values() for v in (st.lower, st.upper))
+        states = list(self._states.values())
+        self._scale, ends = ratio_keys(
+            [st.lower_num for st in states] + [st.upper_num for st in states],
+            [st.lower_den for st in states] + [st.upper_den for st in states],
+        )
         self._keys: Dict[int, KeyRecord] = {
-            eid: (lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN)
-            for (eid, st), lower, upper in zip(self._states.items(), ends[::2], ends[1::2])
+            eid: [lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN]
+            for (eid, st), lower, upper in zip(self._states.items(), ends, ends[len(states) :])
         }
         self._cuts: Optional[Tuple[List[int], List[int]]] = None
         self._views: Optional[List[SetView]] = None  # per family set, once built
@@ -368,7 +399,7 @@ class KnowledgeState:
                 for cuts, cut in zip(self._cuts, (self.left_key(eid), self.right_key(eid))):
                     del cuts[bisect_left(cuts, cut)]
                     insort(cuts, 3 * key)
-            record, point = self._keys[eid], (key, 0, eid, key, 0)
+            record, point = self._keys[eid], [key, 0, eid, key, 0]
             self._states[eid] = UncertainInterval.point(value)
             self._keys[eid] = point
             for i in self._holders[eid] if views else ():
@@ -377,18 +408,15 @@ class KnowledgeState:
                 insort(view.pinned, point)
 
     def _rescale(self, grow: int) -> None:
-        """Multiply every key record by `grow`, moving all of them to the
-        scale L * grow, and drop the cut lists; orders and ties are
-        unchanged."""
+        """Multiply the two keys of every key row by `grow` in place, moving
+        all of them to the scale L * grow, and drop the cut lists; orders
+        and ties are unchanged, so the views, which hold the same rows,
+        stay sorted."""
         self._scale *= grow
-        keys = self._keys = {
-            eid: (lower * grow, lower_open, eid, upper * grow, upper_open)
-            for eid, (lower, lower_open, _, upper, upper_open) in self._keys.items()
-        }
+        for row in self._keys.values():
+            row[0] *= grow
+            row[3] *= grow
         self._cuts = None
-        for view in self._views or ():
-            for records in (view.unpinned, view.pinned):
-                records[:] = [keys[record[2]] for record in records]
 
     def cut_lists(self) -> Tuple[List[int], List[int]]:
         """The ascending cut keys of the left cuts and of the right cuts of
@@ -417,7 +445,7 @@ class KnowledgeState:
         """The kept view of the family's set of index i.
 
         The first call builds one view per family set in one pass: the key
-        records are sorted once, and each is appended, in that order, to the
+        rows are sorted once, and each is appended, in that order, to the
         unpinned or the pinned list of every set that holds it.  A set the
         family lists twice has a view per listing.  The views are kept by
         `reveal`; callers read them and never write.

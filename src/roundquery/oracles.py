@@ -89,7 +89,13 @@ class FixedOracle(ValueOracle):
 
     def __init__(self, instance: Instance, realization: Realization):
         super().__init__(instance)
-        self._record = Realization(MappingProxyType(dict(realization.values))).validate(instance)
+        values = realization.values
+        # a proxy's own copy() is several times faster than dict() of it;
+        # a copy that is not a plain dict still goes through dict()
+        values = values.copy() if isinstance(values, MappingProxyType) else dict(values)
+        if type(values) is not dict:
+            values = dict(values)
+        self._record = Realization(MappingProxyType(values)).validate(instance)
         self.realization = self._record.realization
 
     def _commit_fresh(self, ids: Sequence[int]) -> None:

@@ -21,11 +21,12 @@ The predicates compare the exact integer keys that the knowledge state
 keeps across reveals, all on its one scale, never a `Fraction`: a key is
 the value times a common denominator, so keys order and tie as the
 rationals do.  The minimum and sorting predicates read each set from the
-state's kept `SetView`: its members' key records, which sort in left
-order and carry their endpoint keys, the unpinned ones in one list and
-the pinned points, so ascending by value, in another.  A set's minimum
-is then the head of its pinned list, and its live members are the prefix
-of its left order below that floor, found by one bisection.  The dependent pairs of one set form an
+state's kept `SetView`: its members' key rows, which sort in left order
+and carry their endpoint keys, the unpinned ones in one list and the
+pinned points, so ascending by value, in another.  A set's minimum is
+then the head of its pinned list, and its live members are the prefix of
+its unpinned rows below that floor, whose length one bisection finds;
+the minimum algorithms read their ids in place.  The dependent pairs of one set form an
 interval graph, so one pass over its intervals in left order finds every
 pair, each interval's partners ending where a bisection says:
 `dependency_runs`, the one sweep behind the dependency graph, the
@@ -39,15 +40,16 @@ What the predicates return to callers, cuts, values and certificates,
 is read back as `Fraction`s.
 
 The certificate check reads the states alone and keys them itself: one
-`exact_keys` call over every state's two endpoints and the certificate's
-claimed values (the minima, or the selection value) serves all three
-kinds.  An order a before b is provable when a's upper key is at most
+`ratio_keys` call over every state's two endpoint ratios, which the
+states keep, and the certificate's claimed values (the minima, or the
+selection value) serves all three kinds.  An order a before b is provable when a's upper key is at most
 b's lower key, a state is a point when its two keys are equal, and the
 rank cuts are taken on cut keys.  It reads no `SetView`, cut list or key
 that the knowledge state keeps, so it checks what those decide rather
 than repeat it.  Against the realization it reads, as the offline optima
 do, the one `TruthRecord` that the oracle validated: the realization's
-keys and what the kind asks of it, so nothing keys the realization twice.
+keys and what the kind asks of it, so nothing keys the realization twice,
+and the elements at the selection value are found by their value keys.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from .intervals import (
     cut_keys,
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
-    exact_keys,
+    ratio_keys,
 )
 
 
@@ -106,24 +108,25 @@ def ceil_div(a: int, b: int) -> int:
 # solvedness
 
 
-def minimum_scan(set_idx: int, knowledge: KnowledgeState) -> List[int]:
-    """The live members of the family's set `set_idx`: the unpinned ones
-    that could still lie below its least pinned value, in left order: by
-    (left cut, id).
+def minimum_scan(set_idx: int, knowledge: KnowledgeState) -> int:
+    """The number of live members of the family's set `set_idx`, the
+    unpinned ones that could still lie below its least pinned value: they
+    are that long a prefix of the set view's `unpinned` rows, which hold
+    them in left order, by (left cut, id), so the live ids are
+    `view.unpinned[p][2]` for p below the returned length.
 
     With no pinned value every unpinned member is live.  Otherwise a member
     is dropped once its lower endpoint is at or above the floor, the least
     pinned value (values in open intervals sit strictly above the endpoint,
     so a weak comparison suffices).  The kept view holds the floor's key at
-    the head of its pinned list and the unpinned members' records in left
+    the head of its pinned list and the unpinned members' rows in left
     order, whose lower endpoint keys ascend, so the live ones are the
-    prefix that one bisection with (floor,) finds.
+    prefix that one bisection with [floor] finds.
     """
     view = knowledge.set_view(set_idx)
-    live = view.unpinned
-    if view.pinned:
-        live = live[: bisect_left(live, (view.pinned[0][0],))]
-    return [record[2] for record in live]
+    if not view.pinned:
+        return len(view.unpinned)
+    return bisect_left(view.unpinned, [view.pinned[0][0]])
 
 
 def minimum_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
@@ -150,7 +153,7 @@ def sorting_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
         if b[0] < a[3]:
             return False
     for v, _, _, _, _ in view.pinned:
-        j = bisect_left(spans, (v,)) - 1
+        j = bisect_left(spans, [v]) - 1
         if j >= 0 and v < spans[j][3]:
             return False
     return True
@@ -366,7 +369,7 @@ def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
         if not points:
             continue
         for lower, _, eid, upper, _ in view.unpinned:
-            j = bisect_left(points, (lower + 1,))  # the first point above the lower key
+            j = bisect_left(points, [lower + 1])  # the first point above the lower key
             if j < len(points) and points[j][0] < upper:
                 forced.add(eid)
     return sorted(forced)
@@ -487,7 +490,11 @@ def verify_certificate(
         claims = [v for _, v in cert.minima]
     else:
         claims = [] if cert.value is None else [cert.value]
-    keys = exact_keys([st.lower for st in states] + [st.upper for st in states] + claims)
+    ratios = [v.as_integer_ratio() for v in claims]
+    _, keys = ratio_keys(
+        [st.lower_num for st in states] + [st.upper_num for st in states] + [num for num, _ in ratios],
+        [st.lower_den for st in states] + [st.upper_den for st in states] + [den for _, den in ratios],
+    )
     lower, upper, claimed = dict(zip(ids, keys)), dict(zip(ids, keys[len(ids) :])), keys[2 * len(ids) :]
     if kind is SORTING:
         assert cert.orders is not None
@@ -532,7 +539,10 @@ def verify_certificate(
         if cert.equal_ids != expected:
             raise InstanceError("claimed equal-value elements do not match knowledge")
         if truth is not None:
-            equal = frozenset(e for e in instance.ids() if truth.realization.value(e) == cert.value)
+            # the rank holder's value is cert.value (checked above), so the
+            # elements at that value are those whose value key equals its key
+            at_key = truth.values[truth.holders[0] - 1]
+            equal = frozenset(e for e, key in enumerate(truth.values, 1) if key == at_key)
             if cert.equal_ids != equal:
                 raise InstanceError("equal-value elements contradict the realization")
 

@@ -404,6 +404,19 @@ class TestBudgetMatchesItsDefinition:
             run(Probed(alg, probe), inst, oracle)
         assert time_ties > 0  # the (time, -owners, id) order decided some purchase
 
+    def test_long_rounds_equal_the_reference(self):
+        # k=12 on 6 sets: most of a round is bought, so the purchase heap
+        # also pops entries that an element's later owners made stale
+        for seed in range(50):
+            inst, oracle = resolve_source("random:problem=minimum,n=24,m=6,k=12,overlap=overlap", seed)
+            alg = BudgetRounds()
+
+            def probe(knowledge, open_sets, picked):
+                chosen, charges, seeds, _ = budget_round_reference(inst, knowledge, open_sets)
+                assert (picked, alg.last_charges, alg.last_seeds) == (chosen, charges, seeds), seed
+
+            run(Probed(alg, probe), inst, oracle)
+
 
 class TestSelectionValue:
     def test_lower_bound_family_single_round(self):

@@ -144,20 +144,20 @@ class TestRun:
     ])
     def test_a_run_keys_only_the_states(self, monkeypatch, source, alg):
         """The oracle's record carries the realization's keys, so no audit
-        keys the realization again: the one `exact_keys` call of a run on a
+        keys the realization again: the one `ratio_keys` call of a run on a
         prebuilt oracle is the certificate check's, over the states."""
         inst, oracle = resolve_source(source, 1)
         callers = []
 
         def counted(keys):
-            def wrapper(values):
+            def wrapper(nums, dens):
                 callers.append(sys._getframe(1).f_code.co_name)
-                return keys(values)
+                return keys(nums, dens)
 
             return wrapper
 
         for module in (instances, solving):
-            monkeypatch.setattr(module, "exact_keys", counted(module.exact_keys))
+            monkeypatch.setattr(module, "ratio_keys", counted(module.ratio_keys))
         run(make_algorithm(alg, inst), inst, oracle, opt_cap=inst.n)
         assert callers == ["verify_certificate"]
 

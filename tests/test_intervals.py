@@ -289,12 +289,13 @@ class TestKnowledgeState:
 
     @staticmethod
     def _kept(k, view):
-        """Everything a state keeps on its scale, the view's lists too."""
+        """Everything a state keeps on its scale, the view's lists too, each
+        row copied, since a rescale writes the rows in place."""
         lefts, rights = k.cut_lists()
         keys = [(k.left_key(e), k.right_key(e)) for e in k.ids()]
         # the keys read back as cuts witness the scale
         cuts = [k.cut_of(key) for key in lefts + rights]
-        return list(lefts), list(rights), keys, cuts, list(view.unpinned), list(view.pinned)
+        return list(lefts), list(rights), keys, cuts, [*map(list, view.unpinned)], [*map(list, view.pinned)]
 
     @pytest.mark.parametrize("value, text", [
         (Fraction(0), "0"),  # exactly on the open lower endpoint
@@ -338,21 +339,42 @@ class TestKnowledgeState:
         assert view.unpinned == [] and [record[2] for record in view.pinned] == [1, 2, 3]
 
     def test_views_list_the_states_records(self):
-        # a view lists each member's record as the state keeps it, a pinned
-        # member's as its point's (key, 0, id, key, 0), through reveals that
+        # a view lists each member's row as the state keeps it, a pinned
+        # member's as its point's [key, 0, id, key, 0], through reveals that
         # move every key to a finer scale
         k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}"), 4: iv("(2,5]")}, [frozenset({4, 3, 2, 1})])
         view = k.set_view(0)
 
         def record(e):
             left, right = k.left_key(e), k.right_key(e)
-            return (left // 3, left % 3, e, -(-right // 3), -right % 3)
+            return [left // 3, left % 3, e, -(-right // 3), -right % 3]
 
         for answers in ({}, {1: Fraction(1, 11)}, {4: Fraction(27, 13), 2: Fraction(3)}):
             k.reveal(answers)
             assert view.unpinned == sorted(record(e) for e in k.ids() if not k.state(e).trivial)
             assert view.pinned == sorted(record(e) for e in k.ids() if k.state(e).trivial)
         assert [record[2] for record in view.pinned] == [1, 4, 2, 3]
+
+    def test_rescale_writes_the_rows_in_place(self):
+        # a reveal over a denominator new to the state multiplies both keys
+        # of every row by the growth of the scale, in place: every view
+        # keeps its row objects, in order, each with its id and openness,
+        # and only the revealed element's row is new
+        k = KnowledgeState(
+            {1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}"), 4: iv("(2,5]")},
+            [frozenset({1, 2, 3, 4}), frozenset({2, 4}), frozenset({2, 4})],
+        )
+        views = [k.set_view(i) for i in range(3)]
+        held = [view.unpinned + view.pinned for view in views]
+        copies = [[list(row) for row in rows] for rows in held]
+        k.reveal({1: Fraction(1, 7)})
+        assert k.cut_of(3)[0] == Fraction(1, 14)  # the scale grew by 7
+        for view, rows, old in zip(views, held, copies):
+            now = [row for row in view.unpinned + view.pinned if row[2] != 1]
+            kept = [(row, copy) for row, copy in zip(rows, old) if copy[2] != 1]
+            assert len(now) == len(kept) and all(a is b for a, (b, _) in zip(now, kept))
+            for row, copy in kept:
+                assert row == [7 * copy[0], copy[1], copy[2], 7 * copy[3], copy[4]]
 
     def test_never_reverts(self):
         self.k.reveal({1: Fraction(2)})

@@ -83,10 +83,16 @@ def knowledge_of(intervals, revealed=(), family=()):
     return k
 
 
+def scanned(i, k):
+    """The live ids of the family's set i: its view's unpinned rows up to
+    the length `minimum_scan` returns."""
+    return [row[2] for row in k.set_view(i).unpinned[: minimum_scan(i, k)]]
+
+
 def discarded(members, k):
     """Unpinned members the scan rules out as the minimum of `members`, the
     family's set 0."""
-    return {e for e in members if k.known_value(e) is None} - set(minimum_scan(0, k))
+    return {e for e in members if k.known_value(e) is None} - set(scanned(0, k))
 
 
 def _defined_scan(members, k):
@@ -154,7 +160,7 @@ class TestMinimumSolved:
             if not st_e.trivial:  # a point is pinned from the start
                 k.reveal({eid: st_e.lower + (st_e.upper - st_e.lower) * data.draw(st.sampled_from(_INSIDE))})
         floor, live = _defined_scan(members, k)
-        assert minimum_scan(0, k) == live
+        assert scanned(0, k) == live
         assert minimum_solved(0, k) == (floor is not None and not live)
 
     def test_brute_force_agrees_it_is_solved(self):
@@ -384,7 +390,7 @@ class TestKeptViews:
 
     @staticmethod
     def _answers(inst, k):
-        per_set = [(minimum_scan(i, k), minimum_solved(i, k), sorting_solved(i, k)) for i in range(inst.m)]
+        per_set = [(scanned(i, k), minimum_solved(i, k), sorting_solved(i, k)) for i in range(inst.m)]
         try:
             minima = extract_certificate(replace(inst, problem=ProblemKind(MINIMUM)), k).minima
         except InstanceError as exc:
@@ -424,11 +430,11 @@ class TestKeptViews:
 
 
 def _record(k, eid):
-    """eid's key record (lower, lower_open, id, upper, upper_open), read
+    """eid's key row [lower, lower_open, id, upper, upper_open], read
     back off its cut keys 3 * lower + lower_open and 3 * upper - upper_open."""
     lower, lower_open = divmod(k.left_key(eid), 3)
     upper, closed = divmod(k.right_key(eid) + 1, 3)
-    return (lower, lower_open, eid, upper, 1 - closed)
+    return [lower, lower_open, eid, upper, 1 - closed]
 
 
 class TestViewsAreTheirSort:
@@ -494,7 +500,7 @@ class TestRescale:
         kinds = [ProblemKind(SORTING), ProblemKind(MINIMUM)]
         kinds += [ProblemKind(kind, rank=i) for kind in (SELECTION_VALUE, SELECTION_FULL) for i in range(1, n + 1)]
         sets = make_instance(self.ELEMENTS, self.FAMILY, ProblemKind(SORTING), 2)
-        per_set = [(minimum_scan(i, k), sorting_solved(i, k)) for i in range(len(self.FAMILY))]
+        per_set = [(scanned(i, k), sorting_solved(i, k)) for i in range(len(self.FAMILY))]
         ranks = []
         certificates = []
         for kind in kinds:
