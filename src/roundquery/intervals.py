@@ -7,12 +7,12 @@ open endpoint must compare as strictly outside.  Orders, though, are taken
 on exact integer keys: a value's key is the value times a common
 denominator L of the values compared, so keys order and tie exactly as the
 rationals do, at the cost of an int comparison rather than a `Fraction`
-one.  `exact_keys` keys one list of values and `ratio_keys` keys
-numerators over denominators, such as the endpoint ratios an interval
-keeps (the audits key what they compare this way); a `KnowledgeState`
-keeps one L and the keys of all its states across reveals, so the run
-loop compares ints throughout.  A cut
-(v, flag), an endpoint with its openness, is keyed as 3 * key + flag.
+one.  `ratio_keys` keys numerators over denominators, such as the
+endpoint ratios each interval keeps, and `exact_keys` one list of values
+(the audits key what they compare this way); a `KnowledgeState` keeps one
+L and the keys of all its states across reveals, so the run loop compares
+ints throughout.  A cut (v, flag), an endpoint with its openness, is
+keyed as 3 * key + flag.
 
 An element's knowledge state has one shape, an `UncertainInterval`: its
 original interval until queried, then the closed point {v} of the
@@ -43,12 +43,7 @@ class IntervalError(ValueError):
 def ratio_keys(nums: Sequence[int], dens: Sequence[int]) -> Tuple[int, List[int]]:
     """The keying core: the scale L, the least common multiple of the
     denominators `dens`, and the exact keys `num * (L // den)` of the
-    rationals num/den.  When L is 1 the numerators are the keys.
-
-    The intervals keep their endpoints' ratios (`UncertainInterval`'s
-    `lower_num` to `upper_den`), so the knowledge state, the truth record
-    and the certificate check key endpoints from those and call
-    `as_integer_ratio` only on values."""
+    rationals num/den.  When L is 1 the numerators are the keys."""
     scale = math.lcm(*set(dens))
     if scale == 1:
         return 1, list(nums)
@@ -290,8 +285,8 @@ class KnowledgeState:
     costs one pass over the rows, and a round pays at most one.  That is
     rare: counted per run of `harness.run` over seeds 0-19 (0-4 at
     n >= 400), random minimum (single, overlapping, disjoint, n=20 and
-    n=800) needed at most 2,
-    mean 0.75-1.2; random sorting (n=16, n=400) at most 2, mean 1.2-1.45; random selection-full (n=20, n=1000) at most
+    n=800) needed at most 2, mean 0.75-1.2; random sorting (n=16, n=400)
+    at most 2, mean 1.2-1.45; random selection-full (n=20, n=1000) at most
     2, mean 1.0-1.15; random selection-value at most 2, mean 1.0; fig2,
     fig1-pairs, wlb, additive and selfull-lb exactly 1; fig3 and selval-lb
     none.  The worst case is a new prime denominator in every value: on

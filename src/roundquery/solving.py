@@ -26,11 +26,11 @@ and carry their endpoint keys, the unpinned ones in one list and the
 pinned points, so ascending by value, in another.  A set's minimum is
 then the head of its pinned list, and its live members are the prefix of
 its unpinned rows below that floor, whose length one bisection finds;
-the minimum algorithms read their ids in place.  The dependent pairs of one set form an
-interval graph, so one pass over its intervals in left order finds every
-pair, each interval's partners ending where a bisection says:
-`dependency_runs`, the one sweep behind the dependency graph, the
-residual R and the greedy matching of `batch-sort-2`.  The points that
+the minimum algorithms read their ids in place.  The dependent pairs of
+one set form an interval graph, so one pass over its intervals in left
+order finds every pair, each interval's partners ending where a
+bisection says: `dependency_runs`, the one sweep behind the dependency
+graph, the residual R and the greedy matching of `batch-sort-2`.  The points that
 force queries, or that leave a set unsorted, are found by bisection.
 Selection reads its rank cuts from the kept cut lists of cut keys, and
 `selection_categories` classifies a pool that only shrinks over a run:
@@ -42,11 +42,11 @@ is read back as `Fraction`s.
 The certificate check reads the states alone and keys them itself: one
 `ratio_keys` call over every state's two endpoint ratios, which the
 states keep, and the certificate's claimed values (the minima, or the
-selection value) serves all three kinds.  An order a before b is provable when a's upper key is at most
-b's lower key, a state is a point when its two keys are equal, and the
-rank cuts are taken on cut keys.  It reads no `SetView`, cut list or key
-that the knowledge state keeps, so it checks what those decide rather
-than repeat it.  Against the realization it reads, as the offline optima
+selection value) serves all three kinds.  An order a before b is
+provable when a's upper key is at most b's lower key, a state is a point
+when its two keys are equal, and the rank cuts are taken on cut keys.
+It reads no `SetView`, cut list or key that the knowledge state keeps,
+so it checks what those decide rather than repeat it.  Against the realization it reads, as the offline optima
 do, the one `TruthRecord` that the oracle validated: the realization's
 keys and what the kind asks of it, so nothing keys the realization twice,
 and the elements at the selection value are found by their value keys.
