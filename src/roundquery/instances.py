@@ -32,8 +32,8 @@ from .intervals import (
     IntervalError,
     KnowledgeState,
     UncertainInterval,
+    interval_keys,
     parse_rational,
-    ratio_keys,
 )
 
 
@@ -109,7 +109,7 @@ class Instance:
         return range(1, self.n + 1)
 
     def knowledge(self) -> KnowledgeState:
-        return KnowledgeState(dict(enumerate(self.elements, 1)), self.family)
+        return KnowledgeState(enumerate(self.elements, 1), self.family)
 
     def validate(self) -> None:
         n = len(self.elements)
@@ -166,7 +166,7 @@ class Realization:
 @dataclass(frozen=True)
 class TruthRecord:
     """A realization, the keys of each element's endpoints and value in id
-    order from one `ratio_keys` call, and what the kind asks of it: each
+    order from one `interval_keys` call, and what the kind asks of it: each
     set's true minimum (minimum) or the true i-th value (both selection
     kinds), with the ids that hold them."""
 
@@ -184,14 +184,8 @@ def truth_record(instance: Instance, realization: Union[Realization, TruthRecord
     `Realization.validate` gets it from there); a record is returned as is."""
     if isinstance(realization, TruthRecord):
         return realization
-    elements, n, value = instance.elements, instance.n, realization.values.__getitem__
-    # endpoints from the ratios the intervals keep, values from their own
-    ratios = [value(e).as_integer_ratio() for e in instance.ids()]
-    _, keys = ratio_keys(
-        [iv.lower_num for iv in elements] + [iv.upper_num for iv in elements] + [num for num, _ in ratios],
-        [iv.lower_den for iv in elements] + [iv.upper_den for iv in elements] + [den for _, den in ratios],
-    )
-    lowers, uppers, values = keys[:n], keys[n : 2 * n], keys[2 * n :]
+    value = realization.values.__getitem__
+    _, lowers, uppers, values = interval_keys(instance.elements, map(value, instance.ids()))
     key = dict(zip(instance.ids(), values)).__getitem__
     if instance.problem.kind is MINIMUM:
         holders = tuple(min(members, key=key) for members in instance.family)

@@ -7,8 +7,8 @@ open endpoint must compare as strictly outside.  Orders, though, are taken
 on exact integer keys: a value's key is the value times a common
 denominator L of the values compared, so keys order and tie exactly as the
 rationals do, at the cost of an int comparison rather than a `Fraction`
-one.  `ratio_keys` keys numerators over denominators, such as the
-endpoint ratios each interval keeps, and `exact_keys` one list of values
+one.  `interval_keys` is the one place that makes keys: of intervals'
+endpoints, from the ratios each interval keeps, and of values, on one L
 (the audits key what they compare this way); a `KnowledgeState` keeps one
 L and the keys of all its states across reveals, so the run loop compares
 ints throughout.  A cut (v, flag), an endpoint with its openness, is
@@ -31,40 +31,13 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
 
 class IntervalError(ValueError):
     """Malformed interval, rational, or knowledge update."""
-
-
-def ratio_keys(nums: Sequence[int], dens: Sequence[int]) -> Tuple[int, List[int]]:
-    """The keying core: the scale L, the least common multiple of the
-    denominators `dens`, and the exact keys `num * (L // den)` of the
-    rationals num/den.  When L is 1 the numerators are the keys."""
-    scale = math.lcm(*set(dens))
-    if scale == 1:
-        return 1, list(nums)
-    return scale, [num * (scale // den) for num, den in zip(nums, dens)]
-
-
-def exact_keys(values: Iterable[Fraction]) -> List[int]:
-    """Integer keys that order and tie exactly as the rationals `values`.
-
-    Each value is multiplied by L, the least common multiple of all the
-    denominators, so key i is `v.numerator * (L // v.denominator)`: an
-    integer, no rounding.  Keys of one call compare with each other only.
-    The keys grow with L.  The worst case is many distinct prime
-    denominators: for 3,000 of them the keys have about 39k bits, and
-    keying plus sorting took 0.09 s against 0.02 s for sorting the
-    `Fraction`s (CPython 3.11, 2-vCPU VM); over denominators 1-8 the same
-    took 0.002 s against 0.026 s.  Slower in that case, but bounded, and
-    exact on every input, so there is no second path.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    return ratio_keys([num for num, _ in ratios], [den for _, den in ratios])[1]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -93,7 +66,7 @@ class UncertainInterval:
     derived from the bounds at construction and takes no part in equality,
     and so are `lower_num`, `lower_den`, `upper_num` and `upper_den`, the
     endpoints' `as_integer_ratio()`, which the construction computes to
-    decide `trivial` and keeps for `ratio_keys`: the ints are the
+    decide `trivial` and keeps for `interval_keys`: the ints are the
     `Fraction`s' own objects, so an interval holds four more pointers.
     """
 
@@ -152,7 +125,7 @@ class UncertainInterval:
     def contains_keyed(self, lower, upper, v) -> bool:
         """`contains` on `lower`, `upper` and `v` taken in any one exact
         order of this interval's endpoints and the value, such as their
-        `exact_keys`; the endpoint kinds are this interval's."""
+        `interval_keys`; the endpoint kinds are this interval's."""
         if not (lower <= v if self.lower_kind is CLOSED else lower < v):
             return False
         return v <= upper if self.upper_kind is CLOSED else v < upper
@@ -187,6 +160,40 @@ class UncertainInterval:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.text()
+
+
+def interval_keys(
+    intervals: Collection[UncertainInterval], values: Iterable[Fraction] = (), scale: int = 1
+) -> Tuple[int, List[int], List[int], List[int]]:
+    """Exact integer keys: the scale L, the least common multiple of
+    `scale` and every denominator, then the keys of the intervals' lower
+    endpoints, of their upper endpoints and of `values`, each in input
+    order.  The key of num/den is `num * (L // den)`, an integer, no
+    rounding, so the keys of one call order and tie exactly as the
+    rationals do.  L is a multiple of `scale`, so a key kept on `scale`
+    times L // scale is the same rational's key on L.  Endpoints are read
+    from the ratios each interval keeps, values from their
+    `as_integer_ratio()`.  When L is 1 the numerators are the keys.
+
+    The keys grow with L.  The worst case is many distinct prime
+    denominators: for 3,000 of them the keys have about 39k bits, and
+    keying plus sorting took 0.09 s against 0.02 s for sorting the
+    `Fraction`s (CPython 3.11, 2-vCPU VM); over denominators 1-8 the same
+    took 0.002 s against 0.026 s.  Slower in that case, but bounded, and
+    exact on every input, so there is no second path.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = math.lcm(
+        scale, *{iv.lower_den for iv in intervals}, *{iv.upper_den for iv in intervals}, *{den for _, den in ratios}
+    )
+    if scale == 1:
+        return 1, [iv.lower_num for iv in intervals], [iv.upper_num for iv in intervals], [num for num, _ in ratios]
+    return (
+        scale,
+        [iv.lower_num * (scale // iv.lower_den) for iv in intervals],
+        [iv.upper_num * (scale // iv.upper_den) for iv in intervals],
+        [num * (scale // den) for num, den in ratios],
+    )
 
 
 # A cut encodes an endpoint's position on the real line including its
@@ -263,6 +270,8 @@ class KnowledgeState:
     element never reverts, and the value must lie inside the original
     interval (strictly inside open endpoints).  Mutated only by the
     single-threaded run loop of a trial, one round's answers at a time.
+    Built from (id, interval) pairs, such as `enumerate(elements, 1)`, or
+    a dict of them.
 
     An element is pinned when its state is a point, trivial from the start
     or revealed, and `reveal` refuses it then; `known_value` reads the
@@ -271,10 +280,10 @@ class KnowledgeState:
     Everything else it keeps is on exact integer keys, all on one scale L,
     the least common multiple of every denominator the state has seen:
     each element's key row [lower, lower_open, id, upper, upper_open],
-    built here from the endpoint ratios its interval keeps, holds the keys
-    of its current state's endpoints with their openness as 0 or 1, a
-    point's row being [key, 0, id, key, 0], and its left and right cut
-    keys are read off it.  A value's key is the value times L, so keys
+    built here by `interval_keys`, holds the keys of its current state's
+    endpoints with their openness as 0 or 1, a point's row being
+    [key, 0, id, key, 0], and its left and right cut keys are read off
+    it.  A value's key is the value times L, so keys
     order and tie as the rationals do, and nothing below compares a
     `Fraction`.  `reveal` takes a whole round's answers and keys their
     values; when a denominator does not divide L, it first multiplies the
@@ -327,18 +336,14 @@ class KnowledgeState:
     the cut that a cut key stands for.
     """
 
-    def __init__(self, intervals: Dict[int, UncertainInterval], family: Sequence[FrozenSet[int]] = ()):
+    def __init__(self, intervals: Iterable[Tuple[int, UncertainInterval]], family: Sequence[FrozenSet[int]] = ()):
         self._states: Dict[int, UncertainInterval] = dict(intervals)
         self._family = family
         self._holders: Optional[Dict[int, List[int]]] = None
-        states = list(self._states.values())
-        self._scale, ends = ratio_keys(
-            [st.lower_num for st in states] + [st.upper_num for st in states],
-            [st.lower_den for st in states] + [st.upper_den for st in states],
-        )
+        self._scale, lowers, uppers, _ = interval_keys(self._states.values())
         self._keys: Dict[int, KeyRecord] = {
             eid: [lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN]
-            for (eid, st), lower, upper in zip(self._states.items(), ends, ends[len(states) :])
+            for (eid, st), lower, upper in zip(self._states.items(), lowers, uppers)
         }
         self._cuts: Optional[Tuple[List[int], List[int]]] = None
         self._views: Optional[List[SetView]] = None  # per family set, once built
@@ -376,10 +381,8 @@ class KnowledgeState:
         interval before anything changes, so a refused round leaves the
         state as it was.  The keys move at most once, to the lcm of L and
         the round's denominators."""
-        ratios = [value.as_integer_ratio() for value in answers.values()]
-        scale = math.lcm(self._scale, *(den for _, den in ratios))
+        scale, _, _, keys = interval_keys((), answers.values(), self._scale)
         grow = scale // self._scale
-        keys = [num * (scale // den) for num, den in ratios]
         for (eid, value), key in zip(answers.items(), keys):
             iv, record = self._states[eid], self._keys[eid]
             if iv.trivial:

@@ -40,16 +40,17 @@ What the predicates return to callers, cuts, values and certificates,
 is read back as `Fraction`s.
 
 The certificate check reads the states alone and keys them itself: one
-`ratio_keys` call over every state's two endpoint ratios, which the
-states keep, and the certificate's claimed values (the minima, or the
-selection value) serves all three kinds.  An order a before b is
-provable when a's upper key is at most b's lower key, a state is a point
-when its two keys are equal, and the rank cuts are taken on cut keys.
-It reads no `SetView`, cut list or key that the knowledge state keeps,
-so it checks what those decide rather than repeat it.  Against the realization it reads, as the offline optima
+`interval_keys` call over every state's endpoints and the certificate's
+claimed values (the minima, or the selection value) serves all three
+kinds.  An order a before b is provable when a's upper key is at most
+b's lower key, a state is a point when its two keys are equal, and the
+rank cuts are taken on cut keys.  It reads no `SetView`, cut list or key
+that the knowledge state keeps, so it checks what those decide rather
+than repeat it.  Against the realization it reads, as the offline optima
 do, the one `TruthRecord` that the oracle validated: the realization's
-keys and what the kind asks of it, so nothing keys the realization twice,
-and the elements at the selection value are found by their value keys.
+keys and what the kind asks of it, so nothing keys the realization
+twice, and the elements at the selection value are found by their value
+keys.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from .intervals import (
     cut_keys,
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
-    ratio_keys,
+    interval_keys,
 )
 
 
@@ -490,12 +491,8 @@ def verify_certificate(
         claims = [v for _, v in cert.minima]
     else:
         claims = [] if cert.value is None else [cert.value]
-    ratios = [v.as_integer_ratio() for v in claims]
-    _, keys = ratio_keys(
-        [st.lower_num for st in states] + [st.upper_num for st in states] + [num for num, _ in ratios],
-        [st.lower_den for st in states] + [st.upper_den for st in states] + [den for _, den in ratios],
-    )
-    lower, upper, claimed = dict(zip(ids, keys)), dict(zip(ids, keys[len(ids) :])), keys[2 * len(ids) :]
+    _, lowers, uppers, claimed = interval_keys(states, claims)
+    lower, upper = dict(zip(ids, lowers)), dict(zip(ids, uppers))
     if kind is SORTING:
         assert cert.orders is not None
         if len(cert.orders) != instance.m:

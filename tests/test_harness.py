@@ -144,20 +144,21 @@ class TestRun:
     ])
     def test_a_run_keys_only_the_states(self, monkeypatch, source, alg):
         """The oracle's record carries the realization's keys, so no audit
-        keys the realization again: the one `ratio_keys` call of a run on a
-        prebuilt oracle is the certificate check's, over the states."""
+        keys the realization again: the one `interval_keys` call outside the
+        knowledge state in a run on a prebuilt oracle is the certificate
+        check's, over the states."""
         inst, oracle = resolve_source(source, 1)
         callers = []
 
         def counted(keys):
-            def wrapper(nums, dens):
+            def wrapper(*args):
                 callers.append(sys._getframe(1).f_code.co_name)
-                return keys(nums, dens)
+                return keys(*args)
 
             return wrapper
 
         for module in (instances, solving):
-            monkeypatch.setattr(module, "ratio_keys", counted(module.ratio_keys))
+            monkeypatch.setattr(module, "interval_keys", counted(module.interval_keys))
         run(make_algorithm(alg, inst), inst, oracle, opt_cap=inst.n)
         assert callers == ["verify_certificate"]
 

@@ -16,7 +16,7 @@ from roundquery.intervals import (
     UncertainInterval,
     cut_order,
     dependent,
-    exact_keys,
+    interval_keys,
     parse_rational,
 )
 
@@ -433,19 +433,36 @@ class TestExactKeys:
         drawn = data.draw(st.lists(rationals(), max_size=12))
         repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=6)) if drawn else []
         values = data.draw(st.permutations(drawn + repeats + [Fraction(0)]))
-        keys = exact_keys(values)
+        keys = interval_keys((), values)[3]
         assert len(keys) == len(values) and all(type(key) is int for key in keys)
         for i, j in itertools.product(range(len(values)), repeat=2):
             assert (keys[i] < keys[j]) == (values[i] < values[j])
             assert (keys[i] == keys[j]) == (values[i] == values[j])
 
     def test_empty_list_has_no_keys(self):
-        assert exact_keys([]) == []
+        assert interval_keys((), [])[3] == []
 
     def test_many_distinct_prime_denominators(self):
         # 200 primes: a common denominator of about 1,700 bits, and 1/p and
         # 1/q, as close as (q - p) / (p * q), still order exactly
         primes = [p for p in range(2, 1300) if all(p % d for d in range(2, int(p**0.5) + 1))][:200]
         values = [Fraction(k * p + 1, p) for k, p in enumerate(primes)] + [Fraction(1, p) for p in primes]
-        keys = exact_keys(values)
+        keys = interval_keys((), values)[3]
         assert sorted(range(len(values)), key=keys.__getitem__) == sorted(range(len(values)), key=values.__getitem__)
+
+    @given(data=st.data())
+    def test_endpoint_and_value_keys_order_and_tie_as_the_rationals(self, data):
+        # mixed-kind intervals and points, values, and a base scale that
+        # may share a factor with the denominators or bring its own prime
+        drawn = data.draw(st.lists(states(), max_size=8))
+        values = data.draw(st.lists(rationals(), max_size=6))
+        base = data.draw(st.one_of(st.integers(1, 12), st.sampled_from(LARGE_PRIMES)))
+        scale, lowers, uppers, keys = interval_keys(drawn, values, base)
+        assert scale % base == 0
+        assert (len(lowers), len(uppers), len(keys)) == (len(drawn), len(drawn), len(values))
+        exact = [state.lower for state in drawn] + [state.upper for state in drawn] + values
+        keyed = lowers + uppers + keys
+        assert all(type(key) is int and key == value * scale for key, value in zip(keyed, exact))
+        for i, j in itertools.product(range(len(exact)), repeat=2):
+            assert (keyed[i] < keyed[j]) == (exact[i] < exact[j])
+            assert (keyed[i] == keyed[j]) == (exact[i] == exact[j])
