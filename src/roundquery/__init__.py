@@ -88,7 +88,6 @@ from .solving import (
     instance_solved,
     minimum_scan,
     minimum_solved,
-    opt1_bruteforce,
     opt1_minimum,
     opt1_selection_full,
     opt1_selection_value,

@@ -173,6 +173,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise InstanceError(f"--jobs: must be at least 1, not {args.jobs}")
     entries = parse_bench_spec(_read(args.spec))
     try:
         rows, failures = sweep(entries, jobs=args.jobs), []
@@ -220,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="print per-round query lines")
     p.add_argument("--opt-cap", type=int, default=OPT_CAP, help=OPT_CAP_HELP)
-    p.add_argument("--as-rounds", metavar="k=K", help="wrap a batch algorithm into rounds of K")
-    p.add_argument(
+    model = p.add_mutually_exclusive_group()
+    model.add_argument("--as-rounds", metavar="k=K", help="wrap a batch algorithm into rounds of K")
+    model.add_argument(
         "--as-batches", nargs=2, metavar=("r=R", "alpha=A"),
         help="wrap the round algorithm into at most R batches",
     )

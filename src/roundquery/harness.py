@@ -391,10 +391,12 @@ def sweep(entries: Sequence[SweepEntry], jobs: int = 1) -> List[Dict[str, str]]:
         for entry in entries
         for seed in entry.seeds
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts every worker it may use, so it gets no more than there are rows
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # a few chunks per worker: a hand-off per row costs more than most rows take
-            results = list(pool.map(_run_row, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+            results = list(pool.map(_run_row, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         results = [_run_row(task) for task in tasks]
     rows = [r for r in results if isinstance(r, dict)]

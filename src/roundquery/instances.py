@@ -166,17 +166,15 @@ class Realization:
 @dataclass(frozen=True)
 class TruthRecord:
     """A realization, the keys of each element's endpoints and value in id
-    order from one `interval_keys` call, and what the kind asks of it: each
-    set's true minimum (minimum) or the true i-th value (both selection
-    kinds), with the ids that hold them."""
+    order from one `interval_keys` call, and the ids that hold what the kind
+    asks of it: each set's true minimum (minimum) or the true i-th value
+    (both selection kinds); the realization gives their values."""
 
     realization: Realization
     lowers: List[int]
     uppers: List[int]
     values: List[int]
     holders: Tuple[int, ...] = ()
-    minima: Tuple[Fraction, ...] = ()
-    rank_value: Optional[Fraction] = None
 
 
 def truth_record(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
@@ -184,15 +182,14 @@ def truth_record(instance: Instance, realization: Union[Realization, TruthRecord
     `Realization.validate` gets it from there); a record is returned as is."""
     if isinstance(realization, TruthRecord):
         return realization
-    value = realization.values.__getitem__
-    _, lowers, uppers, values = interval_keys(instance.elements, map(value, instance.ids()))
+    _, lowers, uppers, values = interval_keys(instance.elements, map(realization.values.__getitem__, instance.ids()))
     key = dict(zip(instance.ids(), values)).__getitem__
     if instance.problem.kind is MINIMUM:
         holders = tuple(min(members, key=key) for members in instance.family)
-        return TruthRecord(realization, lowers, uppers, values, holders, minima=tuple(map(value, holders)))
+        return TruthRecord(realization, lowers, uppers, values, holders)
     if instance.problem.is_selection:
         holder = sorted(instance.ids(), key=key)[instance.problem.rank - 1]
-        return TruthRecord(realization, lowers, uppers, values, (holder,), rank_value=value(holder))
+        return TruthRecord(realization, lowers, uppers, values, (holder,))
     return TruthRecord(realization, lowers, uppers, values)
 
 

@@ -121,11 +121,6 @@ class RoundsToBatches:
                 lo = mid + 1
         return lo
 
-    @property
-    def k_schedule(self) -> List[int]:
-        """Every sequence's k, from k_1 = 1."""
-        return [self._k(i) for i in range(1, self.x + 1)]
-
     def next_batch(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         seq, step = divmod(self.batches_used, self.floor_alpha)
         self.batches_used += 1

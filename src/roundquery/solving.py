@@ -13,9 +13,7 @@ bound that gives `sorting-vc` its multi-set cover.  That search takes
 minimum it finds in R is the lexicographically smallest, the canonical
 one.  R is swept over the non-mandatory intervals alone, on the
 realization's exact keys, so the full dependency graph of the instance is
-never built.  Only R is capped.  The subset search in `opt1_bruteforce`
-runs in no report; it is the oracle that the other optima are tested
-against.
+never built.  Only R is capped.
 
 The predicates compare the exact integer keys that the knowledge state
 keeps across reveals, all on its one scale, never a `Fraction`: a key is
@@ -55,7 +53,6 @@ keys.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -85,8 +82,6 @@ from .intervals import (
 
 # the default `cap` of `canonical_opt`: the largest sorting residual covered
 OPT_CAP = 22
-# the default `cap` of `opt1_bruteforce`: it bounds n, not the sorting residual
-BRUTE_FORCE_CAP = 22
 
 
 OpenSets = Tuple[int, ...]  # indices of the unsolved sets, ascending, never empty
@@ -98,7 +93,7 @@ class AlgorithmError(RuntimeError):
 
 class BruteForceCapError(InstanceError):
     """Optimum refused above its cap: the sorting residual's vertex count
-    for `canonical_opt`, n for the `opt1_bruteforce` oracle."""
+    for `canonical_opt`."""
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -229,14 +224,6 @@ class SelectionRoundView:
     inside: Tuple[int, ...]
     left_overlap: Tuple[int, ...]
     right_overlap: Tuple[int, ...]
-
-    @property
-    def a(self) -> int:
-        return len(self.containing)
-
-    @property
-    def b(self) -> int:
-        return len(self.inside)
 
     def members(self) -> List[int]:
         """The ids of all four buckets, ascending."""
@@ -516,7 +503,7 @@ def verify_certificate(
                     if lower[e] == upper[e]:
                         raise InstanceError("a known value undercuts the claimed minimum")
                     raise InstanceError("an unqueried element could undercut the claimed minimum")
-            if truth is not None and truth.minima[i] != v:
+            if truth is not None and truth.realization.value(truth.holders[i]) != v:
                 raise InstanceError("claimed minimum contradicts the realization")
         return
     # the i-th left and right cuts, on cut keys taken here from the states
@@ -526,7 +513,7 @@ def verify_certificate(
     # equal rank cut keys are one value with flag 0 on both sides: at // 3
     if at != sorted(right for _, right in cuts)[rank - 1] or claimed != [at // 3]:
         raise InstanceError("selection value is not pinned to the claimed value")
-    if truth is not None and truth.rank_value != cert.value:
+    if truth is not None and truth.realization.value(truth.holders[0]) != cert.value:
         raise InstanceError("selection value contradicts the realization")
     if kind is SELECTION_FULL:
         assert cert.equal_ids is not None
@@ -553,7 +540,7 @@ class OptReport:
     opt1: int
     opt_set: FrozenSet[int]
     opt_k: int
-    method: str  # closed-form | branch-and-bound | brute-force (oracle)
+    method: str  # closed-form | branch-and-bound
 
     @staticmethod
     def of(opt_set: Iterable[int], k: int, method: str) -> "OptReport":
@@ -704,22 +691,6 @@ def opt1_sorting(instance: Instance, realization: Union[Realization, TruthRecord
     if len(vertices) > cap:
         raise BruteForceCapError(f"sorting residual of {len(vertices)} vertices above cap {cap}")
     return OptReport.of(mandatory | exact_cover(edges, lexicographic=True), instance.k, "branch-and-bound")
-
-
-def opt1_bruteforce(instance: Instance, realization: Realization, cap: int = BRUTE_FORCE_CAP) -> OptReport:
-    """Minimum feasible query set, lexicographically smallest among minima,
-    by subset enumeration in cardinality order.  No report uses it: it is
-    the oracle that the closed forms and `opt1_sorting` are tested
-    against, and `cap` bounds n.
-    """
-    if instance.n > cap:
-        raise BruteForceCapError(f"n = {instance.n} above brute-force cap {cap}")
-    candidates = [e for e in instance.ids() if not instance.interval(e).trivial]
-    for size in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if query_set_feasible(instance, realization, combo):
-                return OptReport.of(combo, instance.k, "brute-force")
-    raise InstanceError("no feasible query set; instance is inconsistent")
 
 
 def canonical_opt(instance: Instance, realization: Union[Realization, TruthRecord], cap: int = OPT_CAP) -> OptReport:

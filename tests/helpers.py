@@ -5,15 +5,22 @@ greedy matching that the sweep's matching is checked against, the
 pairwise interval greedy that the cut-key one is checked against, a
 set's live members by their definition, the balanced round as a rescan
 of every open set per pick, the budget round with every open set's
-budget rewritten after each purchase, and the cuts as (value, flag)
-tuples, the reference for every cut key."""
+budget rewritten after each purchase, the cuts as (value, flag) tuples,
+the reference for every cut key, the subset-search optimum that the
+closed forms and the sorting optimum are checked against, and the round
+sizes of a `RoundsToBatches` by sequence."""
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from roundquery.instances import InstanceError
 from roundquery.intervals import CLOSED, dependent
-from roundquery.solving import set_solved
+from roundquery.solving import BruteForceCapError, OptReport, query_set_feasible, set_solved
+
+# the default `cap` of `opt1_bruteforce`: it bounds n, not the sorting residual
+BRUTE_FORCE_CAP = 22
 
 
 # A cut as `KnowledgeState.cut_of` reads a cut key back: (v, 0) is the
@@ -183,3 +190,21 @@ def budget_round_reference(instance, knowledge, open_sets):
         taken.add(winner)
         charges[winner] = tuple(pointing[winner])
     return chosen, charges, tuple(seeds), time_ties
+
+
+def opt1_bruteforce(instance, realization, cap=BRUTE_FORCE_CAP):
+    """Minimum feasible query set, lexicographically smallest among minima,
+    by subset enumeration in cardinality order.  `cap` bounds n."""
+    if instance.n > cap:
+        raise BruteForceCapError(f"n = {instance.n} above brute-force cap {cap}")
+    candidates = [e for e in instance.ids() if not instance.interval(e).trivial]
+    for size in range(len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            if query_set_feasible(instance, realization, combo):
+                return OptReport.of(combo, instance.k, "brute-force")
+    raise InstanceError("no feasible query set; instance is inconsistent")
+
+
+def k_schedule(batch_alg):
+    """Every sequence's k of a `RoundsToBatches`, from k_1 = 1."""
+    return [batch_alg._k(i) for i in range(1, batch_alg.x + 1)]

@@ -533,8 +533,8 @@ class TestSelectionFull:
 
         def probe(knowledge, _open_sets, _picked):
             view = selection_categories(inst, knowledge)
-            assert view.a >= 1
-            assert view.b <= view.a - 1
+            assert len(view.containing) >= 1
+            assert len(view.inside) <= len(view.containing) - 1
 
         trace, _ = run(Probed(alg, probe), inst, FixedOracle(inst, r))
         assert len(trace.rounds) <= 2 * canonical_opt(inst, r).opt_k or not trace.rounds

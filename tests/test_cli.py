@@ -294,6 +294,15 @@ class TestBenchAndTable:
         assert code == 0
         assert len(out_path.read_text().strip().split("\n")) == 5
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bench_jobs_below_one_is_one_error_line(self, tmp_path, capsys, jobs):
+        spec = tmp_path / "spec.rq"
+        spec.write_text("sweep alg=bal source=fig2 seeds=0\n")
+        out_path = tmp_path / "rows.csv"
+        code, out, err = invoke(capsys, "bench", "--spec", str(spec), "-o", str(out_path), "--jobs", jobs)
+        assert (code, out, err) == (1, "", f"error: --jobs: must be at least 1, not {jobs}\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_row_keeps_the_good_rows(self, tmp_path, capsys, jobs):
         spec = tmp_path / "spec.rq"
@@ -400,6 +409,14 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["run", "--alg", "bal", "--nonsense"])
         assert err.value.code == 2
+
+    def test_as_rounds_with_as_batches_is_exit_two(self, capsys):
+        # the two wrappers exclude each other: neither is dropped in silence
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--alg", "batch-sort-2", "--source", "fig2",
+                  "--as-rounds", "k=2", "--as-batches", "r=3", "alpha=1"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_missing_subcommand_is_exit_two(self, capsys):
         with pytest.raises(SystemExit) as err:

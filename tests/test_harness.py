@@ -371,6 +371,28 @@ class TestSweep:
         ]
         assert sweep(entries, jobs=2) == sweep(entries, jobs=1)
 
+    def test_pool_gets_no_more_workers_than_rows(self, monkeypatch):
+        # the fake pool records its size and maps in this process, so no worker starts
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        two_rows = [SweepEntry(alg="bal", source="fig2", seeds=(0,)), SweepEntry(alg="budget", source="fig2", seeds=(0,))]
+        assert sweep(two_rows, jobs=64) == sweep(two_rows, jobs=1)
+        assert asked == [2]
+
     def test_failed_rows_do_not_stop_the_others(self):
         entries = [
             SweepEntry(alg="bal", source="fig2", seeds=(0,)),

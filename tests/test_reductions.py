@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import k_schedule
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import run, run_batches
 from roundquery.instances import (
@@ -92,19 +93,19 @@ class TestRoundsToBatches:
 
     def test_k_schedule_for_n16_x4(self):
         batch_alg = self.make(r=5, alpha=1, n=16)
-        assert batch_alg.k_schedule == [1, 2, 4, 8]
+        assert k_schedule(batch_alg) == [1, 2, 4, 8]
 
     def test_k_schedule_rounds_up(self):
         batch_alg = self.make(r=3, alpha=1, n=10)
         # 10^(1/2) rounds up to 4
-        assert batch_alg.k_schedule == [1, 4]
+        assert k_schedule(batch_alg) == [1, 4]
 
     @pytest.mark.parametrize("n", [1, 2, 10, 17, 1000, 3000, 5000])
     @pytest.mark.parametrize("x, alpha", [(1, 1), (2, 2), (3, 1), (7, 3), (44, 1), (100, 1), (299, 1)])
     def test_k_schedule_is_its_definition(self, n, x, alpha):
         # k_i is the least k >= 1 with k^x >= n^(i-1); from x = 100 on, the
         # larger n^(i-1) lie beyond the float range
-        schedule = self.make(r=alpha * x + 1, alpha=alpha, n=n).k_schedule
+        schedule = k_schedule(self.make(r=alpha * x + 1, alpha=alpha, n=n))
         assert len(schedule) == x
         for i, k in enumerate(schedule):
             assert k >= 1 and k**x >= n**i
@@ -130,7 +131,7 @@ class TestRoundsToBatches:
         sequences_entered = min(len(batches), batch_alg.x)
         if sequences_entered >= 2:
             # unsolved after one round at k_{i-1} means opt_1 > k_{i-1}
-            assert opt.opt1 > batch_alg.k_schedule[sequences_entered - 2]
+            assert opt.opt1 > k_schedule(batch_alg)[sequences_entered - 2]
 
     def test_solved_in_first_sequence_uses_one_batch(self):
         params = RandomParams(n=6, m=1, k=1, problem=ProblemKind(MINIMUM), overlap="single")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import left_cut, matching_cover, pairwise_interval_cover, right_cut
+from helpers import left_cut, matching_cover, opt1_bruteforce, pairwise_interval_cover, right_cut
 from roundquery.algorithms import interval_cover, make_algorithm
 from roundquery.harness import resolve_source, run
 from roundquery.instances import (
@@ -52,7 +52,6 @@ from roundquery.solving import (
     instance_solved,
     minimum_scan,
     minimum_solved,
-    opt1_bruteforce,
     opt1_minimum,
     opt1_selection_full,
     opt1_selection_value,
@@ -784,7 +783,7 @@ class TestTargetArea:
         assert _rank_cuts(inst, inst.knowledge()) == ((2, 0), (6, 0))
         view = selection_categories(inst, inst.knowledge())
         assert view.containing == (3,)
-        assert view.a == 1 and view.b == 0
+        assert len(view.containing) == 1 and len(view.inside) == 0
         assert set(view.left_overlap) == {1, 2}
         assert set(view.right_overlap) == {4, 5}
 
@@ -1164,13 +1163,13 @@ class TestTruthRecord:
         inst, r = _random_case(kind, seed)
         record = truth_record(inst, r)
         assert record.realization is r and truth_record(inst, record) is record
-        naive_minima = tuple(min(r.value(e) for e in members) for members in inst.family)
-        assert record.minima == (naive_minima if kind is MINIMUM else ())
-        if inst.problem.is_selection:
-            assert record.rank_value == sorted(r.value(e) for e in inst.ids())[inst.problem.rank - 1]
+        # the holders hold the naive minima, the naive i-th value, or nothing
+        if kind is MINIMUM:
+            held = tuple(min(r.value(e) for e in members) for members in inst.family)
+        elif inst.problem.is_selection:
+            held = (sorted(r.value(e) for e in inst.ids())[inst.problem.rank - 1],)
         else:
-            assert record.rank_value is None
-        held = record.minima if kind is MINIMUM else (record.rank_value,) if kind is not SORTING else ()
+            held = ()
         assert tuple(map(r.value, record.holders)) == held
         # the endpoint and value keys order and tie as the rationals do
         exact = [iv.lower for iv in inst.elements] + [iv.upper for iv in inst.elements] + [r.value(e) for e in inst.ids()]
