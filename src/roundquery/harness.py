@@ -108,7 +108,7 @@ class RunReport:
 class _OpenSets:
     """The ascending indices of the unsolved sets.  A reveal can change only
     the sets holding the revealed element, so only those are re-checked;
-    the knowledge state's `holders` index names them."""
+    the instance's membership index `sets_of` names them."""
 
     def __init__(self, instance: Instance, knowledge: KnowledgeState) -> None:
         self.instance, self.knowledge = instance, knowledge
@@ -116,8 +116,8 @@ class _OpenSets:
         self.open = tuple(i for i, r in enumerate(self.solved_at) if r < 0)
 
     def update(self, picked: Sequence[int], round_no: int) -> None:
-        holders = self.knowledge.holders
-        for i in {i for e in picked for i in holders[e] if self.solved_at[i] < 0}:
+        sets_of = self.instance.sets_of
+        for i in {i for e in picked for i in sets_of[e] if self.solved_at[i] < 0}:
             if set_solved(self.instance, i, self.knowledge):
                 self.solved_at[i] = round_no
         self.open = tuple(i for i in self.open if self.solved_at[i] < 0)

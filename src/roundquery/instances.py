@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .intervals import (
@@ -85,7 +86,8 @@ SELECTION_FULL = ProblemFamily.SELECTION_FULL
 
 @dataclass(frozen=True)
 class Instance:
-    """Ground set with ids 1..n, family of subsets, problem kind, round width."""
+    """Ground set with ids 1..n, family of subsets, problem kind, round width,
+    and the family's membership index `sets_of`, built once, on first use."""
 
     elements: Tuple[UncertainInterval, ...]
     family: Tuple[frozenset, ...]
@@ -108,8 +110,19 @@ class Instance:
     def ids(self) -> range:
         return range(1, self.n + 1)
 
+    @cached_property
+    def sets_of(self) -> Dict[int, List[int]]:
+        """For each id, the ascending indices of the family's sets that hold
+        it, kept in the instance's `__dict__`, which equality and hash do not
+        read; a copy by `dataclasses.replace` builds its own if asked."""
+        index: Dict[int, List[int]] = {eid: [] for eid in self.ids()}
+        for i, members in enumerate(self.family):
+            for eid in members:
+                index[eid].append(i)
+        return index
+
     def knowledge(self) -> KnowledgeState:
-        return KnowledgeState(enumerate(self.elements, 1), self.family)
+        return KnowledgeState(self)
 
     def validate(self) -> None:
         n = len(self.elements)
@@ -228,8 +241,9 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
     k: Optional[int] = None
     problem: Optional[ProblemKind] = None
     intervals: Dict[int, UncertainInterval] = {}
-    family: List[Tuple[str, List[int]]] = []
+    family: List[List[int]] = []  # the sets' members; their names are not kept
     values: Dict[int, Fraction] = {}
+    value_lines: Dict[int, Tuple[int, str, str]] = {}  # id -> its value line's number, text and id token
 
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -238,10 +252,14 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
         tokens = line.split()
         head = tokens[0]
         if head == "k":
+            if k is not None:
+                _fail(line_no, raw, head, "duplicate 'k' directive")
             if len(tokens) != 2 or not _is_id(tokens[1]):
                 _fail(line_no, raw, tokens[-1], "expected 'k <positive int>'")
             k = int(tokens[1])
         elif head == "problem":
+            if problem is not None:
+                _fail(line_no, raw, head, "duplicate 'problem' directive")
             if len(tokens) not in (2, 3):
                 _fail(line_no, raw, head, "expected 'problem <kind> [i=<int>]'")
             try:
@@ -277,7 +295,7 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
                 if not _is_id(tok):
                     _fail(line_no, raw, tok, "set members must be element ids")
                 members.append(int(tok))
-            family.append((tokens[1], members))
+            family.append(members)
         elif head == "value":
             if len(tokens) != 3 or not _is_id(tokens[1]):
                 _fail(line_no, raw, head, "expected 'value <id> <rational>'")
@@ -288,6 +306,7 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
                 values[eid] = parse_rational(tokens[2])
             except IntervalError as exc:
                 _fail(line_no, raw, tokens[2], str(exc))
+            value_lines[eid] = (line_no, raw, tokens[1])
         else:
             _fail(line_no, raw, head, f"unknown directive {head!r}")
 
@@ -298,12 +317,11 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
     n = len(intervals)
     if sorted(intervals) != list(range(1, n + 1)):
         raise InstanceError("interval ids must be contiguous 1..n")
+    for eid, (line_no, raw, token) in value_lines.items():
+        if eid not in intervals:
+            _fail(line_no, raw, token, f"value for unknown element {eid}")
     elements = tuple(intervals[eid] for eid in range(1, n + 1))
-    if family:
-        sets: Sequence[Sequence[int]] = [members for _, members in family]
-    else:
-        sets = [list(range(1, n + 1))]
-    instance = make_instance(elements, sets, problem, k)
+    instance = make_instance(elements, family or [list(range(1, n + 1))], problem, k)
 
     realization: Optional[Realization] = None
     if values:

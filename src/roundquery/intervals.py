@@ -31,7 +31,10 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from .instances import Instance
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
@@ -270,8 +273,8 @@ class KnowledgeState:
     element never reverts, and the value must lie inside the original
     interval (strictly inside open endpoints).  Mutated only by the
     single-threaded run loop of a trial, one round's answers at a time.
-    Built from (id, interval) pairs, such as `enumerate(elements, 1)`, or
-    a dict of them.
+    Built from its instance alone, whose elements, family and membership
+    index `sets_of` it reads.
 
     An element is pinned when its state is a point, trivial from the start
     or revealed, and `reveal` refuses it then; `known_value` reads the
@@ -317,29 +320,23 @@ class KnowledgeState:
     And it keeps one `SetView` per family set, in a list indexed like the
     family: the key rows of the set's members, the very lists the state
     holds, in (left cut, id) order, the unpinned ones in one list and the
-    pinned ones in another.  The state is handed its instance's family, and
-    the first `set_view` call builds every view in one pass: it sorts the
-    key rows once and appends each, in that order, to every view that
-    holds it, so each list comes out ascending with no sort of its own.  A
-    set the family lists twice has a view per listing, and no set outside
-    the family has a view.  Only the minimum and sorting code asks for
-    views, so a selection run builds none.  `reveal` moves the element from
-    the first list to the second in every view that holds it, its old
-    row found and its point's fresh row placed by bisection, so the minimum
-    and sorting predicates read each set in left order, endpoint keys
-    included, without sorting it.  The family's membership index,
-    `holders`, is built once, on first use; the builder, `reveal` and the
-    run loop all find a member's family sets through it.  Nothing here
-    outlives the state: a fresh one builds its own views.
+    pinned ones in another.  `set_view` builds them all in one pass on its
+    first call, so a selection run, which asks for none, builds none.
+    `reveal` moves the element from the first list to the second in every
+    view that holds it, by bisection, so the minimum and sorting
+    predicates read each set in left order, endpoint keys included,
+    without sorting it.  The builder, `reveal` and the run loop find a
+    member's family sets through the instance's `sets_of`, built once per
+    instance, so a fresh state over the same instance builds only its own
+    keys and views.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
     """
 
-    def __init__(self, intervals: Iterable[Tuple[int, UncertainInterval]], family: Sequence[FrozenSet[int]] = ()):
-        self._states: Dict[int, UncertainInterval] = dict(intervals)
-        self._family = family
-        self._holders: Optional[Dict[int, List[int]]] = None
+    def __init__(self, instance: Instance):
+        self._instance = instance
+        self._states: Dict[int, UncertainInterval] = dict(enumerate(instance.elements, 1))
         self._scale, lowers, uppers, _ = interval_keys(self._states.values())
         self._keys: Dict[int, KeyRecord] = {
             eid: [lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN]
@@ -400,7 +397,7 @@ class KnowledgeState:
             record, point = self._keys[eid], [key, 0, eid, key, 0]
             self._states[eid] = UncertainInterval.point(value)
             self._keys[eid] = point
-            for i in self._holders[eid] if views else ():
+            for i in self._instance.sets_of[eid] if views else ():
                 view = views[i]
                 del view.unpinned[bisect_left(view.unpinned, record)]
                 insort(view.pinned, point)
@@ -427,18 +424,6 @@ class KnowledgeState:
             self._cuts = (sorted(map(self.left_key, self._states)), sorted(map(self.right_key, self._states)))
         return self._cuts
 
-    @property
-    def holders(self) -> Dict[int, List[int]]:
-        """The membership index of the family: for each id, the ascending
-        indices of the family's sets that hold it, built on first use;
-        callers read it and never write."""
-        if self._holders is None:
-            holders = self._holders = {eid: [] for eid in self._states}
-            for i, members in enumerate(self._family):
-                for eid in members:
-                    holders[eid].append(i)
-        return self._holders
-
     def set_view(self, i: int) -> SetView:
         """The kept view of the family's set of index i.
 
@@ -449,13 +434,13 @@ class KnowledgeState:
         `reveal`; callers read them and never write.
         """
         if self._views is None:
-            views = self._views = [SetView([], []) for _ in self._family]
+            views = self._views = [SetView([], []) for _ in self._instance.family]
             unpinned = [view.unpinned for view in views]
             pinned = [view.pinned for view in views]
-            holders, states = self.holders, self._states
+            sets_of, states = self._instance.sets_of, self._states
             for record in sorted(self._keys.values()):
                 lists = pinned if states[record[2]].trivial else unpinned
-                for j in holders[record[2]]:
+                for j in sets_of[record[2]]:
                     lists[j].append(record)
         return self._views[i]
 

@@ -23,13 +23,14 @@ state's kept `SetView`: its members' key rows, which sort in left order
 and carry their endpoint keys, the unpinned ones in one list and the
 pinned points, so ascending by value, in another.  A set's minimum is
 then the head of its pinned list, and its live members are the prefix of
-its unpinned rows below that floor, whose length one bisection finds;
-the minimum algorithms read their ids in place.  The dependent pairs of
-one set form an interval graph, so one pass over its intervals in left
-order finds every pair, each interval's partners ending where a
-bisection says: `dependency_runs`, the one sweep behind the dependency
-graph, the residual R and the greedy matching of `batch-sort-2`.  The points that
-force queries, or that leave a set unsorted, are found by bisection.
+its unpinned rows below that floor, whose length `minimum_scan` finds by
+one bisection; `minimum_solved` and the minimum algorithms read it.  The
+dependent pairs of one set form an interval graph, so one pass over its
+intervals in left order finds every pair, each interval's partners ending
+where a bisection says: `dependency_runs`, the one sweep behind the
+dependency graph, the residual R and the greedy matching of
+`batch-sort-2`.  `_pierced` finds, by bisection, the spans that strictly
+contain a pinned point: they force queries and leave a set unsorted.
 Selection reads its rank cuts from the kept cut lists of cut keys, and
 `selection_categories` classifies a pool that only shrinks over a run:
 what left the target area stays out.  Orders by endpoint, such as the
@@ -73,6 +74,7 @@ from .instances import (
 )
 from .intervals import (
     KnowledgeState,
+    SetView,
     cut_keys,
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
@@ -129,30 +131,36 @@ def minimum_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
     """True iff the minimum value of the family's set `set_idx` is provable
     from current knowledge: some value is pinned and the leftmost unpinned
     member, if any, starts at or above the least of them."""
-    view = knowledge.set_view(set_idx)
-    if not view.pinned:
-        return False
-    return not view.unpinned or view.unpinned[0][0] >= view.pinned[0][0]
+    return bool(knowledge.set_view(set_idx).pinned) and not minimum_scan(set_idx, knowledge)
 
 
 def sorting_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
     """True iff no dependent pair remains within the family's set `set_idx`.
 
     Two spans (unpinned members) are dependent iff, taken in the kept
-    left order, the later one starts below the reach of the earlier ones.
-    Once no such pair exists the spans are disjoint, and a point can only
-    lie strictly inside the last span that starts below it.
+    left order, the later one starts below the reach of the earlier ones;
+    with no such pair left, the set is sorted iff no point pierces a span,
+    that is lies strictly inside it.
     """
     view = knowledge.set_view(set_idx)
     spans = view.unpinned
     for a, b in zip(spans, spans[1:]):
         if b[0] < a[3]:
             return False
-    for v, _, _, _, _ in view.pinned:
-        j = bisect_left(spans, [v]) - 1
-        if j >= 0 and v < spans[j][3]:
-            return False
-    return True
+    return next(_pierced(view), None) is None
+
+
+def _pierced(view: SetView) -> Iterator[int]:
+    """The ids of `view`'s pierced members, the spans (unpinned members)
+    that strictly contain a pinned point, in left order: each span tests
+    the first point above its lower key, found by bisection."""
+    points = view.pinned
+    if not points:
+        return
+    for lower, _, eid, upper, _ in view.unpinned:
+        j = bisect_left(points, [lower + 1])
+        if j < len(points) and points[j][0] < upper:
+            yield eid
 
 
 def rank_cut_keys(instance: Instance, knowledge: KnowledgeState) -> Tuple[int, int]:
@@ -347,20 +355,8 @@ def greedy_matching_cover(instance: Instance, knowledge: KnowledgeState) -> Froz
 def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
     """Unqueried intervals that strictly contain a known point of a co-set
     element: no answer can order them against that point, so every
-    solution queries them.  Per set, the first point above an interval's
-    lower endpoint is found by bisection in the kept pinned list and tested
-    against its upper."""
-    forced: Set[int] = set()
-    for i in range(instance.m):
-        view = knowledge.set_view(i)
-        points = view.pinned
-        if not points:
-            continue
-        for lower, _, eid, upper, _ in view.unpinned:
-            j = bisect_left(points, [lower + 1])  # the first point above the lower key
-            if j < len(points) and points[j][0] < upper:
-                forced.add(eid)
-    return sorted(forced)
+    solution queries them: the pierced members of every set's view."""
+    return sorted({eid for i in range(instance.m) for eid in _pierced(knowledge.set_view(i))})
 
 
 def exact_cover(edges: Sequence[Tuple[int, int]], lexicographic: bool = False) -> FrozenSet[int]:

@@ -7,15 +7,16 @@ set's live members by their definition, the balanced round as a rescan
 of every open set per pick, the budget round with every open set's
 budget rewritten after each purchase, the cuts as (value, flag) tuples,
 the reference for every cut key, the subset-search optimum that the
-closed forms and the sorting optimum are checked against, and the round
-sizes of a `RoundsToBatches` by sequence."""
+closed forms and the sorting optimum are checked against, the round
+sizes of a `RoundsToBatches` by sequence, and a knowledge state over
+bare intervals and sets."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from roundquery.instances import InstanceError
+from roundquery.instances import SORTING, Instance, InstanceError, ProblemKind
 from roundquery.intervals import CLOSED, dependent
 from roundquery.solving import BruteForceCapError, OptReport, query_set_feasible, set_solved
 
@@ -208,3 +209,10 @@ def opt1_bruteforce(instance, realization, cap=BRUTE_FORCE_CAP):
 def k_schedule(batch_alg):
     """Every sequence's k of a `RoundsToBatches`, from k_1 = 1."""
     return [batch_alg._k(i) for i in range(1, batch_alg.x + 1)]
+
+
+def state_of(intervals, family=()):
+    """The knowledge state of an unvalidated instance with ids 1..n over
+    `intervals` and the sets `family`, so any interval shape, and no
+    interval at all, is allowed."""
+    return Instance(tuple(intervals), tuple(map(frozenset, family)), ProblemKind(SORTING), 1).knowledge()

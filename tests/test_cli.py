@@ -358,6 +358,9 @@ INSTANCE_FILES = {
     "ids-1-and-3.rq": _BASE.replace("interval 2", "interval 3").replace("S1 1 2", "S1 1 3").replace("value 2", "value 3"),
     "three-endpoints.rq": _BASE.replace("interval 1 (0,2)", "interval 1 (1,2,3)"),
     "value-missing.rq": _BASE.replace("value 2 2\n", ""),
+    "value-unknown-id.rq": _BASE + "value 99 5\n",
+    "duplicate-k.rq": _BASE.replace("k 1\n", "k 5\nk 1\n"),
+    "duplicate-problem.rq": _BASE.replace("problem minimum\n", "problem sorting\nproblem minimum\n"),
 }
 
 ERROR_PATHS = [
@@ -401,6 +404,12 @@ ERROR_PATHS = [
     (("verify", "--instance", "{tmp}/ids-1-and-3.rq"), "interval ids must be contiguous 1..n"),
     (("verify", "--instance", "{tmp}/three-endpoints.rq"), "line 3, column 12: malformed interval: '(1,2,3)'"),
     (("verify", "--instance", "{tmp}/value-missing.rq"), "realization misses non-trivial element 2"),
+    (("verify", "--instance", "{tmp}/value-unknown-id.rq"), "line 8, column 7: value for unknown element 99"),
+    (("run", "--alg", "bal", "--instance", "{tmp}/value-unknown-id.rq"),
+     "line 8, column 7: value for unknown element 99"),
+    (("verify", "--instance", "{tmp}/duplicate-k.rq"), "line 2, column 1: duplicate 'k' directive"),
+    (("run", "--alg", "bal", "--instance", "{tmp}/duplicate-k.rq"), "line 2, column 1: duplicate 'k' directive"),
+    (("verify", "--instance", "{tmp}/duplicate-problem.rq"), "line 3, column 1: duplicate 'problem' directive"),
 ]
 
 

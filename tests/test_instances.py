@@ -1,5 +1,6 @@
 """Instance model: file format, validation, and the fixed generators."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from roundquery.algorithms import make_algorithm
 from roundquery.cli import main
-from roundquery.harness import resolve_source
+from roundquery.harness import resolve_source, run
 from roundquery.instances import (
+    Instance,
     InstanceError,
     MINIMUM,
     ParseError,
@@ -27,7 +30,7 @@ from roundquery.instances import (
     parse_instance,
     serialize_instance,
 )
-from roundquery.intervals import CLOSED, OPEN, IntervalError, UncertainInterval, parse_rational
+from roundquery.intervals import CLOSED, OPEN, IntervalError, KnowledgeState, UncertainInterval, parse_rational
 from roundquery.solving import minimum_solved, opt1_minimum
 
 
@@ -77,6 +80,30 @@ class TestParsing:
         with pytest.raises(InstanceError):
             parse_instance(text)
 
+    @pytest.mark.parametrize("eid", ["0", "3", "99"])
+    def test_value_for_an_unknown_element_rejected(self, eid):
+        # a value line may come before the interval lines, so it is checked
+        # once every interval is read
+        text = f"k 1\nproblem minimum\nvalue {eid} 5\ninterval 1 (0,2)\ninterval 2 (1,3)\nvalue 1 1\nvalue 2 2\n"
+        with pytest.raises(ParseError, match=f"^line 3, column 7: value for unknown element {eid}$"):
+            parse_instance(text)
+
+    def test_value_before_its_interval_is_kept(self):
+        _, realization = parse_instance("k 1\nproblem minimum\nvalue 1 1\ninterval 1 (0,2)\n")
+        assert realization.values == {1: 1}
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("k 5\nproblem minimum\ninterval 1 (0,2)\nk 1\n", "k"),
+            ("k 1\nproblem minimum\ninterval 1 (0,2)\nk 1\n", "k"),
+            ("k 1\nproblem sorting\ninterval 1 (0,2)\nproblem minimum\n", "problem"),
+        ],
+    )
+    def test_repeated_k_or_problem_rejected(self, text, name):
+        with pytest.raises(ParseError, match=f"^line 4, column 1: duplicate '{name}' directive$"):
+            parse_instance(text)
+
     def test_trivial_single_element_has_zero_opt(self):
         instance, realization = parse_instance(
             "k 1\nproblem minimum\ninterval 1 {3}\nvalue 1 3\n"
@@ -107,6 +134,54 @@ class TestValidation:
             ProblemKind(SELECTION_FULL)
         with pytest.raises(InstanceError):
             ProblemKind(SORTING, rank=2)
+
+
+class TestMembershipIndex:
+    @given(data=st.data())
+    def test_equals_a_naive_recomputation(self, data):
+        n = data.draw(st.integers(1, 12))
+        sets = st.lists(st.integers(1, n), min_size=1, unique=True)
+        family = data.draw(st.lists(sets, min_size=1, max_size=6))
+        family.append(data.draw(st.sampled_from(family)))  # one set listed twice
+        inst = make_instance([UncertainInterval.open(0, 1)] * n, family, ProblemKind(MINIMUM), 1)
+        naive = {e: [i for i, members in enumerate(family) if e in members] for e in range(1, n + 1)}
+        assert inst.sets_of == naive
+
+    def test_a_built_index_leaves_equality_and_hash_to_the_fields(self):
+        inst, _ = gen_fig3_overlap_instance()
+        inst.sets_of
+        copy = dataclasses.replace(inst)
+        assert "sets_of" in vars(inst) and "sets_of" not in vars(copy)
+        assert copy == inst and hash(copy) == hash(inst)
+        assert copy.sets_of == inst.sets_of and copy.sets_of is not inst.sets_of
+
+    @staticmethod
+    def _reads(monkeypatch):
+        """Record every `sets_of` read and every knowledge state built."""
+        reads, states = [], []
+        index, init = Instance.sets_of, KnowledgeState.__init__
+        monkeypatch.setattr(Instance, "sets_of", property(lambda inst: reads.append(index.__get__(inst)) or reads[-1]))
+        monkeypatch.setattr(KnowledgeState, "__init__", lambda k, inst: states.append(k) or init(k, inst))
+        return reads, states
+
+    def test_runs_on_one_instance_read_one_index(self, monkeypatch):
+        reads, states = self._reads(monkeypatch)
+        inst, oracle = resolve_source("random:problem=minimum,n=40,m=8,k=3,overlap=overlap", 0)
+        for alg in ("bal", "budget"):
+            run(make_algorithm(alg, inst), inst, oracle)
+        assert len(states) == 2 and len(reads) > 2
+        assert all(read is reads[0] for read in reads)
+
+    def test_verify_replays_read_one_index(self, monkeypatch, tmp_path, capsys):
+        source = "random:problem=minimum,n=40,m=8,k=3,overlap=overlap"
+        path = tmp_path / "minimum.rq"
+        assert main(["generate", "--source", source, "--output", str(path)]) == 0
+        reads, states = self._reads(monkeypatch)
+        assert main(["verify", "--instance", str(path)]) == 0
+        opt_set = capsys.readouterr().out.split("opt_set ")[1].split("\n")[0].split()
+        # one state for the feasibility replay and one per minimality replay
+        assert opt_set and len(states) == 1 + len(opt_set) and len(reads) >= len(states)
+        assert all(read is reads[0] for read in reads)
 
 
 class TestFig2:

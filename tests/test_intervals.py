@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import left_cut, right_cut
+from helpers import left_cut, right_cut, state_of
 from roundquery.intervals import (
     CLOSED,
     IntervalError,
@@ -185,7 +185,7 @@ class TestEndpointOrders:
         # on the cut tuples does, ids ascending among ties in either direction
         drawn = data.draw(st.lists(states(), max_size=10))
         ids = data.draw(st.permutations(range(1, len(drawn) + 1)))
-        k = KnowledgeState(dict(enumerate(drawn, 1)))
+        k = state_of(drawn)
         sides = data.draw(
             st.lists(st.sampled_from([(left_cut, k.left_key), (right_cut, k.right_key)]), min_size=1, max_size=2)
         )
@@ -274,7 +274,7 @@ class TestConstruction:
 
 class TestKnowledgeState:
     def setup_method(self):
-        self.k = KnowledgeState({1: iv("(0,4)"), 2: iv("{7}")})
+        self.k = state_of([iv("(0,4)"), iv("{7}")])
 
     def test_reveal_and_known_value(self):
         assert self.k.known_value(1) is None
@@ -306,7 +306,7 @@ class TestKnowledgeState:
     def test_refused_reveal_changes_nothing(self, value, text):
         # the kept structures exist before the refused reveal, and it must
         # leave them, their keys and the scale as they were
-        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")}, [frozenset({1, 2, 3})])
+        k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}")], [frozenset({1, 2, 3})])
         view = k.set_view(0)
         before = self._kept(k, view)
         with pytest.raises(IntervalError, match=rf"^value {text} outside interval \(0,4\) of element 1$"):
@@ -324,7 +324,7 @@ class TestKnowledgeState:
         rescales = []
         rescale = KnowledgeState._rescale
         monkeypatch.setattr(KnowledgeState, "_rescale", lambda k, grow: rescales.append(grow) or rescale(k, grow))
-        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")}, [frozenset({1, 2, 3})])
+        k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}")], [frozenset({1, 2, 3})])
         view = k.set_view(0)
         before = self._kept(k, view)
         with pytest.raises(IntervalError, match=r"^value 5 outside interval \[1,3\] of element 2$"):
@@ -342,7 +342,7 @@ class TestKnowledgeState:
         # a view lists each member's row as the state keeps it, a pinned
         # member's as its point's [key, 0, id, key, 0], through reveals that
         # move every key to a finer scale
-        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}"), 4: iv("(2,5]")}, [frozenset({4, 3, 2, 1})])
+        k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}"), iv("(2,5]")], [frozenset({4, 3, 2, 1})])
         view = k.set_view(0)
 
         def record(e):
@@ -360,8 +360,8 @@ class TestKnowledgeState:
         # of every row by the growth of the scale, in place: every view
         # keeps its row objects, in order, each with its id and openness,
         # and only the revealed element's row is new
-        k = KnowledgeState(
-            {1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}"), 4: iv("(2,5]")},
+        k = state_of(
+            [iv("(0,4)"), iv("[1,3]"), iv("{7/2}"), iv("(2,5]")],
             [frozenset({1, 2, 3, 4}), frozenset({2, 4}), frozenset({2, 4})],
         )
         views = [k.set_view(i) for i in range(3)]
@@ -384,7 +384,7 @@ class TestKnowledgeState:
     def test_a_pinned_id_refuses_the_whole_round(self):
         # element 3 is trivial from the start: the round is refused before
         # element 1's value, over a new denominator, changes anything
-        k = KnowledgeState({1: iv("(0,4)"), 2: iv("[1,3]"), 3: iv("{7/2}")}, [frozenset({1, 2, 3})])
+        k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}")], [frozenset({1, 2, 3})])
         view = k.set_view(0)
         before = self._kept(k, view)
         with pytest.raises(IntervalError, match=r"^element 3 is already pinned$"):
@@ -392,7 +392,7 @@ class TestKnowledgeState:
         assert self._kept(k, view) == before and k.state(1) == iv("(0,4)")
 
     def test_revealed_element_reads_like_a_trivial_one(self):
-        k = KnowledgeState({1: iv("(0,4)"), 2: iv("{2}")})
+        k = state_of([iv("(0,4)"), iv("{2}")])
         k.reveal({1: Fraction(2)})
         assert k.state(1) == k.state(2) == UncertainInterval.point(2)
         assert k.known_value(1) == k.known_value(2) == 2
@@ -408,7 +408,7 @@ class TestKnowledgeState:
         # known_value and unqueried_nontrivial read the states' trivial
         # flags; before and after any admissible reveals they must agree
         # with the states
-        k = KnowledgeState(dict(enumerate(start, 1)))
+        k = state_of(start)
         order = data.draw(st.permutations(list(k.ids())))
 
         def check():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import left_cut, matching_cover, opt1_bruteforce, pairwise_interval_cover, right_cut
+from helpers import left_cut, matching_cover, opt1_bruteforce, pairwise_interval_cover, right_cut, state_of
 from roundquery.algorithms import interval_cover, make_algorithm
 from roundquery.harness import resolve_source, run
 from roundquery.instances import (
@@ -76,7 +76,7 @@ def _rank_cuts(inst, k):
 
 
 def knowledge_of(intervals, revealed=(), family=()):
-    k = KnowledgeState({i + 1: v for i, v in enumerate(intervals)}, family)
+    k = state_of(intervals, family)
     for eid, value in revealed:
         k.reveal({eid: Fraction(value)})
     return k
@@ -152,7 +152,7 @@ class TestMinimumSolved:
         drawn = data.draw(st.lists(_interval(), min_size=1, max_size=8))
         ids = list(range(1, len(drawn) + 1))
         members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
-        k = KnowledgeState(dict(enumerate(drawn, 1)), [members])
+        k = state_of(drawn, [members])
         minimum_scan(0, k)
         for eid in data.draw(st.lists(st.sampled_from(ids), unique=True)):
             st_e = k.state(eid)
@@ -511,14 +511,14 @@ class TestRescale:
         return per_set, forced_queries(sets, k), build_dependency_graph(sets, k), ranks, certificates
 
     def test_rescaled_state_answers_as_a_fresh_one(self):
-        k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)), self.FAMILY)
+        k = state_of(self.ELEMENTS, self.FAMILY)
         for step in range(len(self.REVEALS) + 1):
             if step:
                 k.reveal(dict([self.REVEALS[step - 1]]))
             # every kept structure is built before the first reveal, so each
             # later reveal rescales the views as well and drops the cut
             # lists, which the next answers build again
-            fresh = KnowledgeState({e: k.state(e) for e in k.ids()}, self.FAMILY)
+            fresh = state_of(map(k.state, k.ids()), self.FAMILY)
             assert self._answers(k) == self._answers(fresh)
 
     def test_a_round_rescales_at_most_once(self, monkeypatch):
@@ -538,7 +538,7 @@ class TestRescale:
     def test_answers_stay_fractions(self):
         # the rest revealed too, so every selection rank is pinned
         reveals = self.REVEALS + [(5, Fraction(15, 2)), (6, Fraction(9, 2)), (8, Fraction(1))]
-        k = KnowledgeState(dict(enumerate(self.ELEMENTS, 1)), self.FAMILY)
+        k = state_of(self.ELEMENTS, self.FAMILY)
         self._answers(k)
         for eid, value in reveals:
             k.reveal({eid: value})
