@@ -132,10 +132,11 @@ def _check_round(instance: Instance, knowledge: KnowledgeState, picked: List[int
         raise HarnessError(f"round of {len(picked)} queries exceeds width {width}")
     if len(set(picked)) != len(picked):
         raise HarnessError("round queries an element twice")
+    n, state = instance.n, knowledge.state
     for e in picked:
-        if not 1 <= e <= instance.n:
+        if not 1 <= e <= n:
             raise HarnessError(f"round queries unknown element {e}")
-        if knowledge.state(e).trivial:
+        if state(e).trivial:
             if instance.interval(e).trivial:
                 raise HarnessError(f"round queries trivial element {e}")
             raise HarnessError(f"round re-queries element {e}")
@@ -160,7 +161,7 @@ def _drive(
         _check_round(instance, knowledge, picked, width)
         answers = oracle.answer_round(picked)
         knowledge.reveal(answers)
-        rounds.append((tuple(picked), tuple(answers[e] for e in picked)))
+        rounds.append((tuple(picked), tuple(map(answers.__getitem__, picked))))
         sets.update(picked, len(rounds))
     truth = oracle.check_finalize()
     verify_certificate(instance, knowledge, extract_certificate(instance, knowledge), truth)

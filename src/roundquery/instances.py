@@ -165,10 +165,14 @@ class Realization:
 
     def validate(self, instance: Instance) -> "TruthRecord":
         """The record of this realization for `instance`, unless an element
-        has no value or one outside its interval, on the record's keys."""
+        has no value or one outside its interval, on the record's keys, or
+        a value is given for an id the instance lacks."""
         for eid in instance.ids():
             if eid not in self.values:
                 raise InstanceError(f"realization misses element {eid}")
+        if len(self.values) != instance.n:  # every id is there, so some key is not an id
+            extra = next(eid for eid in self.values if eid not in instance.ids())
+            raise InstanceError(f"value for unknown element {extra}")
         record = truth_record(instance, self)
         for eid, iv, lo, hi, v in zip(instance.ids(), instance.elements, record.lowers, record.uppers, record.values):
             if not iv.contains_keyed(lo, hi, v):

@@ -21,6 +21,10 @@ which of the two an element is, and nothing records it: an element is
 pinned exactly when its state is a point.  Whether a state is a point is
 stored once, as `UncertainInterval.trivial`, when the interval is built,
 so the hot predicates read a flag instead of comparing two `Fraction`s.
+A point {v} is built directly, its slots set with no order or kind
+check, since {v} cannot fail one, so a revealed value costs int work:
+the oracle checks it on the keys of one `interval_keys` call, and
+`KnowledgeState.reveal` on the state's keys.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, Optional, Tuple
@@ -60,7 +64,7 @@ OPEN = EndpointKind.OPEN
 CLOSED = EndpointKind.CLOSED
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class UncertainInterval:
     """An interval with independently open or closed endpoints.
 
@@ -71,6 +75,13 @@ class UncertainInterval:
     endpoints' `as_integer_ratio()`, which the construction computes to
     decide `trivial` and keeps for `interval_keys`: the ints are the
     `Fraction`s' own objects, so an interval holds four more pointers.
+
+    `__init__` checks the order and the kinds on one integer
+    cross-multiplication, then sets all nine slots at once; `point` sets
+    them directly, with no check, since {v} cannot fail it.  Both write
+    through the slots' own descriptors, which the frozen `__setattr__`
+    does not guard.  `==`, `hash`, `repr`, pickling and
+    `dataclasses.replace` see the fields of any frozen dataclass.
     """
 
     lower: Fraction
@@ -83,21 +94,16 @@ class UncertainInterval:
     upper_num: int = field(init=False, repr=False, compare=False)
     upper_den: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lower, Fraction) or not isinstance(self.upper, Fraction):
-            object.__setattr__(self, "lower", Fraction(self.lower))
-            object.__setattr__(self, "upper", Fraction(self.upper))
-        (ln, ld), (un, ud) = self.lower.as_integer_ratio(), self.upper.as_integer_ratio()
+    def __init__(self, lower: Fraction, lower_kind: EndpointKind, upper: Fraction, upper_kind: EndpointKind) -> None:
+        if not isinstance(lower, Fraction) or not isinstance(upper, Fraction):
+            lower, upper = Fraction(lower), Fraction(upper)
+        (ln, ld), (un, ud) = lower.as_integer_ratio(), upper.as_integer_ratio()
         gap = un * ld - ln * ud  # one integer cross-multiplication decides order and equality
         if gap < 0:
-            raise IntervalError(f"lower {self.lower} above upper {self.upper}")
-        if gap == 0 and (self.lower_kind is not CLOSED or self.upper_kind is not CLOSED):
+            raise IntervalError(f"lower {lower} above upper {upper}")
+        if gap == 0 and (lower_kind is not CLOSED or upper_kind is not CLOSED):
             raise IntervalError("degenerate interval must be closed on both sides")
-        object.__setattr__(self, "trivial", gap == 0)
-        object.__setattr__(self, "lower_num", ln)
-        object.__setattr__(self, "lower_den", ld)
-        object.__setattr__(self, "upper_num", un)
-        object.__setattr__(self, "upper_den", ud)
+        _fill(self, lower, lower_kind, upper, upper_kind, gap == 0, ln, ld, un, ud)
 
     @staticmethod
     def open(a, b) -> "UncertainInterval":
@@ -112,7 +118,10 @@ class UncertainInterval:
         """The trivial interval {v}; a `Fraction` is kept as it is, any other
         value is converted."""
         v = v if type(v) is Fraction else Fraction(v)
-        return UncertainInterval(v, CLOSED, v, CLOSED)
+        num, den = v.as_integer_ratio()
+        point = object.__new__(UncertainInterval)
+        _fill(point, v, CLOSED, v, CLOSED, True, num, den, num, den)
+        return point
 
     @property
     def value(self) -> Fraction:
@@ -163,6 +172,26 @@ class UncertainInterval:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.text()
+
+
+# the slot descriptors' setters, in field order, for `_fill`
+(
+    _set_lower, _set_lower_kind, _set_upper, _set_upper_kind, _set_trivial,
+    _set_lower_num, _set_lower_den, _set_upper_num, _set_upper_den,
+) = (vars(UncertainInterval)[f.name].__set__ for f in fields(UncertainInterval))
+
+
+def _fill(iv, lower, lower_kind, upper, upper_kind, trivial, lower_num, lower_den, upper_num, upper_den) -> None:
+    """Set the nine slots of a new interval, one call per slot."""
+    _set_lower(iv, lower)
+    _set_lower_kind(iv, lower_kind)
+    _set_upper(iv, upper)
+    _set_upper_kind(iv, upper_kind)
+    _set_trivial(iv, trivial)
+    _set_lower_num(iv, lower_num)
+    _set_lower_den(iv, lower_den)
+    _set_upper_num(iv, upper_num)
+    _set_upper_den(iv, upper_den)
 
 
 def interval_keys(
@@ -380,26 +409,30 @@ class KnowledgeState:
         the round's denominators."""
         scale, _, _, keys = interval_keys((), answers.values(), self._scale)
         grow = scale // self._scale
-        for (eid, value), key in zip(answers.items(), keys):
-            iv, record = self._states[eid], self._keys[eid]
+        states, rows = self._states, self._keys
+        pins = [(eid, value, key, rows[eid]) for (eid, value), key in zip(answers.items(), keys)]
+        for eid, value, key, row in pins:
+            iv = states[eid]
             if iv.trivial:
                 raise IntervalError(f"element {eid} is already pinned")
-            if not iv.contains_keyed(record[0] * grow, record[3] * grow, key):
+            if not iv.contains_keyed(row[0] * grow, row[3] * grow, key):
                 raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
         if grow != 1:
             self._rescale(grow)
-        views = self._views
-        for (eid, value), key in zip(answers.items(), keys):
-            if self._cuts is not None:  # the interval's cut keys leave, the point's enter
-                for cuts, cut in zip(self._cuts, (self.left_key(eid), self.right_key(eid))):
-                    del cuts[bisect_left(cuts, cut)]
-                    insort(cuts, 3 * key)
-            record, point = self._keys[eid], [key, 0, eid, key, 0]
-            self._states[eid] = UncertainInterval.point(value)
-            self._keys[eid] = point
-            for i in self._instance.sets_of[eid] if views else ():
+        cuts, views, sets_of = self._cuts, self._views, self._instance.sets_of
+        for eid, value, key, row in pins:
+            if cuts is not None:  # the interval's cut keys leave, the point's enter
+                left, right = cuts
+                del left[bisect_left(left, 3 * row[0] + row[1])]
+                insort(left, 3 * key)
+                del right[bisect_left(right, 3 * row[3] - row[4])]
+                insort(right, 3 * key)
+            point = [key, 0, eid, key, 0]
+            states[eid] = UncertainInterval.point(value)
+            rows[eid] = point
+            for i in sets_of[eid] if views else ():
                 view = views[i]
-                del view.unpinned[bisect_left(view.unpinned, record)]
+                del view.unpinned[bisect_left(view.unpinned, row)]
                 insort(view.pinned, point)
 
     def _rescale(self, grow: int) -> None:

@@ -3,7 +3,10 @@
 Every oracle answers a whole round at once (it may inspect how the round's
 queries are distributed before committing any value) and can finalize into
 a realization that agrees with everything it has answered, assigning
-admissible values to the elements never queried.
+admissible values to the elements never queried.  `answer_round` checks
+each committed value against its interval on exact integer keys, one
+`interval_keys` call per round, with open endpoints honoured, so
+answering compares no `Fraction`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .instances import (
     TruthRecord,
     make_instance,
 )
-from .intervals import UncertainInterval
+from .intervals import UncertainInterval, interval_keys
 
 
 class OracleError(RuntimeError):
@@ -45,21 +48,24 @@ class ValueOracle:
         self.committed: Dict[int, Fraction] = {}
 
     def answer_round(self, ids: Sequence[int]) -> Dict[int, Fraction]:
+        """The committed value of each id, each checked against its interval
+        on the exact keys of one `interval_keys` call over the round."""
         ids = tuple(ids)
         # looked up before anything is committed, so an unknown id is
         # rejected as such rather than answered
-        intervals = [self.instance.interval(e) for e in ids]
-        fresh = [e for e in ids if e not in self.committed]
-        self._commit_fresh(fresh)
-        answers = {}
-        for e, iv in zip(ids, intervals):
-            if e not in self.committed:
-                raise OracleError(f"no value committed for element {e}")
-            v = self.committed[e]
-            if not iv.contains(v):
-                raise OracleError(f"committed value {v} outside interval of element {e}")
-            answers[e] = v
-        return answers
+        interval = self.instance.interval
+        intervals = [interval(e) for e in ids]
+        committed = self.committed
+        self._commit_fresh([e for e in ids if e not in committed])
+        try:
+            values = [committed[e] for e in ids]
+        except KeyError as missing:
+            raise OracleError(f"no value committed for element {missing.args[0]}") from None
+        _, lowers, uppers, keys = interval_keys(intervals, values)
+        for e, iv, lower, upper, key in zip(ids, intervals, lowers, uppers, keys):
+            if not iv.contains_keyed(lower, upper, key):
+                raise OracleError(f"committed value {committed[e]} outside interval of element {e}")
+        return dict(zip(ids, values))
 
     def _commit_fresh(self, ids: Sequence[int]) -> None:
         raise NotImplementedError
@@ -70,8 +76,10 @@ class ValueOracle:
     def check_finalize(self) -> TruthRecord:
         """The validated record of `finalize`, re-verified against every committed answer."""
         record = self._finalize_valid()
+        values = record.realization.values
         for e, v in self.committed.items():
-            if record.realization.value(e) != v:
+            w = values[e]
+            if not (w is v or w == v):  # a value finalized from the log is its own object
                 raise OracleError(f"finalize contradicts logged answer for element {e}")
         return record
 
@@ -99,8 +107,9 @@ class FixedOracle(ValueOracle):
         self.realization = self._record.realization
 
     def _commit_fresh(self, ids: Sequence[int]) -> None:
+        committed, values = self.committed, self.realization.values
         for e in ids:
-            self.committed[e] = self.realization.value(e)
+            committed[e] = values[e]
 
     def finalize(self) -> Realization:
         return self.realization
@@ -186,7 +195,8 @@ class _PrefixSetAdversary(ValueOracle):
     """
 
     def __init__(self, m: int, k: int, per_set: int):
-        self.eps = eps = Fraction(1, m)
+        self.m = m
+        eps = Fraction(1, m)
         ladder = [UncertainInterval.open(1 + i * eps, 100 + i * eps) for i in range(1, per_set + 1)]
         family = [range(idx * per_set + 1, (idx + 1) * per_set + 1) for idx in range(m)]
         super().__init__(make_instance(ladder * m, family, ProblemKind(MINIMUM), k))
@@ -201,11 +211,13 @@ class _PrefixSetAdversary(ValueOracle):
         return idx, offset + 1
 
     def _high(self, eid: int) -> Fraction:
+        """100 + (2i - 1) eps / 2 at rung i."""
         i = self._rung(eid)[1]
-        return 100 + (2 * i - 1) * self.eps / 2
+        return Fraction(200 * self.m + 2 * i - 1, 2 * self.m)
 
     def _min_at(self, position: int) -> Fraction:
-        return 1 + (2 * position + 1) * self.eps / 2
+        """1 + (2p + 1) eps / 2 at rung p."""
+        return Fraction(2 * self.m + 2 * position + 1, 2 * self.m)
 
     def _queried_positions(self, set_idx: int) -> set:
         first = set_idx * self.per_set
@@ -248,7 +260,8 @@ class _PrefixSetAdversary(ValueOracle):
             if pos is not None:
                 values[idx * self.per_set + pos] = self._min_at(pos)
         for e in self.instance.ids():
-            values.setdefault(e, self._high(e))
+            if e not in values:
+                values[e] = self._high(e)
         return Realization(values)
 
 

@@ -1,6 +1,10 @@
 """Core interval predicates: membership, dependency, endpoint orders."""
 
+import copy as copy_module
+import dataclasses
 import itertools
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -270,6 +274,81 @@ class TestConstruction:
         else:
             assert lower < upper or (lower == upper and closed)
             assert state.trivial == (lower == upper)
+
+
+def slots(state):
+    """Every field of `state`, the derived ones included, in field order."""
+    return tuple(getattr(state, f.name) for f in dataclasses.fields(UncertainInterval))
+
+
+def reference_slots(lower, lower_kind, upper, upper_kind):
+    """What the nine fields must hold, from `Fraction` comparisons and the
+    `Fraction`s' own numerators and denominators, or the error to raise."""
+    if not isinstance(lower, Fraction) or not isinstance(upper, Fraction):
+        lower, upper = Fraction(lower), Fraction(upper)
+    if lower > upper:
+        raise IntervalError(f"lower {lower} above upper {upper}")
+    if lower == upper and (lower_kind is not CLOSED or upper_kind is not CLOSED):
+        raise IntervalError("degenerate interval must be closed on both sides")
+    return (
+        lower, lower_kind, upper, upper_kind, lower == upper,
+        lower.numerator, lower.denominator, upper.numerator, upper.denominator,
+    )
+
+
+endpoints = st.one_of(rationals(), st.integers(-12, 12))
+kinds = st.sampled_from([OPEN, CLOSED])
+
+
+class TestOneStepConstruction:
+    """`__init__` sets every slot at once and `point` without a check; both
+    must build what the `Fraction` reference says, and copies, pickles and
+    replacements of them must too."""
+
+    def assert_round_trips(self, state, want):
+        for copy in (dataclasses.replace(state), pickle.loads(pickle.dumps(state)), copy_module.deepcopy(state)):
+            assert copy == state and hash(copy) == hash(state)
+            assert slots(copy) == want and repr(copy) == repr(state)
+
+    @given(endpoints, endpoints, kinds, kinds)
+    def test_the_constructor_matches_the_fraction_reference(self, lower, upper, lk, uk):
+        try:
+            want = reference_slots(lower, lk, upper, uk)
+        except IntervalError as refused:
+            with pytest.raises(IntervalError, match=f"^{re.escape(str(refused))}$"):
+                UncertainInterval(lower, lk, upper, uk)
+            return
+        state = UncertainInterval(lower, lk, upper, uk)
+        assert slots(state) == want
+        assert all(type(field) is type(expected) for field, expected in zip(slots(state), want))
+        assert repr(state) == (
+            f"UncertainInterval(lower={want[0]!r}, lower_kind={lk!r}, upper={want[2]!r}, upper_kind={uk!r})"
+        )
+        self.assert_round_trips(state, want)
+
+    @given(endpoints, rationals(), kinds, kinds)
+    def test_point_matches_the_checked_constructor(self, v, other, lk, uk):
+        point, checked = UncertainInterval.point(v), UncertainInterval(v, CLOSED, v, CLOSED)
+        want = reference_slots(v, CLOSED, v, CLOSED)
+        assert point == checked and hash(point) == hash(checked)
+        assert slots(point) == slots(checked) == want
+        self.assert_round_trips(point, want)
+        # a replacement goes through the checked constructor again
+        change = {"lower_kind": lk, "upper_kind": uk, "upper": other}
+        try:
+            want = reference_slots(want[0], lk, other, uk)
+        except IntervalError as refused:
+            with pytest.raises(IntervalError, match=f"^{re.escape(str(refused))}$"):
+                dataclasses.replace(point, **change)
+        else:
+            assert slots(dataclasses.replace(point, **change)) == want
+
+    def test_a_frozen_field_stays_frozen(self):
+        for state in (UncertainInterval.point(Fraction(1, 3)), UncertainInterval.open(0, 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                state.lower = Fraction(2)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                state.trivial = False
 
 
 class TestKnowledgeState:

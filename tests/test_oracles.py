@@ -7,7 +7,16 @@ import pytest
 
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import resolve_source, run
-from roundquery.instances import InstanceError, Realization, gen_fig2_bal_instance, truth_record
+from roundquery.instances import (
+    SORTING,
+    InstanceError,
+    ProblemKind,
+    Realization,
+    gen_fig2_bal_instance,
+    make_instance,
+    truth_record,
+)
+from roundquery.intervals import UncertainInterval
 from roundquery.oracles import (
     FixedOracle,
     MinimumAdditiveLbAdversary,
@@ -58,6 +67,14 @@ class TestFixedOracle:
         del values[4]
         with pytest.raises(InstanceError, match="^realization misses element 4$"):
             FixedOracle(inst, Realization(values))
+
+    def test_a_value_for_an_id_the_instance_lacks_is_refused(self):
+        inst, r = gen_fig2_bal_instance()
+        values = {**r.values, 999: Fraction(1)}
+        with pytest.raises(InstanceError, match="^value for unknown element 999$"):
+            FixedOracle(inst, Realization(values))
+        with pytest.raises(InstanceError, match="^value for unknown element 0$"):
+            Realization({0: Fraction(1), **r.values}).validate(inst)
 
     def test_a_run_validates_the_realization_once(self, monkeypatch):
         calls = []
@@ -160,6 +177,53 @@ class TestAnswerRoundChecksTheSubclass:
         oracle = _Misbehaving(inst, {1: value, 2: r.value(2)})
         with pytest.raises(OracleError, match=f"^committed value {text} outside interval of element 1$"):
             oracle.answer_round([2, 1])
+
+
+def _edges_instance():
+    """Element 1 is (0,1/2), element 2 is [1,2] and element 3 is [1/3,2/3]:
+    open ends, closed ends and a prime denominator, in one sorting set."""
+    elements = [UncertainInterval.parse(text) for text in ("(0,1/2)", "[1,2]", "[1/3,2/3]")]
+    return make_instance(elements, [[1, 2, 3]], ProblemKind(SORTING), 3)
+
+
+class TestKeyedAnswerCheck:
+    """`answer_round` checks a round on the exact keys of one
+    `interval_keys` call; each case here is decided by an endpoint's kind
+    or by a denominator that only the value carries."""
+
+    @pytest.mark.parametrize("eid, value, text", [
+        (1, Fraction(0), "0"),  # on the open lower end of (0,1/2)
+        (1, Fraction(1, 2), "1/2"),  # on the open upper end
+        (1, Fraction(4, 7), "4/7"),  # above it, over a prime the interval lacks
+        (1, Fraction(1, 2) + Fraction(1, 7919), "7921/15838"),  # just above it
+        (2, Fraction(2) + Fraction(1, 7919), "15839/7919"),  # just above the closed upper end of [1,2]
+        (3, Fraction(1, 3) - Fraction(1, 7919), "7916/23757"),  # just below the closed lower end of [1/3,2/3]
+    ])
+    def test_a_value_on_an_open_end_or_outside_is_refused(self, eid, value, text):
+        oracle = _Misbehaving(_edges_instance(), {eid: value})
+        with pytest.raises(OracleError, match=f"^committed value {text} outside interval of element {eid}$"):
+            oracle.answer_round([eid])
+
+    def test_values_on_closed_ends_and_over_unseen_primes_are_answered(self):
+        values = {1: Fraction(1, 3), 2: Fraction(1), 3: Fraction(2, 3)}
+        assert _Misbehaving(_edges_instance(), values).answer_round([1, 2, 3]) == values
+        values = {1: Fraction(1, 7919), 2: Fraction(2), 3: Fraction(1, 3)}
+        assert _Misbehaving(_edges_instance(), values).answer_round([3, 2, 1]) == values
+
+    def test_a_round_naming_an_id_twice_answers_it_once(self):
+        inst = _edges_instance()
+        values = {1: Fraction(1, 3), 3: Fraction(1, 2)}
+        for ids in ([1, 3, 1], [1, 1, 3], [3, 1, 3]):
+            oracle = _Misbehaving(inst, values)
+            assert oracle.answer_round(ids) == values and oracle.committed == values
+        bad = _Misbehaving(inst, {1: Fraction(1, 2), 2: Fraction(1)})
+        with pytest.raises(OracleError, match="^committed value 1/2 outside interval of element 1$"):
+            bad.answer_round([1, 2, 1])
+
+    def test_the_first_bad_id_in_round_order_is_named(self):
+        oracle = _Misbehaving(_edges_instance(), {1: Fraction(0), 2: Fraction(3), 3: Fraction(1, 2)})
+        with pytest.raises(OracleError, match="^committed value 3 outside interval of element 2$"):
+            oracle.answer_round([3, 2, 1])
 
 
 class TestSortingPairs:
