@@ -207,24 +207,30 @@ def interval_keys(
     from the ratios each interval keeps, values from their
     `as_integer_ratio()`.  When L is 1 the numerators are the keys.
 
-    The keys grow with L.  The worst case is many distinct prime
-    denominators: for 3,000 of them the keys have about 39k bits, and
-    keying plus sorting took 0.09 s against 0.02 s for sorting the
-    `Fraction`s (CPython 3.11, 2-vCPU VM); over denominators 1-8 the same
-    took 0.002 s against 0.026 s.  Slower in that case, but bounded, and
-    exact on every input, so there is no second path.
+    L // den is taken once per distinct denominator, and L is the lcm of
+    the lcms of groups of 16 denominators, level by level, so each step
+    multiplies ints of about equal size rather than one ever longer int
+    by a short one.  The keys still grow with L.  The worst case is many
+    distinct prime denominators: for 3,000 of them the keys have about
+    39k bits, and keying plus sorting took 0.06 s against 0.014 s for
+    sorting the `Fraction`s (CPython 3.11, 2-vCPU VM); over denominators
+    1-8 the same took 0.001 s against 0.015 s.  Slower in that case, but
+    bounded, and exact on every input, so there is no second path.
     """
     ratios = [v.as_integer_ratio() for v in values]
-    scale = math.lcm(
-        scale, *{iv.lower_den for iv in intervals}, *{iv.upper_den for iv in intervals}, *{den for _, den in ratios}
-    )
+    dens = {iv.lower_den for iv in intervals} | {iv.upper_den for iv in intervals} | {den for _, den in ratios}
+    lcms = [*dens]
+    while len(lcms) > 16:
+        lcms = [math.lcm(*lcms[i : i + 16]) for i in range(0, len(lcms), 16)]
+    scale = math.lcm(scale, *lcms)
     if scale == 1:
         return 1, [iv.lower_num for iv in intervals], [iv.upper_num for iv in intervals], [num for num, _ in ratios]
+    factor = {den: scale // den for den in dens}
     return (
         scale,
-        [iv.lower_num * (scale // iv.lower_den) for iv in intervals],
-        [iv.upper_num * (scale // iv.upper_den) for iv in intervals],
-        [num * (scale // den) for num, den in ratios],
+        [iv.lower_num * factor[iv.lower_den] for iv in intervals],
+        [iv.upper_num * factor[iv.upper_den] for iv in intervals],
+        [num * factor[den] for num, den in ratios],
     )
 
 

@@ -3,6 +3,7 @@
 import copy as copy_module
 import dataclasses
 import itertools
+import math
 import pickle
 import re
 from fractions import Fraction
@@ -528,6 +529,21 @@ class TestExactKeys:
         values = [Fraction(k * p + 1, p) for k, p in enumerate(primes)] + [Fraction(1, p) for p in primes]
         keys = interval_keys((), values)[3]
         assert sorted(range(len(values)), key=keys.__getitem__) == sorted(range(len(values)), key=values.__getitem__)
+
+    def test_many_denominators_give_their_lcm_and_exact_keys(self):
+        # 121 distinct denominators over endpoints and values, shared between
+        # them, so the scale is the lcm of the lcms of groups of them
+        primes = [p for p in range(3, 400) if all(p % d for d in range(2, int(p**0.5) + 1))][:60]
+        drawn = [UncertainInterval(Fraction(1, p), OPEN, Fraction(2, q) + 1, CLOSED) for p, q in zip(primes, primes[1:])]
+        values = [Fraction(3, 4 * p) for p in primes] + [Fraction(5, 2)]
+        scale, lowers, uppers, keys = interval_keys(drawn, values, 9)
+        expected = 9
+        for rational in [state.lower for state in drawn] + [state.upper for state in drawn] + values:
+            expected = expected * rational.denominator // math.gcd(expected, rational.denominator)
+        assert scale == expected
+        assert lowers == [state.lower * scale for state in drawn]
+        assert uppers == [state.upper * scale for state in drawn]
+        assert keys == [value * scale for value in values]
 
     @given(data=st.data())
     def test_endpoint_and_value_keys_order_and_tie_as_the_rationals(self, data):
