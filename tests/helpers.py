@@ -5,8 +5,9 @@ greedy matching that the sweep's matching is checked against, the
 pairwise interval greedy that the cut-key one is checked against, a
 set's live members by their definition, the balanced round as a rescan
 of every open set per pick, the budget round with every open set's
-budget rewritten after each purchase, the cuts as (value, flag) tuples,
-the reference for every cut key, the subset-search optimum that the
+budget rewritten after each purchase, both selection rounds as a
+rescan of every id, the cuts as (value, flag) tuples, the reference for
+every cut key, the subset-search optimum that the
 closed forms and the sorting optimum are checked against, the round
 sizes of a `RoundsToBatches` by sequence, and a knowledge state over
 bare intervals and sets."""
@@ -17,8 +18,16 @@ from functools import lru_cache
 from math import isqrt
 
 from roundquery.instances import SORTING, Instance, InstanceError, ProblemKind
-from roundquery.intervals import CLOSED, dependent
-from roundquery.solving import BruteForceCapError, OptReport, query_set_feasible, set_solved
+from roundquery.intervals import CLOSED, cut_order, dependent
+from roundquery.solving import (
+    BruteForceCapError,
+    OptReport,
+    ceil_div,
+    query_set_feasible,
+    rank_cut_keys,
+    selection_categories,
+    set_solved,
+)
 
 # the default `cap` of `opt1_bruteforce`: it bounds n, not the sorting residual
 BRUTE_FORCE_CAP = 22
@@ -191,6 +200,39 @@ def budget_round_reference(instance, knowledge, open_sets):
         taken.add(winner)
         charges[winner] = tuple(pointing[winner])
     return chosen, charges, tuple(seeds), time_ties
+
+
+def sel_value_round_reference(instance, knowledge, open_sets):
+    """The `sel-value` round by its definition: rescan every unqueried
+    non-trivial id against the target area, then take the k leftmost of
+    the live ones by (left cut, id), or for a rank above the middle the k
+    rightmost by (right cut descending, id)."""
+    lo, hi = rank_cut_keys(instance, knowledge)
+    live = [
+        eid
+        for eid in knowledge.unqueried_nontrivial(instance.ids())
+        if knowledge.right_key(eid) >= lo and knowledge.left_key(eid) <= hi
+    ]
+    if instance.problem.rank > ceil_div(instance.n, 2):
+        live = cut_order(live, knowledge.right_key, reverse=True)
+    else:
+        live = cut_order(live, knowledge.left_key)
+    return live[: instance.k]
+
+
+def sel_full_round_reference(instance, knowledge, open_sets):
+    """The `sel-full` round by its definition: classify every id with
+    `selection_categories`, then fill the round with the containing
+    intervals, then the unqueried ones inside the target area, both by id,
+    then the left- and right-overlapping ones alternately, starting left,
+    longest overlap first: by (right cut descending, id) and (left cut, id)."""
+    view = selection_categories(instance, knowledge)
+    q1 = sorted(view.containing)
+    q2 = sorted(knowledge.unqueried_nontrivial(view.inside))
+    q3 = cut_order(knowledge.unqueried_nontrivial(view.left_overlap), knowledge.right_key, reverse=True)
+    q4 = cut_order(knowledge.unqueried_nontrivial(view.right_overlap), knowledge.left_key)
+    alternating = [e for pair in itertools.zip_longest(q3, q4) for e in pair if e is not None]
+    return (q1 + q2 + alternating)[: instance.k]
 
 
 def opt1_bruteforce(instance, realization, cap=BRUTE_FORCE_CAP):

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import Probed, bal_round_reference, budget_round_bound, budget_round_reference, matching_cover, open_sets
+from helpers import (
+    Probed,
+    bal_round_reference,
+    budget_round_bound,
+    budget_round_reference,
+    matching_cover,
+    open_sets,
+    sel_full_round_reference,
+    sel_value_round_reference,
+)
 from roundquery.algorithms import (
     AlgorithmError,
     BalancedRounds,
@@ -625,6 +634,64 @@ class TestSelectionFullPool:
         r = Realization({1: Fraction(2), 2: Fraction(2), 3: Fraction(5, 2), 4: Fraction(3), 5: Fraction(3)})
         # the target areas [0,2], [1,2] and {2}, as their rank cuts
         assert self._targets(inst, r) == [((0, 0), (2, 0)), ((1, 0), (2, 0)), ((2, 0), (2, 0))]
+
+
+class TestSelectionMatchesItsDefinition:
+    """Every round of `sel-value` and `sel-full` equals the reference
+    round, which rescans every id, on the same knowledge: on random
+    instances with ranks below, at and above the middle, no, some and many
+    trivial elements, and open ends only or mixed open and closed ends;
+    and on the lower-bound adversaries' finalized realizations."""
+
+    REFERENCE = {"sel-value": sel_value_round_reference, "sel-full": sel_full_round_reference}
+
+    @staticmethod
+    def _random(kind, seed):
+        """An instance of `kind` and its realization: n in 5..40, any k in
+        1..4, the rank below, at or above the middle, `triv` 0, 0.15 or
+        0.5.  Odd seeds take the selection-full generator's mixed ends
+        for sel-value too; even ones its own, open only."""
+        n = 5 + seed % 36
+        k = 1 + seed % 4
+        middle = ceil_div(n, 2)
+        rank = (1 + seed % middle, middle, n - seed % (n - middle))[seed % 3]
+        triv = (0.0, 0.15, 0.5)[seed // 3 % 3]
+        source = SELECTION_FULL if kind is SELECTION_FULL or seed % 2 else kind
+        params = RandomParams(n=n, m=1, k=k, problem=ProblemKind(source, rank), overlap="single", trivial_prob=triv)
+        base, r = gen_random(seed, params)
+        return make_instance(base.elements, base.family, ProblemKind(kind, rank), k), r
+
+    def _replay(self, name, inst, oracle):
+        """Run `name` on the instance, checking each of its rounds against
+        the reference; returns the number of rounds checked."""
+        reference, rounds = self.REFERENCE[name], []
+
+        def probe(knowledge, open_sets, picked):
+            assert picked == reference(inst, knowledge, open_sets), (name, len(rounds))
+            rounds.append(picked)
+
+        run(Probed(make_algorithm(name, inst), probe), inst, oracle)
+        return len(rounds)
+
+    @pytest.mark.parametrize("name, kind", [("sel-value", SELECTION_VALUE), ("sel-full", SELECTION_FULL)])
+    def test_rounds_equal_the_reference(self, name, kind):
+        rounds = 0
+        for seed in range(150):
+            inst, r = self._random(kind, seed)
+            rounds += self._replay(name, inst, FixedOracle(inst, r))
+        assert rounds > 300, rounds
+
+    @pytest.mark.parametrize("spec", [f"selval-lb:i={i},k={k}" for i in (1, 2, 3, 5, 8) for k in (1, 2, 4, 8)])
+    def test_selection_value_adversary_realizations(self, spec):
+        inst, oracle = resolve_source(spec)
+        trace, _ = run(make_algorithm("sel-value", inst), inst, oracle)
+        assert self._replay("sel-value", inst, FixedOracle(inst, trace.final_realization)) == len(trace.rounds)
+
+    @pytest.mark.parametrize("spec", [f"selfull-lb:i={i}" for i in (2, 3, 4, 5, 8, 13)])
+    def test_selection_full_adversary_realizations(self, spec):
+        inst, oracle = resolve_source(spec)
+        trace, _ = run(make_algorithm("sel-full", inst), inst, oracle)
+        assert self._replay("sel-full", inst, FixedOracle(inst, trace.final_realization)) == len(trace.rounds)
 
 
 class TestUniformContract:
