@@ -21,7 +21,7 @@ so one instance of it drives exactly one trial.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
@@ -44,7 +44,6 @@ from .solving import (
     minimum_scan,
     minimum_solved,  # unused here; kept for perfbench's tracer, which counts it in this namespace
     rank_cut_keys,
-    selection_categories,
     sorting_solved,  # unused here; kept for perfbench's tracer, which counts it in this namespace
 )
 
@@ -236,23 +235,64 @@ class BudgetRounds:
 # selection
 
 
+# `SelectionFullRounds`' categories, in the order of `SelectionRoundView`'s buckets
+CONTAINING, INSIDE, LEFT_OVERLAP, RIGHT_OVERLAP = range(4)
+
+
 class SelectionValueRounds:
     """k leftmost queryable intervals, after discarding everything provably
-    outside the target area; ranks above the middle take the rightmost."""
+    outside the target area; ranks above the middle take the rightmost.
+
+    The live ids are kept in one order, built on the first round from the
+    unqueried non-trivial ids that meet the target area: by (left cut,
+    id), or for a rank above the middle by (right cut descending, id), the
+    mirror image.  An unqueried
+    id's cut keys change only by a rescale, which keeps every order, and a
+    reveal only raises left cuts and lowers right cuts, so the target area
+    only shrinks and an id disjoint from it stays disjoint.  Each round
+    scans the order from its head: it drops for good the pinned ids and
+    those disjoint on the near side of the target area, whose cuts in
+    this order come first, and stops at k picks or at the first id past
+    its far side, beyond which every id is past it too.  The picks stay at
+    the head, so a round costs its picks and the ids it drops.
+    """
+
+    def __init__(self) -> None:
+        self._knowledge: Optional[KnowledgeState] = None
+        self._order: List[int] = []  # the live ids from `_head` on, in scan order
+        self._head = 0
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         lo, hi = rank_cut_keys(instance, knowledge)
-        live = [
-            eid
-            for eid in knowledge.unqueried_nontrivial(instance.ids())
-            if knowledge.right_key(eid) >= lo and knowledge.left_key(eid) <= hi
-        ]
-        if instance.problem.rank > ceil_div(instance.n, 2):
+        mirror = instance.problem.rank > ceil_div(instance.n, 2)
+        if knowledge is not self._knowledge:
+            self._knowledge, self._head = knowledge, 0
+            live = [
+                e
+                for e in knowledge.unqueried_nontrivial(instance.ids())
+                if knowledge.right_key(e) >= lo and knowledge.left_key(e) <= hi
+            ]
             # rank n-i+1 of the negated instance: its left-cut order, mirrored
-            live = cut_order(live, knowledge.right_key, reverse=True)
+            self._order = (
+                cut_order(live, knowledge.right_key, reverse=True) if mirror else cut_order(live, knowledge.left_key)
+            )
+        state, left_key, right_key = knowledge.state, knowledge.left_key, knowledge.right_key
+        if mirror:  # the near side is above the target area, the far side below
+            gone, past = (lambda e: left_key(e) > hi), (lambda e: right_key(e) < lo)
         else:
-            live = cut_order(live, knowledge.left_key)
-        return live[: instance.k]
+            gone, past = (lambda e: right_key(e) < lo), (lambda e: left_key(e) > hi)
+        order, picks, i = self._order, [], self._head
+        while i < len(order) and len(picks) < instance.k:
+            e = order[i]
+            if not state(e).trivial:  # a pinned id's cuts are its point's, out of this order
+                if past(e):
+                    break  # and so is every later id
+                if not gone(e):
+                    picks.append(e)
+            i += 1
+        self._head = i - len(picks)
+        order[self._head : i] = picks
+        return picks
 
 
 class SelectionFullRounds:
@@ -264,26 +304,147 @@ class SelectionFullRounds:
     when the categories run dry; by the containing-interval guarantee it is
     never empty while the instance is unsolved.
 
-    Each round classifies only the members of the last round's view
-    (`last_view`): the target area only shrinks, so an element outside
-    every bucket stays outside (see `selection_categories`).
+    The categories are kept across rounds.  An unqueried id's cut keys
+    change only by a rescale, which keeps every order, and a reveal only
+    raises left cuts and lowers right cuts, so the target area [lo, hi]
+    between the rank cuts only shrinks.  For an unqueried id, each of
+    "its left cut is at most lo", "its right cut is at least hi" and
+    "disjoint from the target area" turns on at most once and never off,
+    and these decide its category (see `selection_categories`): inside,
+    then left- or right-overlapping, then containing, then none.
+
+    The first round sorts the unqueried ids that meet the target area by
+    (left cut, id) and by (right cut descending, id); the others stay
+    disjoint.  Four pointers into those orders mark where the left cuts
+    at most lo, the left cuts at most hi, the right cuts at least hi and
+    the right cuts at least lo end, so an unqueried id's category is read
+    off its two positions.  Each round moves the pointers past the ids
+    whose cuts the shrinking area crossed, pinned ids skipped.  Each
+    category is a heap in the order the round reads it: ids ascending for
+    "containing" and "inside", positions in the right-cut order for the
+    left-overlapping ones and in the left-cut order for the
+    right-overlapping ones.  An id is pushed when it enters a category,
+    which it never enters twice, and an entry whose id is pinned or has
+    moved on is stale and dropped when popped.  The round pops what it
+    picks and pushes it back, so a round costs O(k log n) plus the ids
+    that crossed a pointer.
     """
 
     def __init__(self) -> None:
-        self.last_view: Optional[SelectionRoundView] = None
+        self._knowledge: Optional[KnowledgeState] = None
+
+    def _start(self, instance: Instance, knowledge: KnowledgeState, lo: int, hi: int) -> None:
+        left_key, right_key = knowledge.left_key, knowledge.right_key
+        live = [e for e in knowledge.unqueried_nontrivial(instance.ids()) if left_key(e) <= hi and right_key(e) >= lo]
+        # ids ascending, then stably by cut: the orders of `cut_order`
+        by_left = sorted(live, key=left_key)
+        by_right = sorted(live, key=right_key, reverse=True)
+        at_left = dict(zip(by_left, range(len(live))))
+        at_right = dict(zip(by_right, range(len(live))))
+        self._by_left, self._by_right, self._at_left, self._at_right = by_left, by_right, at_left, at_right
+        # each category's order of heap entries and the entry of an id: ids are their own
+        self._orders = (None, None, by_right, by_left)
+        self._entries = (None, None, at_right, at_left)
+        left_lo = bisect_right(by_left, lo, key=left_key)
+        right_hi = bisect_right(by_right, -hi, key=lambda e: -right_key(e))
+        self._ends = [left_lo, len(live), right_hi, len(live)]
+        # each heap filled in its own order, so already a heap
+        self._heaps = (
+            sorted(e for e in by_left[:left_lo] if at_right[e] < right_hi),
+            sorted(e for e in by_left[left_lo:] if at_right[e] >= right_hi),
+            [p for p in range(right_hi, len(live)) if at_left[by_right[p]] < left_lo],
+            [p for p in range(left_lo, len(live)) if at_right[by_left[p]] < right_hi],
+        )
+        self._knowledge = knowledge
+
+    def _category(self, e: int) -> Optional[int]:
+        """The category of the unqueried id e, None when disjoint from the
+        target area, read off its positions in the two cut orders."""
+        at_left, at_right = self._at_left[e], self._at_right[e]
+        left_lo, left_hi, right_hi, right_lo = self._ends
+        if at_left >= left_hi or at_right >= right_lo:
+            return None
+        if at_left < left_lo:
+            return CONTAINING if at_right < right_hi else LEFT_OVERLAP
+        return RIGHT_OVERLAP if at_right < right_hi else INSIDE
+
+    def _push(self, category: int, e: int) -> None:
+        entries = self._entries[category]
+        heappush(self._heaps[category], e if entries is None else entries[e])
+
+    def _move(self, knowledge: KnowledgeState, lo: int, hi: int) -> None:
+        """Move the four pointers past the unqueried ids whose cuts the
+        target area [lo, hi] crossed.  An id that now reaches an end it
+        did not has changed category, unless it turned disjoint, and is
+        pushed onto its new one's heap."""
+        by_left, by_right, state = self._by_left, self._by_right, knowledge.state
+        left_key, right_key = knowledge.left_key, knowledge.right_key
+        left_lo, left_hi, right_hi, right_lo = self._ends
+        reaching = set()
+        # a pinned id's left cut is at or above its interval's and its right
+        # cut at or below, so it may stop the pointers that move toward the
+        # target area too early and is skipped there, but never stops the
+        # two that move away from it, at the disjoint ids, too early
+        while left_lo < len(by_left) and (left_key(e := by_left[left_lo]) <= lo or state(e).trivial):
+            reaching.add(e)
+            left_lo += 1
+        while right_hi < len(by_right) and (right_key(e := by_right[right_hi]) >= hi or state(e).trivial):
+            reaching.add(e)
+            right_hi += 1
+        while left_hi > 0 and left_key(by_left[left_hi - 1]) > hi:
+            left_hi -= 1
+        while right_lo > 0 and right_key(by_right[right_lo - 1]) < lo:
+            right_lo -= 1
+        self._ends = [left_lo, left_hi, right_hi, right_lo]
+        for e in reaching:
+            category = self._category(e)
+            if category is not None and not state(e).trivial:
+                self._push(category, e)
+
+    def _take(self, category: int, count: int, state: Callable) -> List[int]:
+        """Pop up to `count` live ids of `category` in its order, dropping
+        stale entries, and return them."""
+        heap, order = self._heaps[category], self._orders[category]
+        taken: List[int] = []
+        while heap and len(taken) < count:
+            e = heappop(heap)
+            e = e if order is None else order[e]
+            if not state(e).trivial and self._category(e) == category:
+                taken.append(e)
+        return taken
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
-        pool = None if self.last_view is None else self.last_view.members()
-        view = self.last_view = selection_categories(instance, knowledge, pool)
-        q1 = sorted(view.containing)
-        q2 = sorted(knowledge.unqueried_nontrivial(view.inside))
+        lo, hi = rank_cut_keys(instance, knowledge)
+        if knowledge is self._knowledge:
+            self._move(knowledge, lo, hi)
+        else:
+            self._start(instance, knowledge, lo, hi)
+        k, state = instance.k, knowledge.state
+        q1 = self._take(CONTAINING, k, state)
+        q2 = self._take(INSIDE, k - len(q1), state)
+        need = k - len(q1) - len(q2)
         # longest overlap first: category (3) by descending right endpoint,
         # category (4) by ascending left endpoint, ids breaking ties
-        q3 = cut_order(knowledge.unqueried_nontrivial(view.left_overlap), knowledge.right_key, reverse=True)
-        q4 = cut_order(knowledge.unqueried_nontrivial(view.right_overlap), knowledge.left_key)
+        q3 = self._take(LEFT_OVERLAP, need, state)
+        q4 = self._take(RIGHT_OVERLAP, need, state)
+        for category, taken in enumerate((q1, q2, q3, q4)):
+            for e in taken:
+                self._push(category, e)
         # alternate left and right while both last, then the longer one's rest
         alternating = [e for pair in zip_longest(q3, q4) for e in pair if e is not None]
-        return (q1 + q2 + alternating)[: instance.k]
+        return (q1 + q2 + alternating)[:k]
+
+    @property
+    def last_view(self) -> Optional[SelectionRoundView]:
+        """The categories as they stand: each one's unqueried ids, ascending."""
+        if self._knowledge is None:
+            return None
+        buckets: Tuple[List[int], ...] = ([], [], [], [])
+        for e in sorted(self._at_left):
+            category = self._category(e)
+            if category is not None and not self._knowledge.state(e).trivial:
+                buckets[category].append(e)
+        return SelectionRoundView(*map(tuple, buckets))
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:
     from .instances import Instance
@@ -277,6 +278,95 @@ def dependent(a: UncertainInterval, b: UncertainInterval) -> bool:
     return max(a.lower, b.lower) < min(a.upper, b.upper)
 
 
+class CutKeys:
+    """The ascending cut keys of one kind, the left or the right cuts of
+    all states, as a `KnowledgeState` keeps them.
+
+    It reads like an ascending list of ints: `len`, iteration, `keys[i]`,
+    and `bisect_left` and `bisect_right`, which count the keys below and
+    at most a key as the `bisect` functions do on that list; `replace`
+    swaps keys, a round's at a time, and `rescale` moves them all to a
+    finer scale.  The keys are
+    held in blocks of at most 2 * BLOCK, each ascending and each at or
+    above the one before, with the last key of each block in `_maxes`, so
+    adding or removing a key moves one block's keys rather than a whole
+    list's tail: at n = 80,000 a plain list moved 40,000 pointers on
+    average for each of a round's 4k changes, and that was most of a
+    `sel-full` run.  The i-th key walks the blocks, a few dozen there.
+    """
+
+    BLOCK = 1024
+
+    def __init__(self, keys: Iterable[int]) -> None:
+        ordered = sorted(keys)
+        self._blocks = [ordered[i : i + self.BLOCK] for i in range(0, len(ordered), self.BLOCK)]
+        self._maxes = [block[-1] for block in self._blocks]
+        self._len = len(ordered)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self._blocks)
+
+    def __getitem__(self, i: int) -> int:
+        if 0 <= i < self._len:
+            for block in self._blocks:
+                if i < len(block):
+                    return block[i]
+                i -= len(block)
+        raise IndexError(f"cut key index {i} out of range")
+
+    def bisect_left(self, key: int) -> int:
+        """The number of keys below `key`."""
+        j = bisect_left(self._maxes, key)
+        before = sum(map(len, self._blocks[:j]))
+        return before + bisect_left(self._blocks[j], key) if j < len(self._blocks) else before
+
+    def bisect_right(self, key: int) -> int:
+        """The number of keys at most `key`."""
+        j = bisect_right(self._maxes, key)
+        before = sum(map(len, self._blocks[:j]))
+        return before + bisect_right(self._blocks[j], key) if j < len(self._blocks) else before
+
+    def replace(self, swaps: Iterable[Tuple[int, int]]) -> None:
+        """For each pair (old, new), remove one copy of the key `old`,
+        refused if none is kept, and add the key `new`."""
+        blocks, maxes, half = self._blocks, self._maxes, self.BLOCK
+        for old, new in swaps:
+            j = bisect_left(maxes, old)
+            block = blocks[j] if j < len(blocks) else []
+            i = bisect_left(block, old)
+            if i == len(block) or block[i] != old:
+                raise ValueError(f"cut key {old} is not kept")
+            del block[i]
+            if block:
+                maxes[j] = block[-1]
+            else:
+                del blocks[j], maxes[j]
+            j = bisect_left(maxes, new)
+            if j == len(blocks):  # above every key: the last block takes it
+                if not blocks:
+                    blocks.append([])
+                    maxes.append(new)
+                j = len(blocks) - 1
+                maxes[j] = new
+            block = blocks[j]
+            insort(block, new)
+            if len(block) > 2 * half:
+                blocks[j : j + 1] = block[:half], block[half:]
+                maxes[j : j + 1] = block[half - 1], block[-1]
+
+    def rescale(self, grow: int) -> None:
+        """Move every key to a scale `grow` times finer, in place: the cut
+        key 3 * key + flag becomes 3 * key * grow + flag, which keeps the
+        order, so every block stays where it is."""
+        for block in self._blocks:
+            # c = 3 * key + flag, flag = (c + 1) % 3 - 1, as in `cut_of`
+            block[:] = [c * grow - ((c + 1) % 3 - 1) * (grow - 1) for c in block]
+        self._maxes = [block[-1] for block in self._blocks]
+
+
 # A key record, or row, [lower, lower_open, id, upper, upper_open]: an
 # element's endpoint keys on a state's scale, each with its openness as 0
 # or 1, a point's row being [key, 0, id, key, 0].  The first two fields
@@ -326,11 +416,11 @@ class KnowledgeState:
     `Fraction`.  `reveal` takes a whole round's answers and keys their
     values; when a denominator does not divide L, it first multiplies the
     two keys of every row in place by L'/L, L' the lcm of L and all the
-    round's denominators, so one scale holds throughout, and drops the
+    round's denominators, so one scale holds throughout, and rescales the
     cut lists.  The views hold the very row objects, and a multiplication
     by L'/L > 0 keeps every list sorted, so no view is touched: a rescale
-    costs one pass over the rows, and a round pays at most one.  That is
-    rare: counted per run of `harness.run` over seeds 0-19 (0-4 at
+    costs one pass over the rows and the cut lists, and a round pays at
+    most one.  That is rare: counted per run of `harness.run` over seeds 0-19 (0-4 at
     n >= 400), random minimum (single, overlapping, disjoint, n=20 and
     n=800) needed at most 2, mean 0.75-1.2; random sorting (n=16, n=400)
     at most 2, mean 1.2-1.45; random selection-full (n=20, n=1000) at most
@@ -344,13 +434,14 @@ class KnowledgeState:
     there, but exact, so there is no second path.
 
     It keeps the cut lists: the cut keys (3 * key + flag) of the left cuts
-    and of the right cuts of all states, each in ascending order.  They
-    are built on a `cut_lists` call and from then on kept sorted by
+    and of the right cuts of all states, each ascending in a `CutKeys`.
+    They are built on the first `cut_lists` call, so a minimum or sorting
+    run, which makes none, builds none, and from then on kept sorted by
     `reveal`, which swaps the revealed element's two cut keys for those of
-    its point by bisection, so the i-th cut of either kind is an index read.
-    A rescale drops them, and the next `cut_lists` call builds them again
-    from the rescaled rows: only selection reads them, and a run rescales at
-    most about twice.
+    its point by bisection, so the i-th cut of either kind is a read of
+    one block.  A rescale rewrites them in place, each key 3 * key + flag
+    becoming 3 * key * (L'/L) + flag, which keeps their order: a run
+    builds them once.
 
     And it keeps one `SetView` per family set, in a list indexed like the
     family: the key rows of the set's members, the very lists the state
@@ -377,7 +468,7 @@ class KnowledgeState:
             eid: [lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN]
             for (eid, st), lower, upper in zip(self._states.items(), lowers, uppers)
         }
-        self._cuts: Optional[Tuple[List[int], List[int]]] = None
+        self._cuts: Optional[Tuple[CutKeys, CutKeys]] = None
         self._views: Optional[List[SetView]] = None  # per family set, once built
 
     def ids(self) -> Iterable[int]:
@@ -425,14 +516,12 @@ class KnowledgeState:
                 raise IntervalError(f"value {value} outside interval {iv.text()} of element {eid}")
         if grow != 1:
             self._rescale(grow)
-        cuts, views, sets_of = self._cuts, self._views, self._instance.sets_of
+        if self._cuts is not None:  # the intervals' cut keys leave, the points' enter
+            left, right = self._cuts
+            left.replace([(3 * row[0] + row[1], 3 * key) for _, _, key, row in pins])
+            right.replace([(3 * row[3] - row[4], 3 * key) for _, _, key, row in pins])
+        views, sets_of = self._views, self._instance.sets_of
         for eid, value, key, row in pins:
-            if cuts is not None:  # the interval's cut keys leave, the point's enter
-                left, right = cuts
-                del left[bisect_left(left, 3 * row[0] + row[1])]
-                insort(left, 3 * key)
-                del right[bisect_left(right, 3 * row[3] - row[4])]
-                insort(right, 3 * key)
             point = [key, 0, eid, key, 0]
             states[eid] = UncertainInterval.point(value)
             rows[eid] = point
@@ -443,24 +532,27 @@ class KnowledgeState:
 
     def _rescale(self, grow: int) -> None:
         """Multiply the two keys of every key row by `grow` in place, moving
-        all of them to the scale L * grow, and drop the cut lists; orders
-        and ties are unchanged, so the views, which hold the same rows,
-        stay sorted."""
+        all of them to the scale L * grow, and rescale the cut lists in
+        place, a cut key 3 * key + flag becoming 3 * key * grow + flag;
+        orders and ties are unchanged, so the views, which hold the same
+        rows, and the cut lists stay sorted."""
         self._scale *= grow
         for row in self._keys.values():
             row[0] *= grow
             row[3] *= grow
-        self._cuts = None
+        for cuts in self._cuts or ():
+            cuts.rescale(grow)
 
-    def cut_lists(self) -> Tuple[List[int], List[int]]:
+    def cut_lists(self) -> Tuple[CutKeys, CutKeys]:
         """The ascending cut keys of the left cuts and of the right cuts of
         all current states; `cut_of` reads a key back as a cut.
 
-        The lists are kept by `reveal` until a rescale drops them; callers
-        read them and never write, and ask again after each `reveal`.
+        The lists are built on the first call and kept by `reveal`, a
+        rescale included; callers read them and never write.
         """
-        if self._cuts is None:
-            self._cuts = (sorted(map(self.left_key, self._states)), sorted(map(self.right_key, self._states)))
+        if self._cuts is None:  # `left_key` and `right_key` of every row
+            rows = self._keys.values()
+            self._cuts = (CutKeys([3 * r[0] + r[1] for r in rows]), CutKeys([3 * r[3] - r[4] for r in rows]))
         return self._cuts
 
     def set_view(self, i: int) -> SetView:

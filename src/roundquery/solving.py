@@ -32,8 +32,11 @@ dependency graph, the residual R and the greedy matching of
 `batch-sort-2`.  `_pierced` finds, by bisection, the spans that strictly
 contain a pinned point: they force queries and leave a set unsorted.
 Selection reads its rank cuts from the kept cut lists of cut keys, and
-`selection_categories` classifies a pool that only shrinks over a run:
-what left the target area stays out.  Orders by endpoint, such as the
+full selection's solvedness counts the cuts around the pinned value's
+key there, by bisection, rather than scanning the unqueried intervals.
+`selection_categories` classifies every state against the target area:
+the reference that `SelectionFullRounds`' kept categories are checked
+against.  Orders by endpoint, such as the
 sorting certificate's, come from `cut_order` on the state's cut keys.
 What the predicates return to callers, cuts, values and certificates,
 is read back as `Fraction`s.
@@ -188,14 +191,24 @@ def selection_value_pinned(instance: Instance, knowledge: KnowledgeState) -> Opt
 
 def selection_solved(instance: Instance, knowledge: KnowledgeState) -> bool:
     """The i-th value is pinned and, for full selection, no unqueried
-    interval contains it: its cut key lies between no such interval's."""
+    interval contains it: its cut key lies between no such interval's.
+
+    That is counted on the kept cut lists by four bisections.  With `at`
+    the value's cut key, let a and b count the left cut keys below and at
+    most `at`, c and d the right cut keys likewise.  The states with
+    left <= at <= right number b - c, since a right cut below `at` has
+    its left cut below it too; p of them are the points at the value, the
+    only trivial ones, which leaves b - c - p non-trivial states that
+    contain `at`.  The states with left < at < right number a - (d - p),
+    all of them among those.  So (b - c - p) + (a - d + p), that is
+    (a + b) - (c + d), is 0 exactly when b - c - p is.
+    """
     if selection_value_pinned(instance, knowledge) is None:
         return False
     if instance.problem.kind is SELECTION_FULL:
         at, _ = rank_cut_keys(instance, knowledge)
-        return not any(
-            knowledge.left_key(e) <= at <= knowledge.right_key(e) for e in knowledge.unqueried_nontrivial()
-        )
+        lefts, rights = knowledge.cut_lists()
+        return lefts.bisect_left(at) + lefts.bisect_right(at) == rights.bisect_left(at) + rights.bisect_right(at)
     return True
 
 
@@ -233,25 +246,19 @@ class SelectionRoundView:
     left_overlap: Tuple[int, ...]
     right_overlap: Tuple[int, ...]
 
-    def members(self) -> List[int]:
-        """The ids of all four buckets, ascending."""
-        return sorted(self.containing + self.inside + self.left_overlap + self.right_overlap)
 
+def selection_categories(instance: Instance, knowledge: KnowledgeState) -> SelectionRoundView:
+    """Classify every state against the current target area, each bucket
+    in id order: the reference classifier, which `SelectionFullRounds`
+    keeps up to date round by round instead.
 
-def selection_categories(
-    instance: Instance, knowledge: KnowledgeState, pool: Optional[Iterable[int]] = None
-) -> SelectionRoundView:
-    """Classify the states of `pool` (default: every id) against the
-    current target area; each bucket keeps the pool's order.
-
-    A pool that holds the members of an earlier view of the same run
-    classifies exactly as all ids do.  A reveal only raises an element's
-    left cut and lowers its right cut, so the i-th smallest left cut only
-    rises and the i-th smallest right cut only falls: the target area only
-    shrinks, and an element disjoint from it stays disjoint.  A point that
-    covers a trivial target area {v} is in no bucket; the target is then
-    {v} for good, as the i-th left cut can rise no further than the i-th
-    right cut, and the point keeps covering it in no bucket.
+    A reveal only raises an element's left cut and lowers its right cut,
+    so the i-th smallest left cut only rises and the i-th smallest right
+    cut only falls: the target area only shrinks, and an element disjoint
+    from it stays disjoint.  A point that covers a trivial target area {v}
+    is in no bucket; the target is then {v} for good, as the i-th left
+    cut can rise no further than the i-th right cut, and the point keeps
+    covering it in no bucket.
 
     The cuts are compared as cut keys.  Every left cut key here is at most
     its right cut key, the target area's too, so a state is disjoint from
@@ -263,7 +270,7 @@ def selection_categories(
     inside: List[int] = []
     left_overlap: List[int] = []
     right_overlap: List[int] = []
-    for eid in instance.ids() if pool is None else pool:
+    for eid in instance.ids():
         lo, hi = knowledge.left_key(eid), knowledge.right_key(eid)
         if lo > ta_hi or hi < ta_lo:
             continue  # disjoint from the target area

@@ -2,6 +2,7 @@
 strategies, and both selection variants."""
 
 import itertools
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,7 @@ from roundquery.solving import (
     greedy_matching_cover,
     minimum_solved,
     opt1_minimum,
+    SelectionRoundView,
     rank_cut_keys,
     reveal_all,
     selection_categories,
@@ -603,8 +605,11 @@ def _selection_full_run(draw):
 
 
 class TestSelectionFullPool:
-    """sel-full classifies only the members of its last view; each round
-    that view equals the classification of every id."""
+    """sel-full keeps its categories across rounds, re-classifying only the
+    ids whose cuts the target area crossed; each round its categories hold
+    the same unqueried ids as the classification of every id (the points
+    that classification also buckets are no longer queryable, and sel-full
+    keeps none)."""
 
     @staticmethod
     def _targets(inst, r):
@@ -612,7 +617,9 @@ class TestSelectionFullPool:
         targets = []
 
         def probe(knowledge, _open_sets, _picked):
-            assert alg.last_view == selection_categories(inst, knowledge)
+            view = selection_categories(inst, knowledge)
+            unqueried = [tuple(knowledge.unqueried_nontrivial(bucket)) for bucket in astuple(view)]
+            assert alg.last_view == SelectionRoundView(*unqueried)
             targets.append(tuple(map(knowledge.cut_of, rank_cut_keys(inst, knowledge))))
 
         run(Probed(alg, probe), inst, FixedOracle(inst, r))

@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import re
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import left_cut, right_cut, state_of
+from roundquery import intervals as intervals_module
+from roundquery.algorithms import make_algorithm
+from roundquery.harness import run
+from roundquery.instances import SELECTION_FULL, ProblemKind, Realization, make_instance
+from roundquery.oracles import FixedOracle
 from roundquery.intervals import (
     CLOSED,
+    CutKeys,
     IntervalError,
     KnowledgeState,
     OPEN,
@@ -374,7 +381,7 @@ class TestKnowledgeState:
         lefts, rights = k.cut_lists()
         keys = [(k.left_key(e), k.right_key(e)) for e in k.ids()]
         # the keys read back as cuts witness the scale
-        cuts = [k.cut_of(key) for key in lefts + rights]
+        cuts = [k.cut_of(key) for key in [*lefts, *rights]]
         return list(lefts), list(rights), keys, cuts, [*map(list, view.unpinned)], [*map(list, view.pinned)]
 
     @pytest.mark.parametrize("value, text", [
@@ -456,6 +463,45 @@ class TestKnowledgeState:
             for row, copy in kept:
                 assert row == [7 * copy[0], copy[1], copy[2], 7 * copy[3], copy[4]]
 
+    def test_rescale_keeps_the_cut_lists(self):
+        # a reveal over a denominator new to the state rescales the kept cut
+        # lists in place: the very objects, now a fresh sort of every
+        # state's cut keys on the new scale, the revealed point's included
+        k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}"), iv("(2,5]"), iv("[1,5)")])
+        kept = k.cut_lists()
+        k.reveal({1: Fraction(1, 7), 4: Fraction(5)})
+        assert k.cut_of(3)[0] == Fraction(1, 14)  # the scale grew by 7
+        lefts, rights = k.cut_lists()
+        assert lefts is kept[0] and rights is kept[1]
+        assert list(lefts) == sorted(map(k.left_key, k.ids()))
+        assert list(rights) == sorted(map(k.right_key, k.ids()))
+        assert [k.cut_of(key) for key in lefts] == sorted(left_cut(k.state(e)) for e in k.ids())
+        assert [k.cut_of(key) for key in rights] == sorted(right_cut(k.state(e)) for e in k.ids())
+
+    def test_a_prime_denominator_selection_run_builds_its_cut_lists_once(self, monkeypatch):
+        # n=300 overlapping integer intervals, each value over a prime of
+        # its own, so every round rescales: the run still builds one list
+        # of each kind
+        made, rescales = [], []
+
+        class Counted(CutKeys):
+            def __init__(self, keys):
+                super().__init__(keys)
+                made.append(self)
+
+            def rescale(self, grow):
+                super().rescale(grow)
+                rescales.append(grow)
+
+        monkeypatch.setattr(intervals_module, "CutKeys", Counted)
+        primes = [p for p in range(11, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))][:300]
+        elements = [iv(f"({j},{j + 300})") for j in range(1, 301)]
+        inst = make_instance(elements, [range(1, 301)], ProblemKind(SELECTION_FULL, rank=150), 4)
+        values = {j: j + (j * 7919) % 299 + Fraction(1, p) for j, p in enumerate(primes, 1)}
+        _, report = run(make_algorithm("sel-full", inst), inst, FixedOracle(inst, Realization(values)))
+        assert len(made) == 2
+        assert len(rescales) == 2 * report.alg_rounds > 20
+
     def test_never_reverts(self):
         self.k.reveal({1: Fraction(2)})
         with pytest.raises(IntervalError, match=r"^element 1 is already pinned$"):
@@ -504,6 +550,73 @@ class TestKnowledgeState:
         for eid in unpinned[: data.draw(st.integers(0, len(unpinned)))]:
             k.reveal({eid: data.draw(st.sampled_from(admissible_values(k.state(eid))))})
             check()
+
+
+class _SmallBlocks(CutKeys):
+    """Blocks of at most four keys, so a few dozen keys split and empty
+    blocks often."""
+
+    BLOCK = 2
+
+
+@st.composite
+def _cut_key_edits(draw):
+    """Cut keys 3 * key + flag on a coarse grid, so they tie often, and a
+    sequence of edits: ("replace", [(index into the current keys, new
+    key), ...]) or ("rescale", grow)."""
+    cut = st.builds(lambda key, flag: 3 * key + flag, st.integers(-6, 6), st.integers(-1, 1))
+    start = draw(st.lists(cut, min_size=1, max_size=30))
+    edit = st.one_of(
+        st.tuples(st.just("replace"), st.lists(st.tuples(st.integers(0, 10**6), cut), min_size=1, max_size=4)),
+        st.tuples(st.just("rescale"), st.sampled_from([2, 3, 7])),
+    )
+    return start, draw(st.lists(edit, max_size=40))
+
+
+class TestCutKeys:
+    """`CutKeys` reads as the ascending list of its keys after every edit,
+    in blocks small enough to split and empty."""
+
+    @given(case=_cut_key_edits())
+    def test_reads_as_the_sorted_list(self, case):
+        start, edits = case
+        kept, reference = _SmallBlocks(start), sorted(start)
+        for op, arg in edits:
+            if op == "replace":
+                swaps = []
+                for index, new in arg:
+                    swaps.append((reference.pop(index % len(reference)), new))
+                    insort(reference, new)
+                kept.replace(swaps)
+            else:
+                kept.rescale(arg)
+                # the cut (key, flag) keeps its flag on the finer scale
+                reference = [3 * arg * key + flag - 1 for key, flag in (divmod(c + 1, 3) for c in reference)]
+            assert list(kept) == reference and len(kept) == len(reference)
+            assert [kept[i] for i in range(len(kept))] == reference
+            for probe in {key + step for key in reference for step in (-1, 0, 1)}:
+                assert kept.bisect_left(probe) == bisect_left(reference, probe)
+                assert kept.bisect_right(probe) == bisect_right(reference, probe)
+        # every key is found where the blocks say it is
+        kept.replace((key, key) for key in reversed(reference))
+        assert list(kept) == reference
+
+    def test_a_split_block_finds_its_keys(self):
+        kept = _SmallBlocks([0, 3, 6, 9, 12, 15])  # [0, 3] [6, 9] [12, 15]
+        kept.replace([(12, 4), (15, 5), (0, 7)])  # [3] [4, 5, 6, 7, 9], split into [4, 5] [6, 7, 9]
+        assert list(kept) == [3, 4, 5, 6, 7, 9]
+        kept.replace([(6, 6), (3, 3), (9, 9), (4, 4)])
+        assert list(kept) == [3, 4, 5, 6, 7, 9]
+
+    def test_refuses_a_missing_key_and_an_index_out_of_range(self):
+        kept = _SmallBlocks([3, 3, 6, 9, 12])
+        for key in (0, 4, 13):
+            with pytest.raises(ValueError, match=rf"^cut key {key} is not kept$"):
+                kept.replace([(key, 6)])
+        assert list(kept) == [3, 3, 6, 9, 12]
+        for i in (-1, 5):
+            with pytest.raises(IndexError):
+                kept[i]
 
 
 class TestExactKeys:
