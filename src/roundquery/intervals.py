@@ -286,13 +286,13 @@ class CutKeys:
     and `bisect_left` and `bisect_right`, which count the keys below and
     at most a key as the `bisect` functions do on that list; `replace`
     swaps keys, a round's at a time, and `rescale` moves them all to a
-    finer scale.  The keys are
-    held in blocks of at most 2 * BLOCK, each ascending and each at or
-    above the one before, with the last key of each block in `_maxes`, so
-    adding or removing a key moves one block's keys rather than a whole
-    list's tail: at n = 80,000 a plain list moved 40,000 pointers on
-    average for each of a round's 4k changes, and that was most of a
-    `sel-full` run.  The i-th key walks the blocks, a few dozen there.
+    finer scale.  The keys are held in blocks of at most 2 * BLOCK, each
+    ascending and each at or above the one before, with the last key of
+    each block in `_maxes`, so removing or adding a key moves one block's
+    keys rather than a whole list's tail: at n = 80,000 a plain list moved
+    40,000 pointers on average for each of a round's 4k changes, and that
+    was most of a `sel-full` run.  The i-th key walks the blocks, a few
+    dozen there.
     """
 
     BLOCK = 1024
@@ -361,9 +361,11 @@ class CutKeys:
         """Move every key to a scale `grow` times finer, in place: the cut
         key 3 * key + flag becomes 3 * key * grow + flag, which keeps the
         order, so every block stays where it is."""
+        # c = 3 * key + flag becomes c * grow - flag * (grow - 1), and c % 3
+        # is 0, 1 or 2 for the flags 0, +1 and -1
+        shift = (0, 1 - grow, grow - 1)
         for block in self._blocks:
-            # c = 3 * key + flag, flag = (c + 1) % 3 - 1, as in `cut_of`
-            block[:] = [c * grow - ((c + 1) % 3 - 1) * (grow - 1) for c in block]
+            block[:] = [c * grow + shift[c % 3] for c in block]
         self._maxes = [block[-1] for block in self._blocks]
 
 
