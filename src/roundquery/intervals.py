@@ -285,14 +285,14 @@ class CutKeys:
     It reads like an ascending list of ints: `len`, iteration, `keys[i]`,
     and `bisect_left` and `bisect_right`, which count the keys below and
     at most a key as the `bisect` functions do on that list; `replace`
-    swaps keys, a round's at a time, and `rescale` moves them all to a
-    finer scale.  The keys are held in blocks of at most 2 * BLOCK, each
-    ascending and each at or above the one before, with the last key of
-    each block in `_maxes`, so removing or adding a key moves one block's
-    keys rather than a whole list's tail: at n = 80,000 a plain list moved
-    40,000 pointers on average for each of a round's 4k changes, and that
-    was most of a `sel-full` run.  The i-th key walks the blocks, a few
-    dozen there.
+    swaps keys, a round's at a time, and `rekey` puts the same cuts on a
+    finer scale in their places.  The keys are held in blocks of at most
+    2 * BLOCK, each ascending and each at or above the one before, with
+    the last key of each block in `_maxes`, so removing or adding a key
+    moves one block's keys rather than a whole list's tail: at n = 80,000
+    a plain list moved 40,000 pointers on average for each of a round's
+    4k changes, and that was most of a `sel-full` run.  The i-th key walks
+    the blocks, a few dozen there.
     """
 
     BLOCK = 1024
@@ -357,15 +357,14 @@ class CutKeys:
                 blocks[j : j + 1] = block[:half], block[half:]
                 maxes[j : j + 1] = block[half - 1], block[-1]
 
-    def rescale(self, grow: int) -> None:
-        """Move every key to a scale `grow` times finer, in place: the cut
-        key 3 * key + flag becomes 3 * key * grow + flag, which keeps the
-        order, so every block stays where it is."""
-        # c = 3 * key + flag becomes c * grow - flag * (grow - 1), and c % 3
-        # is 0, 1 or 2 for the flags 0, +1 and -1
-        shift = (0, 1 - grow, grow - 1)
+    def rekey(self, keys: Iterable[int]) -> None:
+        """Put `keys`, the same cuts read again on a finer scale, in place
+        of the kept ones, rank for rank, in the same blocks."""
+        ordered = sorted(keys)
+        start = 0
         for block in self._blocks:
-            block[:] = [c * grow + shift[c % 3] for c in block]
+            block[:] = ordered[start : start + len(block)]
+            start += len(block)
         self._maxes = [block[-1] for block in self._blocks]
 
 
@@ -443,7 +442,13 @@ class KnowledgeState:
     its point by bisection, so the i-th cut of either kind is a read of
     one block.  A rescale rewrites them in place, each key 3 * key + flag
     becoming 3 * key * (L'/L) + flag, which keeps their order: a run
-    builds them once.
+    builds them once.  It reads those keys again from the multiplied rows
+    and sorts them rather than multiply each cut key by L'/L: when every
+    round brings new prime denominators the keys grow to tens of thousands
+    of bits, and on 3,000 intervals (j, j + 3000), each value over a prime
+    of its own, `sel-full` at k=8 took 30 s multiplying, 11 s this way and
+    16-18 s when a rescale dropped the lists for the next read to rebuild
+    (375 rescales; CPython 3.11, 2-vCPU VM).
 
     And it keeps one `SetView` per family set, in a list indexed like the
     family: the key rows of the set's members, the very lists the state
@@ -534,16 +539,21 @@ class KnowledgeState:
 
     def _rescale(self, grow: int) -> None:
         """Multiply the two keys of every key row by `grow` in place, moving
-        all of them to the scale L * grow, and rescale the cut lists in
-        place, a cut key 3 * key + flag becoming 3 * key * grow + flag;
-        orders and ties are unchanged, so the views, which hold the same
-        rows, and the cut lists stay sorted."""
+        all of them to the scale L * grow, and put the cut keys read again
+        from the rows in place of the kept ones; orders and ties are
+        unchanged, so the views, which hold the same rows, stay sorted,
+        and each cut key 3 * key + flag keeps its rank as 3 * key * grow +
+        flag."""
         self._scale *= grow
         for row in self._keys.values():
             row[0] *= grow
             row[3] *= grow
-        for cuts in self._cuts or ():
-            cuts.rescale(grow)
+        if self._cuts is not None:
+            # read again from the rows: 3 * key + flag on the multiplied
+            # key costs less than multiplying each cut key by `grow`
+            rows, (left, right) = self._keys.values(), self._cuts
+            left.rekey([3 * r[0] + r[1] for r in rows])
+            right.rekey([3 * r[3] - r[4] for r in rows])
 
     def cut_lists(self) -> Tuple[CutKeys, CutKeys]:
         """The ascending cut keys of the left cuts and of the right cuts of

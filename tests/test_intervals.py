@@ -489,9 +489,9 @@ class TestKnowledgeState:
                 super().__init__(keys)
                 made.append(self)
 
-            def rescale(self, grow):
-                super().rescale(grow)
-                rescales.append(grow)
+            def rekey(self, keys):
+                super().rekey(keys)
+                rescales.append(self)
 
         monkeypatch.setattr(intervals_module, "CutKeys", Counted)
         primes = [p for p in range(11, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))][:300]
@@ -575,7 +575,8 @@ def _cut_key_edits(draw):
 
 class TestCutKeys:
     """`CutKeys` reads as the ascending list of its keys after every edit,
-    in blocks small enough to split and empty."""
+    in blocks small enough to split and empty; a rescale puts the keys on
+    a finer scale, given in any order, in their places."""
 
     @given(case=_cut_key_edits())
     def test_reads_as_the_sorted_list(self, case):
@@ -589,9 +590,9 @@ class TestCutKeys:
                     insort(reference, new)
                 kept.replace(swaps)
             else:
-                kept.rescale(arg)
                 # the cut (key, flag) keeps its flag on the finer scale
                 reference = [3 * arg * key + flag - 1 for key, flag in (divmod(c + 1, 3) for c in reference)]
+                kept.rekey(reversed(reference))
             assert list(kept) == reference and len(kept) == len(reference)
             assert [kept[i] for i in range(len(kept))] == reference
             for probe in {key + step for key in reference for step in (-1, 0, 1)}:
