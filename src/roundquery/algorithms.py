@@ -244,12 +244,12 @@ class SelectionValueRounds:
     outside the target area; ranks above the middle take the rightmost.
 
     The live ids are kept in one order, built on the first round from the
-    unqueried non-trivial ids that meet the target area: by (left cut,
-    id), or for a rank above the middle by (right cut descending, id), the
-    mirror image.  An unqueried
-    id's cut keys change only by a rescale, which keeps every order, and a
-    reveal only raises left cuts and lowers right cuts, so the target area
-    only shrinks and an id disjoint from it stays disjoint.  Each round
+    unqueried non-trivial ids that meet the target area, whose head is
+    that round: by (left cut, id), or for a rank above the middle by
+    (right cut descending, id), the mirror image.  An unqueried id's cut
+    keys change only by a rescale, which keeps every order, and a reveal
+    only raises left cuts and lowers right cuts, so the target area only
+    shrinks and an id disjoint from it stays disjoint.  Each later round
     scans the order from its head: it drops for good the pinned ids and
     those disjoint on the near side of the target area, whose cuts in
     this order come first, and stops at k picks or at the first id past
@@ -267,15 +267,12 @@ class SelectionValueRounds:
         mirror = instance.problem.rank > ceil_div(instance.n, 2)
         if knowledge is not self._knowledge:
             self._knowledge, self._head = knowledge, 0
-            live = [
-                e
-                for e in knowledge.unqueried_nontrivial(instance.ids())
-                if knowledge.right_key(e) >= lo and knowledge.left_key(e) <= hi
-            ]
+            live = knowledge.unpinned_meeting(lo, hi)
             # rank n-i+1 of the negated instance: its left-cut order, mirrored
             self._order = (
                 cut_order(live, knowledge.right_key, reverse=True) if mirror else cut_order(live, knowledge.left_key)
             )
+            return self._order[: instance.k]
         state, left_key, right_key = knowledge.state, knowledge.left_key, knowledge.right_key
         if mirror:  # the near side is above the target area, the far side below
             gone, past = (lambda e: left_key(e) > hi), (lambda e: right_key(e) < lo)
@@ -335,7 +332,7 @@ class SelectionFullRounds:
 
     def _start(self, instance: Instance, knowledge: KnowledgeState, lo: int, hi: int) -> None:
         left_key, right_key = knowledge.left_key, knowledge.right_key
-        live = [e for e in knowledge.unqueried_nontrivial(instance.ids()) if left_key(e) <= hi and right_key(e) >= lo]
+        live = knowledge.unpinned_meeting(lo, hi)
         # ids ascending, then stably by cut: the orders of `cut_order`
         by_left = sorted(live, key=left_key)
         by_right = sorted(live, key=right_key, reverse=True)

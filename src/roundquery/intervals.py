@@ -587,6 +587,17 @@ class KnowledgeState:
                     lists[j].append(record)
         return self._views[i]
 
+    def unpinned_meeting(self, lo: int, hi: int) -> List[int]:
+        """The unpinned ids, ascending, whose state meets the cut keys from
+        `lo` to `hi`: its left cut key is at most `hi` and its right cut
+        key at least `lo`.  Read off the rows: a state is pinned exactly
+        when its two keys are equal."""
+        return [
+            eid
+            for eid, row in self._keys.items()
+            if row[0] != row[3] and 3 * row[0] + row[1] <= hi and 3 * row[3] - row[4] >= lo
+        ]
+
     def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
         states = self._states
         return [eid for eid in (states if ids is None else ids) if not states[eid].trivial]
