@@ -8,17 +8,19 @@ of every open set per pick, the budget round with every open set's
 budget rewritten after each purchase, both selection rounds as a
 rescan of every id, the cuts as (value, flag) tuples, the reference for
 every cut key, the subset-search optimum that the
-closed forms and the sorting optimum are checked against, the round
-sizes of a `RoundsToBatches` by sequence, and a knowledge state over
-bare intervals and sets."""
+closed forms and the sorting optimum are checked against, the minimum
+audits as full scans of every membership (each set's true minimum, the
+minimum optimum and the minimum certificate check), the round sizes of
+a `RoundsToBatches` by sequence, and a knowledge state over bare
+intervals and sets."""
 
 import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from roundquery.instances import SORTING, Instance, InstanceError, ProblemKind
-from roundquery.intervals import CLOSED, cut_order, dependent
+from roundquery.instances import SORTING, Instance, InstanceError, ProblemKind, truth_record
+from roundquery.intervals import CLOSED, cut_order, dependent, interval_keys
 from roundquery.solving import (
     BruteForceCapError,
     OptReport,
@@ -246,6 +248,48 @@ def opt1_bruteforce(instance, realization, cap=BRUTE_FORCE_CAP):
             if query_set_feasible(instance, realization, combo):
                 return OptReport.of(combo, instance.k, "brute-force")
     raise InstanceError("no feasible query set; instance is inconsistent")
+
+
+def minimum_holders_reference(instance, realization):
+    """Each set's true minimum by a scan of all its members: a member of
+    least value key, on the keys of the realization's record."""
+    key = dict(zip(instance.ids(), truth_record(instance, realization).values)).__getitem__
+    return tuple(min(members, key=key) for members in instance.family)
+
+
+def opt1_minimum_reference(instance, realization):
+    """The minimum optimum by a scan of every membership: per set, each
+    member whose lower endpoint key is below its true minimum's value key."""
+    truth = truth_record(instance, realization)
+    lowers, values = truth.lowers, truth.values
+    chosen = set()
+    for members, holder in zip(instance.family, minimum_holders_reference(instance, realization)):
+        chosen.update(e for e in members if lowers[e - 1] < values[holder - 1])
+    return OptReport.of(chosen, instance.k, "closed-form")
+
+
+def verify_minimum_certificate_reference(instance, knowledge, cert, realization=None):
+    """The minimum certificate check by a scan of every membership, on one
+    `interval_keys` call over every state and the claimed minima: raise
+    unless each set's holder is a member whose state is the point of its
+    claim, no member's state starts below the claim, and, given a
+    realization, each claim is its set's true minimum."""
+    if len(cert.minima) != instance.m:
+        raise InstanceError(f"minimum certificate set count {len(cert.minima)} is not the instance's {instance.m}")
+    ids = list(knowledge.ids())
+    _, lowers, uppers, claimed = interval_keys([knowledge.state(e) for e in ids], [v for _, v in cert.minima])
+    lower, upper = dict(zip(ids, lowers)), dict(zip(ids, uppers))
+    holders = None if realization is None else minimum_holders_reference(instance, realization)
+    for i, (members, (holder, v), claim) in enumerate(zip(instance.family, cert.minima, claimed)):
+        if holder not in members or not lower[holder] == upper[holder] == claim:
+            raise InstanceError("claimed minimum is not a known value of the set")
+        for e in members:
+            if lower[e] < claim:
+                if lower[e] == upper[e]:
+                    raise InstanceError("a known value undercuts the claimed minimum")
+                raise InstanceError("an unqueried element could undercut the claimed minimum")
+        if holders is not None and realization.value(holders[i]) != v:
+            raise InstanceError("claimed minimum contradicts the realization")
 
 
 def k_schedule(batch_alg):
