@@ -108,7 +108,8 @@ class RunReport:
 class _OpenSets:
     """The ascending indices of the unsolved sets.  A reveal can change only
     the sets holding the revealed element, so only those are re-checked;
-    the instance's membership index `sets_of` names them."""
+    the instance's membership index `sets_of` names them.  A one-set
+    family re-checks its set while it is open and builds no index."""
 
     def __init__(self, instance: Instance, knowledge: KnowledgeState) -> None:
         self.instance, self.knowledge = instance, knowledge
@@ -116,8 +117,12 @@ class _OpenSets:
         self.open = tuple(i for i, r in enumerate(self.solved_at) if r < 0)
 
     def update(self, picked: Sequence[int], round_no: int) -> None:
-        sets_of = self.instance.sets_of
-        for i in {i for e in picked for i in sets_of[e] if self.solved_at[i] < 0}:
+        if self.instance.m == 1:
+            touched = self.open
+        else:
+            sets_of = self.instance.sets_of
+            touched = {i for e in picked for i in sets_of[e] if self.solved_at[i] < 0}
+        for i in touched:
             if set_solved(self.instance, i, self.knowledge):
                 self.solved_at[i] = round_no
         self.open = tuple(i for i in self.open if self.solved_at[i] < 0)

@@ -21,7 +21,8 @@ generated instance re-parses byte-identically from its canonical text.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -87,7 +88,8 @@ SELECTION_FULL = ProblemFamily.SELECTION_FULL
 @dataclass(frozen=True)
 class Instance:
     """Ground set with ids 1..n, family of subsets, problem kind, round width,
-    and the family's membership index `sets_of`, built once, on first use."""
+    and two structures built once, on first use: the family's membership
+    index `sets_of`, and each set's members in left order, `left_orders`."""
 
     elements: Tuple[UncertainInterval, ...]
     family: Tuple[frozenset, ...]
@@ -120,6 +122,42 @@ class Instance:
             for eid in members:
                 index[eid].append(i)
         return index
+
+    def left_orders(self, lowers: Optional[Sequence[int]] = None) -> List[Tuple[List[int], List[int]]]:
+        """For each family set, its non-trivial members in left order, by
+        (left cut, id), and its trivial ones by (value, id), so each list
+        ascends by lower endpoint.
+
+        Built on the first call and kept in the instance's `__dict__`, as
+        `sets_of` is, but without it.  `lowers` are the keys of the
+        elements' lower endpoints in id order on any one exact scale, such
+        as a `TruthRecord`'s; every such scale orders them alike, so they
+        are read only by the first call, and without them that call keys
+        the endpoints itself.  All ids are ranked in one sort, the
+        non-trivial ones first, and each set sorts its members' ranks.
+        """
+        orders = self.__dict__.get("_left_orders")
+        if orders is None:
+            elements = self.elements
+            if lowers is None:
+                _, lowers, _, _ = interval_keys(elements)
+            # a point's left cut key is 3 * its value's key
+            cut = [3 * lower + (iv.lower_kind is OPEN) for iv, lower in zip(elements, lowers)]
+            by_cut = sorted(range(len(elements)), key=cut.__getitem__)  # indices, so ties go by id
+            ranked = [i + 1 for i in by_cut if not elements[i].trivial]
+            spans = len(ranked)
+            ranked += [i + 1 for i in by_cut if elements[i].trivial]
+            rank = [0] * (len(elements) + 1)
+            for r, eid in enumerate(ranked):
+                rank[eid] = r
+            orders = []
+            for members in self.family:
+                ranks = sorted(map(rank.__getitem__, members))
+                split = bisect_left(ranks, spans)
+                ids = list(map(ranked.__getitem__, ranks))
+                orders.append((ids[:split], ids[split:]))
+            self.__dict__["_left_orders"] = orders
+        return orders
 
     def knowledge(self) -> KnowledgeState:
         return KnowledgeState(self)
@@ -182,16 +220,45 @@ class Realization:
 
 @dataclass(frozen=True)
 class TruthRecord:
-    """A realization, the keys of each element's endpoints and value in id
-    order from one `interval_keys` call, and the ids that hold what the kind
-    asks of it: each set's true minimum (minimum) or the true i-th value
-    (both selection kinds); the realization gives their values."""
+    """A realization for `instance`, the keys of each element's endpoints
+    and value in id order from one `interval_keys` call, and `holders`.
 
+    `holders` are the ids that hold what the kind asks of the realization:
+    a member of least value of each set (minimum) or the true i-th value
+    (both selection kinds); the realization gives their values.  They are
+    found when first read, not when the record is built, so validating a
+    realization builds no left order.  A set's minimum is found by a walk
+    of its `Instance.left_orders` from the head, on the record's keys: its
+    least point, the head of its trivial members, is the first candidate,
+    and its non-trivial members are walked until one starts at or above
+    the least value seen, as every later one does too.  Values lie in
+    their intervals, strictly inside an open end, so no member left
+    unwalked can hold a smaller one.
+    """
+
+    instance: Instance = field(repr=False, compare=False)
     realization: Realization
     lowers: List[int]
     uppers: List[int]
     values: List[int]
-    holders: Tuple[int, ...] = ()
+
+    @cached_property
+    def holders(self) -> Tuple[int, ...]:
+        instance, values = self.instance, self.values
+        if instance.problem.kind is MINIMUM:
+            lowers, holders = self.lowers, []
+            for spans, points in instance.left_orders(lowers):
+                holder = points[0] if points else spans[0]
+                for eid in spans:
+                    if lowers[eid - 1] >= values[holder - 1]:
+                        break
+                    if values[eid - 1] < values[holder - 1]:
+                        holder = eid
+                holders.append(holder)
+            return tuple(holders)
+        if instance.problem.is_selection:
+            return (sorted(instance.ids(), key=lambda eid: values[eid - 1])[instance.problem.rank - 1],)
+        return ()
 
 
 def truth_record(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
@@ -200,14 +267,7 @@ def truth_record(instance: Instance, realization: Union[Realization, TruthRecord
     if isinstance(realization, TruthRecord):
         return realization
     _, lowers, uppers, values = interval_keys(instance.elements, map(realization.values.__getitem__, instance.ids()))
-    key = dict(zip(instance.ids(), values)).__getitem__
-    if instance.problem.kind is MINIMUM:
-        holders = tuple(min(members, key=key) for members in instance.family)
-        return TruthRecord(realization, lowers, uppers, values, holders)
-    if instance.problem.is_selection:
-        holder = sorted(instance.ids(), key=key)[instance.problem.rank - 1]
-        return TruthRecord(realization, lowers, uppers, values, (holder,))
-    return TruthRecord(realization, lowers, uppers, values)
+    return TruthRecord(instance, realization, lowers, uppers, values)
 
 
 def make_instance(

@@ -461,7 +461,9 @@ class KnowledgeState:
     without sorting it.  The builder, `reveal` and the run loop find a
     member's family sets through the instance's `sets_of`, built once per
     instance, so a fresh state over the same instance builds only its own
-    keys and views.
+    keys and views; a `reveal` with no views to keep reads no index, so a
+    selection run, whose run loop re-checks its one set directly, builds
+    none.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
@@ -527,7 +529,8 @@ class KnowledgeState:
             left, right = self._cuts
             left.replace([(3 * row[0] + row[1], 3 * key) for _, _, key, row in pins])
             right.replace([(3 * row[3] - row[4], 3 * key) for _, _, key, row in pins])
-        views, sets_of = self._views, self._instance.sets_of
+        views = self._views
+        sets_of = self._instance.sets_of if views else None
         for eid, value, key, row in pins:
             point = [key, 0, eid, key, 0]
             states[eid] = UncertainInterval.point(value)

@@ -41,18 +41,26 @@ sorting certificate's, come from `cut_order` on the state's cut keys.
 What the predicates return to callers, cuts, values and certificates,
 is read back as `Fraction`s.
 
-The certificate check reads the states alone and keys them itself: one
-`interval_keys` call over every state's endpoints and the certificate's
-claimed values (the minima, or the selection value) serves all three
-kinds.  An order a before b is provable when a's upper key is at most
-b's lower key, a state is a point when its two keys are equal, and the
-rank cuts are taken on cut keys.  It reads no `SetView`, cut list or key
-that the knowledge state keeps, so it checks what those decide rather
-than repeat it.  Against the realization it reads, as the offline optima
-do, the one `TruthRecord` that the oracle validated: the realization's
-keys and what the kind asks of it, so nothing keys the realization
-twice, and the elements at the selection value are found by their value
-keys.
+The certificate check reads the states alone.  For sorting and selection
+it keys them itself: one `interval_keys` call over every state's
+endpoints and the claimed selection value.  An order a before b is
+provable when a's upper key is at most b's lower key, a state is a point
+when its two keys are equal, and the rank cuts are taken on cut keys.
+For minimum it walks a prefix of each set's left order
+(`Instance.left_orders`), comparing the states' lower endpoints with the
+claim by integer cross-multiplication of the ratios they keep, once every
+revealed state is known to start at or above its interval
+(`_verify_minima`).  It reads no `SetView`, cut list or key that the
+knowledge state keeps, so it checks what those decide rather than repeat
+it.  Against the realization it reads, as the offline optima do, the one
+`TruthRecord` that the oracle validated: the realization's keys and what
+the kind asks of it, so nothing keys the realization twice, and the
+elements at the selection value are found by their value keys.  A set's
+true minimum is found by a walk of its left order on the record's keys,
+the first time an audit reads it, and the minimum optimum is the prefix
+of the same order below it, one bisection away.  A bare `Realization`
+handed to an audit is validated first, since those walks hold only for
+values inside their intervals.
 """
 
 from __future__ import annotations
@@ -73,11 +81,12 @@ from .instances import (
     SELECTION_VALUE,
     SORTING,
     TruthRecord,
-    truth_record,
+    truth_record,  # unused here; kept importable from this module, where the record's readers are
 )
 from .intervals import (
     KnowledgeState,
     SetView,
+    UncertainInterval,
     cut_keys,
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
@@ -465,23 +474,21 @@ def verify_certificate(
     realization: Union[Realization, TruthRecord, None] = None,
 ) -> None:
     """Raise unless the certificate is provable from knowledge (and, when a
-    realization or its `TruthRecord` is supplied, true under it)."""
+    realization or its `TruthRecord` is supplied, true under it).  A bare
+    `Realization` is validated first."""
     kind = instance.problem.kind
     if cert.problem is not kind:
         raise InstanceError("certificate problem kind mismatch")
-    truth = None if realization is None else truth_record(instance, realization)
-    # one key list over every state's endpoints (a point's are its value)
-    # and the claimed values: the minima, or the selection value
-    ids = list(knowledge.ids())
-    states = [knowledge.state(e) for e in ids]
+    truth = None if realization is None else _validated(instance, realization)
     if kind is MINIMUM:
         assert cert.minima is not None
-        if len(cert.minima) != instance.m:
-            raise InstanceError(f"minimum certificate set count {len(cert.minima)} is not the instance's {instance.m}")
-        claims = [v for _, v in cert.minima]
-    else:
-        claims = [] if cert.value is None else [cert.value]
-    _, lowers, uppers, claimed = interval_keys(states, claims)
+        _verify_minima(instance, knowledge, cert.minima, truth)
+        return
+    # one key list over every state's endpoints (a point's are its value)
+    # and the claimed selection value
+    ids = list(knowledge.ids())
+    states = [knowledge.state(e) for e in ids]
+    _, lowers, uppers, claimed = interval_keys(states, [] if cert.value is None else [cert.value])
     lower, upper = dict(zip(ids, lowers)), dict(zip(ids, uppers))
     if kind is SORTING:
         assert cert.orders is not None
@@ -495,19 +502,6 @@ def verify_certificate(
                     raise InstanceError(f"order of {a} before {b} is not provable")
                 if truth is not None and truth.values[a - 1] > truth.values[b - 1]:
                     raise InstanceError(f"order of {a} before {b} contradicts the realization")
-        return
-    if kind is MINIMUM:
-        for i, (members, (holder, v), claim) in enumerate(zip(instance.family, cert.minima, claimed)):
-            # a state is a point exactly when its two endpoint keys are equal
-            if holder not in members or not lower[holder] == upper[holder] == claim:
-                raise InstanceError("claimed minimum is not a known value of the set")
-            for e in members:
-                if lower[e] < claim:
-                    if lower[e] == upper[e]:
-                        raise InstanceError("a known value undercuts the claimed minimum")
-                    raise InstanceError("an unqueried element could undercut the claimed minimum")
-            if truth is not None and truth.realization.value(truth.holders[i]) != v:
-                raise InstanceError("claimed minimum contradicts the realization")
         return
     # the i-th left and right cuts, on cut keys taken here from the states
     cuts = [cut_keys(st, lower[e], upper[e]) for e, st in zip(ids, states)]
@@ -534,6 +528,68 @@ def verify_certificate(
                 raise InstanceError("equal-value elements contradict the realization")
 
 
+def _starts_below(iv: UncertainInterval, num: int, den: int) -> bool:
+    """True iff `iv`'s lower endpoint is below num/den, den > 0: one integer
+    cross-multiplication on the ratio that `iv` keeps."""
+    return iv.lower_num * den < num * iv.lower_den
+
+
+def _verify_minima(
+    instance: Instance,
+    knowledge: KnowledgeState,
+    minima: Tuple[Tuple[int, Fraction], ...],
+    truth: Optional[TruthRecord],
+) -> None:
+    """The minimum certificate check: per set, the holder is a member whose
+    state is the point of its claim, no member's state starts below the
+    claim, and, given a record, the claim is the set's true minimum.
+
+    A state that starts below the claim is found on a prefix of the set's
+    `Instance.left_orders`, whose lists ascend by the original intervals'
+    lower endpoints.  That is exact once every state is known to start at
+    or above its original interval's lower endpoint, as a revealed value
+    does, checked first: an unrevealed state is the instance's own interval
+    object, so only the others are compared.  Then a member whose state
+    starts below the claim has an original interval that does too, so each
+    list is walked only while its original intervals start below the
+    claim; among the states there that start below it too, the error names
+    the kind of the first in the set's iteration order, as a scan of every
+    member would.  Comparisons are integer cross-multiplications of the
+    ratios that the intervals keep and the claim's.
+    """
+    if len(minima) != instance.m:
+        raise InstanceError(f"minimum certificate set count {len(minima)} is not the instance's {instance.m}")
+    elements = instance.elements
+    states = list(map(knowledge.state, instance.ids()))
+    revealed = [eid for eid, iv, st in zip(instance.ids(), elements, states) if st is not iv]
+    for eid in revealed:
+        iv = elements[eid - 1]
+        if _starts_below(states[eid - 1], iv.lower_num, iv.lower_den):
+            raise InstanceError(f"the state of element {eid} starts below its interval")
+    orders = instance.left_orders(None if truth is None else truth.lowers)
+    for i, (members, (holder, v), lists) in enumerate(zip(instance.family, minima, orders)):
+        num, den = v.as_integer_ratio()
+        st = states[holder - 1] if holder in members else None
+        if st is None or not (st.trivial and st.lower_num == num and st.lower_den == den):
+            raise InstanceError("claimed minimum is not a known value of the set")
+        below = set()
+        for ids in lists:
+            for eid in ids:
+                iv = elements[eid - 1]
+                if not _starts_below(iv, num, den):
+                    break  # and so do the rest of the list
+                st = states[eid - 1]
+                if st is iv or _starts_below(st, num, den):
+                    below.add(eid)
+        if below:
+            first = next(eid for eid in members if eid in below)
+            if states[first - 1].trivial:
+                raise InstanceError("a known value undercuts the claimed minimum")
+            raise InstanceError("an unqueried element could undercut the claimed minimum")
+        if truth is not None and truth.realization.value(truth.holders[i]) != v:
+            raise InstanceError("claimed minimum contradicts the realization")
+
+
 # ---------------------------------------------------------------------------
 # exact optima
 
@@ -551,21 +607,30 @@ class OptReport:
         return OptReport(len(chosen), chosen, ceil_div(len(chosen), k), method)
 
 
+def _validated(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
+    """A record as it is, and a bare `Realization` through its `validate`:
+    the walks of the minimum audits are exact only for values inside their
+    intervals, and a value outside one is refused in one line."""
+    return realization if isinstance(realization, TruthRecord) else realization.validate(instance)
+
+
 def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
     """Per set: every interval whose lower endpoint key is below the value
     key of the set's true minimum (its own interval included, and no
-    trivial one: a trivial interval's lower endpoint is its value)."""
-    truth, chosen = truth_record(instance, realization), set()
+    trivial one: a trivial interval's lower endpoint is its value).  Those
+    are a prefix of the set's non-trivial members in left order
+    (`Instance.left_orders`), and one bisection on the record's lower keys
+    finds its end."""
+    truth, chosen = _validated(instance, realization), set()
     lowers, values = truth.lowers, truth.values
-    for members, holder in zip(instance.family, truth.holders):
-        floor = values[holder - 1]
-        chosen.update(e for e in members if lowers[e - 1] < floor)
+    for (spans, _), holder in zip(instance.left_orders(lowers), truth.holders):
+        chosen.update(spans[: bisect_left(spans, values[holder - 1], key=lambda e: lowers[e - 1])])
     return OptReport.of(chosen, instance.k, "closed-form")
 
 
 def opt1_selection_full(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
     """Every non-trivial interval that contains v*, on the record's keys."""
-    truth = truth_record(instance, realization)
+    truth = _validated(instance, realization)
     at, bounds = truth.values[truth.holders[0] - 1], zip(instance.elements, truth.lowers, truth.uppers)
     chosen = [e for e, (iv, lo, hi) in enumerate(bounds, 1) if not iv.trivial and iv.contains_keyed(lo, hi, at)]
     return OptReport.of(chosen, instance.k, "closed-form")
@@ -599,7 +664,7 @@ def opt1_selection_value(instance: Instance, realization: Union[Realization, Tru
     some optimal solution avoids each element that is not kept.
     """
     rank = instance.problem.rank
-    truth = truth_record(instance, realization)
+    truth = _validated(instance, realization)
     at = truth.values[truth.holders[0] - 1]
     below = settled = 0
     effect: Dict[int, Tuple[bool, bool]] = {}
@@ -656,7 +721,7 @@ def sorting_residual(
     `dependency_runs`.  Endpoints and values are compared on the record's
     keys; no `KnowledgeState` is built.
     """
-    truth = truth_record(instance, realization)
+    truth = _validated(instance, realization)
     lowers, uppers, values = truth.lowers, truth.uppers, truth.values
     mandatory = set()
     free = []  # per set, its non-trivial members not mandatory in that set

@@ -29,6 +29,7 @@ from roundquery.instances import (
     make_instance,
     parse_instance,
     serialize_instance,
+    truth_record,
 )
 from roundquery.intervals import CLOSED, OPEN, IntervalError, KnowledgeState, UncertainInterval, parse_rational
 from roundquery.solving import minimum_solved, opt1_minimum
@@ -182,6 +183,46 @@ class TestMembershipIndex:
         # one state for the feasibility replay and one per minimality replay
         assert opt_set and len(states) == 1 + len(opt_set) and len(reads) >= len(states)
         assert all(read is reads[0] for read in reads)
+
+
+class TestLeftOrders:
+    @pytest.mark.parametrize("keyed", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("source", [
+        "random:problem=minimum,n=40,m=6,k=2,overlap=overlap,triv=0.5",
+        "random:problem=sorting,n=40,m=3,k=2,overlap=overlap,triv=0.3",  # closed ends too
+        "random:problem=selection-full,n=40,k=2,i=20,triv=0.3",
+    ])
+    def test_each_set_in_left_order(self, source, seed, keyed):
+        inst, oracle = resolve_source(source, seed)
+        orders = inst.left_orders(truth_record(inst, oracle.realization).lowers if keyed else None)
+        interval = inst.interval
+        for members, (spans, points) in zip(inst.family, orders):
+            by_cut = sorted(members, key=lambda e: (interval(e).lower, interval(e).lower_kind is OPEN, e))
+            assert spans == [e for e in by_cut if not interval(e).trivial]
+            assert points == sorted((e for e in members if interval(e).trivial), key=lambda e: (interval(e).value, e))
+
+    def test_a_set_listed_twice_and_a_one_member_set(self):
+        elements = [UncertainInterval.parse(text) for text in ("(1,3)", "{1}", "(0,2)", "{0}", "(1,2)")]
+        inst = make_instance(elements, [[1, 2, 3, 4, 5], [2], [1, 2, 3, 4, 5]], ProblemKind(MINIMUM), 1)
+        assert inst.left_orders() == [([3, 1, 5], [4, 2]), ([], [2]), ([3, 1, 5], [4, 2])]
+
+    def test_built_once_from_the_first_keys(self):
+        inst, r = gen_fig3_overlap_instance()
+        assert "_left_orders" not in vars(inst)
+        orders = inst.left_orders(truth_record(inst, r).lowers)
+        assert inst.left_orders() is orders and inst.left_orders([0] * inst.n) is orders
+        copy = dataclasses.replace(inst)
+        assert copy == inst and hash(copy) == hash(inst) and "_left_orders" not in vars(copy)
+
+    def test_built_by_the_first_audit_that_reads_a_minimum(self):
+        # neither the oracle's validation nor its record builds them, and
+        # the minima are found without the membership index
+        inst, oracle = resolve_source("random:problem=minimum,n=40,m=8,k=3,overlap=overlap", 0)
+        record = oracle.check_finalize()
+        assert "_left_orders" not in vars(inst)
+        assert len(record.holders) == inst.m
+        assert "_left_orders" in vars(inst) and "sets_of" not in vars(inst)
 
 
 class TestFig2:

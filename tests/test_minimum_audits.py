@@ -209,3 +209,19 @@ def test_an_unqueried_member_at_the_head_of_the_order_is_refused():
     cert = SolutionCertificate(MINIMUM, minima=((2, Fraction(3)),))
     with pytest.raises(InstanceError, match="^an unqueried element could undercut the claimed minimum$"):
         verify_certificate(inst, knowledge, cert)
+
+
+@pytest.mark.parametrize("audit", ["canonical_opt", "opt1_minimum", "verify_certificate"])
+def test_a_bare_realization_is_validated_first(audit):
+    # 5 lies outside element 1's (0,4); the walks take values at their word
+    inst = make_instance([iv("(0,4)"), iv("(2,6)")], [[1, 2]], ProblemKind(MINIMUM), 1)
+    knowledge = inst.knowledge()
+    knowledge.reveal({1: Fraction(1), 2: Fraction(3)})
+    bad = Realization({1: Fraction(5), 2: Fraction(3)})
+    calls = {
+        "canonical_opt": lambda: canonical_opt(inst, bad),
+        "opt1_minimum": lambda: opt1_minimum(inst, bad),
+        "verify_certificate": lambda: verify_certificate(inst, knowledge, extract_certificate(inst, knowledge), bad),
+    }
+    with pytest.raises(InstanceError, match=r"^value 5 outside interval \(0,4\) of element 1$"):
+        calls[audit]()
