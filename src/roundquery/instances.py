@@ -128,13 +128,14 @@ class Instance:
         (left cut, id), and its trivial ones by (value, id), so each list
         ascends by lower endpoint.
 
-        Built on the first call and kept in the instance's `__dict__`, as
-        `sets_of` is, but without it.  `lowers` are the keys of the
-        elements' lower endpoints in id order on any one exact scale, such
-        as a `TruthRecord`'s; every such scale orders them alike, so they
-        are read only by the first call, and without them that call keys
-        the endpoints itself.  All ids are ranked in one sort, the
-        non-trivial ones first, and each set sorts its members' ranks.
+        Built on the first call, without reading `sets_of`, and kept in
+        the instance's `__dict__` as that index is.  `lowers` are the keys
+        of the elements' lower endpoints in id order on any one exact
+        scale, such as a `TruthRecord`'s; every such scale orders them
+        alike, so they are read only by the first call, and without them
+        that call keys the endpoints itself.  All ids are ranked in one
+        sort, the non-trivial ones first, and each set sorts its members'
+        ranks.
         """
         orders = self.__dict__.get("_left_orders")
         if orders is None:
