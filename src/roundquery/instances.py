@@ -133,29 +133,31 @@ class Instance:
         of the elements' lower endpoints in id order on any one exact
         scale, such as a `TruthRecord`'s; every such scale orders them
         alike, so they are read only by the first call, and without them
-        that call keys the endpoints itself.  All ids are ranked in one
-        sort, the non-trivial ones first, and each set sorts its members'
-        ranks.
+        that call keys the endpoints itself.  Each id gets one int that
+        orders as (trivial, left cut, id), and each set sorts its members
+        by it, so one bisection splits the two lists.
         """
         orders = self.__dict__.get("_left_orders")
         if orders is None:
             elements = self.elements
             if lowers is None:
                 _, lowers, _, _ = interval_keys(elements)
-            # a point's left cut key is 3 * its value's key
-            cut = [3 * lower + (iv.lower_kind is OPEN) for iv, lower in zip(elements, lowers)]
-            by_cut = sorted(range(len(elements)), key=cut.__getitem__)  # indices, so ties go by id
-            ranked = [i + 1 for i in by_cut if not elements[i].trivial]
-            spans = len(ranked)
-            ranked += [i + 1 for i in by_cut if elements[i].trivial]
-            rank = [0] * (len(elements) + 1)
-            for r, eid in enumerate(ranked):
-                rank[eid] = r
+            # an id's int: its left cut key 3 * lower + open (a point's is
+            # 3 * its value's key) less the least one can be, times a stride
+            # above every id, plus the id, and for a point plus `points`,
+            # which is above every non-trivial id's int
+            low, stride = 3 * min(lowers), len(elements) + 1
+            points = (3 * max(lowers) + 2 - low) * stride
+            sort_key = [0]
+            sort_key += [
+                (3 * lower + (iv.lower_kind is OPEN) - low) * stride + eid + (points if iv.trivial else 0)
+                for eid, (iv, lower) in enumerate(zip(elements, lowers), 1)
+            ]
+            key = sort_key.__getitem__
             orders = []
             for members in self.family:
-                ranks = sorted(map(rank.__getitem__, members))
-                split = bisect_left(ranks, spans)
-                ids = list(map(ranked.__getitem__, ranks))
+                ids = sorted(members, key=key)
+                split = bisect_left(ids, points, key=key)
                 orders.append((ids[:split], ids[split:]))
             self.__dict__["_left_orders"] = orders
         return orders

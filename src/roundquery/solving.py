@@ -86,7 +86,6 @@ from .instances import (
 from .intervals import (
     KnowledgeState,
     SetView,
-    UncertainInterval,
     cut_keys,
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
@@ -486,8 +485,7 @@ def verify_certificate(
         return
     # one key list over every state's endpoints (a point's are its value)
     # and the claimed selection value
-    ids = list(knowledge.ids())
-    states = [knowledge.state(e) for e in ids]
+    ids, states = list(knowledge.ids()), list(knowledge.states())
     _, lowers, uppers, claimed = interval_keys(states, [] if cert.value is None else [cert.value])
     lower, upper = dict(zip(ids, lowers)), dict(zip(ids, uppers))
     if kind is SORTING:
@@ -528,12 +526,6 @@ def verify_certificate(
                 raise InstanceError("equal-value elements contradict the realization")
 
 
-def _starts_below(iv: UncertainInterval, num: int, den: int) -> bool:
-    """True iff `iv`'s lower endpoint is below num/den, den > 0: one integer
-    cross-multiplication on the ratio that `iv` keeps."""
-    return iv.lower_num * den < num * iv.lower_den
-
-
 def _verify_minima(
     instance: Instance,
     knowledge: KnowledgeState,
@@ -554,17 +546,18 @@ def _verify_minima(
     list is walked only while its original intervals start below the
     claim; among the states there that start below it too, the error names
     the kind of the first in the set's iteration order, as a scan of every
-    member would.  Comparisons are integer cross-multiplications of the
-    ratios that the intervals keep and the claim's.
+    member would.  Each comparison is one integer cross-multiplication of
+    the ratios that the intervals keep and the claim's, whose denominators
+    are positive.
     """
     if len(minima) != instance.m:
         raise InstanceError(f"minimum certificate set count {len(minima)} is not the instance's {instance.m}")
     elements = instance.elements
-    states = list(map(knowledge.state, instance.ids()))
+    states = list(knowledge.states())
     revealed = [eid for eid, iv, st in zip(instance.ids(), elements, states) if st is not iv]
     for eid in revealed:
-        iv = elements[eid - 1]
-        if _starts_below(states[eid - 1], iv.lower_num, iv.lower_den):
+        iv, st = elements[eid - 1], states[eid - 1]
+        if st.lower_num * iv.lower_den < iv.lower_num * st.lower_den:
             raise InstanceError(f"the state of element {eid} starts below its interval")
     orders = instance.left_orders(None if truth is None else truth.lowers)
     for i, (members, (holder, v), lists) in enumerate(zip(instance.family, minima, orders)):
@@ -572,15 +565,15 @@ def _verify_minima(
         st = states[holder - 1] if holder in members else None
         if st is None or not (st.trivial and st.lower_num == num and st.lower_den == den):
             raise InstanceError("claimed minimum is not a known value of the set")
-        below = set()
+        below = []
         for ids in lists:
             for eid in ids:
                 iv = elements[eid - 1]
-                if not _starts_below(iv, num, den):
-                    break  # and so do the rest of the list
+                if iv.lower_num * den >= num * iv.lower_den:
+                    break  # it starts at or above the claim, and so does the rest of the list
                 st = states[eid - 1]
-                if st is iv or _starts_below(st, num, den):
-                    below.add(eid)
+                if st is iv or st.lower_num * den < num * st.lower_den:
+                    below.append(eid)
         if below:
             first = next(eid for eid in members if eid in below)
             if states[first - 1].trivial:
