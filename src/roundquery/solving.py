@@ -572,7 +572,7 @@ def _verify_minima(
                 if iv.lower_num * den >= num * iv.lower_den:
                     break  # it starts at or above the claim, and so does the rest of the list
                 st = states[eid - 1]
-                if st is iv or st.lower_num * den < num * st.lower_den:
+                if st.lower_num * den < num * st.lower_den:
                     below.append(eid)
         if below:
             first = next(eid for eid in members if eid in below)
