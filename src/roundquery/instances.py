@@ -21,7 +21,6 @@ generated instance re-parses byte-identically from its canonical text.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -123,10 +122,9 @@ class Instance:
                 index[eid].append(i)
         return index
 
-    def left_orders(self, lowers: Optional[Sequence[int]] = None) -> List[Tuple[List[int], List[int]]]:
-        """For each family set, its non-trivial members in left order, by
-        (left cut, id), and its trivial ones by (value, id), so each list
-        ascends by lower endpoint.
+    def left_orders(self, lowers: Optional[Sequence[int]] = None) -> List[List[int]]:
+        """For each family set, its members in left order, by (left cut,
+        id), so ascending by lower endpoint, a point's being its value.
 
         Built on the first call, without reading `sets_of`, and kept in
         the instance's `__dict__` as that index is.  `lowers` are the keys
@@ -134,31 +132,21 @@ class Instance:
         scale, such as a `TruthRecord`'s; every such scale orders them
         alike, so they are read only by the first call, and without them
         that call keys the endpoints itself.  Each id gets one int that
-        orders as (trivial, left cut, id), and each set sorts its members
-        by it, so one bisection splits the two lists.
+        orders as (left cut, id): its left cut key 3 * lower + open, less
+        the least one can be, times a stride above every id, plus the id.
         """
         orders = self.__dict__.get("_left_orders")
         if orders is None:
             elements = self.elements
             if lowers is None:
                 _, lowers, _, _ = interval_keys(elements)
-            # an id's int: its left cut key 3 * lower + open (a point's is
-            # 3 * its value's key) less the least one can be, times a stride
-            # above every id, plus the id, and for a point plus `points`,
-            # which is above every non-trivial id's int
             low, stride = 3 * min(lowers), len(elements) + 1
-            points = (3 * max(lowers) + 2 - low) * stride
             sort_key = [0]
             sort_key += [
-                (3 * lower + (iv.lower_kind is OPEN) - low) * stride + eid + (points if iv.trivial else 0)
+                (3 * lower + (iv.lower_kind is OPEN) - low) * stride + eid
                 for eid, (iv, lower) in enumerate(zip(elements, lowers), 1)
             ]
-            key = sort_key.__getitem__
-            orders = []
-            for members in self.family:
-                ids = sorted(members, key=key)
-                split = bisect_left(ids, points, key=key)
-                orders.append((ids[:split], ids[split:]))
+            orders = [sorted(members, key=sort_key.__getitem__) for members in self.family]
             self.__dict__["_left_orders"] = orders
         return orders
 
@@ -231,12 +219,10 @@ class TruthRecord:
     (both selection kinds); the realization gives their values.  They are
     found when first read, not when the record is built, so validating a
     realization builds no left order.  A set's minimum is found by a walk
-    of its `Instance.left_orders` from the head, on the record's keys: its
-    least point, the head of its trivial members, is the first candidate,
-    and its non-trivial members are walked until one starts at or above
-    the least value seen, as every later one does too.  Values lie in
-    their intervals, strictly inside an open end, so no member left
-    unwalked can hold a smaller one.
+    of its `Instance.left_orders` from the head, on the record's keys,
+    which keeps the least value seen and stops at the first member whose
+    lower endpoint is at or above it, as every later one's is too.  Values
+    lie in their intervals, so no member left unwalked holds a smaller one.
     """
 
     instance: Instance = field(repr=False, compare=False)
@@ -250,9 +236,9 @@ class TruthRecord:
         instance, values = self.instance, self.values
         if instance.problem.kind is MINIMUM:
             lowers, holders = self.lowers, []
-            for spans, points in instance.left_orders(lowers):
-                holder = points[0] if points else spans[0]
-                for eid in spans:
+            for order in instance.left_orders(lowers):
+                holder = order[0]
+                for eid in order:
                     if lowers[eid - 1] >= values[holder - 1]:
                         break
                     if values[eid - 1] < values[holder - 1]:

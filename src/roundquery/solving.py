@@ -537,13 +537,13 @@ def _verify_minima(
     claim, and, given a record, the claim is the set's true minimum.
 
     A state that starts below the claim is found on a prefix of the set's
-    `Instance.left_orders`, whose lists ascend by the original intervals'
-    lower endpoints.  That is exact once every state is known to start at
-    or above its original interval's lower endpoint, as a revealed value
+    `Instance.left_orders`, which ascends by the original intervals' lower
+    endpoints.  That is exact once every state is known to start at or
+    above its original interval's lower endpoint, as a revealed value
     does, checked first: an unrevealed state is the instance's own interval
     object, so only the others are compared.  Then a member whose state
-    starts below the claim has an original interval that does too, so each
-    list is walked only while its original intervals start below the
+    starts below the claim has an original interval that does too, so the
+    order is walked only while its original intervals start below the
     claim; among the states there that start below it too, the error names
     the kind of the first in the set's iteration order, as a scan of every
     member would.  Each comparison is one integer cross-multiplication of
@@ -560,20 +560,19 @@ def _verify_minima(
         if st.lower_num * iv.lower_den < iv.lower_num * st.lower_den:
             raise InstanceError(f"the state of element {eid} starts below its interval")
     orders = instance.left_orders(None if truth is None else truth.lowers)
-    for i, (members, (holder, v), lists) in enumerate(zip(instance.family, minima, orders)):
+    for i, (members, (holder, v), order) in enumerate(zip(instance.family, minima, orders)):
         num, den = v.as_integer_ratio()
         st = states[holder - 1] if holder in members else None
         if st is None or not (st.trivial and st.lower_num == num and st.lower_den == den):
             raise InstanceError("claimed minimum is not a known value of the set")
         below = []
-        for ids in lists:
-            for eid in ids:
-                iv = elements[eid - 1]
-                if iv.lower_num * den >= num * iv.lower_den:
-                    break  # it starts at or above the claim, and so does the rest of the list
-                st = states[eid - 1]
-                if st.lower_num * den < num * st.lower_den:
-                    below.append(eid)
+        for eid in order:
+            iv = elements[eid - 1]
+            if iv.lower_num * den >= num * iv.lower_den:
+                break  # it starts at or above the claim, and so does the rest of the order
+            st = states[eid - 1]
+            if st.lower_num * den < num * st.lower_den:
+                below.append(eid)
         if below:
             first = next(eid for eid in members if eid in below)
             if states[first - 1].trivial:
@@ -611,13 +610,13 @@ def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord
     """Per set: every interval whose lower endpoint key is below the value
     key of the set's true minimum (its own interval included, and no
     trivial one: a trivial interval's lower endpoint is its value).  Those
-    are a prefix of the set's non-trivial members in left order
-    (`Instance.left_orders`), and one bisection on the record's lower keys
-    finds its end."""
+    are a prefix of the set's left order (`Instance.left_orders`), which
+    one bisection on the record's lower keys finds; no point is in it, as
+    none lies below the minimum."""
     truth, chosen = _validated(instance, realization), set()
     lowers, values = truth.lowers, truth.values
-    for (spans, _), holder in zip(instance.left_orders(lowers), truth.holders):
-        chosen.update(spans[: bisect_left(spans, values[holder - 1], key=lambda e: lowers[e - 1])])
+    for order, holder in zip(instance.left_orders(lowers), truth.holders):
+        chosen.update(order[: bisect_left(order, values[holder - 1], key=lambda e: lowers[e - 1])])
     return OptReport.of(chosen, instance.k, "closed-form")
 
 
