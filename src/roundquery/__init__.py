@@ -93,7 +93,6 @@ from .solving import (
     opt1_selection_value,
     opt1_sorting,
     query_set_feasible,
-    selection_categories,
     selection_solved,
     selection_value_pinned,
     sorting_solved,

@@ -37,7 +37,6 @@ from .reductions import BatchesToRounds, TwoBatchSorting
 from .solving import (
     AlgorithmError,
     OpenSets,
-    SelectionRoundView,
     build_dependency_graph,
     ceil_div,
     exact_cover,
@@ -235,7 +234,7 @@ class BudgetRounds:
 # selection
 
 
-# `SelectionFullRounds`' categories, in the order of `SelectionRoundView`'s buckets
+# `SelectionFullRounds`' categories, in the order of its `last_view` buckets
 CONTAINING, INSIDE, LEFT_OVERLAP, RIGHT_OVERLAP = range(4)
 
 
@@ -307,8 +306,8 @@ class SelectionFullRounds:
     between the rank cuts only shrinks.  For an unqueried id, each of
     "its left cut is at most lo", "its right cut is at least hi" and
     "disjoint from the target area" turns on at most once and never off,
-    and these decide its category (see `selection_categories`): inside,
-    then left- or right-overlapping, then containing, then none.
+    and these decide its category: inside, then left- or
+    right-overlapping, then containing, then none.
 
     The first round sorts the unqueried ids that meet the target area by
     (left cut, id) and by (right cut descending, id); the others stay
@@ -432,8 +431,8 @@ class SelectionFullRounds:
         return (q1 + q2 + alternating)[:k]
 
     @property
-    def last_view(self) -> Optional[SelectionRoundView]:
-        """The categories as they stand: each one's unqueried ids, ascending."""
+    def last_view(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """Each category's unqueried ids, ascending, CONTAINING to RIGHT_OVERLAP."""
         if self._knowledge is None:
             return None
         buckets: Tuple[List[int], ...] = ([], [], [], [])
@@ -441,7 +440,7 @@ class SelectionFullRounds:
             category = self._category(e)
             if category is not None and not self._knowledge.state(e).trivial:
                 buckets[category].append(e)
-        return SelectionRoundView(*map(tuple, buckets))
+        return tuple(map(tuple, buckets))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .harness import (
     sweep,
     sweep_csv,
 )
-from .instances import InstanceError, parse_instance, serialize_instance
+from .instances import InstanceError, parse_instance, serialize_instance, truth_record
 from .oracles import FixedOracle
 from .reductions import BatchesToRounds, QueryAllBatch, RoundsToBatches, TwoBatchSorting
 from .solving import (
@@ -41,7 +41,6 @@ from .solving import (
     instance_solved,
     query_set_feasible,
     reveal_all,
-    truth_record,
     verify_certificate,
 )
 
@@ -96,7 +95,7 @@ def _load_run_target(args) -> tuple:
             raise InstanceError("instance file carries no realization; cannot answer queries")
         return instance, FixedOracle(instance, realization)
     spec = args.source or args.oracle
-    if args.oracle and spec.split(":", 1)[0] not in ADVERSARY_SOURCES:
+    if args.oracle and spec.partition(":")[0].strip() not in ADVERSARY_SOURCES:
         raise InstanceError(f"--oracle expects one of {ADVERSARY_SOURCES}")
     return resolve_source(spec, args.seed)
 

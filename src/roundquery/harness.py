@@ -158,7 +158,7 @@ def _drive(
 
     Each accepted round reveals a new non-trivial element, so a run ends
     within n rounds; a stalling algorithm fails `_check_round` instead."""
-    knowledge = instance.knowledge()
+    knowledge = KnowledgeState(instance)
     rounds: List[Round] = []
     sets = _OpenSets(instance, knowledge)
     while sets.open:

@@ -31,7 +31,6 @@ from .intervals import (
     CLOSED,
     OPEN,
     IntervalError,
-    KnowledgeState,
     UncertainInterval,
     interval_keys,
     parse_rational,
@@ -149,9 +148,6 @@ class Instance:
             orders = [sorted(members, key=sort_key.__getitem__) for members in self.family]
             self.__dict__["_left_orders"] = orders
         return orders
-
-    def knowledge(self) -> KnowledgeState:
-        return KnowledgeState(self)
 
     def validate(self) -> None:
         n = len(self.elements)

@@ -130,15 +130,11 @@ class UncertainInterval:
             raise IntervalError("value is only defined for trivial intervals")
         return self.lower
 
-    def contains(self, v: Fraction) -> bool:
-        """Membership respecting endpoint openness: one comparison per
-        endpoint, weak at a closed one and strict at an open one."""
-        return self.contains_keyed(self.lower, self.upper, v)
-
     def contains_keyed(self, lower, upper, v) -> bool:
-        """`contains` on `lower`, `upper` and `v` taken in any one exact
-        order of this interval's endpoints and the value, such as their
-        `interval_keys`; the endpoint kinds are this interval's."""
+        """Membership of `v` on `lower`, `upper` and `v` taken in any one
+        exact order of this interval's endpoints and the value, such as
+        their `interval_keys`: one comparison per endpoint, weak at a
+        closed one and strict at an open one."""
         if not (lower <= v if self.lower_kind is CLOSED else lower < v):
             return False
         return v <= upper if self.upper_kind is CLOSED else v < upper
@@ -211,12 +207,9 @@ def interval_keys(
     L // den is taken once per distinct denominator, and L is the lcm of
     the lcms of groups of 16 denominators, level by level, so each step
     multiplies ints of about equal size rather than one ever longer int
-    by a short one.  The keys still grow with L.  The worst case is many
-    distinct prime denominators: for 3,000 of them the keys have about
-    39k bits, and keying plus sorting took 0.06 s against 0.014 s for
-    sorting the `Fraction`s (CPython 3.11, 2-vCPU VM); over denominators
-    1-8 the same took 0.001 s against 0.015 s.  Slower in that case, but
-    bounded, and exact on every input, so there is no second path.
+    by a short one.  The keys still grow with L: many distinct prime
+    denominators make them slower to sort than the `Fraction`s, but that
+    is bounded, and exact on every input, so there is no second path.
     """
     ratios = [v.as_integer_ratio() for v in values]
     dens = {iv.lower_den for iv in intervals} | {iv.upper_den for iv in intervals} | {den for _, den in ratios}
@@ -289,10 +282,8 @@ class CutKeys:
     finer scale in their places.  The keys are held in blocks of at most
     2 * BLOCK, each ascending and each at or above the one before, with
     the last key of each block in `_maxes`, so removing or adding a key
-    moves one block's keys rather than a whole list's tail: at n = 80,000
-    a plain list moved 40,000 pointers on average for each of a round's
-    4k changes, and that was most of a `sel-full` run.  The i-th key walks
-    the blocks, a few dozen there.
+    moves one block's keys rather than a whole list's tail.  The i-th key
+    walks the blocks.
     """
 
     BLOCK = 1024
@@ -407,32 +398,22 @@ class KnowledgeState:
     point's value off the state, and only certificate extraction asks for it.
 
     Everything else it keeps is on exact integer keys, all on one scale L,
-    the least common multiple of every denominator the state has seen:
-    each element's key row [lower, lower_open, id, upper, upper_open],
-    built here by `interval_keys`, holds the keys of its current state's
-    endpoints with their openness as 0 or 1, a point's row being
-    [key, 0, id, key, 0], and its left and right cut keys are read off
-    it.  A value's key is the value times L, so keys
-    order and tie as the rationals do, and nothing below compares a
-    `Fraction`.  `reveal` takes a whole round's answers and keys their
-    values; when a denominator does not divide L, it first multiplies the
-    two keys of every row in place by L'/L, L' the lcm of L and all the
+    the least common multiple of every denominator the state has seen: each
+    element's key row [lower, lower_open, id, upper, upper_open], built here
+    by `interval_keys`, holds the keys of its current state's endpoints with
+    their openness as 0 or 1, a point's row being [key, 0, id, key, 0], and
+    its left and right cut keys are read off it.  A value's key is the value
+    times L, so keys order and tie as the rationals do, and nothing below
+    compares a `Fraction`.  `reveal` takes a whole round's answers and keys
+    their values; when a denominator does not divide L, it first multiplies
+    the two keys of every row in place by L'/L, L' the lcm of L and all the
     round's denominators, so one scale holds throughout, and rescales the
-    cut lists.  The views hold the very row objects, and a multiplication
-    by L'/L > 0 keeps every list sorted, so no view is touched: a rescale
-    costs one pass over the rows and the cut lists, and a round pays at
-    most one.  That is rare: counted per run of `harness.run` over seeds 0-19 (0-4 at
-    n >= 400), random minimum (single, overlapping, disjoint, n=20 and
-    n=800) needed at most 2, mean 0.75-1.2; random sorting (n=16, n=400)
-    at most 2, mean 1.2-1.45; random selection-full (n=20, n=1000) at most
-    2, mean 1.0-1.15; random selection-value at most 2, mean 1.0; fig2,
-    fig1-pairs, wlb, additive and selfull-lb exactly 1; fig3 and selval-lb
-    none.  The worst case is a new prime denominator in every value: on
-    3,000 intervals with integer endpoints and each value over a prime of
-    its own, sorting-matching took 25 s and sel-full 0.94 s (54 rescales),
-    against 7.0 s and 0.9 s when the kept lists held `Fraction`s, and 75 s
-    and 7.8 s with one rescale per value (CPython 3.11, 2-vCPU VM).  Slower
-    there, but exact, so there is no second path.
+    cut lists.  The views hold the very row objects, and a multiplication by
+    L'/L > 0 keeps every list sorted, so no view is touched: a rescale costs
+    one pass over the rows and the cut lists, and a round pays at most one,
+    and rarely: random values are eighths, and the adversaries use few
+    denominators.  A new prime denominator in every value rescales every
+    round and grows the keys: slower, but exact, so there is no second path.
 
     It keeps the cut lists: the cut keys (3 * key + flag) of the left cuts
     and of the right cuts of all states, each ascending in a `CutKeys`.
@@ -445,10 +426,7 @@ class KnowledgeState:
     builds them once.  It reads those keys again from the multiplied rows
     and sorts them rather than multiply each cut key by L'/L: when every
     round brings new prime denominators the keys grow to tens of thousands
-    of bits, and on 3,000 intervals (j, j + 3000), each value over a prime
-    of its own, `sel-full` at k=8 took 30 s multiplying, 11 s this way and
-    16-18 s when a rescale dropped the lists for the next read to rebuild
-    (375 rescales; CPython 3.11, 2-vCPU VM).
+    of bits, and multiplying them costs more than sorting them again.
 
     And it keeps one `SetView` per family set, in a list indexed like the
     family: the key rows of the set's members, the very lists the state

@@ -34,10 +34,8 @@ contain a pinned point: they force queries and leave a set unsorted.
 Selection reads its rank cuts from the kept cut lists of cut keys, and
 full selection's solvedness counts the cuts around the pinned value's
 key there, by bisection, rather than scanning the unqueried intervals.
-`selection_categories` classifies every state against the target area:
-the reference that `SelectionFullRounds`' kept categories are checked
-against.  Orders by endpoint, such as the
-sorting certificate's, come from `cut_order` on the state's cut keys.
+Orders by endpoint, such as the sorting certificate's, come from
+`cut_order` on the state's cut keys.
 What the predicates return to callers, cuts, values and certificates,
 is read back as `Fraction`s.
 
@@ -81,7 +79,6 @@ from .instances import (
     SELECTION_VALUE,
     SORTING,
     TruthRecord,
-    truth_record,  # unused here; kept importable from this module, where the record's readers are
 )
 from .intervals import (
     KnowledgeState,
@@ -232,75 +229,6 @@ def instance_solved(instance: Instance, knowledge: KnowledgeState) -> bool:
     if instance.problem.is_selection:
         return selection_solved(instance, knowledge)
     return all(set_solved(instance, i, knowledge) for i in range(instance.m))
-
-
-# ---------------------------------------------------------------------------
-# target area and categories for selection
-
-
-@dataclass(frozen=True)
-class SelectionRoundView:
-    """The category split of the elements that intersect the target area,
-    which spans the rank cuts (`rank_cut_keys`): the i-th value lies in it.
-
-    `containing` holds the non-trivial unqueried intervals that cover the
-    whole target area; the other three buckets classify every remaining
-    element state that intersects the target area (points included, for
-    the category-count invariants).
-    """
-
-    containing: Tuple[int, ...]
-    inside: Tuple[int, ...]
-    left_overlap: Tuple[int, ...]
-    right_overlap: Tuple[int, ...]
-
-
-def selection_categories(instance: Instance, knowledge: KnowledgeState) -> SelectionRoundView:
-    """Classify every state against the current target area, each bucket
-    in id order: the reference classifier, which `SelectionFullRounds`
-    keeps up to date round by round instead.
-
-    A reveal only raises an element's left cut and lowers its right cut,
-    so the i-th smallest left cut only rises and the i-th smallest right
-    cut only falls: the target area only shrinks, and an element disjoint
-    from it stays disjoint.  A point that covers a trivial target area {v}
-    is in no bucket; the target is then {v} for good, as the i-th left
-    cut can rise no further than the i-th right cut, and the point keeps
-    covering it in no bucket.
-
-    The cuts are compared as cut keys.  Every left cut key here is at most
-    its right cut key, the target area's too, so a state is disjoint from
-    the target area exactly when one ends before the other starts; and a
-    state is a point exactly when its two cut keys are equal.
-    """
-    ta_lo, ta_hi = rank_cut_keys(instance, knowledge)
-    containing: List[int] = []
-    inside: List[int] = []
-    left_overlap: List[int] = []
-    right_overlap: List[int] = []
-    for eid in instance.ids():
-        lo, hi = knowledge.left_key(eid), knowledge.right_key(eid)
-        if lo > ta_hi or hi < ta_lo:
-            continue  # disjoint from the target area
-        covers_left = lo <= ta_lo
-        covers_right = hi >= ta_hi
-        if covers_left and covers_right:
-            if lo != hi:
-                containing.append(eid)
-            # a pinned point can only "cover" a trivial target area; it is
-            # already resolved and belongs to no bucket
-        elif covers_left:
-            left_overlap.append(eid)
-        elif covers_right:
-            right_overlap.append(eid)
-        else:
-            inside.append(eid)
-    return SelectionRoundView(
-        containing=tuple(containing),
-        inside=tuple(inside),
-        left_overlap=tuple(left_overlap),
-        right_overlap=tuple(right_overlap),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +614,7 @@ def opt1_selection_value(instance: Instance, realization: Union[Realization, Tru
 
 
 def reveal_all(instance: Instance, realization: Realization, ids: Iterable[int]) -> KnowledgeState:
-    k = instance.knowledge()
+    k = KnowledgeState(instance)
     k.reveal({eid: realization.value(eid) for eid in ids if not instance.interval(eid).trivial})
     return k
 

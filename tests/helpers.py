@@ -5,29 +5,31 @@ greedy matching that the sweep's matching is checked against, the
 pairwise interval greedy that the cut-key one is checked against, a
 set's live members by their definition, the balanced round as a rescan
 of every open set per pick, the budget round with every open set's
-budget rewritten after each purchase, both selection rounds as a
-rescan of every id, the cuts as (value, flag) tuples, the reference for
-every cut key, the subset-search optimum that the
-closed forms and the sorting optimum are checked against, the minimum
-audits as full scans of every membership (each set's true minimum, the
-minimum optimum and the minimum certificate check), the round sizes of
-a `RoundsToBatches` by sequence, and a knowledge state over bare
-intervals and sets."""
+budget rewritten after each purchase, the selection categories as a
+classification of every state (the reference that `sel-full`'s kept
+categories are checked against), both selection rounds as a rescan of
+every id, the cuts as (value, flag) tuples, interval membership on an
+interval's own endpoints, the reference for every cut key, the
+subset-search optimum that the closed forms and the sorting optimum are
+checked against, the minimum audits as full scans of every membership
+(each set's true minimum, the minimum optimum and the minimum
+certificate check), the round sizes of a `RoundsToBatches` by sequence,
+and a knowledge state over bare intervals and sets."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from roundquery.instances import SORTING, Instance, InstanceError, ProblemKind, truth_record
-from roundquery.intervals import CLOSED, cut_order, dependent, interval_keys
+from roundquery.intervals import CLOSED, KnowledgeState, cut_order, dependent, interval_keys
 from roundquery.solving import (
     BruteForceCapError,
     OptReport,
     ceil_div,
     query_set_feasible,
     rank_cut_keys,
-    selection_categories,
     set_solved,
 )
 
@@ -44,6 +46,12 @@ def left_cut(state):
 
 def right_cut(state):
     return (state.upper, 0 if state.upper_kind is CLOSED else -1)
+
+
+def contains(interval, v):
+    """Whether the value `v` lies in `interval`, endpoint openness
+    respected: `contains_keyed` on the interval's own endpoints."""
+    return interval.contains_keyed(interval.lower, interval.upper, v)
 
 
 class Probed:
@@ -204,6 +212,63 @@ def budget_round_reference(instance, knowledge, open_sets):
     return chosen, charges, tuple(seeds), time_ties
 
 
+@dataclass(frozen=True)
+class SelectionRoundView:
+    """The category split of the elements that intersect the target area,
+    which spans the rank cuts (`rank_cut_keys`): the i-th value lies in it.
+
+    `containing` holds the non-trivial unqueried intervals that cover the
+    whole target area; the other three buckets classify every remaining
+    element state that intersects the target area (points included, for
+    the category-count invariants).
+    """
+
+    containing: tuple
+    inside: tuple
+    left_overlap: tuple
+    right_overlap: tuple
+
+
+def selection_categories(instance, knowledge):
+    """Classify every state against the current target area, each bucket
+    in id order: the reference classifier, whose unqueried ids
+    `SelectionFullRounds` keeps up to date round by round instead.
+
+    A reveal only raises an element's left cut and lowers its right cut,
+    so the i-th smallest left cut only rises and the i-th smallest right
+    cut only falls: the target area only shrinks, and an element disjoint
+    from it stays disjoint.  A point that covers a trivial target area {v}
+    is in no bucket; the target is then {v} for good, as the i-th left
+    cut can rise no further than the i-th right cut, and the point keeps
+    covering it in no bucket.
+
+    The cuts are compared as cut keys.  Every left cut key here is at most
+    its right cut key, the target area's too, so a state is disjoint from
+    the target area exactly when one ends before the other starts; and a
+    state is a point exactly when its two cut keys are equal.
+    """
+    ta_lo, ta_hi = rank_cut_keys(instance, knowledge)
+    containing, inside, left_overlap, right_overlap = [], [], [], []
+    for eid in instance.ids():
+        lo, hi = knowledge.left_key(eid), knowledge.right_key(eid)
+        if lo > ta_hi or hi < ta_lo:
+            continue  # disjoint from the target area
+        covers_left = lo <= ta_lo
+        covers_right = hi >= ta_hi
+        if covers_left and covers_right:
+            if lo != hi:
+                containing.append(eid)
+            # a pinned point can only "cover" a trivial target area; it is
+            # already resolved and belongs to no bucket
+        elif covers_left:
+            left_overlap.append(eid)
+        elif covers_right:
+            right_overlap.append(eid)
+        else:
+            inside.append(eid)
+    return SelectionRoundView(tuple(containing), tuple(inside), tuple(left_overlap), tuple(right_overlap))
+
+
 def sel_value_round_reference(instance, knowledge, open_sets):
     """The `sel-value` round by its definition: rescan every unqueried
     non-trivial id against the target area, then take the k leftmost of
@@ -301,4 +366,4 @@ def state_of(intervals, family=()):
     """The knowledge state of an unvalidated instance with ids 1..n over
     `intervals` and the sets `family`, so any interval shape, and no
     interval at all, is allowed."""
-    return Instance(tuple(intervals), tuple(map(frozenset, family)), ProblemKind(SORTING), 1).knowledge()
+    return KnowledgeState(Instance(tuple(intervals), tuple(map(frozenset, family)), ProblemKind(SORTING), 1))

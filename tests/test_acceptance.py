@@ -4,7 +4,7 @@ tolerance, one pass/fail line per criterion (run with -s to see them)."""
 import functools
 from fractions import Fraction
 
-from helpers import Probed, budget_round_bound, k_schedule, opt1_bruteforce
+from helpers import Probed, budget_round_bound, k_schedule, opt1_bruteforce, selection_categories
 from roundquery.algorithms import BudgetRounds, make_algorithm
 from roundquery.harness import run, run_batches
 from roundquery.instances import (
@@ -32,7 +32,6 @@ from roundquery.solving import (
     minimum_solved,
     opt1_minimum,
     opt1_selection_full,
-    selection_categories,
 )
 
 

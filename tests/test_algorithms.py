@@ -18,6 +18,7 @@ from helpers import (
     open_sets,
     sel_full_round_reference,
     sel_value_round_reference,
+    selection_categories,
 )
 from roundquery.algorithms import (
     AlgorithmError,
@@ -42,7 +43,7 @@ from roundquery.instances import (
     make_instance,
     parse_instance,
 )
-from roundquery.intervals import CLOSED, OPEN, UncertainInterval
+from roundquery.intervals import CLOSED, OPEN, KnowledgeState, UncertainInterval
 from roundquery.oracles import (
     FixedOracle,
     MinimumWlbAdversary,
@@ -58,10 +59,8 @@ from roundquery.solving import (
     greedy_matching_cover,
     minimum_solved,
     opt1_minimum,
-    SelectionRoundView,
     rank_cut_keys,
     reveal_all,
-    selection_categories,
 )
 
 iv = UncertainInterval.parse
@@ -95,16 +94,16 @@ def assert_runs_no_round(name, instance, realization):
 class TestVertexCover:
     def test_single_edge_needs_one_vertex(self):
         inst = make_instance([iv("(0,2)"), iv("(1,3)")], [[1, 2]], ProblemKind(SORTING), 1)
-        edges = build_dependency_graph(inst, inst.knowledge())
-        assert len(interval_cover(inst, inst.knowledge())) == 1
+        edges = build_dependency_graph(inst, KnowledgeState(inst))
+        assert len(interval_cover(inst, KnowledgeState(inst))) == 1
         assert len(exact_cover(edges)) == 1
         assert len(matching_cover(edges)) == 2
-        assert greedy_matching_cover(inst, inst.knowledge()) == {1, 2}
+        assert greedy_matching_cover(inst, KnowledgeState(inst)) == {1, 2}
 
     @pytest.mark.parametrize("c", [1, 2, 4])
     def test_pair_gadgets_cost_one_each(self, c):
         inst = SortingPairAdversary(c, 1).instance
-        assert len(exact_cover(build_dependency_graph(inst, inst.knowledge()))) == c
+        assert len(exact_cover(build_dependency_graph(inst, KnowledgeState(inst)))) == c
 
     @pytest.mark.parametrize("partial", [False, True])
     @pytest.mark.parametrize("seed", range(25))
@@ -115,7 +114,7 @@ class TestVertexCover:
             # the set leaves out every third id, starting at a seed-chosen one
             members = [e for e in inst.ids() if (e + seed) % 3]
             inst = make_instance(inst.elements, [members], inst.problem, inst.k)
-        knowledge = inst.knowledge()
+        knowledge = KnowledgeState(inst)
         edges = build_dependency_graph(inst, knowledge)
         interval = interval_cover(inst, knowledge)
         general = exact_cover(edges)
@@ -135,7 +134,7 @@ class TestVertexCover:
                 n=12, m=m, k=2, problem=ProblemKind(SORTING), overlap="overlap", trivial_prob=trivial_prob
             )
             inst, _ = gen_random(seed, params)
-            edges = build_dependency_graph(inst, inst.knowledge())
+            edges = build_dependency_graph(inst, KnowledgeState(inst))
             vertices = sorted({v for e in edges for v in e})
 
             def is_cover(subset):
@@ -177,7 +176,7 @@ class TestSortingRounds:
         inst, _ = gen_random(0, params)
         alg = make_algorithm("sorting-vc", inst)
         with pytest.raises(AlgorithmError, match=r"^123 covered vertices above branch-and-bound cap 40$"):
-            alg.next_round(inst, inst.knowledge(), (0, 1))
+            alg.next_round(inst, KnowledgeState(inst), (0, 1))
 
     def test_solved_instance_yields_empty_round(self):
         inst = make_instance([iv("{1}"), iv("{2}")], [[1, 2]], ProblemKind(SORTING), 2)
@@ -317,7 +316,7 @@ class TestBudget:
     def test_seeds_take_one_leftmost_per_set_when_sets_fit(self):
         inst, r = gen_fig2_bal_instance()  # 3 disjoint sets, k = 5
         alg = BudgetRounds()
-        picked = alg.next_round(inst, inst.knowledge(), open_sets(inst, inst.knowledge()))
+        picked = alg.next_round(inst, KnowledgeState(inst), open_sets(inst, KnowledgeState(inst)))
         leftmosts = {min(members) for members in inst.family}
         assert set(alg.last_seeds) == leftmosts
         assert leftmosts <= set(picked)
@@ -326,7 +325,7 @@ class TestBudget:
         params = RandomParams(n=18, m=6, k=3, problem=ProblemKind(MINIMUM))
         inst, _ = gen_random(5, params)
         alg = BudgetRounds()
-        picked = alg.next_round(inst, inst.knowledge(), open_sets(inst, inst.knowledge()))
+        picked = alg.next_round(inst, KnowledgeState(inst), open_sets(inst, KnowledgeState(inst)))
         leftmosts = sorted(
             min(members, key=lambda e: (inst.interval(e).lower, e)) for members in inst.family
         )
@@ -488,7 +487,7 @@ class TestSelectionValue:
         )
         r = Realization({1: Fraction(1), 2: Fraction(4), 3: Fraction(7)})
         alg = make_algorithm("sel-value", inst)
-        assert alg.next_round(inst, inst.knowledge(), (0,)) == [3]
+        assert alg.next_round(inst, KnowledgeState(inst), (0,)) == [3]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_ranks_above_the_middle_mirror_the_negated_instance(self, seed):
@@ -564,7 +563,7 @@ class TestSelectionFull:
             5,
         )
         alg = make_algorithm("sel-full", inst)
-        picked = alg.next_round(inst, inst.knowledge(), open_sets(inst, inst.knowledge()))
+        picked = alg.next_round(inst, KnowledgeState(inst), open_sets(inst, KnowledgeState(inst)))
         # target area [2,5]: containing = {1}; left overlaps {2,3} (3 reaches
         # deeper? both end at 4 -> id order), right overlaps {4,5} with 5's
         # left endpoint tie broken by id
@@ -618,8 +617,8 @@ class TestSelectionFullPool:
 
         def probe(knowledge, _open_sets, _picked):
             view = selection_categories(inst, knowledge)
-            unqueried = [tuple(knowledge.unqueried_nontrivial(bucket)) for bucket in astuple(view)]
-            assert alg.last_view == SelectionRoundView(*unqueried)
+            unqueried = tuple(tuple(knowledge.unqueried_nontrivial(bucket)) for bucket in astuple(view))
+            assert alg.last_view == unqueried
             targets.append(tuple(map(knowledge.cut_of, rank_cut_keys(inst, knowledge))))
 
         run(Probed(alg, probe), inst, FixedOracle(inst, r))

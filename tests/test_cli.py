@@ -80,6 +80,13 @@ class TestRun:
         assert code == 0
         assert "rounds 2\n" in out and "opt_k 1\n" in out
 
+    @pytest.mark.parametrize("spec", [" wlb:M=2", "wlb :M=2"])
+    def test_oracle_flag_strips_the_source_name_as_source_does(self, capsys, spec):
+        code, out, err = invoke(capsys, "run", "--alg", "bal", "--oracle", spec)
+        assert (code, err) == (0, "")
+        assert out == invoke(capsys, "run", "--alg", "bal", "--source", spec)[1]
+        assert "rounds 2\n" in out
+
     def test_oracle_flag_rejects_fixed_sources(self, capsys):
         code, _, err = invoke(capsys, "run", "--alg", "bal", "--oracle", "fig2")
         assert code == 1

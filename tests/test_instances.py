@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import contains
 from roundquery.algorithms import make_algorithm
 from roundquery.cli import main
 from roundquery.harness import resolve_source, run
@@ -244,7 +245,7 @@ class TestFig2:
     def test_deep_set_solved_after_its_whole_prefix(self):
         instance, realization = gen_fig2_bal_instance()
         deep = instance.family[2]
-        knowledge = instance.knowledge()
+        knowledge = KnowledgeState(instance)
         for eid in sorted(deep)[:4]:
             knowledge.reveal({eid: realization.value(eid)})
         assert not minimum_solved(2, knowledge)
@@ -318,7 +319,7 @@ def element_and_value(draw, open_only):
         kinds = tuple(draw(st.sampled_from([OPEN, CLOSED])) for _ in range(2))
     iv = UncertainInterval(lo, kinds[0], hi, kinds[1])
     value = lo + (hi - lo) * Fraction(draw(st.integers(1, 3)), 4)
-    return iv, draw(st.sampled_from([v for v in (lo, value, hi) if iv.contains(v)]))
+    return iv, draw(st.sampled_from([v for v in (lo, value, hi) if contains(iv, v)]))
 
 
 @st.composite
@@ -436,7 +437,7 @@ class TestRandomGenerator:
         instance, realization = gen_random(seed, params)
         realization.validate(instance)
         for eid in instance.ids():
-            assert instance.interval(eid).contains(realization.value(eid))
+            assert contains(instance.interval(eid), realization.value(eid))
 
     @pytest.mark.parametrize("problem", [
         ProblemKind(MINIMUM), ProblemKind(SORTING), ProblemKind(SELECTION_VALUE, rank=2),

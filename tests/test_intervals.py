@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import left_cut, right_cut, state_of
+from helpers import contains, left_cut, right_cut, state_of
 from roundquery import intervals as intervals_module
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import run
@@ -84,18 +84,18 @@ def admissible_values(state):
 
 class TestContains:
     def test_open_endpoint_excluded(self):
-        assert iv("(1,3)").contains(Fraction(1)) is False
+        assert contains(iv("(1,3)"), Fraction(1)) is False
 
     def test_closed_endpoint_included(self):
-        assert iv("[1,3]").contains(Fraction(1)) is True
+        assert contains(iv("[1,3]"), Fraction(1)) is True
 
     def test_trivial_is_its_value(self):
-        assert iv("{3}").contains(Fraction(3)) is True
-        assert iv("{3}").contains(Fraction(2)) is False
+        assert contains(iv("{3}"), Fraction(3)) is True
+        assert contains(iv("{3}"), Fraction(2)) is False
 
     def test_half_open(self):
-        assert iv("(1,3]").contains(Fraction(3))
-        assert not iv("[1,3)").contains(Fraction(3))
+        assert contains(iv("(1,3]"), Fraction(3))
+        assert not contains(iv("[1,3)"), Fraction(3))
 
     @given(lo=rationals(), width=st.integers(0, 8), nudge=st.integers(1, 5))
     def test_agrees_with_the_four_comparison_test(self, lo, width, nudge):
@@ -117,7 +117,7 @@ class TestContains:
                 state.upper + nudge,
             )
             for v in probes:
-                assert state.contains(v) is contains_by_four_comparisons(state, v), (state.text(), v)
+                assert contains(state, v) is contains_by_four_comparisons(state, v), (state.text(), v)
 
 
 def contains_by_four_comparisons(state, v):

@@ -31,15 +31,15 @@ from roundquery.instances import (
     Realization,
     gen_random,
     make_instance,
+    truth_record,
 )
-from roundquery.intervals import UncertainInterval
+from roundquery.intervals import KnowledgeState, UncertainInterval
 from roundquery.solving import (
     SolutionCertificate,
     canonical_opt,
     extract_certificate,
     opt1_minimum,
     reveal_all,
-    truth_record,
     verify_certificate,
 )
 
@@ -204,7 +204,7 @@ def test_an_unqueried_member_at_the_head_of_the_order_is_refused():
     # element 1 starts first and is unqueried; the claim of 3 is above its
     # lower endpoint 0, and every other member starts at or above 2
     inst = make_instance([iv("(0,10)"), iv("(2,9)"), iv("(4,8)"), iv("{3}")], [[1, 2, 3, 4]], ProblemKind(MINIMUM), 1)
-    knowledge = inst.knowledge()
+    knowledge = KnowledgeState(inst)
     knowledge.reveal({2: Fraction(3), 3: Fraction(5)})
     cert = SolutionCertificate(MINIMUM, minima=((2, Fraction(3)),))
     with pytest.raises(InstanceError, match="^an unqueried element could undercut the claimed minimum$"):
@@ -215,7 +215,7 @@ def test_an_unqueried_member_at_the_head_of_the_order_is_refused():
 def test_a_bare_realization_is_validated_first(audit):
     # 5 lies outside element 1's (0,4); the walks take values at their word
     inst = make_instance([iv("(0,4)"), iv("(2,6)")], [[1, 2]], ProblemKind(MINIMUM), 1)
-    knowledge = inst.knowledge()
+    knowledge = KnowledgeState(inst)
     knowledge.reveal({1: Fraction(1), 2: Fraction(3)})
     bad = Realization({1: Fraction(5), 2: Fraction(3)})
     calls = {

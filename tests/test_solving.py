@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import left_cut, matching_cover, opt1_bruteforce, pairwise_interval_cover, right_cut, state_of
+from helpers import (
+    contains,
+    left_cut,
+    matching_cover,
+    opt1_bruteforce,
+    pairwise_interval_cover,
+    right_cut,
+    selection_categories,
+    state_of,
+)
 from roundquery.algorithms import interval_cover, make_algorithm
 from roundquery.harness import resolve_source, run
 from roundquery.instances import (
@@ -31,6 +40,7 @@ from roundquery.instances import (
     gen_fig3_overlap_instance,
     gen_random,
     make_instance,
+    truth_record,
 )
 from roundquery.intervals import (
     CLOSED,
@@ -58,12 +68,10 @@ from roundquery.solving import (
     query_set_feasible,
     rank_cut_keys,
     reveal_all,
-    selection_categories,
     selection_solved,
     selection_value_pinned,
     sorting_residual,
     sorting_solved,
-    truth_record,
     verify_certificate,
 )
 
@@ -235,7 +243,7 @@ def _sorting_run(draw, max_n=10):
 
 def _knowledge_along(inst, r, order):
     """The knowledge state before any reveal and after each one."""
-    k = inst.knowledge()
+    k = KnowledgeState(inst)
     yield k
     for eid in order:
         k.reveal({eid: r.value(eid)})
@@ -328,7 +336,7 @@ class TestSweepsMatchAllPairs:
         inst, r, _ = run
         mandatory, residual = sorting_residual(inst, r)
         assert mandatory == {b for forced in _co_set_forces(inst, r).values() for b in forced}
-        edges = _all_pairs_edges(inst, inst.knowledge())
+        edges = _all_pairs_edges(inst, KnowledgeState(inst))
         assert residual == tuple(e for e in edges if mandatory.isdisjoint(e))
 
     @given(run=_sorting_run(), data=st.data())
@@ -412,13 +420,13 @@ class TestKeptViews:
         # reveals or after the last; `fresh` is rebuilt at every step
         inst, r, order = run
         late_from = data.draw(st.integers(0, len(order)))
-        early, late = inst.knowledge(), inst.knowledge()
+        early, late = KnowledgeState(inst), KnowledgeState(inst)
         for step in range(len(order) + 1):
             if step:
                 eid = order[step - 1]
                 early.reveal({eid: r.value(eid)})
                 late.reveal({eid: r.value(eid)})
-            fresh = inst.knowledge()
+            fresh = KnowledgeState(inst)
             for eid in order[:step]:
                 fresh.reveal({eid: r.value(eid)})
             expected = self._definitions(inst, fresh)
@@ -457,7 +465,7 @@ class TestViewsAreTheirSort:
         ))
         inst = make_instance(base.elements, [*map(sorted, base.family), sorted(base.family[seed % 4])], base.problem, 3)
         assert any(iv.trivial for iv in inst.elements) and len(set(inst.family)) < inst.m
-        k = inst.knowledge()
+        k = KnowledgeState(inst)
         self._check(k, inst.family)
         order = [e for e in range(1, 31) if not inst.interval(e).trivial]
         rng = random.Random(seed)
@@ -561,13 +569,13 @@ class TestMinimumCertificate:
             n=6, m=2, k=2, problem=ProblemKind(MINIMUM), overlap="disjoint", trivial_prob=0,
         ))
         with pytest.raises(InstanceError, match=r"^set 1: no pinned value; nothing to certify$"):
-            extract_certificate(inst, inst.knowledge())
+            extract_certificate(inst, KnowledgeState(inst))
 
     def test_least_value_held_by_the_lowest_id(self):
         inst = make_instance(
             [iv("(0,4)"), iv("{1}"), iv("(0,3)"), iv("(2,5)")], [[1, 2, 3], [3, 4]], ProblemKind(MINIMUM), 2
         )
-        k = inst.knowledge()
+        k = KnowledgeState(inst)
         k.reveal({3: Fraction(1)})
         k.reveal({4: Fraction(3)})
         assert extract_certificate(inst, k).minima == ((2, Fraction(1)), (3, Fraction(1)))
@@ -636,14 +644,14 @@ class TestSelectionCertificate:
 
     def test_open_endpoint_at_the_value_is_no_container(self):
         inst = self._pinned_at_two(OPEN)
-        k = inst.knowledge()
+        k = KnowledgeState(inst)
         cert = extract_certificate(inst, k)
         assert cert.value == 2 and cert.equal_ids == {2, 3}
         verify_certificate(inst, k, cert)
 
     def test_closed_endpoint_at_the_value_is_a_container(self):
         inst = self._pinned_at_two(CLOSED)
-        k = inst.knowledge()
+        k = KnowledgeState(inst)
         with pytest.raises(InstanceError, match="^an unqueried interval still contains the selection value$"):
             verify_certificate(inst, k, extract_certificate(inst, k))
 
@@ -660,7 +668,7 @@ class TestSelectionCertificate:
                 verify_certificate(inst, k, replace(cert, value=claim))
         # checked against the state before the reveal, nothing is pinned
         with pytest.raises(InstanceError, match="^selection value is not pinned to the claimed value$"):
-            verify_certificate(inst, inst.knowledge(), cert)
+            verify_certificate(inst, KnowledgeState(inst), cert)
 
     @pytest.mark.parametrize("kind", [SELECTION_FULL, SELECTION_VALUE])
     def test_a_point_at_the_left_rank_cut_alone_pins_nothing(self, kind):
@@ -669,11 +677,11 @@ class TestSelectionCertificate:
         inst = make_instance([iv("[1,5]"), iv("{2}")], [[1, 2]], ProblemKind(kind, rank=2), 1)
         cert = SolutionCertificate(kind, value=Fraction(2), equal_ids=frozenset({2}))
         with pytest.raises(InstanceError, match="^selection value is not pinned to the claimed value$"):
-            verify_certificate(inst, inst.knowledge(), cert)
+            verify_certificate(inst, KnowledgeState(inst), cert)
 
     def test_equal_ids_must_match_the_points(self):
         inst = self._pinned_at_two(OPEN)
-        k = inst.knowledge()
+        k = KnowledgeState(inst)
         cert = extract_certificate(inst, k)
         with pytest.raises(InstanceError, match="^claimed equal-value elements do not match knowledge$"):
             verify_certificate(inst, k, replace(cert, equal_ids=frozenset({2})))
@@ -741,7 +749,7 @@ class TestSortingCertificate:
 class TestSelectionSolved:
     def test_middle_gadget_state_is_full_solved(self):
         inst = SelectionFullLbAdversary(3).instance
-        k = inst.knowledge()
+        k = KnowledgeState(inst)
         for eid, value in [(1, 1), (2, 1), (3, Fraction(5, 2))]:
             k.reveal({eid: Fraction(value)})
         assert selection_value_pinned(inst, k) == Fraction(5, 2)
@@ -751,13 +759,13 @@ class TestSelectionSolved:
         inst = make_instance(
             [iv("{1}"), iv("{2}"), iv("{3}")], [[1, 2, 3]], ProblemKind(SELECTION_VALUE, rank=2), 1
         )
-        assert selection_solved(inst, inst.knowledge())
-        assert selection_value_pinned(inst, inst.knowledge()) == 2
+        assert selection_solved(inst, KnowledgeState(inst))
+        assert selection_value_pinned(inst, KnowledgeState(inst)) == 2
 
     def test_value_variant_needs_the_last_wide_interval(self):
         i = 3
         inst = SelectionValueLbAdversary(i).instance
-        k = inst.knowledge()
+        k = KnowledgeState(inst)
         for eid in range(1, i):  # i-1 of the (0,5) copies answered 1
             k.reveal({eid: Fraction(1)})
         assert selection_value_pinned(inst, k) is None
@@ -768,7 +776,7 @@ class TestSelectionSolved:
         inst = make_instance(
             [iv("[0,4]"), iv("{2}"), iv("{2}")], [[1, 2, 3]], ProblemKind(SELECTION_FULL, rank=2), 1
         )
-        k = inst.knowledge()
+        k = KnowledgeState(inst)
         # the 2nd smallest is pinned to 2 already, but [0,4] still contains it
         assert selection_value_pinned(inst, k) == 2
         assert not selection_solved(inst, k)
@@ -780,8 +788,8 @@ class TestTargetArea:
     # the target area spans the rank cuts; a flag of 0 is a closed end
     def test_middle_gadget_initial_target(self):
         inst = SelectionFullLbAdversary(3).instance
-        assert _rank_cuts(inst, inst.knowledge()) == ((2, 0), (6, 0))
-        view = selection_categories(inst, inst.knowledge())
+        assert _rank_cuts(inst, KnowledgeState(inst)) == ((2, 0), (6, 0))
+        view = selection_categories(inst, KnowledgeState(inst))
         assert view.containing == (3,)
         assert len(view.containing) == 1 and len(view.inside) == 0
         assert set(view.left_overlap) == {1, 2}
@@ -796,7 +804,7 @@ class TestTargetArea:
         )
         # 2nd smallest left endpoint is the open 0 (closed 0 precedes it);
         # the open right 2 precedes the closed one, so the 2nd is closed
-        assert _rank_cuts(inst, inst.knowledge()) == ((0, 1), (2, 0))
+        assert _rank_cuts(inst, KnowledgeState(inst)) == ((0, 1), (2, 0))
 
 
 class TestOptMinimum:
@@ -916,7 +924,7 @@ def _tied_selection(draw):
             kinds = [draw(st.sampled_from([OPEN, CLOSED])) for _ in range(2)]
             interval = UncertainInterval(lo, kinds[0], hi, kinds[1])
         elements.append(interval)
-        choices = [v for v in (lo, hi, Fraction(0), (lo + hi) / 2) if interval.contains(v)]
+        choices = [v for v in (lo, hi, Fraction(0), (lo + hi) / 2) if contains(interval, v)]
         values[eid] = draw(st.sampled_from(choices))
     rank = draw(st.integers(1, len(elements)))
     inst = make_instance(elements, [range(1, len(elements) + 1)], ProblemKind(SELECTION_VALUE, rank=rank), 2)
@@ -1092,7 +1100,7 @@ class TestOptSorting:
         elements = [iv("[0,4]"), iv("{2}"), iv("[3,6]"), iv("[5,7]")]
         inst = make_instance(elements, [[1, 2], [1, 3, 4]], ProblemKind(SORTING), 2)
         r = Realization({1: Fraction(1), 2: Fraction(2), 3: Fraction(9, 2), 4: Fraction(13, 2)})
-        assert build_dependency_graph(inst, inst.knowledge()) == ((1, 3), (3, 4))
+        assert build_dependency_graph(inst, KnowledgeState(inst)) == ((1, 3), (3, 4))
         assert sorting_residual(inst, r) == ({1}, ((3, 4),))
         assert canonical_opt(inst, r).opt_set == {1, 3}
 
@@ -1109,7 +1117,7 @@ class TestOptSorting:
         monkeypatch.setattr(KnowledgeState, "__init__", refuse)
         assert sorting_residual(inst, r) == expected
         with pytest.raises(AssertionError, match="^a KnowledgeState was built$"):
-            inst.knowledge()
+            KnowledgeState(inst)
 
     def test_large_instance_under_the_default_cap(self):
         # |M| is in the hundreds and R is small, so the default cap holds
@@ -1218,7 +1226,7 @@ class TestTruthRecord:
     @pytest.mark.parametrize("prebuilt", [False, True])
     def test_sorting_order_contradicted_by_the_realization(self, prebuilt):
         inst = make_instance([iv("[0,2]"), iv("(2,4)")], [[1, 2]], ProblemKind(SORTING), 1)
-        knowledge = inst.knowledge()
+        knowledge = KnowledgeState(inst)
         cert = extract_certificate(inst, knowledge)
         assert cert.orders == ((1, 2),)
         good, bad = Realization({1: Fraction(2), 2: Fraction(3)}), Realization({1: Fraction(3), 2: Fraction(1)})
