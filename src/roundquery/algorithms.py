@@ -21,11 +21,11 @@ so one instance of it drives exactly one trial.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .instances import Instance, MINIMUM, SELECTION_FULL, SELECTION_VALUE, SORTING
 from .intervals import (
@@ -243,13 +243,13 @@ class SelectionValueRounds:
     outside the target area; ranks above the middle take the rightmost.
 
     The live ids are kept in one order, built on the first round from the
-    unqueried non-trivial ids that meet the target area, whose head is
-    that round: by (left cut, id), or for a rank above the middle by
-    (right cut descending, id), the mirror image.  An unqueried id's cut
-    keys change only by a rescale, which keeps every order, and a reveal
-    only raises left cuts and lowers right cuts, so the target area only
-    shrinks and an id disjoint from it stays disjoint.  Each later round
-    scans the order from its head: it drops for good the pinned ids and
+    unqueried non-trivial ids that meet the target area: by (left cut,
+    id), or for a rank above the middle by (right cut descending, id), the
+    mirror image.  An unqueried id's cut keys change only by a rescale,
+    which keeps every order, and a reveal only raises left cuts and lowers
+    right cuts, so the target area only shrinks and an id disjoint from it
+    stays disjoint.  Each round scans the order from its head, so the
+    first one takes the head as it is: it drops for good the pinned ids and
     those disjoint on the near side of the target area, whose cuts in
     this order come first, and stops at k picks or at the first id past
     its far side, beyond which every id is past it too.  The picks stay at
@@ -271,7 +271,6 @@ class SelectionValueRounds:
             self._order = (
                 cut_order(live, knowledge.right_key, reverse=True) if mirror else cut_order(live, knowledge.left_key)
             )
-            return self._order[: instance.k]
         state, left_key, right_key = knowledge.state, knowledge.left_key, knowledge.right_key
         if mirror:  # the near side is above the target area, the far side below
             gone, past = (lambda e: left_key(e) > hi), (lambda e: right_key(e) < lo)
@@ -306,139 +305,123 @@ class SelectionFullRounds:
     between the rank cuts only shrinks.  For an unqueried id, each of
     "its left cut is at most lo", "its right cut is at least hi" and
     "disjoint from the target area" turns on at most once and never off,
-    and these decide its category: inside, then left- or
+    and these, read off its cut keys against the round's target area,
+    which is kept, decide its category: inside, then left- or
     right-overlapping, then containing, then none.
 
     The first round sorts the unqueried ids that meet the target area by
     (left cut, id) and by (right cut descending, id); the others stay
-    disjoint.  Four pointers into those orders mark where the left cuts
-    at most lo, the left cuts at most hi, the right cuts at least hi and
-    the right cuts at least lo end, so an unqueried id's category is read
-    off its two positions.  Each round moves the pointers past the ids
-    whose cuts the shrinking area crossed, pinned ids skipped.  Each
-    category is a heap in the order the round reads it: ids ascending for
-    "containing" and "inside", positions in the right-cut order for the
+    disjoint.  Two pointers mark where the left cuts at most lo and the
+    right cuts at least hi end in those orders; each round moves them past
+    the ids whose cut the area crossed, pinned ids skipped, and files those
+    ids again.  Each category is a heap in the order the round reads it:
+    ids ascending for "containing" and "inside", and positions, which a
+    rescale keeps as it does not keys, in the right-cut order for the
     left-overlapping ones and in the left-cut order for the
-    right-overlapping ones.  An id is pushed when it enters a category,
-    which it never enters twice, and an entry whose id is pinned or has
-    moved on is stale and dropped when popped.  The round pops what it
-    picks and pushes it back, so a round costs O(k log n) plus the ids
-    that crossed a pointer.
+    right-overlapping ones.  The first round files every id and heapifies;
+    later an id is pushed when it enters a category, which it never enters
+    twice, and an entry whose id is pinned or has moved on is stale and
+    dropped when popped.  The round pops what it picks and pushes it back,
+    so it costs O(k log n) plus the ids that crossed a pointer.
     """
 
     def __init__(self) -> None:
         self._knowledge: Optional[KnowledgeState] = None
 
-    def _start(self, instance: Instance, knowledge: KnowledgeState, lo: int, hi: int) -> None:
-        left_key, right_key = knowledge.left_key, knowledge.right_key
-        live = knowledge.unpinned_meeting(lo, hi)
-        # ids ascending, then stably by cut: the orders of `cut_order`
-        by_left = sorted(live, key=left_key)
-        by_right = sorted(live, key=right_key, reverse=True)
-        at_left = dict(zip(by_left, range(len(live))))
-        at_right = dict(zip(by_right, range(len(live))))
-        self._by_left, self._by_right, self._at_left, self._at_right = by_left, by_right, at_left, at_right
-        # each category's order of heap entries and the entry of an id: ids are their own
-        self._orders = (None, None, by_right, by_left)
-        self._entries = (None, None, at_right, at_left)
-        left_lo = bisect_right(by_left, lo, key=left_key)
-        right_hi = bisect_right(by_right, -hi, key=lambda e: -right_key(e))
-        self._ends = [left_lo, len(live), right_hi, len(live)]
-        # each heap filled in its own order, so already a heap
-        self._heaps = (
-            sorted(e for e in by_left[:left_lo] if at_right[e] < right_hi),
-            sorted(e for e in by_left[left_lo:] if at_right[e] >= right_hi),
-            [p for p in range(right_hi, len(live)) if at_left[by_right[p]] < left_lo],
-            [p for p in range(left_lo, len(live)) if at_right[by_left[p]] < right_hi],
-        )
-        self._knowledge = knowledge
-
     def _category(self, e: int) -> Optional[int]:
-        """The category of the unqueried id e, None when disjoint from the
-        target area, read off its positions in the two cut orders."""
-        at_left, at_right = self._at_left[e], self._at_right[e]
-        left_lo, left_hi, right_hi, right_lo = self._ends
-        if at_left >= left_hi or at_right >= right_lo:
+        """The category of the id e against the kept target area, None when
+        pinned (its two cut keys equal) or disjoint from the area."""
+        knowledge, (lo, hi) = self._knowledge, self._area
+        left, right = knowledge.left_key(e), knowledge.right_key(e)
+        if left == right or left > hi or right < lo:
             return None
-        if at_left < left_lo:
-            return CONTAINING if at_right < right_hi else LEFT_OVERLAP
-        return RIGHT_OVERLAP if at_right < right_hi else INSIDE
+        if left <= lo:
+            return CONTAINING if right >= hi else LEFT_OVERLAP
+        return RIGHT_OVERLAP if right >= hi else INSIDE
 
-    def _push(self, category: int, e: int) -> None:
-        entries = self._entries[category]
-        heappush(self._heaps[category], e if entries is None else entries[e])
+    def _file(self, ids: Iterable[int], push: Callable) -> None:
+        """Put each id of `ids` that has a category on that category's heap
+        by `push`, `heappush` or, before a heapify, `list.append`."""
+        for e in ids:
+            category = self._category(e)
+            if category is not None:
+                entries = self._entries[category]
+                push(self._heaps[category], e if entries is None else entries[e])
 
-    def _move(self, knowledge: KnowledgeState, lo: int, hi: int) -> None:
-        """Move the four pointers past the unqueried ids whose cuts the
-        target area [lo, hi] crossed.  An id that now reaches an end it
-        did not has changed category, unless it turned disjoint, and is
-        pushed onto its new one's heap."""
-        by_left, by_right, state = self._by_left, self._by_right, knowledge.state
-        left_key, right_key = knowledge.left_key, knowledge.right_key
-        left_lo, left_hi, right_hi, right_lo = self._ends
-        reaching = set()
+    def _move(self) -> Set[int]:
+        """Move the two pointers past the ids whose cut the target area
+        crossed, and return those ids."""
+        by_left, by_right, (lo, hi) = self._by_left, self._by_right, self._area
+        left_key, right_key, state = self._knowledge.left_key, self._knowledge.right_key, self._knowledge.state
+        left_lo, right_hi, reaching = self._left_lo, self._right_hi, set()
         # a pinned id's left cut is at or above its interval's and its right
-        # cut at or below, so it may stop the pointers that move toward the
-        # target area too early and is skipped there, but never stops the
-        # two that move away from it, at the disjoint ids, too early
+        # cut at or below, so it may stop a pointer too early and is skipped
         while left_lo < len(by_left) and (left_key(e := by_left[left_lo]) <= lo or state(e).trivial):
             reaching.add(e)
             left_lo += 1
         while right_hi < len(by_right) and (right_key(e := by_right[right_hi]) >= hi or state(e).trivial):
             reaching.add(e)
             right_hi += 1
-        while left_hi > 0 and left_key(by_left[left_hi - 1]) > hi:
-            left_hi -= 1
-        while right_lo > 0 and right_key(by_right[right_lo - 1]) < lo:
-            right_lo -= 1
-        self._ends = [left_lo, left_hi, right_hi, right_lo]
-        for e in reaching:
-            category = self._category(e)
-            if category is not None and not state(e).trivial:
-                self._push(category, e)
+        self._left_lo, self._right_hi = left_lo, right_hi
+        return reaching
 
-    def _take(self, category: int, count: int, state: Callable) -> List[int]:
-        """Pop up to `count` live ids of `category` in its order, dropping
-        stale entries, and return them."""
+    def _start(self, knowledge: KnowledgeState) -> None:
+        live = knowledge.unpinned_meeting(*self._area)
+        # ids ascending, then stably by cut: the orders of `cut_order`
+        by_left = self._by_left = sorted(live, key=knowledge.left_key)
+        by_right = self._by_right = sorted(live, key=knowledge.right_key, reverse=True)
+        # each category's order of heap entries and the entry of an id: ids are their own
+        self._orders = (None, None, by_right, by_left)
+        self._entries = (None, None, dict(zip(by_right, range(len(live)))), dict(zip(by_left, range(len(live)))))
+        self._knowledge, self._left_lo, self._right_hi = knowledge, 0, 0
+        self._move()
+        self._heaps = ([], [], [], [])
+        self._file(live, list.append)
+        for heap in self._heaps:
+            heapify(heap)
+
+    def _take(self, category: int, count: int) -> List[int]:
+        """Pop up to `count` ids of `category` in its order, dropping stale
+        entries, and return them."""
         heap, order = self._heaps[category], self._orders[category]
         taken: List[int] = []
         while heap and len(taken) < count:
             e = heappop(heap)
             e = e if order is None else order[e]
-            if not state(e).trivial and self._category(e) == category:
+            if self._category(e) == category:
                 taken.append(e)
         return taken
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
-        lo, hi = rank_cut_keys(instance, knowledge)
+        self._area = rank_cut_keys(instance, knowledge)
         if knowledge is self._knowledge:
-            self._move(knowledge, lo, hi)
+            self._file(self._move(), heappush)
         else:
-            self._start(instance, knowledge, lo, hi)
-        k, state = instance.k, knowledge.state
-        q1 = self._take(CONTAINING, k, state)
-        q2 = self._take(INSIDE, k - len(q1), state)
+            self._start(knowledge)
+        k = instance.k
+        q1 = self._take(CONTAINING, k)
+        q2 = self._take(INSIDE, k - len(q1))
         need = k - len(q1) - len(q2)
         # longest overlap first: category (3) by descending right endpoint,
         # category (4) by ascending left endpoint, ids breaking ties
-        q3 = self._take(LEFT_OVERLAP, need, state)
-        q4 = self._take(RIGHT_OVERLAP, need, state)
-        for category, taken in enumerate((q1, q2, q3, q4)):
-            for e in taken:
-                self._push(category, e)
+        q3 = self._take(LEFT_OVERLAP, need)
+        q4 = self._take(RIGHT_OVERLAP, need)
+        self._file(q1 + q2 + q3 + q4, heappush)  # the picks stay filed until revealed
         # alternate left and right while both last, then the longer one's rest
         alternating = [e for pair in zip_longest(q3, q4) for e in pair if e is not None]
         return (q1 + q2 + alternating)[:k]
 
     @property
     def last_view(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
-        """Each category's unqueried ids, ascending, CONTAINING to RIGHT_OVERLAP."""
+        """Each category's unqueried ids, ascending, CONTAINING to
+        RIGHT_OVERLAP, against the last round's target area: valid until
+        that round's reveal."""
         if self._knowledge is None:
             return None
         buckets: Tuple[List[int], ...] = ([], [], [], [])
-        for e in sorted(self._at_left):
+        for e in sorted(self._by_left):
             category = self._category(e)
-            if category is not None and not self._knowledge.state(e).trivial:
+            if category is not None:
                 buckets[category].append(e)
         return tuple(map(tuple, buckets))
 

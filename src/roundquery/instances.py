@@ -198,11 +198,11 @@ class Realization:
         if len(self.values) != instance.n:  # every id is there, so some key is not an id
             extra = next(eid for eid in self.values if eid not in instance.ids())
             raise InstanceError(f"value for unknown element {extra}")
-        record = truth_record(instance, self)
-        for eid, iv, lo, hi, v in zip(instance.ids(), instance.elements, record.lowers, record.uppers, record.values):
+        _, lowers, uppers, values = interval_keys(instance.elements, map(self.values.__getitem__, instance.ids()))
+        for eid, iv, lo, hi, v in zip(instance.ids(), instance.elements, lowers, uppers, values):
             if not iv.contains_keyed(lo, hi, v):
                 raise InstanceError(f"value {self.values[eid]} outside interval {iv.text()} of element {eid}")
-        return record
+        return TruthRecord(instance, self, lowers, uppers, values)
 
 
 @dataclass(frozen=True)
@@ -247,12 +247,10 @@ class TruthRecord:
 
 
 def truth_record(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
-    """The record of `realization` for `instance`, unvalidated (what passes
-    `Realization.validate` gets it from there); a record is returned as is."""
-    if isinstance(realization, TruthRecord):
-        return realization
-    _, lowers, uppers, values = interval_keys(instance.elements, map(realization.values.__getitem__, instance.ids()))
-    return TruthRecord(instance, realization, lowers, uppers, values)
+    """A record as it is, and a bare `Realization` through its `validate`:
+    the audits' walks are exact only for values inside their intervals,
+    and a value outside one is refused in one line."""
+    return realization if isinstance(realization, TruthRecord) else realization.validate(instance)
 
 
 def make_instance(

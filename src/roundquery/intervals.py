@@ -277,13 +277,12 @@ class CutKeys:
 
     It reads like an ascending list of ints: `len`, iteration, `keys[i]`,
     and `bisect_left` and `bisect_right`, which count the keys below and
-    at most a key as the `bisect` functions do on that list; `replace`
-    swaps keys, a round's at a time, and `rekey` puts the same cuts on a
-    finer scale in their places.  The keys are held in blocks of at most
-    2 * BLOCK, each ascending and each at or above the one before, with
-    the last key of each block in `_maxes`, so removing or adding a key
-    moves one block's keys rather than a whole list's tail.  The i-th key
-    walks the blocks.
+    at most a key as the `bisect` functions do on that list, and `replace`,
+    which swaps keys, a round's at a time.  The keys are held in blocks of
+    at most 2 * BLOCK, each ascending and each at or above the one before,
+    with the last key of each block in `_maxes`, so removing or adding a
+    key moves one block's keys rather than a whole list's tail.  The i-th
+    key walks the blocks.
     """
 
     BLOCK = 1024
@@ -348,16 +347,6 @@ class CutKeys:
                 blocks[j : j + 1] = block[:half], block[half:]
                 maxes[j : j + 1] = block[half - 1], block[-1]
 
-    def rekey(self, keys: Iterable[int]) -> None:
-        """Put `keys`, the same cuts read again on a finer scale, in place
-        of the kept ones, rank for rank, in the same blocks."""
-        ordered = sorted(keys)
-        start = 0
-        for block in self._blocks:
-            block[:] = ordered[start : start + len(block)]
-            start += len(block)
-        self._maxes = [block[-1] for block in self._blocks]
-
 
 # A key record, or row, [lower, lower_open, id, upper, upper_open]: an
 # element's endpoint keys on a state's scale, each with its openness as 0
@@ -407,26 +396,26 @@ class KnowledgeState:
     compares a `Fraction`.  `reveal` takes a whole round's answers and keys
     their values; when a denominator does not divide L, it first multiplies
     the two keys of every row in place by L'/L, L' the lcm of L and all the
-    round's denominators, so one scale holds throughout, and rescales the
-    cut lists.  The views hold the very row objects, and a multiplication by
+    round's denominators, so one scale holds throughout, and drops the cut
+    lists.  The views hold the very row objects, and a multiplication by
     L'/L > 0 keeps every list sorted, so no view is touched: a rescale costs
-    one pass over the rows and the cut lists, and a round pays at most one,
-    and rarely: random values are eighths, and the adversaries use few
-    denominators.  A new prime denominator in every value rescales every
-    round and grows the keys: slower, but exact, so there is no second path.
+    one pass over the rows, and a round pays at most one, and rarely:
+    random values are eighths, and the adversaries use few denominators.
+    A new prime denominator in every value rescales every round and grows
+    the keys: slower, but exact, so there is no second path.
 
     It keeps the cut lists: the cut keys (3 * key + flag) of the left cuts
     and of the right cuts of all states, each ascending in a `CutKeys`.
-    They are built on the first `cut_lists` call, so a minimum or sorting
-    run, which makes none, builds none, and from then on kept sorted by
-    `reveal`, which swaps the revealed element's two cut keys for those of
-    its point by bisection, so the i-th cut of either kind is a read of
-    one block.  A rescale rewrites them in place, each key 3 * key + flag
-    becoming 3 * key * (L'/L) + flag, which keeps their order: a run
-    builds them once.  It reads those keys again from the multiplied rows
-    and sorts them rather than multiply each cut key by L'/L: when every
-    round brings new prime denominators the keys grow to tens of thousands
-    of bits, and multiplying them costs more than sorting them again.
+    They are built on the first `cut_lists` call on each scale, so a
+    minimum or sorting run, which makes none, builds none, and a run
+    whose values bring no new denominator builds them once.  Until the
+    next rescale `reveal` keeps them sorted: it swaps the revealed
+    element's two cut keys for those of its point by bisection, so the
+    i-th cut of either kind is a read of one block.  A rescale drops them,
+    and the next call reads the keys again from the multiplied rows and
+    sorts them: when every round brings new prime denominators the keys
+    grow to tens of thousands of bits, and multiplying each cut key by
+    L'/L costs more than sorting them again.
 
     And it keeps one `SetView` per family set, in a list indexed like the
     family: the key rows of the set's members, the very lists the state
@@ -525,28 +514,22 @@ class KnowledgeState:
 
     def _rescale(self, grow: int) -> None:
         """Multiply the two keys of every key row by `grow` in place, moving
-        all of them to the scale L * grow, and put the cut keys read again
-        from the rows in place of the kept ones; orders and ties are
-        unchanged, so the views, which hold the same rows, stay sorted,
-        and each cut key 3 * key + flag keeps its rank as 3 * key * grow +
-        flag."""
+        all of them to the scale L * grow, and drop the cut lists, which the
+        next `cut_lists` builds again from the rows; orders and ties are
+        unchanged, so the views, which hold the same rows, stay sorted."""
         self._scale *= grow
         for row in self._keys.values():
             row[0] *= grow
             row[3] *= grow
-        if self._cuts is not None:
-            # read again from the rows: 3 * key + flag on the multiplied
-            # key costs less than multiplying each cut key by `grow`
-            rows, (left, right) = self._keys.values(), self._cuts
-            left.rekey([3 * r[0] + r[1] for r in rows])
-            right.rekey([3 * r[3] - r[4] for r in rows])
+        self._cuts = None
 
     def cut_lists(self) -> Tuple[CutKeys, CutKeys]:
         """The ascending cut keys of the left cuts and of the right cuts of
         all current states; `cut_of` reads a key back as a cut.
 
-        The lists are built on the first call and kept by `reveal`, a
-        rescale included; callers read them and never write.
+        The lists are built on the first call on each scale and kept by
+        `reveal` until a rescale drops them; callers read them and never
+        write.
         """
         if self._cuts is None:  # `left_key` and `right_key` of every row
             rows = self._keys.values()
@@ -584,6 +567,7 @@ class KnowledgeState:
             if row[0] != row[3] and 3 * row[0] + row[1] <= hi and 3 * row[3] - row[4] >= lo
         ]
 
-    def unqueried_nontrivial(self, ids: Optional[Iterable[int]] = None) -> list:
+    def unqueried_nontrivial(self, ids: Iterable[int]) -> List[int]:
+        """The ids of `ids`, in their order, that are not pinned."""
         states = self._states
-        return [eid for eid in (states if ids is None else ids) if not states[eid].trivial]
+        return [eid for eid in ids if not states[eid].trivial]

@@ -79,6 +79,7 @@ from .instances import (
     SELECTION_VALUE,
     SORTING,
     TruthRecord,
+    truth_record,
 )
 from .intervals import (
     KnowledgeState,
@@ -406,7 +407,7 @@ def verify_certificate(
     kind = instance.problem.kind
     if cert.problem is not kind:
         raise InstanceError("certificate problem kind mismatch")
-    truth = None if realization is None else _validated(instance, realization)
+    truth = None if realization is None else truth_record(instance, realization)
     if kind is MINIMUM:
         assert cert.minima is not None
         _verify_minima(instance, knowledge, cert.minima, truth)
@@ -527,13 +528,6 @@ class OptReport:
         return OptReport(len(chosen), chosen, ceil_div(len(chosen), k), method)
 
 
-def _validated(instance: Instance, realization: Union[Realization, TruthRecord]) -> TruthRecord:
-    """A record as it is, and a bare `Realization` through its `validate`:
-    the walks of the minimum audits are exact only for values inside their
-    intervals, and a value outside one is refused in one line."""
-    return realization if isinstance(realization, TruthRecord) else realization.validate(instance)
-
-
 def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
     """Per set: every interval whose lower endpoint key is below the value
     key of the set's true minimum (its own interval included, and no
@@ -541,7 +535,7 @@ def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord
     are a prefix of the set's left order (`Instance.left_orders`), which
     one bisection on the record's lower keys finds; no point is in it, as
     none lies below the minimum."""
-    truth, chosen = _validated(instance, realization), set()
+    truth, chosen = truth_record(instance, realization), set()
     lowers, values = truth.lowers, truth.values
     for order, holder in zip(instance.left_orders(lowers), truth.holders):
         chosen.update(order[: bisect_left(order, values[holder - 1], key=lambda e: lowers[e - 1])])
@@ -550,7 +544,7 @@ def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord
 
 def opt1_selection_full(instance: Instance, realization: Union[Realization, TruthRecord]) -> OptReport:
     """Every non-trivial interval that contains v*, on the record's keys."""
-    truth = _validated(instance, realization)
+    truth = truth_record(instance, realization)
     at, bounds = truth.values[truth.holders[0] - 1], zip(instance.elements, truth.lowers, truth.uppers)
     chosen = [e for e, (iv, lo, hi) in enumerate(bounds, 1) if not iv.trivial and iv.contains_keyed(lo, hi, at)]
     return OptReport.of(chosen, instance.k, "closed-form")
@@ -584,7 +578,7 @@ def opt1_selection_value(instance: Instance, realization: Union[Realization, Tru
     some optimal solution avoids each element that is not kept.
     """
     rank = instance.problem.rank
-    truth = _validated(instance, realization)
+    truth = truth_record(instance, realization)
     at = truth.values[truth.holders[0] - 1]
     below = settled = 0
     effect: Dict[int, Tuple[bool, bool]] = {}
@@ -641,7 +635,7 @@ def sorting_residual(
     `dependency_runs`.  Endpoints and values are compared on the record's
     keys; no `KnowledgeState` is built.
     """
-    truth = _validated(instance, realization)
+    truth = truth_record(instance, realization)
     lowers, uppers, values = truth.lowers, truth.uppers, truth.values
     mandatory = set()
     free = []  # per set, its non-trivial members not mandatory in that set

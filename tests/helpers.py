@@ -13,8 +13,9 @@ interval's own endpoints, the reference for every cut key, the
 subset-search optimum that the closed forms and the sorting optimum are
 checked against, the minimum audits as full scans of every membership
 (each set's true minimum, the minimum optimum and the minimum
-certificate check), the round sizes of a `RoundsToBatches` by sequence,
-and a knowledge state over bare intervals and sets."""
+certificate check), a truth record built without validation, the round
+sizes of a `RoundsToBatches` by sequence, and a knowledge state over
+bare intervals and sets."""
 
 import itertools
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from roundquery.instances import SORTING, Instance, InstanceError, ProblemKind, truth_record
+from roundquery.instances import SORTING, Instance, InstanceError, ProblemKind, TruthRecord, truth_record
 from roundquery.intervals import CLOSED, KnowledgeState, cut_order, dependent, interval_keys
 from roundquery.solving import (
     BruteForceCapError,
@@ -355,6 +356,14 @@ def verify_minimum_certificate_reference(instance, knowledge, cert, realization=
                 raise InstanceError("an unqueried element could undercut the claimed minimum")
         if holders is not None and realization.value(holders[i]) != v:
             raise InstanceError("claimed minimum contradicts the realization")
+
+
+def unvalidated_record(instance, realization):
+    """The `TruthRecord` of `realization` built directly, without the
+    validation that `truth_record` runs, so it may hold values outside
+    their intervals: how a test hands an audit an inadmissible record."""
+    _, lowers, uppers, values = interval_keys(instance.elements, [realization.value(e) for e in instance.ids()])
+    return TruthRecord(instance, realization, lowers, uppers, values)
 
 
 def k_schedule(batch_alg):

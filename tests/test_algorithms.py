@@ -2,8 +2,10 @@
 strategies, and both selection variants."""
 
 import itertools
+import random
 from dataclasses import astuple
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -646,8 +648,10 @@ class TestSelectionMatchesItsDefinition:
     """Every round of `sel-value` and `sel-full` equals the reference
     round, which rescans every id, on the same knowledge: on random
     instances with ranks below, at and above the middle, no, some and many
-    trivial elements, and open ends only or mixed open and closed ends;
-    and on the lower-bound adversaries' finalized realizations."""
+    trivial elements, and open ends only or mixed open and closed ends; on
+    instances whose every value is over a prime of its own, so that every
+    round rescales; and on the lower-bound adversaries' finalized
+    realizations."""
 
     REFERENCE = {"sel-value": sel_value_round_reference, "sel-full": sel_full_round_reference}
 
@@ -686,6 +690,42 @@ class TestSelectionMatchesItsDefinition:
             inst, r = self._random(kind, seed)
             rounds += self._replay(name, inst, FixedOracle(inst, r))
         assert rounds > 300, rounds
+
+    PRIMES = [p for p in range(11, 300) if all(p % d for d in range(2, isqrt(p) + 1))][:40]
+
+    @classmethod
+    def _prime_valued(cls, kind, seed):
+        """An instance of `kind` and its realization whose every value is
+        over a prime of its own, so every round's reveal rescales: n from 5
+        at seed 0 to 40 at seed 19, k in 1..4, the rank below, at or above
+        the middle, integer endpoints, each open or closed, and on odd
+        seeds about a fifth of the elements trivial."""
+        rng = random.Random(seed)
+        n = 5 + 35 * seed // 19
+        k = 1 + seed % 4
+        middle = ceil_div(n, 2)
+        rank = (1 + seed % middle, middle, n - seed % (n - middle))[seed % 3]
+        elements, values = [], {}
+        for eid, p in enumerate(cls.PRIMES[:n], 1):
+            lo, width = rng.randint(0, n), rng.randint(1, n)
+            values[eid] = lo + rng.randrange(width) + Fraction(1, p)  # strictly inside (lo, lo + width)
+            if seed % 2 and rng.random() < 0.2:
+                elements.append(UncertainInterval.point(values[eid]))
+            else:
+                kinds = rng.choice([OPEN, CLOSED]), rng.choice([OPEN, CLOSED])
+                elements.append(UncertainInterval(Fraction(lo), kinds[0], Fraction(lo + width), kinds[1]))
+        return make_instance(elements, [range(1, n + 1)], ProblemKind(kind, rank), k), Realization(values)
+
+    @pytest.mark.parametrize("name, kind", [("sel-value", SELECTION_VALUE), ("sel-full", SELECTION_FULL)])
+    def test_rounds_equal_the_reference_when_every_round_rescales(self, name, kind, monkeypatch):
+        rescales = []
+        rescale = KnowledgeState._rescale
+        monkeypatch.setattr(KnowledgeState, "_rescale", lambda k, grow: rescales.append(grow) or rescale(k, grow))
+        rounds = 0
+        for seed in range(20):
+            inst, r = self._prime_valued(kind, seed)
+            rounds += self._replay(name, inst, FixedOracle(inst, r))
+        assert len(rescales) == rounds > 90, (len(rescales), rounds)
 
     @pytest.mark.parametrize("spec", [f"selval-lb:i={i},k={k}" for i in (1, 2, 3, 5, 8) for k in (1, 2, 4, 8)])
     def test_selection_value_adversary_realizations(self, spec):

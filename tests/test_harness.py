@@ -182,7 +182,7 @@ class _OneAtATime:
     """Queries the lowest unrevealed non-trivial id, one a round or batch."""
 
     def next_round(self, instance, knowledge, open_sets):
-        return [min(knowledge.unqueried_nontrivial())]
+        return [min(knowledge.unqueried_nontrivial(instance.ids()))]
 
     next_batch = next_round
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import contains, left_cut, right_cut, state_of
+from helpers import Probed, contains, left_cut, right_cut, state_of
 from roundquery import intervals as intervals_module
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import run
@@ -464,24 +464,27 @@ class TestKnowledgeState:
                 assert row == [7 * copy[0], copy[1], copy[2], 7 * copy[3], copy[4]]
 
     def test_rescale_keeps_the_cut_lists(self):
-        # a reveal over a denominator new to the state rescales the kept cut
-        # lists in place: the very objects, now a fresh sort of every
-        # state's cut keys on the new scale, the revealed point's included
+        # a reveal over a denominator new to the state drops the cut lists,
+        # and the next read builds them again from the multiplied rows: a
+        # fresh sort of every state's cut keys on the new scale, the
+        # revealed points' included; a reveal on the same scale then swaps
+        # its point's keys into those lists
         k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}"), iv("(2,5]"), iv("[1,5)")])
-        kept = k.cut_lists()
-        k.reveal({1: Fraction(1, 7), 4: Fraction(5)})
-        assert k.cut_of(3)[0] == Fraction(1, 14)  # the scale grew by 7
-        lefts, rights = k.cut_lists()
-        assert lefts is kept[0] and rights is kept[1]
-        assert list(lefts) == sorted(map(k.left_key, k.ids()))
-        assert list(rights) == sorted(map(k.right_key, k.ids()))
-        assert [k.cut_of(key) for key in lefts] == sorted(left_cut(k.state(e)) for e in k.ids())
-        assert [k.cut_of(key) for key in rights] == sorted(right_cut(k.state(e)) for e in k.ids())
+        k.cut_lists()
+        for answers in ({1: Fraction(1, 7), 4: Fraction(5)}, {2: Fraction(15, 7)}):
+            k.reveal(answers)
+            assert k.cut_of(3)[0] == Fraction(1, 14)  # the scale grew by 7, once
+            lefts, rights = k.cut_lists()
+            assert list(lefts) == sorted(map(k.left_key, k.ids()))
+            assert list(rights) == sorted(map(k.right_key, k.ids()))
+            assert [k.cut_of(key) for key in lefts] == sorted(left_cut(k.state(e)) for e in k.ids())
+            assert [k.cut_of(key) for key in rights] == sorted(right_cut(k.state(e)) for e in k.ids())
 
-    def test_a_prime_denominator_selection_run_builds_its_cut_lists_once(self, monkeypatch):
+    def test_a_prime_denominator_selection_run_builds_its_cut_lists_once_per_scale(self, monkeypatch):
         # n=300 overlapping integer intervals, each value over a prime of
-        # its own, so every round rescales: the run still builds one list
-        # of each kind
+        # its own, so every round rescales: the run builds one list of each
+        # kind per scale, and each round reads them as a fresh sort of
+        # every state's cut keys
         made, rescales = [], []
 
         class Counted(CutKeys):
@@ -489,18 +492,22 @@ class TestKnowledgeState:
                 super().__init__(keys)
                 made.append(self)
 
-            def rekey(self, keys):
-                super().rekey(keys)
-                rescales.append(self)
-
+        rescale = KnowledgeState._rescale
         monkeypatch.setattr(intervals_module, "CutKeys", Counted)
+        monkeypatch.setattr(KnowledgeState, "_rescale", lambda k, grow: rescales.append(grow) or rescale(k, grow))
+
+        def probe(knowledge, _open_sets, _picked):
+            lefts, rights = knowledge.cut_lists()
+            assert list(lefts) == sorted(map(knowledge.left_key, knowledge.ids()))
+            assert list(rights) == sorted(map(knowledge.right_key, knowledge.ids()))
+
         primes = [p for p in range(11, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))][:300]
         elements = [iv(f"({j},{j + 300})") for j in range(1, 301)]
         inst = make_instance(elements, [range(1, 301)], ProblemKind(SELECTION_FULL, rank=150), 4)
         values = {j: j + (j * 7919) % 299 + Fraction(1, p) for j, p in enumerate(primes, 1)}
-        _, report = run(make_algorithm("sel-full", inst), inst, FixedOracle(inst, Realization(values)))
-        assert len(made) == 2
-        assert len(rescales) == 2 * report.alg_rounds > 20
+        _, report = run(Probed(make_algorithm("sel-full", inst), probe), inst, FixedOracle(inst, Realization(values)))
+        assert len(rescales) == report.alg_rounds > 20
+        assert len(made) == 2 * (1 + len(rescales))
 
     def test_never_reverts(self):
         self.k.reveal({1: Fraction(2)})
@@ -541,7 +548,7 @@ class TestKnowledgeState:
             for e in k.ids():
                 st_e = k.state(e)
                 assert k.known_value(e) == (st_e.lower if st_e.trivial else None)
-            assert k.unqueried_nontrivial() == [e for e in k.ids() if not k.state(e).trivial]
+            assert k.unqueried_nontrivial(k.ids()) == [e for e in k.ids() if not k.state(e).trivial]
             some = order[::2]
             assert k.unqueried_nontrivial(some) == [e for e in some if not k.state(e).trivial]
 
@@ -575,8 +582,8 @@ def _cut_key_edits(draw):
 
 class TestCutKeys:
     """`CutKeys` reads as the ascending list of its keys after every edit,
-    in blocks small enough to split and empty; a rescale puts the keys on
-    a finer scale, given in any order, in their places."""
+    in blocks small enough to split and empty; a rescale builds the list
+    again from the same cuts on a finer scale, given in any order."""
 
     @given(case=_cut_key_edits())
     def test_reads_as_the_sorted_list(self, case):
@@ -592,7 +599,7 @@ class TestCutKeys:
             else:
                 # the cut (key, flag) keeps its flag on the finer scale
                 reference = [3 * arg * key + flag - 1 for key, flag in (divmod(c + 1, 3) for c in reference)]
-                kept.rekey(reversed(reference))
+                kept = _SmallBlocks(reversed(reference))
             assert list(kept) == reference and len(kept) == len(reference)
             assert [kept[i] for i in range(len(kept))] == reference
             for probe in {key + step for key in reference for step in (-1, 0, 1)}:

@@ -24,6 +24,7 @@ from helpers import (
     right_cut,
     selection_categories,
     state_of,
+    unvalidated_record,
 )
 from roundquery.algorithms import interval_cover, make_algorithm
 from roundquery.harness import resolve_source, run
@@ -1191,6 +1192,17 @@ class TestTruthRecord:
         inst, r = _random_case(kind, seed)
         assert canonical_opt(inst, truth_record(inst, r)) == canonical_opt(inst, r)
 
+    def test_a_record_is_validated_when_it_is_built(self):
+        # 9 lies outside (0,4): the record of this realization is refused
+        # as the bare realization is, so no audit reads an inadmissible one
+        inst = make_instance([iv("(0,4)"), iv("(1,5)")], [[1, 2]], ProblemKind(MINIMUM), 1)
+        r = Realization({1: Fraction(9), 2: Fraction(2)})
+        message = r"^value 9 outside interval \(0,4\) of element 1$"
+        with pytest.raises(InstanceError, match=message):
+            canonical_opt(inst, r)
+        with pytest.raises(InstanceError, match=message):
+            canonical_opt(inst, truth_record(inst, r))
+
     @pytest.mark.parametrize("prebuilt", [False, True])
     def test_minimum_contradicted_by_the_realization(self, prebuilt):
         inst = make_instance([iv("(0,4)"), iv("(2,6)")], [[1, 2]], ProblemKind(MINIMUM), 1)
@@ -1220,8 +1232,8 @@ class TestTruthRecord:
 
     # the realizations below that contradict a certificate also contradict
     # the knowledge it was extracted from: no admissible one can, so a bare
-    # one is refused by its validation, and only a record built without it
-    # reaches the check against the realization
+    # one is refused by its validation, and only a record built without it,
+    # by `unvalidated_record`, reaches the check against the realization
 
     @pytest.mark.parametrize("prebuilt", [False, True])
     def test_sorting_order_contradicted_by_the_realization(self, prebuilt):
@@ -1232,7 +1244,7 @@ class TestTruthRecord:
         good, bad = Realization({1: Fraction(2), 2: Fraction(3)}), Realization({1: Fraction(3), 2: Fraction(1)})
         message = r"^value 3 outside interval \[0,2\] of element 1$"
         if prebuilt:
-            good, bad = truth_record(inst, good), truth_record(inst, bad)
+            good, bad = truth_record(inst, good), unvalidated_record(inst, bad)
             message = "^order of 1 before 2 contradicts the realization$"
         verify_certificate(inst, knowledge, cert, good)
         with pytest.raises(InstanceError, match=message):
@@ -1250,7 +1262,7 @@ class TestTruthRecord:
         bad = Realization({1: Fraction(1, 2), 2: Fraction(5, 2), 3: Fraction(5, 2)})
         message = r"^value 5/2 outside interval \[4,5\] of element 3$"
         if prebuilt:
-            good, bad = truth_record(inst, good), truth_record(inst, bad)
+            good, bad = truth_record(inst, good), unvalidated_record(inst, bad)
             message = "^equal-value elements contradict the realization$"
         verify_certificate(inst, knowledge, cert, good)
         with pytest.raises(InstanceError, match=message):
