@@ -86,7 +86,6 @@ from .solving import (
     canonical_opt,
     extract_certificate,
     instance_solved,
-    minimum_scan,
     minimum_solved,
     opt1_minimum,
     opt1_selection_full,

@@ -21,7 +21,7 @@ so one instance of it drives exactly one trial.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
@@ -40,7 +40,6 @@ from .solving import (
     build_dependency_graph,
     ceil_div,
     exact_cover,
-    minimum_scan,
     minimum_solved,  # unused here; kept for perfbench's tracer, which counts it in this namespace
     rank_cut_keys,
     sorting_solved,  # unused here; kept for perfbench's tracer, which counts it in this namespace
@@ -101,42 +100,41 @@ class BalancedRounds:
     """Repeatedly serve an active set with minimum current-round prefix length.
 
     The prefix length of a set is the number of leading elements of its
-    live list (`minimum_scan`'s prefix of its view's unpinned rows) already
-    picked into this round; ties go to the lowest set index, and the pick
-    is the set's leftmost element not yet chosen.  Each set keeps a pointer
-    to that element, its prefix length, and a heap holds (prefix, set
-    index) for every set with one left.  Picking e advances exactly the
-    sets whose pointer is at e, found through a map from element to those
-    sets, each past the picked elements that follow; the entries those
-    sets leave in the heap are stale and skipped when popped.  A round
-    costs one bisection per open set plus its picks and pointer moves.
+    live list (`KnowledgeState.minimum_live`, read lazily) already picked
+    into this round; ties go to the lowest set index, and the pick is the
+    set's leftmost element not yet chosen.  A heap holds (prefix, set
+    index, element) for the element each set is at, and a map from element
+    to those sets.  Picking e advances exactly the sets at e, each along
+    its walk past the picked elements; the entries those sets leave in the
+    heap hold a picked element, so they are stale and skipped when popped.
+    A round costs its picks, the walks' steps and the heap.
     """
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
-        rows = {idx: knowledge.set_view(idx).unpinned for idx in open_sets}
-        ends = {idx: minimum_scan(idx, knowledge) for idx in open_sets}  # an open set has at least one
-        pos = dict.fromkeys(open_sets, 0)
-        at: Dict[int, List[int]] = {}  # element -> the sets whose pointer is at it
-        for idx in open_sets:
-            at.setdefault(rows[idx][0][2], []).append(idx)
-        heap = [(0, idx) for idx in open_sets]  # ascending, so already a heap
+        walks = {idx: enumerate(knowledge.minimum_live(idx)) for idx in open_sets}
+        heap: List[Tuple[int, int, int]] = []
+        at: Dict[int, List[int]] = {}  # element -> the sets at it
         chosen: List[int] = []
         in_round: Set[int] = set()
+
+        def advance(idx: int) -> None:
+            """Move idx along its walk to its next element not in the round."""
+            for p, e in walks[idx]:
+                if e not in in_round:
+                    at.setdefault(e, []).append(idx)
+                    heappush(heap, (p, idx, e))
+                    return
+
+        for idx in open_sets:  # each to its first live member: an open set has one
+            advance(idx)
         while heap and len(chosen) < instance.k:
-            p, idx = heappop(heap)
-            if p != pos[idx]:
+            _, _, e = heappop(heap)
+            if e in in_round:
                 continue
-            e = rows[idx][p][2]
             chosen.append(e)
             in_round.add(e)
-            for s in at.pop(e):
-                live, end, q = rows[s], ends[s], pos[s] + 1
-                while q < end and live[q][2] in in_round:
-                    q += 1
-                pos[s] = q
-                if q < end:
-                    at.setdefault(live[q][2], []).append(s)
-                    heappush(heap, (q, s))
+            for idx in at.pop(e):
+                advance(idx)
         return chosen
 
 
@@ -159,16 +157,16 @@ class BudgetRounds:
     bought at (1 + the sum of their starts) / |O|, the earliest first, then
     the one with more owners, then the lowest id.  All arithmetic is exact.
 
-    Each set keeps a pointer to its leftmost untaken element in its live
-    list (`minimum_scan`'s prefix of its view's unpinned rows), and a heap
-    holds (time, -|owners|, id) for every element with owners.  A purchase
-    restarts only the winner's owners, and each of them moves to its next
-    untaken element, so only the elements that gain owners get a new key.
-    An untaken element's owner count only grows, so it versions the
-    entries: one whose count is not the element's current one (none, once
-    bought) is stale and skipped when popped.  Owner lists are kept
-    ascending.  `last_seeds` and `last_charges` (each bought element's
-    owners) describe the last round; tests read them to check the charging
+    Each set is at its leftmost untaken element along its live list
+    (`KnowledgeState.minimum_live`, read lazily), and a heap holds (time,
+    -|owners|, id) for every element with owners.  A purchase restarts
+    only the winner's owners, and each of them moves to its next untaken
+    element, so only the elements that gain owners get a new key.  An
+    untaken element's owner count only grows, so it versions the entries:
+    one whose count is not the element's current one (none, once bought)
+    is stale and skipped when popped.  Owner lists are kept ascending.
+    `last_seeds` and `last_charges` (each bought element's owners)
+    describe the last round; tests read them to check the charging
     argument.
     """
 
@@ -178,34 +176,30 @@ class BudgetRounds:
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         k = instance.k
-        rows = {idx: knowledge.set_view(idx).unpinned for idx in open_sets}
-        ends = {idx: minimum_scan(idx, knowledge) for idx in open_sets}  # an open set has at least one
+        walks = {idx: knowledge.minimum_live(idx) for idx in open_sets}
         self.last_charges = {}
-        seeds = sorted({rows[idx][0][2] for idx in open_sets})[:k]
+        seeds = sorted({next(walks[idx]) for idx in open_sets})[:k]  # an open set has a live member
         self.last_seeds = tuple(seeds)
         chosen: List[int] = list(seeds)
         if len(chosen) == k:
             return chosen
         taken: Set[int] = set(seeds)
         starts: Dict[int, Fraction] = dict.fromkeys(open_sets, Fraction(0))
-        pos: Dict[int, int] = {}
         owners: Dict[int, List[int]] = {}
 
-        def advance(idx: int, q: int) -> Optional[int]:
-            """Move idx's pointer to its first untaken element at or after
-            q and return that element, or None past its live list."""
-            live, end = rows[idx], ends[idx]
-            while q < end and live[q][2] in taken:
-                q += 1
-            pos[idx] = q
-            return live[q][2] if q < end else None
+        def advance(idx: int) -> Optional[int]:
+            """idx's next untaken element along its walk, or None past its end."""
+            for e in walks[idx]:
+                if e not in taken:
+                    return e
+            return None
 
         def entry(e: int) -> Tuple[Fraction, int, int]:
             group = owners[e]
             return (1 + sum(starts[idx] for idx in group)) / len(group), -len(group), e
 
-        for idx in open_sets:  # ascending, so each owner list is too
-            e = advance(idx, 0)
+        for idx in open_sets:  # ascending, so each owner list is too; every first live member is a seed
+            e = advance(idx)
             if e is not None:
                 owners.setdefault(e, []).append(idx)
         heap = [entry(e) for e in owners]
@@ -221,7 +215,7 @@ class BudgetRounds:
             gained = set()
             for idx in payers:
                 starts[idx] = time
-                e = advance(idx, pos[idx] + 1)
+                e = advance(idx)
                 if e is not None:
                     insort(owners.setdefault(e, []), idx)
                     gained.add(e)
@@ -312,17 +306,18 @@ class SelectionFullRounds:
     The first round sorts the unqueried ids that meet the target area by
     (left cut, id) and by (right cut descending, id); the others stay
     disjoint.  Two pointers mark where the left cuts at most lo and the
-    right cuts at least hi end in those orders; each round moves them past
-    the ids whose cut the area crossed, pinned ids skipped, and files those
-    ids again.  Each category is a heap in the order the round reads it:
-    ids ascending for "containing" and "inside", and positions, which a
-    rescale keeps as it does not keys, in the right-cut order for the
-    left-overlapping ones and in the left-cut order for the
-    right-overlapping ones.  The first round files every id and heapifies;
-    later an id is pushed when it enters a category, which it never enters
-    twice, and an entry whose id is pinned or has moved on is stale and
-    dropped when popped.  The round pops what it picks and pushes it back,
-    so it costs O(k log n) plus the ids that crossed a pointer.
+    right cuts at least hi end in those orders; the first round sets them
+    by bisection, and each later one moves them past the ids whose cut the
+    area crossed, pinned ids skipped, and files those ids again.  Each
+    category is a heap in the order the round reads it: ids ascending for
+    "containing" and "inside", and positions, which a rescale keeps as it
+    does not keys, in the right-cut order for the left-overlapping ones
+    and in the left-cut order for the right-overlapping ones.  The first
+    round files every id and heapifies; later an id is pushed when it
+    enters a category, which it never enters twice, and an entry whose id
+    is pinned or has moved on is stale and dropped when popped.  The round
+    pops what it picks and pushes it back, so it costs O(k log n) plus the
+    ids that crossed a pointer.
     """
 
     def __init__(self) -> None:
@@ -373,8 +368,11 @@ class SelectionFullRounds:
         # each category's order of heap entries and the entry of an id: ids are their own
         self._orders = (None, None, by_right, by_left)
         self._entries = (None, None, dict(zip(by_right, range(len(live)))), dict(zip(by_left, range(len(live)))))
-        self._knowledge, self._left_lo, self._right_hi = knowledge, 0, 0
-        self._move()
+        # the pointers' first places, by bisection: no live id is pinned
+        lo, hi = self._area
+        self._left_lo = bisect_right(by_left, lo, key=knowledge.left_key)
+        self._right_hi = bisect_right(by_right, -hi, key=lambda e: -knowledge.right_key(e))
+        self._knowledge = knowledge
         self._heaps = ([], [], [], [])
         self._file(live, list.append)
         for heap in self._heaps:

@@ -30,7 +30,7 @@ from .harness import (
     sweep,
     sweep_csv,
 )
-from .instances import InstanceError, parse_instance, serialize_instance, truth_record
+from .instances import InstanceError, parse_instance, parse_instance_record, serialize_instance
 from .oracles import FixedOracle
 from .reductions import BatchesToRounds, QueryAllBatch, RoundsToBatches, TwoBatchSorting
 from .solving import (
@@ -142,10 +142,10 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     check_opt_cap(args.opt_cap, "--opt-cap")
-    instance, realization = parse_instance(_read(args.instance))
-    if realization is None:
+    instance, truth = parse_instance_record(_read(args.instance))
+    if truth is None:
         raise InstanceError("verify needs a realization (value lines)")
-    truth = truth_record(instance, realization)
+    realization = truth.realization
     opt = canonical_opt(instance, truth, cap=args.opt_cap)
     lines = [
         f"n {instance.n}",

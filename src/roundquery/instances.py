@@ -86,8 +86,9 @@ SELECTION_FULL = ProblemFamily.SELECTION_FULL
 @dataclass(frozen=True)
 class Instance:
     """Ground set with ids 1..n, family of subsets, problem kind, round width,
-    and two structures built once, on first use: the family's membership
-    index `sets_of`, and each set's members in left order, `left_orders`."""
+    and structures built once, on first use: the family's membership
+    index `sets_of`, each set's members in left order, `left_orders`, and
+    each set's first point in that order, `first_points`."""
 
     elements: Tuple[UncertainInterval, ...]
     family: Tuple[frozenset, ...]
@@ -114,12 +115,14 @@ class Instance:
     def sets_of(self) -> Dict[int, List[int]]:
         """For each id, the ascending indices of the family's sets that hold
         it, kept in the instance's `__dict__`, which equality and hash do not
-        read; a copy by `dataclasses.replace` builds its own if asked."""
-        index: Dict[int, List[int]] = {eid: [] for eid in self.ids()}
+        read; a copy by `dataclasses.replace` builds its own if asked.  The
+        lists are filled through a list indexed by id, which is cheaper per
+        membership than the dict."""
+        index: List[List[int]] = [[] for _ in range(len(self.elements) + 1)]
         for i, members in enumerate(self.family):
             for eid in members:
                 index[eid].append(i)
-        return index
+        return dict(enumerate(index[1:], 1))
 
     def left_orders(self, lowers: Optional[Sequence[int]] = None) -> List[List[int]]:
         """For each family set, its members in left order, by (left cut,
@@ -149,6 +152,18 @@ class Instance:
             self.__dict__["_left_orders"] = orders
         return orders
 
+    def first_points(self) -> List[Optional[int]]:
+        """For each family set, the first trivial member of its left order,
+        so its point of least value, lowest id among equal ones, or None
+        without one: found on the first call, from `left_orders`, and kept
+        as it is."""
+        points = self.__dict__.get("_first_points")
+        if points is None:
+            elements = self.elements
+            points = [next((eid for eid in order if elements[eid - 1].trivial), None) for order in self.left_orders()]
+            self.__dict__["_first_points"] = points
+        return points
+
     def validate(self) -> None:
         n = len(self.elements)
         if self.k < 1:
@@ -158,9 +173,9 @@ class Instance:
         for idx, members in enumerate(self.family, 1):
             if not members:
                 raise InstanceError(f"set {idx} is empty")
-            for eid in members:
-                if not 1 <= eid <= n:
-                    raise InstanceError(f"set {idx} references unknown element {eid}")
+            if min(members) < 1 or max(members) > n:  # name the first unknown id in the set's order
+                eid = next(eid for eid in members if not 1 <= eid <= n)
+                raise InstanceError(f"set {idx} references unknown element {eid}")
         if self.problem.is_selection:
             if self.family != (frozenset(range(1, n + 1)),):
                 raise InstanceError("selection instances take a single full set")
@@ -285,6 +300,13 @@ def _is_id(token: str) -> bool:
 
 
 def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
+    instance, truth = parse_instance_record(text)
+    return instance, None if truth is None else truth.realization
+
+
+def parse_instance_record(text: str) -> Tuple[Instance, Optional[TruthRecord]]:
+    """`parse_instance`, its realization handed back as the `TruthRecord`
+    that validating it built, so a caller that audits keys it once."""
     k: Optional[int] = None
     problem: Optional[ProblemKind] = None
     intervals: Dict[int, UncertainInterval] = {}
@@ -370,17 +392,15 @@ def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
     elements = tuple(intervals[eid] for eid in range(1, n + 1))
     instance = make_instance(elements, family or [list(range(1, n + 1))], problem, k)
 
-    realization: Optional[Realization] = None
-    if values:
-        for eid, iv in enumerate(instance.elements, 1):
-            if eid not in values:
-                if iv.trivial:
-                    values[eid] = iv.value
-                else:
-                    raise InstanceError(f"realization misses non-trivial element {eid}")
-        realization = Realization(values)
-        realization.validate(instance)
-    return instance, realization
+    if not values:
+        return instance, None
+    for eid, iv in enumerate(instance.elements, 1):
+        if eid not in values:
+            if iv.trivial:
+                values[eid] = iv.value
+            else:
+                raise InstanceError(f"realization misses non-trivial element {eid}")
+    return instance, Realization(values).validate(instance)
 
 
 def serialize_instance(instance: Instance, realization: Optional[Realization] = None) -> str:

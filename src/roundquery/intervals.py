@@ -35,7 +35,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:
@@ -362,10 +362,10 @@ KeyRecord = List[int]
 
 @dataclass(frozen=True, slots=True)
 class SetView:
-    """One member set as a `KnowledgeState` keeps it: the state's own key
-    rows of its members, ascending, that is in (left cut, id) order, split
-    into `unpinned`, the members not yet pinned, and `pinned`, whose rows
-    [key, 0, id, key, 0] ascend by value, then id."""
+    """One member set as a `KnowledgeState` keeps it for sorting: the
+    state's own key rows of its members, ascending, that is in (left cut,
+    id) order, split into `unpinned`, the members not yet pinned, and
+    `pinned`, whose rows [key, 0, id, key, 0] ascend by value, then id."""
 
     unpinned: List[KeyRecord]
     pinned: List[KeyRecord]
@@ -379,8 +379,8 @@ class KnowledgeState:
     element never reverts, and the value must lie inside the original
     interval (strictly inside open endpoints).  Mutated only by the
     single-threaded run loop of a trial, one round's answers at a time.
-    Built from its instance alone, whose elements, family and membership
-    index `sets_of` it reads.
+    Built from its instance alone, whose elements, family, membership
+    index `sets_of` and `left_orders` it reads.
 
     An element is pinned when its state is a point, trivial from the start
     or revealed, and `reveal` refuses it then; `known_value` reads the
@@ -397,10 +397,11 @@ class KnowledgeState:
     their values; when a denominator does not divide L, it first multiplies
     the two keys of every row in place by L'/L, L' the lcm of L and all the
     round's denominators, so one scale holds throughout, and drops the cut
-    lists.  The views hold the very row objects, and a multiplication by
-    L'/L > 0 keeps every list sorted, so no view is touched: a rescale costs
-    one pass over the rows, and a round pays at most one, and rarely:
-    random values are eighths, and the adversaries use few denominators.
+    lists.  The views and the floors hold the very row objects, and a
+    multiplication by L'/L > 0 keeps every order, so neither is touched: a
+    rescale costs one pass over the rows, and a round pays at most one,
+    and rarely: random values are eighths, and the adversaries use few
+    denominators.
     A new prime denominator in every value rescales every round and grows
     the keys: slower, but exact, so there is no second path.
 
@@ -417,20 +418,32 @@ class KnowledgeState:
     grow to tens of thousands of bits, and multiplying each cut key by
     L'/L costs more than sorting them again.
 
-    And it keeps one `SetView` per family set, in a list indexed like the
-    family: the key rows of the set's members, the very lists the state
-    holds, in (left cut, id) order, the unpinned ones in one list and the
-    pinned ones in another.  `set_view` builds them all in one pass on its
-    first call, so a selection run, which asks for none, builds none.
-    `reveal` moves the element from the first list to the second in every
-    view that holds it, by bisection, so the minimum and sorting
+    For minimum it keeps, per family set, a head and a floor, built on the
+    first `minimum_floor` or `minimum_live` call.  The walk goes along the
+    set's members in the instance's `left_orders`, built, if this is their
+    first call, from the state's first lower keys, so a run and its audits
+    share one sort; the head is a place in that order before which every
+    member is pinned, and the floor is the key row of the set's least
+    pinned point, lowest id among equal values.  The floors start at each
+    order's first point, `Instance.first_points`, and `reveal` lowers the
+    floor of each set that holds a revealed id, found through the
+    instance's `sets_of`, where the point is less; points revealed before
+    the build are folded in then.  So no run copies a membership.
+
+    For sorting it keeps one `SetView` per family set, in a list indexed
+    like the family: the key rows of the set's members, the very lists the
+    state holds, in (left cut, id) order, the unpinned ones in one list
+    and the pinned ones in another.  `set_view` builds them all in one
+    pass on its first call, so a minimum or selection run, which asks for
+    none, builds none.  `reveal` moves the element from the first list to
+    the second in every view that holds it, by bisection, so the sorting
     predicates read each set in left order, endpoint keys included,
     without sorting it.  The builder, `reveal` and the run loop find a
     member's family sets through the instance's `sets_of`, built once per
     instance, so a fresh state over the same instance builds only its own
-    keys and views; a `reveal` with no views to keep reads no index, so a
-    selection run, whose run loop re-checks its one set directly, builds
-    none.
+    keys, views and floors; a `reveal` with no views or floors to keep
+    reads no index, so a selection run, whose run loop re-checks its one
+    set directly, builds none.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
@@ -444,8 +457,12 @@ class KnowledgeState:
             eid: [lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN]
             for (eid, st), lower, upper in zip(self._states.items(), lowers, uppers)
         }
+        self._lowers = lowers  # the first lower keys, for `Instance.left_orders`
         self._cuts: Optional[Tuple[CutKeys, CutKeys]] = None
         self._views: Optional[List[SetView]] = None  # per family set, once built
+        self._floors: Optional[List[Optional[KeyRecord]]] = None  # per family set, once built
+        self._heads: List[int] = []  # per family set, with the floors
+        self._orders: List[List[int]] = []  # the instance's left orders, with the floors
 
     def ids(self) -> Iterable[int]:
         return self._states.keys()
@@ -511,6 +528,8 @@ class KnowledgeState:
                 view = views[i]
                 del view.unpinned[bisect_left(view.unpinned, row)]
                 insort(view.pinned, point)
+        if self._floors is not None:
+            self._lower_floors(answers)
 
     def _rescale(self, grow: int) -> None:
         """Multiply the two keys of every key row by `grow` in place, moving
@@ -537,7 +556,8 @@ class KnowledgeState:
         return self._cuts
 
     def set_view(self, i: int) -> SetView:
-        """The kept view of the family's set of index i.
+        """The kept view of the family's set of index i, which the sorting
+        predicates read; minimum walks its left order instead.
 
         The first call builds one view per family set in one pass: the key
         rows are sorted once, and each is appended, in that order, to the
@@ -555,6 +575,64 @@ class KnowledgeState:
                 for j in sets_of[record[2]]:
                     lists[j].append(record)
         return self._views[i]
+
+    def minimum_floor(self, i: int) -> Optional[KeyRecord]:
+        """The key row of the least pinned point of the family's set of
+        index i, lowest id among equal values, or None without one."""
+        if self._floors is None:
+            self._build_floors()
+        return self._floors[i]
+
+    def minimum_live(self, i: int) -> Iterator[int]:
+        """The live members of the family's set of index i, in left order,
+        by (left cut, id): the unpinned ones that could still lie below its
+        floor, every unpinned one without a floor.
+
+        The walk goes along the set's `Instance.left_orders` from its head,
+        first moving the head past the pinned members there.  It skips a
+        pinned row (its two keys equal) and stops at the first unpinned row
+        whose lower key is at or above the floor's: an unpinned member's
+        state is its interval, so the unpinned rows ascend by lower key in
+        that order, and no value lies below its lower endpoint, so one
+        that starts at the floor can at best tie it.  The walk starts on the
+        first `next` and reads the rows lazily, so it holds until the next
+        `reveal`.
+        """
+        floor = self.minimum_floor(i)
+        order, rows, head = self._orders[i], self._keys, self._heads[i]
+        while head < len(order) and (row := rows[order[head]])[0] == row[3]:
+            head += 1
+        self._heads[i] = head
+        for eid in islice(order, head, None):
+            row = rows[eid]
+            if row[0] != row[3]:
+                if floor is not None and row[0] >= floor[0]:
+                    return
+                yield eid
+
+    def _build_floors(self) -> None:
+        """Each set's head at 0 and its floor at its first point in left
+        order, `Instance.first_points`, then lowered by the points revealed
+        so far; the orders are built, if this is their first call, from the
+        state's first lower keys."""
+        instance, rows = self._instance, self._keys
+        self._orders = instance.left_orders(self._lowers)
+        self._heads = [0] * len(self._orders)
+        self._floors = [None if eid is None else rows[eid] for eid in instance.first_points()]
+        self._lower_floors([eid for (eid, st), iv in zip(self._states.items(), instance.elements) if st is not iv])
+
+    def _lower_floors(self, revealed: Collection[int]) -> None:
+        """Lower the floor of every set that holds a revealed id to that id's
+        point where the point is less, by (key, id), on the rows' one scale:
+        a rescale writes the floors' rows too."""
+        floors, rows = self._floors, self._keys
+        sets_of = self._instance.sets_of if revealed else None
+        for eid in revealed:
+            point = rows[eid]
+            for i in sets_of[eid]:
+                floor = floors[i]
+                if floor is None or point < floor:
+                    floors[i] = point
 
     def unpinned_meeting(self, lo: int, hi: int) -> List[int]:
         """The unpinned ids, ascending, whose state meets the cut keys from

@@ -18,13 +18,16 @@ never built.  Only R is capped.
 The predicates compare the exact integer keys that the knowledge state
 keeps across reveals, all on its one scale, never a `Fraction`: a key is
 the value times a common denominator, so keys order and tie as the
-rationals do.  The minimum and sorting predicates read each set from the
-state's kept `SetView`: its members' key rows, which sort in left order
-and carry their endpoint keys, the unpinned ones in one list and the
-pinned points, so ascending by value, in another.  A set's minimum is
-then the head of its pinned list, and its live members are the prefix of
-its unpinned rows below that floor, whose length `minimum_scan` finds by
-one bisection; `minimum_solved` and the minimum algorithms read it.  The
+rationals do.  The minimum predicates walk each set's left order, the
+instance's `left_orders`: the state keeps per set a floor, the key row of
+its least pinned point, and a head before which every member is pinned,
+and its live members, the unpinned ones below the floor, are read off the
+order from the head (`KnowledgeState.minimum_live`); `minimum_solved`
+reads one row of that walk, the minimum algorithms as much as they pick,
+and the certificate takes each floor's id.  The sorting predicates read
+each set from the state's kept `SetView`: its members' key rows, which
+sort in left order and carry their endpoint keys, the unpinned ones in
+one list and the pinned points, so ascending by value, in another.  The
 dependent pairs of one set form an interval graph, so one pass over its
 intervals in left order finds every pair, each interval's partners ending
 where a bisection says: `dependency_runs`, the one sweep behind the
@@ -48,12 +51,15 @@ For minimum it walks a prefix of each set's left order
 (`Instance.left_orders`), comparing the states' lower endpoints with the
 claim by integer cross-multiplication of the ratios they keep, once every
 revealed state is known to start at or above its interval
-(`_verify_minima`).  It reads no `SetView`, cut list or key that the
-knowledge state keeps, so it checks what those decide rather than repeat
-it.  Against the realization it reads, as the offline optima do, the one
-`TruthRecord` that the oracle validated: the realization's keys and what
-the kind asks of it, so nothing keys the realization twice, and the
-elements at the selection value are found by their value keys.  A set's
+(`_verify_minima`).  It reads no `SetView`, floor, cut list or key that
+the knowledge state keeps, so it checks what those decide rather than
+repeat it; the left orders it shares with the minimum walks are the
+instance's, a function of its intervals alone, which `TestLeftOrders`
+checks against a sort of each set.  Against the realization it reads,
+as the offline optima do, the one `TruthRecord` that the oracle
+validated: the realization's keys and what the kind asks of it, so
+nothing keys the realization twice, and the elements at the selection
+value are found by their value keys.  A set's
 true minimum is found by a walk of its left order on the record's keys,
 the first time an audit reads it, and the minimum optimum is the prefix
 of the same order below it, one bisection away.  A bare `Realization`
@@ -115,32 +121,11 @@ def ceil_div(a: int, b: int) -> int:
 # solvedness
 
 
-def minimum_scan(set_idx: int, knowledge: KnowledgeState) -> int:
-    """The number of live members of the family's set `set_idx`, the
-    unpinned ones that could still lie below its least pinned value: they
-    are that long a prefix of the set view's `unpinned` rows, which hold
-    them in left order, by (left cut, id), so the live ids are
-    `view.unpinned[p][2]` for p below the returned length.
-
-    With no pinned value every unpinned member is live.  Otherwise a member
-    is dropped once its lower endpoint is at or above the floor, the least
-    pinned value (values in open intervals sit strictly above the endpoint,
-    so a weak comparison suffices).  The kept view holds the floor's key at
-    the head of its pinned list and the unpinned members' rows in left
-    order, whose lower endpoint keys ascend, so the live ones are the
-    prefix that one bisection with [floor] finds.
-    """
-    view = knowledge.set_view(set_idx)
-    if not view.pinned:
-        return len(view.unpinned)
-    return bisect_left(view.unpinned, [view.pinned[0][0]])
-
-
 def minimum_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
     """True iff the minimum value of the family's set `set_idx` is provable
-    from current knowledge: some value is pinned and the leftmost unpinned
-    member, if any, starts at or above the least of them."""
-    return bool(knowledge.set_view(set_idx).pinned) and not minimum_scan(set_idx, knowledge)
+    from current knowledge: some value is pinned and no unpinned member
+    starts below the least of them, so its live walk is empty."""
+    return knowledge.minimum_floor(set_idx) is not None and next(knowledge.minimum_live(set_idx), None) is None
 
 
 def sorting_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
@@ -378,10 +363,10 @@ def extract_certificate(instance: Instance, knowledge: KnowledgeState) -> Soluti
     if kind is MINIMUM:
         minima = []
         for i in range(instance.m):
-            pinned = knowledge.set_view(i).pinned
-            if not pinned:
+            floor = knowledge.minimum_floor(i)
+            if floor is None:
                 raise InstanceError(f"set {i + 1}: no pinned value; nothing to certify")
-            holder = pinned[0][2]  # the least value, held by its lowest id
+            holder = floor[2]  # the least value, held by its lowest id
             minima.append((holder, knowledge.known_value(holder)))
         return SolutionCertificate(kind, minima=tuple(minima))
     v = selection_value_pinned(instance, knowledge)

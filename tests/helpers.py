@@ -139,7 +139,7 @@ def budget_round_bound(opt_k: int, m: int) -> Fraction:
 
 
 def live_members(members, knowledge):
-    """`solving.minimum_scan`'s live members by their definition: the
+    """`KnowledgeState.minimum_live`'s walk by its definition: the
     unpinned members whose lower endpoint lies below the least pinned
     value, or every unpinned member without one, in left order, by
     (left cut, id)."""

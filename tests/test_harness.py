@@ -8,6 +8,7 @@ import pytest
 
 from roundquery import harness, instances, intervals, solving
 from roundquery.algorithms import make_algorithm
+from roundquery.cli import main
 from roundquery.harness import (
     CSV_HEADER,
     HarnessError,
@@ -37,7 +38,7 @@ from roundquery.instances import (
 )
 from roundquery.intervals import KnowledgeState, UncertainInterval
 from roundquery.oracles import FixedOracle, SortingPairAdversary
-from roundquery.reductions import QueryAllBatch
+from roundquery.reductions import QueryAllBatch, RoundsToBatches
 from roundquery.solving import ceil_div, reveal_all, set_solved
 
 iv = UncertainInterval.parse
@@ -322,6 +323,32 @@ def test_selection_runs_build_no_set_view(monkeypatch, alg, source):
         inst, oracle = resolve_source(source, seed)
         trace, _ = run(make_algorithm(alg, inst), inst, oracle)
         assert trace.rounds
+
+
+def test_minimum_runs_build_no_set_view(monkeypatch, tmp_path, capsys):
+    # minimum reads each set's head and floor on the instance's left
+    # orders, so no run of it, under either model, and no `verify` replay
+    # asks for or builds a set view
+    def refuse(*args):
+        raise AssertionError("a set view was asked for or built")
+
+    monkeypatch.setattr(KnowledgeState, "set_view", refuse)
+    monkeypatch.setattr(intervals, "SetView", refuse)
+    overlap, single = "random:problem=minimum,n=40,m=8,k=3,overlap=overlap", "random:problem=minimum,n=40,m=1,k=3"
+    for seed in range(3):
+        for alg, source in (("bal", overlap), ("budget", overlap), ("min-single", single)):
+            inst, oracle = resolve_source(source, seed)
+            trace, _ = run(make_algorithm(alg, inst), inst, oracle)
+            assert trace.rounds
+        inst, oracle = resolve_source(overlap, seed)
+        batches, _ = run_batches(
+            RoundsToBatches(lambda sized: make_algorithm("budget", sized), Fraction(2), 5, inst.n), inst, oracle
+        )
+        assert batches
+    path = tmp_path / "minimum.rq"
+    assert main(["generate", "--source", overlap, "--output", str(path)]) == 0
+    assert main(["verify", "--instance", str(path)]) == 0
+    assert "minimal yes" in capsys.readouterr().out
 
 
 class TestSources:

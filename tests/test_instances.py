@@ -179,10 +179,19 @@ class TestMembershipIndex:
         path = tmp_path / "minimum.rq"
         assert main(["generate", "--source", source, "--output", str(path)]) == 0
         reads, states = self._reads(monkeypatch)
+        orders, left_orders = [], Instance.left_orders
+
+        def read_orders(inst, lowers=None):
+            orders.append(left_orders(inst, lowers))
+            return orders[-1]
+
+        monkeypatch.setattr(Instance, "left_orders", read_orders)
         assert main(["verify", "--instance", str(path)]) == 0
         opt_set = capsys.readouterr().out.split("opt_set ")[1].split("\n")[0].split()
-        # one state for the feasibility replay and one per minimality replay
-        assert opt_set and len(states) == 1 + len(opt_set) and len(reads) >= len(states)
+        # one state for the feasibility replay and one per minimality replay,
+        # each reading the instance's one left orders, as the audits do
+        assert opt_set and len(states) == 1 + len(opt_set) and len(orders) >= len(states)
+        assert all(order is orders[0] for order in orders)
         assert all(read is reads[0] for read in reads)
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from helpers import (
     contains,
     left_cut,
+    live_members,
     matching_cover,
     opt1_bruteforce,
     pairwise_interval_cover,
@@ -61,7 +62,6 @@ from roundquery.solving import (
     forced_queries,
     greedy_matching_cover,
     instance_solved,
-    minimum_scan,
     minimum_solved,
     opt1_minimum,
     opt1_selection_full,
@@ -92,9 +92,8 @@ def knowledge_of(intervals, revealed=(), family=()):
 
 
 def scanned(i, k):
-    """The live ids of the family's set i: its view's unpinned rows up to
-    the length `minimum_scan` returns."""
-    return [row[2] for row in k.set_view(i).unpinned[: minimum_scan(i, k)]]
+    """The live ids of the family's set i, as its walk reads them."""
+    return list(k.minimum_live(i))
 
 
 def discarded(members, k):
@@ -104,16 +103,11 @@ def discarded(members, k):
 
 
 def _defined_scan(members, k):
-    """`minimum_scan` by its definition.  floor: the least pinned value;
-    live: the unpinned members whose lower endpoint lies below it, or every
-    unpinned member without one, in left order."""
+    """The live walk by its definition.  floor: the least pinned value;
+    live: `helpers.live_members`, the unpinned members whose lower endpoint
+    lies below it, or every unpinned member without one, in left order."""
     pinned = [k.state(e).lower for e in members if k.state(e).trivial]
-    floor = min(pinned) if pinned else None
-    live = sorted(
-        (e for e in members if not k.state(e).trivial and (floor is None or k.state(e).lower < floor)),
-        key=lambda e: (left_cut(k.state(e)), e),
-    )
-    return floor, live
+    return (min(pinned) if pinned else None), live_members(members, k)
 
 
 def _all_pairs_sorted(members, k):
@@ -157,12 +151,13 @@ class TestMinimumSolved:
 
     @given(data=st.data())
     def test_scan_matches_its_definition(self, data):
-        # the set's view is built before the reveals and kept through them
+        # the set's head and floor are built before the reveals and kept
+        # through them
         drawn = data.draw(st.lists(_interval(), min_size=1, max_size=8))
         ids = list(range(1, len(drawn) + 1))
         members = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
         k = state_of(drawn, [members])
-        minimum_scan(0, k)
+        scanned(0, k)
         for eid in data.draw(st.lists(st.sampled_from(ids), unique=True)):
             st_e = k.state(eid)
             if not st_e.trivial:  # a point is pinned from the start
@@ -435,6 +430,27 @@ class TestKeptViews:
             assert self._answers(inst, early) == expected
             if step >= late_from:
                 assert self._answers(inst, late) == expected
+
+
+@given(run=_viewed_run(), data=st.data())
+def test_floor_is_the_least_pinned_point(run, data):
+    # the run's values tie endpoints and one another and often bring a new
+    # denominator, so a round of them may rescale every row: after each
+    # round, a state whose heads and floors were built before the reveals
+    # and one built after them hold, per set, the row of the least pinned
+    # (value, id) on the current scale
+    inst, r, order = run
+    early = KnowledgeState(inst)
+    early.minimum_floor(0)
+    ends = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=3)))
+    for start, end in zip([0, *ends], [*ends, len(order)]):
+        early.reveal({eid: r.value(eid) for eid in order[start:end]})
+        late = KnowledgeState(inst)
+        late.reveal({eid: r.value(eid) for eid in order[:end]})
+        for k in (early, late):
+            for i, members in enumerate(inst.family):
+                pinned = [(k.known_value(e), e) for e in members if k.known_value(e) is not None]
+                assert k.minimum_floor(i) == (_record(k, min(pinned)[1]) if pinned else None)
 
 
 def _record(k, eid):
