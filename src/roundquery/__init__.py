@@ -50,7 +50,7 @@ from .instances import (
     gen_fig3_overlap_instance,
     gen_random,
     make_instance,
-    parse_instance,
+    parse_instance_record,
     serialize_instance,
     truth_record,
 )

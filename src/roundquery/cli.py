@@ -30,7 +30,7 @@ from .harness import (
     sweep,
     sweep_csv,
 )
-from .instances import InstanceError, parse_instance, parse_instance_record, serialize_instance
+from .instances import InstanceError, parse_instance_record, serialize_instance
 from .oracles import FixedOracle
 from .reductions import BatchesToRounds, QueryAllBatch, RoundsToBatches, TwoBatchSorting
 from .solving import (
@@ -90,10 +90,10 @@ def _load_run_target(args) -> tuple:
     if len(chosen) != 1:
         raise InstanceError("pick exactly one of --instance, --source, --oracle")
     if args.instance:
-        instance, realization = parse_instance(_read(args.instance))
-        if realization is None:
+        instance, truth = parse_instance_record(_read(args.instance))
+        if truth is None:
             raise InstanceError("instance file carries no realization; cannot answer queries")
-        return instance, FixedOracle(instance, realization)
+        return instance, FixedOracle(instance, truth)
     spec = args.source or args.oracle
     if args.oracle and spec.partition(":")[0].strip() not in ADVERSARY_SOURCES:
         raise InstanceError(f"--oracle expects one of {ADVERSARY_SOURCES}")

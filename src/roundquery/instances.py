@@ -299,14 +299,10 @@ def _is_id(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
-def parse_instance(text: str) -> Tuple[Instance, Optional[Realization]]:
-    instance, truth = parse_instance_record(text)
-    return instance, None if truth is None else truth.realization
-
-
 def parse_instance_record(text: str) -> Tuple[Instance, Optional[TruthRecord]]:
-    """`parse_instance`, its realization handed back as the `TruthRecord`
-    that validating it built, so a caller that audits keys it once."""
+    """The instance of an instance file and its realization, as the
+    `TruthRecord` that validating it built, so a caller that audits or
+    answers from it keys it once; None without `value` lines."""
     k: Optional[int] = None
     problem: Optional[ProblemKind] = None
     intervals: Dict[int, UncertainInterval] = {}

@@ -353,22 +353,10 @@ class CutKeys:
 # or 1, a point's row being [key, 0, id, key, 0].  The first two fields
 # order rows as the left cuts (3 * lower + lower_open is the left cut key),
 # and the id both breaks their ties, so rows sort in (left cut, id) order,
-# and makes each row distinct, so a bisection finds one exact row and never
-# compares the upper fields.  A row is a list, owned by its state, so that
-# a rescale multiplies its two keys in place; a list never compares with a
-# tuple, so a bisection probes rows with a list, such as [key].
+# and makes each row distinct, so two rows never compare their upper
+# fields.  A row is a list, owned by its state, so that a rescale
+# multiplies its two keys in place.
 KeyRecord = List[int]
-
-
-@dataclass(frozen=True, slots=True)
-class SetView:
-    """One member set as a `KnowledgeState` keeps it for sorting: the
-    state's own key rows of its members, ascending, that is in (left cut,
-    id) order, split into `unpinned`, the members not yet pinned, and
-    `pinned`, whose rows [key, 0, id, key, 0] ascend by value, then id."""
-
-    unpinned: List[KeyRecord]
-    pinned: List[KeyRecord]
 
 
 class KnowledgeState:
@@ -397,9 +385,9 @@ class KnowledgeState:
     their values; when a denominator does not divide L, it first multiplies
     the two keys of every row in place by L'/L, L' the lcm of L and all the
     round's denominators, so one scale holds throughout, and drops the cut
-    lists.  The views and the floors hold the very row objects, and a
-    multiplication by L'/L > 0 keeps every order, so neither is touched: a
-    rescale costs one pass over the rows, and a round pays at most one,
+    lists.  The floors hold the very row objects, and a multiplication by
+    L'/L > 0 keeps every order, so they are not touched: a rescale costs
+    one pass over the rows, and a round pays at most one,
     and rarely: random values are eighths, and the adversaries use few
     denominators.
     A new prime denominator in every value rescales every round and grows
@@ -418,32 +406,27 @@ class KnowledgeState:
     grow to tens of thousands of bits, and multiplying each cut key by
     L'/L costs more than sorting them again.
 
-    For minimum it keeps, per family set, a head and a floor, built on the
-    first `minimum_floor` or `minimum_live` call.  The walk goes along the
-    set's members in the instance's `left_orders`, built, if this is their
-    first call, from the state's first lower keys, so a run and its audits
-    share one sort; the head is a place in that order before which every
-    member is pinned, and the floor is the key row of the set's least
-    pinned point, lowest id among equal values.  The floors start at each
-    order's first point, `Instance.first_points`, and `reveal` lowers the
-    floor of each set that holds a revealed id, found through the
-    instance's `sets_of`, where the point is less; points revealed before
-    the build are folded in then.  So no run copies a membership.
+    Minimum and sorting read each family set in the instance's
+    `left_orders`, which the state's `left_orders()` builds, if this is
+    their first call, from its first lower keys, so a run and its audits
+    share one sort.  An unpinned member's row is its interval's, so the set's
+    unpinned rows in (left cut, id) order are its left order with the
+    pinned members skipped: `unpinned_rows` walks that, and `pinned_keys`
+    sorts the pinned members' value keys, so the sorting predicates read
+    each set in left order, endpoint keys included, and no state keeps a
+    per-set copy of it.
 
-    For sorting it keeps one `SetView` per family set, in a list indexed
-    like the family: the key rows of the set's members, the very lists the
-    state holds, in (left cut, id) order, the unpinned ones in one list
-    and the pinned ones in another.  `set_view` builds them all in one
-    pass on its first call, so a minimum or selection run, which asks for
-    none, builds none.  `reveal` moves the element from the first list to
-    the second in every view that holds it, by bisection, so the sorting
-    predicates read each set in left order, endpoint keys included,
-    without sorting it.  The builder, `reveal` and the run loop find a
-    member's family sets through the instance's `sets_of`, built once per
-    instance, so a fresh state over the same instance builds only its own
-    keys, views and floors; a `reveal` with no views or floors to keep
-    reads no index, so a selection run, whose run loop re-checks its one
-    set directly, builds none.
+    For minimum it keeps, per family set, a head and a floor, built on the
+    first `minimum_floor` or `minimum_live` call: the head is a place in
+    the set's left order before which every member is pinned, and the
+    floor is the key row of the set's least pinned point, lowest id among
+    equal values.  The floors start at each order's first point,
+    `Instance.first_points`, and `reveal` lowers the floor of each set that
+    holds a revealed id, found through the instance's `sets_of`, built once
+    per instance, where the point is less; points revealed before the build
+    are folded in then.  So no run copies a membership, a fresh state over
+    the same instance builds only its own keys and floors, and a `reveal`
+    with no floors to keep reads no index.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
@@ -459,7 +442,6 @@ class KnowledgeState:
         }
         self._lowers = lowers  # the first lower keys, for `Instance.left_orders`
         self._cuts: Optional[Tuple[CutKeys, CutKeys]] = None
-        self._views: Optional[List[SetView]] = None  # per family set, once built
         self._floors: Optional[List[Optional[KeyRecord]]] = None  # per family set, once built
         self._heads: List[int] = []  # per family set, with the floors
         self._orders: List[List[int]] = []  # the instance's left orders, with the floors
@@ -518,16 +500,9 @@ class KnowledgeState:
             left, right = self._cuts
             left.replace([(3 * row[0] + row[1], 3 * key) for _, _, key, row in pins])
             right.replace([(3 * row[3] - row[4], 3 * key) for _, _, key, row in pins])
-        views = self._views
-        sets_of = self._instance.sets_of if views else None
-        for eid, value, key, row in pins:
-            point = [key, 0, eid, key, 0]
+        for eid, value, key, _ in pins:
             states[eid] = UncertainInterval.point(value)
-            rows[eid] = point
-            for i in sets_of[eid] if views else ():
-                view = views[i]
-                del view.unpinned[bisect_left(view.unpinned, row)]
-                insort(view.pinned, point)
+            rows[eid] = [key, 0, eid, key, 0]
         if self._floors is not None:
             self._lower_floors(answers)
 
@@ -535,7 +510,7 @@ class KnowledgeState:
         """Multiply the two keys of every key row by `grow` in place, moving
         all of them to the scale L * grow, and drop the cut lists, which the
         next `cut_lists` builds again from the rows; orders and ties are
-        unchanged, so the views, which hold the same rows, stay sorted."""
+        unchanged, so the floors, which hold the same rows, stay least."""
         self._scale *= grow
         for row in self._keys.values():
             row[0] *= grow
@@ -555,26 +530,27 @@ class KnowledgeState:
             self._cuts = (CutKeys([3 * r[0] + r[1] for r in rows]), CutKeys([3 * r[3] - r[4] for r in rows]))
         return self._cuts
 
-    def set_view(self, i: int) -> SetView:
-        """The kept view of the family's set of index i, which the sorting
-        predicates read; minimum walks its left order instead.
+    def left_orders(self) -> List[List[int]]:
+        """The instance's `left_orders`, built, if this is their first call,
+        from the state's first lower keys."""
+        return self._instance.left_orders(self._lowers)
 
-        The first call builds one view per family set in one pass: the key
-        rows are sorted once, and each is appended, in that order, to the
-        unpinned or the pinned list of every set that holds it.  A set the
-        family lists twice has a view per listing.  The views are kept by
-        `reveal`; callers read them and never write.
-        """
-        if self._views is None:
-            views = self._views = [SetView([], []) for _ in self._instance.family]
-            unpinned = [view.unpinned for view in views]
-            pinned = [view.pinned for view in views]
-            sets_of, states = self._instance.sets_of, self._states
-            for record in sorted(self._keys.values()):
-                lists = pinned if states[record[2]].trivial else unpinned
-                for j in sets_of[record[2]]:
-                    lists[j].append(record)
-        return self._views[i]
+    def unpinned_rows(self, i: int) -> Iterator[KeyRecord]:
+        """The key rows of the unpinned members of the family's set of index
+        i, in (left cut, id) order: its left order, skipping each pinned
+        row (its two keys equal).  Read lazily, so it holds until the next
+        `reveal`; callers read the rows and never write."""
+        rows = self._keys
+        for eid in self.left_orders()[i]:
+            row = rows[eid]
+            if row[0] != row[3]:
+                yield row
+
+    def pinned_keys(self, i: int) -> List[int]:
+        """The value keys of the pinned members of the family's set of index
+        i, ascending, sorted on each call."""
+        rows = self._keys
+        return sorted([row[0] for eid in self._instance.family[i] if (row := rows[eid])[0] == row[3]])
 
     def minimum_floor(self, i: int) -> Optional[KeyRecord]:
         """The key row of the least pinned point of the family's set of
@@ -613,10 +589,10 @@ class KnowledgeState:
     def _build_floors(self) -> None:
         """Each set's head at 0 and its floor at its first point in left
         order, `Instance.first_points`, then lowered by the points revealed
-        so far; the orders are built, if this is their first call, from the
-        state's first lower keys."""
+        so far; `left_orders` comes first, since `first_points` would
+        otherwise key the endpoints itself."""
         instance, rows = self._instance, self._keys
-        self._orders = instance.left_orders(self._lowers)
+        self._orders = self.left_orders()
         self._heads = [0] * len(self._orders)
         self._floors = [None if eid is None else rows[eid] for eid in instance.first_points()]
         self._lower_floors([eid for (eid, st), iv in zip(self._states.items(), instance.elements) if st is not iv])

@@ -11,9 +11,10 @@ answering compares no `Fraction`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .instances import (
     Instance,
@@ -93,18 +94,24 @@ class FixedOracle(ValueOracle):
     private copy of its values, so a caller's later edit to the dict it
     passed changes neither the answers nor the record it finalizes into.
     The copy is read-only: a write through `realization.values` raises
-    `TypeError` rather than part the realization from its record."""
+    `TypeError` rather than part the realization from its record.  A
+    `TruthRecord` of this instance is validated already: its keys are kept
+    with the copy, and nothing is keyed again."""
 
-    def __init__(self, instance: Instance, realization: Realization):
+    def __init__(self, instance: Instance, realization: Union[Realization, TruthRecord]):
         super().__init__(instance)
-        values = realization.values
+        record = realization if isinstance(realization, TruthRecord) else None
+        values = (record.realization if record else realization).values
         # a proxy's own copy() is several times faster than dict() of it;
         # a copy that is not a plain dict still goes through dict()
         values = values.copy() if isinstance(values, MappingProxyType) else dict(values)
         if type(values) is not dict:
             values = dict(values)
-        self._record = Realization(MappingProxyType(values)).validate(instance)
-        self.realization = self._record.realization
+        self.realization = copy = Realization(MappingProxyType(values))
+        if record is None or record.instance is not instance:
+            self._record = copy.validate(instance)
+        else:
+            self._record = replace(record, realization=copy)
 
     def _commit_fresh(self, ids: Sequence[int]) -> None:
         committed, values = self.committed, self.realization.values

@@ -24,16 +24,16 @@ its least pinned point, and a head before which every member is pinned,
 and its live members, the unpinned ones below the floor, are read off the
 order from the head (`KnowledgeState.minimum_live`); `minimum_solved`
 reads one row of that walk, the minimum algorithms as much as they pick,
-and the certificate takes each floor's id.  The sorting predicates read
-each set from the state's kept `SetView`: its members' key rows, which
-sort in left order and carry their endpoint keys, the unpinned ones in
-one list and the pinned points, so ascending by value, in another.  The
-dependent pairs of one set form an interval graph, so one pass over its
-intervals in left order finds every pair, each interval's partners ending
-where a bisection says: `dependency_runs`, the one sweep behind the
-dependency graph, the residual R and the greedy matching of
-`batch-sort-2`.  `_pierced` finds, by bisection, the spans that strictly
-contain a pinned point: they force queries and leave a set unsorted.
+and the certificate takes each floor's id.  The sorting predicates walk
+the same orders: a set's unpinned key rows, which carry their endpoint
+keys, in left order (`KnowledgeState.unpinned_rows`), and its pinned
+value keys, ascending (`KnowledgeState.pinned_keys`).  The dependent
+pairs of one set form an interval graph, so one pass over its intervals
+in left order finds every pair, each interval's partners ending where a
+bisection says: `dependency_runs`, the one sweep behind the dependency
+graph, the residual R and the greedy matching of `batch-sort-2`.
+`_pierced` finds, by bisection, the spans that strictly contain a pinned
+point: they force queries and leave a set unsorted.
 Selection reads its rank cuts from the kept cut lists of cut keys, and
 full selection's solvedness counts the cuts around the pinned value's
 key there, by bisection, rather than scanning the unqueried intervals.
@@ -51,8 +51,8 @@ For minimum it walks a prefix of each set's left order
 (`Instance.left_orders`), comparing the states' lower endpoints with the
 claim by integer cross-multiplication of the ratios they keep, once every
 revealed state is known to start at or above its interval
-(`_verify_minima`).  It reads no `SetView`, floor, cut list or key that
-the knowledge state keeps, so it checks what those decide rather than
+(`_verify_minima`).  It reads no floor, cut list or key that the
+knowledge state keeps, so it checks what those decide rather than
 repeat it; the left orders it shares with the minimum walks are the
 instance's, a function of its intervals alone, which `TestLeftOrders`
 checks against a sort of each set.  Against the realization it reads,
@@ -88,8 +88,8 @@ from .instances import (
     truth_record,
 )
 from .intervals import (
+    KeyRecord,
     KnowledgeState,
-    SetView,
     cut_keys,
     cut_order,
     dependent,  # unused here; kept for perfbench's tracer, which counts it in this namespace
@@ -131,29 +131,30 @@ def minimum_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
 def sorting_solved(set_idx: int, knowledge: KnowledgeState) -> bool:
     """True iff no dependent pair remains within the family's set `set_idx`.
 
-    Two spans (unpinned members) are dependent iff, taken in the kept
-    left order, the later one starts below the reach of the earlier ones;
-    with no such pair left, the set is sorted iff no point pierces a span,
-    that is lies strictly inside it.
+    Two spans (unpinned members) are dependent iff, taken in left order,
+    the later one starts below the reach of the earlier ones, so some
+    span starts below the upper key of the one before it; the walk stops
+    at the first.  With no such pair left, the set is sorted iff no point
+    pierces a span, that is lies strictly inside it.
     """
-    view = knowledge.set_view(set_idx)
-    spans = view.unpinned
-    for a, b in zip(spans, spans[1:]):
-        if b[0] < a[3]:
+    spans = []
+    for row in knowledge.unpinned_rows(set_idx):
+        if spans and row[0] < spans[-1][3]:
             return False
-    return next(_pierced(view), None) is None
+        spans.append(row)
+    return next(_pierced(spans, knowledge.pinned_keys(set_idx)), None) is None
 
 
-def _pierced(view: SetView) -> Iterator[int]:
-    """The ids of `view`'s pierced members, the spans (unpinned members)
-    that strictly contain a pinned point, in left order: each span tests
-    the first point above its lower key, found by bisection."""
-    points = view.pinned
+def _pierced(spans: Iterable[KeyRecord], points: List[int]) -> Iterator[int]:
+    """The ids of the pierced spans, the unpinned members' key rows that
+    strictly contain one of the ascending value keys `points`, in the
+    spans' order: each span tests the first point above its lower key,
+    found by bisection.  With no point, the spans are not read."""
     if not points:
         return
-    for lower, _, eid, upper, _ in view.unpinned:
-        j = bisect_left(points, [lower + 1])
-        if j < len(points) and points[j][0] < upper:
+    for lower, _, eid, upper, _ in spans:
+        j = bisect_right(points, lower)
+        if j < len(points) and points[j] < upper:
             yield eid
 
 
@@ -238,10 +239,10 @@ def dependency_runs(ids: List[int], lowers: List[int], uppers: List[int]) -> Ite
 
 
 def _unpinned_runs(instance: Instance, knowledge: KnowledgeState) -> Iterator[Tuple[int, List[int]]]:
-    """`dependency_runs` of every set over its kept unpinned members, which
-    the set's view holds in left order with their endpoint keys."""
+    """`dependency_runs` of every set over its unpinned members, walked in
+    left order with their endpoint keys."""
     for i in range(instance.m):
-        live = knowledge.set_view(i).unpinned
+        live = list(knowledge.unpinned_rows(i))
         yield from dependency_runs([r[2] for r in live], [r[0] for r in live], [r[3] for r in live])
 
 
@@ -284,8 +285,9 @@ def greedy_matching_cover(instance: Instance, knowledge: KnowledgeState) -> Froz
 def forced_queries(instance: Instance, knowledge: KnowledgeState) -> List[int]:
     """Unqueried intervals that strictly contain a known point of a co-set
     element: no answer can order them against that point, so every
-    solution queries them: the pierced members of every set's view."""
-    return sorted({eid for i in range(instance.m) for eid in _pierced(knowledge.set_view(i))})
+    solution queries them: the pierced members of every set."""
+    rows, points = knowledge.unpinned_rows, knowledge.pinned_keys
+    return sorted({eid for i in range(instance.m) for eid in _pierced(rows(i), points(i))})
 
 
 def exact_cover(edges: Sequence[Tuple[int, int]], lexicographic: bool = False) -> FrozenSet[int]:

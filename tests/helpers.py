@@ -13,9 +13,10 @@ interval's own endpoints, the reference for every cut key, the
 subset-search optimum that the closed forms and the sorting optimum are
 checked against, the minimum audits as full scans of every membership
 (each set's true minimum, the minimum optimum and the minimum
-certificate check), a truth record built without validation, the round
-sizes of a `RoundsToBatches` by sequence, and a knowledge state over
-bare intervals and sets."""
+certificate check), a truth record built without validation, an instance
+file read back with a bare realization, the round sizes of a
+`RoundsToBatches` by sequence, and a knowledge state over bare intervals
+and sets."""
 
 import itertools
 from dataclasses import dataclass
@@ -23,7 +24,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from roundquery.instances import SORTING, Instance, InstanceError, ProblemKind, TruthRecord, truth_record
+from roundquery.instances import (
+    SORTING,
+    Instance,
+    InstanceError,
+    ProblemKind,
+    TruthRecord,
+    parse_instance_record,
+    truth_record,
+)
 from roundquery.intervals import CLOSED, KnowledgeState, cut_order, dependent, interval_keys
 from roundquery.solving import (
     BruteForceCapError,
@@ -364,6 +373,13 @@ def unvalidated_record(instance, realization):
     their intervals: how a test hands an audit an inadmissible record."""
     _, lowers, uppers, values = interval_keys(instance.elements, [realization.value(e) for e in instance.ids()])
     return TruthRecord(instance, realization, lowers, uppers, values)
+
+
+def parse_instance(text):
+    """An instance file's instance and its bare realization, or None:
+    `parse_instance_record` with the record read back as its realization."""
+    instance, truth = parse_instance_record(text)
+    return instance, None if truth is None else truth.realization
 
 
 def k_schedule(batch_alg):

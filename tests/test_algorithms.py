@@ -18,6 +18,7 @@ from helpers import (
     budget_round_reference,
     matching_cover,
     open_sets,
+    parse_instance,
     sel_full_round_reference,
     sel_value_round_reference,
     selection_categories,
@@ -43,7 +44,6 @@ from roundquery.instances import (
     gen_fig3_overlap_instance,
     gen_random,
     make_instance,
-    parse_instance,
 )
 from roundquery.intervals import CLOSED, OPEN, KnowledgeState, UncertainInterval
 from roundquery.oracles import (

@@ -9,11 +9,12 @@ import pytest
 
 from fractions import Fraction
 
+from helpers import parse_instance
 from roundquery import cli
 from roundquery.algorithms import ALGORITHMS, make_algorithm
 from roundquery.cli import main
 from roundquery.harness import resolve_source, run, run_batches
-from roundquery.instances import parse_instance
+from roundquery.instances import Realization
 from roundquery.oracles import FixedOracle
 from roundquery.reductions import RoundsToBatches
 from roundquery.solving import OptReport, canonical_opt
@@ -74,6 +75,17 @@ class TestRun:
         _, out_file, _ = invoke(capsys, "run", "--alg", "bal", "--instance", str(path))
         _, out_src, _ = invoke(capsys, "run", "--alg", "bal", "--source", "random:problem=minimum,n=10,m=2,k=3", "--seed", "5")
         assert out_file == out_src
+
+    def test_an_instance_run_validates_its_realization_once(self, tmp_path, capsys, monkeypatch):
+        # the record that parsing the file builds is the one the oracle
+        # answers from and the audits read, so the file's realization is
+        # keyed once
+        path = tmp_path / "minimum.rq"
+        invoke(capsys, "generate", "--source", "random:problem=minimum,n=60,m=6,k=3,overlap=overlap", "-o", str(path))
+        calls, validate = [], Realization.validate
+        monkeypatch.setattr(Realization, "validate", lambda self, inst: calls.append(1) or validate(self, inst))
+        code, out, _ = invoke(capsys, "run", "--alg", "bal", "--instance", str(path))
+        assert code == 0 and "opt_k" in out and len(calls) == 1
 
     def test_oracle_flag_runs_adversaries(self, capsys):
         code, out, _ = invoke(capsys, "run", "--alg", "budget", "--oracle", "wlb:M=2")

@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from roundquery import harness, instances, intervals, solving
+from roundquery import harness, instances, solving
 from roundquery.algorithms import make_algorithm
-from roundquery.cli import main
 from roundquery.harness import (
     CSV_HEADER,
     HarnessError,
@@ -38,7 +37,7 @@ from roundquery.instances import (
 )
 from roundquery.intervals import KnowledgeState, UncertainInterval
 from roundquery.oracles import FixedOracle, SortingPairAdversary
-from roundquery.reductions import QueryAllBatch, RoundsToBatches
+from roundquery.reductions import QueryAllBatch
 from roundquery.solving import ceil_div, reveal_all, set_solved
 
 iv = UncertainInterval.parse
@@ -299,7 +298,7 @@ class TestTouchedSetSolvedness:
 ])
 def test_selection_runs_build_no_membership_index(alg, source):
     # a one-set family re-checks its one set after every round, and a
-    # reveal with no set view to keep reads no index: none is built
+    # reveal with no floor to keep reads no index: none is built
     for seed in range(3):
         inst, oracle = resolve_source(source, seed)
         trace, _ = run(make_algorithm(alg, inst), inst, oracle)
@@ -310,45 +309,31 @@ def test_selection_runs_build_no_membership_index(alg, source):
     ("sel-full", "random:problem=selection-full,n=30,k=3,i=10"),
     ("sel-value", "random:problem=selection-value,n=30,k=3,i=10"),
 ])
-def test_selection_runs_build_no_set_view(monkeypatch, alg, source):
-    # selection reads the cut lists alone, so no run of it builds, and
-    # then keeps across its reveals, the view of its one full set: no
-    # view is asked for, and none is built by any other path
+def test_selection_runs_build_no_left_orders(monkeypatch, alg, source):
+    # selection reads the cut lists alone, so no run of it, audits
+    # included, pays for its one full set's left order
     def refuse(*args):
-        raise AssertionError("a set view was asked for or built")
+        raise AssertionError("a left order was asked for")
 
-    monkeypatch.setattr(KnowledgeState, "set_view", refuse)
-    monkeypatch.setattr(intervals, "SetView", refuse)
+    monkeypatch.setattr(instances.Instance, "left_orders", refuse)
     for seed in range(3):
         inst, oracle = resolve_source(source, seed)
         trace, _ = run(make_algorithm(alg, inst), inst, oracle)
         assert trace.rounds
 
 
-def test_minimum_runs_build_no_set_view(monkeypatch, tmp_path, capsys):
-    # minimum reads each set's head and floor on the instance's left
-    # orders, so no run of it, under either model, and no `verify` replay
-    # asks for or builds a set view
-    def refuse(*args):
-        raise AssertionError("a set view was asked for or built")
-
-    monkeypatch.setattr(KnowledgeState, "set_view", refuse)
-    monkeypatch.setattr(intervals, "SetView", refuse)
-    overlap, single = "random:problem=minimum,n=40,m=8,k=3,overlap=overlap", "random:problem=minimum,n=40,m=1,k=3"
-    for seed in range(3):
-        for alg, source in (("bal", overlap), ("budget", overlap), ("min-single", single)):
-            inst, oracle = resolve_source(source, seed)
-            trace, _ = run(make_algorithm(alg, inst), inst, oracle)
-            assert trace.rounds
-        inst, oracle = resolve_source(overlap, seed)
-        batches, _ = run_batches(
-            RoundsToBatches(lambda sized: make_algorithm("budget", sized), Fraction(2), 5, inst.n), inst, oracle
-        )
-        assert batches
-    path = tmp_path / "minimum.rq"
-    assert main(["generate", "--source", overlap, "--output", str(path)]) == 0
-    assert main(["verify", "--instance", str(path)]) == 0
-    assert "minimal yes" in capsys.readouterr().out
+def test_a_fresh_sorting_state_walks_only_the_sets_it_checks(monkeypatch):
+    # `instance_solved` stops at the first unsorted set, and a fresh state
+    # reads only the sets it is asked about: set 0 holds a dependent pair,
+    # so a `verify` replay on this family walks set 0 alone, sorts no
+    # pinned keys and reads no membership index
+    asked, walk, points = [], KnowledgeState.unpinned_rows, KnowledgeState.pinned_keys
+    monkeypatch.setattr(KnowledgeState, "unpinned_rows", lambda k, i: asked.append(i) or walk(k, i))
+    monkeypatch.setattr(KnowledgeState, "pinned_keys", lambda k, i: asked.append(("keys", i)) or points(k, i))
+    elements = [iv("(0,4)"), iv("(1,5)"), iv("(6,7)"), iv("(8,9)"), iv("{3}"), iv("(10,11)")]
+    inst = make_instance(elements, [[1, 2], [3, 4, 5], [5, 6]], ProblemKind(SORTING), 2)
+    assert not solving.instance_solved(inst, KnowledgeState(inst))
+    assert asked == [0] and "sets_of" not in vars(inst)
 
 
 class TestSources:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import contains
+from helpers import contains, parse_instance
 from roundquery.algorithms import make_algorithm
 from roundquery.cli import main
 from roundquery.harness import resolve_source, run
@@ -28,7 +28,6 @@ from roundquery.instances import (
     gen_fig3_overlap_instance,
     gen_random,
     make_instance,
-    parse_instance,
     serialize_instance,
     truth_record,
 )

@@ -375,14 +375,15 @@ class TestKnowledgeState:
             self.k.reveal({1: Fraction(0)})  # open endpoint excluded
 
     @staticmethod
-    def _kept(k, view):
-        """Everything a state keeps on its scale, the view's lists too, each
-        row copied, since a rescale writes the rows in place."""
+    def _kept(k):
+        """Everything a state keeps on its scale, and set 0's walk and
+        pinned keys, each row copied, since a rescale writes the rows in
+        place."""
         lefts, rights = k.cut_lists()
         keys = [(k.left_key(e), k.right_key(e)) for e in k.ids()]
         # the keys read back as cuts witness the scale
         cuts = [k.cut_of(key) for key in [*lefts, *rights]]
-        return list(lefts), list(rights), keys, cuts, [*map(list, view.unpinned)], [*map(list, view.pinned)]
+        return list(lefts), list(rights), keys, cuts, [*map(list, k.unpinned_rows(0))], k.pinned_keys(0)
 
     @pytest.mark.parametrize("value, text", [
         (Fraction(0), "0"),  # exactly on the open lower endpoint
@@ -394,11 +395,10 @@ class TestKnowledgeState:
         # the kept structures exist before the refused reveal, and it must
         # leave them, their keys and the scale as they were
         k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}")], [frozenset({1, 2, 3})])
-        view = k.set_view(0)
-        before = self._kept(k, view)
+        before = self._kept(k)
         with pytest.raises(IntervalError, match=rf"^value {text} outside interval \(0,4\) of element 1$"):
             k.reveal({1: value})
-        assert self._kept(k, view) == before
+        assert self._kept(k) == before
         assert k.known_value(1) is None and k.state(1) == iv("(0,4)")
         k.reveal({1: Fraction(1, 10007)})  # admissible at the same new denominator
         assert k.known_value(1) == Fraction(1, 10007)
@@ -412,25 +412,24 @@ class TestKnowledgeState:
         rescale = KnowledgeState._rescale
         monkeypatch.setattr(KnowledgeState, "_rescale", lambda k, grow: rescales.append(grow) or rescale(k, grow))
         k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}")], [frozenset({1, 2, 3})])
-        view = k.set_view(0)
-        before = self._kept(k, view)
+        before = self._kept(k)
         with pytest.raises(IntervalError, match=r"^value 5 outside interval \[1,3\] of element 2$"):
             k.reveal({1: Fraction(1, 11), 2: Fraction(5)})
-        assert self._kept(k, view) == before and rescales == []
+        assert self._kept(k) == before and rescales == []
         assert k.known_value(1) is None and k.state(1) == iv("(0,4)")
         # the same round with an admissible second value: two new
         # denominators, one rescale
         k.reveal({1: Fraction(1, 11), 2: Fraction(27, 13)})
         assert rescales == [143]
         assert [k.cut_of(key) for key in k.cut_lists()[0]] == [(Fraction(1, 11), 0), (Fraction(27, 13), 0), (Fraction(7, 2), 0)]
-        assert view.unpinned == [] and [record[2] for record in view.pinned] == [1, 2, 3]
+        assert [*k.unpinned_rows(0)] == []
+        assert [k.cut_of(3 * key)[0] for key in k.pinned_keys(0)] == [Fraction(1, 11), Fraction(27, 13), Fraction(7, 2)]
 
-    def test_views_list_the_states_records(self):
-        # a view lists each member's row as the state keeps it, a pinned
-        # member's as its point's [key, 0, id, key, 0], through reveals that
-        # move every key to a finer scale
+    def test_walks_list_the_states_records(self):
+        # the walk lists each unpinned member's row as the state keeps it,
+        # and the pinned keys are the pinned members' value keys, through
+        # reveals that move every key to a finer scale
         k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}"), iv("(2,5]")], [frozenset({4, 3, 2, 1})])
-        view = k.set_view(0)
 
         def record(e):
             left, right = k.left_key(e), k.right_key(e)
@@ -438,30 +437,33 @@ class TestKnowledgeState:
 
         for answers in ({}, {1: Fraction(1, 11)}, {4: Fraction(27, 13), 2: Fraction(3)}):
             k.reveal(answers)
-            assert view.unpinned == sorted(record(e) for e in k.ids() if not k.state(e).trivial)
-            assert view.pinned == sorted(record(e) for e in k.ids() if k.state(e).trivial)
-        assert [record[2] for record in view.pinned] == [1, 4, 2, 3]
+            assert [*k.unpinned_rows(0)] == sorted(record(e) for e in k.ids() if not k.state(e).trivial)
+            assert k.pinned_keys(0) == sorted(record(e)[0] for e in k.ids() if k.state(e).trivial)
+        assert k.pinned_keys(0) == [record(e)[0] for e in (1, 4, 2, 3)]
 
     def test_rescale_writes_the_rows_in_place(self):
         # a reveal over a denominator new to the state multiplies both keys
-        # of every row by the growth of the scale, in place: every view
-        # keeps its row objects, in order, each with its id and openness,
-        # and only the revealed element's row is new
+        # of every row by the growth of the scale, in place: every set's
+        # walk yields the same row objects, in order, each with its id and
+        # openness, less the revealed element's, and the pinned keys grow
+        # by the same factor, the new point's joining them
         k = state_of(
             [iv("(0,4)"), iv("[1,3]"), iv("{7/2}"), iv("(2,5]")],
             [frozenset({1, 2, 3, 4}), frozenset({2, 4}), frozenset({2, 4})],
         )
-        views = [k.set_view(i) for i in range(3)]
-        held = [view.unpinned + view.pinned for view in views]
+        held = [[*k.unpinned_rows(i)] for i in range(3)]
         copies = [[list(row) for row in rows] for rows in held]
+        points = [k.pinned_keys(i) for i in range(3)]
         k.reveal({1: Fraction(1, 7)})
         assert k.cut_of(3)[0] == Fraction(1, 14)  # the scale grew by 7
-        for view, rows, old in zip(views, held, copies):
-            now = [row for row in view.unpinned + view.pinned if row[2] != 1]
+        for i, (rows, old) in enumerate(zip(held, copies)):
+            now = [*k.unpinned_rows(i)]
             kept = [(row, copy) for row, copy in zip(rows, old) if copy[2] != 1]
             assert len(now) == len(kept) and all(a is b for a, (b, _) in zip(now, kept))
             for row, copy in kept:
                 assert row == [7 * copy[0], copy[1], copy[2], 7 * copy[3], copy[4]]
+        assert k.pinned_keys(0) == sorted([k.left_key(1) // 3, *(7 * key for key in points[0])])
+        assert k.pinned_keys(1) == k.pinned_keys(2) == points[1] == []
 
     def test_rescale_keeps_the_cut_lists(self):
         # a reveal over a denominator new to the state drops the cut lists,
@@ -518,11 +520,10 @@ class TestKnowledgeState:
         # element 3 is trivial from the start: the round is refused before
         # element 1's value, over a new denominator, changes anything
         k = state_of([iv("(0,4)"), iv("[1,3]"), iv("{7/2}")], [frozenset({1, 2, 3})])
-        view = k.set_view(0)
-        before = self._kept(k, view)
+        before = self._kept(k)
         with pytest.raises(IntervalError, match=r"^element 3 is already pinned$"):
             k.reveal({1: Fraction(1, 11), 3: Fraction(7, 2)})
-        assert self._kept(k, view) == before and k.state(1) == iv("(0,4)")
+        assert self._kept(k) == before and k.state(1) == iv("(0,4)")
 
     def test_revealed_element_reads_like_a_trivial_one(self):
         k = state_of([iv("(0,4)"), iv("{2}")])

@@ -1,6 +1,7 @@
 """Adversary oracles: consistency, replay, and the counts the lower-bound
 arguments promise."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,25 @@ class TestFixedOracle:
             FixedOracle(inst, Realization(values))
         with pytest.raises(InstanceError, match="^value for unknown element 0$"):
             Realization({0: Fraction(1), **r.values}).validate(inst)
+
+    def test_a_record_is_copied_and_not_validated_again(self, monkeypatch):
+        # the oracle keeps the record's keys with a private, read-only copy
+        # of its values; a record of another instance is validated
+        inst, r = gen_fig2_bal_instance()
+        values = dict(r.values)
+        record = Realization(values).validate(inst)
+        calls, validate = [], Realization.validate
+        monkeypatch.setattr(Realization, "validate", lambda self, inst: calls.append(1) or validate(self, inst))
+        oracle = FixedOracle(inst, record)
+        assert calls == []
+        FixedOracle(replace(inst, k=inst.k + 1), record)
+        assert len(calls) == 1
+        values[1] = inst.interval(1).upper + 1  # outside element 1's interval
+        assert oracle.realization.values == r.values
+        assert oracle.check_finalize().values == record.values
+        assert oracle.check_finalize().realization is oracle.realization
+        with pytest.raises(TypeError):
+            oracle.realization.values[1] = inst.interval(1).lower
 
     def test_a_run_validates_the_realization_once(self, monkeypatch):
         calls = []

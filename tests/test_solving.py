@@ -1,9 +1,10 @@
 """Solvedness checkers and the exact optima, cross-validated both ways:
 closed forms and the sorting optimum (its mandatory set plus a residual
 cover) against the subset search of `opt1_bruteforce`.  The sweeps, kept
-cut lists and kept per-set views behind the predicates are checked
-against their all-pairs, full-sort and full-scan definitions, also
-written here, and the kept views against a state built after the fact."""
+cut lists, left-order walks and kept floors behind the predicates are
+checked against their all-pairs, full-sort and full-scan definitions,
+also written here, and a state kept across reveals against one built
+after the fact."""
 
 import itertools
 import random
@@ -388,8 +389,8 @@ def _viewed_run(draw):
 
 
 class TestKeptViews:
-    """The views a state keeps across reveals answer as a state built after
-    the same reveals does, and as the definitions do."""
+    """A state kept across reveals answers as a state built after the same
+    reveals does, and as the definitions do."""
 
     @staticmethod
     def _answers(inst, k):
@@ -461,22 +462,21 @@ def _record(k, eid):
     return [lower, lower_open, eid, upper, 1 - closed]
 
 
-class TestViewsAreTheirSort:
-    """Each kept view holds the sorted current records of its set's members,
-    the unpinned ones in one list and the pinned ones in the other: for the
-    family's sets, overlapping and duplicated, before and after reveals, one
-    of which moves every key to a finer scale."""
+class TestWalksAreTheirSort:
+    """Each set's walk yields the sorted current records of its unpinned
+    members, and its pinned keys are the sorted value keys of its pinned
+    ones: for the family's sets, overlapping and duplicated, before and
+    after reveals, one of which moves every key to a finer scale."""
 
     @staticmethod
     def _check(k, sets):
         for i, members in enumerate(sets):
-            view = k.set_view(i)
-            assert view.unpinned == sorted(_record(k, e) for e in members if k.known_value(e) is None)
-            assert view.pinned == sorted(_record(k, e) for e in members if k.known_value(e) is not None)
+            assert [*k.unpinned_rows(i)] == sorted(_record(k, e) for e in members if k.known_value(e) is None)
+            assert k.pinned_keys(i) == sorted(_record(k, e)[0] for e in members if k.known_value(e) is not None)
 
     @pytest.mark.parametrize("kind", [SORTING, MINIMUM])
     @pytest.mark.parametrize("seed", range(8))
-    def test_views_follow_reveals(self, kind, seed):
+    def test_walks_follow_reveals(self, kind, seed):
         base, r = gen_random(seed, RandomParams(
             n=30, m=4, k=3, problem=ProblemKind(kind), overlap="overlap", trivial_prob=0.3
         ))
@@ -541,7 +541,7 @@ class TestRescale:
             if step:
                 k.reveal(dict([self.REVEALS[step - 1]]))
             # every kept structure is built before the first reveal, so each
-            # later reveal rescales the views as well and drops the cut
+            # later reveal rescales the floors as well and drops the cut
             # lists, which the next answers build again
             fresh = state_of(map(k.state, k.ids()), self.FAMILY)
             assert self._answers(k) == self._answers(fresh)
