@@ -25,7 +25,7 @@ from bisect import bisect_right, insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .instances import Instance, MINIMUM, SELECTION_FULL, SELECTION_VALUE, SORTING
 from .intervals import (
@@ -168,17 +168,35 @@ class BudgetRounds:
     `last_seeds` and `last_charges` (each bought element's owners)
     describe the last round; tests read them to check the charging
     argument.
+
+    Each open set's first live member, its seed, is kept across rounds,
+    and a set is walked again for it only once that member is pinned: the
+    members before it in left order are pinned and stay pinned, and floors
+    only fall, so while it is unpinned and its set open, it is still the
+    set's first live member.  Beyond the seeds a set's walk starts when the
+    round first advances it.  The kept members start afresh with a new
+    knowledge state.
     """
 
     def __init__(self) -> None:
         self.last_charges: Dict[int, Tuple[int, ...]] = {}
         self.last_seeds: Tuple[int, ...] = ()
+        self._knowledge: Optional[KnowledgeState] = None
+        self._firsts: Dict[int, int] = {}  # open set -> its first live member, while unpinned
 
     def next_round(self, instance: Instance, knowledge: KnowledgeState, open_sets: OpenSets) -> List[int]:
         k = instance.k
-        walks = {idx: knowledge.minimum_live(idx) for idx in open_sets}
+        if knowledge is not self._knowledge:
+            self._knowledge, self._firsts = knowledge, {}
+        firsts, state = self._firsts, knowledge.state
+        walks: Dict[int, Iterator[int]] = {}
+        for idx in open_sets:
+            e = firsts.get(idx)
+            if e is None or state(e).trivial:
+                walks[idx] = walk = knowledge.minimum_live(idx)
+                firsts[idx] = next(walk)  # an open set has a live member
         self.last_charges = {}
-        seeds = sorted({next(walks[idx]) for idx in open_sets})[:k]  # an open set has a live member
+        seeds = sorted({firsts[idx] for idx in open_sets})[:k]
         self.last_seeds = tuple(seeds)
         chosen: List[int] = list(seeds)
         if len(chosen) == k:
@@ -189,7 +207,10 @@ class BudgetRounds:
 
         def advance(idx: int) -> Optional[int]:
             """idx's next untaken element along its walk, or None past its end."""
-            for e in walks[idx]:
+            walk = walks.get(idx)
+            if walk is None:
+                walk = walks[idx] = knowledge.minimum_live(idx)
+            for e in walk:
                 if e not in taken:
                     return e
             return None

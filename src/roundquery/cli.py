@@ -255,6 +255,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RUN_ERRORS + (OSError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # the last defence against a source too large to build
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -373,6 +373,8 @@ def _run_row(args: Tuple[str, str, int, int]) -> Union[Dict[str, str], str]:
         _, report = run(make_algorithm(alg_name, instance), instance, oracle, opt_cap=opt_cap)
     except RUN_ERRORS as exc:
         return f"alg={alg_name} source={source} seed={seed}: {exc}"
+    except MemoryError:  # this row fails alone; the others are still written
+        return f"alg={alg_name} source={source} seed={seed}: out of memory"
     return {
         "source": source,
         "alg": alg_name,

@@ -86,9 +86,12 @@ SELECTION_FULL = ProblemFamily.SELECTION_FULL
 @dataclass(frozen=True)
 class Instance:
     """Ground set with ids 1..n, family of subsets, problem kind, round width,
-    and structures built once, on first use: the family's membership
-    index `sets_of`, each set's members in left order, `left_orders`, and
-    each set's first point in that order, `first_points`."""
+    and structures built once, on first use: the endpoints' exact keys
+    `endpoint_keys`, the family's membership index `sets_of`, each set's
+    members in left order, `left_orders`, and each set's first point in
+    that order, `first_points`.  A realization's validation and every
+    knowledge state over the instance read its one set of keys, so an
+    instance keys its endpoints once however many runs and audits read it."""
 
     elements: Tuple[UncertainInterval, ...]
     family: Tuple[frozenset, ...]
@@ -124,24 +127,29 @@ class Instance:
                 index[eid].append(i)
         return dict(enumerate(index[1:], 1))
 
-    def left_orders(self, lowers: Optional[Sequence[int]] = None) -> List[List[int]]:
+    @cached_property
+    def endpoint_keys(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """The scale L0, the least common multiple of every endpoint's
+        denominator, and the keys of the elements' lower and of their upper
+        endpoints on it, in id order, from one `interval_keys` call: kept
+        as `sets_of` is, and read-only, so every reader shares them.  A key
+        on L0 times L // L0 is the same endpoint's key on any multiple L."""
+        scale, lowers, uppers, _ = interval_keys(self.elements)
+        return scale, tuple(lowers), tuple(uppers)
+
+    def left_orders(self) -> List[List[int]]:
         """For each family set, its members in left order, by (left cut,
         id), so ascending by lower endpoint, a point's being its value.
 
-        Built on the first call, without reading `sets_of`, and kept in
-        the instance's `__dict__` as that index is.  `lowers` are the keys
-        of the elements' lower endpoints in id order on any one exact
-        scale, such as a `TruthRecord`'s; every such scale orders them
-        alike, so they are read only by the first call, and without them
-        that call keys the endpoints itself.  Each id gets one int that
-        orders as (left cut, id): its left cut key 3 * lower + open, less
-        the least one can be, times a stride above every id, plus the id.
+        Built on the first call, from the lower keys of `endpoint_keys` and
+        without reading `sets_of`, and kept in the instance's `__dict__` as
+        that index is.  Each id gets one int that orders as (left cut, id):
+        its left cut key 3 * lower + open, less the least one can be, times
+        a stride above every id, plus the id.
         """
         orders = self.__dict__.get("_left_orders")
         if orders is None:
-            elements = self.elements
-            if lowers is None:
-                _, lowers, _, _ = interval_keys(elements)
+            elements, lowers = self.elements, self.endpoint_keys[1]
             low, stride = 3 * min(lowers), len(elements) + 1
             sort_key = [0]
             sort_key += [
@@ -206,24 +214,35 @@ class Realization:
     def validate(self, instance: Instance) -> "TruthRecord":
         """The record of this realization for `instance`, unless an element
         has no value or one outside its interval, on the record's keys, or
-        a value is given for an id the instance lacks."""
+        a value is given for an id the instance lacks.
+
+        Only the values are keyed here, onto the instance's scale L0 by one
+        `interval_keys` call; the endpoint keys are the instance's own,
+        multiplied only when a value's denominator does not divide L0."""
         for eid in instance.ids():
             if eid not in self.values:
                 raise InstanceError(f"realization misses element {eid}")
         if len(self.values) != instance.n:  # every id is there, so some key is not an id
             extra = next(eid for eid in self.values if eid not in instance.ids())
             raise InstanceError(f"value for unknown element {extra}")
-        _, lowers, uppers, values = interval_keys(instance.elements, map(self.values.__getitem__, instance.ids()))
+        base, lowers, uppers = instance.endpoint_keys
+        scale, _, _, values = interval_keys((), map(self.values.__getitem__, instance.ids()), base)
+        if scale != base:
+            grow = scale // base
+            lowers, uppers = tuple(key * grow for key in lowers), tuple(key * grow for key in uppers)
         for eid, iv, lo, hi, v in zip(instance.ids(), instance.elements, lowers, uppers, values):
             if not iv.contains_keyed(lo, hi, v):
                 raise InstanceError(f"value {self.values[eid]} outside interval {iv.text()} of element {eid}")
-        return TruthRecord(instance, self, lowers, uppers, values)
+        return TruthRecord(instance, self, lowers, uppers, tuple(values))
 
 
 @dataclass(frozen=True)
 class TruthRecord:
     """A realization for `instance`, the keys of each element's endpoints
-    and value in id order from one `interval_keys` call, and `holders`.
+    and value in id order, all on one scale, the least common multiple of
+    the instance's and the values' denominators, and `holders`.  The
+    endpoint keys are the instance's `endpoint_keys` themselves when the
+    values bring no new denominator.
 
     `holders` are the ids that hold what the kind asks of the realization:
     a member of least value of each set (minimum) or the true i-th value
@@ -238,16 +257,16 @@ class TruthRecord:
 
     instance: Instance = field(repr=False, compare=False)
     realization: Realization
-    lowers: List[int]
-    uppers: List[int]
-    values: List[int]
+    lowers: Sequence[int]
+    uppers: Sequence[int]
+    values: Sequence[int]
 
     @cached_property
     def holders(self) -> Tuple[int, ...]:
         instance, values = self.instance, self.values
         if instance.problem.kind is MINIMUM:
             lowers, holders = self.lowers, []
-            for order in instance.left_orders(lowers):
+            for order in instance.left_orders():
                 holder = order[0]
                 for eid in order:
                     if lowers[eid - 1] >= values[holder - 1]:

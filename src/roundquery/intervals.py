@@ -9,10 +9,12 @@ denominator L of the values compared, so keys order and tie exactly as the
 rationals do, at the cost of an int comparison rather than a `Fraction`
 one.  `interval_keys` is the one place that makes keys: of intervals'
 endpoints, from the ratios each interval keeps, and of values, on one L
-(the audits key what they compare this way); a `KnowledgeState` keeps one
-L and the keys of all its states across reveals, so the run loop compares
-ints throughout.  A cut (v, flag), an endpoint with its openness, is
-keyed as 3 * key + flag.
+(the audits key what they compare this way).  An `Instance` keys its
+endpoints once, `Instance.endpoint_keys`, and a `KnowledgeState` keeps one
+L and builds the key row of an element's state from those keys the first
+time something reads it, keeping it across reveals, so the run loop
+compares ints throughout and a run builds only the rows it reads.  A cut
+(v, flag), an endpoint with its openness, is keyed as 3 * key + flag.
 
 An element's knowledge state has one shape, an `UncertainInterval`: its
 original interval until queried, then the closed point {v} of the
@@ -359,6 +361,47 @@ class CutKeys:
 KeyRecord = List[int]
 
 
+class _KeyRows(dict):
+    """A knowledge state's key rows by id, each built the first time it is
+    read.  Only an unrevealed id lacks a row, as `reveal` writes each
+    point's, so a missing row is its interval's: the instance's
+    `endpoint_keys` times `grow`, the state's scale over the instance's L0,
+    exactly the row an eager build would have multiplied to that scale.
+    An id outside 1..n has none, a `KeyError` as in any dict."""
+
+    __slots__ = ("_elements", "_lowers", "_uppers", "grow")
+
+    def __init__(self, instance: Instance) -> None:
+        super().__init__()
+        self._elements = instance.elements
+        _, self._lowers, self._uppers = instance.endpoint_keys
+        self.grow = 1
+
+    def __missing__(self, eid: int) -> KeyRecord:
+        if not 0 < eid <= len(self._elements):
+            raise KeyError(eid)
+        i, grow = eid - 1, self.grow
+        iv = self._elements[i]
+        lower, upper = self._lowers[i] * grow, self._uppers[i] * grow
+        row = self[eid] = [lower, iv.lower_kind is OPEN, eid, upper, iv.upper_kind is OPEN]
+        return row
+
+    def fill(self) -> None:
+        """Build every missing row in one pass and hold all of them in id
+        order, each row built before kept as the same object, since floors
+        hold rows; once full, a reveal only replaces rows, so the order
+        stays."""
+        elements = self._elements
+        if len(self) < len(elements):
+            get, grow = self.get, self.grow
+            rows = [
+                get(eid) or [lower * grow, iv.lower_kind is OPEN, eid, upper * grow, iv.upper_kind is OPEN]
+                for eid, (iv, lower, upper) in enumerate(zip(elements, self._lowers, self._uppers), 1)
+            ]
+            self.clear()
+            self.update(zip(range(1, len(elements) + 1), rows))
+
+
 class KnowledgeState:
     """Per-element view: the original interval, or the point {v} once
     the query revealed v.
@@ -367,29 +410,33 @@ class KnowledgeState:
     element never reverts, and the value must lie inside the original
     interval (strictly inside open endpoints).  Mutated only by the
     single-threaded run loop of a trial, one round's answers at a time.
-    Built from its instance alone, whose elements, family, membership
-    index `sets_of` and `left_orders` it reads.
+    Built from its instance alone, whose elements, family, `endpoint_keys`,
+    membership index `sets_of` and `left_orders` it reads.
 
     An element is pinned when its state is a point, trivial from the start
     or revealed, and `reveal` refuses it then; `known_value` reads the
     point's value off the state, and only certificate extraction asks for it.
 
     Everything else it keeps is on exact integer keys, all on one scale L,
-    the least common multiple of every denominator the state has seen: each
-    element's key row [lower, lower_open, id, upper, upper_open], built here
-    by `interval_keys`, holds the keys of its current state's endpoints with
-    their openness as 0 or 1, a point's row being [key, 0, id, key, 0], and
-    its left and right cut keys are read off it.  A value's key is the value
-    times L, so keys order and tie as the rationals do, and nothing below
-    compares a `Fraction`.  `reveal` takes a whole round's answers and keys
-    their values; when a denominator does not divide L, it first multiplies
-    the two keys of every row in place by L'/L, L' the lcm of L and all the
-    round's denominators, so one scale holds throughout, and drops the cut
-    lists.  The floors hold the very row objects, and a multiplication by
-    L'/L > 0 keeps every order, so they are not touched: a rescale costs
-    one pass over the rows, and a round pays at most one,
-    and rarely: random values are eighths, and the adversaries use few
-    denominators.
+    the least common multiple of every denominator the state has seen,
+    starting at the instance's L0: each element's key row [lower,
+    lower_open, id, upper, upper_open] holds the keys of its current
+    state's endpoints with their openness as 0 or 1, a point's row being
+    [key, 0, id, key, 0], and its left and right cut keys are read off it.
+    A row is built the first time something reads it, from the instance's
+    `endpoint_keys` times L / L0, so a minimum run, which reads a prefix of
+    each open set, builds few; a read of the whole state, `cut_lists` or
+    `unpinned_meeting`, builds the missing ones in one pass.  A value's key
+    is the value times L, so keys order and tie as the rationals do, and
+    nothing below compares a `Fraction`.  `reveal` takes a whole round's
+    answers and keys their values; when a denominator does not divide L, it
+    first multiplies the two keys of every row built so far in place by
+    L'/L, L' the lcm of L and all the round's denominators, so one scale
+    holds throughout, and drops the cut lists.  The floors hold the very
+    row objects, and a multiplication by L'/L > 0 keeps every order, so
+    they are not touched: a rescale costs one pass over the rows built, and
+    a round pays at most one, and rarely: random values are eighths, and
+    the adversaries use few denominators.
     A new prime denominator in every value rescales every round and grows
     the keys: slower, but exact, so there is no second path.
 
@@ -407,9 +454,8 @@ class KnowledgeState:
     L'/L costs more than sorting them again.
 
     Minimum and sorting read each family set in the instance's
-    `left_orders`, which the state's `left_orders()` builds, if this is
-    their first call, from its first lower keys, so a run and its audits
-    share one sort.  An unpinned member's row is its interval's, so the set's
+    `left_orders`, so a run and its audits share one sort.  An unpinned
+    member's row is its interval's, so the set's
     unpinned rows in (left cut, id) order are its left order with the
     pinned members skipped: `unpinned_rows` walks that, and `pinned_keys`
     sorts the pinned members' value keys, so the sorting predicates read
@@ -425,8 +471,8 @@ class KnowledgeState:
     holds a revealed id, found through the instance's `sets_of`, built once
     per instance, where the point is less; points revealed before the build
     are folded in then.  So no run copies a membership, a fresh state over
-    the same instance builds only its own keys and floors, and a `reveal`
-    with no floors to keep reads no index.
+    the same instance builds only the rows it reads and its floors, and a
+    `reveal` with no floors to keep reads no index.
 
     What it answers in rationals: `state`, `known_value`, and `cut_of`,
     the cut that a cut key stands for.
@@ -435,12 +481,8 @@ class KnowledgeState:
     def __init__(self, instance: Instance):
         self._instance = instance
         self._states: Dict[int, UncertainInterval] = dict(enumerate(instance.elements, 1))
-        self._scale, lowers, uppers, _ = interval_keys(self._states.values())
-        self._keys: Dict[int, KeyRecord] = {
-            eid: [lower, st.lower_kind is OPEN, eid, upper, st.upper_kind is OPEN]
-            for (eid, st), lower, upper in zip(self._states.items(), lowers, uppers)
-        }
-        self._lowers = lowers  # the first lower keys, for `Instance.left_orders`
+        self._scale = instance.endpoint_keys[0]
+        self._keys = _KeyRows(instance)
         self._cuts: Optional[Tuple[CutKeys, CutKeys]] = None
         self._floors: Optional[List[Optional[KeyRecord]]] = None  # per family set, once built
         self._heads: List[int] = []  # per family set, with the floors
@@ -507,11 +549,13 @@ class KnowledgeState:
             self._lower_floors(answers)
 
     def _rescale(self, grow: int) -> None:
-        """Multiply the two keys of every key row by `grow` in place, moving
-        all of them to the scale L * grow, and drop the cut lists, which the
-        next `cut_lists` builds again from the rows; orders and ties are
+        """Multiply the two keys of every key row built so far by `grow` in
+        place, moving all of them to the scale L * grow, on which the rows
+        not yet built will be built, and drop the cut lists, which the next
+        `cut_lists` builds again from the rows; orders and ties are
         unchanged, so the floors, which hold the same rows, stay least."""
         self._scale *= grow
+        self._keys.grow *= grow
         for row in self._keys.values():
             row[0] *= grow
             row[3] *= grow
@@ -521,19 +565,15 @@ class KnowledgeState:
         """The ascending cut keys of the left cuts and of the right cuts of
         all current states; `cut_of` reads a key back as a cut.
 
-        The lists are built on the first call on each scale and kept by
-        `reveal` until a rescale drops them; callers read them and never
-        write.
+        The lists are built on the first call on each scale, which builds
+        every missing row, and kept by `reveal` until a rescale drops them;
+        callers read them and never write.
         """
         if self._cuts is None:  # `left_key` and `right_key` of every row
+            self._keys.fill()
             rows = self._keys.values()
             self._cuts = (CutKeys([3 * r[0] + r[1] for r in rows]), CutKeys([3 * r[3] - r[4] for r in rows]))
         return self._cuts
-
-    def left_orders(self) -> List[List[int]]:
-        """The instance's `left_orders`, built, if this is their first call,
-        from the state's first lower keys."""
-        return self._instance.left_orders(self._lowers)
 
     def unpinned_rows(self, i: int) -> Iterator[KeyRecord]:
         """The key rows of the unpinned members of the family's set of index
@@ -541,7 +581,7 @@ class KnowledgeState:
         row (its two keys equal).  Read lazily, so it holds until the next
         `reveal`; callers read the rows and never write."""
         rows = self._keys
-        for eid in self.left_orders()[i]:
+        for eid in self._instance.left_orders()[i]:
             row = rows[eid]
             if row[0] != row[3]:
                 yield row
@@ -589,10 +629,9 @@ class KnowledgeState:
     def _build_floors(self) -> None:
         """Each set's head at 0 and its floor at its first point in left
         order, `Instance.first_points`, then lowered by the points revealed
-        so far; `left_orders` comes first, since `first_points` would
-        otherwise key the endpoints itself."""
+        so far."""
         instance, rows = self._instance, self._keys
-        self._orders = self.left_orders()
+        self._orders = instance.left_orders()
         self._heads = [0] * len(self._orders)
         self._floors = [None if eid is None else rows[eid] for eid in instance.first_points()]
         self._lower_floors([eid for (eid, st), iv in zip(self._states.items(), instance.elements) if st is not iv])
@@ -613,8 +652,9 @@ class KnowledgeState:
     def unpinned_meeting(self, lo: int, hi: int) -> List[int]:
         """The unpinned ids, ascending, whose state meets the cut keys from
         `lo` to `hi`: its left cut key is at most `hi` and its right cut
-        key at least `lo`.  Read off the rows: a state is pinned exactly
-        when its two keys are equal."""
+        key at least `lo`.  Read off every row, in id order: a state is
+        pinned exactly when its two keys are equal."""
+        self._keys.fill()
         return [
             eid
             for eid, row in self._keys.items()

@@ -475,7 +475,7 @@ def _verify_minima(
         iv, st = elements[eid - 1], states[eid - 1]
         if st.lower_num * iv.lower_den < iv.lower_num * st.lower_den:
             raise InstanceError(f"the state of element {eid} starts below its interval")
-    orders = instance.left_orders(None if truth is None else truth.lowers)
+    orders = instance.left_orders()
     for i, (members, (holder, v), order) in enumerate(zip(instance.family, minima, orders)):
         num, den = v.as_integer_ratio()
         st = states[holder - 1] if holder in members else None
@@ -524,7 +524,7 @@ def opt1_minimum(instance: Instance, realization: Union[Realization, TruthRecord
     none lies below the minimum."""
     truth, chosen = truth_record(instance, realization), set()
     lowers, values = truth.lowers, truth.values
-    for order, holder in zip(instance.left_orders(lowers), truth.holders):
+    for order, holder in zip(instance.left_orders(), truth.holders):
         chosen.update(order[: bisect_left(order, values[holder - 1], key=lambda e: lowers[e - 1])])
     return OptReport.of(chosen, instance.k, "closed-form")
 

@@ -333,6 +333,16 @@ class TestBudget:
         )
         assert picked == sorted(leftmosts)[:3]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_object_on_a_second_state_starts_afresh(self, seed):
+        # the first live members it keeps are those of the state it read:
+        # on a fresh state over the same instance the runs are the same
+        inst, oracle = resolve_source("random:problem=minimum,n=60,m=8,k=4,overlap=overlap", seed)
+        alg = BudgetRounds()
+        first, _ = run(alg, inst, oracle)
+        again, _ = run(alg, inst, FixedOracle(inst, oracle.realization))
+        assert len(first.rounds) > 1 and again.rounds == first.rounds
+
     @pytest.mark.parametrize("seed", range(25))
     def test_round_bound_and_charging_on_overlapping_families(self, seed):
         params = RandomParams(

@@ -10,7 +10,7 @@ import pytest
 from fractions import Fraction
 
 from helpers import parse_instance
-from roundquery import cli
+from roundquery import cli, harness
 from roundquery.algorithms import ALGORITHMS, make_algorithm
 from roundquery.cli import main
 from roundquery.harness import resolve_source, run, run_batches
@@ -35,6 +35,26 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def out_of_memory(monkeypatch, name):
+    """Make the source `name`'s builder raise `MemoryError`, as one too
+    large to build would, without allocating anything."""
+
+    def build(arg, seed):
+        raise MemoryError
+
+    monkeypatch.setitem(harness.SOURCES, name, (harness.SOURCES[name][0], build))
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--alg", "bal", "--oracle", "wlb:M=6"),
+    ("run", "--alg", "bal", "--source", "wlb:M=6"),
+    ("generate", "--source", "wlb:M=6"),
+])
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys, argv):
+    out_of_memory(monkeypatch, "wlb")
+    assert invoke(capsys, *argv) == (1, "", "error: out of memory\n")
 
 
 class TestGenerate:
@@ -321,6 +341,20 @@ class TestBenchAndTable:
         code, out, err = invoke(capsys, "bench", "--spec", str(spec), "-o", str(out_path), "--jobs", jobs)
         assert (code, out, err) == (1, "", f"error: --jobs: must be at least 1, not {jobs}\n")
         assert not out_path.exists()
+
+    def test_out_of_memory_row_keeps_the_good_rows(self, tmp_path, capsys, monkeypatch):
+        out_of_memory(monkeypatch, "wlb")
+        spec = tmp_path / "spec.rq"
+        spec.write_text(
+            "sweep alg=bal source=fig2 seeds=0\n"
+            "sweep alg=bal source=wlb:M=6 seeds=0\n"
+            "sweep alg=bal source=fig2 seeds=1\n"
+        )
+        out_path = tmp_path / "rows.csv"
+        code, out, err = invoke(capsys, "bench", "--spec", str(spec), "-o", str(out_path))
+        assert (code, out, err) == (1, "", "error: alg=bal source=wlb:M=6 seed=0: out of memory\n")
+        rows = out_path.read_text().splitlines()
+        assert len(rows) == 3 and [row.split(",")[2] for row in rows[1:]] == ["0", "1"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_row_keeps_the_good_rows(self, tmp_path, capsys, jobs):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from roundquery import harness, instances, solving
+from roundquery import harness, instances, intervals, oracles, solving
 from roundquery.algorithms import make_algorithm
 from roundquery.harness import (
     CSV_HEADER,
@@ -334,6 +334,45 @@ def test_a_fresh_sorting_state_walks_only_the_sets_it_checks(monkeypatch):
     inst = make_instance(elements, [[1, 2], [3, 4, 5], [5, 6]], ProblemKind(SORTING), 2)
     assert not solving.instance_solved(inst, KnowledgeState(inst))
     assert asked == [0] and "sets_of" not in vars(inst)
+
+
+@pytest.mark.parametrize("alg, source, share", [
+    ("min-single", "random:problem=minimum,n=3000,m=1,overlap=single", 0.01),
+    ("bal", "random:problem=minimum,n=800,m=80,k=8,overlap=overlap", 0.15),
+])
+def test_a_minimum_run_builds_only_the_rows_it_reads(monkeypatch, alg, source, share):
+    # a minimum run reads a prefix of each open set's left order, and a
+    # knowledge state builds a key row the first time it is read
+    states, init = [], KnowledgeState.__init__
+    monkeypatch.setattr(KnowledgeState, "__init__", lambda k, inst: states.append(k) or init(k, inst))
+    for seed in (0, 2):  # seeds whose runs take rounds
+        inst, oracle = resolve_source(source, seed)
+        trace, _ = run(make_algorithm(alg, inst), inst, oracle)
+        assert trace.rounds and 0 < len(states[-1]._keys) < share * inst.n
+
+
+def test_an_instance_keys_its_endpoints_once(monkeypatch):
+    # the oracle's validation keys the instance's endpoints; every state
+    # and audit after it reads those keys, so two runs on the instance
+    # key its elements no more (the oracle keys each round's intervals,
+    # the reveals their values alone)
+    over_elements = []
+
+    def counted(keys):
+        def wrapper(intervals, *args):
+            if len(intervals) == 60:
+                over_elements.append(intervals)
+            return keys(intervals, *args)
+
+        return wrapper
+
+    for module in (instances, intervals, oracles, solving):
+        monkeypatch.setattr(module, "interval_keys", counted(module.interval_keys))
+    inst, oracle = resolve_source("random:problem=minimum,n=60,m=8,k=3,overlap=overlap", 0)
+    for alg in ("bal", "budget"):
+        trace, _ = run(make_algorithm(alg, inst), inst, oracle)
+        assert trace.rounds
+    assert over_elements == [inst.elements]
 
 
 class TestSources:

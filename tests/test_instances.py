@@ -180,8 +180,8 @@ class TestMembershipIndex:
         reads, states = self._reads(monkeypatch)
         orders, left_orders = [], Instance.left_orders
 
-        def read_orders(inst, lowers=None):
-            orders.append(left_orders(inst, lowers))
+        def read_orders(inst):
+            orders.append(left_orders(inst))
             return orders[-1]
 
         monkeypatch.setattr(Instance, "left_orders", read_orders)
@@ -203,8 +203,12 @@ class TestLeftOrders:
         "random:problem=selection-full,n=40,k=2,i=20,triv=0.3",
     ])
     def test_each_set_in_left_order(self, source, seed, keyed):
+        # keyed: the oracle's validation has keyed the instance first; not
+        # keyed: a fresh copy, whose first `left_orders` call keys it
         inst, oracle = resolve_source(source, seed)
-        orders = inst.left_orders(truth_record(inst, oracle.realization).lowers if keyed else None)
+        inst = inst if keyed else dataclasses.replace(inst)
+        assert ("endpoint_keys" in vars(inst)) is keyed
+        orders = inst.left_orders()
         interval = inst.interval
         for members, order in zip(inst.family, orders):
             # a point's left cut is its value, closed
@@ -218,10 +222,14 @@ class TestLeftOrders:
     def test_built_once_from_the_first_keys(self):
         inst, r = gen_fig3_overlap_instance()
         assert "_left_orders" not in vars(inst)
-        orders = inst.left_orders(truth_record(inst, r).lowers)
-        assert inst.left_orders() is orders and inst.left_orders([0] * inst.n) is orders
+        keys = inst.endpoint_keys
+        truth_record(inst, r)  # its validation reads the instance's keys and sorts nothing
+        assert inst.endpoint_keys is keys and "_left_orders" not in vars(inst)
+        orders = inst.left_orders()
+        assert inst.left_orders() is orders and inst.endpoint_keys is keys
         copy = dataclasses.replace(inst)
         assert copy == inst and hash(copy) == hash(inst) and "_left_orders" not in vars(copy)
+        assert "endpoint_keys" not in vars(copy) and copy.left_orders() == orders
 
     def test_built_by_the_first_audit_that_reads_a_minimum(self):
         # neither the oracle's validation nor its record builds them, and

@@ -482,6 +482,41 @@ class TestKnowledgeState:
             assert [k.cut_of(key) for key in lefts] == sorted(left_cut(k.state(e)) for e in k.ids())
             assert [k.cut_of(key) for key in rights] == sorted(right_cut(k.state(e)) for e in k.ids())
 
+    def test_rows_read_late_equal_rows_read_early(self):
+        # one state reads every row before each reveal, the other none
+        # until after the last: each reveal brings a new prime, so a row
+        # first read late is built on a scale several rescales on, and
+        # must equal the row the eager state multiplied there
+        elements = [iv("(0,4)"), iv("[1,3]"), iv("{7/2}"), iv("(2,5]"), iv("[1/2,9/2)"), iv("(3,8)")]
+        family = [frozenset({1, 2, 3}), frozenset({3, 4, 5, 6})]
+        eager, late = state_of(elements, family), state_of(elements, family)
+
+        def read(k):
+            keys = [(k.left_key(e), k.right_key(e)) for e in k.ids()]
+            return keys, [[*map(list, k.unpinned_rows(i))] for i in range(2)], [k.pinned_keys(i) for i in range(2)]
+
+        for answers in ({1: Fraction(1, 11)}, {4: Fraction(37, 13)}, {6: Fraction(69, 17), 2: Fraction(3)}):
+            read(eager)
+            eager.reveal(answers)
+            late.reveal(answers)
+        # a whole-state read first, on the late state's few rows
+        assert late.unpinned_meeting(0, 30 * 4862) == eager.unpinned_meeting(0, 30 * 4862) == [5]
+        assert read(late) == read(eager) and late.cut_of(3) == eager.cut_of(3) == (Fraction(1, 4862), 0)
+        assert [list(keys) for keys in late.cut_lists()] == [list(keys) for keys in eager.cut_lists()]
+
+    def test_a_full_read_keeps_the_rows_the_floors_hold(self):
+        # the floors hold set 0's point row and set 1's revealed one; the
+        # cut lists' read builds every other row and keeps those, so a
+        # later rescale moves the floors with the rows
+        k = state_of([iv("(0,4)"), iv("{3}"), iv("(1,5)"), iv("(2,6)")], [frozenset({1, 2}), frozenset({3, 4})])
+        k.reveal({3: Fraction(2)})
+        floors = [k.minimum_floor(0), k.minimum_floor(1)]
+        k.cut_lists()
+        k.reveal({4: Fraction(36, 7)})  # above set 1's floor: no floor moves
+        assert all(floor is now for floor, now in zip(floors, (k.minimum_floor(0), k.minimum_floor(1))))
+        assert [k.cut_of(3 * floor[0]) for floor in floors] == [(Fraction(3), 0), (Fraction(2), 0)]
+        assert k.unpinned_meeting(0, 100 * 3 * 7) == [1]
+
     def test_a_prime_denominator_selection_run_builds_its_cut_lists_once_per_scale(self, monkeypatch):
         # n=300 overlapping integer intervals, each value over a prime of
         # its own, so every round rescales: the run builds one list of each

@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    Probed,
     contains,
     left_cut,
     live_members,
@@ -50,7 +51,9 @@ from roundquery.intervals import (
     OPEN,
     KnowledgeState,
     UncertainInterval,
+    cut_keys,
     dependent,
+    interval_keys,
 )
 from roundquery.oracles import FixedOracle, SelectionFullLbAdversary, SelectionValueLbAdversary
 from roundquery.solving import (
@@ -499,6 +502,101 @@ class TestWalksAreTheirSort:
         for start in range(0, len(rest), 4):
             k.reveal({e: r.value(e) for e in rest[start : start + 4]})
             self._check(k, inst.family)
+
+    # the algorithms of every problem kind, each on its kind's random source
+    RUNS = [
+        ("bal", MINIMUM), ("budget", MINIMUM), ("min-single", MINIMUM), ("sorting-vc", SORTING),
+        ("sorting-matching", SORTING), ("sel-full", SELECTION_FULL), ("sel-value", SELECTION_VALUE),
+    ]
+
+    @staticmethod
+    def _read(k, ids, sets):
+        """Every id of `ids`' left and right cut, and each set of `sets`' walk
+        as (left cut, id, right cut) and pinned values, read off k's keys
+        through `cut_of`, so on any scale."""
+        cut = k.cut_of
+        return (
+            [(cut(k.left_key(e)), cut(k.right_key(e))) for e in ids],
+            [[(cut(3 * r[0] + r[1]), r[2], cut(3 * r[3] - r[4])) for r in k.unpinned_rows(i)] for i in sets],
+            [[cut(3 * key) for key in k.pinned_keys(i)] for i in sets],
+        )
+
+    @staticmethod
+    def _fresh(k, family, ids, sets):
+        """What `_read` must give: one `interval_keys` call over k's current
+        states, on a scale of its own."""
+        states = list(k.states())
+        scale, lowers, uppers, _ = interval_keys(states)
+
+        def cut(key):
+            v, flag = divmod(key + 1, 3)
+            return Fraction(v, scale), flag - 1
+
+        cuts = {e: tuple(map(cut, cut_keys(st, lo, hi))) for e, st, lo, hi in zip(k.ids(), states, lowers, uppers)}
+        pinned = {e for e, st in zip(k.ids(), states) if st.trivial}
+        return (
+            [cuts[e] for e in ids],
+            [sorted((cuts[e][0], e, cuts[e][1]) for e in family[i] if e not in pinned) for i in sets],
+            [sorted(cuts[e][0] for e in family[i] if e in pinned) for i in sets],
+        )
+
+    @classmethod
+    def _check_some(cls, k, family, rng):
+        """A random third of the ids and sets, so that the rows left unread
+        are first built on a later scale; all of them when `rng` is None."""
+        ids, sets = list(k.ids()), range(len(family))
+        if rng is not None:
+            ids, sets = [e for e in ids if rng.random() < 1 / 3], [i for i in sets if rng.random() < 1 / 3]
+        assert cls._read(k, ids, sets) == cls._fresh(k, family, ids, sets)
+
+    @staticmethod
+    def _case(alg, kind, seed, primes):
+        """A random instance of `kind`; with `primes`, each non-trivial
+        element's value moved by 1/p, p a prime of its own, strictly inside
+        its integer interval, so every round brings a new denominator."""
+        n = 24 + seed
+        single = kind in (SELECTION_FULL, SELECTION_VALUE) or alg == "min-single"
+        params = RandomParams(
+            n=n, m=1 if single else 4, k=1 + seed % 4, overlap="single" if single else "overlap",
+            problem=ProblemKind(kind, 1 + (5 * seed) % n if kind in (SELECTION_FULL, SELECTION_VALUE) else None),
+            trivial_prob=0.05 if single else 0.3,
+        )
+        inst, r = gen_random(seed, params)
+        if primes:
+            odd = (p for p in itertools.count(11) if all(p % d for d in range(2, int(p**0.5) + 1)))
+            values = {}
+            for e, iv_e in enumerate(inst.elements, 1):
+                v = r.value(e)
+                values[e] = v if iv_e.trivial else v + (Fraction(1, next(odd)) if v < iv_e.upper else -Fraction(1, next(odd)))
+            r = Realization(values)
+        return inst, r
+
+    @pytest.mark.parametrize("primes", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("alg, kind", RUNS)
+    def test_lazy_rows_read_as_a_fresh_keying(self, alg, kind, seed, primes, monkeypatch):
+        # a run reads some rows and leaves the rest unbuilt: after each
+        # round, some ids and sets read back as a fresh keying of the
+        # current states, and after the run all of them do, on the run's
+        # state and on states built after the reveals, as `verify`'s
+        # replays build them
+        inst, r = self._case(alg, kind, seed, primes)
+        rescales, rescale = [], KnowledgeState._rescale
+        monkeypatch.setattr(KnowledgeState, "_rescale", lambda k, grow: rescales.append(grow) or rescale(k, grow))
+        rng, seen = random.Random(seed), []
+
+        def probe(knowledge, _open_sets, _picked):
+            seen.append(knowledge)
+            self._check_some(knowledge, inst.family, rng)
+
+        trace, _ = run(Probed(make_algorithm(alg, inst), probe), inst, FixedOracle(inst, r), opt_cap=inst.n)
+        assert trace.rounds and (not primes or len(rescales) >= len(trace.rounds))
+        self._check_some(seen[0], inst.family, None)
+        queried = trace.queried_ids()
+        for cut in sorted({0, len(queried) // 3, len(queried)}):
+            replay = reveal_all(inst, r, queried[:cut])
+            self._check_some(replay, inst.family, rng)
+            self._check_some(replay, inst.family, None)
 
 
 class TestRescale:
