@@ -386,20 +386,16 @@ class _KeyRows(dict):
         row = self[eid] = [lower, iv.lower_kind is OPEN, eid, upper, iv.upper_kind is OPEN]
         return row
 
-    def fill(self) -> None:
-        """Build every missing row in one pass and hold all of them in id
-        order, each row built before kept as the same object, since floors
-        hold rows; once full, a reveal only replaces rows, so the order
-        stays."""
-        elements = self._elements
-        if len(self) < len(elements):
-            get, grow = self.get, self.grow
-            rows = [
-                get(eid) or [lower * grow, iv.lower_kind is OPEN, eid, upper * grow, iv.upper_kind is OPEN]
-                for eid, (iv, lower, upper) in enumerate(zip(elements, self._lowers, self._uppers), 1)
-            ]
-            self.clear()
-            self.update(zip(range(1, len(elements) + 1), rows))
+    def filled(self) -> Dict[int, KeyRecord]:
+        """Every row, in id order, in a plain dict: the missing ones built in
+        one pass, each one built before kept as the same object, since
+        floors hold rows.  No row is missing from it, and a reveal only
+        replaces rows, so its order stays, and a plain dict reads faster."""
+        get, grow = self.get, self.grow
+        return {
+            eid: get(eid) or [lower * grow, iv.lower_kind is OPEN, eid, upper * grow, iv.upper_kind is OPEN]
+            for eid, (iv, lower, upper) in enumerate(zip(self._elements, self._lowers, self._uppers), 1)
+        }
 
 
 class KnowledgeState:
@@ -426,7 +422,8 @@ class KnowledgeState:
     A row is built the first time something reads it, from the instance's
     `endpoint_keys` times L / L0, so a minimum run, which reads a prefix of
     each open set, builds few; a read of the whole state, `cut_lists` or
-    `unpinned_meeting`, builds the missing ones in one pass.  A value's key
+    `unpinned_meeting`, builds the missing ones in one pass and keeps all of
+    them in a plain dict from then on.  A value's key
     is the value times L, so keys order and tie as the rationals do, and
     nothing below compares a `Fraction`.  `reveal` takes a whole round's
     answers and keys their values; when a denominator does not divide L, it
@@ -482,7 +479,7 @@ class KnowledgeState:
         self._instance = instance
         self._states: Dict[int, UncertainInterval] = dict(enumerate(instance.elements, 1))
         self._scale = instance.endpoint_keys[0]
-        self._keys = _KeyRows(instance)
+        self._keys: Dict[int, KeyRecord] = _KeyRows(instance)  # a plain dict once every row is built
         self._cuts: Optional[Tuple[CutKeys, CutKeys]] = None
         self._floors: Optional[List[Optional[KeyRecord]]] = None  # per family set, once built
         self._heads: List[int] = []  # per family set, with the floors
@@ -503,6 +500,13 @@ class KnowledgeState:
         """Exact value if pinned (revealed, or trivial from the start)."""
         state = self._states[eid]
         return state.lower if state.trivial else None
+
+    def _all_rows(self) -> Dict[int, KeyRecord]:
+        """Every key row, in id order: on the first call, the missing rows
+        built and all of them moved to a plain dict (`_KeyRows.filled`)."""
+        if type(self._keys) is _KeyRows:
+            self._keys = self._keys.filled()
+        return self._keys
 
     def left_key(self, eid: int) -> int:
         """The cut key of the left cut of eid's current state."""
@@ -555,7 +559,8 @@ class KnowledgeState:
         `cut_lists` builds again from the rows; orders and ties are
         unchanged, so the floors, which hold the same rows, stay least."""
         self._scale *= grow
-        self._keys.grow *= grow
+        if type(self._keys) is _KeyRows:
+            self._keys.grow *= grow
         for row in self._keys.values():
             row[0] *= grow
             row[3] *= grow
@@ -570,8 +575,7 @@ class KnowledgeState:
         callers read them and never write.
         """
         if self._cuts is None:  # `left_key` and `right_key` of every row
-            self._keys.fill()
-            rows = self._keys.values()
+            rows = self._all_rows().values()
             self._cuts = (CutKeys([3 * r[0] + r[1] for r in rows]), CutKeys([3 * r[3] - r[4] for r in rows]))
         return self._cuts
 
@@ -654,10 +658,9 @@ class KnowledgeState:
         `lo` to `hi`: its left cut key is at most `hi` and its right cut
         key at least `lo`.  Read off every row, in id order: a state is
         pinned exactly when its two keys are equal."""
-        self._keys.fill()
         return [
             eid
-            for eid, row in self._keys.items()
+            for eid, row in self._all_rows().items()
             if row[0] != row[3] and 3 * row[0] + row[1] <= hi and 3 * row[3] - row[4] >= lo
         ]
 
