@@ -229,7 +229,7 @@ class Realization:
         scale, _, _, values = interval_keys((), map(self.values.__getitem__, instance.ids()), base)
         if scale != base:
             grow = scale // base
-            lowers, uppers = tuple(key * grow for key in lowers), tuple(key * grow for key in uppers)
+            lowers, uppers = tuple([key * grow for key in lowers]), tuple([key * grow for key in uppers])
         for eid, iv, lo, hi, v in zip(instance.ids(), instance.elements, lowers, uppers, values):
             if not iv.contains_keyed(lo, hi, v):
                 raise InstanceError(f"value {self.values[eid]} outside interval {iv.text()} of element {eid}")

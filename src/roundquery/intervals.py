@@ -357,45 +357,9 @@ class CutKeys:
 # and the id both breaks their ties, so rows sort in (left cut, id) order,
 # and makes each row distinct, so two rows never compare their upper
 # fields.  A row is a list, owned by its state, so that a rescale
-# multiplies its two keys in place.
+# multiplies its two keys in place.  A state builds a row the first time
+# it is read: `rows[eid] or self._row(eid)`, rows being its list by id.
 KeyRecord = List[int]
-
-
-class _KeyRows(dict):
-    """A knowledge state's key rows by id, each built the first time it is
-    read.  Only an unrevealed id lacks a row, as `reveal` writes each
-    point's, so a missing row is its interval's: the instance's
-    `endpoint_keys` times `grow`, the state's scale over the instance's L0,
-    exactly the row an eager build would have multiplied to that scale.
-    An id outside 1..n has none, a `KeyError` as in any dict."""
-
-    __slots__ = ("_elements", "_lowers", "_uppers", "grow")
-
-    def __init__(self, instance: Instance) -> None:
-        super().__init__()
-        self._elements = instance.elements
-        _, self._lowers, self._uppers = instance.endpoint_keys
-        self.grow = 1
-
-    def __missing__(self, eid: int) -> KeyRecord:
-        if not 0 < eid <= len(self._elements):
-            raise KeyError(eid)
-        i, grow = eid - 1, self.grow
-        iv = self._elements[i]
-        lower, upper = self._lowers[i] * grow, self._uppers[i] * grow
-        row = self[eid] = [lower, iv.lower_kind is OPEN, eid, upper, iv.upper_kind is OPEN]
-        return row
-
-    def filled(self) -> Dict[int, KeyRecord]:
-        """Every row, in id order, in a plain dict: the missing ones built in
-        one pass, each one built before kept as the same object, since
-        floors hold rows.  No row is missing from it, and a reveal only
-        replaces rows, so its order stays, and a plain dict reads faster."""
-        get, grow = self.get, self.grow
-        return {
-            eid: get(eid) or [lower * grow, iv.lower_kind is OPEN, eid, upper * grow, iv.upper_kind is OPEN]
-            for eid, (iv, lower, upper) in enumerate(zip(self._elements, self._lowers, self._uppers), 1)
-        }
 
 
 class KnowledgeState:
@@ -419,13 +383,13 @@ class KnowledgeState:
     lower_open, id, upper, upper_open] holds the keys of its current
     state's endpoints with their openness as 0 or 1, a point's row being
     [key, 0, id, key, 0], and its left and right cut keys are read off it.
-    A row is built the first time something reads it, from the instance's
-    `endpoint_keys` times L / L0, so a minimum run, which reads a prefix of
-    each open set, builds few; a read of the whole state, `cut_lists` or
-    `unpinned_meeting`, builds the missing ones in one pass and keeps all of
-    them in a plain dict from then on.  A value's key
-    is the value times L, so keys order and tie as the rationals do, and
-    nothing below compares a `Fraction`.  `reveal` takes a whole round's
+    The rows are kept in a list by id, and a row is built the first time
+    something reads it, from the instance's `endpoint_keys` times L / L0,
+    so a minimum run, which reads a prefix of each open set, builds few; a
+    read of the whole state, `cut_lists` or `unpinned_meeting`, builds the
+    missing ones in one pass.  A value's key is the value times L, so keys
+    order and tie as the rationals do, and nothing below compares a
+    `Fraction`.  `reveal` takes a whole round's
     answers and keys their values; when a denominator does not divide L, it
     first multiplies the two keys of every row built so far in place by
     L'/L, L' the lcm of L and all the round's denominators, so one scale
@@ -479,7 +443,10 @@ class KnowledgeState:
         self._instance = instance
         self._states: Dict[int, UncertainInterval] = dict(enumerate(instance.elements, 1))
         self._scale = instance.endpoint_keys[0]
-        self._keys: Dict[int, KeyRecord] = _KeyRows(instance)  # a plain dict once every row is built
+        self._grow = 1  # the scale over the instance's L0, on which a row is built
+        # the key rows by id, slot 0 unused, each None until first read
+        self._keys: List[Optional[KeyRecord]] = [None] * (len(instance.elements) + 1)
+        self._all_built = False
         self._cuts: Optional[Tuple[CutKeys, CutKeys]] = None
         self._floors: Optional[List[Optional[KeyRecord]]] = None  # per family set, once built
         self._heads: List[int] = []  # per family set, with the floors
@@ -501,21 +468,43 @@ class KnowledgeState:
         state = self._states[eid]
         return state.lower if state.trivial else None
 
-    def _all_rows(self) -> Dict[int, KeyRecord]:
-        """Every key row, in id order: on the first call, the missing rows
-        built and all of them moved to a plain dict (`_KeyRows.filled`)."""
-        if type(self._keys) is _KeyRows:
-            self._keys = self._keys.filled()
-        return self._keys
+    def _row(self, eid: int) -> KeyRecord:
+        """eid's key row, built on its first read.  Only an unrevealed id
+        lacks one, as `reveal` writes each point's, so a missing row is its
+        interval's: the instance's `endpoint_keys` times the state's scale
+        over L0, the row an eager build would have multiplied to that
+        scale.  An id outside 1..n has none."""
+        if not 0 < eid < len(self._keys):
+            raise KeyError(eid)
+        iv, grow = self._instance.elements[eid - 1], self._grow
+        _, lowers, uppers = self._instance.endpoint_keys
+        lower, upper = lowers[eid - 1] * grow, uppers[eid - 1] * grow
+        row = self._keys[eid] = [lower, iv.lower_kind is OPEN, eid, upper, iv.upper_kind is OPEN]
+        return row
+
+    def _all_rows(self) -> List[KeyRecord]:
+        """Every key row, in id order.  The first call builds the missing
+        ones in one pass, in place, so each row built before stays the same
+        object, as the floors hold rows."""
+        rows = self._keys
+        if not self._all_built:
+            _, lowers, uppers = self._instance.endpoint_keys
+            grow = self._grow
+            rows[1:] = [
+                row or [lower * grow, iv.lower_kind is OPEN, eid, upper * grow, iv.upper_kind is OPEN]
+                for eid, (row, iv, lower, upper) in enumerate(zip(rows[1:], self._instance.elements, lowers, uppers), 1)
+            ]
+            self._all_built = True
+        return rows[1:]
 
     def left_key(self, eid: int) -> int:
         """The cut key of the left cut of eid's current state."""
-        record = self._keys[eid]
+        record = self._keys[eid] or self._row(eid)
         return 3 * record[0] + record[1]
 
     def right_key(self, eid: int) -> int:
         """The cut key of the right cut of eid's current state."""
-        record = self._keys[eid]
+        record = self._keys[eid] or self._row(eid)
         return 3 * record[3] - record[4]
 
     def cut_of(self, key: int) -> Cut:
@@ -532,8 +521,8 @@ class KnowledgeState:
         the round's denominators."""
         scale, _, _, keys = interval_keys((), answers.values(), self._scale)
         grow = scale // self._scale
-        states, rows = self._states, self._keys
-        pins = [(eid, value, key, rows[eid]) for (eid, value), key in zip(answers.items(), keys)]
+        states, rows, row_of = self._states, self._keys, self._row
+        pins = [(eid, value, key, rows[eid] or row_of(eid)) for (eid, value), key in zip(answers.items(), keys)]
         for eid, value, key, row in pins:
             iv = states[eid]
             if iv.trivial:
@@ -559,9 +548,8 @@ class KnowledgeState:
         `cut_lists` builds again from the rows; orders and ties are
         unchanged, so the floors, which hold the same rows, stay least."""
         self._scale *= grow
-        if type(self._keys) is _KeyRows:
-            self._keys.grow *= grow
-        for row in self._keys.values():
+        self._grow *= grow
+        for row in filter(None, self._keys):
             row[0] *= grow
             row[3] *= grow
         self._cuts = None
@@ -575,7 +563,7 @@ class KnowledgeState:
         callers read them and never write.
         """
         if self._cuts is None:  # `left_key` and `right_key` of every row
-            rows = self._all_rows().values()
+            rows = self._all_rows()
             self._cuts = (CutKeys([3 * r[0] + r[1] for r in rows]), CutKeys([3 * r[3] - r[4] for r in rows]))
         return self._cuts
 
@@ -584,17 +572,17 @@ class KnowledgeState:
         i, in (left cut, id) order: its left order, skipping each pinned
         row (its two keys equal).  Read lazily, so it holds until the next
         `reveal`; callers read the rows and never write."""
-        rows = self._keys
+        rows, row_of = self._keys, self._row
         for eid in self._instance.left_orders()[i]:
-            row = rows[eid]
+            row = rows[eid] or row_of(eid)
             if row[0] != row[3]:
                 yield row
 
     def pinned_keys(self, i: int) -> List[int]:
         """The value keys of the pinned members of the family's set of index
         i, ascending, sorted on each call."""
-        rows = self._keys
-        return sorted([row[0] for eid in self._instance.family[i] if (row := rows[eid])[0] == row[3]])
+        rows, row_of = self._keys, self._row
+        return sorted([row[0] for eid in self._instance.family[i] if (row := rows[eid] or row_of(eid))[0] == row[3]])
 
     def minimum_floor(self, i: int) -> Optional[KeyRecord]:
         """The key row of the least pinned point of the family's set of
@@ -619,12 +607,12 @@ class KnowledgeState:
         `reveal`.
         """
         floor = self.minimum_floor(i)
-        order, rows, head = self._orders[i], self._keys, self._heads[i]
-        while head < len(order) and (row := rows[order[head]])[0] == row[3]:
+        order, rows, row_of, head = self._orders[i], self._keys, self._row, self._heads[i]
+        while head < len(order) and (row := rows[order[head]] or row_of(order[head]))[0] == row[3]:
             head += 1
         self._heads[i] = head
         for eid in islice(order, head, None):
-            row = rows[eid]
+            row = rows[eid] or row_of(eid)
             if row[0] != row[3]:
                 if floor is not None and row[0] >= floor[0]:
                     return
@@ -637,7 +625,7 @@ class KnowledgeState:
         instance, rows = self._instance, self._keys
         self._orders = instance.left_orders()
         self._heads = [0] * len(self._orders)
-        self._floors = [None if eid is None else rows[eid] for eid in instance.first_points()]
+        self._floors = [None if eid is None else rows[eid] or self._row(eid) for eid in instance.first_points()]
         self._lower_floors([eid for (eid, st), iv in zip(self._states.items(), instance.elements) if st is not iv])
 
     def _lower_floors(self, revealed: Collection[int]) -> None:
@@ -659,8 +647,8 @@ class KnowledgeState:
         key at least `lo`.  Read off every row, in id order: a state is
         pinned exactly when its two keys are equal."""
         return [
-            eid
-            for eid, row in self._all_rows().items()
+            row[2]
+            for row in self._all_rows()
             if row[0] != row[3] and 3 * row[0] + row[1] <= hi and 3 * row[3] - row[4] >= lo
         ]
 

@@ -504,6 +504,15 @@ class TestKnowledgeState:
         assert read(late) == read(eager) and late.cut_of(3) == eager.cut_of(3) == (Fraction(1, 4862), 0)
         assert [list(keys) for keys in late.cut_lists()] == [list(keys) for keys in eager.cut_lists()]
 
+    @pytest.mark.parametrize("eid", [0, -1, 3])
+    def test_an_unknown_id_has_no_row(self, eid):
+        # a row is built on its first read, for the ids 1..n alone
+        with pytest.raises(LookupError):
+            self.k.left_key(eid)
+        with pytest.raises(LookupError):
+            self.k.reveal({eid: Fraction(1)})
+        assert [self.k.left_key(e) for e in self.k.ids()] == [1, 21]
+
     def test_a_full_read_keeps_the_rows_the_floors_hold(self):
         # the floors hold set 0's point row and set 1's revealed one; the
         # cut lists' read builds every other row and keeps those, so a
