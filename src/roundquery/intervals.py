@@ -389,15 +389,15 @@ class KnowledgeState:
     read of the whole state, `cut_lists` or `unpinned_meeting`, builds the
     missing ones in one pass.  A value's key is the value times L, so keys
     order and tie as the rationals do, and nothing below compares a
-    `Fraction`.  `reveal` takes a whole round's
-    answers and keys their values; when a denominator does not divide L, it
-    first multiplies the two keys of every row built so far in place by
-    L'/L, L' the lcm of L and all the round's denominators, so one scale
-    holds throughout, and drops the cut lists.  The floors hold the very
-    row objects, and a multiplication by L'/L > 0 keeps every order, so
-    they are not touched: a rescale costs one pass over the rows built, and
-    a round pays at most one, and rarely: random values are eighths, and
-    the adversaries use few denominators.
+    `Fraction`.  `reveal` takes a whole round's answers and keys their
+    values; when a denominator does not divide L, it first multiplies the
+    two keys of every row built so far in place by L'/L, L' the lcm of L
+    and all the round's denominators, so one scale holds throughout, and
+    drops the cut lists.  The floors hold the very row objects, and a
+    multiplication by L'/L > 0 keeps every order, so they are not touched:
+    a rescale costs one pass over the rows built, and a round pays at most
+    one, and rarely: random values are eighths, and the adversaries use few
+    denominators.
     A new prime denominator in every value rescales every round and grows
     the keys: slower, but exact, so there is no second path.
 
@@ -416,12 +416,11 @@ class KnowledgeState:
 
     Minimum and sorting read each family set in the instance's
     `left_orders`, so a run and its audits share one sort.  An unpinned
-    member's row is its interval's, so the set's
-    unpinned rows in (left cut, id) order are its left order with the
-    pinned members skipped: `unpinned_rows` walks that, and `pinned_keys`
-    sorts the pinned members' value keys, so the sorting predicates read
-    each set in left order, endpoint keys included, and no state keeps a
-    per-set copy of it.
+    member's row is its interval's, so the set's unpinned rows in (left
+    cut, id) order are its left order with the pinned members skipped:
+    `unpinned_rows` walks that, and `pinned_keys` sorts the pinned
+    members' value keys, so the sorting predicates read each set in left
+    order, endpoint keys included, and no state keeps a per-set copy of it.
 
     For minimum it keeps, per family set, a head and a floor, built on the
     first `minimum_floor` or `minimum_live` call: the head is a place in
