@@ -360,10 +360,10 @@ def test_an_instance_keys_its_endpoints_once(monkeypatch):
     over_elements = []
 
     def counted(keys):
-        def wrapper(intervals, *args):
-            if len(intervals) == 60:
-                over_elements.append(intervals)
-            return keys(intervals, *args)
+        def wrapper(spans, *args):
+            if len(spans) == 60:
+                over_elements.append(spans)
+            return keys(spans, *args)
 
         return wrapper
 
